@@ -18,8 +18,10 @@ fi
 echo "==> cargo fmt --check"
 cargo fmt --check
 
-echo "==> cargo clippy --workspace -- -D warnings"
-cargo clippy --workspace --offline -- -D warnings
+echo "==> cargo clippy --workspace --all-targets -- -D warnings"
+# --all-targets lints tests, examples and benches too, so the sweeps and
+# examples are held to the same bar as library code.
+cargo clippy --workspace --all-targets --offline -- -D warnings
 
 echo "==> tier-1: cargo build --release (offline)"
 # This build doubles as the compile-time thread-safety gate: const-context

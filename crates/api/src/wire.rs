@@ -1539,7 +1539,7 @@ mod tests {
                     .iter()
                     .map(|r| encode_request_with(&header, r)),
             )
-            .chain(sample_responses().iter().map(|r| encode_response(r)))
+            .chain(sample_responses().iter().map(encode_response))
             .chain(std::iter::once(encode_response_extended(&Response::Stats(
                 ServerStats {
                     column: "price".into(),

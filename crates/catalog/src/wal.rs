@@ -504,7 +504,14 @@ pub fn list_sealed_segments<S: Storage>(storage: &S, dir: &Path) -> Result<Vec<S
         if !name.ends_with(&suffix) {
             continue;
         }
-        let bytes = storage.read(&dir.join(&name))?;
+        let path = dir.join(&name);
+        let bytes = match storage.read(&path) {
+            Ok(bytes) => bytes,
+            // A checkpoint may delete a covered segment between the
+            // listing and this read; a vanished segment is not listed.
+            Err(_) if !storage.exists(&path) => continue,
+            Err(e) => return Err(e),
+        };
         match parse_header(&bytes, &name) {
             Ok(h) => {
                 let prefix = format!("{}-", sanitize_column(&h.column));
@@ -1362,6 +1369,39 @@ mod tests {
         let _ = std::fs::remove_dir_all(&d);
     }
 
+    /// Lists one extra segment that no longer exists, as a directory
+    /// listing taken just before a checkpoint deleted the file would.
+    struct VanishedListing(FsStorage);
+
+    impl Storage for VanishedListing {
+        fn read(&self, path: &Path) -> Result<Vec<u8>> {
+            self.0.read(path)
+        }
+        fn write_atomic(&self, path: &Path, bytes: &[u8]) -> Result<()> {
+            self.0.write_atomic(path, bytes)
+        }
+        fn append(&self, path: &Path, bytes: &[u8], sync: bool) -> Result<()> {
+            self.0.append(path, bytes, sync)
+        }
+        fn remove(&self, path: &Path) -> Result<()> {
+            self.0.remove(path)
+        }
+        fn rename(&self, from: &Path, to: &Path) -> Result<()> {
+            self.0.rename(from, to)
+        }
+        fn list(&self, dir: &Path) -> Result<Vec<String>> {
+            let mut names = self.0.list(dir)?;
+            names.push(wal_file_name("a", 99));
+            Ok(names)
+        }
+        fn create_dir_all(&self, dir: &Path) -> Result<()> {
+            self.0.create_dir_all(dir)
+        }
+        fn exists(&self, path: &Path) -> bool {
+            self.0.exists(path)
+        }
+    }
+
     #[test]
     fn list_sealed_segments_orders_by_column_then_first_lsn() {
         let d = tmp_dir("listsegs");
@@ -1379,6 +1419,8 @@ mod tests {
         // A wreck whose header never landed is not a shippable segment.
         s.append(&d.join(wal_file_name("a", 9)), &WAL_MAGIC[..5], false)
             .unwrap();
+        // Nor is one a checkpoint deleted after the directory listing.
+        let s = VanishedListing(s);
         let segs = list_sealed_segments(&s, &d).unwrap();
         assert_eq!(segs.len(), 6);
         let keys: Vec<(&str, u64)> = segs

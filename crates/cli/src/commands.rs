@@ -493,7 +493,7 @@ pub fn estimate(args: &[String]) -> Result<(), CliError> {
 pub fn serve(args: &[String]) -> Result<(), CliError> {
     use std::net::{TcpListener, ToSocketAddrs};
     use synoptic_serve::{ServeConfig, Server};
-    use synoptic_stream::{ColumnBuild, MaintainedPool, RebuildConfig, RebuildPolicy};
+    use synoptic_stream::{ColumnBuild, MaintainedPool, RebuildConfig};
 
     let f = Flags::parse(args).usage()?;
     let values = read_column(f.required("input").usage()?)?;
@@ -519,26 +519,7 @@ pub fn serve(args: &[String]) -> Result<(), CliError> {
         return Err(CliError::usage("--workers must be at least 1"));
     }
 
-    // Rebuild policy: the same --every-k / --drift pair as `maintain`,
-    // mutually exclusive and bounds-checked here (exit 2, not a runtime
-    // refusal later).
-    let every_k: Option<u64> = f.parsed_opt("every-k").usage()?;
-    let drift: Option<f64> = f.parsed_opt("drift").usage()?;
-    if every_k.is_some() && drift.is_some() {
-        return Err(CliError::usage(
-            "--every-k and --drift are mutually exclusive",
-        ));
-    }
-    if every_k == Some(0) {
-        return Err(CliError::usage("--every-k must be at least 1"));
-    }
-    if drift.is_some_and(|fr| fr <= 0.0 || fr.is_nan()) {
-        return Err(CliError::usage("--drift must be a positive fraction"));
-    }
-    let policy = match drift {
-        Some(fr) => RebuildPolicy::DriftFraction(fr),
-        None => RebuildPolicy::EveryKUpdates(every_k.unwrap_or(64)),
-    };
+    let policy = rebuild_policy(&f, 64)?;
     let exec = BudgetFlags::parse(&f)?;
     let mut rebuild = RebuildConfig::new(policy);
     if let Some(d) = exec.deadline {
@@ -721,6 +702,37 @@ fn maintained_method(name: &str) -> Result<synoptic_hist::HistogramMethod, CliEr
     })
 }
 
+/// The `--every-k K | --drift F` rebuild policy shared by `maintain` and
+/// `serve`: mutually exclusive and bounds-checked here (exit 2, not a
+/// runtime refusal later). Without either flag the column rebuilds every
+/// `default_every_k` updates.
+fn rebuild_policy(
+    f: &Flags,
+    default_every_k: u64,
+) -> Result<synoptic_stream::RebuildPolicy, CliError> {
+    use synoptic_stream::RebuildPolicy;
+
+    let every_k: Option<u64> = f.parsed_opt("every-k").usage()?;
+    let drift: Option<f64> = f.parsed_opt("drift").usage()?;
+    if every_k.is_some() && drift.is_some() {
+        return Err(CliError::usage(
+            "--every-k and --drift are mutually exclusive",
+        ));
+    }
+    if every_k == Some(0) {
+        return Err(CliError::usage("--every-k must be at least 1"));
+    }
+    if drift.is_some_and(|fr| !(fr.is_finite() && fr > 0.0)) {
+        return Err(CliError::usage(
+            "--drift must be a finite positive fraction",
+        ));
+    }
+    Ok(match drift {
+        Some(fr) => RebuildPolicy::DriftFraction(fr),
+        None => RebuildPolicy::EveryKUpdates(every_k.unwrap_or(default_every_k)),
+    })
+}
+
 /// Parses the `--fsync` cadence: `every` (per record, the default), a
 /// number `N` (every N records), or `rotate` (on segment rotation only).
 fn parse_fsync(s: &str) -> Result<synoptic_catalog::wal::FsyncCadence, CliError> {
@@ -749,7 +761,7 @@ fn parse_fsync(s: &str) -> Result<synoptic_catalog::wal::FsyncCadence, CliError>
 /// journaled before they are acknowledged and rebuild snapshots commit
 /// durably with their WAL mark (see `recover`).
 pub fn maintain(args: &[String]) -> Result<(), CliError> {
-    use synoptic_stream::{ColumnBuild, MaintainedPool, RebuildConfig, RebuildPolicy};
+    use synoptic_stream::{ColumnBuild, MaintainedPool, RebuildConfig};
 
     let f = Flags::parse(args).usage()?;
     let values = read_column(f.required("input").usage()?)?;
@@ -758,15 +770,10 @@ pub fn maintain(args: &[String]) -> Result<(), CliError> {
     let budget: usize = f.parsed_or("budget", 32).usage()?;
     let updates: u64 = f.parsed_or("updates", 256).usage()?;
     let workers: usize = f.parsed_or("workers", 2).usage()?;
-    let every_k: u64 = f.parsed_or("every-k", (updates / 8).max(1)).usage()?;
-    let drift: Option<f64> = f.parsed_opt("drift").usage()?;
+    let policy = rebuild_policy(&f, (updates / 8).max(1))?;
     let seed: u64 = f.parsed_or("seed", 2001).usage()?;
     let exec = BudgetFlags::parse(&f)?;
 
-    let policy = match drift {
-        Some(fr) => RebuildPolicy::DriftFraction(fr),
-        None => RebuildPolicy::EveryKUpdates(every_k),
-    };
     let mut config = RebuildConfig::new(policy);
     if let Some(d) = exec.deadline {
         config = config.with_deadline(d);

@@ -3,7 +3,8 @@
 //! surfaces as a clean client error (never a hang or a panic), and a
 //! restarted server answers from the same last-good build. Admission
 //! refusals cross the wire structurally with exit code 10, and the
-//! `serve` flag validation rejects bad bounds with the usage code.
+//! `serve` flag validation (whose rebuild-policy half `maintain` shares)
+//! rejects bad bounds with the usage code.
 
 use std::path::PathBuf;
 use std::process::{Child, Command, Output, Stdio};
@@ -253,6 +254,8 @@ fn serve_flag_validation_exits_with_usage_code() {
         ),
         (&["--listen", "127.0.0.1:0", "--every-k", "0"], "--every-k"),
         (&["--listen", "127.0.0.1:0", "--drift", "-0.5"], "--drift"),
+        (&["--listen", "127.0.0.1:0", "--drift", "inf"], "--drift"),
+        (&["--listen", "127.0.0.1:0", "--drift", "nan"], "--drift"),
         (
             &["--listen", "127.0.0.1:0", "--max-queue-depth", "0"],
             "--max-queue-depth",
@@ -291,6 +294,53 @@ fn serve_flag_validation_exits_with_usage_code() {
         let stderr = String::from_utf8_lossy(&out.stderr).to_lowercase();
         assert!(
             stderr.contains(&needle.to_lowercase()),
+            "stderr for `{}` must mention '{needle}': {stderr}",
+            args.join(" ")
+        );
+    }
+    let _ = std::fs::remove_file(&col);
+}
+
+/// `maintain` applies the same rebuild-policy check as `serve` (the
+/// policy cases above): a drift fraction that is zero, negative, infinite
+/// or NaN, a zero update period, and both policies at once are usage
+/// errors (exit 2), never a panic or a runtime refusal.
+#[test]
+fn maintain_refuses_the_rebuild_policies_serve_refuses() {
+    let col = tmp("synoptic_maintain_usage_col.txt");
+    let col_s = col.to_str().unwrap();
+    ok(&["generate", "--n", "16", "--seed", "3", "--out", col_s]);
+    let base = [
+        "maintain",
+        "--input",
+        col_s,
+        "--method",
+        "sap0",
+        "--updates",
+        "8",
+    ];
+    let cases: &[(&[&str], &str)] = &[
+        (&["--drift", "0"], "--drift"),
+        (&["--drift", "-0.5"], "--drift"),
+        (&["--drift", "inf"], "--drift"),
+        (&["--drift", "nan"], "--drift"),
+        (&["--every-k", "0"], "--every-k"),
+        (&["--every-k", "4", "--drift", "0.5"], "mutually exclusive"),
+    ];
+    for (extra, needle) in cases {
+        let mut args: Vec<&str> = base.to_vec();
+        args.extend_from_slice(extra);
+        let out = run(&args);
+        assert_eq!(
+            out.status.code(),
+            Some(2),
+            "`synoptic {}` must exit 2\nstderr: {}",
+            args.join(" "),
+            String::from_utf8_lossy(&out.stderr)
+        );
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert!(
+            stderr.contains(needle),
             "stderr for `{}` must mention '{needle}': {stderr}",
             args.join(" ")
         );

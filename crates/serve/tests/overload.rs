@@ -318,7 +318,7 @@ fn queue_pressure_with_degrade_ok_descends_to_naive_then_cache_hit() {
 #[test]
 fn lag_pressure_with_degrade_ok_serves_last_good_with_stamped_staleness() {
     let pool = MaintainedPool::new(1);
-    let col = exact_column(&pool, "c", &vec![1i64; 8]);
+    let col = exact_column(&pool, "c", &[1i64; 8]);
     let server = Server::new(ServeConfig {
         max_rebuild_lag: Some(2),
         ..ServeConfig::default()
@@ -383,7 +383,7 @@ fn pr9_request_frames_round_trip_against_the_new_server() {
     let golden_stats = unhex("535150310705007072696365d4ed495d");
 
     let pool = MaintainedPool::new(1);
-    let col = exact_column(&pool, "price", &vec![1i64; 16]);
+    let col = exact_column(&pool, "price", &[1i64; 16]);
     let server = Server::new(ServeConfig::default());
     server.register(col);
     let mut t = mem_session(&server);
@@ -433,7 +433,7 @@ fn pr9_request_frames_round_trip_against_the_new_server() {
 #[test]
 fn overload_storm_sheds_fairly_degrades_loudly_and_never_wedges_updates() {
     let pool = MaintainedPool::new(1);
-    let col = exact_column(&pool, "c", &vec![1i64; 16]);
+    let col = exact_column(&pool, "c", &[1i64; 16]);
     let clock = ManualClock::new();
     let server = Server::new(ServeConfig {
         tenant_burst: Some(4),

@@ -483,7 +483,7 @@ fn tenant_token_bucket_refuses_with_exit_code_10_and_refills_on_the_clock() {
 #[test]
 fn rebuild_lag_bound_refuses_estimates_until_a_rebuild_lands() {
     let pool = MaintainedPool::new(1);
-    let col = exact_column(&pool, "c", &vec![1i64; 16]);
+    let col = exact_column(&pool, "c", &[1i64; 16]);
     let server = Server::new(ServeConfig {
         max_rebuild_lag: Some(2),
         ..ServeConfig::default()
@@ -655,7 +655,7 @@ fn duplicated_and_reordered_frames_each_get_exactly_one_valid_response() {
 #[test]
 fn batches_over_the_configured_maximum_are_rejected() {
     let pool = MaintainedPool::new(1);
-    let col = exact_column(&pool, "c", &vec![1i64; 8]);
+    let col = exact_column(&pool, "c", &[1i64; 8]);
     let server = Server::new(ServeConfig {
         max_batch: 2,
         ..ServeConfig::default()

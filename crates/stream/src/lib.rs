@@ -19,13 +19,16 @@
 //! * [`progressive`] — online query answering (the paper's §1 scenario):
 //!   a synopsis answer refined by user-paced scanning, with certified
 //!   shrinking bounds.
-//! * [`maintained`] — a rebuild-policy wrapper around any histogram family:
-//!   ingest updates, serve the last-built synopsis, and rebuild when the
-//!   accumulated drift or update count crosses a policy threshold.
-//! * [`pool`] — the multi-threaded serving layer: a [`pool::MaintainedPool`]
-//!   shards columns across a fixed set of background rebuild workers so that
-//!   ingest and query threads never block on a rebuild or a persist retry;
-//!   serving estimators are published through `synoptic_core::HotSwap`.
+//! * [`pool`] — the maintenance engine: a [`pool::MaintainedPool`] ingests
+//!   updates, serves the last-built synopsis of every column, and rebuilds
+//!   it when the accumulated drift or update count crosses a policy
+//!   threshold. Columns are sharded across a fixed set of background
+//!   rebuild workers so that ingest and query threads never block on a
+//!   rebuild or a persist retry; serving estimators are published through
+//!   `synoptic_core::HotSwap`.
+//! * [`maintained`] — what the engine is configured with: the rebuild
+//!   policy and budget ([`RebuildConfig`]), opt-in durability, the
+//!   maintenance counters, and the exact drift trigger.
 //! * [`recovery`] — crash recovery for journaled columns: fsck the durable
 //!   catalog, prune abandoned generations, replay the write-ahead journal
 //!   on top of the committed snapshot, and hand back exact frequencies to
@@ -54,8 +57,8 @@ pub use fenwick::Fenwick;
 pub use follow::{promote, FollowConfig, Follower, ServeOutcome};
 pub use haar_stream::{StreamingHaar, StreamingRangeOptimal};
 pub use maintained::{
-    drift_exceeds, ColumnJournal, DurabilityConfig, DurablePersistFn, DurableSnapshot,
-    MaintainedHistogram, PersistFn, RebuildConfig, RebuildPolicy, RebuildStats, SharedStorage,
+    drift_exceeds, ColumnJournal, DurabilityConfig, DurablePersistFn, DurableSnapshot, PersistFn,
+    RebuildConfig, RebuildPolicy, RebuildStats, SharedStorage,
 };
 pub use pool::{ColumnBuild, ColumnHandle, MaintainedPool, PoolBuildFn};
 pub use progressive::{ProgressiveAnswer, ProgressiveQuery};

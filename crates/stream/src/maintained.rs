@@ -1,18 +1,29 @@
-//! Rebuild-policy maintenance for histogram synopses, hardened for
-//! production serving.
+//! The shared vocabulary of synopsis maintenance: when to rebuild, under
+//! what budget, and how to persist the result.
 //!
 //! Histograms have no cheap incremental form (their boundaries are the
 //! optimized object), so production systems ingest updates into the base
-//! table and *rebuild* statistics when they have drifted enough. This module
-//! packages that loop: a [`crate::Fenwick`] tree as the live source of
-//! truth, a pluggable construction function, and a [`RebuildPolicy`]
-//! deciding when to refresh.
+//! table and *rebuild* statistics when they have drifted enough. The
+//! engine that runs that loop is [`crate::pool::MaintainedPool`]; this
+//! module holds what it is configured with and the pieces of the loop
+//! that do not depend on threads:
+//!
+//! * [`RebuildPolicy`] / [`RebuildConfig`] — the trigger plus the
+//!   execution-control (deadline, cell cap, cancellation) and persist
+//!   retry knobs applied to every rebuild;
+//! * [`DurabilityConfig`] — opt-in write-ahead journaling of the ingest
+//!   path;
+//! * [`RebuildStats`] — the maintenance counters a column reports;
+//! * [`drift_exceeds`] — the exact integer test behind
+//!   [`RebuildPolicy::DriftFraction`];
+//! * the panic-contained builder call and the bounded persist retry
+//!   ladder the pool's workers run.
 //!
 //! ## Robustness contract
 //!
-//! The serving invariant is **the estimator never disappears**: once the
-//! initial build succeeds, a [`MaintainedHistogram`] always has a synopsis
-//! to answer from, no matter what rebuilds do. Concretely:
+//! The serving invariant is **the estimator never disappears**: once a
+//! column's initial build succeeds, it always has a synopsis to answer
+//! from, no matter what rebuilds do. Concretely:
 //!
 //! * Every rebuild runs under a [`Budget`] (deadline / cell cap /
 //!   cancellation from [`RebuildConfig`]). A rebuild that exhausts its
@@ -21,29 +32,17 @@
 //!   [`std::panic::catch_unwind`] and surface as
 //!   [`SynopticError::BuildPanicked`]; the last-good synopsis keeps
 //!   serving.
-//! * After a failed policy-fired rebuild the policy enters a doubling
-//!   *cooldown* (in updates) so a persistently failing builder cannot turn
-//!   the ingest path into a rebuild storm.
+//! * After a failed rebuild the column enters a doubling *cooldown* (in
+//!   updates) so a persistently failing builder cannot turn the ingest
+//!   path into a rebuild storm.
 //! * An optional persist hook runs after each successful rebuild, with
 //!   bounded retry + doubling backoff on transient
 //!   [`SynopticError::Io`] / [`SynopticError::CorruptSynopsis`] errors,
 //!   and a **hard cap on total retry wall-clock**
 //!   ([`RebuildConfig::persist_total_backoff`], default 2 s) so a dead disk
-//!   cannot wedge the maintenance loop. A persist failure **never** unseats
+//!   cannot wedge a maintenance worker. A persist failure **never** unseats
 //!   the freshly built in-memory synopsis — durability lags, serving does
 //!   not.
-//!
-//! ## Single-threaded facade vs. the worker pool
-//!
-//! `MaintainedHistogram` is the *embedded*, single-threaded driver: ingest,
-//! rebuild, and persist all run on the caller's thread, in order. That is
-//! the right shape for batch jobs and tests, but it means a rebuild (or a
-//! persist retry ladder) stalls the caller. Production serving uses
-//! [`crate::pool::MaintainedPool`] instead, which splits each column into a
-//! lock-light serving/ingest handle and a sharded background worker that
-//! owns the rebuild + persist + upgrade loop; the policy logic, the exact
-//! drift test ([`drift_exceeds`]), and the bounded persist retry ladder
-//! ([`persist_with_retry`]) here are shared by both drivers.
 
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::path::PathBuf;
@@ -51,11 +50,7 @@ use std::time::Duration;
 
 use synoptic_catalog::wal::{ColumnWal, FsyncCadence, WalConfig};
 use synoptic_catalog::Storage;
-use synoptic_core::{
-    Budget, CancelToken, PrefixSums, RangeEstimator, RangeQuery, Result, SynopticError,
-};
-
-use crate::fenwick::Fenwick;
+use synoptic_core::{Budget, CancelToken, PrefixSums, RangeEstimator, Result, SynopticError};
 
 /// The storage handle journaled columns append through: shared because
 /// appends run on ingest threads while checkpoints run on rebuild workers.
@@ -72,7 +67,8 @@ pub enum RebuildPolicy {
     /// Rebuild when the accumulated absolute update mass `Σ|δ|` exceeds the
     /// given fraction of the total mass at last build.
     DriftFraction(f64),
-    /// Only rebuild when [`MaintainedHistogram::rebuild_now`] is called.
+    /// Only rebuild when [`crate::pool::ColumnHandle::request_rebuild`]
+    /// is called.
     Manual,
 }
 
@@ -101,11 +97,12 @@ pub struct RebuildConfig {
     /// Updates to suppress policy-fired rebuilds after a failure; doubles
     /// per consecutive failure (capped at 1024×), resets on success.
     pub failure_cooldown_updates: u64,
-    /// Pool-only: after a *degraded* anytime build commits, re-run the
-    /// originally requested rung in the background with a
+    /// After a *degraded* anytime build commits, re-run the originally
+    /// requested rung in the background with a
     /// [`RebuildConfig::upgrade_budget_factor`]× budget and hot-swap the
     /// better synopsis on success (the inverse of the fallback ladder).
-    /// Ignored by the single-threaded [`MaintainedHistogram`] facade.
+    /// Only [`crate::pool::ColumnBuild::Anytime`] columns degrade, so
+    /// custom-built columns never upgrade.
     pub upgrade_in_background: bool,
     /// Budget multiplier (deadline and cell cap) for background upgrade
     /// attempts. Default 4.
@@ -175,8 +172,8 @@ impl RebuildConfig {
         self
     }
 
-    /// Enables background upgrades after degraded anytime builds (pool
-    /// columns only), with the given budget multiplier.
+    /// Enables background upgrades after degraded anytime builds, with the
+    /// given budget multiplier.
     #[must_use]
     pub fn with_background_upgrade(mut self, budget_factor: u32) -> Self {
         self.upgrade_in_background = true;
@@ -302,20 +299,19 @@ pub struct RebuildStats {
     /// Individual persist attempts that errored and were retried.
     pub persist_retries: u64,
     /// Background upgrades that completed and hot-swapped a better synopsis
-    /// over a degraded rung's result (pool columns only).
+    /// over a degraded rung's result.
     pub upgrades: u64,
     /// Background upgrade attempts that failed; the degraded synopsis kept
-    /// serving (pool columns only).
+    /// serving.
     pub failed_upgrades: u64,
     /// Duplicate rebuild/upgrade jobs collapsed by worker-queue coalescing
-    /// before they ran (pool columns only; always 0 for the single-threaded
-    /// facade, which never queues).
+    /// before they ran.
     pub coalesced: u64,
-    /// Segments rebuilt across all successful rebuilds (segmented pool
-    /// columns only; always 0 for monolithic columns and the facade).
+    /// Segments rebuilt across all successful rebuilds (segmented columns
+    /// only; always 0 for monolithic columns).
     pub segments_rebuilt: u64,
     /// Segments whose partial was reused unchanged because they were
-    /// clean at the rebuild cut (segmented pool columns only).
+    /// clean at the rebuild cut (segmented columns only).
     pub segments_reused: u64,
 }
 
@@ -338,7 +334,10 @@ pub struct RebuildStats {
 /// unshifted side always fits in 128 bits). `mass` is clamped to ≥ 1,
 /// matching the policy's treatment of empty distributions.
 pub fn drift_exceeds(drift_abs: i128, f: f64, mass: i128) -> bool {
-    debug_assert!(f > 0.0 && f.is_finite(), "policy validation enforces f > 0");
+    debug_assert!(
+        f > 0.0 && f.is_finite(),
+        "policy validation enforces a finite f > 0"
+    );
     let drift = drift_abs.unsigned_abs();
     let mass = mass.unsigned_abs().max(1);
     // Exact decomposition f = m · 2^e.
@@ -467,10 +466,9 @@ pub(crate) struct PersistReport {
 /// Runs the persist hook with bounded retry + doubling backoff, and a hard
 /// cap on the total wall-clock slept ([`RebuildConfig::persist_total_backoff`]).
 ///
-/// This function may sleep; callers decide *whose* thread pays for that.
-/// The single-threaded [`MaintainedHistogram`] runs it inline (bounded by
-/// the cap); the worker pool runs it on the rebuild worker, where the
-/// sleeps overlap serving and ingest instead of stalling them.
+/// This function may sleep. The pool runs it on the column's rebuild
+/// worker, where the sleeps overlap serving and ingest instead of
+/// stalling them.
 pub(crate) fn persist_with_retry(
     persist: &mut (dyn FnMut(&dyn RangeEstimator) -> Result<()> + Send),
     estimator: &dyn RangeEstimator,
@@ -520,283 +518,6 @@ pub(crate) fn persist_durable_with_retry(
     (report, generation)
 }
 
-/// A histogram synopsis kept (approximately) fresh under point updates,
-/// with budgeted, panic-isolated rebuilds and last-good serving.
-pub struct MaintainedHistogram<F>
-where
-    F: FnMut(&[i64], &PrefixSums, &Budget) -> Result<Box<dyn RangeEstimator>>,
-{
-    fenwick: Fenwick,
-    build: F,
-    config: RebuildConfig,
-    current: Box<dyn RangeEstimator>,
-    persist: Option<PersistFn>,
-    wal: Option<ColumnJournal>,
-    durable_persist: Option<DurablePersistFn>,
-    drift_abs: i128,
-    mass_at_build: i128,
-    stats: RebuildStats,
-    last_error: Option<SynopticError>,
-    cooldown_remaining: u64,
-    cooldown_factor: u64,
-}
-
-impl<F> MaintainedHistogram<F>
-where
-    F: FnMut(&[i64], &PrefixSums, &Budget) -> Result<Box<dyn RangeEstimator>>,
-{
-    /// Builds the initial synopsis over `values` with the given policy and
-    /// default robustness settings ([`RebuildConfig::new`]).
-    pub fn new(values: &[i64], build: F, policy: RebuildPolicy) -> Result<Self> {
-        Self::with_config(values, build, RebuildConfig::new(policy))
-    }
-
-    /// Builds the initial synopsis with full maintenance configuration.
-    /// The initial build runs under the configured budget; if it fails
-    /// there is no last-good synopsis to fall back to, so the error
-    /// propagates.
-    pub fn with_config(values: &[i64], mut build: F, config: RebuildConfig) -> Result<Self> {
-        if let RebuildPolicy::DriftFraction(f) = config.policy {
-            if f.partial_cmp(&0.0) != Some(std::cmp::Ordering::Greater) {
-                return Err(SynopticError::InvalidParameter(
-                    "drift fraction must be positive".into(),
-                ));
-            }
-        }
-        if let RebuildPolicy::EveryKUpdates(0) = config.policy {
-            return Err(SynopticError::InvalidParameter(
-                "update period must be positive".into(),
-            ));
-        }
-        let ps = PrefixSums::from_values(values);
-        let budget = config.budget();
-        let current = run_builder(&mut build, values, &ps, &budget)?;
-        Ok(Self {
-            fenwick: Fenwick::from_values(values),
-            build,
-            config,
-            current,
-            persist: None,
-            wal: None,
-            durable_persist: None,
-            drift_abs: 0,
-            mass_at_build: ps.total().abs(),
-            stats: RebuildStats::default(),
-            last_error: None,
-            cooldown_remaining: 0,
-            cooldown_factor: 1,
-        })
-    }
-
-    /// Attaches a persist hook invoked after every successful rebuild with
-    /// the fresh synopsis. Transient failures are retried per
-    /// [`RebuildConfig::persist_retries`]; a final failure is counted in
-    /// [`RebuildStats::persist_failures`] and never unseats the in-memory
-    /// synopsis.
-    #[must_use]
-    pub fn with_persist(mut self, persist: PersistFn) -> Self {
-        self.persist = Some(persist);
-        self
-    }
-
-    /// Enables write-ahead durability per `durability`: every subsequent
-    /// `update()` is journaled *before* the Fenwick state changes, so a
-    /// crash loses at most the record being appended (per the configured
-    /// [`FsyncCadence`]). With durability disabled in the config this is a
-    /// no-op and the ingest path stays journal-free.
-    pub fn with_durability(
-        mut self,
-        storage: SharedStorage,
-        column: &str,
-        durability: &DurabilityConfig,
-        committed_generation: u64,
-    ) -> Result<Self> {
-        self.wal = durability.open_journal(storage, column, committed_generation)?;
-        Ok(self)
-    }
-
-    /// Attaches the durable persist hook used instead of
-    /// [`MaintainedHistogram::with_persist`] when the column is journaled:
-    /// it receives the snapshot (estimator + exact frequencies + WAL mark)
-    /// and returns the committed generation, after which the journal is
-    /// checkpointed and covered segments are truncated.
-    #[must_use]
-    pub fn with_durable_persist(mut self, persist: DurablePersistFn) -> Self {
-        self.durable_persist = Some(persist);
-        self
-    }
-
-    /// Whether this instance journals its updates.
-    pub fn journaled(&self) -> bool {
-        self.wal.is_some()
-    }
-
-    /// Direct access to the column's journal when durability is enabled.
-    /// Replication hangs off this: sealing the active segment before a
-    /// ship, registering per-follower retention holds, and reading the
-    /// pending mark that bounds follower lag.
-    pub fn journal(&self) -> Option<&ColumnJournal> {
-        self.wal.as_ref()
-    }
-
-    /// Ingests `A[i] += delta`, rebuilding if the policy fires (and the
-    /// failure cooldown has elapsed). Returns whether a rebuild *happened
-    /// successfully*. A policy-fired rebuild that fails is absorbed: the
-    /// error is recorded in [`MaintainedHistogram::last_error`] and
-    /// counted, the last-good synopsis keeps serving, and ingest continues.
-    pub fn update(&mut self, i: usize, delta: i64) -> Result<bool> {
-        if let Some(wal) = &self.wal {
-            // Write-ahead: journal before mutating, so an acknowledged
-            // update is never lost to a crash. A failed append rejects the
-            // update without touching in-memory state.
-            assert!(
-                i < self.fenwick.n(),
-                "index {i} out of bounds for n={}",
-                self.fenwick.n()
-            );
-            wal.append(i as u64, delta)?;
-        }
-        self.fenwick.update(i, delta);
-        self.drift_abs += (delta as i128).abs();
-        self.stats.updates += 1;
-        self.stats.updates_since_rebuild += 1;
-        if self.cooldown_remaining > 0 {
-            self.cooldown_remaining -= 1;
-            return Ok(false);
-        }
-        let fire = match self.config.policy {
-            RebuildPolicy::EveryKUpdates(k) => self.stats.updates_since_rebuild >= k,
-            RebuildPolicy::DriftFraction(f) => drift_exceeds(self.drift_abs, f, self.mass_at_build),
-            RebuildPolicy::Manual => false,
-        };
-        if !fire {
-            return Ok(false);
-        }
-        match self.try_rebuild() {
-            Ok(()) => Ok(true),
-            Err(_) => Ok(false), // recorded by try_rebuild; keep serving
-        }
-    }
-
-    /// Forces a rebuild from the live frequencies, under the configured
-    /// budget. On failure the last-good synopsis keeps serving and the
-    /// error is returned (and retained in
-    /// [`MaintainedHistogram::last_error`]).
-    pub fn rebuild_now(&mut self) -> Result<()> {
-        self.try_rebuild()
-    }
-
-    fn try_rebuild(&mut self) -> Result<()> {
-        // Single-threaded: no update can land between capturing the mark
-        // and materializing the values, so the pair is a consistent
-        // snapshot for checkpointing.
-        let wal_mark = self.wal.as_ref().map(|w| w.pending_mark());
-        let values = self.fenwick.to_values();
-        let ps = PrefixSums::from_values(&values);
-        let budget = self.config.budget();
-        match run_builder(&mut self.build, &values, &ps, &budget) {
-            Ok(fresh) => {
-                self.current = fresh;
-                self.drift_abs = 0;
-                self.mass_at_build = ps.total().abs();
-                self.stats.updates_since_rebuild = 0;
-                self.stats.rebuilds += 1;
-                self.last_error = None;
-                self.cooldown_remaining = 0;
-                self.cooldown_factor = 1;
-                self.persist_current(&values, wal_mark);
-                Ok(())
-            }
-            Err(err) => {
-                self.stats.failed_rebuilds += 1;
-                self.last_error = Some(err.clone());
-                self.cooldown_remaining =
-                    self.config.failure_cooldown_updates * self.cooldown_factor;
-                self.cooldown_factor = (self.cooldown_factor * 2).min(1024);
-                Err(err)
-            }
-        }
-    }
-
-    /// Runs the persist hook through the shared bounded retry ladder
-    /// ([`persist_with_retry`]). This single-threaded facade pays for the
-    /// backoff sleeps inline, but the total is capped by
-    /// [`RebuildConfig::persist_total_backoff`]; the pool runs the same
-    /// ladder on a background worker instead.
-    fn persist_current(&mut self, values: &[i64], wal_mark: Option<u64>) {
-        if let Some(wal) = &self.wal {
-            let Some(hook) = self.durable_persist.as_mut() else {
-                return;
-            };
-            let mark = wal_mark.unwrap_or(0);
-            let (report, generation) = {
-                let snapshot = DurableSnapshot {
-                    estimator: self.current.as_ref(),
-                    values,
-                    wal_mark: mark,
-                };
-                persist_durable_with_retry(hook.as_mut(), &snapshot, &self.config)
-            };
-            self.stats.persist_retries += report.retries;
-            if report.failed {
-                self.stats.persist_failures += 1;
-            }
-            if let Some(err) = report.last_error {
-                self.last_error = Some(err);
-            }
-            if !report.failed {
-                if let Some(generation) = generation {
-                    // A failed truncation is non-fatal: stale segments are
-                    // skipped at replay (their LSNs are ≤ the committed
-                    // mark) and the next checkpoint retries the delete.
-                    if let Err(err) = wal.checkpoint(mark, generation) {
-                        self.last_error = Some(err);
-                    }
-                }
-            }
-            return;
-        }
-        let Some(persist) = self.persist.as_mut() else {
-            return;
-        };
-        let report = persist_with_retry(persist.as_mut(), self.current.as_ref(), &self.config);
-        self.stats.persist_retries += report.retries;
-        if report.failed {
-            self.stats.persist_failures += 1;
-        }
-        if let Some(err) = report.last_error {
-            self.last_error = Some(err);
-        }
-    }
-
-    /// The synopsis as of the last *successful* (re)build — never absent.
-    pub fn estimator(&self) -> &dyn RangeEstimator {
-        self.current.as_ref()
-    }
-
-    /// Exact current answer from the live Fenwick tree (maintenance-side).
-    pub fn exact(&self, q: RangeQuery) -> i128 {
-        self.fenwick.range_sum(q.lo, q.hi)
-    }
-
-    /// Maintenance counters.
-    pub fn stats(&self) -> RebuildStats {
-        self.stats
-    }
-
-    /// The most recent rebuild/persist error, if the last attempt failed.
-    /// Cleared by the next successful rebuild.
-    pub fn last_error(&self) -> Option<&SynopticError> {
-        self.last_error.as_ref()
-    }
-
-    /// Updates remaining before a policy-fired rebuild may run again
-    /// (non-zero only while in post-failure cooldown).
-    pub fn cooldown_remaining(&self) -> u64 {
-        self.cooldown_remaining
-    }
-}
-
 /// Invokes the builder with panics contained at this subsystem boundary.
 pub(crate) fn run_builder<F>(
     build: &mut F,
@@ -818,275 +539,7 @@ where
 #[cfg(test)]
 mod tests {
     use super::*;
-    use synoptic_hist::sap0::{build_sap0, build_sap0_with_budget};
-
-    fn builder() -> impl FnMut(&[i64], &PrefixSums, &Budget) -> Result<Box<dyn RangeEstimator>> {
-        |_vals: &[i64], ps: &PrefixSums, budget: &Budget| {
-            Ok(Box::new(build_sap0_with_budget(ps, 3, budget)?) as Box<dyn RangeEstimator>)
-        }
-    }
-
-    #[test]
-    fn every_k_policy_rebuilds_on_schedule() {
-        let vals = vec![10i64; 12];
-        let mut m =
-            MaintainedHistogram::new(&vals, builder(), RebuildPolicy::EveryKUpdates(5)).unwrap();
-        let mut rebuilds = 0;
-        for t in 0..12 {
-            if m.update(t % 12, 1).unwrap() {
-                rebuilds += 1;
-            }
-        }
-        assert_eq!(rebuilds, 2);
-        assert_eq!(m.stats().rebuilds, 2);
-        assert_eq!(m.stats().updates, 12);
-        assert_eq!(m.stats().updates_since_rebuild, 2);
-        assert_eq!(m.stats().failed_rebuilds, 0);
-    }
-
-    #[test]
-    fn drift_policy_fires_on_mass_change() {
-        let vals = vec![100i64; 10]; // mass 1000
-        let mut m =
-            MaintainedHistogram::new(&vals, builder(), RebuildPolicy::DriftFraction(0.1)).unwrap();
-        // 100 units of |δ| = 10% of mass ⇒ the 101st unit fires.
-        let mut fired = false;
-        for _ in 0..101 {
-            fired = m.update(3, 1).unwrap();
-        }
-        assert!(fired);
-        assert_eq!(m.stats().rebuilds, 1);
-    }
-
-    #[test]
-    fn manual_policy_never_auto_rebuilds_but_tracks_exact_answers() {
-        let vals = vec![5i64, 5, 5, 5, 5, 5];
-        let mut m = MaintainedHistogram::new(&vals, builder(), RebuildPolicy::Manual).unwrap();
-        for _ in 0..50 {
-            assert!(!m.update(0, 2).unwrap());
-        }
-        // Estimator is stale…
-        let q = RangeQuery { lo: 0, hi: 0 };
-        let stale = m.estimator().estimate(q);
-        // …but the maintenance side is exact.
-        assert_eq!(m.exact(q), 105);
-        m.rebuild_now().unwrap();
-        let fresh = m.estimator().estimate(q);
-        assert!(
-            (fresh - 105.0).abs() < (stale - 105.0).abs(),
-            "rebuild should tighten the estimate: stale {stale}, fresh {fresh}"
-        );
-    }
-
-    #[test]
-    fn rebuild_refreshes_toward_current_data() {
-        let vals = vec![0i64; 8];
-        let mut m =
-            MaintainedHistogram::new(&vals, builder(), RebuildPolicy::EveryKUpdates(4)).unwrap();
-        for _ in 0..4 {
-            m.update(7, 25).unwrap(); // spike appears at the end
-        }
-        // After the rebuild the estimator must see the spike.
-        let est = m.estimator().estimate(RangeQuery { lo: 7, hi: 7 });
-        assert!(est > 10.0, "estimate {est} should reflect the new spike");
-    }
-
-    #[test]
-    fn invalid_policies_are_rejected() {
-        let vals = vec![1i64, 2];
-        assert!(
-            MaintainedHistogram::new(&vals, builder(), RebuildPolicy::EveryKUpdates(0)).is_err()
-        );
-        assert!(
-            MaintainedHistogram::new(&vals, builder(), RebuildPolicy::DriftFraction(0.0)).is_err()
-        );
-    }
-
-    #[test]
-    fn exhausted_rebuild_budget_keeps_last_good_serving() {
-        let vals = vec![10i64; 16];
-        // Generous enough for the initial build, then tightened.
-        let metered = Budget::unlimited();
-        build_sap0_with_budget(&PrefixSums::from_values(&vals), 3, &metered).unwrap();
-        let config = RebuildConfig::new(RebuildPolicy::EveryKUpdates(4))
-            .with_max_cells(metered.cells_used()); // exactly the initial cost
-        let mut m = MaintainedHistogram::with_config(&vals, builder(), config).unwrap();
-        let before = m.estimator().estimate(RangeQuery { lo: 0, hi: 15 });
-        // The rebuild runs over the same-sized domain and the initial budget
-        // is exactly sufficient, so a rebuild succeeds; tighten via a fresh
-        // maintained instance with half the cells instead.
-        let config = RebuildConfig::new(RebuildPolicy::EveryKUpdates(4))
-            .with_max_cells(metered.cells_used() / 2);
-        let mut m2 = match MaintainedHistogram::with_config(&vals, builder(), config) {
-            Ok(m2) => m2,
-            Err(SynopticError::CellBudgetExceeded { .. }) => {
-                // Initial build already over budget: acceptable, nothing to
-                // serve — the invariant only applies after a first success.
-                let _ = m.update(0, 1).unwrap();
-                assert!(before.is_finite());
-                return;
-            }
-            Err(other) => panic!("unexpected: {other:?}"),
-        };
-        for t in 0..16 {
-            let _ = m2.update(t, 1).unwrap();
-        }
-        // Whatever happened, an estimator is still there and answers.
-        let after = m2.estimator().estimate(RangeQuery { lo: 0, hi: 15 });
-        assert!(after.is_finite());
-    }
-
-    #[test]
-    fn builder_panic_is_contained_and_last_good_serves() {
-        let vals = vec![7i64; 12];
-        let mut calls = 0u32;
-        let build = move |_v: &[i64], ps: &PrefixSums, _b: &Budget| {
-            calls += 1;
-            if calls > 1 {
-                panic!("injected builder panic");
-            }
-            Ok(Box::new(build_sap0(ps, 3)?) as Box<dyn RangeEstimator>)
-        };
-        let mut m =
-            MaintainedHistogram::new(&vals, build, RebuildPolicy::EveryKUpdates(3)).unwrap();
-        let q = RangeQuery { lo: 0, hi: 11 };
-        let before = m.estimator().estimate(q);
-        for t in 0..6 {
-            // Policy fires at t=2 → rebuild panics → absorbed.
-            let fired = m.update(t, 1).unwrap();
-            assert!(!fired, "panicked rebuild must not report success");
-        }
-        assert_eq!(m.stats().rebuilds, 0);
-        assert_eq!(m.stats().failed_rebuilds, 1);
-        assert!(matches!(
-            m.last_error(),
-            Some(SynopticError::BuildPanicked { detail }) if detail.contains("injected")
-        ));
-        // Serving never stopped.
-        let after = m.estimator().estimate(q);
-        assert_eq!(before.to_bits(), after.to_bits());
-        // Cooldown suppresses immediate refire.
-        assert!(m.cooldown_remaining() > 0);
-    }
-
-    #[test]
-    fn cancelled_rebuild_keeps_serving_and_is_recorded() {
-        let vals = vec![3i64; 10];
-        let token = CancelToken::new();
-        let config = RebuildConfig::new(RebuildPolicy::Manual).with_cancel_token(token.clone());
-        let mut m = MaintainedHistogram::with_config(&vals, builder(), config).unwrap();
-        token.cancel();
-        let err = m.rebuild_now().unwrap_err();
-        assert_eq!(err, SynopticError::Cancelled);
-        assert_eq!(m.stats().failed_rebuilds, 1);
-        // Still serving.
-        assert!(m
-            .estimator()
-            .estimate(RangeQuery { lo: 0, hi: 9 })
-            .is_finite());
-        // Un-cancel: the next manual rebuild succeeds and clears the error.
-        token.reset();
-        m.rebuild_now().unwrap();
-        assert!(m.last_error().is_none());
-        assert_eq!(m.stats().rebuilds, 1);
-    }
-
-    #[test]
-    fn failure_cooldown_doubles_and_resets_on_success() {
-        let vals = vec![5i64; 8];
-        let mut fail = true;
-        let mut build = move |_v: &[i64], ps: &PrefixSums, _b: &Budget| {
-            if fail {
-                fail = false; // fail only on the first rebuild
-                return Err(SynopticError::DeadlineExceeded { elapsed_ms: 1 });
-            }
-            Ok(Box::new(build_sap0(ps, 2)?) as Box<dyn RangeEstimator>)
-        };
-        // Initial build must succeed: flip the flag so the first (initial)
-        // call succeeds and the first *rebuild* fails.
-        let mut first = true;
-        let mut fail_second = move |v: &[i64], ps: &PrefixSums, b: &Budget| {
-            if first {
-                first = false;
-                return Ok(Box::new(build_sap0(ps, 2)?) as Box<dyn RangeEstimator>);
-            }
-            build(v, ps, b)
-        };
-        let config = RebuildConfig::new(RebuildPolicy::EveryKUpdates(2));
-        let cooldown = config.failure_cooldown_updates;
-        let mut m = MaintainedHistogram::with_config(
-            &vals,
-            move |v: &[i64], ps: &PrefixSums, b: &Budget| fail_second(v, ps, b),
-            config,
-        )
-        .unwrap();
-        // Updates 1,2 → policy fires → rebuild fails → cooldown set.
-        m.update(0, 1).unwrap();
-        assert!(!m.update(1, 1).unwrap());
-        assert_eq!(m.stats().failed_rebuilds, 1);
-        assert_eq!(m.cooldown_remaining(), cooldown);
-        // Cooldown updates are absorbed without firing.
-        for t in 0..cooldown {
-            assert!(!m.update((t % 8) as usize, 1).unwrap());
-        }
-        assert_eq!(m.cooldown_remaining(), 0);
-        // Next update fires (counter is well past k) and now succeeds.
-        assert!(m.update(3, 1).unwrap());
-        assert_eq!(m.stats().rebuilds, 1);
-        assert!(m.last_error().is_none());
-    }
-
-    #[test]
-    fn persist_retries_transient_errors_then_succeeds() {
-        let vals = vec![9i64; 6];
-        let mut failures_left = 2u32;
-        let persist: PersistFn = Box::new(move |_e: &dyn RangeEstimator| {
-            if failures_left > 0 {
-                failures_left -= 1;
-                return Err(SynopticError::Io {
-                    path: "/dev/faulty".into(),
-                    detail: "transient".into(),
-                });
-            }
-            Ok(())
-        });
-        let config = RebuildConfig::new(RebuildPolicy::Manual)
-            .with_persist_retries(3, Duration::from_micros(10));
-        let mut m = MaintainedHistogram::with_config(&vals, builder(), config)
-            .unwrap()
-            .with_persist(persist);
-        m.rebuild_now().unwrap();
-        assert_eq!(m.stats().persist_retries, 2);
-        assert_eq!(m.stats().persist_failures, 0);
-    }
-
-    #[test]
-    fn persist_permanent_failure_counts_but_serving_stays_fresh() {
-        let vals = vec![1i64; 6];
-        let persist: PersistFn = Box::new(|_e: &dyn RangeEstimator| {
-            Err(SynopticError::Io {
-                path: "/dev/full".into(),
-                detail: "enospc".into(),
-            })
-        });
-        let config = RebuildConfig::new(RebuildPolicy::Manual)
-            .with_persist_retries(1, Duration::from_micros(10));
-        let mut m = MaintainedHistogram::with_config(&vals, builder(), config)
-            .unwrap()
-            .with_persist(persist);
-        for i in 0..6 {
-            m.update(i, 10).unwrap();
-        }
-        m.rebuild_now().unwrap();
-        // Rebuild succeeded (counted) even though persistence failed.
-        assert_eq!(m.stats().rebuilds, 1);
-        assert_eq!(m.stats().persist_failures, 1);
-        assert_eq!(m.stats().persist_retries, 1);
-        // The in-memory synopsis reflects the fresh data.
-        let est = m.estimator().estimate(RangeQuery { lo: 0, hi: 5 });
-        assert!((est - 66.0).abs() < 10.0, "fresh estimate, got {est}");
-        assert!(matches!(m.last_error(), Some(SynopticError::Io { .. })));
-    }
+    use synoptic_hist::sap0::build_sap0;
 
     #[test]
     fn drift_exceeds_is_exact_at_the_2p53_boundary() {

@@ -1,12 +1,11 @@
-//! Sharded background maintenance: the production driver for maintained
-//! synopses.
+//! Sharded background maintenance: the engine that keeps synopses fresh
+//! under updates.
 //!
-//! [`crate::MaintainedHistogram`] runs ingest, rebuild, and persist on one
-//! thread, in order — a rebuild (milliseconds to seconds of DP) or a
-//! persist retry ladder (up to [`RebuildConfig::persist_total_backoff`] of
-//! backoff sleeps) stalls every `update()` caller. This module splits each
-//! maintained column into two halves so that **ingest and range queries
-//! never block on a rebuild or a persist retry**:
+//! A rebuild costs milliseconds to seconds of DP, and a persist retry
+//! ladder can sleep up to [`RebuildConfig::persist_total_backoff`]. Run
+//! inline, either would stall every `update()` caller. This module splits
+//! each maintained column into two halves so that **ingest and range
+//! queries never block on a rebuild or a persist retry**:
 //!
 //! * a lock-light **serving handle** ([`ColumnHandle`]): point updates go
 //!   into a [`Fenwick`] tree behind a short mutex (held for `O(log n)`
@@ -24,6 +23,12 @@
 //! its home worker, so per-column maintenance is serial and race-free by
 //! construction), each column under its own [`RebuildConfig`] budget.
 //!
+//! That serialization also makes the pool deterministic to test: with
+//! one worker, a caller that runs [`ColumnHandle::quiesce`] after every
+//! `update()` returning `Ok(true)` sees each rebuild, its persist and its
+//! checkpoint finish before its next update. The crash, promotion and
+//! failover sweeps drive their write-op streams exactly that way.
+//!
 //! ## The anytime upgrade path
 //!
 //! Columns registered with [`ColumnBuild::Anytime`] rebuild through the
@@ -40,9 +45,8 @@
 //!
 //! ## Serving invariant
 //!
-//! Same as the single-threaded facade, now under concurrency: once
-//! [`MaintainedPool::add_column`] returns, the column's estimator **never
-//! disappears** — every failure mode (budget exhaustion, cancellation,
+//! Once [`MaintainedPool::add_column`] returns, the column's estimator
+//! **never disappears** — every failure mode (budget exhaustion, cancellation,
 //! builder panic, persist failure, worker shutdown) leaves the last-good
 //! synopsis serving and is visible through [`ColumnHandle::stats`] /
 //! [`ColumnHandle::last_error`].
@@ -237,9 +241,10 @@ impl ColumnHandle {
     /// Ingests `A[i] += delta`. Never blocks on a rebuild or a persist: the
     /// critical section is the Fenwick update plus policy arithmetic. When
     /// the rebuild policy fires (and no rebuild is already in flight), a
-    /// rebuild job is scheduled on the column's home worker; the returned
-    /// `bool` reports whether one was *scheduled* (the single-threaded
-    /// facade's `update` reports synchronous completion instead).
+    /// rebuild job is scheduled on the column's home worker. Returns
+    /// `Ok(true)` exactly when this call scheduled a rebuild; the rebuild
+    /// itself, its persist and its checkpoint finish later, on the worker
+    /// ([`ColumnHandle::quiesce`] waits for them).
     pub fn update(&self, i: usize, delta: i64) -> Result<bool> {
         // Narrow critical section: the write-ahead append, the Fenwick
         // write, the drift arithmetic it feeds, and the dirty-segment
@@ -662,7 +667,7 @@ impl MaintainedPool {
         // Persist the initial synopsis off-thread, piggybacked on the
         // upgrade/rebuild machinery: schedule an upgrade job when degraded
         // (it re-persists on success); otherwise leave durability to the
-        // first rebuild, matching the single-threaded facade.
+        // first rebuild.
         if degraded && inner.config.upgrade_in_background {
             schedule_upgrade(&handle.tx, &inner);
         }
@@ -701,12 +706,14 @@ fn schedule_upgrade(tx: &mpsc::Sender<Job>, col: &Arc<ColumnInner>) {
     }
 }
 
-/// Shared policy validation (mirrors `MaintainedHistogram::with_config`).
+/// Refuses policies the trigger cannot evaluate: a drift fraction must be
+/// finite and positive ([`drift_exceeds`] decomposes it exactly), and an
+/// update period must be at least one.
 fn validate_policy(policy: &RebuildPolicy) -> Result<()> {
     if let RebuildPolicy::DriftFraction(f) = policy {
-        if f.partial_cmp(&0.0) != Some(std::cmp::Ordering::Greater) {
+        if !(f.is_finite() && *f > 0.0) {
             return Err(SynopticError::InvalidParameter(
-                "drift fraction must be positive".into(),
+                "drift fraction must be finite and positive".into(),
             ));
         }
     }
@@ -1320,6 +1327,7 @@ const _: () = {
 mod tests {
     use super::*;
     use std::time::Duration;
+    use synoptic_core::CancelToken;
     use synoptic_hist::sap0::build_sap0_with_budget;
 
     fn sap0_builder() -> ColumnBuild {
@@ -1351,6 +1359,7 @@ mod tests {
         let stats = col.stats();
         assert_eq!(stats.rebuilds, 2);
         assert_eq!(stats.updates, 12);
+        assert_eq!(stats.updates_since_rebuild, 2);
         assert_eq!(stats.failed_rebuilds, 0);
         assert_eq!(col.serving_generation(), 2);
     }
@@ -1375,52 +1384,104 @@ mod tests {
         assert!(est > 10.0, "estimate {est} should reflect the new spike");
     }
 
+    /// Every rebuild failure mode — a builder panic, an exhausted cell
+    /// budget, a cancelled build — leaves the initial synopsis serving
+    /// bit-for-bit, records the error, and starts a cooldown that doubles
+    /// on the next failure. Once the cause clears (the token is reset),
+    /// the next policy-fired rebuild succeeds and resets the cooldown.
     #[test]
     fn failed_rebuild_keeps_serving_and_cools_down() {
-        let pool = MaintainedPool::new(1);
         let vals = vec![7i64; 12];
-        let mut calls = 0u32;
-        let build =
-            ColumnBuild::Custom(Box::new(move |_v: &[i64], ps: &PrefixSums, _b: &Budget| {
-                calls += 1;
-                if calls > 1 {
-                    panic!("injected builder panic");
+        let initial_cells = {
+            let metered = Budget::unlimited();
+            build_sap0_with_budget(&PrefixSums::from_values(&vals), 3, &metered).unwrap();
+            metered.cells_used()
+        };
+        let token = CancelToken::new();
+        let policy = RebuildPolicy::EveryKUpdates(3);
+        let cases = [
+            ("panic", RebuildConfig::new(policy)),
+            (
+                "cells",
+                RebuildConfig::new(policy).with_max_cells(initial_cells),
+            ),
+            (
+                "cancel",
+                RebuildConfig::new(policy).with_cancel_token(token.clone()),
+            ),
+        ];
+        for (mode, config) in cases {
+            let pool = MaintainedPool::new(1);
+            let cooldown = config.failure_cooldown_updates;
+            let mut calls = 0u32;
+            let build =
+                ColumnBuild::Custom(Box::new(move |_v: &[i64], ps: &PrefixSums, b: &Budget| {
+                    calls += 1;
+                    // The initial build always fits; rebuilds in "cells"
+                    // mode ask for more buckets than the cap pays for.
+                    let buckets = match (mode, calls) {
+                        (_, 1) => 3,
+                        ("panic", _) => panic!("injected builder panic"),
+                        ("cells", _) => 6,
+                        _ => 3,
+                    };
+                    Ok(Box::new(build_sap0_with_budget(ps, buckets, b)?)
+                        as Box<dyn RangeEstimator>)
+                }));
+            let col = pool.add_column("c", &vals, build, config).unwrap();
+            if mode == "cancel" {
+                token.cancel();
+            }
+            let q = RangeQuery { lo: 0, hi: 11 };
+            let before = col.estimate(q);
+            for t in 0..3 {
+                col.update(t, 1).unwrap();
+            }
+            col.quiesce();
+            let stats = col.stats();
+            assert_eq!(stats.rebuilds, 0, "{mode}");
+            assert_eq!(stats.failed_rebuilds, 1, "{mode}");
+            match (mode, col.last_error()) {
+                ("panic", Some(SynopticError::BuildPanicked { detail }))
+                    if detail.contains("injected") => {}
+                ("cells", Some(SynopticError::CellBudgetExceeded { .. })) => {}
+                ("cancel", Some(SynopticError::Cancelled)) => {}
+                (mode, other) => panic!("{mode}: unexpected last error {other:?}"),
+            }
+            // Serving never stopped, still the initial synopsis bit-for-bit.
+            assert_eq!(before.to_bits(), col.estimate(q).to_bits(), "{mode}");
+            // Cooldown absorbs the next `cooldown` updates without
+            // rescheduling…
+            let remaining = || col.inner.cooldown_remaining.load(Ordering::Acquire);
+            assert_eq!(remaining(), cooldown, "{mode}");
+            for t in 0..cooldown {
+                assert!(!col.update((t % 12) as usize, 1).unwrap(), "{mode}");
+            }
+            assert_eq!(remaining(), 0, "{mode}");
+            assert_eq!(col.stats().failed_rebuilds, 1, "{mode}");
+            // …then the policy fires again, fails again, and the cooldown
+            // doubles.
+            assert!(col.update(0, 1).unwrap(), "{mode}");
+            col.quiesce();
+            assert_eq!(col.stats().failed_rebuilds, 2, "{mode}");
+            assert_eq!(remaining(), 2 * cooldown, "{mode}");
+            assert_eq!(before.to_bits(), col.estimate(q).to_bits(), "{mode}");
+            if mode == "cancel" {
+                // Un-cancel: after the doubled cooldown the next
+                // policy-fired rebuild succeeds, clears the error and
+                // resets the cooldown ladder.
+                token.reset();
+                for t in 0..2 * cooldown {
+                    assert!(!col.update((t % 12) as usize, 1).unwrap());
                 }
-                Ok(
-                    Box::new(build_sap0_with_budget(ps, 3, &Budget::unlimited())?)
-                        as Box<dyn RangeEstimator>,
-                )
-            }));
-        let col = pool
-            .add_column(
-                "c",
-                &vals,
-                build,
-                RebuildConfig::new(RebuildPolicy::EveryKUpdates(3)),
-            )
-            .unwrap();
-        let q = RangeQuery { lo: 0, hi: 11 };
-        let before = col.estimate(q);
-        for t in 0..3 {
-            col.update(t, 1).unwrap();
+                assert!(col.update(0, 1).unwrap());
+                col.quiesce();
+                assert_eq!(col.stats().rebuilds, 1);
+                assert!(col.last_error().is_none());
+                assert_eq!(remaining(), 0);
+                assert_eq!(col.inner.cooldown_factor.load(Ordering::Relaxed), 1);
+            }
         }
-        col.quiesce();
-        let stats = col.stats();
-        assert_eq!(stats.rebuilds, 0);
-        assert_eq!(stats.failed_rebuilds, 1);
-        assert!(matches!(
-            col.last_error(),
-            Some(SynopticError::BuildPanicked { detail }) if detail.contains("injected")
-        ));
-        // Serving never stopped, still the initial synopsis bit-for-bit.
-        assert_eq!(before.to_bits(), col.estimate(q).to_bits());
-        // Cooldown absorbs the next few updates without rescheduling.
-        let stats_before = col.stats();
-        for t in 0..4 {
-            assert!(!col.update(t, 1).unwrap());
-        }
-        col.quiesce();
-        assert_eq!(col.stats().failed_rebuilds, stats_before.failed_rebuilds);
     }
 
     #[test]
@@ -1465,31 +1526,35 @@ mod tests {
             assert!(!col.update(0, 2).unwrap());
         }
         assert_eq!(col.stats().rebuilds, 0);
+        // The estimator is stale, but the maintenance side is exact.
+        let q = RangeQuery { lo: 0, hi: 0 };
+        let stale = col.estimate(q);
+        assert_eq!(col.exact(q), 103);
         assert!(col.request_rebuild().unwrap());
         col.quiesce();
         assert_eq!(col.stats().rebuilds, 1);
+        let fresh = col.estimate(q);
+        assert!(
+            (fresh - 103.0).abs() < (stale - 103.0).abs(),
+            "rebuild should tighten the estimate: stale {stale}, fresh {fresh}"
+        );
     }
 
     #[test]
     fn invalid_policies_are_rejected() {
         let pool = MaintainedPool::new(1);
         let vals = vec![1i64, 2];
-        assert!(pool
-            .add_column(
-                "c",
-                &vals,
-                sap0_builder(),
-                RebuildConfig::new(RebuildPolicy::EveryKUpdates(0)),
-            )
-            .is_err());
-        assert!(pool
-            .add_column(
-                "c",
-                &vals,
-                sap0_builder(),
-                RebuildConfig::new(RebuildPolicy::DriftFraction(0.0)),
-            )
-            .is_err());
+        for policy in [
+            RebuildPolicy::EveryKUpdates(0),
+            RebuildPolicy::DriftFraction(0.0),
+            RebuildPolicy::DriftFraction(f64::INFINITY),
+        ] {
+            assert!(
+                pool.add_column("c", &vals, sap0_builder(), RebuildConfig::new(policy))
+                    .is_err(),
+                "{policy:?}"
+            );
+        }
     }
 
     #[test]
@@ -1599,30 +1664,48 @@ mod tests {
         pool.shutdown();
     }
 
+    /// Transient persist errors are retried until one attempt succeeds;
+    /// a disk that never recovers exhausts the retries and is counted, yet
+    /// the rebuild still counts and serving reflects the fresh data.
     #[test]
     fn persist_runs_off_thread_with_bounded_retries() {
-        let pool = MaintainedPool::new(1);
-        let vals = vec![9i64; 6];
-        let mut failures_left = 2u32;
-        let persist: PersistFn = Box::new(move |_e: &dyn RangeEstimator| {
-            if failures_left > 0 {
-                failures_left -= 1;
-                return Err(SynopticError::Io {
-                    path: "/dev/faulty".into(),
-                    detail: "transient".into(),
-                });
+        // (failing attempts before success, retries allowed,
+        //  expected retries, expected failures)
+        for (failing, retries, want_retries, want_failures) in
+            [(2u32, 3u32, 2u64, 0u64), (u32::MAX, 1, 1, 1)]
+        {
+            let pool = MaintainedPool::new(1);
+            let vals = vec![1i64; 6];
+            let mut failures_left = failing;
+            let persist: PersistFn = Box::new(move |_e: &dyn RangeEstimator| {
+                if failures_left > 0 {
+                    failures_left -= 1;
+                    return Err(SynopticError::Io {
+                        path: "/dev/faulty".into(),
+                        detail: "enospc".into(),
+                    });
+                }
+                Ok(())
+            });
+            let config = RebuildConfig::new(RebuildPolicy::Manual)
+                .with_persist_retries(retries, Duration::from_micros(10));
+            let col = pool
+                .add_column_with_persist("c", &vals, sap0_builder(), config, Some(persist))
+                .unwrap();
+            for i in 0..6 {
+                col.update(i, 10).unwrap();
             }
-            Ok(())
-        });
-        let config = RebuildConfig::new(RebuildPolicy::Manual)
-            .with_persist_retries(3, Duration::from_micros(10));
-        let col = pool
-            .add_column_with_persist("c", &vals, sap0_builder(), config, Some(persist))
-            .unwrap();
-        col.request_rebuild().unwrap();
-        col.quiesce();
-        let stats = col.stats();
-        assert_eq!(stats.persist_retries, 2);
-        assert_eq!(stats.persist_failures, 0);
+            col.request_rebuild().unwrap();
+            col.quiesce();
+            let stats = col.stats();
+            assert_eq!(stats.rebuilds, 1, "failing {failing}");
+            assert_eq!(stats.persist_retries, want_retries, "failing {failing}");
+            assert_eq!(stats.persist_failures, want_failures, "failing {failing}");
+            // Every failed attempt is recorded, even when a retry succeeded.
+            assert!(matches!(col.last_error(), Some(SynopticError::Io { .. })));
+            // The in-memory synopsis reflects the fresh data either way.
+            let est = col.estimate(RangeQuery { lo: 0, hi: 5 });
+            assert!((est - 66.0).abs() < 10.0, "fresh estimate, got {est}");
+        }
     }
 }

@@ -86,7 +86,7 @@ mod tests {
         let col = pool
             .add_column(
                 "price",
-                &vec![10i64; 16],
+                &[10i64; 16],
                 sap0_build(),
                 RebuildConfig::new(RebuildPolicy::Manual),
             )

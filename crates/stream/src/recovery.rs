@@ -26,10 +26,10 @@
 //!    [`SynopticError::WalGenerationMismatch`] — replaying it would apply
 //!    deltas the snapshot never saw from a history that superseded it.
 //! 4. **serve** — the caller re-registers each [`RecoveredColumn`] with a
-//!    [`crate::MaintainedPool`] (or [`crate::MaintainedHistogram`]) using
-//!    its exact `values`; reopening the journal via
-//!    [`crate::DurabilityConfig::open_journal`] continues the LSN chain
-//!    without touching the replayed segments, which the next successful
+//!    [`crate::MaintainedPool`]
+//!    ([`crate::MaintainedPool::add_column_durable`]) using its exact
+//!    `values`; reopening the journal continues the LSN chain without
+//!    touching the replayed segments, which the next successful
 //!    checkpoint truncates.
 //!
 //! Columns whose snapshot is *not* an exact frequency vector are skipped

@@ -3,11 +3,13 @@
 //! the contract: on unconstrained builds (no deadline, no cell cap, no
 //! cancellation), every batch setting produces bit-identical synopses,
 //! because batching only changes how often constraints are *evaluated*,
-//! never what work is metered or built.
+//! never what work is metered or built. The scenario runs on a one-worker
+//! pool column that waits for each scheduled rebuild before the next
+//! update, so every batch setting sees the same rebuild cuts.
 
 use synoptic_core::{Budget, PrefixSums, RangeEstimator, RangeQuery, Result};
 use synoptic_hist::sap0::build_sap0_with_budget;
-use synoptic_stream::{MaintainedHistogram, RebuildConfig, RebuildPolicy};
+use synoptic_stream::{ColumnBuild, MaintainedPool, RebuildConfig, RebuildPolicy};
 
 const N: usize = 64;
 
@@ -41,9 +43,19 @@ fn builder() -> impl FnMut(&[i64], &PrefixSums, &Budget) -> Result<Box<dyn Range
 fn run_at_batch(batch: u64) -> (Vec<u64>, u64) {
     let values = initial_values();
     let config = RebuildConfig::new(RebuildPolicy::EveryKUpdates(7)).with_charge_batch(batch);
-    let mut mh = MaintainedHistogram::with_config(&values, builder(), config).unwrap();
+    let pool = MaintainedPool::new(1);
+    let mh = pool
+        .add_column(
+            "c",
+            &values,
+            ColumnBuild::Custom(Box::new(builder())),
+            config,
+        )
+        .unwrap();
     for (i, d) in stream(96) {
-        mh.update(i, d).unwrap();
+        if mh.update(i, d).unwrap() {
+            mh.quiesce();
+        }
     }
     let mut bits = Vec::new();
     for lo in (0..N).step_by(5) {

@@ -4,8 +4,10 @@
 //! Each scenario runs a term-stamped leader (claim handshake, then
 //! term-1 frames) against a follower serving under
 //! [`Follower::serve_with_lease`] on a shared [`ManualClock`] — all
-//! lease arithmetic is clock ticks, never wall time. The leader is then
-//! killed at index `k`, swept across every index the scenario has:
+//! lease arithmetic is clock ticks, never wall time. The leader is a
+//! journaled column of a one-worker [`MaintainedPool`] under a manual
+//! rebuild policy. It is then killed at index `k`, swept across every
+//! index the scenario has:
 //!
 //! * **storage kills** — a [`FaultyStorage`] schedule fires ENOSPC /
 //!   crash-before-rename / torn-write inside the leader's `k`-th write
@@ -45,8 +47,8 @@ use synoptic_repl::transport::{MemTransport, Received, Transport};
 use synoptic_repl::wire::{decode_frame, encode_frame, Frame};
 use synoptic_repl::Shipper;
 use synoptic_stream::{
-    promote, rejoin, DurabilityConfig, FollowConfig, Follower, MaintainedHistogram, RebuildConfig,
-    RebuildPolicy, ServeOutcome, SharedStorage,
+    promote, rejoin, ColumnBuild, DurabilityConfig, FollowConfig, Follower, MaintainedPool,
+    RebuildConfig, RebuildPolicy, ServeOutcome, SharedStorage,
 };
 
 const COLUMN: &str = "c";
@@ -145,9 +147,18 @@ fn run_failover_scenario(tag: &str, k: usize, kill: Kill, updates: usize) -> boo
         .with_segment_bytes(128) // rotate every ~3 records
         .with_fsync(synoptic_catalog::wal::FsyncCadence::OnRotate);
     let config = RebuildConfig::new(RebuildPolicy::Manual);
-    let mut leader = MaintainedHistogram::with_config(&values, builder(), config)
-        .unwrap()
-        .with_durability(shared, COLUMN, &durability, generation)
+    let pool = MaintainedPool::new(1);
+    let leader = pool
+        .add_column_durable(
+            COLUMN,
+            &values,
+            ColumnBuild::Custom(Box::new(builder())),
+            config,
+            shared,
+            &durability,
+            generation,
+            None,
+        )
         .unwrap();
 
     let clock = ManualClock::new();
@@ -349,6 +360,7 @@ fn run_failover_scenario(tag: &str, k: usize, kill: Kill, updates: usize) -> boo
         // End-to-end fencing first: the surviving ex-leader's own
         // shipper learns it was deposed.
         drop(leader);
+        drop(pool);
         let (fenced_end, promoted_end) = MemTransport::pair();
         let fence_serve = std::thread::spawn(move || {
             let mut promoted = promoted;

@@ -1,6 +1,8 @@
-//! Fault-injected persistence under live maintenance: the PR-1 storage
-//! fault harness (`synoptic_catalog::FaultyStorage`) wired into the
-//! rebuild loop of `synoptic_stream::MaintainedHistogram`.
+//! Fault-injected persistence under live maintenance: the storage fault
+//! harness (`synoptic_catalog::FaultyStorage`) wired into the rebuild loop
+//! of a one-worker `synoptic_stream::MaintainedPool` column. Each test
+//! waits for every scheduled rebuild (and its persist) before the next
+//! update, so each fault lands in a known rebuild.
 //!
 //! The contract under test: an injected ENOSPC or torn write during the
 //! post-rebuild persist hook must (a) leave the freshly built **in-memory**
@@ -16,7 +18,9 @@ use synoptic_catalog::{
 };
 use synoptic_core::{Budget, PrefixSums, RangeEstimator, RangeQuery, Result, Sap0Histogram};
 use synoptic_hist::sap0::build_sap0_with_budget;
-use synoptic_stream::{MaintainedHistogram, RebuildConfig, RebuildPolicy};
+use synoptic_stream::{
+    ColumnBuild, ColumnHandle, MaintainedPool, PersistFn, RebuildConfig, RebuildPolicy,
+};
 
 type SharedStore = Arc<DurableCatalog<FaultyStorage<FsStorage>>>;
 
@@ -26,15 +30,14 @@ fn tmp_root(tag: &str) -> std::path::PathBuf {
     d
 }
 
-/// A maintained histogram whose persist hook commits the freshest SAP0
+/// A maintained column whose persist hook commits the freshest SAP0
 /// synopsis to a durable store through the fault-injecting storage layer.
-#[allow(clippy::type_complexity)]
+/// The pool is returned alongside the handle to keep its worker alive.
 fn maintained_with_store(
     values: &[i64],
     store: SharedStore,
     retries: u32,
-) -> MaintainedHistogram<impl FnMut(&[i64], &PrefixSums, &Budget) -> Result<Box<dyn RangeEstimator>>>
-{
+) -> (MaintainedPool, ColumnHandle) {
     // The builder parks a clone of the concrete histogram for the persist
     // hook (the hook only sees `&dyn RangeEstimator`). `PersistFn` is `Send`
     // (it may run on a background worker), so the shared slot is Arc/Mutex.
@@ -45,7 +48,7 @@ fn maintained_with_store(
         *latest_build.lock().unwrap() = Some(h.clone());
         Ok(Box::new(h) as Box<dyn RangeEstimator>)
     };
-    let persist = Box::new(move |_est: &dyn RangeEstimator| -> Result<()> {
+    let persist: PersistFn = Box::new(move |_est: &dyn RangeEstimator| -> Result<()> {
         let guard = latest.lock().unwrap();
         let h = guard.as_ref().expect("persist runs after a build");
         let mut cat = Catalog::new();
@@ -59,24 +62,26 @@ fn maintained_with_store(
         );
         store.save(&cat).map(|_| ())
     });
-    MaintainedHistogram::with_config(
-        values,
-        build,
-        RebuildConfig::new(RebuildPolicy::EveryKUpdates(4))
-            .with_persist_retries(retries, Duration::from_micros(10)),
-    )
-    .unwrap()
-    .with_persist(persist)
+    let pool = MaintainedPool::new(1);
+    let col = pool
+        .add_column_with_persist(
+            "col",
+            values,
+            ColumnBuild::Custom(Box::new(build)),
+            RebuildConfig::new(RebuildPolicy::EveryKUpdates(4))
+                .with_persist_retries(retries, Duration::from_micros(10)),
+            Some(persist),
+        )
+        .unwrap();
+    (pool, col)
 }
 
-fn drive_one_rebuild(
-    m: &mut MaintainedHistogram<
-        impl FnMut(&[i64], &PrefixSums, &Budget) -> Result<Box<dyn RangeEstimator>>,
-    >,
-) {
+fn drive_one_rebuild(m: &ColumnHandle) {
     let before = m.stats().rebuilds;
     for t in 0.. {
-        m.update(t % 10, 1).unwrap();
+        if m.update(t % 10, 1).unwrap() {
+            m.quiesce();
+        }
         if m.stats().rebuilds > before {
             break;
         }
@@ -91,17 +96,17 @@ fn enospc_during_persist_keeps_serving_and_current_generation() {
     );
     let values = vec![7i64; 10];
     // 1 retry → 2 attempts per persist.
-    let mut m = maintained_with_store(&values, Arc::clone(&store), 1);
+    let (_pool, m) = maintained_with_store(&values, Arc::clone(&store), 1);
 
     // First rebuild persists cleanly → generation 1 committed.
-    drive_one_rebuild(&mut m);
+    drive_one_rebuild(&m);
     assert_eq!(m.stats().persist_failures, 0);
     assert_eq!(store.effective_manifest().unwrap().generation, 1);
 
     // Next rebuild: the device is "full" for both persist attempts.
     store.storage().push_fault(Fault::Enospc);
     store.storage().push_fault(Fault::Enospc);
-    drive_one_rebuild(&mut m);
+    drive_one_rebuild(&m);
     assert_eq!(store.storage().faults_fired(), 2);
     assert_eq!(m.stats().persist_failures, 1);
     assert_eq!(m.stats().persist_retries, 1);
@@ -119,7 +124,7 @@ fn enospc_during_persist_keeps_serving_and_current_generation() {
     assert!(store.load().is_ok());
 
     // Storage recovers → the next rebuild persists and the store catches up.
-    drive_one_rebuild(&mut m);
+    drive_one_rebuild(&m);
     assert_eq!(m.stats().persist_failures, 1);
     assert!(store.effective_manifest().unwrap().generation > 1);
     assert!(store.load().is_ok());
@@ -133,9 +138,9 @@ fn torn_write_during_persist_is_caught_and_retried() {
         DurableCatalog::open(&root, FaultyStorage::new(FsStorage::new(), vec![])).unwrap(),
     );
     let values = vec![3i64; 10];
-    let mut m = maintained_with_store(&values, Arc::clone(&store), 2);
+    let (_pool, m) = maintained_with_store(&values, Arc::clone(&store), 2);
 
-    drive_one_rebuild(&mut m);
+    drive_one_rebuild(&m);
     assert_eq!(store.effective_manifest().unwrap().generation, 1);
 
     // A torn synopsis write: silent at write time, caught by the store's
@@ -143,7 +148,7 @@ fn torn_write_during_persist_is_caught_and_retried() {
     // persist hook retries. The committed pointer never touches the bad
     // generation.
     store.storage().push_fault(Fault::TornWrite { keep: 10 });
-    drive_one_rebuild(&mut m);
+    drive_one_rebuild(&m);
     assert_eq!(store.storage().faults_fired(), 1);
     assert_eq!(m.stats().persist_retries, 1);
     assert_eq!(m.stats().persist_failures, 0); // retry succeeded
@@ -165,13 +170,13 @@ fn torn_write_with_no_retries_leaves_previous_generation_committed() {
         DurableCatalog::open(&root, FaultyStorage::new(FsStorage::new(), vec![])).unwrap(),
     );
     let values = vec![5i64; 10];
-    let mut m = maintained_with_store(&values, Arc::clone(&store), 0);
+    let (_pool, m) = maintained_with_store(&values, Arc::clone(&store), 0);
 
-    drive_one_rebuild(&mut m);
+    drive_one_rebuild(&m);
     assert_eq!(store.effective_manifest().unwrap().generation, 1);
 
     store.storage().push_fault(Fault::TornWrite { keep: 10 });
-    drive_one_rebuild(&mut m);
+    drive_one_rebuild(&m);
     assert_eq!(m.stats().persist_failures, 1);
     // CURRENT still at generation 1; the torn generation was never
     // committed, so a strict load succeeds from the old bytes.

@@ -3,8 +3,8 @@
 //! The replicated extension of the recovery sweep's property: **a
 //! follower promoted after the leader dies serves exactly the state the
 //! leader acknowledged as replicated — no lost acks, no phantom
-//! updates.** Each scenario drives a journaled leader
-//! ([`MaintainedHistogram`]) over a [`FaultyStorage`] whose schedule
+//! updates.** Each scenario drives a journaled leader (a column of a
+//! one-worker [`MaintainedPool`]) over a [`FaultyStorage`] whose schedule
 //! kills it at write operation `k`; after every acknowledged update the
 //! leader seals and ships its journal to a live follower over a
 //! [`MemTransport`]. When the fault fires, the leader process "dies"
@@ -31,8 +31,8 @@ use synoptic_hist::sap0::build_sap0_with_budget;
 use synoptic_repl::transport::{MemTransport, Transport};
 use synoptic_repl::Shipper;
 use synoptic_stream::{
-    DurabilityConfig, FollowConfig, Follower, MaintainedHistogram, RebuildConfig, RebuildPolicy,
-    SharedStorage,
+    ColumnBuild, DurabilityConfig, FollowConfig, Follower, MaintainedPool, RebuildConfig,
+    RebuildPolicy, SharedStorage,
 };
 
 const COLUMN: &str = "c";
@@ -110,9 +110,18 @@ fn run_promotion_scenario(tag: &str, k: usize, fault: Fault, updates: usize) -> 
     // Manual policy: no persists/checkpoints, so the leader's journal
     // keeps every segment and the fault schedule indexes appends only.
     let config = RebuildConfig::new(RebuildPolicy::Manual);
-    let mut leader = MaintainedHistogram::with_config(&values, builder(), config)
-        .unwrap()
-        .with_durability(shared, COLUMN, &durability, generation)
+    let pool = MaintainedPool::new(1);
+    let leader = pool
+        .add_column_durable(
+            COLUMN,
+            &values,
+            ColumnBuild::Custom(Box::new(builder())),
+            config,
+            shared,
+            &durability,
+            generation,
+            None,
+        )
         .unwrap();
 
     let follower_storage: SharedStorage = Arc::new(FsStorage::new());
@@ -175,6 +184,7 @@ fn run_promotion_scenario(tag: &str, k: usize, fault: Fault, updates: usize) -> 
     }
     // The kill: leader process and its transport vanish.
     drop(leader);
+    drop(pool);
     leader_end.close();
     drop(leader_end);
 

@@ -2,13 +2,17 @@
 //!
 //! The kill-and-recover property under test: **every update acknowledged
 //! before a crash survives recovery, and nothing else appears**. Each
-//! sweep drives a deterministic update stream through a journaled
-//! [`MaintainedHistogram`] over a [`FaultyStorage`], moving a single
-//! terminal fault across *every* write-operation index — WAL appends,
-//! segment-rotation appends, durable persists, and checkpoint-truncation
-//! deletes all sit in the same operation stream, so the sweep hits every
-//! boundary. After the simulated kill, [`recover`] must reconstruct
-//! exactly the shadow array of acknowledged updates.
+//! sweep drives a deterministic update stream through a journaled column
+//! of a one-worker [`MaintainedPool`] over a [`FaultyStorage`], moving a
+//! single terminal fault across *every* write-operation index — WAL
+//! appends, segment-rotation appends, durable persists, and
+//! checkpoint-truncation deletes all sit in the same operation stream, so
+//! the sweep hits every boundary. The sweep waits
+//! ([`synoptic_stream::ColumnHandle::quiesce`]) after every update that
+//! scheduled a rebuild, so the rebuild's persist and checkpoint land
+//! before the next append and the operation order is deterministic.
+//! After the simulated kill, [`recover`] must reconstruct exactly the
+//! shadow array of acknowledged updates.
 //!
 //! Fault semantics per schedule:
 //! * `Enospc` / `CrashBeforeRename` — the faulted operation fails
@@ -29,8 +33,8 @@ use synoptic_catalog::{
 use synoptic_core::{Budget, PrefixSums, RangeEstimator, Result};
 use synoptic_hist::sap0::build_sap0_with_budget;
 use synoptic_stream::{
-    recover, ColumnBuild, DurabilityConfig, DurablePersistFn, MaintainedHistogram, MaintainedPool,
-    RebuildConfig, RebuildPolicy, SharedStorage,
+    recover, ColumnBuild, DurabilityConfig, DurablePersistFn, MaintainedPool, RebuildConfig,
+    RebuildPolicy, SharedStorage,
 };
 
 const COLUMN: &str = "c";
@@ -86,8 +90,10 @@ fn commit_initial(cat_dir: &std::path::Path, values: &[i64]) -> u64 {
 
 /// Runs one crash scenario: `k` clean write operations, then `fault`
 /// fires on write op `k`, then the process "dies" at the next update
-/// boundary. Returns `(shadow, fired)` where `shadow` is the array of
-/// acknowledged state and `fired` says whether the fault was reached.
+/// boundary. Returns `(shadow, fired, in_rebuild)` where `shadow` is the
+/// array of acknowledged state, `fired` says whether the fault was
+/// reached, and `in_rebuild` says whether it landed in the persist hook or
+/// the checkpoint of a rebuild rather than in a journal append.
 ///
 /// `torn` flags the torn-write ack rule: an update whose own append tore
 /// returned `Ok` to a caller that never lived to see it, so it is *not*
@@ -99,7 +105,7 @@ fn run_crash_scenario(
     torn: bool,
     policy: RebuildPolicy,
     updates: usize,
-) -> (Vec<i64>, bool) {
+) -> (Vec<i64>, bool, bool) {
     let root = tempdir(tag, k);
     let cat_dir = root.join("cat");
     let wal_dir = root.join("wal");
@@ -139,18 +145,40 @@ fn run_crash_scenario(
     // arrives before any retry would.
     let config =
         RebuildConfig::new(policy).with_persist_retries(0, std::time::Duration::from_micros(1));
-    let mut mh = MaintainedHistogram::with_config(&values, builder(), config)
-        .unwrap()
-        .with_durability(shared, COLUMN, &durability, generation)
-        .unwrap()
-        .with_durable_persist(hook);
+    let pool = MaintainedPool::new(1);
+    let col = pool
+        .add_column_durable(
+            COLUMN,
+            &values,
+            ColumnBuild::Custom(Box::new(builder())),
+            config,
+            shared,
+            &durability,
+            generation,
+            Some(hook),
+        )
+        .unwrap();
 
     let mut shadow = values;
     let mut fired = false;
+    let mut in_rebuild = false;
     for (i, d) in stream(updates) {
         let before = faulty.faults_fired();
-        let res = mh.update(i, d);
+        let res = col.update(i, d);
+        if matches!(res, Ok(true)) {
+            col.quiesce(); // let the rebuild, its persist and its checkpoint land
+        }
         let fired_now = faulty.faults_fired() > before;
+        // A faulted append rejects its update, so a fault under an update
+        // that was accepted and scheduled a rebuild hit that rebuild. A
+        // visible fault under an accepted update that scheduled nothing
+        // would belong to an earlier rebuild still running: the sweep has
+        // lost its deterministic write-op order.
+        assert!(
+            !fired_now || torn || !matches!(res, Ok(false)),
+            "{tag} k={k}: fault fired outside this update's append and rebuild"
+        );
+        in_rebuild |= fired_now && matches!(res, Ok(true));
         match res {
             // A visible failure (Enospc / crash on the append) rejected
             // the update; a torn append "succeeded" for a caller that the
@@ -167,7 +195,8 @@ fn run_crash_scenario(
             break; // the simulated kill
         }
     }
-    drop(mh); // the crash: in-memory state is gone
+    drop(col); // the crash: in-memory state is gone
+    drop(pool);
 
     // A fresh process recovers from the durable state alone.
     let store = DurableCatalog::open(&cat_dir, FsStorage::new()).unwrap();
@@ -184,7 +213,7 @@ fn run_crash_scenario(
     );
     let recovered = col.values.clone();
     let _ = std::fs::remove_dir_all(&root);
-    (recovered, fired)
+    (recovered, fired, in_rebuild)
 }
 
 /// ENOSPC swept across every write operation: appends, rotations, persist
@@ -192,8 +221,9 @@ fn run_crash_scenario(
 #[test]
 fn enospc_at_every_write_op_preserves_acknowledged_updates() {
     let mut exhausted = false;
+    let mut rebuild_faults = 0;
     for k in 0..200 {
-        let (_, fired) = run_crash_scenario(
+        let (_, fired, in_rebuild) = run_crash_scenario(
             "enospc",
             k,
             Fault::Enospc,
@@ -207,10 +237,15 @@ fn enospc_at_every_write_op_preserves_acknowledged_updates() {
             exhausted = true;
             break;
         }
+        rebuild_faults += usize::from(in_rebuild);
     }
     assert!(
         exhausted,
         "sweep must extend past the scenario's total write-op count"
+    );
+    assert!(
+        rebuild_faults > 0,
+        "some k must fault a persist or checkpoint, not only journal appends"
     );
 }
 
@@ -218,8 +253,9 @@ fn enospc_at_every_write_op_preserves_acknowledged_updates() {
 #[test]
 fn crash_at_every_write_op_preserves_acknowledged_updates() {
     let mut exhausted = false;
+    let mut rebuild_faults = 0;
     for k in 0..200 {
-        let (_, fired) = run_crash_scenario(
+        let (_, fired, in_rebuild) = run_crash_scenario(
             "crash",
             k,
             Fault::CrashBeforeRename,
@@ -231,8 +267,13 @@ fn crash_at_every_write_op_preserves_acknowledged_updates() {
             exhausted = true;
             break;
         }
+        rebuild_faults += usize::from(in_rebuild);
     }
     assert!(exhausted, "sweep must cover the whole operation stream");
+    assert!(
+        rebuild_faults > 0,
+        "some k must fault a persist or checkpoint, not only journal appends"
+    );
 }
 
 /// A torn write at every journal append (including segment-creation
@@ -244,7 +285,7 @@ fn torn_append_at_every_position_loses_only_the_torn_record() {
     for k in 0..64 {
         // Manual policy: no rebuilds, so every write op is an append and
         // the torn fault always models power loss mid-append.
-        let (_, fired) = run_crash_scenario(
+        let (_, fired, _) = run_crash_scenario(
             "torn",
             k,
             Fault::TornWrite { keep: 7 },
@@ -288,19 +329,30 @@ fn clean_run_recovers_everything_and_is_idempotent() {
         hook_store.save(&cat)
     });
     let config = RebuildConfig::new(RebuildPolicy::EveryKUpdates(5));
-    let mut mh = MaintainedHistogram::with_config(&values, builder(), config)
-        .unwrap()
-        .with_durability(shared, COLUMN, &durability, generation)
-        .unwrap()
-        .with_durable_persist(hook);
+    let pool = MaintainedPool::new(1);
+    let col = pool
+        .add_column_durable(
+            COLUMN,
+            &values,
+            ColumnBuild::Custom(Box::new(builder())),
+            config,
+            shared,
+            &durability,
+            generation,
+            Some(hook),
+        )
+        .unwrap();
     let mut shadow = values;
     for (i, d) in stream(32) {
-        mh.update(i, d).unwrap();
+        if col.update(i, d).unwrap() {
+            col.quiesce();
+        }
         shadow[i] += d;
     }
-    assert!(mh.stats().rebuilds >= 5);
-    assert_eq!(mh.stats().persist_failures, 0);
-    drop(mh);
+    assert!(col.stats().rebuilds >= 5);
+    assert_eq!(col.stats().persist_failures, 0);
+    drop(col);
+    drop(pool);
 
     let store = DurableCatalog::open(&cat_dir, FsStorage::new()).unwrap();
     let first = recover(&store, &wal_dir).unwrap();

@@ -15,7 +15,9 @@ use synoptic::core::rng::Rng;
 use synoptic::core::sse::sse_brute;
 use synoptic::data::zipf::{paper_dataset, ZipfConfig};
 use synoptic::prelude::*;
-use synoptic::stream::{MaintainedHistogram, RebuildPolicy, StreamingRangeOptimal};
+use synoptic::stream::{
+    ColumnBuild, MaintainedPool, RebuildConfig, RebuildPolicy, StreamingRangeOptimal,
+};
 
 fn main() -> Result<()> {
     let data = paper_dataset(&ZipfConfig {
@@ -28,16 +30,21 @@ fn main() -> Result<()> {
     // Stale snapshot, built once.
     let stale = synoptic::hist::sap0::build_sap0(&data.prefix_sums(), 8)?;
 
-    // Policy-maintained histogram: rebuild at 5% drift.
-    let mut maintained = MaintainedHistogram::new(
+    // Policy-maintained histogram: rebuild at 5% drift, on one background
+    // maintenance worker.
+    let pool = MaintainedPool::new(1);
+    let maintained = pool.add_column(
+        "column",
         data.values(),
-        |_vals: &[i64], ps: &PrefixSums, budget: &synoptic::core::Budget| {
-            Ok(
-                Box::new(synoptic::hist::sap0::build_sap0_with_budget(ps, 8, budget)?)
-                    as Box<dyn RangeEstimator>,
-            )
-        },
-        RebuildPolicy::DriftFraction(0.05),
+        ColumnBuild::Custom(Box::new(
+            |_vals: &[i64], ps: &PrefixSums, budget: &synoptic::core::Budget| {
+                Ok(
+                    Box::new(synoptic::hist::sap0::build_sap0_with_budget(ps, 8, budget)?)
+                        as Box<dyn RangeEstimator>,
+                )
+            },
+        )),
+        RebuildConfig::new(RebuildPolicy::DriftFraction(0.05)),
     )?;
 
     // Streaming wavelet transforms (always exact coefficients).
@@ -54,7 +61,9 @@ fn main() -> Result<()> {
         };
         let delta = rng.i64_in(1, 3);
         live[i] += delta;
-        maintained.update(i, delta)?;
+        if maintained.update(i, delta)? {
+            maintained.quiesce(); // let the rebuild land before the next update
+        }
         streaming.update(i, delta)?;
     }
 
@@ -76,7 +85,7 @@ fn main() -> Result<()> {
     println!(
         "  {:<26} {:>14.4e}",
         "maintained SAP0 (5% drift)",
-        sse_brute(&maintained.estimator(), &ps_now)
+        sse_brute(&maintained.estimator().as_ref(), &ps_now)
     );
     println!(
         "  {:<26} {:>14.4e}",

@@ -12,7 +12,9 @@ use synoptic::data::zipf::{paper_dataset, ZipfConfig};
 use synoptic::hist::sap0::build_sap0;
 use synoptic::hist::workload_opt::{optimize_for_workload, reoptimize_for_workload};
 use synoptic::prelude::*;
-use synoptic::stream::{MaintainedHistogram, RebuildPolicy, StreamingRangeOptimal};
+use synoptic::stream::{
+    ColumnBuild, MaintainedPool, RebuildConfig, RebuildPolicy, StreamingRangeOptimal,
+};
 
 fn dataset(n: usize) -> (DataArray, PrefixSums) {
     let d = paper_dataset(&ZipfConfig {
@@ -28,19 +30,26 @@ fn updated_column_flows_into_a_persisted_catalog() {
     // Ingest updates via the maintained histogram, then persist the fresh
     // synopsis in a catalog and answer from a reload.
     let (d, _) = dataset(48);
-    let mut m = MaintainedHistogram::new(
-        d.values(),
-        |_v: &[i64], ps: &PrefixSums, budget: &synoptic::core::Budget| {
-            Ok(
-                Box::new(synoptic::hist::sap0::build_sap0_with_budget(ps, 5, budget)?)
-                    as Box<dyn RangeEstimator>,
-            )
-        },
-        RebuildPolicy::EveryKUpdates(10),
-    )
-    .unwrap();
+    let pool = MaintainedPool::new(1);
+    let m = pool
+        .add_column(
+            "col",
+            d.values(),
+            ColumnBuild::Custom(Box::new(
+                |_v: &[i64], ps: &PrefixSums, budget: &synoptic::core::Budget| {
+                    Ok(
+                        Box::new(synoptic::hist::sap0::build_sap0_with_budget(ps, 5, budget)?)
+                            as Box<dyn RangeEstimator>,
+                    )
+                },
+            )),
+            RebuildConfig::new(RebuildPolicy::EveryKUpdates(10)),
+        )
+        .unwrap();
     for t in 0..40 {
-        m.update(t % 48, 3).unwrap();
+        if m.update(t % 48, 3).unwrap() {
+            m.quiesce();
+        }
     }
     assert_eq!(m.stats().rebuilds, 4);
 
