@@ -77,6 +77,9 @@ ${CAP} cargo run -q --release --offline --example failover_bench
 echo "==> segments bench: dirty-segment vs full rebuild at 1/4/16/64 segments (capped at ${TEST_CAP}s)"
 ${CAP} cargo run -q --release --offline --example segments_bench
 
+echo "==> DP kernel bench: ns per DP cell and per oracle call, SAP0/SAP1/A0/POINT-OPT over n x B, OPT-A at n=127 (capped at ${TEST_CAP}s)"
+${CAP} cargo run -q --release --offline --example dp_bench
+
 echo "==> serve bench: mixed update+query throughput and wire latency over live TCP (capped at ${TEST_CAP}s)"
 ${CAP} cargo run -q --release --offline --example serve_bench
 

@@ -20,9 +20,10 @@ pub fn a0_bucket_cost(oracle: &WindowOracle, n: usize, l: usize, r: usize) -> f6
     oracle.intra_avg_sse(l, r) + agg.u2 * (n - 1 - r) as f64 + agg.v2 * l as f64
 }
 
-/// Builds the A0 histogram with at most `buckets` buckets in `O(n²·buckets)`.
-/// Returns the histogram; its *true* SSE (including the ignored cross term)
-/// can be computed exactly in O(n) via
+/// Builds the A0 histogram with at most `buckets` buckets in O(n²)
+/// cost-oracle calls plus O(n²B) f64 min-plus steps, O(nB) memory plus an
+/// O(n) column. Returns the histogram; its *true* SSE (including the
+/// ignored cross term) can be computed exactly in O(n) via
 /// [`synoptic_core::sse::sse_value_histogram`].
 pub fn build_a0(ps: &PrefixSums, buckets: usize) -> Result<ValueHistogram> {
     Ok(build_a0_with_objective(ps, buckets)?.0)

@@ -1,4 +1,6 @@
-//! The shared O(n²B) dynamic program for *bucket-additive* objectives.
+//! The shared dynamic program for *bucket-additive* objectives: O(n²)
+//! cost-oracle calls plus O(n²B) f64 min-plus steps, O(nB) memory plus an
+//! O(n) column.
 //!
 //! When a histogram's total error is a sum of per-bucket costs that depend
 //! only on the bucket's own `[l, r]` (plus the global `n`) — which the
@@ -14,6 +16,11 @@
 //! where `E(i, k)` is the best cost of covering the prefix `[0, i)` with
 //! exactly `k` buckets and `cost(l, r)` is the (O(1)-oracle) cost of a bucket
 //! over the inclusive index window `[l, r]`.
+//!
+//! The table is filled with the right end `i` outermost. For each `i` the
+//! column `cost(j, i−1)`, `0 ≤ j < i`, is evaluated once and then shared by
+//! the min-plus scans of every bucket count `k`, so each window's exact
+//! (i128-backed) cost is computed once instead of once per `k`.
 
 use synoptic_core::{Bucketing, Budget, Result, SynopticError};
 
@@ -35,8 +42,11 @@ pub struct DpSolution {
 /// buckets (fewer if that is cheaper, which can happen for costs that are not
 /// monotone in the partition refinement).
 ///
-/// Complexity: `O(n² · max_buckets)` cost evaluations, `O(n · max_buckets)`
-/// memory.
+/// # Complexity
+///
+/// `O(n²)` cost-oracle calls (each window once; only the `n` windows
+/// starting at 0 when `max_buckets == 1`) plus `O(n² · max_buckets)` f64
+/// min-plus steps, `O(n · max_buckets)` memory plus an `O(n)` column.
 pub fn optimal_bucketing<C>(n: usize, max_buckets: usize, cost: C) -> Result<DpSolution>
 where
     C: Fn(usize, usize) -> f64,
@@ -73,19 +83,27 @@ where
     let mut e = vec![vec![f64::INFINITY; n + 1]; b + 1];
     let mut parent = vec![vec![usize::MAX; n + 1]; b + 1];
     e[0][0] = 0.0;
-    for k in 1..=b {
+    // col[j] = cost(j, i − 1) for the current right end i.
+    let mut col = vec![f64::INFINITY; n];
+    for i in 1..=n {
+        // With one bucket only E(0, 0) is finite, so only [0, i−1] is read.
+        let reach = if b == 1 { 1 } else { i };
+        for (j, c) in col.iter_mut().enumerate().take(reach) {
+            *c = cost(j, i - 1);
+        }
         // With k buckets we can cover at least k and at most n positions.
-        for i in k..=n {
+        for k in 1..=b.min(i) {
             budget.charge((i - (k - 1)) as u64)?;
             let mut best = f64::INFINITY;
             let mut best_j = usize::MAX;
+            let (prev_row, col) = (&e[k - 1][..i], &col[..i]);
             #[allow(clippy::needless_range_loop)] // j is an index *and* a boundary value
             for j in (k - 1)..i {
-                let prev = e[k - 1][j];
+                let prev = prev_row[j];
                 if !prev.is_finite() {
                     continue;
                 }
-                let c = prev + cost(j, i - 1);
+                let c = prev + col[j];
                 if c < best {
                     best = c;
                     best_j = j;
@@ -95,9 +113,15 @@ where
             parent[k][i] = best_j;
         }
     }
+    best_solution(n, &e, &parent)
+}
+
+/// The best of the filled tables' "at most `b` buckets" states, with its
+/// boundaries reconstructed from `parent`.
+fn best_solution(n: usize, e: &[Vec<f64>], parent: &[Vec<usize>]) -> Result<DpSolution> {
     // Best over "at most b buckets".
     let (mut best_k, mut best) = (1, e[1][n]);
-    for (k, ek) in e.iter().enumerate().take(b + 1).skip(2) {
+    for (k, ek) in e.iter().enumerate().skip(2) {
         if ek[n] < best {
             best = ek[n];
             best_k = k;
@@ -148,6 +172,103 @@ mod tests {
             best
         }
         rec(0, n, b, cost)
+    }
+
+    /// The `k`-outer fill order, which calls `cost(j, i−1)` afresh for
+    /// every `k`: the differential reference for
+    /// [`optimal_bucketing_with_budget`]'s column order.
+    fn k_outer_reference<C: Fn(usize, usize) -> f64>(
+        n: usize,
+        b: usize,
+        cost: C,
+        budget: &Budget,
+    ) -> Result<DpSolution> {
+        let mut e = vec![vec![f64::INFINITY; n + 1]; b + 1];
+        let mut parent = vec![vec![usize::MAX; n + 1]; b + 1];
+        e[0][0] = 0.0;
+        for k in 1..=b {
+            for i in k..=n {
+                budget.charge((i - (k - 1)) as u64)?;
+                let mut best = f64::INFINITY;
+                let mut best_j = usize::MAX;
+                #[allow(clippy::needless_range_loop)]
+                for j in (k - 1)..i {
+                    let prev = e[k - 1][j];
+                    if !prev.is_finite() {
+                        continue;
+                    }
+                    let c = prev + cost(j, i - 1);
+                    if c < best {
+                        best = c;
+                        best_j = j;
+                    }
+                }
+                e[k][i] = best;
+                parent[k][i] = best_j;
+            }
+        }
+        best_solution(n, &e, &parent)
+    }
+
+    /// A seeded `n × n` table of window costs: `kind` 0 draws real costs,
+    /// 1 draws small integers (so many bucketings tie), 2 draws real costs
+    /// and makes about one window in five infinitely expensive (windows
+    /// starting at 0 stay finite, so every `b` has a finite bucketing).
+    fn seeded_costs(n: usize, kind: u8, seed: u64) -> Vec<Vec<f64>> {
+        let mut rng = synoptic_core::Rng::new(seed);
+        (0..n)
+            .map(|l| {
+                (0..n)
+                    .map(|r| match kind {
+                        _ if r < l => f64::NAN,
+                        0 => rng.f64_in(0.0, 100.0) * (r - l + 1) as f64,
+                        1 => rng.i64_in(0, 4) as f64,
+                        _ if l > 0 && rng.usize_in(0, 5) == 0 => f64::INFINITY,
+                        _ => rng.f64_in(0.0, 10.0),
+                    })
+                    .collect()
+            })
+            .collect()
+    }
+
+    #[test]
+    fn column_dp_matches_k_outer_reference_bit_for_bit() {
+        for n in 1..=48usize {
+            for kind in 0..3u8 {
+                let table = seeded_costs(n, kind, 0xD1FF_0000 + 3 * n as u64 + kind as u64);
+                let cost = |l: usize, r: usize| table[l][r];
+                for b in 1..=n {
+                    let (got_budget, want_budget) = (Budget::unlimited(), Budget::unlimited());
+                    let got = optimal_bucketing_with_budget(n, b, cost, &got_budget).unwrap();
+                    let want = k_outer_reference(n, b, cost, &want_budget).unwrap();
+                    assert_eq!(
+                        got.bucketing.starts(),
+                        want.bucketing.starts(),
+                        "n={n} b={b} kind={kind}"
+                    );
+                    assert_eq!(
+                        got.objective.to_bits(),
+                        want.objective.to_bits(),
+                        "n={n} b={b} kind={kind}"
+                    );
+                    assert_eq!(
+                        got_budget.cells_used(),
+                        want_budget.cells_used(),
+                        "n={n} b={b} kind={kind}"
+                    );
+                    // Σ_{k=1..b} Σ_{i=k..n} (i−k+1) = Σ_{k=1..b} m(m+1)/2 with
+                    // m = n−k+1: the work units behind `hist.sap0_cells`
+                    // and `BuildOutcome.cells`.
+                    let closed_form: u64 = (1..=b)
+                        .map(|k| {
+                            let m = (n - k + 1) as u64;
+                            m * (m + 1) / 2
+                        })
+                        .sum();
+                    assert_eq!(got_budget.cells_used(), closed_form, "n={n} b={b}");
+                }
+            }
+        }
     }
 
     #[test]
@@ -201,7 +322,8 @@ mod tests {
 
     #[test]
     fn budgeted_dp_matches_unbudgeted_and_aborts_cleanly() {
-        use synoptic_core::SynopticError;
+        use std::cell::Cell;
+        use synoptic_core::{CancelToken, SynopticError};
         let cost = |l: usize, r: usize| ((r - l) as f64) * 1.25 + ((l * 7 + r) % 5) as f64;
         let free = optimal_bucketing(12, 4, cost).unwrap();
         let metered = Budget::unlimited();
@@ -209,6 +331,25 @@ mod tests {
         assert_eq!(free.bucketing.starts(), budgeted.bucketing.starts());
         assert_eq!(free.objective, budgeted.objective);
         assert!(metered.cells_used() > 0);
+        // A pre-cancelled token aborts at the first cell, after costing at
+        // most the one window that cell needs.
+        let token = CancelToken::new();
+        token.cancel();
+        let calls = Cell::new(0u32);
+        let counted = |l: usize, r: usize| {
+            calls.set(calls.get() + 1);
+            cost(l, r)
+        };
+        let cancelled = Budget::unlimited().with_cancel_token(token);
+        match optimal_bucketing_with_budget(12, 4, counted, &cancelled) {
+            Err(SynopticError::Cancelled) => {}
+            other => panic!("expected Cancelled, got {other:?}"),
+        }
+        assert!(
+            calls.get() <= 1,
+            "{} cost calls before cancelling",
+            calls.get()
+        );
         // A cap below the metered usage must abort with the budget error.
         let capped = Budget::unlimited().with_max_cells(metered.cells_used() / 2);
         match optimal_bucketing_with_budget(12, 4, cost, &capped) {

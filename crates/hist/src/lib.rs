@@ -8,10 +8,10 @@
 //! | [`opta`] | OPT-A exact DP (`F*(i,k,Λ)`, Thm 2) with convex-hull state pruning | range-optimal boundaries for the eq.-1 answering procedure | pseudo-poly (fast in practice) |
 //! | [`opta_warmup`] | warm-up DP (`E*(i,k,Λ₂,Λ)`, Thm 1) with explicit state table | same optimum; cross-check for tiny inputs | pseudo-poly (slow) |
 //! | [`opta_rounded`] | OPT-A-ROUNDED data-scaling wrapper (Thm 4) | `(1+ε)`-approximation | pseudo-poly / ε |
-//! | [`sap0`] | SAP0 DP (Thm 6) | exactly optimal SAP0 histogram | `O(n²B)` |
-//! | [`sap1`] | SAP1 DP (Thm 8) | exactly optimal SAP1 histogram | `O(n²B)` |
-//! | [`a0`] | A0 heuristic DP (paper §4) | none (ignores cross term) | `O(n²B)` |
-//! | [`vopt`] | V-optimal point histogram [Jagadish et al.], uniform or range-inclusion weights (POINT-OPT) | optimal for *point* queries | `O(n²B)` |
+//! | [`sap0`] | SAP0 DP (Thm 6) | exactly optimal SAP0 histogram | `O(n²)` oracle calls + `O(n²B)` min-plus steps |
+//! | [`sap1`] | SAP1 DP (Thm 8) | exactly optimal SAP1 histogram | `O(n²)` oracle calls + `O(n²B)` min-plus steps |
+//! | [`a0`] | A0 heuristic DP (paper §4) | none (ignores cross term) | `O(n²)` oracle calls + `O(n²B)` min-plus steps |
+//! | [`vopt`] | V-optimal point histogram [Jagadish et al.], uniform or range-inclusion weights (POINT-OPT) | optimal for *point* queries | `O(n²)` oracle calls + `O(n²B)` min-plus steps |
 //! | [`heuristics`] | equi-width, equi-depth, max-diff | none | `O(n log n)` |
 //! | [`reopt`] | fixed-boundary quadratic re-optimization (paper §5) | optimal bucket values for given boundaries | `O(nB² + B³)` |
 //! | [`local_search`] | boundary hill-climbing (paper §4) | local optimum | configurable |
@@ -19,7 +19,9 @@
 //! | [`workload_opt`] | arbitrary-workload value/boundary tuning (extension) | optimal values per workload | `O(|W|·B² + B³)` |
 //!
 //! All DPs share the O(1)-per-window cost oracles of
-//! [`synoptic_core::window`] and the generic engine in [`dp`].
+//! [`synoptic_core::window`]. The four bucket-additive builders (SAP0, SAP1,
+//! A0, V-OPT/POINT-OPT) run the generic engine in [`dp`]: O(n²) cost-oracle
+//! calls plus O(n²B) f64 min-plus steps, O(nB) memory plus an O(n) column.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]

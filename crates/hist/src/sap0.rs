@@ -22,9 +22,10 @@ pub fn sap0_bucket_cost(oracle: &WindowOracle, n: usize, l: usize, r: usize) -> 
         + oracle.prefix_var(l, r) * l as f64
 }
 
-/// Builds the SSE-optimal SAP0 histogram with at most `buckets` buckets in
-/// `O(n²·buckets)` (Theorem 6). Both the boundaries and the summary values
-/// are simultaneously optimal (Lemma 5).
+/// Builds the SSE-optimal SAP0 histogram with at most `buckets` buckets
+/// (Theorem 6) in O(n²) cost-oracle calls plus O(n²B) f64 min-plus steps,
+/// O(nB) memory plus an O(n) column. Both the boundaries and the summary
+/// values are simultaneously optimal (Lemma 5).
 pub fn build_sap0(ps: &PrefixSums, buckets: usize) -> Result<Sap0Histogram> {
     let oracle = WindowOracle::new(ps);
     let n = ps.n();

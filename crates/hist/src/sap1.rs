@@ -14,8 +14,9 @@ pub fn sap1_bucket_cost(oracle: &WindowOracle, n: usize, l: usize, r: usize) -> 
     oracle.intra_avg_sse(l, r) + srss * (n - 1 - r) as f64 + prss * l as f64
 }
 
-/// Builds the SSE-optimal SAP1 histogram with at most `buckets` buckets in
-/// `O(n²·buckets)` (Theorem 8).
+/// Builds the SSE-optimal SAP1 histogram with at most `buckets` buckets
+/// (Theorem 8) in O(n²) cost-oracle calls plus O(n²B) f64 min-plus steps,
+/// O(nB) memory plus an O(n) column.
 pub fn build_sap1(ps: &PrefixSums, buckets: usize) -> Result<Sap1Histogram> {
     Ok(build_sap1_with_sse(ps, buckets)?.0)
 }

@@ -26,7 +26,8 @@ pub enum PointWeighting {
 }
 
 /// Builds the weighted V-optimal histogram with at most `buckets` buckets in
-/// `O(n²·buckets)`; stored values are the weighted bucket means.
+/// O(n²) cost-oracle calls plus O(n²B) f64 min-plus steps, O(nB) memory plus
+/// an O(n) column; stored values are the weighted bucket means.
 pub fn build_point_opt(
     values: &[i64],
     ps: &PrefixSums,

@@ -11,8 +11,9 @@
 //!   only the dirty slice re-runs the SAP0 DP, every clean partial is
 //!   reused bit-for-bit.
 //!
-//! The SAP0 DP is `O(n²B)`, so rebuilding one dirty segment of `S` costs
-//! about `1/S²` of the monolithic build — the reported
+//! The SAP0 DP costs `O(n²)` cost-oracle calls plus `O(n²B)` f64 min-plus
+//! steps, so rebuilding one dirty segment of `S` costs between `1/S²` and
+//! `1/S³` of the monolithic build — the reported
 //! `speedup_vs_monolithic` (monolithic full-rebuild time over this
 //! config's dirty-rebuild time) should far exceed the 4× the roadmap
 //! demands at 16 segments.
