@@ -59,6 +59,9 @@ ${CAP} cargo test -q -p synoptic-api --offline
 ${CAP} cargo test -q -p synoptic-serve --offline
 ${CAP} cargo test -q -p synoptic-cli --test serve_cli --offline
 
+echo "==> decoder fuzz: CRC-resealed mutants of SQP1, SRP1, SYNWAL01 and SYNOPTC1 decode or refuse, never panic (capped at ${TEST_CAP}s)"
+${CAP} cargo test -q --test decoder_fuzz --offline
+
 echo "==> overload suite: deadline sheds, tenant admission, degradation ladder, storm proof, retry/breaker sweep (capped at ${TEST_CAP}s)"
 ${CAP} cargo test -q -p synoptic-serve --test overload --offline
 ${CAP} cargo test -q -p synoptic-serve --test resilience --offline

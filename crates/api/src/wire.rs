@@ -14,6 +14,10 @@
 //! ```
 //!
 //! All integers are little-endian; the CRC covers every byte before it.
+//! The envelope and every primitive come from
+//! [`synoptic_catalog::codec`], the one byte codec the replication
+//! protocol and the catalog files share. Strings longer than 64 KiB are
+//! truncated at a char boundary. Floats travel as raw bits.
 //! A frame that fails validation decodes to
 //! [`SynopticError::CorruptSynopsis`] with context `"query frame"` —
 //! the receiver refuses it loudly (exit code 4 class) and never acts on
@@ -26,7 +30,7 @@
 //! `SynopticError` → wire error → exit code chain has exactly one link
 //! per hop and no lossy step.
 
-use synoptic_catalog::checksum::crc32;
+use synoptic_catalog::codec::{self, ByteReader, ByteWriter};
 use synoptic_core::{AnswerSource, BuildAttempt, BuildOutcome, RangeQuery, Result, SynopticError};
 
 use crate::envelope::AnswerEnvelope;
@@ -314,115 +318,42 @@ pub enum Response {
     Error(SynopticError),
 }
 
+/// Every SQP1 decode failure is `CorruptSynopsis` under this context.
+const CONTEXT: &str = "query frame";
+
 fn corrupt(detail: impl Into<String>) -> SynopticError {
     SynopticError::CorruptSynopsis {
-        context: "query frame".to_string(),
+        context: CONTEXT.to_string(),
         detail: detail.into(),
     }
 }
 
-/// Encodes a length-prefixed string. The prefix is a `u16`, so strings
-/// of 64 KiB or more (possible for error text built from user input) are
-/// truncated at a char boundary rather than silently wrapping the
-/// length — a wrapped prefix would make the payload disagree with the
-/// frame and the peer would refuse the whole frame as corruption instead
-/// of delivering the (merely shortened) text.
-fn put_str(out: &mut Vec<u8>, s: &str) {
-    let mut end = s.len().min(usize::from(u16::MAX));
-    while !s.is_char_boundary(end) {
-        end -= 1;
-    }
-    out.extend_from_slice(&(end as u16).to_le_bytes());
-    out.extend_from_slice(&s.as_bytes()[..end]);
-}
-
-struct Reader<'a> {
-    bytes: &'a [u8],
-    at: usize,
-}
-
-impl<'a> Reader<'a> {
-    fn take(&mut self, n: usize) -> Result<&'a [u8]> {
-        if self.bytes.len() - self.at < n {
-            return Err(corrupt("frame payload truncated"));
-        }
-        let out = &self.bytes[self.at..self.at + n];
-        self.at += n;
-        Ok(out)
-    }
-
-    fn u8(&mut self) -> Result<u8> {
-        Ok(self.take(1)?[0])
-    }
-
-    fn u64(&mut self) -> Result<u64> {
-        Ok(u64::from_le_bytes(self.take(8)?.try_into().expect("8")))
-    }
-
-    fn i64(&mut self) -> Result<i64> {
-        Ok(i64::from_le_bytes(self.take(8)?.try_into().expect("8")))
-    }
-
-    fn f64(&mut self) -> Result<f64> {
-        Ok(f64::from_bits(self.u64()?))
-    }
-
-    fn count(&mut self, per_item: usize) -> Result<usize> {
-        let len = u32::from_le_bytes(self.take(4)?.try_into().expect("4")) as usize;
-        // Refuse counts the remaining payload cannot possibly hold, so a
-        // corrupt length cannot drive a giant allocation.
-        let need = len
-            .checked_mul(per_item)
-            .ok_or_else(|| corrupt("count overflow"))?;
-        if self.bytes.len() - self.at < need {
-            return Err(corrupt("count exceeds frame payload"));
-        }
-        Ok(len)
-    }
-
-    fn str(&mut self) -> Result<String> {
-        let len = u16::from_le_bytes(self.take(2)?.try_into().expect("2")) as usize;
-        let bytes = self.take(len)?;
-        String::from_utf8(bytes.to_vec()).map_err(|_| corrupt("frame string is not UTF-8"))
-    }
-
-    fn done(&self) -> Result<()> {
-        if self.at != self.bytes.len() {
-            return Err(corrupt(format!(
-                "{} trailing bytes after frame payload",
-                self.bytes.len() - self.at
-            )));
-        }
-        Ok(())
-    }
-}
-
-fn put_outcome_opt(out: &mut Vec<u8>, outcome: &Option<BuildOutcome>) {
+fn put_outcome_opt(w: &mut ByteWriter, outcome: &Option<BuildOutcome>) {
     match outcome {
-        None => out.push(0),
+        None => w.u8(0),
         Some(o) => {
-            out.push(1);
-            put_outcome(out, o);
+            w.u8(1);
+            put_outcome(w, o);
         }
     }
 }
 
-fn put_outcome(out: &mut Vec<u8>, o: &BuildOutcome) {
-    put_str(out, &o.requested);
-    put_str(out, &o.used);
-    out.extend_from_slice(&(o.tier as u64).to_le_bytes());
-    out.extend_from_slice(&o.elapsed_ms.to_le_bytes());
-    out.extend_from_slice(&o.cells.to_le_bytes());
-    out.extend_from_slice(&(o.attempts.len() as u32).to_le_bytes());
+fn put_outcome(w: &mut ByteWriter, o: &BuildOutcome) {
+    w.str16(&o.requested);
+    w.str16(&o.used);
+    w.u64(o.tier as u64);
+    w.u64(o.elapsed_ms);
+    w.u64(o.cells);
+    w.u32(o.attempts.len() as u32);
     for a in &o.attempts {
-        put_str(out, &a.method);
-        put_str(out, &a.error);
-        out.extend_from_slice(&a.elapsed_ms.to_le_bytes());
-        out.extend_from_slice(&a.cells.to_le_bytes());
+        w.str16(&a.method);
+        w.str16(&a.error);
+        w.u64(a.elapsed_ms);
+        w.u64(a.cells);
     }
 }
 
-fn read_outcome_opt(r: &mut Reader<'_>) -> Result<Option<BuildOutcome>> {
+fn read_outcome_opt(r: &mut ByteReader<'_>) -> Result<Option<BuildOutcome>> {
     match r.u8()? {
         0 => Ok(None),
         1 => Ok(Some(read_outcome(r)?)),
@@ -430,9 +361,9 @@ fn read_outcome_opt(r: &mut Reader<'_>) -> Result<Option<BuildOutcome>> {
     }
 }
 
-fn read_outcome(r: &mut Reader<'_>) -> Result<BuildOutcome> {
-    let requested = r.str()?;
-    let used = r.str()?;
+fn read_outcome(r: &mut ByteReader<'_>) -> Result<BuildOutcome> {
+    let requested = r.str16()?;
+    let used = r.str16()?;
     let tier = r.u64()? as usize;
     let elapsed_ms = r.u64()?;
     let cells = r.u64()?;
@@ -440,8 +371,8 @@ fn read_outcome(r: &mut Reader<'_>) -> Result<BuildOutcome> {
     let attempts = (0..attempts)
         .map(|_| {
             Ok(BuildAttempt {
-                method: r.str()?,
-                error: r.str()?,
+                method: r.str16()?,
+                error: r.str16()?,
                 elapsed_ms: r.u64()?,
                 cells: r.u64()?,
             })
@@ -457,18 +388,18 @@ fn read_outcome(r: &mut Reader<'_>) -> Result<BuildOutcome> {
     })
 }
 
-fn put_source(out: &mut Vec<u8>, source: &AnswerSource) {
+fn put_source(w: &mut ByteWriter, source: &AnswerSource) {
     match source {
-        AnswerSource::Primary => out.push(0),
+        AnswerSource::Primary => w.u8(0),
         AnswerSource::FallbackGeneration { generation } => {
-            out.push(1);
-            out.extend_from_slice(&generation.to_le_bytes());
+            w.u8(1);
+            w.u64(*generation);
         }
-        AnswerSource::FallbackNaive => out.push(2),
+        AnswerSource::FallbackNaive => w.u8(2),
     }
 }
 
-fn read_source(r: &mut Reader<'_>) -> Result<AnswerSource> {
+fn read_source(r: &mut ByteReader<'_>) -> Result<AnswerSource> {
     Ok(match r.u8()? {
         0 => AnswerSource::Primary,
         1 => AnswerSource::FallbackGeneration {
@@ -507,132 +438,132 @@ const ERR_STALE_TERM: u8 = 21;
 const ERR_REPL_LAG: u8 = 22;
 const ERR_SERVER_OVERLOADED: u8 = 23;
 
-fn put_error(out: &mut Vec<u8>, e: &SynopticError) {
+fn put_error(w: &mut ByteWriter, e: &SynopticError) {
     match e {
-        SynopticError::EmptyInput => out.push(ERR_EMPTY_INPUT),
+        SynopticError::EmptyInput => w.u8(ERR_EMPTY_INPUT),
         SynopticError::IndexOutOfBounds { index, n } => {
-            out.push(ERR_INDEX_OOB);
-            out.extend_from_slice(&(*index as u64).to_le_bytes());
-            out.extend_from_slice(&(*n as u64).to_le_bytes());
+            w.u8(ERR_INDEX_OOB);
+            w.u64(*index as u64);
+            w.u64(*n as u64);
         }
         SynopticError::InvalidRange { lo, hi } => {
-            out.push(ERR_INVALID_RANGE);
-            out.extend_from_slice(&(*lo as u64).to_le_bytes());
-            out.extend_from_slice(&(*hi as u64).to_le_bytes());
+            w.u8(ERR_INVALID_RANGE);
+            w.u64(*lo as u64);
+            w.u64(*hi as u64);
         }
         SynopticError::InvalidBucketCount { buckets, n } => {
-            out.push(ERR_INVALID_BUCKETS);
-            out.extend_from_slice(&(*buckets as u64).to_le_bytes());
-            out.extend_from_slice(&(*n as u64).to_le_bytes());
+            w.u8(ERR_INVALID_BUCKETS);
+            w.u64(*buckets as u64);
+            w.u64(*n as u64);
         }
         SynopticError::InvalidBoundaries(msg) => {
-            out.push(ERR_INVALID_BOUNDARIES);
-            put_str(out, msg);
+            w.u8(ERR_INVALID_BOUNDARIES);
+            w.str16(msg);
         }
         SynopticError::BudgetTooSmall { words, minimum } => {
-            out.push(ERR_BUDGET_TOO_SMALL);
-            out.extend_from_slice(&(*words as u64).to_le_bytes());
-            out.extend_from_slice(&(*minimum as u64).to_le_bytes());
+            w.u8(ERR_BUDGET_TOO_SMALL);
+            w.u64(*words as u64);
+            w.u64(*minimum as u64);
         }
         SynopticError::InvalidParameter(msg) => {
-            out.push(ERR_INVALID_PARAMETER);
-            put_str(out, msg);
+            w.u8(ERR_INVALID_PARAMETER);
+            w.str16(msg);
         }
         SynopticError::SingularSystem(msg) => {
-            out.push(ERR_SINGULAR);
-            put_str(out, msg);
+            w.u8(ERR_SINGULAR);
+            w.str16(msg);
         }
-        SynopticError::Overflow => out.push(ERR_OVERFLOW),
+        SynopticError::Overflow => w.u8(ERR_OVERFLOW),
         SynopticError::CorruptSynopsis { context, detail } => {
-            out.push(ERR_CORRUPT_SYNOPSIS);
-            put_str(out, context);
-            put_str(out, detail);
+            w.u8(ERR_CORRUPT_SYNOPSIS);
+            w.str16(context);
+            w.str16(detail);
         }
         SynopticError::UnsupportedVersion { found, supported } => {
-            out.push(ERR_UNSUPPORTED_VERSION);
-            out.extend_from_slice(&u64::from(*found).to_le_bytes());
-            out.extend_from_slice(&u64::from(*supported).to_le_bytes());
+            w.u8(ERR_UNSUPPORTED_VERSION);
+            w.u64(u64::from(*found));
+            w.u64(u64::from(*supported));
         }
         SynopticError::Io { path, detail } => {
-            out.push(ERR_IO);
-            put_str(out, path);
-            put_str(out, detail);
+            w.u8(ERR_IO);
+            w.str16(path);
+            w.str16(detail);
         }
-        SynopticError::Cancelled => out.push(ERR_CANCELLED),
+        SynopticError::Cancelled => w.u8(ERR_CANCELLED),
         SynopticError::DeadlineExceeded { elapsed_ms } => {
-            out.push(ERR_DEADLINE);
-            out.extend_from_slice(&elapsed_ms.to_le_bytes());
+            w.u8(ERR_DEADLINE);
+            w.u64(*elapsed_ms);
         }
         SynopticError::CellBudgetExceeded { used, limit } => {
-            out.push(ERR_CELL_BUDGET);
-            out.extend_from_slice(&used.to_le_bytes());
-            out.extend_from_slice(&limit.to_le_bytes());
+            w.u8(ERR_CELL_BUDGET);
+            w.u64(*used);
+            w.u64(*limit);
         }
         SynopticError::BuildPanicked { detail } => {
-            out.push(ERR_BUILD_PANICKED);
-            put_str(out, detail);
+            w.u8(ERR_BUILD_PANICKED);
+            w.str16(detail);
         }
         SynopticError::WorkerUnavailable { column } => {
-            out.push(ERR_WORKER_UNAVAILABLE);
-            put_str(out, column);
+            w.u8(ERR_WORKER_UNAVAILABLE);
+            w.str16(column);
         }
         SynopticError::WalGenerationMismatch {
             wal_generation,
             snapshot_generation,
         } => {
-            out.push(ERR_WAL_GENERATION);
-            out.extend_from_slice(&wal_generation.to_le_bytes());
-            out.extend_from_slice(&snapshot_generation.to_le_bytes());
+            w.u8(ERR_WAL_GENERATION);
+            w.u64(*wal_generation);
+            w.u64(*snapshot_generation);
         }
         SynopticError::CorruptJournal { context, detail } => {
-            out.push(ERR_CORRUPT_JOURNAL);
-            put_str(out, context);
-            put_str(out, detail);
+            w.u8(ERR_CORRUPT_JOURNAL);
+            w.str16(context);
+            w.str16(detail);
         }
         SynopticError::ReplicationDivergence { context, detail } => {
-            out.push(ERR_REPL_DIVERGENCE);
-            put_str(out, context);
-            put_str(out, detail);
+            w.u8(ERR_REPL_DIVERGENCE);
+            w.str16(context);
+            w.str16(detail);
         }
         SynopticError::StaleLeaderTerm {
             stale_term,
             current_term,
         } => {
-            out.push(ERR_STALE_TERM);
-            out.extend_from_slice(&stale_term.to_le_bytes());
-            out.extend_from_slice(&current_term.to_le_bytes());
+            w.u8(ERR_STALE_TERM);
+            w.u64(*stale_term);
+            w.u64(*current_term);
         }
         SynopticError::ReplicationLagExceeded {
             column,
             lag,
             max_lag,
         } => {
-            out.push(ERR_REPL_LAG);
-            put_str(out, column);
-            out.extend_from_slice(&lag.to_le_bytes());
-            out.extend_from_slice(&max_lag.to_le_bytes());
+            w.u8(ERR_REPL_LAG);
+            w.str16(column);
+            w.u64(*lag);
+            w.u64(*max_lag);
         }
         SynopticError::ServerOverloaded {
             what,
             observed,
             limit,
         } => {
-            out.push(ERR_SERVER_OVERLOADED);
-            put_str(out, what);
-            out.extend_from_slice(&observed.to_le_bytes());
-            out.extend_from_slice(&limit.to_le_bytes());
+            w.u8(ERR_SERVER_OVERLOADED);
+            w.str16(what);
+            w.u64(*observed);
+            w.u64(*limit);
         }
         // `SynopticError` is #[non_exhaustive]: a variant added after
         // this codec shipped still crosses the wire as a refusal, just
         // without structure.
         other => {
-            out.push(ERR_INVALID_PARAMETER);
-            put_str(out, &other.to_string());
+            w.u8(ERR_INVALID_PARAMETER);
+            w.str16(&other.to_string());
         }
     }
 }
 
-fn read_error(r: &mut Reader<'_>) -> Result<SynopticError> {
+fn read_error(r: &mut ByteReader<'_>) -> Result<SynopticError> {
     Ok(match r.u8()? {
         ERR_EMPTY_INPUT => SynopticError::EmptyInput,
         ERR_INDEX_OOB => SynopticError::IndexOutOfBounds {
@@ -647,25 +578,25 @@ fn read_error(r: &mut Reader<'_>) -> Result<SynopticError> {
             buckets: r.u64()? as usize,
             n: r.u64()? as usize,
         },
-        ERR_INVALID_BOUNDARIES => SynopticError::InvalidBoundaries(r.str()?),
+        ERR_INVALID_BOUNDARIES => SynopticError::InvalidBoundaries(r.str16()?),
         ERR_BUDGET_TOO_SMALL => SynopticError::BudgetTooSmall {
             words: r.u64()? as usize,
             minimum: r.u64()? as usize,
         },
-        ERR_INVALID_PARAMETER => SynopticError::InvalidParameter(r.str()?),
-        ERR_SINGULAR => SynopticError::SingularSystem(r.str()?),
+        ERR_INVALID_PARAMETER => SynopticError::InvalidParameter(r.str16()?),
+        ERR_SINGULAR => SynopticError::SingularSystem(r.str16()?),
         ERR_OVERFLOW => SynopticError::Overflow,
         ERR_CORRUPT_SYNOPSIS => SynopticError::CorruptSynopsis {
-            context: r.str()?,
-            detail: r.str()?,
+            context: r.str16()?,
+            detail: r.str16()?,
         },
         ERR_UNSUPPORTED_VERSION => SynopticError::UnsupportedVersion {
             found: r.u64()? as u16,
             supported: r.u64()? as u16,
         },
         ERR_IO => SynopticError::Io {
-            path: r.str()?,
-            detail: r.str()?,
+            path: r.str16()?,
+            detail: r.str16()?,
         },
         ERR_CANCELLED => SynopticError::Cancelled,
         ERR_DEADLINE => SynopticError::DeadlineExceeded {
@@ -675,71 +606,36 @@ fn read_error(r: &mut Reader<'_>) -> Result<SynopticError> {
             used: r.u64()?,
             limit: r.u64()?,
         },
-        ERR_BUILD_PANICKED => SynopticError::BuildPanicked { detail: r.str()? },
-        ERR_WORKER_UNAVAILABLE => SynopticError::WorkerUnavailable { column: r.str()? },
+        ERR_BUILD_PANICKED => SynopticError::BuildPanicked { detail: r.str16()? },
+        ERR_WORKER_UNAVAILABLE => SynopticError::WorkerUnavailable { column: r.str16()? },
         ERR_WAL_GENERATION => SynopticError::WalGenerationMismatch {
             wal_generation: r.u64()?,
             snapshot_generation: r.u64()?,
         },
         ERR_CORRUPT_JOURNAL => SynopticError::CorruptJournal {
-            context: r.str()?,
-            detail: r.str()?,
+            context: r.str16()?,
+            detail: r.str16()?,
         },
         ERR_REPL_DIVERGENCE => SynopticError::ReplicationDivergence {
-            context: r.str()?,
-            detail: r.str()?,
+            context: r.str16()?,
+            detail: r.str16()?,
         },
         ERR_STALE_TERM => SynopticError::StaleLeaderTerm {
             stale_term: r.u64()?,
             current_term: r.u64()?,
         },
         ERR_REPL_LAG => SynopticError::ReplicationLagExceeded {
-            column: r.str()?,
+            column: r.str16()?,
             lag: r.u64()?,
             max_lag: r.u64()?,
         },
         ERR_SERVER_OVERLOADED => SynopticError::ServerOverloaded {
-            what: r.str()?,
+            what: r.str16()?,
             observed: r.u64()?,
             limit: r.u64()?,
         },
         other => return Err(corrupt(format!("unknown error tag {other}"))),
     })
-}
-
-fn frame(kind: u8, payload: impl FnOnce(&mut Vec<u8>)) -> Vec<u8> {
-    let mut out = Vec::with_capacity(64);
-    out.extend_from_slice(&FRAME_MAGIC);
-    out.push(kind);
-    payload(&mut out);
-    let crc = crc32(&out);
-    out.extend_from_slice(&crc.to_le_bytes());
-    out
-}
-
-/// Validates magic + CRC and returns `(type, payload reader)`.
-fn open_frame(bytes: &[u8]) -> Result<(u8, Reader<'_>)> {
-    if bytes.len() < FRAME_MAGIC.len() + 1 + 4 {
-        return Err(corrupt(format!(
-            "{} bytes is shorter than any frame",
-            bytes.len()
-        )));
-    }
-    if bytes[0..4] != FRAME_MAGIC {
-        return Err(corrupt("bad frame magic"));
-    }
-    let crc_at = bytes.len() - 4;
-    let crc_stored = u32::from_le_bytes(bytes[crc_at..].try_into().expect("4"));
-    if crc_stored != crc32(&bytes[..crc_at]) {
-        return Err(corrupt("frame CRC mismatch"));
-    }
-    Ok((
-        bytes[4],
-        Reader {
-            bytes: &bytes[5..crc_at],
-            at: 0,
-        },
-    ))
 }
 
 fn request_kind(req: &Request) -> u8 {
@@ -751,53 +647,53 @@ fn request_kind(req: &Request) -> u8 {
     }
 }
 
-fn put_request_body(out: &mut Vec<u8>, req: &Request) {
+fn put_request_body(w: &mut ByteWriter, req: &Request) {
     match req {
         Request::Ping => {}
         Request::EstimateBatch(batch) => {
-            put_str(out, &batch.column);
-            out.extend_from_slice(&(batch.ranges.len() as u32).to_le_bytes());
+            w.str16(&batch.column);
+            w.u32(batch.ranges.len() as u32);
             for q in &batch.ranges {
-                out.extend_from_slice(&(q.lo as u64).to_le_bytes());
-                out.extend_from_slice(&(q.hi as u64).to_le_bytes());
+                w.u64(q.lo as u64);
+                w.u64(q.hi as u64);
             }
         }
         Request::Update { column, deltas } => {
-            put_str(out, column);
-            out.extend_from_slice(&(deltas.len() as u32).to_le_bytes());
+            w.str16(column);
+            w.u32(deltas.len() as u32);
             for (i, d) in deltas {
-                out.extend_from_slice(&i.to_le_bytes());
-                out.extend_from_slice(&d.to_le_bytes());
+                w.u64(*i);
+                w.i64(*d);
             }
         }
-        Request::Stats { column } => put_str(out, column),
+        Request::Stats { column } => w.str16(column),
     }
 }
 
-fn read_request_body(kind: u8, r: &mut Reader<'_>) -> Result<Request> {
+fn read_request_body(kind: u8, r: &mut ByteReader<'_>) -> Result<Request> {
     Ok(match kind {
         TYPE_PING => Request::Ping,
         TYPE_ESTIMATE_BATCH => {
-            let column = r.str()?;
+            let column = r.str16()?;
             let count = r.count(16)?;
             let ranges = (0..count)
                 .map(|_| {
                     let lo = r.u64()? as usize;
                     let hi = r.u64()? as usize;
-                    RangeQuery::new(lo, hi)
+                    RangeQuery::new(lo, hi).map_err(|e| corrupt(e.to_string()))
                 })
                 .collect::<Result<Vec<_>>>()?;
             Request::EstimateBatch(QueryBatch { column, ranges })
         }
         TYPE_UPDATE => {
-            let column = r.str()?;
+            let column = r.str16()?;
             let count = r.count(16)?;
             let deltas = (0..count)
                 .map(|_| Ok((r.u64()?, r.i64()?)))
                 .collect::<Result<Vec<_>>>()?;
             Request::Update { column, deltas }
         }
-        TYPE_STATS => Request::Stats { column: r.str()? },
+        TYPE_STATS => Request::Stats { column: r.str16()? },
         other => return Err(corrupt(format!("unknown request type {other}"))),
     })
 }
@@ -809,7 +705,7 @@ const HEADER_DEGRADE_OK: u8 = 4;
 /// Encodes a request into its checksummed byte representation (no
 /// header — the PR-9 frame bytes, unchanged).
 pub fn encode_request(req: &Request) -> Vec<u8> {
-    frame(request_kind(req), |out| put_request_body(out, req))
+    codec::seal(FRAME_MAGIC, request_kind(req), |w| put_request_body(w, req))
 }
 
 /// Encodes a request with its header. An **empty** header produces byte
@@ -823,7 +719,7 @@ pub fn encode_request_with(header: &RequestHeader, req: &Request) -> Vec<u8> {
     if header.is_empty() {
         return encode_request(req);
     }
-    frame(TYPE_HEADERED, |out| {
+    codec::seal(FRAME_MAGIC, TYPE_HEADERED, |w| {
         let mut flags = 0u8;
         if header.deadline_ms.is_some() {
             flags |= HEADER_HAS_DEADLINE;
@@ -834,15 +730,15 @@ pub fn encode_request_with(header: &RequestHeader, req: &Request) -> Vec<u8> {
         if header.degrade_ok {
             flags |= HEADER_DEGRADE_OK;
         }
-        out.push(flags);
+        w.u8(flags);
         if let Some(ms) = header.deadline_ms {
-            out.extend_from_slice(&ms.to_le_bytes());
+            w.u64(ms);
         }
         if let Some(tenant) = &header.tenant {
-            put_str(out, tenant);
+            w.str16(tenant);
         }
-        out.push(request_kind(req));
-        put_request_body(out, req);
+        w.u8(request_kind(req));
+        put_request_body(w, req);
     })
 }
 
@@ -858,7 +754,7 @@ pub fn decode_request(bytes: &[u8]) -> Result<Request> {
 /// (PR-9) frames decode to a default header, so a server upgraded past
 /// the header change keeps serving old clients unchanged.
 pub fn decode_request_with(bytes: &[u8]) -> Result<(RequestHeader, Request)> {
-    let (kind, mut r) = open_frame(bytes)?;
+    let (kind, mut r) = codec::open(bytes, FRAME_MAGIC, CONTEXT)?;
     let (header, req) = if kind == TYPE_HEADERED {
         let flags = r.u8()?;
         if flags & !(HEADER_HAS_DEADLINE | HEADER_HAS_TENANT | HEADER_DEGRADE_OK) != 0 {
@@ -870,7 +766,7 @@ pub fn decode_request_with(bytes: &[u8]) -> Result<(RequestHeader, Request)> {
             None
         };
         let tenant = if flags & HEADER_HAS_TENANT != 0 {
-            Some(r.str()?)
+            Some(r.str16()?)
         } else {
             None
         };
@@ -890,34 +786,34 @@ pub fn decode_request_with(bytes: &[u8]) -> Result<(RequestHeader, Request)> {
     } else {
         (RequestHeader::default(), read_request_body(kind, &mut r)?)
     };
-    r.done()?;
+    r.finish()?;
     Ok((header, req))
 }
 
-fn put_batch_answer(out: &mut Vec<u8>, b: &BatchAnswer) {
-    out.extend_from_slice(&b.generation.to_le_bytes());
-    put_source(out, &b.source);
-    out.extend_from_slice(&b.lag.to_le_bytes());
-    put_outcome_opt(out, &b.outcome);
+fn put_batch_answer(w: &mut ByteWriter, b: &BatchAnswer) {
+    w.u64(b.generation);
+    put_source(w, &b.source);
+    w.u64(b.lag);
+    put_outcome_opt(w, &b.outcome);
     match &b.segment_outcomes {
-        None => out.push(0),
+        None => w.u8(0),
         Some(outcomes) => {
-            out.push(1);
-            out.extend_from_slice(&(outcomes.len() as u32).to_le_bytes());
+            w.u8(1);
+            w.u32(outcomes.len() as u32);
             for o in outcomes {
-                put_outcome(out, o);
+                put_outcome(w, o);
             }
         }
     }
-    out.extend_from_slice(&(b.values.len() as u32).to_le_bytes());
+    w.u32(b.values.len() as u32);
     for (v, cached) in b.values.iter().zip(&b.cached) {
-        out.extend_from_slice(&v.to_bits().to_le_bytes());
-        out.push(u8::from(*cached));
+        w.f64(*v);
+        w.u8(u8::from(*cached));
     }
 }
 
-fn put_legacy_stats(out: &mut Vec<u8>, s: &ServerStats) {
-    put_str(out, &s.column);
+fn put_legacy_stats(w: &mut ByteWriter, s: &ServerStats) {
+    w.str16(&s.column);
     for v in [
         s.n,
         s.generation,
@@ -931,7 +827,7 @@ fn put_legacy_stats(out: &mut Vec<u8>, s: &ServerStats) {
         s.refused,
         s.connections,
     ] {
-        out.extend_from_slice(&v.to_le_bytes());
+        w.u64(v);
     }
 }
 
@@ -944,20 +840,20 @@ fn put_legacy_stats(out: &mut Vec<u8>, s: &ServerStats) {
 /// can never receive it.
 pub fn encode_response(resp: &Response) -> Vec<u8> {
     match resp {
-        Response::Pong => frame(TYPE_PONG, |_| {}),
+        Response::Pong => codec::seal(FRAME_MAGIC, TYPE_PONG, |_| {}),
         Response::Estimates(b) => match b.rung {
-            None => frame(TYPE_ESTIMATES, |out| put_batch_answer(out, b)),
-            Some(rung) => frame(TYPE_ESTIMATES_DEGRADED, |out| {
-                out.push(rung.tag());
-                put_batch_answer(out, b);
+            None => codec::seal(FRAME_MAGIC, TYPE_ESTIMATES, |w| put_batch_answer(w, b)),
+            Some(rung) => codec::seal(FRAME_MAGIC, TYPE_ESTIMATES_DEGRADED, |w| {
+                w.u8(rung.tag());
+                put_batch_answer(w, b);
             }),
         },
-        Response::Updated { applied, scheduled } => frame(TYPE_UPDATED, |out| {
-            out.extend_from_slice(&applied.to_le_bytes());
-            out.extend_from_slice(&scheduled.to_le_bytes());
+        Response::Updated { applied, scheduled } => codec::seal(FRAME_MAGIC, TYPE_UPDATED, |w| {
+            w.u64(*applied);
+            w.u64(*scheduled);
         }),
-        Response::Stats(s) => frame(TYPE_STATS_RESP, |out| put_legacy_stats(out, s)),
-        Response::Error(e) => frame(TYPE_ERROR, |out| put_error(out, e)),
+        Response::Stats(s) => codec::seal(FRAME_MAGIC, TYPE_STATS_RESP, |w| put_legacy_stats(w, s)),
+        Response::Error(e) => codec::seal(FRAME_MAGIC, TYPE_ERROR, |w| put_error(w, e)),
     }
 }
 
@@ -968,17 +864,17 @@ pub fn encode_response(resp: &Response) -> Vec<u8> {
 /// pre-header client only ever sees frame types it can decode.
 pub fn encode_response_extended(resp: &Response) -> Vec<u8> {
     match resp {
-        Response::Stats(s) => frame(TYPE_STATS_RESP2, |out| {
-            put_legacy_stats(out, s);
+        Response::Stats(s) => codec::seal(FRAME_MAGIC, TYPE_STATS_RESP2, |w| {
+            put_legacy_stats(w, s);
             for v in s.extended_fields() {
-                out.extend_from_slice(&v.to_le_bytes());
+                w.u64(v);
             }
         }),
         other => encode_response(other),
     }
 }
 
-fn read_batch_answer(r: &mut Reader<'_>, rung: Option<DegradeRung>) -> Result<BatchAnswer> {
+fn read_batch_answer(r: &mut ByteReader<'_>, rung: Option<DegradeRung>) -> Result<BatchAnswer> {
     let generation = r.u64()?;
     let source = read_source(r)?;
     let lag = r.u64()?;
@@ -999,7 +895,7 @@ fn read_batch_answer(r: &mut Reader<'_>, rung: Option<DegradeRung>) -> Result<Ba
     let mut values = Vec::with_capacity(count);
     let mut cached = Vec::with_capacity(count);
     for _ in 0..count {
-        values.push(r.f64()?);
+        values.push(f64::from_bits(r.u64()?));
         cached.push(match r.u8()? {
             0 => false,
             1 => true,
@@ -1018,8 +914,8 @@ fn read_batch_answer(r: &mut Reader<'_>, rung: Option<DegradeRung>) -> Result<Ba
     })
 }
 
-fn read_legacy_stats(r: &mut Reader<'_>) -> Result<ServerStats> {
-    let column = r.str()?;
+fn read_legacy_stats(r: &mut ByteReader<'_>) -> Result<ServerStats> {
+    let column = r.str16()?;
     let mut next = || r.u64();
     Ok(ServerStats {
         column,
@@ -1042,7 +938,7 @@ fn read_legacy_stats(r: &mut Reader<'_>) -> Result<ServerStats> {
 /// PR-9 frames and the extended degraded-answer / extended-stats
 /// frames all decode).
 pub fn decode_response(bytes: &[u8]) -> Result<Response> {
-    let (kind, mut r) = open_frame(bytes)?;
+    let (kind, mut r) = codec::open(bytes, FRAME_MAGIC, CONTEXT)?;
     let resp = match kind {
         TYPE_PONG => Response::Pong,
         TYPE_ESTIMATES => Response::Estimates(read_batch_answer(&mut r, None)?),
@@ -1069,7 +965,7 @@ pub fn decode_response(bytes: &[u8]) -> Result<Response> {
         TYPE_ERROR => Response::Error(read_error(&mut r)?),
         other => return Err(corrupt(format!("unknown response type {other}"))),
     };
-    r.done()?;
+    r.finish()?;
     Ok(resp)
 }
 

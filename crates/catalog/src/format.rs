@@ -29,6 +29,7 @@ use synoptic_core::{Result, SynopticError};
 use synoptic_wavelet::range_optimal::CoeffSlot;
 
 use crate::checksum::crc32;
+use crate::codec::{corrupt, ByteReader, ByteWriter};
 use crate::persist::PersistentSynopsis;
 
 /// Magic bytes opening every file.
@@ -68,13 +69,6 @@ impl FileKind {
             3 => Some(FileKind::Current),
             _ => None,
         }
-    }
-}
-
-fn corrupt(context: &str, detail: impl Into<String>) -> SynopticError {
-    SynopticError::CorruptSynopsis {
-        context: context.to_string(),
-        detail: detail.into(),
     }
 }
 
@@ -150,206 +144,6 @@ pub fn unframe<'a>(bytes: &'a [u8], kind: FileKind, context: &str) -> Result<&'a
         return Err(corrupt(context, "payload CRC mismatch"));
     }
     Ok(rest)
-}
-
-// ---------------------------------------------------------------------------
-// Byte-level writer / reader
-// ---------------------------------------------------------------------------
-
-/// Little-endian payload builder.
-#[derive(Debug, Default)]
-pub struct ByteWriter {
-    buf: Vec<u8>,
-}
-
-impl ByteWriter {
-    /// An empty writer.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// The accumulated bytes.
-    pub fn into_bytes(self) -> Vec<u8> {
-        self.buf
-    }
-
-    /// Writes one byte.
-    pub fn u8(&mut self, v: u8) {
-        self.buf.push(v);
-    }
-
-    /// Writes a `u32`.
-    pub fn u32(&mut self, v: u32) {
-        self.buf.extend_from_slice(&v.to_le_bytes());
-    }
-
-    /// Writes a `u64`.
-    pub fn u64(&mut self, v: u64) {
-        self.buf.extend_from_slice(&v.to_le_bytes());
-    }
-
-    /// Writes an `i64`.
-    pub fn i64(&mut self, v: i64) {
-        self.buf.extend_from_slice(&v.to_le_bytes());
-    }
-
-    /// Writes an `f64` as its IEEE-754 bit pattern.
-    pub fn f64(&mut self, v: f64) {
-        self.buf.extend_from_slice(&v.to_bits().to_le_bytes());
-    }
-
-    /// Writes a length-prefixed UTF-8 string.
-    pub fn str(&mut self, s: &str) {
-        self.u64(s.len() as u64);
-        self.buf.extend_from_slice(s.as_bytes());
-    }
-
-    /// Writes a length-prefixed `usize` vector (as `u64`s).
-    pub fn usize_vec(&mut self, xs: &[usize]) {
-        self.u64(xs.len() as u64);
-        for &x in xs {
-            self.u64(x as u64);
-        }
-    }
-
-    /// Writes a length-prefixed `f64` vector.
-    pub fn f64_vec(&mut self, xs: &[f64]) {
-        self.u64(xs.len() as u64);
-        for &x in xs {
-            self.f64(x);
-        }
-    }
-}
-
-/// Bounds-checked little-endian payload reader. Every failure carries the
-/// byte offset at which it occurred.
-#[derive(Debug)]
-pub struct ByteReader<'a> {
-    buf: &'a [u8],
-    pos: usize,
-    context: &'a str,
-}
-
-impl<'a> ByteReader<'a> {
-    /// A reader over `buf`, labelling errors with `context`.
-    pub fn new(buf: &'a [u8], context: &'a str) -> Self {
-        Self {
-            buf,
-            pos: 0,
-            context,
-        }
-    }
-
-    /// Current byte offset.
-    pub fn offset(&self) -> usize {
-        self.pos
-    }
-
-    fn fail(&self, detail: impl Into<String>) -> SynopticError {
-        SynopticError::CorruptSynopsis {
-            context: self.context.to_string(),
-            detail: format!("{} (at byte offset {})", detail.into(), self.pos),
-        }
-    }
-
-    fn take(&mut self, len: usize) -> Result<&'a [u8]> {
-        if self.buf.len() - self.pos < len {
-            return Err(self.fail(format!(
-                "unexpected end of payload: need {len} bytes, have {}",
-                self.buf.len() - self.pos
-            )));
-        }
-        let s = &self.buf[self.pos..self.pos + len];
-        self.pos += len;
-        Ok(s)
-    }
-
-    /// Reads one byte.
-    pub fn u8(&mut self) -> Result<u8> {
-        Ok(self.take(1)?[0])
-    }
-
-    /// Reads a `u32`.
-    pub fn u32(&mut self) -> Result<u32> {
-        Ok(u32::from_le_bytes(self.take(4)?.try_into().unwrap()))
-    }
-
-    /// Reads a `u64`.
-    pub fn u64(&mut self) -> Result<u64> {
-        Ok(u64::from_le_bytes(self.take(8)?.try_into().unwrap()))
-    }
-
-    /// Reads an `i64`.
-    pub fn i64(&mut self) -> Result<i64> {
-        Ok(i64::from_le_bytes(self.take(8)?.try_into().unwrap()))
-    }
-
-    /// Reads a *finite* `f64`; NaN/∞ are rejected (they would silently
-    /// poison every downstream estimate).
-    pub fn f64(&mut self) -> Result<f64> {
-        let v = f64::from_bits(u64::from_le_bytes(self.take(8)?.try_into().unwrap()));
-        if !v.is_finite() {
-            return Err(self.fail(format!("non-finite float {v}")));
-        }
-        Ok(v)
-    }
-
-    fn len_prefix(&mut self) -> Result<usize> {
-        let len = self.u64()?;
-        if len > MAX_SECTION_LEN {
-            return Err(self.fail(format!(
-                "section length {len} exceeds cap {MAX_SECTION_LEN}"
-            )));
-        }
-        Ok(len as usize)
-    }
-
-    /// Reads a length-prefixed UTF-8 string.
-    pub fn str(&mut self) -> Result<String> {
-        let len = self.len_prefix()?;
-        let bytes = self.take(len)?;
-        String::from_utf8(bytes.to_vec()).map_err(|_| self.fail("invalid UTF-8 in string"))
-    }
-
-    /// Reads a length-prefixed `usize` vector.
-    pub fn usize_vec(&mut self) -> Result<Vec<usize>> {
-        let len = self.len_prefix()?;
-        let mut out = Vec::with_capacity(len);
-        for _ in 0..len {
-            let v = self.u64()?;
-            if v > MAX_SECTION_LEN {
-                return Err(self.fail(format!("index {v} out of any plausible range")));
-            }
-            out.push(v as usize);
-        }
-        Ok(out)
-    }
-
-    /// Reads a length-prefixed `f64` vector (finite values only).
-    pub fn f64_vec(&mut self) -> Result<Vec<f64>> {
-        let len = self.len_prefix()?;
-        let mut out = Vec::with_capacity(len);
-        for _ in 0..len {
-            out.push(self.f64()?);
-        }
-        Ok(out)
-    }
-
-    /// Whether unread bytes remain — used for optional trailing sections
-    /// (a reader that sees `false` treats the section as absent, which is
-    /// how newer writers stay readable without a version bump).
-    pub fn has_remaining(&self) -> bool {
-        self.pos < self.buf.len()
-    }
-
-    /// Asserts the payload is fully consumed (no trailing garbage).
-    pub fn finish(self) -> Result<()> {
-        if self.pos != self.buf.len() {
-            let trailing = self.buf.len() - self.pos;
-            return Err(self.fail(format!("{trailing} trailing bytes after payload")));
-        }
-        Ok(())
-    }
 }
 
 // ---------------------------------------------------------------------------
@@ -875,7 +669,7 @@ mod tests {
         let mut w = ByteWriter::new();
         w.u8(1); // TAG_NAIVE
         w.u64(5);
-        w.buf.extend_from_slice(&f64::NAN.to_bits().to_le_bytes());
+        w.f64(f64::NAN);
         let bytes = frame(FileKind::Synopsis, &w.into_bytes());
         let err = synopsis_from_bytes(&bytes, "t").unwrap_err();
         assert!(err.to_string().contains("non-finite"), "{err}");

@@ -16,6 +16,10 @@
 //!   checksummed binary file format (magic, version, per-section length
 //!   prefixes, header + payload CRCs). See `docs/PERSISTENCE.md` for the
 //!   normative specification.
+//! * [`codec`] — the one byte codec: [`codec::ByteWriter`] /
+//!   [`codec::ByteReader`] primitives shared by the catalog format and
+//!   the `SQP1`/`SRP1` wire protocols, plus the [`codec::seal`] /
+//!   [`codec::open`] CRC envelope both protocols use.
 //! * [`storage`] — the [`storage::Storage`] trait with a production
 //!   filesystem backend (write-temp → fsync → atomic-rename) and a
 //!   deterministic fault-injection backend for crash/corruption testing.
@@ -38,6 +42,7 @@
 pub mod allocation;
 pub mod catalog;
 pub mod checksum;
+pub mod codec;
 pub mod format;
 pub mod persist;
 pub mod storage;

@@ -13,6 +13,7 @@ use synoptic_hist::opta::{build_opt_a_with_budget, OptAConfig};
 use synoptic_hist::reopt::reoptimize_with_budget;
 use synoptic_hist::sap0::build_sap0_with_budget;
 use synoptic_hist::sap1::build_sap1_with_budget;
+use synoptic_hist::AnytimeParams;
 use synoptic_wavelet::RangeOptimalWavelet;
 
 use crate::io::{parse_range, read_column, write_column, Flags};
@@ -237,56 +238,22 @@ pub fn generate(args: &[String]) -> Result<(), CliError> {
 /// `--cancel-after-checks`. Fresh [`Budget`]s are minted per build attempt
 /// (ladder rungs each get the full allowance); the cancel token is shared,
 /// so cancellation cuts through every rung.
-struct BudgetFlags {
-    deadline: Option<Duration>,
-    max_cells: Option<u64>,
-    cancel: Option<CancelToken>,
-}
-
-impl BudgetFlags {
-    fn parse(f: &Flags) -> Result<Self, CliError> {
-        let deadline = f
+fn parse_exec(f: &Flags) -> Result<AnytimeParams, CliError> {
+    Ok(AnytimeParams {
+        deadline: f
             .parsed_opt::<u64>("deadline-ms")
             .usage()?
-            .map(Duration::from_millis);
-        let max_cells = f.parsed_opt::<u64>("max-cells").usage()?;
-        let cancel = f
+            .map(Duration::from_millis),
+        max_cells: f.parsed_opt::<u64>("max-cells").usage()?,
+        cancel: f
             .parsed_opt::<u64>("cancel-after-checks")
             .usage()?
             .map(|k| {
                 let t = CancelToken::new();
                 t.cancel_after_checks(k);
                 t
-            });
-        Ok(Self {
-            deadline,
-            max_cells,
-            cancel,
-        })
-    }
-
-    fn is_constrained(&self) -> bool {
-        self.deadline.is_some() || self.max_cells.is_some() || self.cancel.is_some()
-    }
-
-    /// A fresh budget for one attempt. When `enforce` is false only the
-    /// cancel token applies — the terminal ladder rung must not fail on
-    /// resources, or a tiny deadline could leave the store with nothing.
-    fn budget(&self, enforce: bool) -> Budget {
-        let mut b = Budget::unlimited();
-        if enforce {
-            if let Some(d) = self.deadline {
-                b = b.with_deadline(d);
-            }
-            if let Some(c) = self.max_cells {
-                b = b.with_max_cells(c);
-            }
-        }
-        if let Some(t) = &self.cancel {
-            b = b.with_cancel_token(t.clone());
-        }
-        b
-    }
+            }),
+    })
 }
 
 fn build_synopsis(
@@ -362,12 +329,12 @@ fn build_with_flags(
     method: &str,
     ps: &PrefixSums,
     budget: usize,
-    exec: &BudgetFlags,
+    exec: &AnytimeParams,
     anytime: bool,
 ) -> Result<(PersistentSynopsis, BuildOutcome), CliError> {
     let started = Instant::now();
     if !anytime {
-        let b = exec.budget(true);
+        let b = exec.budget_for_attempt(true);
         let syn = build_synopsis(method, ps, budget, &b)?;
         let outcome =
             BuildOutcome::direct(method, started.elapsed().as_millis() as u64, b.cells_used());
@@ -383,7 +350,7 @@ fn build_with_flags(
     let mut total_cells = 0u64;
     let last = ladder.len() - 1;
     for (tier, &(rung, enforce)) in ladder.iter().enumerate() {
-        let b = exec.budget(enforce);
+        let b = exec.budget_for_attempt(enforce);
         let attempt_started = Instant::now();
         match build_synopsis(rung, ps, budget, &b) {
             Ok(syn) => {
@@ -422,7 +389,7 @@ pub fn build(args: &[String]) -> Result<(), CliError> {
     let budget: usize = f.parsed_or("budget", 32).usage()?;
     let store_dir = f.required("catalog").usage()?;
     let column = f.required("column").usage()?;
-    let exec = BudgetFlags::parse(&f)?;
+    let exec = parse_exec(&f)?;
     let anytime = f.switch("anytime");
 
     let values = read_column(input)?;
@@ -453,7 +420,7 @@ pub fn build(args: &[String]) -> Result<(), CliError> {
     println!(
         "built {method} for column '{column}' ({words} words) → {store_dir} generation {generation}"
     );
-    if exec.is_constrained() || anytime {
+    if !exec.is_unconstrained() || anytime {
         println!("provenance: {outcome}");
     }
     Ok(())
@@ -520,7 +487,7 @@ pub fn serve(args: &[String]) -> Result<(), CliError> {
     }
 
     let policy = rebuild_policy(&f, 64)?;
-    let exec = BudgetFlags::parse(&f)?;
+    let exec = parse_exec(&f)?;
     let mut rebuild = RebuildConfig::new(policy);
     if let Some(d) = exec.deadline {
         rebuild = rebuild.with_deadline(d);
@@ -612,18 +579,8 @@ pub fn evaluate(args: &[String]) -> Result<(), CliError> {
     let values = read_column(f.required("input").usage()?)?;
     let ps = PrefixSums::from_values(&values);
     let budget: usize = f.parsed_or("budget", 32).usage()?;
-    let exec = BudgetFlags::parse(&f)?;
-    let mut params = synoptic_hist::AnytimeParams::unconstrained();
-    if let Some(d) = exec.deadline {
-        params = params.with_deadline(d);
-    }
-    if let Some(c) = exec.max_cells {
-        params = params.with_max_cells(c);
-    }
-    if let Some(t) = &exec.cancel {
-        params = params.with_cancel_token(t.clone());
-    }
-    let constrained = exec.is_constrained();
+    let params = parse_exec(&f)?;
+    let constrained = !params.is_unconstrained();
     println!(
         "n = {}, rows = {}, budget = {budget} words; SSE over all {} ranges",
         values.len(),
@@ -772,7 +729,7 @@ pub fn maintain(args: &[String]) -> Result<(), CliError> {
     let workers: usize = f.parsed_or("workers", 2).usage()?;
     let policy = rebuild_policy(&f, (updates / 8).max(1))?;
     let seed: u64 = f.parsed_or("seed", 2001).usage()?;
-    let exec = BudgetFlags::parse(&f)?;
+    let exec = parse_exec(&f)?;
 
     let mut config = RebuildConfig::new(policy);
     if let Some(d) = exec.deadline {

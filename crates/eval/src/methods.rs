@@ -235,19 +235,6 @@ impl MethodSpec {
             return Ok((r.estimator, r.outcome));
         }
         // Wavelet tier: one constrained attempt of the method itself.
-        let make_budget = || {
-            let mut budget = Budget::unlimited();
-            if let Some(d) = params.deadline {
-                budget = budget.with_deadline(d);
-            }
-            if let Some(c) = params.max_cells {
-                budget = budget.with_max_cells(c);
-            }
-            if let Some(t) = &params.cancel {
-                budget = budget.with_cancel_token(t.clone());
-            }
-            budget
-        };
         let b = if budget_words < 2 {
             return Err(SynopticError::BudgetTooSmall {
                 words: budget_words,
@@ -256,7 +243,7 @@ impl MethodSpec {
         } else {
             budget_words / 2
         };
-        let budget = make_budget();
+        let budget = params.budget_for_attempt(true);
         let started = Instant::now();
         let attempt = self.build_wavelet_with_budget(values, ps, b, &budget);
         let elapsed_ms = started.elapsed().as_millis() as u64;
@@ -281,7 +268,7 @@ impl MethodSpec {
         // against the retry; an absolute deadline still applies as-is).
         if b / 2 >= 1 {
             let rung_name = format!("{}(B/2)", self.name());
-            let retry_budget = make_budget();
+            let retry_budget = params.budget_for_attempt(true);
             let retry_started = Instant::now();
             let retry = self.build_wavelet_with_budget(values, ps, b / 2, &retry_budget);
             let retry_ms = retry_started.elapsed().as_millis() as u64;

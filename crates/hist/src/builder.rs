@@ -247,7 +247,10 @@ impl AnytimeParams {
         self.deadline.is_none() && self.max_cells.is_none() && self.cancel.is_none()
     }
 
-    fn budget_for_attempt(&self, enforce: bool) -> Budget {
+    /// A fresh [`Budget`] for one attempt. When `enforce` is false only
+    /// the cancel token applies: a terminal ladder rung must not fail on
+    /// resources, or a tiny deadline could leave nothing to serve.
+    pub fn budget_for_attempt(&self, enforce: bool) -> Budget {
         let mut budget = Budget::unlimited();
         if enforce {
             if let Some(d) = self.deadline {

@@ -11,6 +11,10 @@
 //! ```
 //!
 //! All integers are little-endian; the CRC covers every byte before it.
+//! The envelope and every primitive come from
+//! [`synoptic_catalog::codec`], the one byte codec the query protocol and
+//! the catalog files share. Strings longer than 64 KiB are truncated at a
+//! char boundary.
 //! A frame that fails validation decodes to
 //! [`SynopticError::ReplicationDivergence`] — the receiver reports the
 //! reason and the sender's retry ladder re-ships; nothing is ever applied
@@ -45,7 +49,7 @@
 //!   was cap-evicted (or a fenced ex-leader rejoining). The journal tail
 //!   past the mark follows as ordinary [`Frame::Segment`]s.
 
-use synoptic_catalog::checksum::crc32;
+use synoptic_catalog::codec;
 use synoptic_core::{Result, SynopticError};
 
 /// Magic bytes opening every replication frame.
@@ -156,11 +160,6 @@ impl Frame {
     }
 }
 
-fn put_str(out: &mut Vec<u8>, s: &str) {
-    out.extend_from_slice(&(s.len() as u16).to_le_bytes());
-    out.extend_from_slice(s.as_bytes());
-}
-
 fn diverged(detail: impl Into<String>) -> SynopticError {
     SynopticError::ReplicationDivergence {
         context: "wire".to_string(),
@@ -168,140 +167,72 @@ fn diverged(detail: impl Into<String>) -> SynopticError {
     }
 }
 
-struct Reader<'a> {
-    bytes: &'a [u8],
-    at: usize,
-}
-
-impl<'a> Reader<'a> {
-    fn take(&mut self, n: usize) -> Result<&'a [u8]> {
-        if self.bytes.len() - self.at < n {
-            return Err(diverged("frame payload truncated"));
-        }
-        let out = &self.bytes[self.at..self.at + n];
-        self.at += n;
-        Ok(out)
-    }
-
-    fn u64(&mut self) -> Result<u64> {
-        Ok(u64::from_le_bytes(self.take(8)?.try_into().expect("8")))
-    }
-
-    fn str(&mut self) -> Result<String> {
-        let len = u16::from_le_bytes(self.take(2)?.try_into().expect("2")) as usize;
-        let bytes = self.take(len)?;
-        String::from_utf8(bytes.to_vec()).map_err(|_| diverged("frame string is not UTF-8"))
-    }
-
-    fn blob(&mut self) -> Result<Vec<u8>> {
-        let len = u32::from_le_bytes(self.take(4)?.try_into().expect("4")) as usize;
-        Ok(self.take(len)?.to_vec())
-    }
-
-    fn values(&mut self) -> Result<Vec<i64>> {
-        let len = u32::from_le_bytes(self.take(4)?.try_into().expect("4")) as usize;
-        let bytes = self.take(
-            len.checked_mul(8)
-                .ok_or_else(|| diverged("values overflow"))?,
-        )?;
-        Ok(bytes
-            .chunks_exact(8)
-            .map(|c| i64::from_le_bytes(c.try_into().expect("8")))
-            .collect())
-    }
-
-    fn done(&self) -> Result<()> {
-        if self.at != self.bytes.len() {
-            return Err(diverged(format!(
-                "{} trailing bytes after frame payload",
-                self.bytes.len() - self.at
-            )));
-        }
-        Ok(())
-    }
-}
-
 /// Encodes a frame into its checksummed byte representation.
 pub fn encode_frame(frame: &Frame) -> Vec<u8> {
-    let mut out = Vec::with_capacity(64);
-    out.extend_from_slice(&FRAME_MAGIC);
-    match frame {
-        Frame::Segment {
-            term,
-            column,
-            seq,
-            leader_mark,
-            bytes,
-        } => {
-            out.push(TYPE_SEGMENT);
-            out.extend_from_slice(&term.to_le_bytes());
-            put_str(&mut out, column);
-            out.extend_from_slice(&seq.to_le_bytes());
-            out.extend_from_slice(&leader_mark.to_le_bytes());
-            out.extend_from_slice(&(bytes.len() as u32).to_le_bytes());
-            out.extend_from_slice(bytes);
-        }
-        Frame::Heartbeat {
-            term,
-            column,
-            leader_mark,
-        } => {
-            out.push(TYPE_HEARTBEAT);
-            out.extend_from_slice(&term.to_le_bytes());
-            put_str(&mut out, column);
-            out.extend_from_slice(&leader_mark.to_le_bytes());
-        }
-        Frame::Ack {
-            term,
-            column,
-            applied_lsn,
-        } => {
-            out.push(TYPE_ACK);
-            out.extend_from_slice(&term.to_le_bytes());
-            put_str(&mut out, column);
-            out.extend_from_slice(&applied_lsn.to_le_bytes());
-        }
-        Frame::Refuse {
-            term,
-            column,
-            applied_lsn,
-            reason,
-        } => {
-            out.push(TYPE_REFUSE);
-            out.extend_from_slice(&term.to_le_bytes());
-            put_str(&mut out, column);
-            out.extend_from_slice(&applied_lsn.to_le_bytes());
-            put_str(&mut out, reason);
-        }
-        Frame::Claim { term, node } => {
-            out.push(TYPE_CLAIM);
-            out.extend_from_slice(&term.to_le_bytes());
-            out.extend_from_slice(&node.to_le_bytes());
-        }
-        Frame::Grant { term, node } => {
-            out.push(TYPE_GRANT);
-            out.extend_from_slice(&term.to_le_bytes());
-            out.extend_from_slice(&node.to_le_bytes());
-        }
-        Frame::Snapshot {
-            term,
-            column,
-            mark,
-            values,
-        } => {
-            out.push(TYPE_SNAPSHOT);
-            out.extend_from_slice(&term.to_le_bytes());
-            put_str(&mut out, column);
-            out.extend_from_slice(&mark.to_le_bytes());
-            out.extend_from_slice(&(values.len() as u32).to_le_bytes());
-            for v in values {
-                out.extend_from_slice(&v.to_le_bytes());
+    let kind = match frame {
+        Frame::Segment { .. } => TYPE_SEGMENT,
+        Frame::Heartbeat { .. } => TYPE_HEARTBEAT,
+        Frame::Ack { .. } => TYPE_ACK,
+        Frame::Refuse { .. } => TYPE_REFUSE,
+        Frame::Claim { .. } => TYPE_CLAIM,
+        Frame::Grant { .. } => TYPE_GRANT,
+        Frame::Snapshot { .. } => TYPE_SNAPSHOT,
+    };
+    codec::seal(FRAME_MAGIC, kind, |w| {
+        w.u64(frame.term());
+        match frame {
+            Frame::Segment {
+                column,
+                seq,
+                leader_mark,
+                bytes,
+                ..
+            } => {
+                w.str16(column);
+                w.u64(*seq);
+                w.u64(*leader_mark);
+                w.u32(bytes.len() as u32);
+                w.bytes(bytes);
+            }
+            Frame::Heartbeat {
+                column,
+                leader_mark: lsn,
+                ..
+            }
+            | Frame::Ack {
+                column,
+                applied_lsn: lsn,
+                ..
+            } => {
+                w.str16(column);
+                w.u64(*lsn);
+            }
+            Frame::Refuse {
+                column,
+                applied_lsn,
+                reason,
+                ..
+            } => {
+                w.str16(column);
+                w.u64(*applied_lsn);
+                w.str16(reason);
+            }
+            Frame::Claim { node, .. } | Frame::Grant { node, .. } => w.u64(*node),
+            Frame::Snapshot {
+                column,
+                mark,
+                values,
+                ..
+            } => {
+                w.str16(column);
+                w.u64(*mark);
+                w.u32(values.len() as u32);
+                for &v in values {
+                    w.i64(v);
+                }
             }
         }
-    }
-    let crc = crc32(&out);
-    out.extend_from_slice(&crc.to_le_bytes());
-    out
+    })
 }
 
 /// Decodes and validates one frame. Any failure — bad magic, CRC
@@ -309,80 +240,66 @@ pub fn encode_frame(frame: &Frame) -> Vec<u8> {
 /// [`SynopticError::ReplicationDivergence`]; the bytes are never trusted
 /// after this.
 pub fn decode_frame(bytes: &[u8]) -> Result<Frame> {
-    if bytes.len() < FRAME_MAGIC.len() + 1 + 4 {
-        return Err(diverged(format!(
-            "{} bytes is shorter than any frame",
-            bytes.len()
-        )));
-    }
-    if bytes[0..4] != FRAME_MAGIC {
-        return Err(diverged("bad frame magic"));
-    }
-    let crc_at = bytes.len() - 4;
-    let crc_stored = u32::from_le_bytes(bytes[crc_at..].try_into().expect("4"));
-    let crc_actual = crc32(&bytes[..crc_at]);
-    if crc_stored != crc_actual {
-        return Err(diverged("frame CRC mismatch"));
-    }
-    let kind = bytes[4];
-    let mut r = Reader {
-        bytes: &bytes[5..crc_at],
-        at: 0,
-    };
+    read_frame(bytes).map_err(|e| match e {
+        SynopticError::CorruptSynopsis { detail, .. } => diverged(detail),
+        other => other,
+    })
+}
+
+fn read_frame(bytes: &[u8]) -> Result<Frame> {
+    let (kind, mut r) = codec::open(bytes, FRAME_MAGIC, "wire")?;
+    let term = r.u64()?;
     let frame = match kind {
-        TYPE_SEGMENT => {
-            let term = r.u64()?;
-            let column = r.str()?;
-            let seq = r.u64()?;
-            let leader_mark = r.u64()?;
-            let bytes = r.blob()?;
-            Frame::Segment {
-                term,
-                column,
-                seq,
-                leader_mark,
-                bytes,
-            }
-        }
+        TYPE_SEGMENT => Frame::Segment {
+            term,
+            column: r.str16()?,
+            seq: r.u64()?,
+            leader_mark: r.u64()?,
+            bytes: {
+                let len = r.count(1)?;
+                r.bytes(len)?.to_vec()
+            },
+        },
         TYPE_HEARTBEAT => Frame::Heartbeat {
-            term: r.u64()?,
-            column: r.str()?,
+            term,
+            column: r.str16()?,
             leader_mark: r.u64()?,
         },
         TYPE_ACK => Frame::Ack {
-            term: r.u64()?,
-            column: r.str()?,
+            term,
+            column: r.str16()?,
             applied_lsn: r.u64()?,
         },
         TYPE_REFUSE => Frame::Refuse {
-            term: r.u64()?,
-            column: r.str()?,
+            term,
+            column: r.str16()?,
             applied_lsn: r.u64()?,
-            reason: r.str()?,
+            reason: r.str16()?,
         },
         TYPE_CLAIM => Frame::Claim {
-            term: r.u64()?,
+            term,
             node: r.u64()?,
         },
         TYPE_GRANT => Frame::Grant {
-            term: r.u64()?,
+            term,
             node: r.u64()?,
         },
-        TYPE_SNAPSHOT => {
-            let term = r.u64()?;
-            let column = r.str()?;
-            let mark = r.u64()?;
-            let values = r.values()?;
-            Frame::Snapshot {
-                term,
-                column,
-                mark,
-                values,
-            }
-        }
+        TYPE_SNAPSHOT => Frame::Snapshot {
+            term,
+            column: r.str16()?,
+            mark: r.u64()?,
+            values: {
+                let len = r.count(8)?;
+                let mut values = Vec::with_capacity(len);
+                for _ in 0..len {
+                    values.push(r.i64()?);
+                }
+                values
+            },
+        },
         other => return Err(diverged(format!("unknown frame type {other}"))),
     };
-    r.done()?;
+    r.finish()?;
     Ok(frame)
 }
 
@@ -390,44 +307,48 @@ pub fn decode_frame(bytes: &[u8]) -> Result<Frame> {
 mod tests {
     use super::*;
 
-    fn round_trip(frame: Frame) {
-        let bytes = encode_frame(&frame);
-        assert_eq!(decode_frame(&bytes).unwrap(), frame);
+    /// One frame of every type, in type order.
+    fn sample_frames() -> Vec<Frame> {
+        vec![
+            Frame::Segment {
+                term: 3,
+                column: "price".into(),
+                seq: 7,
+                leader_mark: 901,
+                bytes: vec![1, 2, 3, 0, 255],
+            },
+            Frame::Heartbeat {
+                term: 0,
+                column: "c".into(),
+                leader_mark: 0,
+            },
+            Frame::Ack {
+                term: u64::MAX,
+                column: "c".into(),
+                applied_lsn: u64::MAX,
+            },
+            Frame::Refuse {
+                term: 5,
+                column: "c".into(),
+                applied_lsn: 3,
+                reason: "segment starts at LSN 9 but 4 was expected".into(),
+            },
+            Frame::Claim { term: 2, node: 7 },
+            Frame::Grant { term: 2, node: 7 },
+            Frame::Snapshot {
+                term: 4,
+                column: "price".into(),
+                mark: 120,
+                values: vec![i64::MIN, -1, 0, 1, i64::MAX],
+            },
+        ]
     }
 
     #[test]
     fn every_frame_round_trips() {
-        round_trip(Frame::Segment {
-            term: 3,
-            column: "price".into(),
-            seq: 7,
-            leader_mark: 901,
-            bytes: vec![1, 2, 3, 0, 255],
-        });
-        round_trip(Frame::Heartbeat {
-            term: 0,
-            column: "c".into(),
-            leader_mark: 0,
-        });
-        round_trip(Frame::Ack {
-            term: u64::MAX,
-            column: "c".into(),
-            applied_lsn: u64::MAX,
-        });
-        round_trip(Frame::Refuse {
-            term: 5,
-            column: "c".into(),
-            applied_lsn: 3,
-            reason: "segment starts at LSN 9 but 4 was expected".into(),
-        });
-        round_trip(Frame::Claim { term: 2, node: 7 });
-        round_trip(Frame::Grant { term: 2, node: 7 });
-        round_trip(Frame::Snapshot {
-            term: 4,
-            column: "price".into(),
-            mark: 120,
-            values: vec![i64::MIN, -1, 0, 1, i64::MAX],
-        });
+        for frame in sample_frames() {
+            assert_eq!(decode_frame(&encode_frame(&frame)).unwrap(), frame);
+        }
     }
 
     #[test]
@@ -492,6 +413,60 @@ mod tests {
             ),
             "{err:?}"
         );
+    }
+
+    /// Golden SRP1 frames for [`sample_frames`], captured byte-for-byte
+    /// from the encoder. Each must decode to the same value and
+    /// re-encode to the identical bytes: mixed-version replicas depend
+    /// on the wire format never drifting, even when the encoder and
+    /// decoder change together.
+    #[test]
+    fn golden_frames_decode_and_re_encode_identically() {
+        fn unhex(s: &str) -> Vec<u8> {
+            (0..s.len())
+                .step_by(2)
+                .map(|i| u8::from_str_radix(&s[i..i + 2], 16).unwrap())
+                .collect()
+        }
+        let golden = [
+            "5352503101030000000000000005007072696365070000000000000085030000000000000500000001020300ff046fc3c1",
+            "5352503102000000000000000001006300000000000000001463a705",
+            "5352503103ffffffffffffffff010063ffffffffffffffffaf927d29",
+            "5352503104050000000000000001006303000000000000002a007365676d656e7420737461727473206174204c534e20392062757420342077617320657870656374656432f99fa6",
+            "535250310502000000000000000700000000000000d720d921",
+            "535250310602000000000000000700000000000000537b4372",
+            "53525031070400000000000000050070726963657800000000000000050000000000000000000080ffffffffffffffff00000000000000000100000000000000ffffffffffffff7fe7a52e7b",
+        ];
+        for (hex, expected) in golden.into_iter().zip(sample_frames()) {
+            let bytes = unhex(hex);
+            assert_eq!(decode_frame(&bytes).unwrap(), expected);
+            assert_eq!(
+                encode_frame(&expected),
+                bytes,
+                "re-encode must be identical"
+            );
+        }
+    }
+
+    /// A string of 64 KiB or more cannot be length-prefixed by a `u16`;
+    /// it must truncate at a char boundary rather than wrap the prefix,
+    /// which would leave the peer a frame it refuses as divergence.
+    #[test]
+    fn over_long_strings_truncate_instead_of_corrupting_the_frame() {
+        // The u16::MAX cut at byte 65_535 lands inside an `é` and must
+        // back off to the boundary at 65_534.
+        let long = "a".repeat(65_534) + &"é".repeat(100);
+        let bytes = encode_frame(&Frame::Refuse {
+            term: 1,
+            column: "c".into(),
+            applied_lsn: 0,
+            reason: long.clone(),
+        });
+        let Frame::Refuse { reason, .. } = decode_frame(&bytes).unwrap() else {
+            panic!("over-long refusal must still decode as a refusal");
+        };
+        assert!(long.starts_with(&reason), "truncation keeps a prefix");
+        assert_eq!(reason.len(), 65_534, "the cut backs off to a char boundary");
     }
 
     #[test]

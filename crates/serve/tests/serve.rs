@@ -182,8 +182,15 @@ fn a_batch_is_answered_from_one_snapshot_pin() {
     let full = RangeQuery::new(0, n - 1).unwrap();
     let left = RangeQuery::new(0, n / 2 - 1).unwrap();
     let right = RangeQuery::new(n / 2, n - 1).unwrap();
-    let mut generations = Vec::new();
-    for _ in 0..60 {
+    let mut generations: Vec<u64> = Vec::new();
+    // At least 60 batches, then keep going until one observes a swap
+    // published after the first batch: the racer's first rebuild may
+    // land later than 60 fast batches take. The deadline bounds the wait:
+    // if no rebuild has published by then, the final assertion fails.
+    let deadline = std::time::Instant::now() + Duration::from_secs(30);
+    while generations.len() < 60
+        || (generations.last() <= generations.first() && std::time::Instant::now() < deadline)
+    {
         let Response::Estimates(ans) = call(&mut t, &batch("c", vec![full, left, right, full]))
         else {
             panic!("expected estimates");
