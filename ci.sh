@@ -23,6 +23,12 @@ echo "==> cargo clippy --workspace --all-targets -- -D warnings"
 # examples are held to the same bar as library code.
 cargo clippy --workspace --all-targets --offline -- -D warnings
 
+echo "==> RUSTDOCFLAGS=\"-D warnings\" cargo doc --workspace --no-deps --lib"
+# Broken or private intra-doc links fail the gate, so a doc comment cannot
+# keep pointing at a deleted function. --lib skips the `synoptic` binary,
+# whose rustdoc output filename collides with the facade library's.
+RUSTDOCFLAGS="-D warnings" cargo doc --workspace --no-deps --lib --offline
+
 echo "==> tier-1: cargo build --release (offline)"
 # This build doubles as the compile-time thread-safety gate: const-context
 # `assert_send_sync` proofs in crates/core/src/budget.rs (Budget,

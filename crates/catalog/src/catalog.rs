@@ -179,12 +179,13 @@ impl Catalog {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use synoptic_core::Budget;
     use synoptic_core::{PrefixSums, ValueHistogram};
-    use synoptic_hist::sap0::build_sap0;
+    use synoptic_hist::sap0::build_sap0_with_budget;
 
     fn entry(vals: &[i64]) -> ColumnEntry {
         let ps = PrefixSums::from_values(vals);
-        let h = build_sap0(&ps, 3).unwrap();
+        let (h, _) = build_sap0_with_budget(&ps, 3, &Budget::unlimited()).unwrap();
         ColumnEntry {
             n: vals.len(),
             total_rows: ps.total() as i64,

@@ -12,7 +12,7 @@
 //!   averages on load via `avg = (suff + pref)/(len + 1)`; SAP1 stores its
 //!   four fit values (5B words, Theorem 8) and recovers averages from the
 //!   fitted means; wavelets store `(index, value)` pairs.
-//! * [`checksum`] / [`format`] — an in-repo CRC-32 and the self-describing
+//! * [`checksum`] / [`format`](mod@format) — an in-repo CRC-32 and the self-describing
 //!   checksummed binary file format (magic, version, per-section length
 //!   prefixes, header + payload CRCs). See `docs/PERSISTENCE.md` for the
 //!   normative specification.

@@ -544,9 +544,10 @@ impl PersistentSynopsis {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use synoptic_core::Budget;
     use synoptic_core::RangeQuery;
-    use synoptic_hist::sap0::build_sap0;
-    use synoptic_hist::sap1::build_sap1;
+    use synoptic_hist::sap0::build_sap0_with_budget;
+    use synoptic_hist::sap1::build_sap1_with_budget;
 
     fn data() -> (Vec<i64>, PrefixSums) {
         let vals = vec![12i64, 9, 4, 1, 1, 0, 2, 14, 13, 6, 2, 1, 8, 3];
@@ -594,7 +595,7 @@ mod tests {
     #[test]
     fn sap0_roundtrip_recovers_averages() {
         let (_, ps) = data();
-        let h = build_sap0(&ps, 4).unwrap();
+        let (h, _) = build_sap0_with_budget(&ps, 4, &Budget::unlimited()).unwrap();
         let p = PersistentSynopsis::from_sap0(&h);
         assert_eq!(p.storage_words(), 3 * h.bucketing().num_buckets());
         // The middle piece is rebuilt from recovered averages; tolerance is
@@ -605,7 +606,7 @@ mod tests {
     #[test]
     fn sap1_roundtrip_recovers_averages() {
         let (_, ps) = data();
-        let h = build_sap1(&ps, 2).unwrap();
+        let (h, _) = build_sap1_with_budget(&ps, 2, &Budget::unlimited()).unwrap();
         let p = PersistentSynopsis::from_sap1(&h);
         assert_eq!(p.storage_words(), 5 * h.bucketing().num_buckets());
         assert_roundtrip(&h, &p, 1e-9);
@@ -614,7 +615,7 @@ mod tests {
     #[test]
     fn wavelet_point_roundtrip() {
         let (vals, _) = data();
-        let w = PointWaveletSynopsis::build(&vals, 5);
+        let w = PointWaveletSynopsis::build_with_budget(&vals, 5, &Budget::unlimited()).unwrap();
         let p = PersistentSynopsis::from_wavelet_point(&w);
         assert_eq!(p.storage_words(), w.storage_words());
         assert_roundtrip(&w, &p, 1e-12);
@@ -623,7 +624,7 @@ mod tests {
     #[test]
     fn wavelet_range_roundtrip() {
         let (_, ps) = data();
-        let w = RangeOptimalWavelet::build(&ps, 6);
+        let w = RangeOptimalWavelet::build_with_budget(&ps, 6, &Budget::unlimited()).unwrap();
         let p = PersistentSynopsis::from_wavelet_range(&w);
         assert_eq!(p.storage_words(), w.storage_words());
         assert_roundtrip(&w, &p, 1e-12);

@@ -208,8 +208,9 @@ pub fn tmp_path(path: &Path) -> PathBuf {
 // ---------------------------------------------------------------------------
 
 /// One scripted fault. Faults are consumed from a queue: each write
-/// operation pops the next [`write fault`](Fault::is_write_fault), each read
-/// the next read fault, making schedules deterministic and replayable.
+/// operation pops the next write fault (the variants documented "Write:"),
+/// each read the next read fault ("Read:"), making schedules deterministic
+/// and replayable.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum Fault {
     /// Write: only the first `keep` bytes reach the destination (a torn

@@ -794,8 +794,9 @@ mod tests {
     use super::*;
     use crate::persist::PersistentSynopsis;
     use crate::storage::{Fault, FaultyStorage, FsStorage};
+    use synoptic_core::Budget;
     use synoptic_core::PrefixSums;
-    use synoptic_hist::sap0::build_sap0;
+    use synoptic_hist::sap0::build_sap0_with_budget;
 
     fn tmp_root(tag: &str) -> PathBuf {
         let d = std::env::temp_dir().join(format!("synoptic_store_{tag}_{}", std::process::id()));
@@ -807,7 +808,7 @@ mod tests {
         let mut cat = Catalog::new();
         let vals = vec![12i64, 9, 4, 1, 1, 0, 2, 14, 13, 6, 2, 1];
         let ps = PrefixSums::from_values(&vals);
-        let h = build_sap0(&ps, 3).unwrap();
+        let (h, _) = build_sap0_with_budget(&ps, 3, &Budget::unlimited()).unwrap();
         cat.insert(
             "price",
             ColumnEntry {

@@ -9,10 +9,10 @@ use synoptic_catalog::{
 };
 use synoptic_core::rng::Rng;
 use synoptic_core::{
-    Bucketing, PrefixSums, RangeEstimator, RangeQuery, SynopticError, ValueHistogram,
+    Bucketing, Budget, PrefixSums, RangeEstimator, RangeQuery, SynopticError, ValueHistogram,
 };
-use synoptic_hist::sap0::build_sap0;
-use synoptic_hist::sap1::build_sap1;
+use synoptic_hist::sap0::build_sap0_with_budget;
+use synoptic_hist::sap1::build_sap1_with_budget;
 use synoptic_wavelet::{PointWaveletSynopsis, RangeOptimalWavelet};
 
 const CASES: u64 = 64;
@@ -53,13 +53,18 @@ fn all_variants(rng: &mut Rng, vals: &[i64], ps: &PrefixSums) -> Vec<PersistentS
     }
     let bk = Bucketing::new(n, starts).unwrap();
     let vh = ValueHistogram::with_averages(bk, ps, "c").unwrap();
+    let unlimited = Budget::unlimited();
     vec![
         PersistentSynopsis::from_naive(ps),
         PersistentSynopsis::from_value_histogram(&vh),
-        PersistentSynopsis::from_sap0(&build_sap0(ps, b).unwrap()),
-        PersistentSynopsis::from_sap1(&build_sap1(ps, b).unwrap()),
-        PersistentSynopsis::from_wavelet_point(&PointWaveletSynopsis::build(vals, b)),
-        PersistentSynopsis::from_wavelet_range(&RangeOptimalWavelet::build(ps, b)),
+        PersistentSynopsis::from_sap0(&build_sap0_with_budget(ps, b, &unlimited).unwrap().0),
+        PersistentSynopsis::from_sap1(&build_sap1_with_budget(ps, b, &unlimited).unwrap().0),
+        PersistentSynopsis::from_wavelet_point(
+            &PointWaveletSynopsis::build_with_budget(vals, b, &unlimited).unwrap(),
+        ),
+        PersistentSynopsis::from_wavelet_range(
+            &RangeOptimalWavelet::build_with_budget(ps, b, &unlimited).unwrap(),
+        ),
     ]
 }
 
@@ -161,14 +166,14 @@ fn sap_storage_accounting_matches_the_theorems() {
         let vals = rand_values(&mut rng);
         let ps = PrefixSums::from_values(&vals);
         let b = rng.usize_in(1, 6).min(vals.len());
-        let h0 = build_sap0(&ps, b).unwrap();
+        let (h0, _) = build_sap0_with_budget(&ps, b, &Budget::unlimited()).unwrap();
         let p0 = PersistentSynopsis::from_sap0(&h0);
         assert_eq!(
             p0.storage_words(),
             3 * h0.bucketing().num_buckets(),
             "case {case}"
         );
-        let h1 = build_sap1(&ps, b).unwrap();
+        let (h1, _) = build_sap1_with_budget(&ps, b, &Budget::unlimited()).unwrap();
         let p1 = PersistentSynopsis::from_sap1(&h1);
         assert_eq!(
             p1.storage_words(),

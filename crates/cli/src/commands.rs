@@ -13,8 +13,8 @@ use synoptic_hist::opta::{build_opt_a_with_budget, OptAConfig};
 use synoptic_hist::reopt::reoptimize_with_budget;
 use synoptic_hist::sap0::build_sap0_with_budget;
 use synoptic_hist::sap1::build_sap1_with_budget;
-use synoptic_hist::AnytimeParams;
-use synoptic_wavelet::RangeOptimalWavelet;
+use synoptic_hist::{AnytimeParams, HistogramMethod};
+use synoptic_wavelet::{coeffs_for_budget, RangeOptimalWavelet};
 
 use crate::io::{parse_range, read_column, write_column, Flags};
 
@@ -262,13 +262,17 @@ fn build_synopsis(
     budget: usize,
     exec: &Budget,
 ) -> Result<PersistentSynopsis, CliError> {
+    // Sizes come from the library's word accounting, so a budget too small
+    // for one bucket (or one coefficient) is refused, never exceeded.
+    let buckets = |m: HistogramMethod| m.buckets_for_budget(budget, ps.n());
     Ok(match method {
         "naive" => {
+            buckets(HistogramMethod::Naive)?;
             exec.check()?;
             PersistentSynopsis::from_naive(ps)
         }
         "opt-a" => {
-            let b = (budget / 2).clamp(1, ps.n());
+            let b = buckets(HistogramMethod::OptA)?;
             let r = build_opt_a_with_budget(ps, &OptAConfig::exact(b, RoundingMode::None), exec)?;
             let vh = synoptic_core::ValueHistogram::with_averages(
                 r.histogram.bucketing().clone(),
@@ -278,22 +282,22 @@ fn build_synopsis(
             PersistentSynopsis::from_value_histogram(&vh)
         }
         "opt-a-reopt" => {
-            let b = (budget / 2).clamp(1, ps.n());
+            let b = buckets(HistogramMethod::OptAReopt)?;
             let base =
                 build_opt_a_with_budget(ps, &OptAConfig::exact(b, RoundingMode::None), exec)?;
             let re = reoptimize_with_budget(base.histogram.bucketing(), ps, "OPT-A", exec)?;
             PersistentSynopsis::from_value_histogram(&re.histogram)
         }
         "sap0" => {
-            let b = (budget / 3).clamp(1, ps.n());
-            PersistentSynopsis::from_sap0(&build_sap0_with_budget(ps, b, exec)?)
+            let b = buckets(HistogramMethod::Sap0)?;
+            PersistentSynopsis::from_sap0(&build_sap0_with_budget(ps, b, exec)?.0)
         }
         "sap1" => {
-            let b = (budget / 5).clamp(1, ps.n());
-            PersistentSynopsis::from_sap1(&build_sap1_with_budget(ps, b, exec)?)
+            let b = buckets(HistogramMethod::Sap1)?;
+            PersistentSynopsis::from_sap1(&build_sap1_with_budget(ps, b, exec)?.0)
         }
         "wavelet-range" => {
-            let b = (budget / 2).max(1);
+            let b = coeffs_for_budget(budget)?;
             PersistentSynopsis::from_wavelet_range(&RangeOptimalWavelet::build_with_budget(
                 ps, b, exec,
             )?)

@@ -296,6 +296,28 @@ fn exit_code_contract() {
         Some(1)
     );
 
+    // 1: a storage budget one word short of the method's smallest
+    // synopsis (SAP0 3 words/bucket, OPT-A 2, SAP1 5, a wavelet
+    // coefficient 2, NAIVE 1) is refused, in anytime mode too.
+    for (method, budget) in [
+        ("sap0", "2"),
+        ("opt-a", "1"),
+        ("opt-a-reopt", "1"),
+        ("sap1", "4"),
+        ("wavelet-range", "1"),
+        ("naive", "0"),
+    ] {
+        for extra in [&[][..], &["--anytime"][..]] {
+            let mut args = vec!["build", "--input", col_s, "--method", method, "--budget"];
+            args.extend_from_slice(&[budget, "--catalog", store_s, "--column", "price"]);
+            args.extend_from_slice(extra);
+            let out = run(&args);
+            let stderr = String::from_utf8_lossy(&out.stderr);
+            assert_eq!(out.status.code(), Some(1), "{method} {budget}: {stderr}");
+            assert!(stderr.contains("budget"), "{method}: {stderr}");
+        }
+    }
+
     // 5: an exhausted budget aborts the build by default (strict mode) —
     // wall-clock deadline and cell cap land on the same code.
     for limit in [&["--deadline-ms", "0"][..], &["--max-cells", "5"][..]] {
@@ -321,7 +343,7 @@ fn exit_code_contract() {
             String::from_utf8_lossy(&out.stderr)
         );
     }
-    // …and the aborted builds committed nothing.
+    // …and the refused and aborted builds committed nothing.
     assert!(!store.exists() || run(&["report", "--catalog", store_s]).status.code() != Some(0));
 
     // 6: cancellation always aborts, even in anytime mode — the ladder

@@ -1,11 +1,10 @@
 //! The paper's four quantitative narrative claims (§4), each reproduced as
 //! a checkable "table".
 
-use synoptic_core::Result;
-use synoptic_core::RoundingMode;
+use synoptic_core::{Budget, Result, RoundingMode};
 use synoptic_data::zipf::{paper_dataset, ZipfConfig};
 use synoptic_hist::opta::{build_opt_a, OptAConfig};
-use synoptic_hist::reopt::reoptimize;
+use synoptic_hist::reopt::reoptimize_with_budget;
 
 use crate::figure1::{run_figure1, Fig1Config, Fig1Result};
 use crate::json::{JsonValue, ToJson};
@@ -143,7 +142,12 @@ pub fn reopt_gain(dataset: &ZipfConfig, bucket_counts: &[usize]) -> Result<Claim
     let mut best_gain = 0.0f64;
     for &b in bucket_counts {
         let base = build_opt_a(&ps, &OptAConfig::exact(b, RoundingMode::None))?;
-        let re = reoptimize(base.histogram.bucketing(), &ps, "OPT-A")?;
+        let re = reoptimize_with_budget(
+            base.histogram.bucketing(),
+            &ps,
+            "OPT-A",
+            &Budget::unlimited(),
+        )?;
         if base.sse > 0.0 {
             let gain = 1.0 - re.sse / base.sse;
             best_gain = best_gain.max(gain);

@@ -2,11 +2,11 @@
 
 use std::time::Instant;
 
-use synoptic_core::{
-    Budget, BuildAttempt, BuildOutcome, PrefixSums, RangeEstimator, Result, SynopticError,
+use synoptic_core::{Budget, BuildAttempt, BuildOutcome, PrefixSums, RangeEstimator, Result};
+use synoptic_hist::builder::{build_anytime, build_with_budget, AnytimeParams, HistogramMethod};
+use synoptic_wavelet::{
+    coeffs_for_budget, PointWaveletSynopsis, PrefixWaveletSynopsis, RangeOptimalWavelet,
 };
-use synoptic_hist::builder::{build as build_hist, build_anytime, AnytimeParams, HistogramMethod};
-use synoptic_wavelet::{PointWaveletSynopsis, PrefixWaveletSynopsis, RangeOptimalWavelet};
 
 /// Every method the harness can evaluate.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -55,28 +55,18 @@ pub enum MethodSpec {
 }
 
 impl MethodSpec {
-    /// Display name used in tables and CSV headers.
+    /// Display name used in tables and CSV headers; histogram variants use
+    /// [`HistogramMethod::name`].
     pub fn name(&self) -> &'static str {
         match self {
-            MethodSpec::Naive => "NAIVE",
-            MethodSpec::EquiWidth => "EQUI-WIDTH",
-            MethodSpec::EquiDepth => "EQUI-DEPTH",
-            MethodSpec::MaxDiff => "MAX-DIFF",
-            MethodSpec::VOptUniform => "V-OPT",
-            MethodSpec::PointOpt => "POINT-OPT",
-            MethodSpec::A0 => "A0",
-            MethodSpec::Sap0 => "SAP0",
-            MethodSpec::Sap1 => "SAP1",
-            MethodSpec::OptA => "OPT-A",
-            MethodSpec::OptAIntegral => "OPT-A(int)",
-            MethodSpec::OptARounded(_) => "OPT-A-ROUNDED",
-            MethodSpec::OptAReopt => "OPT-A-reopt",
-            MethodSpec::A0Reopt => "A0-reopt",
-            MethodSpec::BoundedOptA => "BOUNDED",
             MethodSpec::WaveletPoint => "WAVELET-POINT",
             MethodSpec::WaveletPrefix => "WAVELET-PREFIX",
             MethodSpec::WaveletRange => "TOPBB",
             MethodSpec::WaveletRangeGreedy => "TOPBB-GREEDY",
+            hist => hist
+                .histogram_method()
+                .expect("wavelets handled above; everything else is a histogram")
+                .name(),
         }
     }
 
@@ -119,45 +109,24 @@ impl MethodSpec {
     }
 
     /// Builds the estimator within `budget_words` of storage. Wavelet
-    /// methods keep `budget/2` coefficients (index + value per coefficient);
-    /// histogram methods use their per-bucket word accounting.
+    /// methods keep [`coeffs_for_budget`] coefficients (index + value per
+    /// coefficient); histogram methods use their per-bucket word accounting.
     pub fn build_at_budget(
         &self,
         values: &[i64],
         ps: &PrefixSums,
         budget_words: usize,
     ) -> Result<Box<dyn RangeEstimator>> {
-        let wavelet_b = |budget: usize| -> Result<usize> {
-            if budget < 2 {
-                return Err(SynopticError::BudgetTooSmall {
-                    words: budget,
-                    minimum: 2,
-                });
-            }
-            Ok(budget / 2)
-        };
-        Ok(match self {
-            MethodSpec::WaveletPoint => Box::new(PointWaveletSynopsis::build(
+        let budget = Budget::unlimited();
+        match self.histogram_method() {
+            Some(hm) => build_with_budget(hm, values, ps, budget_words, &budget),
+            None => self.build_wavelet_with_budget(
                 values,
-                wavelet_b(budget_words)?,
-            )),
-            MethodSpec::WaveletPrefix => {
-                Box::new(PrefixWaveletSynopsis::build(ps, wavelet_b(budget_words)?))
-            }
-            MethodSpec::WaveletRange => {
-                Box::new(RangeOptimalWavelet::build(ps, wavelet_b(budget_words)?))
-            }
-            MethodSpec::WaveletRangeGreedy => Box::new(synoptic_wavelet::build_range_greedy(
                 ps,
-                wavelet_b(budget_words)?,
-            )),
-            hist => {
-                let hm = hist
-                    .histogram_method()
-                    .expect("wavelets handled above; everything else is a histogram");
-                build_hist(hm, values, ps, budget_words)?
-            }
-        })
+                coeffs_for_budget(budget_words)?,
+                &budget,
+            ),
+        }
     }
 
     /// The histogram-builder equivalent, `None` for wavelet methods.
@@ -195,19 +164,21 @@ impl MethodSpec {
         b: usize,
         budget: &Budget,
     ) -> Result<Box<dyn RangeEstimator>> {
-        match self {
-            MethodSpec::WaveletPoint => PointWaveletSynopsis::build_with_budget(values, b, budget)
-                .map(|w| Box::new(w) as Box<dyn RangeEstimator>),
-            MethodSpec::WaveletPrefix => PrefixWaveletSynopsis::build_with_budget(ps, b, budget)
-                .map(|w| Box::new(w) as Box<dyn RangeEstimator>),
-            MethodSpec::WaveletRange => RangeOptimalWavelet::build_with_budget(ps, b, budget)
-                .map(|w| Box::new(w) as Box<dyn RangeEstimator>),
-            MethodSpec::WaveletRangeGreedy => {
-                synoptic_wavelet::build_range_greedy_with_budget(ps, b, budget)
-                    .map(|w| Box::new(w) as Box<dyn RangeEstimator>)
+        Ok(match self {
+            MethodSpec::WaveletPoint => {
+                Box::new(PointWaveletSynopsis::build_with_budget(values, b, budget)?)
             }
+            MethodSpec::WaveletPrefix => {
+                Box::new(PrefixWaveletSynopsis::build_with_budget(ps, b, budget)?)
+            }
+            MethodSpec::WaveletRange => {
+                Box::new(RangeOptimalWavelet::build_with_budget(ps, b, budget)?)
+            }
+            MethodSpec::WaveletRangeGreedy => Box::new(
+                synoptic_wavelet::build_range_greedy_with_budget(ps, b, budget)?,
+            ),
             _ => unreachable!("histograms handled above"),
-        }
+        })
     }
 
     /// Like [`MethodSpec::build_at_budget`] but under execution control,
@@ -235,14 +206,7 @@ impl MethodSpec {
             return Ok((r.estimator, r.outcome));
         }
         // Wavelet tier: one constrained attempt of the method itself.
-        let b = if budget_words < 2 {
-            return Err(SynopticError::BudgetTooSmall {
-                words: budget_words,
-                minimum: 2,
-            });
-        } else {
-            budget_words / 2
-        };
+        let b = coeffs_for_budget(budget_words)?;
         let budget = params.budget_for_attempt(true);
         let started = Instant::now();
         let attempt = self.build_wavelet_with_budget(values, ps, b, &budget);
@@ -465,7 +429,7 @@ mod tests {
 
     #[test]
     fn tracked_cancellation_propagates() {
-        use synoptic_core::CancelToken;
+        use synoptic_core::{CancelToken, SynopticError};
         let d = paper_dataset(&ZipfConfig {
             n: 32,
             ..ZipfConfig::default()

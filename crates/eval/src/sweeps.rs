@@ -1,10 +1,10 @@
 //! Extended ablations A1–A4 (see DESIGN.md §6 and EXPERIMENTS.md).
 
-use synoptic_core::{DataArray, Result, RoundingMode};
+use synoptic_core::{Budget, DataArray, Result, RoundingMode};
 use synoptic_data::generators::{normal_mixture, steps, uniform};
 use synoptic_data::zipf::{paper_dataset, ZipfConfig};
 use synoptic_hist::opta::{build_opt_a, OptAConfig};
-use synoptic_hist::opta_rounded::build_opt_a_rounded;
+use synoptic_hist::opta_rounded::build_opt_a_rounded_with_budget;
 
 use crate::json::{JsonValue, ToJson};
 use crate::methods::{exact_sse, MethodSpec};
@@ -45,10 +45,12 @@ pub fn rounding_sweep(
     let data = paper_dataset(dataset);
     let ps = data.prefix_sums();
     let exact = build_opt_a(&ps, &OptAConfig::exact(buckets, RoundingMode::NearestInt))?;
+    let unlimited = Budget::unlimited();
     scales
         .iter()
         .map(|&scale| {
-            let r = build_opt_a_rounded(&ps, data.values(), buckets, scale)?;
+            let r =
+                build_opt_a_rounded_with_budget(&ps, data.values(), buckets, scale, &unlimited)?;
             Ok(RoundingSweepRow {
                 scale,
                 sse: r.sse,
@@ -581,10 +583,8 @@ pub fn segments_sweep(
     buckets: usize,
     segment_counts: &[usize],
 ) -> Result<Vec<SegmentsSweepRow>> {
-    use synoptic_core::{
-        Bucketing, Budget, RangeEstimator, RangeQuery, Sap0Histogram, SegmentLayout,
-    };
-    use synoptic_hist::sap0::build_sap0;
+    use synoptic_core::{Bucketing, RangeEstimator, RangeQuery, Sap0Histogram, SegmentLayout};
+    use synoptic_hist::sap0::build_sap0_with_budget;
     use synoptic_hist::{build_sap0_partials, merge_sap0};
     use synoptic_wavelet::{merge_point_wavelets, PointWaveletSynopsis};
 
@@ -592,7 +592,8 @@ pub fn segments_sweep(
     let values = data.values();
     let n = values.len();
     let ps = data.prefix_sums();
-    let mono = build_sap0(&ps, buckets)?;
+    let unlimited = Budget::unlimited();
+    let (mono, _) = build_sap0_with_budget(&ps, buckets, &unlimited)?;
     let sse_monolithic = exact_sse(&mono, &ps);
     segment_counts
         .iter()
@@ -624,8 +625,10 @@ pub fn segments_sweep(
             let b_total = buckets; // coefficient budget, same accounting
             let waves: Vec<PointWaveletSynopsis> = layout
                 .iter()
-                .map(|(l, r)| PointWaveletSynopsis::build(&values[l..=r], b_total))
-                .collect();
+                .map(|(l, r)| {
+                    PointWaveletSynopsis::build_with_budget(&values[l..=r], b_total, &unlimited)
+                })
+                .collect::<Result<_>>()?;
             let refs: Vec<&PointWaveletSynopsis> = waves.iter().collect();
             let (merged_w, outcome) = merge_point_wavelets(&refs, b_total)?;
             let (union_w, _) = merge_point_wavelets(&refs, usize::MAX)?;

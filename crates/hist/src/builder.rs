@@ -22,7 +22,7 @@ use crate::sap0::build_sap0_with_budget;
 use crate::sap1::build_sap1_with_budget;
 use crate::vopt::{build_point_opt_with_budget, PointWeighting};
 
-/// The histogram families exposed through [`build`].
+/// The histogram families exposed through [`build_with_budget`].
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub enum HistogramMethod {
     /// Single global average (1 word).
@@ -97,7 +97,11 @@ impl HistogramMethod {
     }
 
     /// Bucket count affordable within `budget_words`, clamped to `[1, n]`.
+    /// Refuses an empty domain and a budget below one bucket's words.
     pub fn buckets_for_budget(&self, budget_words: usize, n: usize) -> Result<usize> {
+        if n == 0 {
+            return Err(SynopticError::EmptyInput);
+        }
         let wpb = self.words_per_bucket();
         if budget_words < wpb {
             return Err(SynopticError::BudgetTooSmall {
@@ -109,19 +113,10 @@ impl HistogramMethod {
     }
 }
 
-/// Builds the requested method within `budget_words` of storage.
-pub fn build(
-    method: HistogramMethod,
-    values: &[i64],
-    ps: &PrefixSums,
-    budget_words: usize,
-) -> Result<Box<dyn RangeEstimator>> {
-    build_with_budget(method, values, ps, budget_words, &Budget::unlimited())
-}
-
-/// [`build`] under execution control: every DP inside the requested method
-/// charges `budget` at its checkpoints. Bit-identical to [`build`] with
-/// [`Budget::unlimited`]; aborts with the budget's error otherwise.
+/// Builds the requested method within `budget_words` of storage. Every DP
+/// inside the requested method charges `budget` at its checkpoints and
+/// aborts with the budget's error once it is exhausted; pass
+/// [`Budget::unlimited`] for an unconstrained build.
 pub fn build_with_budget(
     method: HistogramMethod,
     values: &[i64],
@@ -148,23 +143,15 @@ pub fn build_with_budget(
             budget.charge(n as u64)?;
             Box::new(build_max_diff(values, ps, b)?)
         }
-        HistogramMethod::VOptUniform => Box::new(build_point_opt_with_budget(
-            values,
-            ps,
-            b,
-            PointWeighting::Uniform,
-            budget,
-        )?),
-        HistogramMethod::PointOpt => Box::new(build_point_opt_with_budget(
-            values,
-            ps,
-            b,
-            PointWeighting::RangeInclusion,
-            budget,
-        )?),
-        HistogramMethod::A0 => Box::new(build_a0_with_budget(ps, b, budget)?),
-        HistogramMethod::Sap0 => Box::new(build_sap0_with_budget(ps, b, budget)?),
-        HistogramMethod::Sap1 => Box::new(build_sap1_with_budget(ps, b, budget)?),
+        HistogramMethod::VOptUniform => {
+            Box::new(build_point_opt_with_budget(values, b, PointWeighting::Uniform, budget)?.0)
+        }
+        HistogramMethod::PointOpt => Box::new(
+            build_point_opt_with_budget(values, b, PointWeighting::RangeInclusion, budget)?.0,
+        ),
+        HistogramMethod::A0 => Box::new(build_a0_with_budget(ps, b, budget)?.0),
+        HistogramMethod::Sap0 => Box::new(build_sap0_with_budget(ps, b, budget)?.0),
+        HistogramMethod::Sap1 => Box::new(build_sap1_with_budget(ps, b, budget)?.0),
         HistogramMethod::OptA => Box::new(
             build_opt_a_with_budget(ps, &OptAConfig::exact(b, RoundingMode::None), budget)?
                 .histogram,
@@ -184,7 +171,7 @@ pub fn build_with_budget(
             )
         }
         HistogramMethod::A0Reopt => {
-            let base = build_a0_with_budget(ps, b, budget)?;
+            let (base, _) = build_a0_with_budget(ps, b, budget)?;
             Box::new(reoptimize_with_budget(base.bucketing(), ps, "A0", budget)?.histogram)
         }
         HistogramMethod::BoundedOptA => {
@@ -216,7 +203,8 @@ pub struct AnytimeParams {
 }
 
 impl AnytimeParams {
-    /// No constraints: [`build_anytime`] behaves exactly like [`build`].
+    /// No constraints: [`build_anytime`] behaves exactly like
+    /// [`build_with_budget`] with [`Budget::unlimited`].
     pub fn unconstrained() -> Self {
         Self::default()
     }
@@ -326,7 +314,8 @@ pub fn fallback_ladder(method: HistogramMethod) -> Vec<(HistogramMethod, bool)> 
 ///
 /// Semantics:
 /// * **Unconstrained** ([`AnytimeParams::unconstrained`]): bit-identical to
-///   [`build`] — same code path, never degrades, `tier = 0`.
+///   [`build_with_budget`] with [`Budget::unlimited`] — same code path,
+///   never degrades, `tier = 0`.
 /// * **Deadline / cell cap exhausted** on a rung: the attempt is recorded
 ///   in the returned [`BuildOutcome`] and the next (cheaper) rung runs with
 ///   a fresh allowance. The terminal greedy/naive rungs run without
@@ -412,7 +401,7 @@ mod tests {
         let vals = vec![12i64, 9, 4, 1, 1, 0, 2, 14, 13, 6, 2, 1, 7, 7, 3, 9];
         let ps = PrefixSums::from_values(&vals);
         for m in all_methods() {
-            let est = build(m, &vals, &ps, 12).unwrap();
+            let est = build_with_budget(m, &vals, &ps, 12, &Budget::unlimited()).unwrap();
             assert!(
                 est.storage_words() <= 12 || matches!(m, HistogramMethod::Naive),
                 "{} used {} words",
@@ -421,6 +410,28 @@ mod tests {
             );
             let sse = sse_brute(&est, &ps);
             assert!(sse.is_finite() && sse >= 0.0, "{}", m.name());
+        }
+    }
+
+    #[test]
+    fn empty_domain_is_refused_not_panicked_by_every_method() {
+        let ps = PrefixSums::from_values(&[]);
+        let params = AnytimeParams::unconstrained().with_max_cells(1_000);
+        for m in all_methods() {
+            let direct = build_with_budget(m, &[], &ps, 12, &Budget::unlimited());
+            assert_eq!(
+                direct.err(),
+                Some(SynopticError::EmptyInput),
+                "{}",
+                m.name()
+            );
+            let anytime = build_anytime(m, &[], &ps, 12, &params);
+            assert_eq!(
+                anytime.err(),
+                Some(SynopticError::EmptyInput),
+                "{}",
+                m.name()
+            );
         }
     }
 
@@ -446,14 +457,19 @@ mod tests {
     fn optimal_methods_dominate_naive() {
         let vals = vec![40i64, 1, 2, 1, 0, 0, 33, 35, 2, 1, 1, 0, 28, 3, 1, 2];
         let ps = PrefixSums::from_values(&vals);
-        let naive = sse_brute(&build(HistogramMethod::Naive, &vals, &ps, 2).unwrap(), &ps);
+        let unlimited = Budget::unlimited();
+        let naive = build_with_budget(HistogramMethod::Naive, &vals, &ps, 2, &unlimited).unwrap();
+        let naive = sse_brute(&naive, &ps);
         for m in [
             HistogramMethod::OptA,
             HistogramMethod::Sap0,
             HistogramMethod::Sap1,
             HistogramMethod::OptAReopt,
         ] {
-            let sse = sse_brute(&build(m, &vals, &ps, 12).unwrap(), &ps);
+            let sse = sse_brute(
+                &build_with_budget(m, &vals, &ps, 12, &unlimited).unwrap(),
+                &ps,
+            );
             assert!(
                 sse < naive,
                 "{} at 12 words ({sse}) should beat NAIVE ({naive})",
@@ -466,11 +482,10 @@ mod tests {
     fn reopt_never_worse_than_its_base() {
         let vals = vec![12i64, 9, 4, 1, 1, 0, 2, 14, 13, 6, 2, 1];
         let ps = PrefixSums::from_values(&vals);
-        let base = sse_brute(&build(HistogramMethod::OptA, &vals, &ps, 8).unwrap(), &ps);
-        let re = sse_brute(
-            &build(HistogramMethod::OptAReopt, &vals, &ps, 8).unwrap(),
-            &ps,
-        );
+        let unlimited = Budget::unlimited();
+        let base = build_with_budget(HistogramMethod::OptA, &vals, &ps, 8, &unlimited).unwrap();
+        let re = build_with_budget(HistogramMethod::OptAReopt, &vals, &ps, 8, &unlimited).unwrap();
+        let (base, re) = (sse_brute(&base, &ps), sse_brute(&re, &ps));
         assert!(re <= base + 1e-6, "reopt {re} vs base {base}");
     }
 
@@ -479,7 +494,7 @@ mod tests {
         let vals = vec![12i64, 9, 4, 1, 1, 0, 2, 14, 13, 6, 2, 1, 7, 7, 3, 9];
         let ps = PrefixSums::from_values(&vals);
         for m in all_methods() {
-            let direct = build(m, &vals, &ps, 12).unwrap();
+            let direct = build_with_budget(m, &vals, &ps, 12, &Budget::unlimited()).unwrap();
             let anytime =
                 build_anytime(m, &vals, &ps, 12, &AnytimeParams::unconstrained()).unwrap();
             assert_eq!(anytime.outcome.tier, 0, "{}", m.name());

@@ -35,30 +35,24 @@ pub struct DpSolution {
     pub objective: f64,
 }
 
-/// Runs the interval-partition DP for a bucket-additive cost.
+/// Runs the interval-partition DP for a bucket-additive cost under
+/// execution control.
 ///
 /// `cost(l, r)` must return the cost of a single bucket covering the
 /// inclusive window `[l, r]`, `0 ≤ l ≤ r < n`. Uses **at most** `max_buckets`
 /// buckets (fewer if that is cheaper, which can happen for costs that are not
 /// monotone in the partition refinement).
 ///
+/// The DP charges its [`Budget`] one checkpoint per `(k, i)` cell (counting
+/// the candidate split points examined as work units) and aborts with the
+/// budget's error at the first exhausted constraint; pass
+/// [`Budget::unlimited`] for an unconstrained run.
+///
 /// # Complexity
 ///
 /// `O(n²)` cost-oracle calls (each window once; only the `n` windows
 /// starting at 0 when `max_buckets == 1`) plus `O(n² · max_buckets)` f64
 /// min-plus steps, `O(n · max_buckets)` memory plus an `O(n)` column.
-pub fn optimal_bucketing<C>(n: usize, max_buckets: usize, cost: C) -> Result<DpSolution>
-where
-    C: Fn(usize, usize) -> f64,
-{
-    optimal_bucketing_with_budget(n, max_buckets, cost, &Budget::unlimited())
-}
-
-/// [`optimal_bucketing`] under execution control: the DP charges its
-/// [`Budget`] one checkpoint per `(k, i)` cell (counting the candidate
-/// split points examined as work units) and aborts with the budget's error
-/// at the first exhausted constraint. With [`Budget::unlimited`] this is
-/// bit-identical to [`optimal_bucketing`].
 pub fn optimal_bucketing_with_budget<C>(
     n: usize,
     max_buckets: usize,
@@ -273,14 +267,15 @@ mod tests {
 
     #[test]
     fn validates_inputs() {
-        assert!(optimal_bucketing(0, 1, |_, _| 0.0).is_err());
-        assert!(optimal_bucketing(5, 0, |_, _| 0.0).is_err());
-        assert!(optimal_bucketing(5, 6, |_, _| 0.0).is_err());
+        assert!(optimal_bucketing_with_budget(0, 1, |_, _| 0.0, &Budget::unlimited()).is_err());
+        assert!(optimal_bucketing_with_budget(5, 0, |_, _| 0.0, &Budget::unlimited()).is_err());
+        assert!(optimal_bucketing_with_budget(5, 6, |_, _| 0.0, &Budget::unlimited()).is_err());
     }
 
     #[test]
     fn single_bucket_when_b_is_one() {
-        let sol = optimal_bucketing(7, 1, |l, r| ((r - l) as f64).powi(2)).unwrap();
+        let cost = |l: usize, r: usize| ((r - l) as f64).powi(2);
+        let sol = optimal_bucketing_with_budget(7, 1, cost, &Budget::unlimited()).unwrap();
         assert_eq!(sol.bucketing.num_buckets(), 1);
         assert_eq!(sol.objective, 36.0);
     }
@@ -294,7 +289,7 @@ mod tests {
         };
         for n in 1..=9usize {
             for b in 1..=n {
-                let sol = optimal_bucketing(n, b, cost).unwrap();
+                let sol = optimal_bucketing_with_budget(n, b, cost, &Budget::unlimited()).unwrap();
                 let want = brute(n, b, cost);
                 assert!(
                     (sol.objective - want).abs() < 1e-9,
@@ -315,7 +310,7 @@ mod tests {
         // optimum is 0 … wait, width 1 ⇒ cost 1. Use (width − 1)² so
         // singleton buckets are free.
         let cost = |l: usize, r: usize| ((r - l) as f64).powi(2);
-        let sol = optimal_bucketing(6, 6, cost).unwrap();
+        let sol = optimal_bucketing_with_budget(6, 6, cost, &Budget::unlimited()).unwrap();
         assert_eq!(sol.objective, 0.0);
         assert_eq!(sol.bucketing.num_buckets(), 6);
     }
@@ -325,11 +320,8 @@ mod tests {
         use std::cell::Cell;
         use synoptic_core::{CancelToken, SynopticError};
         let cost = |l: usize, r: usize| ((r - l) as f64) * 1.25 + ((l * 7 + r) % 5) as f64;
-        let free = optimal_bucketing(12, 4, cost).unwrap();
         let metered = Budget::unlimited();
-        let budgeted = optimal_bucketing_with_budget(12, 4, cost, &metered).unwrap();
-        assert_eq!(free.bucketing.starts(), budgeted.bucketing.starts());
-        assert_eq!(free.objective, budgeted.objective);
+        optimal_bucketing_with_budget(12, 4, cost, &metered).unwrap();
         assert!(metered.cells_used() > 0);
         // A pre-cancelled token aborts at the first cell, after costing at
         // most the one window that cell needs.
@@ -363,7 +355,7 @@ mod tests {
         // Penalize narrow buckets: cost = 1/width. Optimal is one wide bucket
         // even when more are allowed.
         let cost = |l: usize, r: usize| 1.0 / (r - l + 1) as f64;
-        let sol = optimal_bucketing(8, 4, cost).unwrap();
+        let sol = optimal_bucketing_with_budget(8, 4, cost, &Budget::unlimited()).unwrap();
         assert_eq!(sol.bucketing.num_buckets(), 1);
         assert!((sol.objective - 0.125).abs() < 1e-12);
     }

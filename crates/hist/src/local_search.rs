@@ -24,18 +24,10 @@ pub struct LocalSearchResult {
 
 /// Hill-climbs bucket boundaries under `cost`. `max_passes` bounds the
 /// number of full sweeps (each sweep tries every boundary at step sizes
-/// 1, 2, 4, … while they fit).
-pub fn local_search<F>(start: Bucketing, cost: F, max_passes: usize) -> Result<LocalSearchResult>
-where
-    F: FnMut(&Bucketing) -> f64,
-{
-    local_search_with_budget(start, cost, max_passes, &Budget::unlimited())
-}
-
-/// [`local_search`] under execution control: one checkpoint per boundary
+/// 1, 2, 4, … while they fit). Charges `budget` one checkpoint per boundary
 /// visited (each checkpoint covers the candidate evaluations at that
-/// boundary, charged as work units). Bit-identical with
-/// [`Budget::unlimited`]; aborts with the budget's error otherwise.
+/// boundary, charged as work units) and aborts with the budget's error once
+/// it is exhausted.
 pub fn local_search_with_budget<F>(
     start: Bucketing,
     mut cost: F,
@@ -134,7 +126,7 @@ mod tests {
         let ps = PrefixSums::from_values(&vals);
         // Start from the worst 2-bucket split.
         let start = Bucketing::new(8, vec![0, 1]).unwrap();
-        let r = local_search(start, sse_cost(&ps), 50).unwrap();
+        let r = local_search_with_budget(start, sse_cost(&ps), 50, &Budget::unlimited()).unwrap();
         assert_eq!(r.bucketing.starts(), &[0, 4], "moves={}", r.moves);
     }
 
@@ -145,7 +137,7 @@ mod tests {
         let start = Bucketing::new(10, vec![0, 3, 6]).unwrap();
         let mut cost = sse_cost(&ps);
         let before = cost(&start);
-        let r = local_search(start, cost, 50).unwrap();
+        let r = local_search_with_budget(start, cost, 50, &Budget::unlimited()).unwrap();
         assert!(r.cost <= before + 1e-12);
         assert!(r.passes >= 1);
     }
@@ -155,7 +147,8 @@ mod tests {
         let vals = vec![10i64, 10, 50, 50];
         let ps = PrefixSums::from_values(&vals);
         let start = Bucketing::new(4, vec![0, 2]).unwrap();
-        let r = local_search(start.clone(), sse_cost(&ps), 50).unwrap();
+        let r = local_search_with_budget(start.clone(), sse_cost(&ps), 50, &Budget::unlimited())
+            .unwrap();
         assert_eq!(r.bucketing.starts(), start.starts());
         assert_eq!(r.moves, 0);
     }
@@ -165,7 +158,7 @@ mod tests {
         let vals: Vec<i64> = (0..20).map(|i| (i * i * 7) % 23).collect();
         let ps = PrefixSums::from_values(&vals);
         let start = Bucketing::new(20, vec![0, 1, 2, 3]).unwrap();
-        let r = local_search(start, sse_cost(&ps), 1).unwrap();
+        let r = local_search_with_budget(start, sse_cost(&ps), 1, &Budget::unlimited()).unwrap();
         assert_eq!(r.passes, 1);
     }
 
@@ -174,7 +167,7 @@ mod tests {
         let vals = vec![1i64, 2, 3];
         let ps = PrefixSums::from_values(&vals);
         let start = Bucketing::single(3).unwrap();
-        let r = local_search(start, sse_cost(&ps), 10).unwrap();
+        let r = local_search_with_budget(start, sse_cost(&ps), 10, &Budget::unlimited()).unwrap();
         assert_eq!(r.moves, 0);
         assert_eq!(r.bucketing.num_buckets(), 1);
     }

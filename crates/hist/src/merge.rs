@@ -51,7 +51,7 @@ pub fn build_sap0_partials(
         .zip(buckets)
         .map(|((l, r), &b)| {
             let lps = PrefixSums::from_values(&values[l..=r]);
-            build_sap0_with_budget(&lps, b.clamp(1, r - l + 1), budget)
+            Ok(build_sap0_with_budget(&lps, b.clamp(1, r - l + 1), budget)?.0)
         })
         .collect()
 }

@@ -265,21 +265,24 @@ fn cap_hull(hull: Vec<State>, cap: usize) -> Vec<State> {
     out
 }
 
+/// [`build_opt_a_with_budget`] with [`Budget::unlimited`]. Kept only
+/// because the repository benchmark (`perfbench`) pins this signature.
+pub fn build_opt_a(ps: &PrefixSums, cfg: &OptAConfig) -> Result<OptAResult> {
+    build_opt_a_with_budget(ps, cfg, &Budget::unlimited())
+}
+
 /// Builds the OPT-A histogram with optimal bucket boundaries for the
 /// configured answering procedure (paper Theorems 1–2).
 ///
 /// The returned [`OptAResult::sse`] is re-measured on the constructed
 /// histogram with an exact evaluator, so it is trustworthy even under
 /// quantization or hull capping.
-pub fn build_opt_a(ps: &PrefixSums, cfg: &OptAConfig) -> Result<OptAResult> {
-    build_opt_a_with_budget(ps, cfg, &Budget::unlimited())
-}
-
-/// [`build_opt_a`] under execution control (deadline / cell cap /
-/// cancellation). Checkpoints are charged once per `(k, i)` DP cell — and,
-/// in rounded mode, once per window of the `O(n⁴)` cost table, the actual
-/// hot spot — so an exhausted budget aborts within one cell-group of work.
-/// With [`Budget::unlimited`] the run is bit-identical to [`build_opt_a`].
+///
+/// Execution control (deadline / cell cap / cancellation): checkpoints are
+/// charged once per `(k, i)` DP cell — and, in rounded mode, once per
+/// window of the `O(n⁴)` cost table, the actual hot spot — so an exhausted
+/// budget aborts within one cell-group of work. Pass [`Budget::unlimited`]
+/// for an unconstrained run.
 pub fn build_opt_a_with_budget(
     ps: &PrefixSums,
     cfg: &OptAConfig,

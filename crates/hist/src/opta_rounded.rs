@@ -11,7 +11,7 @@
 use synoptic_core::sse::sse_value_histogram;
 use synoptic_core::{Budget, PrefixSums, Result, RoundingMode, SynopticError, ValueHistogram};
 
-use crate::opta::{build_opt_a, build_opt_a_with_budget, DpStats, OptAConfig};
+use crate::opta::{build_opt_a_with_budget, DpStats, OptAConfig};
 
 /// Result of an OPT-A-ROUNDED construction.
 #[derive(Debug, Clone)]
@@ -33,7 +33,8 @@ pub struct OptARoundedResult {
 fn round_to_multiple(v: i64, x: i64) -> i64 {
     debug_assert!(x > 0);
     let (q, r) = (v / x, v % x);
-    if 2 * r.abs() >= x {
+    // `2·|r| ≥ x`, rearranged so it cannot overflow for `x` above 2⁶².
+    if r.abs() >= x - r.abs() {
         q + r.signum()
     } else {
         q
@@ -67,67 +68,49 @@ fn round_to_multiple_randomized(v: i64, x: i64, seed: u64, position: usize) -> i
 
 /// Builds OPT-A-ROUNDED with **unbiased randomized** data rounding
 /// (Theorem 4's improved variant). Identical pipeline to
-/// [`build_opt_a_rounded`] except the per-value rounding direction is drawn
-/// with probability proportional to the remainder.
+/// [`build_opt_a_rounded_with_budget`] except the per-value rounding
+/// direction is drawn with probability proportional to the remainder.
 pub fn build_opt_a_rounded_randomized(
     ps: &PrefixSums,
     values: &[i64],
     buckets: usize,
     scale: i64,
     seed: u64,
+    budget: &Budget,
 ) -> Result<OptARoundedResult> {
-    if scale < 1 {
-        return Err(SynopticError::InvalidParameter(format!(
-            "scale must be ≥ 1, got {scale}"
-        )));
-    }
-    let scaled: Vec<i64> = values
-        .iter()
-        .enumerate()
-        .map(|(i, &v)| round_to_multiple_randomized(v, scale, seed, i))
-        .collect();
-    let scaled_ps = PrefixSums::from_values(&scaled);
-    let inner = build_opt_a(
-        &scaled_ps,
-        &OptAConfig::exact(buckets, RoundingMode::NearestInt),
-    )?;
-    let bucketing = inner.histogram.bucketing().clone();
-    let vals: Vec<f64> = bucketing
-        .iter()
-        .map(|(l, r)| scale as f64 * scaled_ps.range_sum(l, r) as f64 / (r - l + 1) as f64)
-        .collect();
-    let histogram = ValueHistogram::new(bucketing, vals, "OPT-A-ROUNDED(rand)")?;
-    let sse = sse_value_histogram(histogram.xprefix(), ps);
-    Ok(OptARoundedResult {
-        histogram,
-        sse,
-        scale,
-        stats: inner.stats,
-    })
+    let round = |i: usize, v: i64| round_to_multiple_randomized(v, scale, seed, i);
+    let name = "OPT-A-ROUNDED(rand)";
+    build_rounded(ps, values, buckets, scale, round, name, budget)
 }
 
 /// Builds OPT-A-ROUNDED with explicit scale `x ≥ 1`.
 ///
 /// The returned histogram follows Definition 3 exactly: its stored values
 /// are `x` times the scaled-data bucket averages (not re-fit to the original
-/// data), and its SSE is measured against the original data.
-pub fn build_opt_a_rounded(
-    ps: &PrefixSums,
-    values: &[i64],
-    buckets: usize,
-    scale: i64,
-) -> Result<OptARoundedResult> {
-    build_opt_a_rounded_with_budget(ps, values, buckets, scale, &Budget::unlimited())
-}
-
-/// [`build_opt_a_rounded`] under execution control: the inner scaled DP
-/// (and its `O(n⁴)` rounded cost table, the true hot spot) charge the
-/// budget. Bit-identical with [`Budget::unlimited`].
+/// data), and its SSE is measured against the original data. The inner
+/// scaled DP (and its `O(n⁴)` rounded cost table, the true hot spot) charge
+/// `budget` and abort with its error once it is exhausted.
 pub fn build_opt_a_rounded_with_budget(
     ps: &PrefixSums,
     values: &[i64],
     buckets: usize,
     scale: i64,
+    budget: &Budget,
+) -> Result<OptARoundedResult> {
+    let round = |_: usize, v: i64| round_to_multiple(v, scale);
+    build_rounded(ps, values, buckets, scale, round, "OPT-A-ROUNDED", budget)
+}
+
+/// The Definition 3 pipeline shared by both rounding rules: divide the data
+/// with `round(position, value)`, run OPT-A on the result, and multiply the
+/// bucket averages back through by `scale`.
+fn build_rounded(
+    ps: &PrefixSums,
+    values: &[i64],
+    buckets: usize,
+    scale: i64,
+    round: impl Fn(usize, i64) -> i64,
+    name: &str,
     budget: &Budget,
 ) -> Result<OptARoundedResult> {
     if scale < 1 {
@@ -137,7 +120,8 @@ pub fn build_opt_a_rounded_with_budget(
     }
     let scaled: Vec<i64> = values
         .iter()
-        .map(|&v| round_to_multiple(v, scale))
+        .enumerate()
+        .map(|(i, &v)| round(i, v))
         .collect();
     let scaled_ps = PrefixSums::from_values(&scaled);
     // The DP runs on the divided data; RoundingMode::NearestInt keeps Λ
@@ -155,7 +139,7 @@ pub fn build_opt_a_rounded_with_budget(
         .iter()
         .map(|(l, r)| scale as f64 * scaled_ps.range_sum(l, r) as f64 / (r - l + 1) as f64)
         .collect();
-    let histogram = ValueHistogram::new(bucketing, vals, "OPT-A-ROUNDED")?;
+    let histogram = ValueHistogram::new(bucketing, vals, name)?;
     let sse = sse_value_histogram(histogram.xprefix(), ps);
     Ok(OptARoundedResult {
         histogram,
@@ -183,18 +167,7 @@ pub fn scale_for_epsilon(values: &[i64], eps: f64) -> Result<i64> {
     Ok(((eps * mean).floor() as i64).max(1))
 }
 
-/// Convenience wrapper: OPT-A-ROUNDED with `ε`-derived scale.
-pub fn build_opt_a_rounded_eps(
-    ps: &PrefixSums,
-    values: &[i64],
-    buckets: usize,
-    eps: f64,
-) -> Result<OptARoundedResult> {
-    let scale = scale_for_epsilon(values, eps)?;
-    build_opt_a_rounded(ps, values, buckets, scale)
-}
-
-/// [`build_opt_a_rounded_eps`] under execution control.
+/// OPT-A-ROUNDED with the scale [`scale_for_epsilon`] derives from `eps`.
 pub fn build_opt_a_rounded_eps_with_budget(
     ps: &PrefixSums,
     values: &[i64],
@@ -209,6 +182,7 @@ pub fn build_opt_a_rounded_eps_with_budget(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::opta::build_opt_a;
     use synoptic_core::{RangeEstimator, RoundingMode};
 
     fn ps(vals: &[i64]) -> PrefixSums {
@@ -219,7 +193,7 @@ mod tests {
     fn scale_one_reduces_to_plain_opt_a_boundaries() {
         let vals = vec![12i64, 9, 4, 1, 1, 0, 2, 14, 13, 6];
         let p = ps(&vals);
-        let r = build_opt_a_rounded(&p, &vals, 3, 1).unwrap();
+        let r = build_opt_a_rounded_with_budget(&p, &vals, 3, 1, &Budget::unlimited()).unwrap();
         let plain = build_opt_a(&p, &OptAConfig::exact(3, RoundingMode::NearestInt)).unwrap();
         assert_eq!(
             r.histogram.bucketing().starts(),
@@ -240,6 +214,15 @@ mod tests {
     }
 
     #[test]
+    fn rounding_to_multiples_does_not_overflow_at_huge_scales() {
+        // `2·|r|` would overflow here: r = i64::MAX − 1.
+        assert_eq!(round_to_multiple(i64::MAX - 1, i64::MAX), 1);
+        assert_eq!(round_to_multiple(-(i64::MAX - 1), i64::MAX), -1);
+        assert_eq!(round_to_multiple(i64::MAX / 2, i64::MAX), 0);
+        assert_eq!(round_to_multiple(-(i64::MAX / 2), i64::MAX), 0);
+    }
+
+    #[test]
     fn quality_degrades_gracefully_with_scale() {
         let vals = vec![120i64, 90, 40, 10, 10, 0, 20, 140, 130, 60, 20, 10];
         let p = ps(&vals);
@@ -249,8 +232,9 @@ mod tests {
         // original — so it may even edge out the average-valued optimum
         // (the same slack the reopt step exploits). The meaningful property
         // is Theorem 4's: a small scale stays within a small factor of OPT-A.
-        let fine = build_opt_a_rounded(&p, &vals, 3, 2).unwrap();
-        let coarse = build_opt_a_rounded(&p, &vals, 3, 8).unwrap();
+        let unlimited = Budget::unlimited();
+        let fine = build_opt_a_rounded_with_budget(&p, &vals, 3, 2, &unlimited).unwrap();
+        let coarse = build_opt_a_rounded_with_budget(&p, &vals, 3, 8, &unlimited).unwrap();
         assert!(
             fine.sse <= exact.sse * 1.5 + 1e-6,
             "fine {} vs exact {}",
@@ -265,7 +249,8 @@ mod tests {
         );
         // The reopt lower bound over the same boundaries holds in both
         // directions: reopt(boundaries) ≤ any value assignment.
-        let re = crate::reopt::reoptimize(fine.histogram.bucketing(), &p, "R").unwrap();
+        let bucketing = fine.histogram.bucketing();
+        let re = crate::reopt::reoptimize_with_budget(bucketing, &p, "R", &unlimited).unwrap();
         assert!(re.sse <= fine.sse + 1e-6);
     }
 
@@ -284,7 +269,8 @@ mod tests {
     fn eps_wrapper_runs_end_to_end() {
         let vals = vec![120i64, 90, 40, 10, 10, 0, 20, 140, 130, 60];
         let p = ps(&vals);
-        let r = build_opt_a_rounded_eps(&p, &vals, 3, 0.2).unwrap();
+        let r =
+            build_opt_a_rounded_eps_with_budget(&p, &vals, 3, 0.2, &Budget::unlimited()).unwrap();
         assert!(r.sse.is_finite());
         assert!(r.scale >= 1);
         assert_eq!(r.histogram.method_name(), "OPT-A-ROUNDED");
@@ -313,20 +299,20 @@ mod tests {
     fn randomized_variant_builds_and_is_deterministic_per_seed() {
         let vals = vec![123i64, 91, 38, 11, 9, 2, 21, 139, 131, 62, 19, 8];
         let p = ps(&vals);
-        let a = build_opt_a_rounded_randomized(&p, &vals, 3, 4, 7).unwrap();
-        let b = build_opt_a_rounded_randomized(&p, &vals, 3, 4, 7).unwrap();
+        let a = build_opt_a_rounded_randomized(&p, &vals, 3, 4, 7, &Budget::unlimited()).unwrap();
+        let b = build_opt_a_rounded_randomized(&p, &vals, 3, 4, 7, &Budget::unlimited()).unwrap();
         assert_eq!(a.sse, b.sse);
         assert_eq!(a.histogram.method_name(), "OPT-A-ROUNDED(rand)");
         // And it stays in the same quality ballpark as the deterministic one.
-        let det = build_opt_a_rounded(&p, &vals, 3, 4).unwrap();
+        let det = build_opt_a_rounded_with_budget(&p, &vals, 3, 4, &Budget::unlimited()).unwrap();
         assert!(a.sse <= det.sse * 10.0 + 1e-6 && det.sse <= a.sse * 10.0 + 1e-6);
-        assert!(build_opt_a_rounded_randomized(&p, &vals, 3, 0, 7).is_err());
+        assert!(build_opt_a_rounded_randomized(&p, &vals, 3, 0, 7, &Budget::unlimited()).is_err());
     }
 
     #[test]
     fn rejects_bad_scale() {
         let vals = vec![1i64, 2, 3];
         let p = ps(&vals);
-        assert!(build_opt_a_rounded(&p, &vals, 2, 0).is_err());
+        assert!(build_opt_a_rounded_with_budget(&p, &vals, 2, 0, &Budget::unlimited()).is_err());
     }
 }

@@ -30,16 +30,9 @@ pub struct ReoptResult {
     pub sse: f64,
 }
 
-/// Builds the normal-equation system `(Q, rhs)` for the given boundaries.
-/// Exposed for tests and diagnostics.
-pub fn normal_equations(bucketing: &Bucketing, ps: &PrefixSums) -> (Matrix, Vec<f64>) {
-    normal_equations_with_budget(bucketing, ps, &Budget::unlimited())
-        .expect("unlimited budget cannot fail")
-}
-
-/// [`normal_equations`] under execution control: charges one checkpoint per
-/// position row (`O(B²)` work units each). Bit-identical with
-/// [`Budget::unlimited`].
+/// Builds the normal-equation system `(Q, rhs)` for the given boundaries,
+/// charging `budget` one checkpoint per position row (`O(B²)` work units
+/// each). Exposed for tests and diagnostics.
 pub fn normal_equations_with_budget(
     bucketing: &Bucketing,
     ps: &PrefixSums,
@@ -91,12 +84,7 @@ pub fn normal_equations_with_budget(
 
 /// Re-optimizes the per-bucket values of any bucketing for the all-ranges
 /// SSE. `base_name` labels the result (e.g. `"OPT-A"` → `"OPT-A-reopt"`).
-pub fn reoptimize(bucketing: &Bucketing, ps: &PrefixSums, base_name: &str) -> Result<ReoptResult> {
-    reoptimize_with_budget(bucketing, ps, base_name, &Budget::unlimited())
-}
-
-/// [`reoptimize`] under execution control; bit-identical with
-/// [`Budget::unlimited`], aborts with the budget's error otherwise.
+/// Aborts with the budget's error once `budget` is exhausted.
 pub fn reoptimize_with_budget(
     bucketing: &Bucketing,
     ps: &PrefixSums,
@@ -151,7 +139,7 @@ mod tests {
         let p = ps(&vals);
         for starts in [vec![0usize], vec![0, 4], vec![0, 2, 7], vec![0, 1, 5, 8]] {
             let b = Bucketing::new(vals.len(), starts).unwrap();
-            let (q, rhs) = normal_equations(&b, &p);
+            let (q, rhs) = normal_equations_with_budget(&b, &p, &Budget::unlimited()).unwrap();
             let (bq, brhs) = brute_normal_equations(&b, &p);
             for t in 0..b.num_buckets() {
                 assert!(
@@ -179,7 +167,7 @@ mod tests {
             let b = Bucketing::new(vals.len(), starts).unwrap();
             let avg = ValueHistogram::with_averages(b.clone(), &p, "avg").unwrap();
             let base = sse_value_histogram(avg.xprefix(), &p);
-            let r = reoptimize(&b, &p, "OPT-A").unwrap();
+            let r = reoptimize_with_budget(&b, &p, "OPT-A", &Budget::unlimited()).unwrap();
             assert!(
                 r.sse <= base + 1e-6,
                 "reopt {} must be ≤ averages {base}",
@@ -194,7 +182,7 @@ mod tests {
         let vals = vec![5i64, 1, 8, 8, 2, 9, 0, 3];
         let p = ps(&vals);
         let b = Bucketing::new(8, vec![0, 3, 6]).unwrap();
-        let r = reoptimize(&b, &p, "X").unwrap();
+        let r = reoptimize_with_budget(&b, &p, "X", &Budget::unlimited()).unwrap();
         let base = r.sse;
         for t in 0..3 {
             for delta in [-0.1, 0.1] {
@@ -215,7 +203,7 @@ mod tests {
         let vals = vec![7i64, 2, 9, 4, 4, 6, 1, 8];
         let p = ps(&vals);
         let b = Bucketing::new(8, vec![0, 3, 5]).unwrap();
-        let r = reoptimize(&b, &p, "EQ").unwrap();
+        let r = reoptimize_with_budget(&b, &p, "EQ", &Budget::unlimited()).unwrap();
         let brute = sse_brute(&r.histogram, &p);
         assert!((r.sse - brute).abs() <= 1e-6 * (1.0 + brute));
         assert_eq!(r.histogram.method_name(), "EQ-reopt");
@@ -228,7 +216,7 @@ mod tests {
         let vals = vec![4i64, 9, 2];
         let p = ps(&vals);
         let b = Bucketing::single(3).unwrap();
-        let r = reoptimize(&b, &p, "N").unwrap();
+        let r = reoptimize_with_budget(&b, &p, "N", &Budget::unlimited()).unwrap();
         let (mut num, mut den) = (0.0, 0.0);
         for q in RangeQuery::all(3) {
             let len = q.len() as f64;
@@ -243,7 +231,7 @@ mod tests {
         let vals = vec![0i64; 6];
         let p = ps(&vals);
         let b = Bucketing::new(6, vec![0, 3]).unwrap();
-        let r = reoptimize(&b, &p, "Z").unwrap();
+        let r = reoptimize_with_budget(&b, &p, "Z", &Budget::unlimited()).unwrap();
         assert!(r.sse < 1e-9);
         for v in r.histogram.values() {
             assert!(v.abs() < 1e-9);

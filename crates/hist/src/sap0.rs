@@ -1,6 +1,6 @@
 //! Optimal SAP0 construction (paper Theorem 6).
 
-use crate::dp::{optimal_bucketing, optimal_bucketing_with_budget};
+use crate::dp::optimal_bucketing_with_budget;
 use synoptic_core::window::WindowOracle;
 use synoptic_core::{Budget, PrefixSums, Result, Sap0Histogram};
 
@@ -24,22 +24,15 @@ pub fn sap0_bucket_cost(oracle: &WindowOracle, n: usize, l: usize, r: usize) -> 
 
 /// Builds the SSE-optimal SAP0 histogram with at most `buckets` buckets
 /// (Theorem 6) in O(n²) cost-oracle calls plus O(n²B) f64 min-plus steps,
-/// O(nB) memory plus an O(n) column. Both the boundaries and the summary
-/// values are simultaneously optimal (Lemma 5).
-pub fn build_sap0(ps: &PrefixSums, buckets: usize) -> Result<Sap0Histogram> {
-    let oracle = WindowOracle::new(ps);
-    let n = ps.n();
-    let sol = optimal_bucketing(n, buckets, |l, r| sap0_bucket_cost(&oracle, n, l, r))?;
-    Sap0Histogram::optimal_values(sol.bucketing, ps)
-}
-
-/// [`build_sap0`] under execution control; bit-identical with
-/// [`Budget::unlimited`], aborts with the budget's error otherwise.
+/// O(nB) memory plus an O(n) column, and returns it with the DP objective
+/// (= its exact SSE). Both the boundaries and the summary values are
+/// simultaneously optimal (Lemma 5). The DP charges `budget` at every cell
+/// and aborts with the budget's error once it is exhausted.
 pub fn build_sap0_with_budget(
     ps: &PrefixSums,
     buckets: usize,
     budget: &Budget,
-) -> Result<Sap0Histogram> {
+) -> Result<(Sap0Histogram, f64)> {
     let oracle = WindowOracle::new(ps);
     let n = ps.n();
     let sol = optimal_bucketing_with_budget(
@@ -48,16 +41,14 @@ pub fn build_sap0_with_budget(
         |l, r| sap0_bucket_cost(&oracle, n, l, r),
         budget,
     )?;
-    Sap0Histogram::optimal_values(sol.bucketing, ps)
-}
-
-/// Builds SAP0 and also returns the DP objective (= the exact SSE).
-pub fn build_sap0_with_sse(ps: &PrefixSums, buckets: usize) -> Result<(Sap0Histogram, f64)> {
-    let oracle = WindowOracle::new(ps);
-    let n = ps.n();
-    let sol = optimal_bucketing(n, buckets, |l, r| sap0_bucket_cost(&oracle, n, l, r))?;
     let h = Sap0Histogram::optimal_values(sol.bucketing, ps)?;
     Ok((h, sol.objective))
+}
+
+/// [`build_sap0_with_budget`] with [`Budget::unlimited`]. Kept only because
+/// the repository benchmark (`perfbench`) pins this signature.
+pub fn build_sap0_with_sse(ps: &PrefixSums, buckets: usize) -> Result<(Sap0Histogram, f64)> {
+    build_sap0_with_budget(ps, buckets, &Budget::unlimited())
 }
 
 #[cfg(test)]

@@ -1,6 +1,6 @@
 //! Optimal SAP1 construction (paper Theorem 8).
 
-use crate::dp::{optimal_bucketing, optimal_bucketing_with_budget};
+use crate::dp::optimal_bucketing_with_budget;
 use synoptic_core::window::WindowOracle;
 use synoptic_core::{Budget, PrefixSums, Result, Sap1Histogram};
 
@@ -16,18 +16,14 @@ pub fn sap1_bucket_cost(oracle: &WindowOracle, n: usize, l: usize, r: usize) -> 
 
 /// Builds the SSE-optimal SAP1 histogram with at most `buckets` buckets
 /// (Theorem 8) in O(n²) cost-oracle calls plus O(n²B) f64 min-plus steps,
-/// O(nB) memory plus an O(n) column.
-pub fn build_sap1(ps: &PrefixSums, buckets: usize) -> Result<Sap1Histogram> {
-    Ok(build_sap1_with_sse(ps, buckets)?.0)
-}
-
-/// [`build_sap1`] under execution control; bit-identical with
-/// [`Budget::unlimited`], aborts with the budget's error otherwise.
+/// O(nB) memory plus an O(n) column, and returns it with the DP objective
+/// (= its exact SSE). The DP charges `budget` at every cell and aborts
+/// with the budget's error once it is exhausted.
 pub fn build_sap1_with_budget(
     ps: &PrefixSums,
     buckets: usize,
     budget: &Budget,
-) -> Result<Sap1Histogram> {
+) -> Result<(Sap1Histogram, f64)> {
     let oracle = WindowOracle::new(ps);
     let n = ps.n();
     let sol = optimal_bucketing_with_budget(
@@ -36,14 +32,6 @@ pub fn build_sap1_with_budget(
         |l, r| sap1_bucket_cost(&oracle, n, l, r),
         budget,
     )?;
-    Sap1Histogram::optimal_values(sol.bucketing, ps)
-}
-
-/// Builds SAP1 and also returns the DP objective (= the exact SSE).
-pub fn build_sap1_with_sse(ps: &PrefixSums, buckets: usize) -> Result<(Sap1Histogram, f64)> {
-    let oracle = WindowOracle::new(ps);
-    let n = ps.n();
-    let sol = optimal_bucketing(n, buckets, |l, r| sap1_bucket_cost(&oracle, n, l, r))?;
     let h = Sap1Histogram::optimal_values(sol.bucketing, ps)?;
     Ok((h, sol.objective))
 }
@@ -60,7 +48,7 @@ mod tests {
         let vals = vec![12i64, 9, 4, 1, 1, 0, 2, 14, 13, 6, 2, 1];
         let ps = PrefixSums::from_values(&vals);
         for b in 1..=5 {
-            let (h, obj) = build_sap1_with_sse(&ps, b).unwrap();
+            let (h, obj) = build_sap1_with_budget(&ps, b, &Budget::unlimited()).unwrap();
             let brute = sse_brute(&h, &ps);
             assert!(
                 (obj - brute).abs() <= 1e-6 * (1.0 + brute),
@@ -76,7 +64,7 @@ mod tests {
         let vals = vec![3i64, 1, 4, 1, 5, 9, 2, 6, 5, 3, 5, 8, 9, 7];
         let ps = PrefixSums::from_values(&vals);
         for b in 1..=6 {
-            let (_, s1) = build_sap1_with_sse(&ps, b).unwrap();
+            let (_, s1) = build_sap1_with_budget(&ps, b, &Budget::unlimited()).unwrap();
             let (_, s0) = build_sap0_with_sse(&ps, b).unwrap();
             assert!(s1 <= s0 + 1e-6, "b={b}: SAP1 {s1} > SAP0 {s0}");
         }
@@ -88,7 +76,7 @@ mod tests {
         // linear fit captures far more than a constant.
         let vals: Vec<i64> = (0..16).map(|i| 10 * i).collect();
         let ps = PrefixSums::from_values(&vals);
-        let (_, s1) = build_sap1_with_sse(&ps, 2).unwrap();
+        let (_, s1) = build_sap1_with_budget(&ps, 2, &Budget::unlimited()).unwrap();
         let (_, s0) = build_sap0_with_sse(&ps, 2).unwrap();
         assert!(
             s1 < s0 * 0.5,
@@ -102,7 +90,7 @@ mod tests {
         let ps = PrefixSums::from_values(&vals);
         let mut prev = f64::INFINITY;
         for b in 1..=6 {
-            let (_, sse) = build_sap1_with_sse(&ps, b).unwrap();
+            let (_, sse) = build_sap1_with_budget(&ps, b, &Budget::unlimited()).unwrap();
             assert!(sse <= prev + 1e-9, "b={b}");
             prev = sse;
         }

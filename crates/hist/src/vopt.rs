@@ -10,7 +10,7 @@
 //! for the weighted point objective); range queries are answered through the
 //! usual eq.-1 value-histogram procedure.
 
-use crate::dp::{optimal_bucketing, optimal_bucketing_with_budget};
+use crate::dp::optimal_bucketing_with_budget;
 use synoptic_core::window::WeightedPointOracle;
 use synoptic_core::{Bucketing, Budget, PrefixSums, Result, ValueHistogram};
 
@@ -27,31 +27,19 @@ pub enum PointWeighting {
 
 /// Builds the weighted V-optimal histogram with at most `buckets` buckets in
 /// O(n²) cost-oracle calls plus O(n²B) f64 min-plus steps, O(nB) memory plus
-/// an O(n) column; stored values are the weighted bucket means.
-pub fn build_point_opt(
-    values: &[i64],
-    ps: &PrefixSums,
-    buckets: usize,
-    weighting: PointWeighting,
-) -> Result<ValueHistogram> {
-    Ok(build_point_opt_with_objective(values, ps, buckets, weighting)?.0)
-}
-
-/// [`build_point_opt`] under execution control; bit-identical with
-/// [`Budget::unlimited`], aborts with the budget's error otherwise.
+/// an O(n) column; stored values are the weighted bucket means. Returns the
+/// histogram with the weighted point-query objective the DP minimized (not
+/// the range SSE!). The DP charges `budget` at every cell and aborts with
+/// the budget's error once it is exhausted.
 pub fn build_point_opt_with_budget(
     values: &[i64],
-    ps: &PrefixSums,
     buckets: usize,
     weighting: PointWeighting,
     budget: &Budget,
-) -> Result<ValueHistogram> {
-    let oracle = match weighting {
-        PointWeighting::Uniform => WeightedPointOracle::uniform(values),
-        PointWeighting::RangeInclusion => WeightedPointOracle::range_inclusion(values),
-    };
-    let n = values.len();
-    let sol = optimal_bucketing_with_budget(n, buckets, |l, r| oracle.cost(l, r), budget)?;
+) -> Result<(ValueHistogram, f64)> {
+    let oracle = point_oracle(values, weighting);
+    let sol =
+        optimal_bucketing_with_budget(values.len(), buckets, |l, r| oracle.cost(l, r), budget)?;
     let vals: Vec<f64> = sol
         .bucketing
         .iter()
@@ -62,45 +50,32 @@ pub fn build_point_opt_with_budget(
         PointWeighting::RangeInclusion => "POINT-OPT",
     };
     let h = ValueHistogram::new(sol.bucketing, vals, name)?;
-    let _ = ps; // kept in the signature for API symmetry with other builders
-    Ok(h)
+    Ok((h, sol.objective))
 }
 
-/// As [`build_point_opt`], also returning the weighted point-query objective
-/// the DP minimized (not the range SSE!).
-pub fn build_point_opt_with_objective(
+/// [`build_point_opt_with_budget`]'s histogram with [`Budget::unlimited`].
+/// Kept, with its unused prefix-sum argument, only because the repository
+/// benchmark (`perfbench`) pins this signature.
+pub fn build_point_opt(
     values: &[i64],
-    ps: &PrefixSums,
+    _ps: &PrefixSums,
     buckets: usize,
     weighting: PointWeighting,
-) -> Result<(ValueHistogram, f64)> {
-    let oracle = match weighting {
+) -> Result<ValueHistogram> {
+    Ok(build_point_opt_with_budget(values, buckets, weighting, &Budget::unlimited())?.0)
+}
+
+fn point_oracle(values: &[i64], weighting: PointWeighting) -> WeightedPointOracle {
+    match weighting {
         PointWeighting::Uniform => WeightedPointOracle::uniform(values),
         PointWeighting::RangeInclusion => WeightedPointOracle::range_inclusion(values),
-    };
-    let n = values.len();
-    let sol = optimal_bucketing(n, buckets, |l, r| oracle.cost(l, r))?;
-    let vals: Vec<f64> = sol
-        .bucketing
-        .iter()
-        .map(|(l, r)| oracle.wmean(l, r))
-        .collect();
-    let name = match weighting {
-        PointWeighting::Uniform => "V-OPT",
-        PointWeighting::RangeInclusion => "POINT-OPT",
-    };
-    let h = ValueHistogram::new(sol.bucketing, vals, name)?;
-    let _ = ps; // kept in the signature for API symmetry with other builders
-    Ok((h, sol.objective))
+    }
 }
 
 /// Weighted point-query SSE of an arbitrary bucketing with weighted-mean
 /// values (for tests and diagnostics).
 pub fn weighted_point_sse(values: &[i64], bucketing: &Bucketing, weighting: PointWeighting) -> f64 {
-    let oracle = match weighting {
-        PointWeighting::Uniform => WeightedPointOracle::uniform(values),
-        PointWeighting::RangeInclusion => WeightedPointOracle::range_inclusion(values),
-    };
+    let oracle = point_oracle(values, weighting);
     bucketing.iter().map(|(l, r)| oracle.cost(l, r)).sum()
 }
 
@@ -116,9 +91,9 @@ mod tests {
     #[test]
     fn uniform_vopt_minimizes_point_sse() {
         let vals = vec![1i64, 1, 1, 50, 50, 50, 2, 2];
-        let p = ps(&vals);
         let (h, obj) =
-            build_point_opt_with_objective(&vals, &p, 3, PointWeighting::Uniform).unwrap();
+            build_point_opt_with_budget(&vals, 3, PointWeighting::Uniform, &Budget::unlimited())
+                .unwrap();
         // Perfect split: [0..2], [3..5], [6..7] ⇒ zero point error.
         assert!(obj < 1e-9, "objective {obj}");
         let point_sse: f64 = (0..8)
@@ -134,10 +109,10 @@ mod tests {
     #[test]
     fn dp_objective_matches_recomputed_cost() {
         let vals = vec![3i64, 9, 1, 7, 2, 8, 5, 5, 0, 4];
-        let p = ps(&vals);
         for w in [PointWeighting::Uniform, PointWeighting::RangeInclusion] {
             for b in 1..=4 {
-                let (h, obj) = build_point_opt_with_objective(&vals, &p, b, w).unwrap();
+                let (h, obj) =
+                    build_point_opt_with_budget(&vals, b, w, &Budget::unlimited()).unwrap();
                 let recomputed = weighted_point_sse(&vals, h.bucketing(), w);
                 assert!(
                     (obj - recomputed).abs() <= 1e-6 * (1.0 + obj),
@@ -181,12 +156,15 @@ mod tests {
     #[test]
     fn more_buckets_never_hurt_the_point_objective() {
         let vals = vec![7i64, 3, 9, 9, 1, 0, 2, 8, 4, 4, 6, 1];
-        let p = ps(&vals);
         let mut prev = f64::INFINITY;
         for b in 1..=8 {
-            let (_, obj) =
-                build_point_opt_with_objective(&vals, &p, b, PointWeighting::RangeInclusion)
-                    .unwrap();
+            let (_, obj) = build_point_opt_with_budget(
+                &vals,
+                b,
+                PointWeighting::RangeInclusion,
+                &Budget::unlimited(),
+            )
+            .unwrap();
             assert!(obj <= prev + 1e-9, "b={b}");
             prev = obj;
         }

@@ -25,10 +25,12 @@
 //! the `n + 1` distinct corners once.
 
 use synoptic_core::sse::sse_workload;
-use synoptic_core::{Bucketing, PrefixSums, RangeQuery, Result, SynopticError, ValueHistogram};
+use synoptic_core::{
+    Bucketing, Budget, PrefixSums, RangeQuery, Result, SynopticError, ValueHistogram,
+};
 use synoptic_linalg::{solve_spd_with_ridge, Matrix};
 
-use crate::local_search::local_search;
+use crate::local_search::local_search_with_budget;
 
 /// Builds `(Q, rhs)` for `min_x Σ_{q∈W} (s_q − c_qᵀx)²` over the given
 /// boundaries.
@@ -125,7 +127,7 @@ pub fn optimize_for_workload(
             Err(_) => f64::INFINITY,
         }
     };
-    let searched = local_search(seed, cost, max_passes)?;
+    let searched = local_search_with_budget(seed, cost, max_passes, &Budget::unlimited())?;
     let histogram = reoptimize_for_workload(&searched.bucketing, ps, queries, name)?;
     let sse = sse_workload(&histogram, ps, queries);
     Ok(WorkloadOptResult {
@@ -138,7 +140,7 @@ pub fn optimize_for_workload(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::reopt::{normal_equations, reoptimize};
+    use crate::reopt::{normal_equations_with_budget, reoptimize_with_budget};
     use synoptic_core::RangeEstimator;
 
     fn ps(vals: &[i64]) -> PrefixSums {
@@ -177,7 +179,7 @@ mod tests {
         let p = ps(&vals);
         let b = Bucketing::new(10, vec![0, 3, 7]).unwrap();
         let (q1, r1) = workload_normal_equations(&b, &p, &all_queries(10)).unwrap();
-        let (q2, r2) = normal_equations(&b, &p);
+        let (q2, r2) = normal_equations_with_budget(&b, &p, &Budget::unlimited()).unwrap();
         for t in 0..3 {
             assert!(
                 (r1[t] - r2[t]).abs() <= 1e-6 * (1.0 + r2[t].abs()),
@@ -191,7 +193,7 @@ mod tests {
             }
         }
         let h1 = reoptimize_for_workload(&b, &p, &all_queries(10), "W").unwrap();
-        let h2 = reoptimize(&b, &p, "A").unwrap();
+        let h2 = reoptimize_with_budget(&b, &p, "A", &Budget::unlimited()).unwrap();
         for (a, c) in h1.values().iter().zip(h2.histogram.values()) {
             assert!((a - c).abs() < 1e-6);
         }
@@ -221,7 +223,7 @@ mod tests {
         let b = Bucketing::new(16, vec![0, 5, 11]).unwrap();
         let prefixes = prefix_queries(16);
         let tuned = reoptimize_for_workload(&b, &p, &prefixes, "P").unwrap();
-        let generic = reoptimize(&b, &p, "A").unwrap();
+        let generic = reoptimize_with_budget(&b, &p, "A", &Budget::unlimited()).unwrap();
         let t = sse_workload(&tuned, &p, &prefixes);
         let g = sse_workload(&generic.histogram, &p, &prefixes);
         assert!(t <= g + 1e-6, "tuned {t} vs generic {g}");

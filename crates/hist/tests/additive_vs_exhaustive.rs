@@ -8,11 +8,11 @@
 //! the same float — the assertions compare bits, not a tolerance.
 
 use synoptic_core::window::{WeightedPointOracle, WindowOracle};
-use synoptic_core::{Bucketing, PrefixSums};
-use synoptic_hist::a0::{a0_bucket_cost, build_a0_with_objective};
+use synoptic_core::{Bucketing, Budget, PrefixSums};
+use synoptic_hist::a0::{a0_bucket_cost, build_a0_with_budget};
 use synoptic_hist::exhaustive::exhaustive_optimal;
-use synoptic_hist::sap1::{build_sap1_with_sse, sap1_bucket_cost};
-use synoptic_hist::vopt::{build_point_opt_with_objective, PointWeighting};
+use synoptic_hist::sap1::{build_sap1_with_budget, sap1_bucket_cost};
+use synoptic_hist::vopt::{build_point_opt_with_budget, PointWeighting};
 
 /// The signed datasets of the workspace's `tests/negative_data.rs`, plus a
 /// 12-key column whose values sit near `2⁴⁰ / 12`, so the total is just
@@ -66,7 +66,11 @@ fn sap1_dp_objective_is_the_exhaustive_optimum() {
             "SAP1",
             &vals,
             |l, r| sap1_bucket_cost(&oracle, n, l, r),
-            |b| build_sap1_with_sse(&ps, b).unwrap().1,
+            |b| {
+                build_sap1_with_budget(&ps, b, &Budget::unlimited())
+                    .unwrap()
+                    .1
+            },
         );
     }
 }
@@ -81,7 +85,11 @@ fn a0_dp_objective_is_the_exhaustive_optimum() {
             "A0",
             &vals,
             |l, r| a0_bucket_cost(&oracle, n, l, r),
-            |b| build_a0_with_objective(&ps, b).unwrap().1,
+            |b| {
+                build_a0_with_budget(&ps, b, &Budget::unlimited())
+                    .unwrap()
+                    .1
+            },
         );
     }
 }
@@ -89,7 +97,6 @@ fn a0_dp_objective_is_the_exhaustive_optimum() {
 #[test]
 fn point_opt_dp_objective_is_the_exhaustive_optimum() {
     for vals in datasets() {
-        let ps = PrefixSums::from_values(&vals);
         for (weighting, oracle) in [
             (
                 PointWeighting::RangeInclusion,
@@ -102,7 +109,7 @@ fn point_opt_dp_objective_is_the_exhaustive_optimum() {
                 &vals,
                 |l, r| oracle.cost(l, r),
                 |b| {
-                    build_point_opt_with_objective(&vals, &ps, b, weighting)
+                    build_point_opt_with_budget(&vals, b, weighting, &Budget::unlimited())
                         .unwrap()
                         .1
                 },

@@ -12,9 +12,7 @@
 
 use synoptic_core::rng::Rng;
 use synoptic_core::{Budget, CancelToken, PrefixSums, RangeEstimator, RangeQuery, SynopticError};
-use synoptic_hist::builder::{
-    build, build_anytime, build_with_budget, AnytimeParams, HistogramMethod,
-};
+use synoptic_hist::builder::{build_anytime, build_with_budget, AnytimeParams, HistogramMethod};
 
 const BUDGET_WORDS: usize = 10;
 
@@ -55,7 +53,14 @@ fn cancellation_at_every_checkpoint_is_all_or_nothing() {
         let total = opt_a_checkpoints(&values, &ps);
         assert!(total > 0, "case {case}: OPT-A observed no checkpoints");
 
-        let reference = build(HistogramMethod::OptA, &values, &ps, BUDGET_WORDS).unwrap();
+        let reference = build_with_budget(
+            HistogramMethod::OptA,
+            &values,
+            &ps,
+            BUDGET_WORDS,
+            &Budget::unlimited(),
+        )
+        .unwrap();
         let reference_bits = all_estimates_bits(reference.as_ref(), n);
 
         // k < total: the token trips mid-build. The contract is a bare

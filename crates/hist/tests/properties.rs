@@ -5,15 +5,15 @@
 use synoptic_core::rng::Rng;
 use synoptic_core::sse::{sse_brute, sse_value_histogram};
 use synoptic_core::{
-    OptAHistogram, PrefixSums, RangeEstimator, RoundingMode, Sap0Histogram, Sap1Histogram,
+    Budget, OptAHistogram, PrefixSums, RangeEstimator, RoundingMode, Sap0Histogram, Sap1Histogram,
     ValueHistogram,
 };
 use synoptic_hist::exhaustive::exhaustive_optimal;
 use synoptic_hist::opta::{build_opt_a, OptAConfig};
 use synoptic_hist::opta_warmup::build_opt_a_warmup;
-use synoptic_hist::reopt::reoptimize;
+use synoptic_hist::reopt::reoptimize_with_budget;
 use synoptic_hist::sap0::build_sap0_with_sse;
-use synoptic_hist::sap1::build_sap1_with_sse;
+use synoptic_hist::sap1::build_sap1_with_budget;
 
 const CASES: u64 = 32;
 
@@ -124,7 +124,7 @@ fn sap1_dp_is_globally_optimal() {
         let n = vals.len();
         let b = rand_budget(&mut rng, 4, n);
         let ps = PrefixSums::from_values(&vals);
-        let (h, _) = build_sap1_with_sse(&ps, b).unwrap();
+        let (h, _) = build_sap1_with_budget(&ps, b, &Budget::unlimited()).unwrap();
         let got = sse_brute(&h, &ps);
         let (_, best) = exhaustive_optimal(n, b, |bk| {
             sse_brute(
@@ -155,7 +155,7 @@ fn dp_objectives_equal_measured_sse() {
             (obj0 - sse_brute(&h0, &ps)).abs() <= 1e-6 * (1.0 + obj0),
             "case {case}"
         );
-        let (h1, obj1) = build_sap1_with_sse(&ps, b).unwrap();
+        let (h1, obj1) = build_sap1_with_budget(&ps, b, &Budget::unlimited()).unwrap();
         assert!(
             (obj1 - sse_brute(&h1, &ps)).abs() <= 1e-6 * (1.0 + obj1),
             "case {case}"
@@ -192,7 +192,8 @@ fn reopt_never_hurts_and_is_stationary() {
         let b = rand_budget(&mut rng, 5, n);
         let ps = PrefixSums::from_values(&vals);
         let base = build_opt_a(&ps, &OptAConfig::exact(b, RoundingMode::None)).unwrap();
-        let re = reoptimize(base.histogram.bucketing(), &ps, "O").unwrap();
+        let re = reoptimize_with_budget(base.histogram.bucketing(), &ps, "O", &Budget::unlimited())
+            .unwrap();
         assert!(
             re.sse <= base.sse + 1e-6 * (1.0 + base.sse),
             "case {case}: reopt {} vs base {}",

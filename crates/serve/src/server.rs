@@ -259,8 +259,8 @@ impl Server {
 
     /// Serves `handle` under its column name. Re-registering a name
     /// replaces the column (and starts a fresh cache); open connections
-    /// notice the replacement on their next batch (see [`CachedReader`])
-    /// and answer from it.
+    /// notice the replacement on their next batch (each connection's cached
+    /// reader compares the column's identity) and answer from it.
     pub fn register(&self, handle: ColumnHandle) {
         let capacity = self.inner.config.cache_capacity;
         lock(&self.inner.columns).insert(

@@ -195,6 +195,7 @@ impl StreamingRangeOptimal {
 mod tests {
     use super::*;
     use synoptic_core::sse::sse_brute;
+    use synoptic_core::Budget;
     use synoptic_core::{PrefixSums, RangeEstimator, RangeQuery};
 
     fn lcg(seed: &mut u64) -> u64 {
@@ -260,7 +261,7 @@ mod tests {
         }
         let ps = PrefixSums::from_values(&vals);
         let live = sr.snapshot(8);
-        let fresh = RangeOptimalWavelet::build(&ps, 8);
+        let fresh = RangeOptimalWavelet::build_with_budget(&ps, 8, &Budget::unlimited()).unwrap();
         for q in RangeQuery::all(vals.len()) {
             assert!(
                 (live.estimate(q) - fresh.estimate(q)).abs() < 1e-5,

@@ -539,7 +539,7 @@ where
 #[cfg(test)]
 mod tests {
     use super::*;
-    use synoptic_hist::sap0::build_sap0;
+    use synoptic_hist::sap0::build_sap0_with_budget;
 
     #[test]
     fn drift_exceeds_is_exact_at_the_2p53_boundary() {
@@ -597,7 +597,9 @@ mod tests {
             .with_persist_retries(20, Duration::from_millis(100))
             .with_persist_total_backoff(Duration::from_millis(5));
         let vals = vec![2i64; 4];
-        let est = build_sap0(&PrefixSums::from_values(&vals), 2).unwrap();
+        let (est, _) =
+            build_sap0_with_budget(&PrefixSums::from_values(&vals), 2, &Budget::unlimited())
+                .unwrap();
         let start = std::time::Instant::now();
         let report = persist_with_retry(&mut *persist, &est, &config);
         let elapsed = start.elapsed();

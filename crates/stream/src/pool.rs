@@ -1332,7 +1332,7 @@ mod tests {
 
     fn sap0_builder() -> ColumnBuild {
         ColumnBuild::Custom(Box::new(|_v: &[i64], ps: &PrefixSums, budget: &Budget| {
-            Ok(Box::new(build_sap0_with_budget(ps, 3, budget)?) as Box<dyn RangeEstimator>)
+            Ok(Box::new(build_sap0_with_budget(ps, 3, budget)?.0) as Box<dyn RangeEstimator>)
         }))
     }
 
@@ -1425,7 +1425,7 @@ mod tests {
                         ("cells", _) => 6,
                         _ => 3,
                     };
-                    Ok(Box::new(build_sap0_with_budget(ps, buckets, b)?)
+                    Ok(Box::new(build_sap0_with_budget(ps, buckets, b)?.0)
                         as Box<dyn RangeEstimator>)
                 }));
             let col = pool.add_column("c", &vals, build, config).unwrap();

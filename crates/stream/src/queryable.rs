@@ -76,7 +76,7 @@ mod tests {
 
     fn sap0_build() -> ColumnBuild {
         ColumnBuild::Custom(Box::new(|_v: &[i64], ps: &PrefixSums, b: &Budget| {
-            Ok(Box::new(build_sap0_with_budget(ps, 3, b)?) as Box<dyn RangeEstimator>)
+            Ok(Box::new(build_sap0_with_budget(ps, 3, b)?.0) as Box<dyn RangeEstimator>)
         }))
     }
 

@@ -44,7 +44,7 @@ fn maintained_with_store(
     let latest: Arc<Mutex<Option<Sap0Histogram>>> = Arc::new(Mutex::new(None));
     let latest_build = Arc::clone(&latest);
     let build = move |_v: &[i64], ps: &PrefixSums, budget: &Budget| {
-        let h = build_sap0_with_budget(ps, 4, budget)?;
+        let h = build_sap0_with_budget(ps, 4, budget)?.0;
         *latest_build.lock().unwrap() = Some(h.clone());
         Ok(Box::new(h) as Box<dyn RangeEstimator>)
     };

@@ -47,7 +47,7 @@ fn flaky_sap0_builder(
         if c > 0 && c.is_multiple_of(3) {
             return Err(SynopticError::DeadlineExceeded { elapsed_ms: 1 });
         }
-        let h = build_sap0_with_budget(ps, 4, budget)?;
+        let h = build_sap0_with_budget(ps, 4, budget)?.0;
         *latest.lock().unwrap() = Some(h.clone());
         Ok(Box::new(h) as Box<dyn RangeEstimator>)
     })
@@ -209,7 +209,7 @@ fn update_latency_is_unaffected_by_failing_persists() {
         let latest = Arc::clone(&latest);
         move |_v: &[i64], ps: &synoptic_core::PrefixSums, budget: &synoptic_core::Budget| {
             let _ = &calls;
-            let h = build_sap0_with_budget(ps, 4, budget)?;
+            let h = build_sap0_with_budget(ps, 4, budget)?.0;
             *latest.lock().unwrap() = Some(h.clone());
             Ok(Box::new(h) as Box<dyn RangeEstimator>)
         }

@@ -4,7 +4,7 @@
 
 use synoptic_core::rng::Rng;
 use synoptic_core::sse::sse_brute;
-use synoptic_core::{PrefixSums, RangeEstimator, RangeQuery};
+use synoptic_core::{Budget, PrefixSums, RangeEstimator, RangeQuery};
 use synoptic_stream::{Fenwick, StreamingHaar, StreamingRangeOptimal};
 use synoptic_wavelet::RangeOptimalWavelet;
 
@@ -75,7 +75,7 @@ fn streaming_range_optimal_snapshot_equals_rebuild() {
         let ps = PrefixSums::from_values(&reference);
         let b = 6;
         let live = sr.snapshot(b);
-        let scratch = RangeOptimalWavelet::build(&ps, b);
+        let scratch = RangeOptimalWavelet::build_with_budget(&ps, b, &Budget::unlimited()).unwrap();
         // Top-b selection can tie between coefficient sets of equal priority,
         // so the snapshots need not agree pointwise — but both must reach the
         // same optimal value of the objective they minimize (the virtual

@@ -68,7 +68,7 @@ fn stream(len: usize) -> Vec<(usize, i64)> {
 
 fn builder() -> impl FnMut(&[i64], &PrefixSums, &Budget) -> Result<Box<dyn RangeEstimator>> {
     |_vals: &[i64], ps: &PrefixSums, budget: &Budget| {
-        Ok(Box::new(build_sap0_with_budget(ps, 3, budget)?) as Box<dyn RangeEstimator>)
+        Ok(Box::new(build_sap0_with_budget(ps, 3, budget)?.0) as Box<dyn RangeEstimator>)
     }
 }
 

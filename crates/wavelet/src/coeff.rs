@@ -1,6 +1,20 @@
 //! Sparse coefficient sets: thresholding, reconstruction, and evaluation.
 
 use crate::haar::BasisFn;
+use synoptic_core::{Result, SynopticError};
+
+/// Coefficients affordable within `budget_words`: every retained
+/// coefficient stores an `(index, value)` pair, two words. Refuses a budget
+/// below one coefficient.
+pub fn coeffs_for_budget(budget_words: usize) -> Result<usize> {
+    if budget_words < 2 {
+        return Err(SynopticError::BudgetTooSmall {
+            words: budget_words,
+            minimum: 2,
+        });
+    }
+    Ok(budget_words / 2)
+}
 
 /// A sparse set of retained Haar coefficients over a (padded) domain of
 /// power-of-two length `n`.

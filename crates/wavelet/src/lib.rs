@@ -33,9 +33,9 @@ pub mod prefix_topb;
 pub mod range_greedy;
 pub mod range_optimal;
 
-pub use coeff::SparseCoeffs;
+pub use coeff::{coeffs_for_budget, SparseCoeffs};
 pub use merge::{lift_index, merge_point_wavelets, merge_sparse, MergeOutcome};
 pub use point_topb::PointWaveletSynopsis;
 pub use prefix_topb::PrefixWaveletSynopsis;
-pub use range_greedy::{build_range_greedy, build_range_greedy_with_budget};
+pub use range_greedy::build_range_greedy_with_budget;
 pub use range_optimal::RangeOptimalWavelet;

@@ -180,7 +180,7 @@ pub fn merge_point_wavelets(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use synoptic_core::RangeEstimator;
+    use synoptic_core::{Budget, RangeEstimator};
 
     fn transform(signal: &[f64]) -> Vec<f64> {
         let mut d = signal.to_vec();
@@ -294,7 +294,9 @@ mod tests {
         let values: Vec<i64> = (0..40).map(|i| (i * 11 + 3) % 19 - 4).collect();
         let parts: Vec<PointWaveletSynopsis> = values
             .chunks(16)
-            .map(|seg| PointWaveletSynopsis::build(seg, 16))
+            .map(|seg| {
+                PointWaveletSynopsis::build_with_budget(seg, 16, &Budget::unlimited()).unwrap()
+            })
             .collect();
         let refs: Vec<&PointWaveletSynopsis> = parts.iter().collect();
         let (merged, _) = merge_point_wavelets(&refs, usize::MAX).unwrap();
@@ -315,8 +317,10 @@ mod tests {
         assert!(merge_sparse(&[], 4).is_err());
         assert!(merge_sparse(&[&a, &c], 4).is_err());
         // A shorter *non-final* segment cannot merge at the synopsis level.
-        let w1 = PointWaveletSynopsis::build(&[1, 2, 3], 4); // n=3, padded 4
-        let w2 = PointWaveletSynopsis::build(&[4, 5, 6, 7], 4);
+        let unlimited = Budget::unlimited();
+        // n=3, padded 4
+        let w1 = PointWaveletSynopsis::build_with_budget(&[1, 2, 3], 4, &unlimited).unwrap();
+        let w2 = PointWaveletSynopsis::build_with_budget(&[4, 5, 6, 7], 4, &unlimited).unwrap();
         let e = merge_point_wavelets(&[&w1, &w2], 8);
         assert!(e.is_err());
         assert!(merge_point_wavelets(&[&w2, &w1], 8).is_ok());

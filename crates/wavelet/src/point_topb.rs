@@ -20,16 +20,9 @@ pub struct PointWaveletSynopsis {
 impl PointWaveletSynopsis {
     /// Builds the synopsis keeping `b` coefficients. The array is
     /// zero-padded to the next power of two (coefficient selection sees the
-    /// padding, as in the standard constructions).
-    pub fn build(values: &[i64], b: usize) -> Self {
-        Self::build_with_budget(values, b, &Budget::unlimited())
-            .expect("unlimited budget cannot fail")
-    }
-
-    /// [`PointWaveletSynopsis::build`] under execution control: one
-    /// checkpoint per phase (signal materialization, forward transform,
-    /// top-`b` selection). Bit-identical to [`PointWaveletSynopsis::build`]
-    /// with [`synoptic_core::Budget::unlimited`].
+    /// padding, as in the standard constructions). One `budget` checkpoint
+    /// per phase (signal materialization, forward transform, top-`b`
+    /// selection); aborts with the budget's error once it is exhausted.
     pub fn build_with_budget(values: &[i64], b: usize, budget: &Budget) -> Result<Self> {
         let n = values.len();
         let nn = next_pow2(n);
@@ -115,7 +108,7 @@ mod tests {
     fn full_coefficient_budget_is_exact() {
         let vals = vec![12i64, 9, 4, 1, 1, 0, 2, 14];
         let ps = PrefixSums::from_values(&vals);
-        let w = PointWaveletSynopsis::build(&vals, 8);
+        let w = PointWaveletSynopsis::build_with_budget(&vals, 8, &Budget::unlimited()).unwrap();
         assert!(sse_brute(&w, &ps) < 1e-9);
         for (r, &v) in w.reconstruct().iter().zip(&vals) {
             assert!((r - v as f64).abs() < 1e-9);
@@ -126,7 +119,7 @@ mod tests {
     fn non_pow2_padding_is_handled() {
         let vals = vec![3i64, 1, 4, 1, 5]; // padded to 8
         let ps = PrefixSums::from_values(&vals);
-        let w = PointWaveletSynopsis::build(&vals, 8);
+        let w = PointWaveletSynopsis::build_with_budget(&vals, 8, &Budget::unlimited()).unwrap();
         assert_eq!(w.n(), 5);
         assert!(sse_brute(&w, &ps) < 1e-9);
     }
@@ -136,7 +129,8 @@ mod tests {
         let vals = vec![12i64, 9, 4, 1, 1, 0, 2, 14, 13, 6];
         let ps = PrefixSums::from_values(&vals);
         for b in [1, 3, 5] {
-            let w = PointWaveletSynopsis::build(&vals, b);
+            let w =
+                PointWaveletSynopsis::build_with_budget(&vals, b, &Budget::unlimited()).unwrap();
             let fast = sse_value_histogram(&w.xprefix(), &ps);
             let brute = sse_brute(&w, &ps);
             assert!(
@@ -151,7 +145,8 @@ mod tests {
         let vals = vec![40i64, 1, 2, 1, 0, 0, 33, 35, 2, 1, 1, 0, 28, 3, 1, 2];
         let mut prev = f64::INFINITY;
         for b in [1, 2, 4, 8, 16] {
-            let w = PointWaveletSynopsis::build(&vals, b);
+            let w =
+                PointWaveletSynopsis::build_with_budget(&vals, b, &Budget::unlimited()).unwrap();
             let l2: f64 = w
                 .reconstruct()
                 .iter()
@@ -167,10 +162,8 @@ mod tests {
     fn budgeted_build_matches_and_aborts_cleanly() {
         use synoptic_core::{Budget, SynopticError};
         let vals = vec![12i64, 9, 4, 1, 1, 0, 2, 14];
-        let free = PointWaveletSynopsis::build(&vals, 4);
         let metered = Budget::unlimited();
-        let tracked = PointWaveletSynopsis::build_with_budget(&vals, 4, &metered).unwrap();
-        assert_eq!(free.reconstruct(), tracked.reconstruct());
+        PointWaveletSynopsis::build_with_budget(&vals, 4, &metered).unwrap();
         assert!(metered.cells_used() > 0);
         let capped = Budget::unlimited().with_max_cells(1);
         assert!(matches!(
@@ -182,7 +175,7 @@ mod tests {
     #[test]
     fn storage_counts_index_value_pairs() {
         let vals = vec![5i64, 5, 5, 5];
-        let w = PointWaveletSynopsis::build(&vals, 3);
+        let w = PointWaveletSynopsis::build_with_budget(&vals, 3, &Budget::unlimited()).unwrap();
         // Constant signal: only the scaling coefficient is non-zero.
         assert_eq!(w.storage_words(), 2);
         assert_eq!(w.method_name(), "WAVELET-POINT");

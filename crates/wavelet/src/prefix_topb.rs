@@ -22,15 +22,9 @@ impl PrefixWaveletSynopsis {
     /// Builds the synopsis keeping `b` coefficients of the prefix array,
     /// padded with the constant continuation `P[n]` (the prefix function is
     /// flat past the domain, unlike zero-padding which would fabricate a
-    /// cliff).
-    pub fn build(ps: &PrefixSums, b: usize) -> Self {
-        Self::build_with_budget(ps, b, &Budget::unlimited()).expect("unlimited budget cannot fail")
-    }
-
-    /// [`PrefixWaveletSynopsis::build`] under execution control: one
-    /// checkpoint per phase (signal materialization, forward transform,
-    /// top-`b` selection). Bit-identical to [`PrefixWaveletSynopsis::build`]
-    /// with [`synoptic_core::Budget::unlimited`].
+    /// cliff). One `budget` checkpoint per phase (signal materialization,
+    /// forward transform, top-`b` selection); aborts with the budget's
+    /// error once it is exhausted.
     pub fn build_with_budget(ps: &PrefixSums, b: usize, budget: &Budget) -> Result<Self> {
         let n = ps.n();
         let nn = next_pow2(n + 1);
@@ -89,7 +83,7 @@ mod tests {
     fn full_budget_is_exact() {
         let vals = vec![12i64, 9, 4, 1, 1, 0, 2]; // P has 8 entries
         let p = ps(&vals);
-        let w = PrefixWaveletSynopsis::build(&p, 8);
+        let w = PrefixWaveletSynopsis::build_with_budget(&p, 8, &Budget::unlimited()).unwrap();
         assert!(sse_brute(&w, &p) < 1e-6);
     }
 
@@ -97,7 +91,7 @@ mod tests {
     fn estimate_differences_reconstructed_prefixes() {
         let vals = vec![5i64, 2, 8, 1];
         let p = ps(&vals);
-        let w = PrefixWaveletSynopsis::build(&p, 2);
+        let w = PrefixWaveletSynopsis::build_with_budget(&p, 2, &Budget::unlimited()).unwrap();
         let xp = w.xprefix();
         for q in RangeQuery::all(4) {
             let want = xp[q.hi + 1] - xp[q.lo];
@@ -112,7 +106,7 @@ mod tests {
         use synoptic_core::sse::sse_value_histogram;
         let vals = vec![12i64, 9, 4, 1, 1, 0, 2, 14, 13];
         let p = ps(&vals);
-        let w = PrefixWaveletSynopsis::build(&p, 4);
+        let w = PrefixWaveletSynopsis::build_with_budget(&p, 4, &Budget::unlimited()).unwrap();
         let fast = sse_value_histogram(&w.xprefix(), &p);
         let brute = sse_brute(&w, &p);
         assert!((fast - brute).abs() <= 1e-6 * (1.0 + brute));
@@ -123,10 +117,8 @@ mod tests {
         use synoptic_core::{Budget, SynopticError};
         let vals = vec![12i64, 9, 4, 1, 1, 0, 2, 14];
         let p = ps(&vals);
-        let free = PrefixWaveletSynopsis::build(&p, 4);
         let metered = Budget::unlimited();
-        let tracked = PrefixWaveletSynopsis::build_with_budget(&p, 4, &metered).unwrap();
-        assert_eq!(free.xprefix(), tracked.xprefix());
+        PrefixWaveletSynopsis::build_with_budget(&p, 4, &metered).unwrap();
         assert!(metered.cells_used() > 0);
         let capped = Budget::unlimited().with_max_cells(1);
         assert!(matches!(
@@ -141,9 +133,11 @@ mod tests {
         // geometrically, so a handful of coefficients suffice for tiny error.
         let vals = vec![10i64; 15];
         let p = ps(&vals);
-        let full = sse_brute(&PrefixWaveletSynopsis::build(&p, 16), &p);
-        let some = sse_brute(&PrefixWaveletSynopsis::build(&p, 6), &p);
-        let naive = sse_brute(&PrefixWaveletSynopsis::build(&p, 1), &p);
+        let sse = |b| {
+            let w = PrefixWaveletSynopsis::build_with_budget(&p, b, &Budget::unlimited());
+            sse_brute(&w.unwrap(), &p)
+        };
+        let (full, some, naive) = (sse(16), sse(6), sse(1));
         assert!(full < 1e-6);
         assert!(some < naive.max(1.0), "some={some} naive={naive}");
     }

@@ -65,15 +65,9 @@ fn bilinear(e1: &[f64], d1: &[f64], e2: &[f64], d2: &[f64]) -> f64 {
 
 /// Builds a `b`-coefficient synopsis by OMP-style greedy selection with
 /// per-round least-squares value re-fitting on the exact all-ranges SSE.
-pub fn build_range_greedy(ps: &PrefixSums, b: usize) -> RangeOptimalWavelet {
-    build_range_greedy_with_budget(ps, b, &Budget::unlimited())
-        .expect("unlimited budget cannot fail")
-}
-
-/// [`build_range_greedy`] under execution control: checkpoints at feature
-/// setup, the rhs/gram precompute, and once per greedy round (the candidate
-/// scan, the hot loop). Bit-identical to [`build_range_greedy`] with
-/// [`synoptic_core::Budget::unlimited`].
+/// Checkpoints at feature setup, the rhs/gram precompute, and once per
+/// greedy round (the candidate scan, the hot loop); aborts with the
+/// budget's error once `budget` is exhausted.
 pub fn build_range_greedy_with_budget(
     ps: &PrefixSums,
     b: usize,
@@ -280,8 +274,9 @@ mod tests {
         for vals in datasets() {
             let p = ps(&vals);
             for b in [2usize, 4, 8] {
-                let greedy = build_range_greedy(&p, b);
-                let topbb = RangeOptimalWavelet::build(&p, b);
+                let greedy = build_range_greedy_with_budget(&p, b, &Budget::unlimited()).unwrap();
+                let topbb =
+                    RangeOptimalWavelet::build_with_budget(&p, b, &Budget::unlimited()).unwrap();
                 let (g, t) = (sse_brute(&greedy, &p), sse_brute(&topbb, &p));
                 assert!(
                     g <= t + 1e-6 * (1.0 + t),
@@ -297,7 +292,10 @@ mod tests {
             let p = ps(&vals);
             let mut prev = f64::INFINITY;
             for b in [1usize, 2, 4, 8, 12] {
-                let sse = sse_brute(&build_range_greedy(&p, b), &p);
+                let sse = sse_brute(
+                    &build_range_greedy_with_budget(&p, b, &Budget::unlimited()).unwrap(),
+                    &p,
+                );
                 assert!(
                     sse <= prev + 1e-6 * (1.0 + prev),
                     "vals={vals:?} b={b}: {sse} vs {prev}"
@@ -314,7 +312,7 @@ mod tests {
         let vals = vec![12i64, 9, 4, 1, 1, 0, 2, 14];
         let p = ps(&vals);
         for b in [1usize, 3, 6] {
-            let w = build_range_greedy(&p, b);
+            let w = build_range_greedy_with_budget(&p, b, &Budget::unlimited()).unwrap();
             let brute = sse_brute(&w, &p);
             // Rebuild residuals from the estimator itself.
             let (e, d) = w.endpoint_errors(&p);
@@ -331,7 +329,7 @@ mod tests {
         let vals = vec![7i64, 2, 9, 4, 4, 6, 1];
         let p = ps(&vals);
         let nn = next_pow2(vals.len() + 1);
-        let w = build_range_greedy(&p, 2 * nn - 1);
+        let w = build_range_greedy_with_budget(&p, 2 * nn - 1, &Budget::unlimited()).unwrap();
         assert!(sse_brute(&w, &p) < 1e-5, "sse = {}", sse_brute(&w, &p));
     }
 
@@ -343,7 +341,7 @@ mod tests {
         // approximate prefix-sum ramps, which are Haar-dense.)
         let vals = vec![0i64; 7];
         let p = ps(&vals);
-        let w = build_range_greedy(&p, 12);
+        let w = build_range_greedy_with_budget(&p, 12, &Budget::unlimited()).unwrap();
         assert!(w.coeffs().is_empty(), "kept {}", w.coeffs().len());
         assert!(sse_brute(&w, &p) < 1e-9);
     }
@@ -353,10 +351,8 @@ mod tests {
         use synoptic_core::{Budget, SynopticError};
         let vals = vec![12i64, 9, 4, 1, 1, 0, 2, 14];
         let p = ps(&vals);
-        let free = build_range_greedy(&p, 4);
         let metered = Budget::unlimited();
-        let tracked = build_range_greedy_with_budget(&p, 4, &metered).unwrap();
-        assert_eq!(free.coeffs(), tracked.coeffs());
+        build_range_greedy_with_budget(&p, 4, &metered).unwrap();
         assert!(metered.cells_used() > 0);
         let capped = Budget::unlimited().with_max_cells(1);
         assert!(matches!(
@@ -369,7 +365,7 @@ mod tests {
     fn name_and_storage() {
         let vals = vec![3i64, 1, 4, 1, 5];
         let p = ps(&vals);
-        let w = build_range_greedy(&p, 3);
+        let w = build_range_greedy_with_budget(&p, 3, &Budget::unlimited()).unwrap();
         assert_eq!(w.method_name(), "TOPBB-GREEDY");
         assert!(w.storage_words() <= 6);
     }

@@ -69,16 +69,10 @@ impl RangeOptimalWavelet {
     ///
     /// Both endpoint functions are padded with the constant continuation
     /// `P[n]` (the virtual matrix extended by empty ranges) rather than
-    /// zeros, so padding adds no artificial energy.
-    pub fn build(ps: &PrefixSums, b: usize) -> Self {
-        Self::build_with_budget(ps, b, &Budget::unlimited()).expect("unlimited budget cannot fail")
-    }
-
-    /// [`RangeOptimalWavelet::build`] under execution control: one
-    /// checkpoint per phase (endpoint vectors, each 1-D transform, the
-    /// top-`b` selection), charged with `O(N log N)`-scale work units.
-    /// Bit-identical to [`RangeOptimalWavelet::build`] with
-    /// [`synoptic_core::Budget::unlimited`].
+    /// zeros, so padding adds no artificial energy. One `budget` checkpoint
+    /// per phase (endpoint vectors, each 1-D transform, the top-`b`
+    /// selection), charged with `O(N log N)`-scale work units; aborts with
+    /// the budget's error once it is exhausted.
     pub fn build_with_budget(ps: &PrefixSums, b: usize, budget: &Budget) -> Result<Self> {
         let n = ps.n();
         let nn = next_pow2(n + 1);
@@ -251,7 +245,8 @@ mod tests {
         let vals = vec![12i64, 9, 4, 1, 1, 0, 2];
         let p = ps(&vals);
         let nn = next_pow2(vals.len() + 1);
-        let w = RangeOptimalWavelet::build(&p, 2 * nn - 1);
+        let w =
+            RangeOptimalWavelet::build_with_budget(&p, 2 * nn - 1, &Budget::unlimited()).unwrap();
         assert!(sse_brute(&w, &p) < 1e-6, "sse={}", sse_brute(&w, &p));
         assert!(w.virtual_matrix_error() < 1e-6);
     }
@@ -260,7 +255,7 @@ mod tests {
     fn estimates_decompose_into_endpoint_functions() {
         let vals = vec![5i64, 2, 8, 1, 9, 9];
         let p = ps(&vals);
-        let w = RangeOptimalWavelet::build(&p, 4);
+        let w = RangeOptimalWavelet::build_with_budget(&p, 4, &Budget::unlimited()).unwrap();
         // ŝ depends on (lo) and (hi) separately.
         for q in RangeQuery::all(6) {
             let want = w.f_at(q.hi) + w.g_at(q.lo);
@@ -273,7 +268,7 @@ mod tests {
         let vals = vec![12i64, 9, 4, 1, 1, 0, 2, 14, 13, 6];
         let p = ps(&vals);
         for b in [1, 3, 6, 10] {
-            let w = RangeOptimalWavelet::build(&p, b);
+            let w = RangeOptimalWavelet::build_with_budget(&p, b, &Budget::unlimited()).unwrap();
             let (e, d) = w.endpoint_errors(&p);
             let fast = sse_two_function(&e, &d);
             let brute = sse_brute(&w, &p);
@@ -290,7 +285,7 @@ mod tests {
         let p = ps(&vals);
         let mut prev = f64::INFINITY;
         for b in [1, 2, 4, 8, 16, 31] {
-            let w = RangeOptimalWavelet::build(&p, b);
+            let w = RangeOptimalWavelet::build_with_budget(&p, b, &Budget::unlimited()).unwrap();
             assert!(w.virtual_matrix_error() <= prev + 1e-9, "b={b}");
             prev = w.virtual_matrix_error();
         }
@@ -308,7 +303,7 @@ mod tests {
         let pj = |j: usize| if j < n { p.p(j + 1) as f64 } else { total };
         let qi = |i: usize| if i <= n { p.p(i) as f64 } else { total };
         for b in [1, 3, 5, 9] {
-            let w = RangeOptimalWavelet::build(&p, b);
+            let w = RangeOptimalWavelet::build_with_budget(&p, b, &Budget::unlimited()).unwrap();
             let mut frob = 0.0;
             for i in 0..nn {
                 for j in 0..nn {
@@ -331,8 +326,8 @@ mod tests {
         // magnitude cannot reduce the Frobenius error (Parseval).
         let vals = vec![9i64, 0, 3, 7, 1, 1, 8];
         let p = ps(&vals);
-        let w4 = RangeOptimalWavelet::build(&p, 4);
-        let w5 = RangeOptimalWavelet::build(&p, 5);
+        let w4 = RangeOptimalWavelet::build_with_budget(&p, 4, &Budget::unlimited()).unwrap();
+        let w5 = RangeOptimalWavelet::build_with_budget(&p, 5, &Budget::unlimited()).unwrap();
         // The b=4 error equals b=5 error + (5th coefficient)².
         let fifth = w5.coeffs()[4].1;
         assert!(
@@ -352,8 +347,9 @@ mod tests {
         ];
         let p = ps(&vals);
         let b = 6;
-        let range_w = RangeOptimalWavelet::build(&p, b);
-        let point_w = PointWaveletSynopsis::build(&vals, b);
+        let range_w = RangeOptimalWavelet::build_with_budget(&p, b, &Budget::unlimited()).unwrap();
+        let point_w =
+            PointWaveletSynopsis::build_with_budget(&vals, b, &Budget::unlimited()).unwrap();
         let r_sse = sse_brute(&range_w, &p);
         let p_sse = sse_brute(&point_w, &p);
         assert!(
@@ -367,10 +363,8 @@ mod tests {
         use synoptic_core::SynopticError;
         let vals = vec![12i64, 9, 4, 1, 1, 0, 2, 14, 13, 6];
         let p = ps(&vals);
-        let free = RangeOptimalWavelet::build(&p, 5);
         let metered = Budget::unlimited();
-        let tracked = RangeOptimalWavelet::build_with_budget(&p, 5, &metered).unwrap();
-        assert_eq!(free.coeffs(), tracked.coeffs());
+        RangeOptimalWavelet::build_with_budget(&p, 5, &metered).unwrap();
         assert!(metered.cells_used() > 0);
         let capped = Budget::unlimited().with_max_cells(1);
         assert!(matches!(
@@ -383,7 +377,7 @@ mod tests {
     fn storage_and_name() {
         let vals = vec![1i64, 2, 3, 4, 5];
         let p = ps(&vals);
-        let w = RangeOptimalWavelet::build(&p, 3);
+        let w = RangeOptimalWavelet::build_with_budget(&p, 3, &Budget::unlimited()).unwrap();
         assert!(w.storage_words() <= 6);
         assert_eq!(w.method_name(), "WAVELET-RANGE");
         assert_eq!(w.n(), 5);

@@ -4,7 +4,7 @@
 //! untruncated union on every range, and that a full-budget merge *is*
 //! the union (bound zero, agreement exact).
 
-use synoptic_core::{RangeEstimator, RangeQuery};
+use synoptic_core::{Budget, RangeEstimator, RangeQuery};
 use synoptic_wavelet::{merge_point_wavelets, PointWaveletSynopsis};
 
 fn dataset(seed: u64, n: usize) -> Vec<i64> {
@@ -26,7 +26,10 @@ fn merged_haar_stays_within_the_retruncation_bound_across_seeded_sweeps() {
             let vals = dataset(seed, n);
             let waves: Vec<PointWaveletSynopsis> = vals
                 .chunks(seg_len)
-                .map(|c| PointWaveletSynopsis::build(c, seg_len))
+                .map(|c| {
+                    PointWaveletSynopsis::build_with_budget(c, seg_len, &Budget::unlimited())
+                        .unwrap()
+                })
                 .collect();
             let refs: Vec<&PointWaveletSynopsis> = waves.iter().collect();
             let (union, _) = merge_point_wavelets(&refs, usize::MAX).unwrap();
@@ -50,7 +53,7 @@ fn full_budget_merge_is_the_union_with_zero_bound() {
     let vals = dataset(77, 64);
     let waves: Vec<PointWaveletSynopsis> = vals
         .chunks(16)
-        .map(|c| PointWaveletSynopsis::build(c, 16))
+        .map(|c| PointWaveletSynopsis::build_with_budget(c, 16, &Budget::unlimited()).unwrap())
         .collect();
     let refs: Vec<&PointWaveletSynopsis> = waves.iter().collect();
     let (merged, outcome) = merge_point_wavelets(&refs, usize::MAX).unwrap();

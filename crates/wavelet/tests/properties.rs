@@ -3,7 +3,7 @@
 
 use synoptic_core::rng::Rng;
 use synoptic_core::sse::sse_brute;
-use synoptic_core::{PrefixSums, RangeEstimator, RangeQuery};
+use synoptic_core::{Budget, PrefixSums, RangeEstimator, RangeQuery};
 use synoptic_wavelet::haar::{forward, inverse, next_pow2, BasisFn};
 use synoptic_wavelet::{PointWaveletSynopsis, PrefixWaveletSynopsis, RangeOptimalWavelet};
 
@@ -77,7 +77,7 @@ fn full_budget_point_synopsis_is_exact() {
         let vals = rand_values(&mut rng);
         let ps = PrefixSums::from_values(&vals);
         let b = next_pow2(vals.len());
-        let w = PointWaveletSynopsis::build(&vals, b);
+        let w = PointWaveletSynopsis::build_with_budget(&vals, b, &Budget::unlimited()).unwrap();
         assert!(sse_brute(&w, &ps) < 1e-5, "case {case}");
     }
 }
@@ -89,7 +89,7 @@ fn full_budget_prefix_synopsis_is_exact() {
         let vals = rand_values(&mut rng);
         let ps = PrefixSums::from_values(&vals);
         let b = next_pow2(vals.len() + 1);
-        let w = PrefixWaveletSynopsis::build(&ps, b);
+        let w = PrefixWaveletSynopsis::build_with_budget(&ps, b, &Budget::unlimited()).unwrap();
         assert!(sse_brute(&w, &ps) < 1e-5, "case {case}");
     }
 }
@@ -101,7 +101,8 @@ fn full_budget_range_optimal_is_exact() {
         let vals = rand_values(&mut rng);
         let ps = PrefixSums::from_values(&vals);
         let nn = next_pow2(vals.len() + 1);
-        let w = RangeOptimalWavelet::build(&ps, 2 * nn - 1);
+        let w =
+            RangeOptimalWavelet::build_with_budget(&ps, 2 * nn - 1, &Budget::unlimited()).unwrap();
         assert!(sse_brute(&w, &ps) < 1e-5, "case {case}");
     }
 }
@@ -114,7 +115,7 @@ fn range_optimal_virtual_error_is_monotone_in_budget() {
         let ps = PrefixSums::from_values(&vals);
         let mut prev = f64::INFINITY;
         for b in [1usize, 2, 4, 8, 16] {
-            let w = RangeOptimalWavelet::build(&ps, b);
+            let w = RangeOptimalWavelet::build_with_budget(&ps, b, &Budget::unlimited()).unwrap();
             assert!(
                 w.virtual_matrix_error() <= prev + 1e-6,
                 "case {case}: budget {b}"
@@ -132,10 +133,11 @@ fn estimates_are_finite_for_every_budget_and_query() {
         let ps = PrefixSums::from_values(&vals);
         let n = vals.len();
         for b in [1usize, 3, 7] {
+            let unlimited = Budget::unlimited();
             let estimators: Vec<Box<dyn RangeEstimator>> = vec![
-                Box::new(PointWaveletSynopsis::build(&vals, b)),
-                Box::new(PrefixWaveletSynopsis::build(&ps, b)),
-                Box::new(RangeOptimalWavelet::build(&ps, b)),
+                Box::new(PointWaveletSynopsis::build_with_budget(&vals, b, &unlimited).unwrap()),
+                Box::new(PrefixWaveletSynopsis::build_with_budget(&ps, b, &unlimited).unwrap()),
+                Box::new(RangeOptimalWavelet::build_with_budget(&ps, b, &unlimited).unwrap()),
             ];
             for est in &estimators {
                 for q in RangeQuery::all(n) {
@@ -153,18 +155,15 @@ fn storage_never_exceeds_two_words_per_coefficient() {
         let vals = rand_values(&mut rng);
         let ps = PrefixSums::from_values(&vals);
         for b in [1usize, 4, 9] {
-            assert!(
-                PointWaveletSynopsis::build(&vals, b).storage_words() <= 2 * b,
-                "case {case}"
-            );
-            assert!(
-                PrefixWaveletSynopsis::build(&ps, b).storage_words() <= 2 * b,
-                "case {case}"
-            );
-            assert!(
-                RangeOptimalWavelet::build(&ps, b).storage_words() <= 2 * b,
-                "case {case}"
-            );
+            let unlimited = Budget::unlimited();
+            let synopses: [Box<dyn RangeEstimator>; 3] = [
+                Box::new(PointWaveletSynopsis::build_with_budget(&vals, b, &unlimited).unwrap()),
+                Box::new(PrefixWaveletSynopsis::build_with_budget(&ps, b, &unlimited).unwrap()),
+                Box::new(RangeOptimalWavelet::build_with_budget(&ps, b, &unlimited).unwrap()),
+            ];
+            for w in &synopses {
+                assert!(w.storage_words() <= 2 * b, "case {case}");
+            }
         }
     }
 }
@@ -176,7 +175,7 @@ fn range_optimal_endpoint_errors_match_estimates() {
         let mut rng = Rng::new(0x2A_000 + case);
         let vals = rand_values(&mut rng);
         let ps = PrefixSums::from_values(&vals);
-        let w = RangeOptimalWavelet::build(&ps, 5);
+        let w = RangeOptimalWavelet::build_with_budget(&ps, 5, &Budget::unlimited()).unwrap();
         let (e, d) = w.endpoint_errors(&ps);
         let fast = sse_two_function(&e, &d);
         let brute = sse_brute(&w, &ps);

@@ -5,9 +5,9 @@
 
 use synoptic::core::sse::sse_brute;
 use synoptic::hist::opta::{build_opt_a, OptAConfig};
-use synoptic::hist::reopt::reoptimize;
-use synoptic::hist::sap0::build_sap0;
-use synoptic::hist::sap1::build_sap1;
+use synoptic::hist::reopt::reoptimize_with_budget;
+use synoptic::hist::sap0::build_sap0_with_budget;
+use synoptic::hist::sap1::build_sap1_with_budget;
 use synoptic::prelude::*;
 
 fn main() -> Result<()> {
@@ -21,12 +21,13 @@ fn main() -> Result<()> {
 
     // Build three provably range-optimal histograms with ~8 words of budget.
     let opta = build_opt_a(&ps, &OptAConfig::exact(4, RoundingMode::None))?;
-    let sap0 = build_sap0(&ps, 2)?; // 3 words per bucket
-    let sap1 = build_sap1(&ps, 1)?; // 5 words per bucket
+    let unlimited = Budget::unlimited(); // no deadline or cell cap
+    let (sap0, _) = build_sap0_with_budget(&ps, 2, &unlimited)?; // 3 words per bucket
+    let (sap1, _) = build_sap1_with_budget(&ps, 1, &unlimited)?; // 5 words per bucket
     let naive = NaiveEstimator::new(&ps);
 
     // …and the §5 re-optimization of the OPT-A boundaries.
-    let reopt = reoptimize(opta.histogram.bucketing(), &ps, "OPT-A")?;
+    let reopt = reoptimize_with_budget(opta.histogram.bucketing(), &ps, "OPT-A", &unlimited)?;
 
     // Answer a range query with each.
     let q = RangeQuery::new(3, 9)?;

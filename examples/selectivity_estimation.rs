@@ -15,7 +15,7 @@
 
 use synoptic::data::workload::random_ranges;
 use synoptic::data::zipf::{paper_dataset, ZipfConfig};
-use synoptic::hist::builder::{build, HistogramMethod};
+use synoptic::hist::builder::{build_with_budget, HistogramMethod};
 use synoptic::prelude::*;
 
 /// The optimizer prefers an index scan when the predicate selects less than
@@ -51,7 +51,7 @@ fn main() -> Result<()> {
         "method", "words", "plan errors", "mean |sel err|"
     );
     for m in methods {
-        let est = build(m, data.values(), &ps, budget)?;
+        let est = build_with_budget(m, data.values(), &ps, budget, &Budget::unlimited())?;
         let mut plan_errors = 0usize;
         let mut abs_err_sum = 0.0;
         for &q in &queries {

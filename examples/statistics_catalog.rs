@@ -12,7 +12,7 @@ use synoptic::catalog::{
 use synoptic::core::sse::sse_brute;
 use synoptic::data::generators::{normal_mixture, steps, uniform};
 use synoptic::data::zipf::{paper_dataset, ZipfConfig};
-use synoptic::hist::sap0::build_sap0;
+use synoptic::hist::sap0::build_sap0_with_budget;
 use synoptic::prelude::*;
 
 fn main() -> Result<()> {
@@ -43,7 +43,7 @@ fn main() -> Result<()> {
                 if b == 0 {
                     return None;
                 }
-                let h = build_sap0(&ps, b).ok()?;
+                let (h, _) = build_sap0_with_budget(&ps, b, &Budget::unlimited()).ok()?;
                 Some((w, sse_brute(&h, &ps)))
             })
             .collect();
@@ -71,7 +71,7 @@ fn main() -> Result<()> {
     let mut catalog = Catalog::new();
     for ((name, data, _), (_, words, _)) in columns.iter().zip(&alloc.choices) {
         let ps = data.prefix_sums();
-        let h = build_sap0(&ps, (words / 3).max(1))?;
+        let (h, _) = build_sap0_with_budget(&ps, (words / 3).max(1), &Budget::unlimited())?;
         catalog.insert(
             *name,
             ColumnEntry {

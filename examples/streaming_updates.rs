@@ -28,7 +28,8 @@ fn main() -> Result<()> {
     println!("column: n = {}, initial rows = {}", data.n(), data.total());
 
     // Stale snapshot, built once.
-    let stale = synoptic::hist::sap0::build_sap0(&data.prefix_sums(), 8)?;
+    let (stale, _) =
+        synoptic::hist::sap0::build_sap0_with_budget(&data.prefix_sums(), 8, &Budget::unlimited())?;
 
     // Policy-maintained histogram: rebuild at 5% drift, on one background
     // maintenance worker.
@@ -39,7 +40,7 @@ fn main() -> Result<()> {
         ColumnBuild::Custom(Box::new(
             |_vals: &[i64], ps: &PrefixSums, budget: &synoptic::core::Budget| {
                 Ok(
-                    Box::new(synoptic::hist::sap0::build_sap0_with_budget(ps, 8, budget)?)
+                    Box::new(synoptic::hist::sap0::build_sap0_with_budget(ps, 8, budget)?.0)
                         as Box<dyn RangeEstimator>,
                 )
             },
@@ -74,7 +75,8 @@ fn main() -> Result<()> {
         maintained.stats().rebuilds
     );
 
-    let fresh = synoptic::hist::sap0::build_sap0(&ps_now, 8)?;
+    let (fresh, _) =
+        synoptic::hist::sap0::build_sap0_with_budget(&ps_now, 8, &Budget::unlimited())?;
     let snap = streaming.snapshot(12);
     println!("\nall-ranges SSE against the *current* data:");
     println!(
@@ -99,7 +101,11 @@ fn main() -> Result<()> {
     );
 
     // The streaming snapshot must coincide with a from-scratch build.
-    let scratch = synoptic::wavelet::RangeOptimalWavelet::build(&ps_now, 12);
+    let scratch = synoptic::wavelet::RangeOptimalWavelet::build_with_budget(
+        &ps_now,
+        12,
+        &Budget::unlimited(),
+    )?;
     let (a, b) = (sse_brute(&snap, &ps_now), sse_brute(&scratch, &ps_now));
     assert!(
         (a - b).abs() <= 1e-9 * (1.0 + b),

@@ -33,8 +33,10 @@
 //! let data = DataArray::new(vec![12, 9, 4, 1, 1, 0, 2, 14, 13, 6, 2, 1]).unwrap();
 //! let ps = data.prefix_sums();
 //!
-//! // Build the provably range-optimal SAP0 histogram with 3 buckets.
-//! let hist = synoptic::hist::sap0::build_sap0(&ps, 3).unwrap();
+//! // Build the provably range-optimal SAP0 histogram with 3 buckets (no
+//! // deadline or cell cap on the construction).
+//! let budget = Budget::unlimited();
+//! let (hist, _sse) = synoptic::hist::sap0::build_sap0_with_budget(&ps, 3, &budget).unwrap();
 //!
 //! // Estimate a range sum and measure the exact all-ranges SSE.
 //! let q = RangeQuery::new(2, 7).unwrap();
@@ -60,7 +62,7 @@ pub use synoptic_wavelet as wavelet;
 /// One-stop imports for the common types.
 pub mod prelude {
     pub use synoptic_core::{
-        BoundedHistogram, Bucketing, DataArray, NaiveEstimator, OptAHistogram, PrefixSums,
+        BoundedHistogram, Bucketing, Budget, DataArray, NaiveEstimator, OptAHistogram, PrefixSums,
         RangeEstimator, RangeQuery, Result, RoundingMode, Sap0Histogram, Sap1Histogram,
         SynopticError, ValueHistogram,
     };

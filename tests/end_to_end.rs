@@ -85,8 +85,8 @@ fn optimal_methods_are_monotone_in_storage() {
 
 #[test]
 fn reopt_improves_or_matches_every_base_histogram() {
-    use synoptic::hist::builder::{build, HistogramMethod};
-    use synoptic::hist::reopt::reoptimize;
+    use synoptic::hist::builder::{build_with_budget, HistogramMethod};
+    use synoptic::hist::reopt::reoptimize_with_budget;
     let (d, ps) = dataset(64);
     for (base, words) in [
         (HistogramMethod::OptA, 24),
@@ -94,7 +94,7 @@ fn reopt_improves_or_matches_every_base_histogram() {
         (HistogramMethod::EquiDepth, 24),
         (HistogramMethod::MaxDiff, 24),
     ] {
-        let est = build(base, d.values(), &ps, words).unwrap();
+        let est = build_with_budget(base, d.values(), &ps, words, &Budget::unlimited()).unwrap();
         let base_sse = sse_brute(&est, &ps);
         // Re-derive boundaries via the same construction to reoptimize.
         let bk = match base {
@@ -115,7 +115,7 @@ fn reopt_improves_or_matches_every_base_histogram() {
             }
             _ => synoptic::hist::heuristics::max_diff_bucketing(d.values(), words / 2).unwrap(),
         };
-        let re = reoptimize(&bk, &ps, base.name()).unwrap();
+        let re = reoptimize_with_budget(&bk, &ps, base.name(), &Budget::unlimited()).unwrap();
         assert!(
             re.sse <= base_sse * (1.0 + 1e-9) + 1e-6,
             "{}: reopt {} vs base {base_sse}",
@@ -128,7 +128,7 @@ fn reopt_improves_or_matches_every_base_histogram() {
 #[test]
 fn local_search_recovers_near_optimal_boundaries_from_heuristics() {
     use synoptic::core::sse::sse_value_histogram;
-    use synoptic::hist::local_search::local_search;
+    use synoptic::hist::local_search::local_search_with_budget;
     use synoptic::hist::opta::{build_opt_a, OptAConfig};
     let (_, ps) = dataset(48);
     let b = 6;
@@ -139,7 +139,7 @@ fn local_search_recovers_near_optimal_boundaries_from_heuristics() {
         sse_value_histogram(h.xprefix(), &ps)
     };
     let start_cost = cost(&start);
-    let r = local_search(start, cost, 100).unwrap();
+    let r = local_search_with_budget(start, cost, 100, &Budget::unlimited()).unwrap();
     assert!(r.cost <= start_cost);
     assert!(
         r.cost <= start_cost.max(opt.sse * 3.0),

@@ -9,7 +9,7 @@ use synoptic::core::sse::{sse_brute, sse_workload};
 use synoptic::data::sample::SampleEstimator;
 use synoptic::data::workload::{dyadic_ranges, prefix_queries};
 use synoptic::data::zipf::{paper_dataset, ZipfConfig};
-use synoptic::hist::sap0::build_sap0;
+use synoptic::hist::sap0::build_sap0_with_budget;
 use synoptic::hist::workload_opt::{optimize_for_workload, reoptimize_for_workload};
 use synoptic::prelude::*;
 use synoptic::stream::{
@@ -38,7 +38,7 @@ fn updated_column_flows_into_a_persisted_catalog() {
             ColumnBuild::Custom(Box::new(
                 |_v: &[i64], ps: &PrefixSums, budget: &synoptic::core::Budget| {
                     Ok(
-                        Box::new(synoptic::hist::sap0::build_sap0_with_budget(ps, 5, budget)?)
+                        Box::new(synoptic::hist::sap0::build_sap0_with_budget(ps, 5, budget)?.0)
                             as Box<dyn RangeEstimator>,
                     )
                 },
@@ -59,7 +59,7 @@ fn updated_column_flows_into_a_persisted_catalog() {
         .map(|i| m.exact(RangeQuery::point(i)) as i64)
         .collect();
     let ps_live = PrefixSums::from_values(&live);
-    let h = build_sap0(&ps_live, 5).unwrap();
+    let (h, _) = build_sap0_with_budget(&ps_live, 5, &Budget::unlimited()).unwrap();
     let mut cat = Catalog::new();
     cat.insert(
         "col",
@@ -113,7 +113,9 @@ fn workload_tuning_beats_generic_on_restricted_classes() {
         ("dyadic", dyadic_ranges(64)),
     ] {
         let tuned = reoptimize_for_workload(&b, &ps, &workload, label).unwrap();
-        let generic = synoptic::hist::reopt::reoptimize(&b, &ps, "all").unwrap();
+        let generic =
+            synoptic::hist::reopt::reoptimize_with_budget(&b, &ps, "all", &Budget::unlimited())
+                .unwrap();
         let t = sse_workload(&tuned, &ps, &workload);
         let g = sse_workload(&generic.histogram, &ps, &workload);
         assert!(t <= g + 1e-6, "{label}: tuned {t} vs generic {g}");
@@ -163,7 +165,8 @@ fn budget_allocation_end_to_end_over_real_curves() {
         points: grid
             .iter()
             .map(|&w| {
-                let h = build_sap0(ps, (w / 3).max(1)).unwrap();
+                let (h, _) =
+                    build_sap0_with_budget(ps, (w / 3).max(1), &Budget::unlimited()).unwrap();
                 (w, sse_brute(&h, ps))
             })
             .collect(),

@@ -7,9 +7,9 @@
 use synoptic::core::sse::{sse_brute, sse_value_histogram};
 use synoptic::hist::exhaustive::exhaustive_optimal;
 use synoptic::hist::opta::{build_opt_a, OptAConfig};
-use synoptic::hist::reopt::reoptimize;
+use synoptic::hist::reopt::reoptimize_with_budget;
 use synoptic::hist::sap0::build_sap0_with_sse;
-use synoptic::hist::sap1::build_sap1_with_sse;
+use synoptic::hist::sap1::build_sap1_with_budget;
 use synoptic::prelude::*;
 
 fn signed_datasets() -> Vec<Vec<i64>> {
@@ -75,7 +75,7 @@ fn sap_dps_remain_exact_on_signed_data() {
                 (obj0 - brute0).abs() <= 1e-6 * (1.0 + brute0),
                 "SAP0 vals={vals:?} b={b}: {obj0} vs {brute0}"
             );
-            let (h1, obj1) = build_sap1_with_sse(&ps, b).unwrap();
+            let (h1, obj1) = build_sap1_with_budget(&ps, b, &Budget::unlimited()).unwrap();
             let brute1 = sse_brute(&h1, &ps);
             assert!(
                 (obj1 - brute1).abs() <= 1e-6 * (1.0 + brute1),
@@ -91,7 +91,8 @@ fn reopt_still_never_hurts_on_signed_data() {
         let ps = PrefixSums::from_values(&vals);
         let b = 2.min(vals.len());
         let base = build_opt_a(&ps, &OptAConfig::exact(b, RoundingMode::None)).unwrap();
-        let re = reoptimize(base.histogram.bucketing(), &ps, "O").unwrap();
+        let re = reoptimize_with_budget(base.histogram.bucketing(), &ps, "O", &Budget::unlimited())
+            .unwrap();
         assert!(
             re.sse <= base.sse + 1e-6 * (1.0 + base.sse),
             "vals={vals:?}: {} vs {}",
@@ -107,10 +108,11 @@ fn wavelets_handle_signed_data() {
     for vals in signed_datasets() {
         let ps = PrefixSums::from_values(&vals);
         let nn = vals.len().next_power_of_two();
-        let w = PointWaveletSynopsis::build(&vals, nn);
+        let w = PointWaveletSynopsis::build_with_budget(&vals, nn, &Budget::unlimited()).unwrap();
         assert!(sse_brute(&w, &ps) < 1e-6, "full point budget exact");
         let nn2 = (vals.len() + 1).next_power_of_two();
-        let w = RangeOptimalWavelet::build(&ps, 2 * nn2 - 1);
+        let w =
+            RangeOptimalWavelet::build_with_budget(&ps, 2 * nn2 - 1, &Budget::unlimited()).unwrap();
         assert!(sse_brute(&w, &ps) < 1e-5, "full range budget exact");
     }
 }
@@ -129,7 +131,7 @@ fn streaming_handles_signed_updates_to_negative_territory() {
     assert!(vals.iter().any(|&v| v < 0));
     let ps = PrefixSums::from_values(&vals);
     let live = sr.snapshot(6);
-    let scratch = RangeOptimalWavelet::build(&ps, 6);
+    let scratch = RangeOptimalWavelet::build_with_budget(&ps, 6, &Budget::unlimited()).unwrap();
     for q in RangeQuery::all(8) {
         assert!(
             (live.estimate(q) - scratch.estimate(q)).abs() < 1e-6,

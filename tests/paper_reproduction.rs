@@ -48,9 +48,10 @@ fn storage_theorems() {
     assert_eq!(opta.histogram.storage_words(), 2 * b);
     let a0 = synoptic::hist::a0::build_a0(&ps, b).unwrap();
     assert_eq!(a0.storage_words(), 2 * a0.bucketing().num_buckets());
-    let s0 = synoptic::hist::sap0::build_sap0(&ps, b).unwrap();
+    let unlimited = Budget::unlimited();
+    let (s0, _) = synoptic::hist::sap0::build_sap0_with_budget(&ps, b, &unlimited).unwrap();
     assert_eq!(s0.storage_words(), 3 * s0.bucketing().num_buckets());
-    let s1 = synoptic::hist::sap1::build_sap1(&ps, b).unwrap();
+    let (s1, _) = synoptic::hist::sap1::build_sap1_with_budget(&ps, b, &unlimited).unwrap();
     assert_eq!(s1.storage_words(), 5 * s1.bucketing().num_buckets());
 }
 
@@ -71,7 +72,7 @@ fn sap1_bucket_vs_storage_tradeoff() {
         &synoptic::hist::opta::OptAConfig::exact(b, RoundingMode::None),
     )
     .unwrap();
-    let sap1 = synoptic::hist::sap1::build_sap1_with_sse(&ps, b).unwrap();
+    let sap1 = synoptic::hist::sap1::build_sap1_with_budget(&ps, b, &Budget::unlimited()).unwrap();
     // Same bucket count: SAP1 ≥ free parameters ⇒ SSE ≤ OPT-A's.
     assert!(
         sap1.1 <= opta.sse * (1.0 + 1e-9) + 1e-9,
@@ -135,16 +136,18 @@ fn headline_claims_on_paper_dataset() {
 /// T4 on the paper dataset: reopt gain is substantial (paper: up to 41%).
 #[test]
 fn reopt_gain_is_substantial_on_paper_dataset() {
+    use synoptic::hist::reopt::reoptimize_with_budget;
     let d = paper_dataset(&ZipfConfig::default());
     let ps = d.prefix_sums();
     let mut best_gain = 0.0f64;
+    let unlimited = Budget::unlimited();
     for b in [4usize, 8, 16, 24] {
         let base = synoptic::hist::opta::build_opt_a(
             &ps,
             &synoptic::hist::opta::OptAConfig::exact(b, RoundingMode::None),
         )
         .unwrap();
-        let re = synoptic::hist::reopt::reoptimize(base.histogram.bucketing(), &ps, "O").unwrap();
+        let re = reoptimize_with_budget(base.histogram.bucketing(), &ps, "O", &unlimited).unwrap();
         best_gain = best_gain.max(1.0 - re.sse / base.sse);
     }
     assert!(

@@ -88,7 +88,7 @@ fn streaming_long_run_at_n_4096() {
     }
     let ps = PrefixSums::from_values(&vals);
     let live = sr.snapshot(32);
-    let scratch = RangeOptimalWavelet::build(&ps, 32);
+    let scratch = RangeOptimalWavelet::build_with_budget(&ps, 32, &Budget::unlimited()).unwrap();
     // Spot-check agreement on a sample of queries.
     for k in 0..200usize {
         let a = (k * 131) % 4096;
@@ -110,7 +110,7 @@ fn range_optimal_wavelet_at_n_65536() {
     use synoptic::wavelet::RangeOptimalWavelet;
     let (_, ps) = big(65_536);
     let t = Instant::now();
-    let w = RangeOptimalWavelet::build(&ps, 64);
+    let w = RangeOptimalWavelet::build_with_budget(&ps, 64, &Budget::unlimited()).unwrap();
     let secs = t.elapsed().as_secs_f64();
     assert!(w.storage_words() <= 128);
     assert!(
