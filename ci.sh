@@ -45,8 +45,9 @@ ${CAP} cargo test -q --offline
 echo "==> threaded stress suite: pool under fault injection (capped at ${TEST_CAP}s)"
 ${CAP} cargo test -q -p synoptic-stream --test pool_stress --offline
 
-echo "==> crash-recovery suite: kill-and-recover sweep + journal faults (capped at ${TEST_CAP}s)"
+echo "==> crash-recovery suite: kill-and-recover sweeps (single updates and batches) + journal faults (capped at ${TEST_CAP}s)"
 ${CAP} cargo test -q -p synoptic-stream --test recovery_sweep --offline
+${CAP} cargo test -q -p synoptic-stream --test batch_sweep --offline
 ${CAP} cargo test -q -p synoptic-stream --test maintained_faults --offline
 ${CAP} cargo test -q -p synoptic-cli --test store_cli --offline
 

@@ -41,6 +41,11 @@ pub trait Storage {
     /// crash may leave a torn tail, which journal readers must tolerate.
     fn append(&self, path: &Path, bytes: &[u8], sync: bool) -> Result<()>;
 
+    /// Shrinks `path` to its first `len` bytes and fsyncs it, so a failed
+    /// append's stray bytes cannot outlive the rollback. A missing file
+    /// already holds no bytes: truncating it to `0` succeeds.
+    fn truncate(&self, path: &Path, len: u64) -> Result<()>;
+
     /// Removes a file (used by checkpoint truncation and pruning, which
     /// delete only data already captured by a committed generation).
     fn remove(&self, path: &Path) -> Result<()>;
@@ -72,6 +77,10 @@ impl<S: Storage + ?Sized> Storage for std::sync::Arc<S> {
 
     fn append(&self, path: &Path, bytes: &[u8], sync: bool) -> Result<()> {
         (**self).append(path, bytes, sync)
+    }
+
+    fn truncate(&self, path: &Path, len: u64) -> Result<()> {
+        (**self).truncate(path, len)
     }
 
     fn remove(&self, path: &Path) -> Result<()> {
@@ -158,6 +167,20 @@ impl Storage for FsStorage {
         if created {
             fsync_parent_dir(path);
         }
+        Ok(())
+    }
+
+    fn truncate(&self, path: &Path, len: u64) -> Result<()> {
+        let f = match std::fs::OpenOptions::new().write(true).open(path) {
+            Ok(f) => f,
+            Err(e) if e.kind() == std::io::ErrorKind::NotFound && len == 0 => return Ok(()),
+            Err(e) => return Err(io_err(path, e)),
+        };
+        f.set_len(len).map_err(|e| io_err(path, e))?;
+        f.sync_all().map_err(|e| io_err(path, e))?;
+        // The failed append may have created the file without syncing its
+        // directory entry; later appends see it exist and would not either.
+        fsync_parent_dir(path);
         Ok(())
     }
 
@@ -427,6 +450,13 @@ impl<S: Storage> Storage for FaultyStorage<S> {
         }
     }
 
+    /// Passes through without consuming a fault: a rollback is part of the
+    /// failed append it undoes, so fault schedules index the same write
+    /// operations whether or not an append has to roll back.
+    fn truncate(&self, path: &Path, len: u64) -> Result<()> {
+        self.inner.truncate(path, len)
+    }
+
     fn remove(&self, path: &Path) -> Result<()> {
         let fault = self
             .write_faults
@@ -553,9 +583,16 @@ mod tests {
         s.append(&p, b"abc", false).unwrap();
         s.append(&p, b"def", true).unwrap();
         assert_eq!(s.read(&p).unwrap(), b"abcdef");
+        s.truncate(&p, 2).unwrap();
+        assert_eq!(s.read(&p).unwrap(), b"ab");
         s.remove(&p).unwrap();
         assert!(!s.exists(&p));
         assert!(s.remove(&p).is_err(), "removing a missing file errors");
+        s.truncate(&p, 0).unwrap();
+        assert!(
+            s.truncate(&p, 1).is_err(),
+            "a missing file has no byte to keep"
+        );
         let _ = std::fs::remove_dir_all(&d);
     }
 

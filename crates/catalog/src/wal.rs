@@ -2,9 +2,10 @@
 //!
 //! Point updates applied to a maintained synopsis live only in memory until
 //! the next background rebuild persists a new catalog generation. The WAL
-//! closes that window: every acknowledged `(index, delta)` is appended to a
-//! checksummed segment file *before* the in-memory state changes, so a crash
-//! loses at most the one record that was mid-append when power failed.
+//! closes that window: every acknowledged batch of `(index, delta)` updates
+//! is appended to a checksummed segment file *before* the in-memory state
+//! changes, so a crash loses at most the one batch that was mid-append when
+//! power failed — whole, never a prefix of it.
 //!
 //! ## Segment format
 //!
@@ -13,7 +14,8 @@
 //! ```text
 //! header:  magic "SYNWAL01" (8) | version u16 | name_len u16
 //!          | base_generation u64 | first_lsn u64 | name bytes | crc32 u32
-//! record:  len u32 (= 24) | lsn u64 | index u64 | delta i64 | crc32 u32
+//! record:  len u32 (= 24, bit 31 = batch continues) | lsn u64
+//!          | index u64 | delta i64 | crc32 u32
 //! ```
 //!
 //! All integers are little-endian. The header CRC covers every header byte
@@ -23,10 +25,25 @@
 //! vanished middle segment is detectable. `base_generation` is the catalog
 //! generation that was committed when the segment was opened.
 //!
+//! ## Batches
+//!
+//! [`ColumnWal::append_batch`] journals a batch of records in one
+//! [`Storage::append`]. Every record of a batch except the last sets bit 31
+//! of its length word (the *continuation bit*); the last record's clear bit
+//! is the batch's end mark. A batch never spans segments. Writers stamp
+//! header version 2; version 1 segments, written before batches existed,
+//! never set the bit, so each of their records reads as a one-record batch.
+//! Readers accept both versions.
+//!
 //! ## Durability and truncation
 //!
 //! Appends go through [`Storage::append`] with an fsync cadence chosen by
-//! [`FsyncCadence`]. Segments rotate once they exceed
+//! [`FsyncCadence`], decided once per batch: `EveryN(n)` syncs a batch of
+//! `k` records iff `since_sync + k >= n`, so at most `n - 1` acknowledged
+//! records are ever unsynced. A failed append is rolled back to the
+//! segment's acknowledged length with [`Storage::truncate`], so its LSNs
+//! can be reused; if even the rollback fails, the journal refuses every
+//! later append with the original error. Segments rotate once they exceed
 //! [`WalConfig::segment_bytes`]. After a catalog generation commits with a
 //! WAL mark (see [`crate::Catalog::set_wal_mark`]), [`ColumnWal::checkpoint`]
 //! deletes every segment whose records are all covered by the mark — the
@@ -37,13 +54,14 @@
 //! ## Reading back
 //!
 //! [`scan_column_journal`] validates the whole chain. A torn *tail* —
-//! fewer trailing bytes than one record, or an unreadable header on the
-//! final segment (the crash hit the segment's very first append) — is
-//! tolerated and truncated, because those bytes were never acknowledged as
-//! durable. Everything else (mid-stream CRC mismatch, broken LSN chain,
-//! torn tail on a non-final segment) is a hard
-//! [`SynopticError::CorruptJournal`]: the journal cannot be trusted and
-//! recovery must say so rather than guess.
+//! fewer trailing bytes than one record, a trailing batch with no end mark
+//! (dropped whole), or an unreadable header on the final segment (the
+//! crash hit the segment's very first append) — is tolerated and
+//! truncated, because those bytes were never acknowledged as durable.
+//! Everything else (mid-stream CRC mismatch, broken LSN chain, torn tail
+//! on a non-final segment) is a hard [`SynopticError::CorruptJournal`]:
+//! the journal cannot be trusted and recovery must say so rather than
+//! guess.
 
 use std::collections::BTreeMap;
 use std::path::{Path, PathBuf};
@@ -58,7 +76,8 @@ use crate::store::sanitize_column;
 /// Magic bytes opening every WAL segment file.
 pub const WAL_MAGIC: [u8; 8] = *b"SYNWAL01";
 /// Highest segment format version this build reads and the one it writes.
-pub const WAL_VERSION: u16 = 1;
+/// Version 2 added the batch continuation bit; version 1 is still read.
+pub const WAL_VERSION: u16 = 2;
 /// Extension of WAL segment files.
 pub const WAL_EXT: &str = "wal";
 /// Encoded size of one record: length prefix (4) + payload (24) + CRC (4).
@@ -68,6 +87,8 @@ pub const WAL_RECORD_LEN: usize = 32;
 const HEADER_FIXED_LEN: usize = 28;
 /// Declared payload length of every record.
 const RECORD_PAYLOAD_LEN: u32 = 24;
+/// Length-word bit set on every record of a batch except its last.
+const BATCH_CONTINUES: u32 = 1 << 31;
 
 /// How often appended records are fsynced to the platter.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
@@ -134,7 +155,7 @@ pub struct SegmentMeta {
     pub first_lsn: u64,
     /// LSN of the segment's last record (`first_lsn - 1` when empty).
     pub last_lsn: u64,
-    /// Whether a torn final record was truncated off this segment.
+    /// Whether a torn final batch was truncated off this segment.
     pub torn_tail: bool,
 }
 
@@ -188,9 +209,10 @@ pub struct DecodedSegment {
     pub last_lsn: u64,
     /// All valid records, consecutive from `first_lsn`.
     pub records: Vec<WalRecord>,
-    /// Whether trailing bytes short of one whole record were truncated
-    /// off. A sealed, fully shipped segment is never torn; receivers treat
-    /// a torn decode as an incomplete transfer, not corruption.
+    /// Whether a torn final batch was truncated off: trailing bytes short
+    /// of one whole record, or records with no batch end mark. A sealed,
+    /// fully shipped segment is never torn; receivers treat a torn decode
+    /// as an incomplete transfer, not corruption.
     pub torn_tail: bool,
 }
 
@@ -245,9 +267,14 @@ fn encode_header(column: &str, base_generation: u64, first_lsn: u64) -> Vec<u8> 
     out
 }
 
-fn encode_record(lsn: u64, index: u64, delta: i64) -> [u8; WAL_RECORD_LEN] {
+fn encode_record(lsn: u64, index: u64, delta: i64, continues: bool) -> [u8; WAL_RECORD_LEN] {
     let mut out = [0u8; WAL_RECORD_LEN];
-    out[0..4].copy_from_slice(&RECORD_PAYLOAD_LEN.to_le_bytes());
+    let len = if continues {
+        RECORD_PAYLOAD_LEN | BATCH_CONTINUES
+    } else {
+        RECORD_PAYLOAD_LEN
+    };
+    out[0..4].copy_from_slice(&len.to_le_bytes());
     out[4..12].copy_from_slice(&lsn.to_le_bytes());
     out[12..20].copy_from_slice(&index.to_le_bytes());
     out[20..28].copy_from_slice(&delta.to_le_bytes());
@@ -257,6 +284,7 @@ fn encode_record(lsn: u64, index: u64, delta: i64) -> [u8; WAL_RECORD_LEN] {
 }
 
 struct ParsedHeader {
+    version: u16,
     column: String,
     base_generation: u64,
     first_lsn: u64,
@@ -319,6 +347,7 @@ fn parse_header(bytes: &[u8], file: &str) -> Result<ParsedHeader> {
         .map_err(|_| corrupt(file, "column name is not UTF-8"))?
         .to_string();
     Ok(ParsedHeader {
+        version,
         column,
         base_generation: u64_at(bytes, 12),
         first_lsn,
@@ -328,25 +357,36 @@ fn parse_header(bytes: &[u8], file: &str) -> Result<ParsedHeader> {
 
 /// Decodes the record stream following a segment header. `Err` means
 /// untrustworthy mid-stream bytes; `Ok(.., Some(detail))` means a torn
-/// tail was truncated off.
+/// tail was truncated off — always a whole batch, so a batch is either
+/// fully in the returned records or absent.
 fn parse_records(
     bytes: &[u8],
     first_lsn: u64,
+    version: u16,
     file: &str,
 ) -> Result<(Vec<WalRecord>, Option<String>)> {
     let mut records = Vec::with_capacity(bytes.len() / WAL_RECORD_LEN);
+    // Records before this index belong to batches whose end mark was read.
+    let mut complete = 0usize;
     let mut at = 0usize;
+    let mut torn = None;
     while at < bytes.len() {
         let remaining = bytes.len() - at;
         if remaining < WAL_RECORD_LEN {
-            // A torn append leaves a strict prefix of one record; anything
+            // A torn append leaves a strict prefix of its bytes; anything
             // shorter than a whole record can only be that.
-            return Ok((
-                records,
-                Some(format!("{remaining} trailing bytes, less than one record")),
-            ));
+            torn = Some(format!("{remaining} trailing bytes, less than one record"));
+            break;
         }
-        let len = u32_at(bytes, at);
+        let word = u32_at(bytes, at);
+        // Version 1 predates batches: bit 31 there is corruption, caught
+        // by the length check below.
+        let continues = version >= 2 && word & BATCH_CONTINUES != 0;
+        let len = if continues {
+            word & !BATCH_CONTINUES
+        } else {
+            word
+        };
         if len != RECORD_PAYLOAD_LEN {
             return Err(corrupt(
                 file,
@@ -372,8 +412,22 @@ fn parse_records(
             delta: u64_at(bytes, at + 20) as i64,
         });
         at += WAL_RECORD_LEN;
+        if !continues {
+            complete = records.len();
+        }
     }
-    Ok((records, None))
+    let open = records.len() - complete;
+    if open > 0 {
+        // The append that carried this batch tore before its end mark
+        // landed: none of the batch was acknowledged, so all of it goes.
+        records.truncate(complete);
+        let detail = format!("batch of {open} record(s) has no end mark");
+        torn = Some(match torn {
+            Some(bytes) => format!("{detail}, then {bytes}"),
+            None => detail,
+        });
+    }
+    Ok((records, torn))
 }
 
 /// Reads and validates `column`'s whole journal under `dir`.
@@ -457,7 +511,8 @@ pub fn scan_column_journal<S: Storage>(
         // Continuity held across any intervening wrecks: they provably
         // carried nothing durable.
         scan.skipped.extend(wrecks.drain(..).map(|(n, _)| n));
-        let (records, torn) = parse_records(&bytes[header.len..], header.first_lsn, name)?;
+        let (records, torn) =
+            parse_records(&bytes[header.len..], header.first_lsn, header.version, name)?;
         if let Some(detail) = &torn {
             if !is_final {
                 return Err(corrupt(
@@ -556,13 +611,15 @@ pub fn list_journal_columns<S: Storage>(storage: &S, dir: &Path) -> Result<Vec<S
 
 /// Decodes one whole segment file as shipped over a replication transport:
 /// header plus record stream, CRC- and LSN-chain-validated exactly like
-/// [`scan_column_journal`] validates it on disk. Trailing bytes short of a
-/// whole record are truncated off and flagged (`torn_tail`) rather than
-/// refused — over a transport that means an incomplete transfer the sender
+/// [`scan_column_journal`] validates it on disk. A torn final batch —
+/// trailing bytes short of a whole record, or records with no batch end
+/// mark — is truncated off whole and flagged (`torn_tail`) rather than
+/// refused: over a transport that means an incomplete transfer the sender
 /// will retry, and on disk it means a torn final append.
 pub fn decode_segment(bytes: &[u8], file: &str) -> Result<DecodedSegment> {
     let header = parse_header(bytes, file)?;
-    let (records, torn) = parse_records(&bytes[header.len..], header.first_lsn, file)?;
+    let (records, torn) =
+        parse_records(&bytes[header.len..], header.first_lsn, header.version, file)?;
     let last_lsn = header.first_lsn + records.len() as u64 - 1;
     Ok(DecodedSegment {
         header_len: header.len,
@@ -612,6 +669,10 @@ struct WalState {
     sealed: Vec<SealedSegment>,
     /// Records appended since the last fsync (for [`FsyncCadence::EveryN`]).
     since_sync: u64,
+    /// Set when a failed append could not be rolled back: the active
+    /// segment may end in bytes that were never acknowledged, so every
+    /// later append and seal is refused with this error.
+    poisoned: Option<SynopticError>,
 }
 
 /// Called after a segment seals durably, with its path and last LSN.
@@ -698,6 +759,7 @@ impl<S: Storage> ColumnWal<S> {
                 active: None,
                 sealed,
                 since_sync: 0,
+                poisoned: None,
             }),
             holds: Mutex::new(BTreeMap::new()),
             seal_hook: Mutex::new(None),
@@ -758,6 +820,9 @@ impl<S: Storage> ColumnWal<S> {
     /// active. The next append opens a fresh segment.
     pub fn seal(&self) -> Result<()> {
         let mut st = self.lock();
+        if let Some(e) = &st.poisoned {
+            return Err(e.clone());
+        }
         self.seal_active(&mut st)
     }
 
@@ -802,11 +867,28 @@ impl<S: Storage> ColumnWal<S> {
             .collect()
     }
 
-    /// Journals one update and returns its LSN. The record is on its way
-    /// to disk (synced, per the cadence) before this returns; only then may
-    /// the caller mutate the in-memory state it protects.
+    /// Journals one update and returns its LSN: a one-record
+    /// [`Self::append_batch`].
     pub fn append(&self, index: u64, delta: i64) -> Result<u64> {
+        self.append_batch(&[(index, delta)])
+    }
+
+    /// Journals a batch of `(index, delta)` updates in one storage append
+    /// and returns the LSN of its last record (the current mark when the
+    /// batch is empty, which appends nothing). The batch is on its way to
+    /// disk (synced, per the cadence) before this returns; only then may
+    /// the caller mutate the in-memory state it protects. Recovery replays
+    /// the batch whole or not at all.
+    pub fn append_batch(&self, batch: &[(u64, i64)]) -> Result<u64> {
         let mut st = self.lock();
+        if let Some(e) = &st.poisoned {
+            return Err(e.clone());
+        }
+        if batch.is_empty() {
+            return Ok(st.next_lsn - 1);
+        }
+        let k = batch.len() as u64;
+        // A batch never spans segments: rotate before it, not inside it.
         let over_budget = st
             .active
             .as_ref()
@@ -814,37 +896,49 @@ impl<S: Storage> ColumnWal<S> {
         if over_budget {
             self.seal_active(&mut st)?;
         }
-        let lsn = st.next_lsn;
-        let record = encode_record(lsn, index, delta);
+        let first = st.next_lsn;
         let sync = match self.config.fsync {
             FsyncCadence::EveryRecord => true,
-            FsyncCadence::EveryN(n) => st.since_sync + 1 >= n.max(1),
+            FsyncCadence::EveryN(n) => st.since_sync + k >= n.max(1),
             FsyncCadence::OnRotate => false,
         };
-        match &mut st.active {
-            Some(a) => {
-                self.storage.append(&a.path, &record, sync)?;
-                a.bytes += WAL_RECORD_LEN;
-            }
-            None => {
-                // First record of a new segment: header and record go out
-                // in one append, so a tear at any byte is a torn creation
-                // or a torn tail — never a half-header with a live record
-                // stranded behind it.
-                let seq = st.next_seq;
-                let file = wal_file_name(&self.column, seq);
-                let path = self.dir.join(&file);
-                let mut buf = encode_header(&self.column, st.generation, lsn);
-                let bytes = buf.len() + WAL_RECORD_LEN;
-                buf.extend_from_slice(&record);
-                self.storage.append(&path, &buf, sync)?;
-                st.next_seq = seq + 1;
-                st.active = Some(ActiveSegment { path, bytes });
-            }
+        let (path, acked, mut buf) = match &st.active {
+            Some(a) => (a.path.clone(), a.bytes, Vec::new()),
+            // First batch of a new segment: header and records go out in
+            // one append, so a tear at any byte is a torn creation or a
+            // torn tail — never a half-header with a live record stranded
+            // behind it.
+            None => (
+                self.dir.join(wal_file_name(&self.column, st.next_seq)),
+                0,
+                encode_header(&self.column, st.generation, first),
+            ),
+        };
+        buf.reserve(batch.len() * WAL_RECORD_LEN);
+        for (j, &(index, delta)) in batch.iter().enumerate() {
+            let lsn = first + j as u64;
+            buf.extend_from_slice(&encode_record(lsn, index, delta, j + 1 < batch.len()));
         }
-        st.next_lsn = lsn + 1;
-        st.since_sync = if sync { 0 } else { st.since_sync + 1 };
-        Ok(lsn)
+        if let Err(e) = self.storage.append(&path, &buf, sync) {
+            // Some of the bytes may have landed (a short write, or a write
+            // followed by a failed fsync). Cut them off so the next append
+            // can reuse these LSNs; if that fails too, the tail cannot be
+            // trusted and the journal stops accepting appends.
+            if self.storage.truncate(&path, acked as u64).is_err() {
+                st.poisoned = Some(e.clone());
+            }
+            return Err(e);
+        }
+        if st.active.is_none() {
+            st.next_seq += 1;
+        }
+        st.active = Some(ActiveSegment {
+            path,
+            bytes: acked + buf.len(),
+        });
+        st.next_lsn = first + k;
+        st.since_sync = if sync { 0 } else { st.since_sync + k };
+        Ok(first + k - 1)
     }
 
     /// The LSN of the last acknowledged record (`0` when nothing was ever
@@ -983,6 +1077,7 @@ impl<S: Storage> ColumnWal<S> {
 mod tests {
     use super::*;
     use crate::storage::{Fault, FaultyStorage, FsStorage};
+    use std::sync::atomic::{AtomicBool, Ordering};
     use std::sync::Arc;
 
     fn tmp_dir(tag: &str) -> PathBuf {
@@ -1070,7 +1165,7 @@ mod tests {
         wal.append(1, 10).unwrap();
         wal.append(2, 20).unwrap();
         // Power fails mid-append: a strict prefix of record 3 lands.
-        let partial = &encode_record(3, 3, 30)[..11];
+        let partial = &encode_record(3, 3, 30, false)[..11];
         s.append(&d.join(wal_file_name("t", 1)), partial, false)
             .unwrap();
         let scan = scan_column_journal(&s, &d, "t").unwrap();
@@ -1276,6 +1371,9 @@ mod tests {
             ));
             self.inner.append(path, bytes, sync)
         }
+        fn truncate(&self, path: &Path, len: u64) -> Result<()> {
+            self.inner.truncate(path, len)
+        }
         fn remove(&self, path: &Path) -> Result<()> {
             self.inner.remove(path)
         }
@@ -1348,9 +1446,9 @@ mod tests {
         let d = tmp_dir("version");
         let s = FsStorage::new();
         std::fs::create_dir_all(&d).unwrap();
-        // A CRC-valid header claiming version 2.
+        // A CRC-valid header claiming the next, unknown version.
         let mut h = encode_header("v", 1, 1);
-        h[8] = 2;
+        h[8..10].copy_from_slice(&(WAL_VERSION + 1).to_le_bytes());
         let crc = crc32(&h[..h.len() - 4]);
         let at = h.len() - 4;
         h[at..].copy_from_slice(&crc.to_le_bytes());
@@ -1360,9 +1458,9 @@ mod tests {
             matches!(
                 err,
                 SynopticError::UnsupportedVersion {
-                    found: 2,
-                    supported: 1
-                }
+                    found,
+                    supported: WAL_VERSION
+                } if found == WAL_VERSION + 1
             ),
             "{err:?}"
         );
@@ -1382,6 +1480,9 @@ mod tests {
         }
         fn append(&self, path: &Path, bytes: &[u8], sync: bool) -> Result<()> {
             self.0.append(path, bytes, sync)
+        }
+        fn truncate(&self, path: &Path, len: u64) -> Result<()> {
+            self.0.truncate(path, len)
         }
         fn remove(&self, path: &Path) -> Result<()> {
             self.0.remove(path)
@@ -1612,6 +1713,249 @@ mod tests {
         let rep = wal.checkpoint_report(2, 2).unwrap();
         assert!(rep.evicted.is_empty());
         assert_eq!(wal.retention_holds(), vec![("current".to_string(), 2)]);
+        let _ = std::fs::remove_dir_all(&d);
+    }
+
+    #[test]
+    fn a_batch_is_one_append_with_one_end_mark() {
+        let d = tmp_dir("batch");
+        let spy = SyncSpy::new();
+        let wal = ColumnWal::open(spy.clone(), &d, "b", 1, WalConfig::default()).unwrap();
+        assert_eq!(wal.append_batch(&[]).unwrap(), 0, "empty: nothing appended");
+        assert_eq!(wal.append_batch(&[(0, 1), (1, -2), (2, 3)]).unwrap(), 3);
+        assert_eq!(wal.append(7, 4).unwrap(), 4);
+        let appends = spy.appends.lock().unwrap().clone();
+        assert_eq!(
+            appends.len(),
+            2,
+            "one storage append per batch: {appends:?}"
+        );
+        let bytes = std::fs::read(d.join(wal_file_name("b", 1))).unwrap();
+        let header = bytes.len() - 4 * WAL_RECORD_LEN;
+        assert_eq!(u16_at(&bytes, 8), WAL_VERSION);
+        let continues: Vec<bool> = (0..4)
+            .map(|r| u32_at(&bytes, header + r * WAL_RECORD_LEN) & BATCH_CONTINUES != 0)
+            .collect();
+        assert_eq!(continues, vec![true, true, false, false]);
+        let scan = scan_column_journal(&FsStorage::new(), &d, "b").unwrap();
+        let got: Vec<(u64, u64, i64)> = scan
+            .records
+            .iter()
+            .map(|r| (r.lsn, r.index, r.delta))
+            .collect();
+        assert_eq!(got, vec![(1, 0, 1), (2, 1, -2), (3, 2, 3), (4, 7, 4)]);
+        let _ = std::fs::remove_dir_all(&d);
+    }
+
+    #[test]
+    fn a_batch_without_its_end_mark_is_dropped_whole() {
+        let d = tmp_dir("tornbatch");
+        let s = FsStorage::new();
+        let wal = ColumnWal::open(s.clone(), &d, "t", 1, WalConfig::default()).unwrap();
+        wal.append_batch(&[(0, 1), (1, 1)]).unwrap();
+        let path = d.join(wal_file_name("t", 1));
+        let whole = s.read(&path).unwrap();
+        // Power fails mid-append of a three-record batch: its first two
+        // records land whole, its last one (the end mark) does not.
+        let mut torn = whole.clone();
+        torn.extend_from_slice(&encode_record(3, 2, 5, true));
+        torn.extend_from_slice(&encode_record(4, 3, 5, true));
+        for tail in [0, 9] {
+            let mut bytes = torn.clone();
+            bytes.extend_from_slice(&encode_record(5, 4, 5, false)[..tail]);
+            std::fs::write(&path, &bytes).unwrap();
+            let scan = scan_column_journal(&s, &d, "t").unwrap();
+            assert_eq!(scan.max_lsn, 2, "tail {tail}");
+            assert_eq!(scan.records.len(), 2);
+            assert!(scan.segments[0].torn_tail);
+            let seg = decode_segment(&bytes, "t-1.wal").unwrap();
+            assert!(seg.torn_tail);
+            assert_eq!(
+                seg.header_len + seg.records.len() * WAL_RECORD_LEN,
+                whole.len()
+            );
+        }
+        // The same open batch on a non-final segment is corruption.
+        s.append(
+            &d.join(wal_file_name("t", 2)),
+            &encode_header("t", 1, 3),
+            false,
+        )
+        .unwrap();
+        let err = scan_column_journal(&s, &d, "t").unwrap_err();
+        assert!(
+            matches!(err, SynopticError::CorruptJournal { ref detail, .. } if detail.contains("end mark")),
+            "{err:?}"
+        );
+        let _ = std::fs::remove_dir_all(&d);
+    }
+
+    /// A version-1 segment as the format's first release wrote it: column
+    /// "old", base generation 4, records (LSN 1, index 2, delta 5) and
+    /// (LSN 2, index 0, delta -3).
+    const V1_SEGMENT: [u8; 99] = [
+        0x53, 0x59, 0x4e, 0x57, 0x41, 0x4c, 0x30, 0x31, 0x01, 0x00, 0x03, 0x00, 0x04, 0x00, 0x00,
+        0x00, 0x00, 0x00, 0x00, 0x00, 0x01, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x6f, 0x6c,
+        0x64, 0x59, 0x0f, 0x27, 0x5b, //
+        0x18, 0x00, 0x00, 0x00, 0x01, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x02, 0x00, 0x00,
+        0x00, 0x00, 0x00, 0x00, 0x00, 0x05, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0xf1, 0x00,
+        0xe5, 0xd8, //
+        0x18, 0x00, 0x00, 0x00, 0x02, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00,
+        0x00, 0x00, 0x00, 0x00, 0x00, 0xfd, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xd6, 0x85,
+        0xf8, 0x49,
+    ];
+
+    #[test]
+    fn a_version_1_segment_still_replays() {
+        let d = tmp_dir("v1");
+        let s = FsStorage::new();
+        std::fs::create_dir_all(&d).unwrap();
+        s.append(&d.join(wal_file_name("old", 1)), &V1_SEGMENT, false)
+            .unwrap();
+        let expect = vec![
+            WalRecord {
+                lsn: 1,
+                index: 2,
+                delta: 5,
+            },
+            WalRecord {
+                lsn: 2,
+                index: 0,
+                delta: -3,
+            },
+        ];
+        let scan = scan_column_journal(&s, &d, "old").unwrap();
+        assert_eq!(scan.records, expect);
+        assert_eq!(scan.segments[0].base_generation, 4);
+        assert!(!scan.segments[0].torn_tail);
+        // Appending after it opens a version-2 segment; the mixed chain
+        // scans as one.
+        let wal = ColumnWal::open(s.clone(), &d, "old", 4, WalConfig::default()).unwrap();
+        assert_eq!(wal.append_batch(&[(1, 1), (3, 1)]).unwrap(), 4);
+        let scan = scan_column_journal(&s, &d, "old").unwrap();
+        assert_eq!(scan.records[..2], expect[..]);
+        assert_eq!(scan.max_lsn, 4);
+        let v2 = s.read(&d.join(wal_file_name("old", 2))).unwrap();
+        assert_eq!(u16_at(&v2, 8), 2);
+        // Version 1 has no continuation bit: a record claiming one is
+        // corrupt there, not an open batch.
+        let mut flagged = V1_SEGMENT;
+        flagged[38] |= 0x80;
+        let crc = crc32(&flagged[35..63]);
+        flagged[63..67].copy_from_slice(&crc.to_le_bytes());
+        assert!(matches!(
+            decode_segment(&flagged, "old-1.wal"),
+            Err(SynopticError::CorruptJournal { .. })
+        ));
+        let _ = std::fs::remove_dir_all(&d);
+    }
+
+    #[test]
+    fn every_n_bounds_unsynced_records_at_batch_granularity() {
+        let d = tmp_dir("everyn_batch");
+        let spy = SyncSpy::new();
+        let cfg = WalConfig {
+            fsync: FsyncCadence::EveryN(4),
+            ..WalConfig::default()
+        };
+        let wal = ColumnWal::open(spy.clone(), &d, "n", 1, cfg).unwrap();
+        // Unsynced counts: 3, then 3 + 3 >= 4 syncs, 1, then 1 + 5 syncs.
+        for size in [3u64, 3, 1, 5] {
+            let batch: Vec<(u64, i64)> = (0..size).map(|i| (i, 1)).collect();
+            wal.append_batch(&batch).unwrap();
+        }
+        let syncs: Vec<bool> = spy.appends.lock().unwrap().iter().map(|a| a.2).collect();
+        assert_eq!(syncs, vec![false, true, false, true]);
+        let _ = std::fs::remove_dir_all(&d);
+    }
+
+    /// Lands every append's bytes, then fails the appends armed by
+    /// `fail_appends` — a write followed by a failed fsync. With
+    /// `fail_truncates` set, rollbacks fail as well.
+    #[derive(Clone, Default)]
+    struct FailAfterWrite {
+        inner: FsStorage,
+        fail_appends: Arc<AtomicBool>,
+        fail_truncates: Arc<AtomicBool>,
+    }
+
+    impl Storage for FailAfterWrite {
+        fn read(&self, path: &Path) -> Result<Vec<u8>> {
+            self.inner.read(path)
+        }
+        fn write_atomic(&self, path: &Path, bytes: &[u8]) -> Result<()> {
+            self.inner.write_atomic(path, bytes)
+        }
+        fn append(&self, path: &Path, bytes: &[u8], sync: bool) -> Result<()> {
+            self.inner.append(path, bytes, sync)?;
+            if self.fail_appends.swap(false, Ordering::SeqCst) {
+                return Err(SynopticError::Io {
+                    path: path.display().to_string(),
+                    detail: "fsync failed (injected)".into(),
+                });
+            }
+            Ok(())
+        }
+        fn truncate(&self, path: &Path, len: u64) -> Result<()> {
+            if self.fail_truncates.load(Ordering::SeqCst) {
+                return Err(SynopticError::Io {
+                    path: path.display().to_string(),
+                    detail: "truncate failed (injected)".into(),
+                });
+            }
+            self.inner.truncate(path, len)
+        }
+        fn remove(&self, path: &Path) -> Result<()> {
+            self.inner.remove(path)
+        }
+        fn rename(&self, from: &Path, to: &Path) -> Result<()> {
+            self.inner.rename(from, to)
+        }
+        fn list(&self, dir: &Path) -> Result<Vec<String>> {
+            self.inner.list(dir)
+        }
+        fn create_dir_all(&self, dir: &Path) -> Result<()> {
+            self.inner.create_dir_all(dir)
+        }
+        fn exists(&self, path: &Path) -> bool {
+            self.inner.exists(path)
+        }
+    }
+
+    #[test]
+    fn a_failed_append_is_rolled_back_and_its_lsns_reused() {
+        let d = tmp_dir("rollback");
+        let s = FailAfterWrite::default();
+        let wal = ColumnWal::open(s.clone(), &d, "r", 1, WalConfig::default()).unwrap();
+        // The failure hits a segment's creating append, then a later one.
+        s.fail_appends.store(true, Ordering::SeqCst);
+        assert!(wal.append(9, 90).is_err());
+        assert_eq!(wal.append(1, 10).unwrap(), 1);
+        s.fail_appends.store(true, Ordering::SeqCst);
+        assert!(wal.append_batch(&[(8, 80), (8, 81)]).is_err());
+        assert_eq!(wal.pending_mark(), 1);
+        assert_eq!(wal.append_batch(&[(2, 20), (3, 30)]).unwrap(), 3);
+        let scan = scan_column_journal(&FsStorage::new(), &d, "r").unwrap();
+        let got: Vec<(u64, u64)> = scan.records.iter().map(|r| (r.lsn, r.index)).collect();
+        assert_eq!(got, vec![(1, 1), (2, 2), (3, 3)]);
+        assert_eq!(scan.segments.len(), 1);
+        let _ = std::fs::remove_dir_all(&d);
+    }
+
+    #[test]
+    fn a_failed_rollback_refuses_every_later_append() {
+        let d = tmp_dir("poison");
+        let s = FailAfterWrite::default();
+        let wal = ColumnWal::open(s.clone(), &d, "p", 1, WalConfig::default()).unwrap();
+        wal.append(1, 10).unwrap();
+        s.fail_appends.store(true, Ordering::SeqCst);
+        s.fail_truncates.store(true, Ordering::SeqCst);
+        let err = wal.append(2, 20).unwrap_err();
+        s.fail_truncates.store(false, Ordering::SeqCst);
+        assert_eq!(wal.append(3, 30).unwrap_err(), err);
+        assert_eq!(wal.append_batch(&[(4, 40)]).unwrap_err(), err);
+        assert_eq!(wal.seal().unwrap_err(), err);
+        assert_eq!(wal.pending_mark(), 1);
         let _ = std::fs::remove_dir_all(&d);
     }
 

@@ -118,7 +118,7 @@ pub enum SynopticError {
         snapshot_generation: u64,
     },
     /// A write-ahead journal failed integrity validation beyond the
-    /// tolerated torn final record: a corrupt header, a mid-stream CRC
+    /// tolerated torn final batch: a corrupt header, a mid-stream CRC
     /// mismatch, a broken LSN chain, or an out-of-range replay index.
     /// The journal's deltas cannot be trusted and replay stops.
     CorruptJournal {

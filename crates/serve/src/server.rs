@@ -691,37 +691,19 @@ impl Server {
         let Some(col) = self.column(name) else {
             return Response::Error(unknown_column(name));
         };
-        // Bounds are pre-validated so the common client mistake — a bad
-        // index anywhere in the batch — is refused atomically, before any
-        // delta touches state (the pool handle only bounds-checks
-        // journaled columns itself).
-        let n = col.handle.estimator().n();
-        for &(i, _) in deltas {
-            if i as usize >= n {
-                return Response::Error(SynopticError::IndexOutOfBounds {
-                    index: i as usize,
-                    n,
-                });
-            }
-        }
-        // Past the bounds check, application is sequential and NOT
-        // atomic: a delta can still fail for non-bounds reasons (a WAL
-        // append error, the pool shut down mid-batch), leaving every
-        // earlier delta applied. The error names how far the batch got
-        // (on variants that carry free text) and docs/SERVING.md states
-        // the partial-application contract, so the client never mistakes
-        // such an error for "nothing happened".
-        let mut scheduled = 0u64;
-        for (at, &(i, delta)) in deltas.iter().enumerate() {
-            match col.handle.update(i as usize, delta) {
-                Ok(true) => scheduled += 1,
-                Ok(false) => {}
-                Err(e) => return Response::Error(annotate_partial(e, at, deltas.len())),
-            }
-        }
-        Response::Updated {
-            applied: deltas.len() as u64,
-            scheduled,
+        // One batch, whole or nothing: a bad index or a failed journal
+        // append refuses it untouched. The only error after it applies is
+        // `WorkerUnavailable` (docs/SERVING.md §2).
+        let batch: Vec<(usize, i64)> = deltas
+            .iter()
+            .map(|&(i, d)| (usize::try_from(i).unwrap_or(usize::MAX), d))
+            .collect();
+        match col.handle.update_batch(&batch) {
+            Ok(scheduled) => Response::Updated {
+                applied: deltas.len() as u64,
+                scheduled: u64::from(scheduled),
+            },
+            Err(e) => Response::Error(e),
         }
     }
 
@@ -756,32 +738,6 @@ impl Server {
 
 fn unknown_column(name: &str) -> SynopticError {
     SynopticError::InvalidParameter(format!("unknown column {name:?}"))
-}
-
-/// Notes mid-batch progress on error variants that carry free text, so a
-/// client receiving a non-bounds failure learns how far its update batch
-/// got. Deltas *before* `failed_at` are applied for certain; the failing
-/// delta itself may or may not be, depending on where in ingestion the
-/// error arose. Structured variants pass through unchanged and rely on
-/// the documented contract (docs/SERVING.md §2: updates past the bounds
-/// check are not atomic).
-fn annotate_partial(e: SynopticError, failed_at: usize, total: usize) -> SynopticError {
-    let note =
-        format!("update batch failed at delta {failed_at} of {total}; earlier deltas are applied");
-    match e {
-        SynopticError::Io { path, detail } => SynopticError::Io {
-            path,
-            detail: format!("{detail} ({note})"),
-        },
-        SynopticError::CorruptJournal { context, detail } => SynopticError::CorruptJournal {
-            context,
-            detail: format!("{detail} ({note})"),
-        },
-        SynopticError::InvalidParameter(msg) => {
-            SynopticError::InvalidParameter(format!("{msg} ({note})"))
-        }
-        other => other,
-    }
 }
 
 /// Compile-time proof the server crosses thread boundaries (one thread

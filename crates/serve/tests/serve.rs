@@ -9,12 +9,15 @@ use synoptic_api::wire::{
     decode_response, encode_request, encode_response, QueryBatch, Request, Response,
 };
 use synoptic_api::{exit_code, Queryable, EXIT_CORRUPT, EXIT_REFUSED};
+use synoptic_catalog::{Fault, FaultyStorage, FsStorage};
 use synoptic_core::{Budget, PrefixSums, RangeEstimator, RangeQuery, SynopticError};
 use synoptic_repl::{
     FaultyTransport, ManualClock, MemTransport, Received, Transport, TransportFault,
 };
 use synoptic_serve::{Client, ServeConfig, Server};
-use synoptic_stream::{ColumnBuild, ColumnHandle, MaintainedPool, RebuildConfig, RebuildPolicy};
+use synoptic_stream::{
+    ColumnBuild, ColumnHandle, DurabilityConfig, MaintainedPool, RebuildConfig, RebuildPolicy,
+};
 
 /// An exact estimator: answers are the true range sums of the snapshot it
 /// was built from. Any mixing of two snapshots in one batch is therefore
@@ -128,7 +131,7 @@ fn tcp_round_trip_ping_estimates_updates_and_stats() {
     assert!(stats.connections >= 1);
 
     // Structural errors cross the wire: an out-of-bounds update refuses
-    // with the exact variant, nothing partially applied.
+    // with the exact variant, nothing applied.
     let err = client.update("price", vec![(0, 1), (64, 1)]).unwrap_err();
     assert!(matches!(
         err,
@@ -377,16 +380,13 @@ fn re_registering_a_column_refreshes_connection_readers_and_caches() {
 }
 
 // ---------------------------------------------------------------------------
-// Update batches: bounds refuse atomically, non-bounds failures are partial
+// Update batches: whole or nothing
 
-/// Past the atomic bounds pre-check, update application is sequential:
-/// a non-bounds mid-batch failure (here: the pool shut down, so the
-/// delta that fires the rebuild policy cannot schedule) leaves earlier
-/// deltas applied. The documented contract (docs/SERVING.md) is that the
-/// error is loud and the partial application is real — not rolled back,
-/// not hidden.
+/// An update batch applies whole. The only error after it applies is a
+/// scheduling failure (here: the pool shut down, so the rebuild the batch
+/// fires cannot schedule) — loud, and with every delta applied.
 #[test]
-fn non_bounds_mid_batch_update_failures_are_loud_and_partial() {
+fn non_bounds_mid_batch_update_failures_are_loud_and_whole() {
     let pool = MaintainedPool::new(1);
     let col = pool
         .add_column(
@@ -399,8 +399,8 @@ fn non_bounds_mid_batch_update_failures_are_loud_and_partial() {
     let server = Server::new(ServeConfig::default());
     server.register(col.clone());
     let mut t = mem_session(&server);
-    // Kill the maintenance workers: the first delta applies, then fails
-    // to schedule the rebuild its policy fires.
+    // Kill the maintenance workers: the batch applies, then fails to
+    // schedule the rebuild its policy fires.
     pool.shutdown();
     let Response::Error(err) = call(
         &mut t,
@@ -415,10 +415,54 @@ fn non_bounds_mid_batch_update_failures_are_loud_and_partial() {
         matches!(err, SynopticError::WorkerUnavailable { .. }),
         "got {err:?}"
     );
-    // The failing delta landed before the scheduling failure; the one
-    // after it never ran. Partial — and visible, never silent.
+    // Both deltas landed before the scheduling failure. Whole — and
+    // visible, never silent.
     assert_eq!(col.exact(RangeQuery::point(0)), 1);
-    assert_eq!(col.exact(RangeQuery::point(1)), 0);
+    assert_eq!(col.exact(RangeQuery::point(1)), 1);
+}
+
+/// A journal append that fails (the disk is full) refuses the batch
+/// before any delta touches state; the retried batch then applies whole.
+#[test]
+fn a_failed_journal_append_applies_no_delta_of_the_batch() {
+    let dir = std::env::temp_dir().join(format!("synoptic-serve-enospc-{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    let faulty = Arc::new(FaultyStorage::new(FsStorage::new(), vec![Fault::Enospc]));
+    let pool = MaintainedPool::new(1);
+    let col = pool
+        .add_column_durable(
+            "c",
+            &[0i64; 8],
+            exact_build(),
+            RebuildConfig::new(RebuildPolicy::Manual),
+            faulty.clone(),
+            &DurabilityConfig::journaled(&dir),
+            0,
+            None,
+        )
+        .unwrap();
+    let server = Server::new(ServeConfig::default());
+    server.register(col.clone());
+    let mut t = mem_session(&server);
+    let update = Request::Update {
+        column: "c".to_string(),
+        deltas: vec![(0, 1), (1, 1)],
+    };
+    let Response::Error(err) = call(&mut t, &update) else {
+        panic!("a failed journal append must refuse the batch");
+    };
+    assert!(matches!(err, SynopticError::Io { .. }), "got {err:?}");
+    assert_eq!(faulty.faults_fired(), 1);
+    assert_eq!(col.exact(RangeQuery::new(0, 7).unwrap()), 0);
+    assert_eq!(col.wal_mark(), 0);
+    assert!(matches!(
+        call(&mut t, &update),
+        Response::Updated { applied: 2, .. }
+    ));
+    assert_eq!(col.exact(RangeQuery::new(0, 7).unwrap()), 2);
+    assert_eq!(col.wal_mark(), 2);
+    drop(pool);
+    let _ = std::fs::remove_dir_all(&dir);
 }
 
 // ---------------------------------------------------------------------------

@@ -101,7 +101,7 @@ struct IngestState {
     mass_at_build: i128,
     updates_since_rebuild: u64,
     /// Per-segment dirty marks (segmented columns only; empty otherwise).
-    /// Set by `update()` under this lock, snapshot-and-cleared by the
+    /// Set by `update_batch()` under this lock, snapshot-and-cleared by the
     /// worker at the rebuild cut.
     dirty: Vec<bool>,
 }
@@ -181,14 +181,17 @@ impl ColumnInner {
         }
     }
 
-    /// Consumes one cooldown tick if any remain. Lock-free: `fetch_update`
+    /// Consumes up to `k` cooldown ticks, one per update of a batch, and
+    /// reports whether every update found one — then the whole batch is
+    /// cooling down and must not fire the policy. Lock-free: `fetch_update`
     /// only succeeds while the counter is positive, so concurrent ingest
-    /// threads each consume at most one tick and none fires the policy
-    /// while cooling down.
-    fn in_cooldown(&self) -> bool {
+    /// threads never consume more ticks than remain.
+    fn in_cooldown(&self, k: u64) -> bool {
         self.cooldown_remaining
-            .fetch_update(Ordering::AcqRel, Ordering::Acquire, |c| c.checked_sub(1))
-            .is_ok()
+            .fetch_update(Ordering::AcqRel, Ordering::Acquire, |c| {
+                (c > 0).then(|| c.saturating_sub(k))
+            })
+            .is_ok_and(|before| before >= k)
     }
 
     fn start_cooldown(&self) {
@@ -238,42 +241,59 @@ pub struct ColumnHandle {
 }
 
 impl ColumnHandle {
-    /// Ingests `A[i] += delta`. Never blocks on a rebuild or a persist: the
-    /// critical section is the Fenwick update plus policy arithmetic. When
-    /// the rebuild policy fires (and no rebuild is already in flight), a
+    /// Ingests `A[i] += delta`: a one-update [`Self::update_batch`].
+    pub fn update(&self, i: usize, delta: i64) -> Result<bool> {
+        self.update_batch(&[(i, delta)])
+    }
+
+    /// Ingests `A[i] += delta` for every `(i, delta)` of `batch`, whole or
+    /// not at all: an out-of-range index ([`SynopticError::IndexOutOfBounds`])
+    /// or a failed journal append rejects the batch before any state
+    /// changes, and recovery replays a journaled batch whole or not at all.
+    /// Never blocks on a rebuild or a persist: the critical section is the
+    /// one journal append plus Fenwick arithmetic. When the rebuild policy
+    /// fires after the batch (and no rebuild is already in flight), a
     /// rebuild job is scheduled on the column's home worker. Returns
     /// `Ok(true)` exactly when this call scheduled a rebuild; the rebuild
     /// itself, its persist and its checkpoint finish later, on the worker
-    /// ([`ColumnHandle::quiesce`] waits for them).
-    pub fn update(&self, i: usize, delta: i64) -> Result<bool> {
+    /// ([`ColumnHandle::quiesce`] waits for them). Past the append, the
+    /// only error is [`SynopticError::WorkerUnavailable`] from scheduling,
+    /// and the batch is applied by then.
+    pub fn update_batch(&self, batch: &[(usize, i64)]) -> Result<bool> {
+        if batch.is_empty() {
+            return Ok(false);
+        }
         // Narrow critical section: the write-ahead append, the Fenwick
-        // write, the drift arithmetic it feeds, and the dirty-segment
-        // mark. The global counter, cooldown tick, and policy decision
+        // writes, the drift arithmetic they feed, and the dirty-segment
+        // marks. The global counter, cooldown ticks, and policy decision
         // run on the captured snapshot after the lock drops.
         let (usr, drift_abs, mass) = {
             let mut st = lock(&self.inner.ingest);
+            let n = st.fenwick.n();
+            if let Some(&(index, _)) = batch.iter().find(|&&(i, _)| i >= n) {
+                return Err(SynopticError::IndexOutOfBounds { index, n });
+            }
             if let Some(wal) = &self.inner.wal {
                 // Write-ahead: journal before mutating, inside the ingest
                 // critical section so the journal order agrees with the
                 // snapshot cut a concurrent rebuild takes. A failed append
-                // rejects the update without touching in-memory state.
-                assert!(
-                    i < st.fenwick.n(),
-                    "index {i} out of bounds for n={}",
-                    st.fenwick.n()
-                );
-                wal.append(i as u64, delta)?;
+                // rejects the batch without touching in-memory state.
+                let records: Vec<(u64, i64)> = batch.iter().map(|&(i, d)| (i as u64, d)).collect();
+                wal.append_batch(&records)?;
             }
-            st.fenwick.update(i, delta);
-            st.drift_abs += (delta as i128).abs();
-            st.updates_since_rebuild += 1;
-            if let Some(seg) = &self.inner.segments {
-                st.dirty[seg.layout.segment_of(i)] = true;
+            for &(i, delta) in batch {
+                st.fenwick.update(i, delta);
+                st.drift_abs += (delta as i128).abs();
+                if let Some(seg) = &self.inner.segments {
+                    st.dirty[seg.layout.segment_of(i)] = true;
+                }
             }
+            st.updates_since_rebuild += batch.len() as u64;
             (st.updates_since_rebuild, st.drift_abs, st.mass_at_build)
         };
-        self.inner.stats.updates.fetch_add(1, Ordering::Relaxed);
-        if self.inner.in_cooldown() {
+        let k = batch.len() as u64;
+        self.inner.stats.updates.fetch_add(k, Ordering::Relaxed);
+        if self.inner.in_cooldown(k) {
             return Ok(false);
         }
         let fire = match self.inner.config.policy {
@@ -1362,6 +1382,71 @@ mod tests {
         assert_eq!(stats.updates_since_rebuild, 2);
         assert_eq!(stats.failed_rebuilds, 0);
         assert_eq!(col.serving_generation(), 2);
+    }
+
+    #[test]
+    fn a_batch_fires_the_policy_once_after_all_its_updates() {
+        let pool = MaintainedPool::new(1);
+        let col = pool
+            .add_column(
+                "c",
+                &[10i64; 12],
+                sap0_builder(),
+                RebuildConfig::new(RebuildPolicy::EveryKUpdates(5)),
+            )
+            .unwrap();
+        assert!(!col.update_batch(&[(0, 1), (1, 1), (2, 1)]).unwrap());
+        // The fifth update lands mid-batch; the batch schedules once.
+        assert!(col.update_batch(&[(3, 1), (4, 1), (5, 1)]).unwrap());
+        col.quiesce();
+        assert!(!col.update_batch(&[]).unwrap());
+        let stats = col.stats();
+        assert_eq!((stats.updates, stats.rebuilds), (6, 1));
+        assert_eq!(col.exact(RangeQuery::new(0, 11).unwrap()), 126);
+    }
+
+    #[test]
+    fn an_out_of_range_index_refuses_the_whole_batch_untouched() {
+        let dir = std::env::temp_dir().join(format!("synoptic_pool_bounds_{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        let pool = MaintainedPool::new(1);
+        let vals = [1i64; 8];
+        let config = RebuildConfig::new(RebuildPolicy::Manual);
+        let plain = pool
+            .add_column("plain", &vals, sap0_builder(), config.clone())
+            .unwrap();
+        let storage: SharedStorage = Arc::new(synoptic_catalog::FsStorage::new());
+        let journaled = pool
+            .add_column_durable(
+                "journaled",
+                &vals,
+                sap0_builder(),
+                config,
+                storage,
+                &DurabilityConfig::journaled(&dir),
+                0,
+                None,
+            )
+            .unwrap();
+        for col in [&plain, &journaled] {
+            col.update(0, 1).unwrap();
+            let mark = col.wal_mark();
+            // The bad index comes last: nothing before it may land.
+            assert_eq!(
+                col.update_batch(&[(1, 5), (2, 5), (8, 5)]),
+                Err(SynopticError::IndexOutOfBounds { index: 8, n: 8 })
+            );
+            assert_eq!(
+                col.update(9, 1),
+                Err(SynopticError::IndexOutOfBounds { index: 9, n: 8 })
+            );
+            assert_eq!(col.wal_mark(), mark, "{}", col.name());
+            assert_eq!(col.exact(RangeQuery::new(0, 7).unwrap()), 9);
+            assert_eq!(col.stats().updates, 1);
+        }
+        assert_eq!(journaled.wal_mark(), 1);
+        drop(pool);
+        let _ = std::fs::remove_dir_all(&dir);
     }
 
     #[test]

@@ -269,20 +269,33 @@ fn srp1_frames() -> Vec<Vec<u8>> {
     .collect()
 }
 
-/// One sealed journal segment holding three records, written by the
-/// production append path.
-fn wal_segment() -> Vec<u8> {
-    let dir = std::env::temp_dir().join(format!("synoptic_decoder_fuzz_{}", std::process::id()));
-    let _ = std::fs::remove_dir_all(&dir);
-    let wal = ColumnWal::open(FsStorage::new(), &dir, "price", 1, WalConfig::default()).unwrap();
-    for (index, delta) in [(3, 5), (0, -2), (63, 7)] {
-        wal.append(index, delta).unwrap();
-    }
-    wal.seal().unwrap();
-    let segments = list_sealed_segments(&FsStorage::new(), &dir).unwrap();
-    let bytes = std::fs::read(dir.join(&segments[0].file)).unwrap();
-    let _ = std::fs::remove_dir_all(&dir);
-    bytes
+/// Sealed journal segments written by the production append path: three
+/// one-record batches, and one three-record batch (continuation bits on
+/// its first two records) followed by a one-record batch.
+fn wal_segments() -> Vec<Vec<u8>> {
+    let batches: [&[&[(u64, i64)]]; 2] = [
+        &[&[(3, 5)], &[(0, -2)], &[(63, 7)]],
+        &[&[(3, 5), (0, -2), (63, 7)], &[(9, 1)]],
+    ];
+    batches
+        .iter()
+        .enumerate()
+        .map(|(k, batches)| {
+            let dir = std::env::temp_dir()
+                .join(format!("synoptic_decoder_fuzz_{k}_{}", std::process::id()));
+            let _ = std::fs::remove_dir_all(&dir);
+            let wal =
+                ColumnWal::open(FsStorage::new(), &dir, "price", 1, WalConfig::default()).unwrap();
+            for batch in *batches {
+                wal.append_batch(batch).unwrap();
+            }
+            wal.seal().unwrap();
+            let segments = list_sealed_segments(&FsStorage::new(), &dir).unwrap();
+            let bytes = std::fs::read(dir.join(&segments[0].file)).unwrap();
+            let _ = std::fs::remove_dir_all(&dir);
+            bytes
+        })
+        .collect()
 }
 
 fn synopsis_files() -> Vec<Vec<u8>> {
@@ -397,7 +410,7 @@ fn wal_segment_mutants_decode_or_refuse_as_corrupt_journal() {
         &mut rng,
         "SYNWAL01",
         Seal::Wal,
-        &[wal_segment()],
+        &wal_segments(),
         |b| decode_segment(b, "fuzz.wal").map(drop),
         |e| {
             matches!(
