@@ -48,7 +48,11 @@ pub enum SynopticError {
     /// A linear system arising in re-optimization was singular and could not
     /// be solved even with ridge fallback.
     SingularSystem(String),
-    /// Prefix sums overflowed `i128` (astronomically large inputs).
+    /// The input lies outside the exact-arithmetic envelope of the `i128`
+    /// window statistics: with `N = n + 1` prefix-table positions and
+    /// `R = max P − min P`, the window oracle needs `N ≤ 2²¹` and
+    /// `N²·R ≤ ⌊√(2¹²⁷ − 1)⌋` (≈ 2^63.5), and SAP1's fits additionally
+    /// `⌈(n·R)²/4⌉ · n²(n²−1)/12 ≤ 2¹²⁷ − 1` (see `window`).
     Overflow,
     /// A persisted synopsis failed integrity or semantic validation on load
     /// (bad magic, checksum mismatch, truncation, non-finite floats,
@@ -203,7 +207,10 @@ impl fmt::Display for SynopticError {
             }
             Self::InvalidParameter(msg) => write!(f, "invalid parameter: {msg}"),
             Self::SingularSystem(msg) => write!(f, "singular linear system: {msg}"),
-            Self::Overflow => write!(f, "arithmetic overflow in prefix-sum computation"),
+            Self::Overflow => write!(
+                f,
+                "arithmetic overflow: input outside the exact i128 window-statistic envelope"
+            ),
             Self::CorruptSynopsis { context, detail } => {
                 write!(f, "corrupt synopsis ({context}): {detail}")
             }

@@ -68,7 +68,7 @@ impl Sap0Histogram {
     /// Builds the SAP0 histogram with the provably optimal summary values:
     /// per-bucket averages of suffix sums and prefix sums (Lemma 5.2).
     pub fn optimal_values(bucketing: Bucketing, ps: &PrefixSums) -> Result<Self> {
-        let oracle = WindowOracle::new(ps);
+        let oracle = WindowOracle::new(ps)?;
         let mut suff = Vec::with_capacity(bucketing.num_buckets());
         let mut pref = Vec::with_capacity(bucketing.num_buckets());
         for (l, r) in bucketing.iter() {

@@ -83,17 +83,18 @@ impl Sap1Histogram {
     /// least-squares fits of `s[a, right]` against `right − a + 1` and of
     /// `s[left, b]` against `b − left + 1` per bucket.
     pub fn optimal_values(bucketing: Bucketing, ps: &PrefixSums) -> Result<Self> {
-        let oracle = WindowOracle::new(ps);
+        let oracle = WindowOracle::new(ps)?;
+        let fits = oracle.fits()?;
         let nb = bucketing.num_buckets();
         let mut ss = Vec::with_capacity(nb);
         let mut si = Vec::with_capacity(nb);
         let mut pslope = Vec::with_capacity(nb);
         let mut pi = Vec::with_capacity(nb);
         for (l, r) in bucketing.iter() {
-            let (_, a, b) = oracle.suffix_fit(l, r);
+            let (_, a, b) = fits.suffix_fit(l, r);
             ss.push(a);
             si.push(b);
-            let (_, a, b) = oracle.prefix_fit(l, r);
+            let (_, a, b) = fits.prefix_fit(l, r);
             pslope.push(a);
             pi.push(b);
         }
@@ -217,12 +218,13 @@ mod tests {
         use crate::window::WindowOracle;
         let vals = vec![3i64, 1, 4, 1, 5, 9, 2, 6];
         let ps = PrefixSums::from_values(&vals);
-        let o = WindowOracle::new(&ps);
+        let o = WindowOracle::new(&ps).unwrap();
+        let fits = o.fits().unwrap();
         for l in 0..8 {
             for r in l..8 {
-                let (rss, _, _) = o.suffix_fit(l, r);
+                let (rss, _, _) = fits.suffix_fit(l, r);
                 assert!(rss <= o.suffix_var(l, r) + 1e-9, "window {l},{r}");
-                let (rss, _, _) = o.prefix_fit(l, r);
+                let (rss, _, _) = fits.prefix_fit(l, r);
                 assert!(rss <= o.prefix_var(l, r) + 1e-9, "window {l},{r}");
             }
         }

@@ -204,7 +204,7 @@ mod tests {
     fn endpoint_decomposition_matches_brute_for_sap0() {
         for vals in datasets() {
             let ps = PrefixSums::from_values(&vals);
-            let oracle = WindowOracle::new(&ps);
+            let oracle = WindowOracle::new(&ps).unwrap();
             let n = vals.len();
             let b = Bucketing::new(n, vec![0, 2, n - 1]).unwrap();
             let h = Sap0Histogram::optimal_values(b.clone(), &ps).unwrap();
@@ -233,7 +233,7 @@ mod tests {
     fn endpoint_decomposition_matches_brute_for_opta_unrounded() {
         for vals in datasets() {
             let ps = PrefixSums::from_values(&vals);
-            let oracle = WindowOracle::new(&ps);
+            let oracle = WindowOracle::new(&ps).unwrap();
             let n = vals.len();
             let b = Bucketing::new(n, vec![0, 1, 3]).unwrap();
             let h = OptAHistogram::new(b.clone(), &ps, RoundingMode::None).unwrap();

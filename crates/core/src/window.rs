@@ -20,16 +20,74 @@
 //! **scaled integer arithmetic** — multiplying through by the window length
 //! so fractional averages become integral — before a single conversion to
 //! `f64`. This keeps every statistic exact (not merely accurate) for data
-//! within the supported envelope below.
+//! within the certified envelope below.
 //!
-//! ## Supported input envelope
+//! SAP0's whole bucket cost comes from one centred evaluation
+//! ([`WindowOracle::sap0_cost`]): its intra, suffix and prefix terms all
+//! centre at `P[l]`, so the suffix and prefix moments are the intra
+//! moments minus one end position each.
 //!
-//! Intermediates are `i128`. Exactness is guaranteed when
-//! `n ≤ 2²⁰` and `|s[0, n−1]| ≤ 2⁴⁰` (comfortably beyond any dataset in the
-//! paper or the experiment harness); larger inputs panic on overflow via
-//! checked arithmetic rather than returning silently wrong costs.
+//! ## Exact-arithmetic envelope
+//!
+//! The per-window statistics multiply `i128`s without overflow checks.
+//! [`WindowOracle::new`] certifies once, in its O(n) pass, that no
+//! intermediate can overflow, and refuses any other input with
+//! [`SynopticError::Overflow`]: never a panic, never a wrapped cost.
+//!
+//! Write `N = n + 1` for the number of prefix-table positions and
+//! `R = max P − min P` for the table's range. Since `P[0] = 0` is in the
+//! table, `|P[x]| ≤ R`, and every window sum `S = s[l, r]`, centred
+//! difference `d_x = P[x] − P[l]`, suffix sum and prefix sum lies in
+//! `[−R, R]`. Fix a window of `L = r − l + 1 ≤ n` keys, `K = L + 1 ≤ N`
+//! table positions `x ∈ [l, r+1]` and `j = x − l`.
+//!
+//! **Base certificate** (every statistic except the SAP1 fits):
+//!
+//! ```text
+//! N ≤ 2²¹   and   N²·R ≤ ⌊√(2¹²⁷ − 1)⌋ = 13 043 817 825 332 782 212 ≈ 2^63.5
+//! ```
+//!
+//! * The largest values are the intra determinant `K·ΣW² − (ΣW)²` and its
+//!   two operands. `W_x = L·d_x − S·j = (L − j)(P[x] − P[l]) + j(P[x] − P[r+1])`,
+//!   so `|W_x| ≤ L·R`, and `W_l = W_{r+1} = 0`. Hence
+//!   `K·ΣW² ≤ (L+1)(L−1)·L²R² < N⁴R²` and `(ΣW)² ≤ ((L−1)·L·R)² < N⁴R²`,
+//!   and the determinant lies between 0 and `K·ΣW²`.
+//! * The running sums of `ΣW² = L²·Σd² − 2L·S·Σj·d + S²·Σj²`, and of the
+//!   same shape in the OPT-A endpoint aggregates, are bounded term by term
+//!   by `L³R² + L²(L+1)R² + L(L+1)(2L+1)R²/6`, which is at most `K⁴R²`
+//!   for every `K ≥ 2`.
+//! * Suffix and prefix moments and their variance determinants are at most
+//!   `4·L²R²`; the centred moments and cumulative tables at most `4N·R²`
+//!   and `N²·R`.
+//!
+//! So `N⁴R² ≤ 2¹²⁷ − 1` bounds every intermediate: that is the certificate.
+//! `N ≤ 2²¹` keeps the index sums `Σj = L(L+1)/2` and `Σj² = Σj·(2L+1)/3`
+//! exact in `i64` (`Σj·(2L+1) < 2⁴¹·2²² = 2⁶³`), which spares every window
+//! an `i128` division.
+//!
+//! **Regression certificate** ([`WindowOracle::fits`], SAP1 only). A
+//! least-squares residual multiplies two determinants over `t = 1..=L`:
+//! `L·Sxx = L·Σt² − (Σt)² = L²(L²−1)/12`, and `L·Syy = L·Σσ² − (Σσ)²`, which
+//! is `L²` times the variance of `L` values inside an interval of width `R`
+//! and so at most `L²R²/4` (Popoviciu's inequality). By Cauchy–Schwarz
+//! `(L·Sxy)² ≤ L·Sxx · L·Syy`. Both grow with `L`, so the certificate is
+//!
+//! ```text
+//! ⌈(n·R)²/4⌉ · n²(n²−1)/12 ≤ 2¹²⁷ − 1      (roughly n³·R ≤ 2^66.3)
+//! ```
+//!
+//! on top of the base one. Only a [`FitOracle`] reaches the fits, and only
+//! [`WindowOracle::fits`] makes one.
 
 use crate::array::PrefixSums;
+use crate::error::{Result, SynopticError};
+
+/// `⌊√(2¹²⁷ − 1)⌋`: the largest `N²·R` with `N⁴·R² ≤ i128::MAX`.
+const MAX_N2_R: u128 = 13_043_817_825_332_782_212;
+
+/// The most prefix-table positions `N = n + 1` the oracle certifies: keeps
+/// every window's index sums `Σj²` exact in `i64`.
+const MAX_POSITIONS: u128 = 1 << 21;
 
 /// Aggregates of the per-endpoint errors of one candidate bucket under the
 /// OPT-A (bucket-average) answering procedure, without rounding.
@@ -49,17 +107,35 @@ pub struct EndpointAggregates {
     pub v2: f64,
 }
 
+/// Checked `i128` product for [`WeightedPointOracle`], whose inputs carry
+/// no envelope certificate.
 #[inline]
 fn mul(a: i128, b: i128) -> i128 {
     a.checked_mul(b)
         .expect("window statistic overflowed i128: input exceeds the supported envelope")
 }
 
+/// `(Σ t, Σ t²)` over `t = 1..=len`, computed in `i64` (exact for
+/// `len < 2²¹`, which the envelope guarantees) and widened.
+#[inline]
+fn index_sums(len: i64) -> (i128, i128) {
+    let st = len * (len + 1) / 2;
+    (st as i128, (st * (2 * len + 1) / 3) as i128)
+}
+
+/// `L²` times the variance of `L` values with sum `s1` and sum of squares
+/// `s2` (shift-invariant, so any common centre works), divided once by `L`:
+/// `(L·s2 − s1²) / L`, with the subtraction exact.
+#[inline]
+fn spread(len: i128, s1: i128, s2: i128) -> f64 {
+    let num = len * s2 - s1 * s1;
+    debug_assert!(num >= 0);
+    num.max(0) as f64 / len as f64
+}
+
 /// Exact centered window moments over prefix-table positions, in `i128`.
 #[derive(Debug, Clone, Copy)]
 struct Centered {
-    /// Number of positions `K`.
-    k: i128,
     /// `Σ d_x` with `d_x = P[x] − P[center]`.
     s1: i128,
     /// `Σ d_x²`.
@@ -72,6 +148,8 @@ struct Centered {
 #[derive(Debug, Clone)]
 pub struct WindowOracle {
     n: usize,
+    /// `R = max P − min P`, certified by [`new`](Self::new).
+    range: u128,
     /// `P[0..=n]`.
     p: Vec<i128>,
     /// `cp[i] = Σ_{x<i} P[x]` for `i ∈ 0..=n+1`.
@@ -83,31 +161,67 @@ pub struct WindowOracle {
 }
 
 impl WindowOracle {
-    /// Builds the oracle from exact prefix sums in O(n).
-    pub fn new(ps: &PrefixSums) -> Self {
-        let p = ps.table().to_vec();
-        let m = p.len(); // n + 1
-        let mut cp = Vec::with_capacity(m + 1);
-        let mut cp2 = Vec::with_capacity(m + 1);
-        let mut cxp = Vec::with_capacity(m + 1);
+    /// Certifies the base envelope (see the module docs) and builds the
+    /// oracle from exact prefix sums, both in O(n).
+    ///
+    /// # Errors
+    ///
+    /// [`SynopticError::Overflow`] when `N = n + 1 > 2²¹` or
+    /// `N²·(max P − min P) > ⌊√(2¹²⁷ − 1)⌋`.
+    pub fn new(ps: &PrefixSums) -> Result<Self> {
+        let table = ps.table();
+        let (lo, hi) = table
+            .iter()
+            .fold((0i128, 0i128), |(lo, hi), &x| (lo.min(x), hi.max(x)));
+        let range = hi.abs_diff(lo);
+        let m = table.len() as u128; // N = n + 1
+        let certified =
+            m <= MAX_POSITIONS && (m * m).checked_mul(range).is_some_and(|v| v <= MAX_N2_R);
+        if !certified {
+            return Err(SynopticError::Overflow);
+        }
+        let p = table.to_vec();
+        let mut cp = Vec::with_capacity(p.len() + 1);
+        let mut cp2 = Vec::with_capacity(p.len() + 1);
+        let mut cxp = Vec::with_capacity(p.len() + 1);
         cp.push(0);
         cp2.push(0);
         cxp.push(0);
         let (mut a, mut b, mut c) = (0i128, 0i128, 0i128);
         for (x, &px) in p.iter().enumerate() {
             a += px;
-            b += mul(px, px);
-            c += mul(x as i128, px);
+            b += px * px;
+            c += x as i128 * px;
             cp.push(a);
             cp2.push(b);
             cxp.push(c);
         }
-        Self {
+        Ok(Self {
             n: ps.n(),
+            range,
             p,
             cp,
             cp2,
             cxp,
+        })
+    }
+
+    /// Certifies the regression envelope on top of the base one (see the
+    /// module docs) and grants access to the SAP1 least-squares fits.
+    ///
+    /// # Errors
+    ///
+    /// [`SynopticError::Overflow`] when
+    /// `⌈(n·R)²/4⌉ · n²(n²−1)/12 > 2¹²⁷ − 1`.
+    pub fn fits(&self) -> Result<FitOracle<'_>> {
+        let n = self.n as u128;
+        let syy = (n * self.range)
+            .checked_mul(n * self.range)
+            .map(|v| v.div_ceil(4));
+        let sxx = n * n * (n * n).saturating_sub(1) / 12;
+        match syy.and_then(|v| v.checked_mul(sxx)) {
+            Some(v) if v <= i128::MAX as u128 => Ok(FitOracle { oracle: self }),
+            _ => Err(SynopticError::Overflow),
         }
     }
 
@@ -134,38 +248,39 @@ impl WindowOracle {
         self.sum(l, r) as f64 / (r - l + 1) as f64
     }
 
-    /// `Σ_{x=x0}^{x1} P[x]` (inclusive, over prefix-table positions).
-    #[inline]
-    fn sum_p(&self, x0: usize, x1: usize) -> i128 {
-        self.cp[x1 + 1] - self.cp[x0]
-    }
-
-    #[inline]
-    fn sum_p2(&self, x0: usize, x1: usize) -> i128 {
-        self.cp2[x1 + 1] - self.cp2[x0]
-    }
-
-    #[inline]
-    fn sum_xp(&self, x0: usize, x1: usize) -> i128 {
-        self.cxp[x1 + 1] - self.cxp[x0]
-    }
-
     /// Centered window moments over prefix-table positions `x ∈ [x0, x1]`
     /// with `d_x = P[x] − P[center]`, exactly in `i128`.
     #[inline]
     fn centered(&self, x0: usize, x1: usize, center: usize) -> Centered {
-        let k = (x1 - x0 + 1) as i128;
+        let k = (x1 - x0 + 1) as i64;
         let pc = self.p[center];
-        let sp = self.sum_p(x0, x1);
-        let s1 = sp - k * pc;
-        let s2 = self.sum_p2(x0, x1) - 2 * mul(pc, sp) + mul(k, mul(pc, pc));
-        // Σ (x − x0)(P[x] − pc)
-        let sum_x: i128 = {
-            let (a, b) = (x0 as i128, x1 as i128);
-            (a + b) * (b - a + 1) / 2
-        };
-        let sxp = self.sum_xp(x0, x1) - (x0 as i128) * sp - mul(pc, sum_x) + (x0 as i128) * pc * k;
-        Centered { k, s1, s2, sxp }
+        let sp = self.cp[x1 + 1] - self.cp[x0];
+        // Σ (P − pc)² = ΣP² − pc·(2·ΣP − K·pc).
+        let s2 = self.cp2[x1 + 1] - self.cp2[x0] - pc * (2 * sp - k as i128 * pc);
+        // Σ (x − x0)(P − pc) = Σ x·P − x0·ΣP − pc·Σ (x − x0).
+        let sxp =
+            self.cxp[x1 + 1] - self.cxp[x0] - x0 as i128 * sp - pc * (k * (k - 1) / 2) as i128;
+        Centered {
+            s1: sp - k as i128 * pc,
+            s2,
+            sxp,
+        }
+    }
+
+    /// The intra determinant `K·ΣW² − (ΣW)²` of
+    /// [`intra_avg_sse`](Self::intra_avg_sse), from the moments `c` of
+    /// positions `[l, r+1]` centred at `P[l]`, `len = L` and `d = s[l, r]`.
+    #[inline]
+    fn intra_num(len: i64, d: i128, c: &Centered) -> i128 {
+        // Positions x − l run over 0..=L, so Σ(x−l) and Σ(x−l)² are the
+        // index sums of 1..=L.
+        let (qx, qx2) = index_sums(len);
+        let len = len as i128;
+        // W_x = L·d_x − S·(x − l):
+        // ΣW = L·s1 − S·Σ(x−l);  ΣW² = L²·s2 − 2·L·S·sxp + S²·Σ(x−l)².
+        let sw = len * c.s1 - d * qx;
+        let sw2 = len * len * c.s2 - 2 * len * d * c.sxp + d * d * qx2;
+        (len + 1) * sw2 - sw * sw
     }
 
     /// SSE over all sub-ranges of `[l, r]` answered by `(len)·avg(l,r)`
@@ -178,19 +293,33 @@ impl WindowOracle {
     /// `K·Σw² − (Σw)²`. Scaling by `L` (`W_x = L·w_x`, integral) keeps the
     /// subtraction exact: `cost = (K·ΣW² − (ΣW)²) / L²`.
     pub fn intra_avg_sse(&self, l: usize, r: usize) -> f64 {
-        let len = (r - l + 1) as i128;
-        let s = self.sum(l, r);
-        let c = self.centered(l, r + 1, l);
-        // W_x = L·d_x − S·(x − l); positions x − l run over 0..=L.
-        // ΣW = L·s1 − S·Σ(x−l);  Σ(x−l) = L(L+1)/2.
-        // ΣW² = L²·s2 − 2·L·S·sxp + S²·Σ(x−l)².
-        let qx = len * (len + 1) / 2;
-        let qx2 = len * (len + 1) * (2 * len + 1) / 6;
-        let sw = mul(len, c.s1) - mul(s, qx);
-        let sw2 = mul(mul(len, len), c.s2) - 2 * mul(mul(len, s), c.sxp) + mul(mul(s, s), qx2);
-        let num = mul(c.k, sw2) - mul(sw, sw);
+        let len = (r - l + 1) as i64;
+        let num = Self::intra_num(len, self.sum(l, r), &self.centered(l, r + 1, l));
         debug_assert!(num >= 0);
         num.max(0) as f64 / (len * len) as f64
+    }
+
+    /// The SAP0 bucket cost of `[l, r]` in a domain of `n` keys,
+    /// `intra + Var_suffix·(n − 1 − r) + Var_prefix·l`, from one centred
+    /// evaluation. Bit-identical to composing
+    /// [`intra_avg_sse`](Self::intra_avg_sse),
+    /// [`suffix_var`](Self::suffix_var) and [`prefix_var`](Self::prefix_var):
+    /// each term's exact integer numerator is the same, and so are the
+    /// divisions and the order of the sum.
+    pub fn sap0_cost(&self, n: usize, l: usize, r: usize) -> f64 {
+        let len = (r - l + 1) as i64;
+        let d = self.sum(l, r);
+        // Positions [l, r+1] centred at P[l]: d_l = 0 and d_{r+1} = D = s[l, r].
+        let c = self.centered(l, r + 1, l);
+        let num = Self::intra_num(len, d, &c);
+        debug_assert!(num >= 0);
+        let intra = num.max(0) as f64 / (len * len) as f64;
+        let len = len as i128;
+        // The suffix sums' positions [l, r] drop d_{r+1} = D; the prefix
+        // sums' positions [l+1, r+1] drop d_l = 0.
+        let suffix = spread(len, c.s1 - d, c.s2 - d * d);
+        let prefix = spread(len, c.s1, c.s2);
+        intra + suffix * (n - 1 - r) as f64 + prefix * l as f64
     }
 
     /// Exact integer moments `(Σ σ_a, Σ σ_a², Σ t_a·σ_a)` over `a ∈ [l, r]`
@@ -201,11 +330,11 @@ impl WindowOracle {
         let d = self.p[r + 1] - self.p[l];
         let c = self.centered(l, r, l);
         let sum = lcount * d - c.s1;
-        let sumsq = mul(lcount, mul(d, d)) - 2 * mul(d, c.s1) + c.s2;
+        let sumsq = lcount * d * d - 2 * d * c.s1 + c.s2;
         // t_a = r + 1 − a; with j = a − l ∈ [0, L−1], t = L − j.
         // Σ t σ = Σ (L − j)(D − d_a) = L²·D − D·Σj − L·Σd + Σ j·d.
         let sum_j = (lcount - 1) * lcount / 2;
-        let tsum = mul(lcount, mul(lcount, d)) - mul(d, sum_j) - mul(lcount, c.s1) + c.sxp;
+        let tsum = lcount * lcount * d - d * sum_j - lcount * c.s1 + c.sxp;
         (sum, sumsq, tsum)
     }
 
@@ -235,20 +364,15 @@ impl WindowOracle {
     /// `(n − r − 1)` multiplier). Computed as `(L·Σσ² − (Σσ)²)/L` with the
     /// subtraction in exact integers.
     pub fn suffix_var(&self, l: usize, r: usize) -> f64 {
-        let lcount = (r - l + 1) as i128;
-        let (s, s2, _) = self.suffix_moments_int(l, r);
-        let num = mul(lcount, s2) - mul(s, s);
-        debug_assert!(num >= 0);
-        num.max(0) as f64 / lcount as f64
+        // σ_a = D − d_a: a variance ignores the shift by D and the sign.
+        let c = self.centered(l, r, l);
+        spread((r - l + 1) as i128, c.s1, c.s2)
     }
 
     /// Sum of squared deviations of the prefix sums around their mean.
     pub fn prefix_var(&self, l: usize, r: usize) -> f64 {
-        let lcount = (r - l + 1) as i128;
-        let (s, s2, _) = self.prefix_moments_int(l, r);
-        let num = mul(lcount, s2) - mul(s, s);
-        debug_assert!(num >= 0);
-        num.max(0) as f64 / lcount as f64
+        let c = self.centered(l + 1, r + 1, l);
+        spread((r - l + 1) as i128, c.s1, c.s2)
     }
 
     /// Mean of the suffix sums — the optimal SAP0 `suff` value (Lemma 5.2).
@@ -263,18 +387,59 @@ impl WindowOracle {
         s as f64 / (r - l + 1) as f64
     }
 
+    /// OPT-A per-endpoint error aggregates for the *unrounded* answering
+    /// procedure (see [`EndpointAggregates`]). The squared sums are computed
+    /// in scaled integers (`L·u_a` is integral) for exactness.
+    pub fn endpoint_aggregates(&self, l: usize, r: usize) -> EndpointAggregates {
+        let (st, st2) = index_sums((r - l + 1) as i64);
+        let len = (r - l + 1) as i128;
+        let s = self.sum(l, r);
+        let (ss, ss2, sts) = self.suffix_moments_int(l, r);
+        let (ps_, ps2, tps) = self.prefix_moments_int(l, r);
+        // L·u_a = L·σ_a − t_a·S ⇒ Σ(L·u) = L·Σσ − S·Σt,
+        // Σ(L·u)² = L²·Σσ² − 2·L·S·Σtσ + S²·Σt².
+        let lu1 = len * ss - s * st;
+        let lu2 = len * len * ss2 - 2 * len * s * sts + s * s * st2;
+        let lv1 = len * ps_ - s * st;
+        let lv2 = len * len * ps2 - 2 * len * s * tps + s * s * st2;
+        debug_assert!(lu2 >= 0 && lv2 >= 0);
+        let lf = len as f64;
+        EndpointAggregates {
+            u1: lu1 as f64 / lf,
+            u2: lu2.max(0) as f64 / (lf * lf),
+            v1: lv1 as f64 / lf,
+            v2: lv2.max(0) as f64 / (lf * lf),
+        }
+    }
+}
+
+/// A [`WindowOracle`] whose input also passes the regression certificate
+/// (see the module docs), made only by [`WindowOracle::fits`]: the SAP1
+/// least-squares fits, whose determinants outgrow the base envelope, are
+/// reachable only through it.
+#[derive(Debug, Clone, Copy)]
+pub struct FitOracle<'a> {
+    oracle: &'a WindowOracle,
+}
+
+impl<'a> FitOracle<'a> {
+    /// The certified oracle, for the statistics every window needs.
+    pub fn oracle(&self) -> &'a WindowOracle {
+        self.oracle
+    }
+
     /// Least-squares residual sum of squares of fitting `σ_a ≈ α·t_a + β`
     /// with `t_a = r − a + 1` — the SAP1 suffix cost. Returns `(rss, α, β)`.
     pub fn suffix_fit(&self, l: usize, r: usize) -> (f64, f64, f64) {
-        let m = self.suffix_moments_int(l, r);
-        Self::linear_fit((r - l + 1) as i128, m)
+        let m = self.oracle.suffix_moments_int(l, r);
+        Self::linear_fit((r - l + 1) as i64, m)
     }
 
     /// Least-squares residual of fitting `π_b ≈ α·t_b + β` with
     /// `t_b = b − l + 1` — the SAP1 prefix cost. Returns `(rss, α, β)`.
     pub fn prefix_fit(&self, l: usize, r: usize) -> (f64, f64, f64) {
-        let m = self.prefix_moments_int(l, r);
-        Self::linear_fit((r - l + 1) as i128, m)
+        let m = self.oracle.prefix_moments_int(l, r);
+        Self::linear_fit((r - l + 1) as i64, m)
     }
 
     /// Shared regression arithmetic over regressor values `t = 1, 2, …, L`,
@@ -284,52 +449,24 @@ impl WindowOracle {
     /// L·Sxx = L·Σt² − (Σt)²      L·Sxy = L·Σtσ − Σt·Σσ
     /// L·Syy = L·Σσ² − (Σσ)²      RSS = (L·Syy·L·Sxx − (L·Sxy)²) / (L·(L·Sxx))
     /// ```
-    fn linear_fit(len: i128, (sy, sy2, sty): (i128, i128, i128)) -> (f64, f64, f64) {
-        let st = len * (len + 1) / 2;
-        let st2 = len * (len + 1) * (2 * len + 1) / 6;
-        let lsxx = mul(len, st2) - mul(st, st);
+    fn linear_fit(len: i64, (sy, sy2, sty): (i128, i128, i128)) -> (f64, f64, f64) {
+        let (st, st2) = index_sums(len);
+        let len = len as i128;
+        let lsxx = len * st2 - st * st;
         if lsxx == 0 {
             // Single point: fit is exact with α = 0 (convention), β = σ.
             return (0.0, 0.0, sy as f64 / len as f64);
         }
-        let lsxy = mul(len, sty) - mul(st, sy);
-        let lsyy = mul(len, sy2) - mul(sy, sy);
+        let lsxy = len * sty - st * sy;
+        let lsyy = len * sy2 - sy * sy;
         let alpha = lsxy as f64 / lsxx as f64;
         let beta = (sy as f64 - alpha * st as f64) / len as f64;
         // RSS = Syy − Sxy²/Sxx, with the Cauchy–Schwarz-nonnegative
         // determinant L·Syy·L·Sxx − (L·Sxy)² computed in exact integers.
-        let num = mul(lsyy, lsxx)
-            .checked_sub(mul(lsxy, lsxy))
-            .expect("window statistic overflowed i128: input exceeds the supported envelope");
+        let num = lsyy * lsxx - lsxy * lsxy;
         debug_assert!(num >= 0);
         let rss = num.max(0) as f64 / (len as f64 * lsxx as f64);
         (rss, alpha, beta)
-    }
-
-    /// OPT-A per-endpoint error aggregates for the *unrounded* answering
-    /// procedure (see [`EndpointAggregates`]). The squared sums are computed
-    /// in scaled integers (`L·u_a` is integral) for exactness.
-    pub fn endpoint_aggregates(&self, l: usize, r: usize) -> EndpointAggregates {
-        let len = (r - l + 1) as i128;
-        let s = self.sum(l, r);
-        let st = len * (len + 1) / 2;
-        let st2 = len * (len + 1) * (2 * len + 1) / 6;
-        let (ss, ss2, sts) = self.suffix_moments_int(l, r);
-        let (ps_, ps2, tps) = self.prefix_moments_int(l, r);
-        // L·u_a = L·σ_a − t_a·S ⇒ Σ(L·u) = L·Σσ − S·Σt,
-        // Σ(L·u)² = L²·Σσ² − 2·L·S·Σtσ + S²·Σt².
-        let lu1 = mul(len, ss) - mul(s, st);
-        let lu2 = mul(mul(len, len), ss2) - 2 * mul(mul(len, s), sts) + mul(mul(s, s), st2);
-        let lv1 = mul(len, ps_) - mul(s, st);
-        let lv2 = mul(mul(len, len), ps2) - 2 * mul(mul(len, s), tps) + mul(mul(s, s), st2);
-        debug_assert!(lu2 >= 0 && lv2 >= 0);
-        let lf = len as f64;
-        EndpointAggregates {
-            u1: lu1 as f64 / lf,
-            u2: lu2.max(0) as f64 / (lf * lf),
-            v1: lv1 as f64 / lf,
-            v2: lv2.max(0) as f64 / (lf * lf),
-        }
     }
 }
 
@@ -482,7 +619,7 @@ mod tests {
     fn intra_avg_sse_matches_brute_force() {
         for vals in datasets() {
             let br = Brute::new(&vals);
-            let o = WindowOracle::new(&br.ps);
+            let o = WindowOracle::new(&br.ps).unwrap();
             let n = vals.len();
             for l in 0..n {
                 for r in l..n {
@@ -502,7 +639,7 @@ mod tests {
     fn suffix_prefix_moments_match_brute_force() {
         for vals in datasets() {
             let br = Brute::new(&vals);
-            let o = WindowOracle::new(&br.ps);
+            let o = WindowOracle::new(&br.ps).unwrap();
             let n = vals.len();
             for l in 0..n {
                 for r in l..n {
@@ -531,7 +668,7 @@ mod tests {
     fn variances_match_brute_force() {
         for vals in datasets() {
             let br = Brute::new(&vals);
-            let o = WindowOracle::new(&br.ps);
+            let o = WindowOracle::new(&br.ps).unwrap();
             let n = vals.len();
             for l in 0..n {
                 for r in l..n {
@@ -590,14 +727,14 @@ mod tests {
     fn regression_fits_match_brute_force() {
         for vals in datasets() {
             let br = Brute::new(&vals);
-            let o = WindowOracle::new(&br.ps);
+            let o = WindowOracle::new(&br.ps).unwrap();
             let n = vals.len();
             for l in 0..n {
                 for r in l..n {
                     let sf = br.suffixes(l, r);
                     let ts: Vec<f64> = (l..=r).map(|a| (r - a + 1) as f64).collect();
                     let (rss, a, b) = brute_fit(&ts, &sf);
-                    let (frss, fa, fb) = o.suffix_fit(l, r);
+                    let (frss, fa, fb) = o.fits().unwrap().suffix_fit(l, r);
                     assert!(
                         (frss - rss).abs() <= 1e-5 * (1.0 + rss),
                         "rss {l},{r}: {frss} vs {rss} vals={vals:?}"
@@ -606,7 +743,7 @@ mod tests {
                     let pf = br.prefixes(l, r);
                     let tp: Vec<f64> = (l..=r).map(|b2| (b2 - l + 1) as f64).collect();
                     let (rss2, a2, b2c) = brute_fit(&tp, &pf);
-                    let (grss, ga, gb) = o.prefix_fit(l, r);
+                    let (grss, ga, gb) = o.fits().unwrap().prefix_fit(l, r);
                     assert!((grss - rss2).abs() <= 1e-5 * (1.0 + rss2));
                     assert!((ga - a2).abs() < 1e-6 && (gb - b2c).abs() < 1e-5);
                 }
@@ -618,7 +755,7 @@ mod tests {
     fn endpoint_aggregates_match_brute_force() {
         for vals in datasets() {
             let br = Brute::new(&vals);
-            let o = WindowOracle::new(&br.ps);
+            let o = WindowOracle::new(&br.ps).unwrap();
             let n = vals.len();
             for l in 0..n {
                 for r in l..n {
@@ -655,7 +792,7 @@ mod tests {
         // s[l, r] − len·avg = 0.
         let vals = vec![4i64, 9, 2, 7, 7, 1];
         let ps = PrefixSums::from_values(&vals);
-        let o = WindowOracle::new(&ps);
+        let o = WindowOracle::new(&ps).unwrap();
         let m = o.avg(0, 5);
         assert!((o.sum(0, 5) as f64 - 6.0 * m).abs() < 1e-9);
     }
@@ -664,12 +801,12 @@ mod tests {
     fn single_point_windows_cost_nothing() {
         let vals = vec![5i64, 9, 3];
         let ps = PrefixSums::from_values(&vals);
-        let o = WindowOracle::new(&ps);
+        let o = WindowOracle::new(&ps).unwrap();
         for i in 0..3 {
             assert_eq!(o.intra_avg_sse(i, i), 0.0);
             assert_eq!(o.suffix_var(i, i), 0.0);
             assert_eq!(o.prefix_var(i, i), 0.0);
-            let (rss, _, _) = o.suffix_fit(i, i);
+            let (rss, _, _) = o.fits().unwrap().suffix_fit(i, i);
             assert_eq!(rss, 0.0);
             let agg = o.endpoint_aggregates(i, i);
             assert_eq!((agg.u1, agg.u2, agg.v1, agg.v2), (0.0, 0.0, 0.0, 0.0));
@@ -737,13 +874,40 @@ mod tests {
         }
     }
 
+    /// Inputs inside the envelope the oracle used to document
+    /// (`n ≤ 2²⁰`, `|s[0, n−1]| ≤ 2⁴⁰`) whose statistics overflow `i128`
+    /// are refused up front instead of panicking mid-build.
+    #[test]
+    fn overflowing_inputs_are_refused_not_panicked() {
+        let even = |n: usize, v: i64| -> Vec<i64> {
+            (0..n).map(|i| if i % 2 == 0 { v } else { 0 }).collect()
+        };
+        // The intra determinant overflows at n = 2²⁰ with 2²⁰ on even keys.
+        let ps = PrefixSums::from_values(&even(1 << 20, 1 << 20));
+        assert!(matches!(
+            WindowOracle::new(&ps),
+            Err(SynopticError::Overflow)
+        ));
+        // SAP1's fits overflow at n = 1024 with 2³⁰ on even keys; every
+        // other statistic is inside the base envelope.
+        let ps = PrefixSums::from_values(&even(1024, 1 << 30));
+        let o = WindowOracle::new(&ps).unwrap();
+        assert!(matches!(o.fits(), Err(SynopticError::Overflow)));
+        // Too many positions for the i64 index sums, however small the data.
+        let ps = PrefixSums::from_values(&vec![0; 1 << 21]);
+        assert!(matches!(
+            WindowOracle::new(&ps),
+            Err(SynopticError::Overflow)
+        ));
+    }
+
     #[test]
     fn large_magnitudes_remain_exact() {
         // The very case that breaks naive f64 accumulation: values near 1e6
         // make Σπ² ≈ 1e13, where f64 subtraction loses the ~40.7 variance.
         let vals = vec![1000000i64, 2, 999999, 5, 4, 3, 2, 1, 0, 100];
         let ps = PrefixSums::from_values(&vals);
-        let o = WindowOracle::new(&ps);
+        let o = WindowOracle::new(&ps).unwrap();
         let pf: Vec<f64> = (2..=4).map(|b| ps.range_sum(2, b) as f64).collect();
         let m = pf.iter().sum::<f64>() / 3.0;
         let exact: f64 = pf.iter().map(|x| (x - m) * (x - m)).sum();

@@ -70,7 +70,7 @@ fn window_oracle_intra_matches_brute() {
         let mut rng = Rng::new(0x3000 + case);
         let vals = rand_values(&mut rng);
         let ps = PrefixSums::from_values(&vals);
-        let o = WindowOracle::new(&ps);
+        let o = WindowOracle::new(&ps).unwrap();
         let n = vals.len();
         for l in 0..n {
             for r in l..n {
@@ -165,7 +165,7 @@ fn endpoint_decomposed_evaluator_is_exact() {
         let n = vals.len();
         let ps = PrefixSums::from_values(&vals);
         let bks = Bucketing::new(n, vec![0, n / 4 + 1, n / 2 + 1]).unwrap();
-        let oracle = WindowOracle::new(&ps);
+        let oracle = WindowOracle::new(&ps).unwrap();
         let h = OptAHistogram::new(bks.clone(), &ps, RoundingMode::None).unwrap();
         let mut u = vec![0.0; n];
         let mut v = vec![0.0; n];

@@ -32,7 +32,7 @@ pub fn build_a0_with_budget(
     buckets: usize,
     budget: &Budget,
 ) -> Result<(ValueHistogram, f64)> {
-    let oracle = WindowOracle::new(ps);
+    let oracle = WindowOracle::new(ps)?;
     let n = ps.n();
     let sol =
         optimal_bucketing_with_budget(n, buckets, |l, r| a0_bucket_cost(&oracle, n, l, r), budget)?;
@@ -70,7 +70,7 @@ mod tests {
         // cross term 2·Σ_{p<q} U1(p)·V1(q).
         let vals = vec![5i64, 1, 8, 8, 2, 9, 0, 3];
         let ps = PrefixSums::from_values(&vals);
-        let oracle = WindowOracle::new(&ps);
+        let oracle = WindowOracle::new(&ps).unwrap();
         let (h, obj) = build_a0_with_budget(&ps, 3, &Budget::unlimited()).unwrap();
         let truth = sse_value_histogram(h.xprefix(), &ps);
         let b = h.bucketing();

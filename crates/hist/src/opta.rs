@@ -304,7 +304,7 @@ pub fn build_opt_a_with_budget(
     let oracle;
     let costs = match cfg.mode {
         RoundingMode::None => {
-            oracle = WindowOracle::new(ps);
+            oracle = WindowOracle::new(ps)?;
             Costs::Unrounded(&oracle)
         }
         RoundingMode::NearestInt => Costs::Rounded {

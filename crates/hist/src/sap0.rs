@@ -15,11 +15,10 @@ use synoptic_core::{Budget, PrefixSums, Result, Sap0Histogram};
 ///
 /// By the Decomposition Lemma the cross terms vanish when the summary values
 /// are the suffix/prefix means, so the total SSE is exactly the sum of these
-/// per-bucket costs — which is what licenses the interval-partition DP.
+/// per-bucket costs — which is what licenses the interval-partition DP. The
+/// three terms come from one centred evaluation, [`WindowOracle::sap0_cost`].
 pub fn sap0_bucket_cost(oracle: &WindowOracle, n: usize, l: usize, r: usize) -> f64 {
-    oracle.intra_avg_sse(l, r)
-        + oracle.suffix_var(l, r) * (n - 1 - r) as f64
-        + oracle.prefix_var(l, r) * l as f64
+    oracle.sap0_cost(n, l, r)
 }
 
 /// Builds the SSE-optimal SAP0 histogram with at most `buckets` buckets
@@ -27,13 +26,16 @@ pub fn sap0_bucket_cost(oracle: &WindowOracle, n: usize, l: usize, r: usize) -> 
 /// O(nB) memory plus an O(n) column, and returns it with the DP objective
 /// (= its exact SSE). Both the boundaries and the summary values are
 /// simultaneously optimal (Lemma 5). The DP charges `budget` at every cell
-/// and aborts with the budget's error once it is exhausted.
+/// and aborts with the budget's error once it is exhausted; an input
+/// outside the window oracle's exact-arithmetic envelope is refused with
+/// [`SynopticError::Overflow`](synoptic_core::SynopticError::Overflow)
+/// before the DP starts.
 pub fn build_sap0_with_budget(
     ps: &PrefixSums,
     buckets: usize,
     budget: &Budget,
 ) -> Result<(Sap0Histogram, f64)> {
-    let oracle = WindowOracle::new(ps);
+    let oracle = WindowOracle::new(ps)?;
     let n = ps.n();
     let sol = optimal_bucketing_with_budget(
         n,

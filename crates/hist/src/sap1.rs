@@ -1,37 +1,37 @@
 //! Optimal SAP1 construction (paper Theorem 8).
 
 use crate::dp::optimal_bucketing_with_budget;
-use synoptic_core::window::WindowOracle;
+use synoptic_core::window::{FitOracle, WindowOracle};
 use synoptic_core::{Budget, PrefixSums, Result, Sap1Histogram};
 
 /// Bucket-additive SAP1 cost: as SAP0 but with the *regression residuals*
 /// of the best linear fits to the suffix/prefix sums instead of their
 /// variances. Least-squares residuals (with intercept) sum to zero per
 /// bucket, so the Decomposition Lemma carries over and the DP is exact.
-pub fn sap1_bucket_cost(oracle: &WindowOracle, n: usize, l: usize, r: usize) -> f64 {
-    let (srss, _, _) = oracle.suffix_fit(l, r);
-    let (prss, _, _) = oracle.prefix_fit(l, r);
-    oracle.intra_avg_sse(l, r) + srss * (n - 1 - r) as f64 + prss * l as f64
+pub fn sap1_bucket_cost(fits: &FitOracle, n: usize, l: usize, r: usize) -> f64 {
+    let (srss, _, _) = fits.suffix_fit(l, r);
+    let (prss, _, _) = fits.prefix_fit(l, r);
+    fits.oracle().intra_avg_sse(l, r) + srss * (n - 1 - r) as f64 + prss * l as f64
 }
 
 /// Builds the SSE-optimal SAP1 histogram with at most `buckets` buckets
 /// (Theorem 8) in O(n²) cost-oracle calls plus O(n²B) f64 min-plus steps,
 /// O(nB) memory plus an O(n) column, and returns it with the DP objective
 /// (= its exact SSE). The DP charges `budget` at every cell and aborts
-/// with the budget's error once it is exhausted.
+/// with the budget's error once it is exhausted. An input outside the
+/// regression envelope ([`WindowOracle::fits`]) is refused with
+/// [`SynopticError::Overflow`](synoptic_core::SynopticError::Overflow)
+/// before the DP starts.
 pub fn build_sap1_with_budget(
     ps: &PrefixSums,
     buckets: usize,
     budget: &Budget,
 ) -> Result<(Sap1Histogram, f64)> {
-    let oracle = WindowOracle::new(ps);
+    let oracle = WindowOracle::new(ps)?;
+    let fits = oracle.fits()?;
     let n = ps.n();
-    let sol = optimal_bucketing_with_budget(
-        n,
-        buckets,
-        |l, r| sap1_bucket_cost(&oracle, n, l, r),
-        budget,
-    )?;
+    let sol =
+        optimal_bucketing_with_budget(n, buckets, |l, r| sap1_bucket_cost(&fits, n, l, r), budget)?;
     let h = Sap1Histogram::optimal_values(sol.bucketing, ps)?;
     Ok((h, sol.objective))
 }

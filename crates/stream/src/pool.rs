@@ -51,7 +51,7 @@
 //! synopsis serving and is visible through [`ColumnHandle::stats`] /
 //! [`ColumnHandle::last_error`].
 
-use std::panic::{catch_unwind, AssertUnwindSafe};
+use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use std::sync::{mpsc, Arc, Condvar, Mutex, PoisonError};
 use std::thread;
@@ -805,9 +805,13 @@ fn worst_outcome(outcomes: &[BuildOutcome]) -> Option<BuildOutcome> {
 }
 
 /// Builds every segment of a new segmented column through the anytime
-/// ladder (synchronously, on the registering thread — like the monolithic
-/// initial build, a failure here means there is nothing to serve and the
-/// error propagates).
+/// ladder before registration returns — like the monolithic initial build,
+/// a failure here means there is nothing to serve and the error propagates.
+///
+/// The segments are independent, so they are built on
+/// `available_parallelism().min(segments)` scoped threads, each taking the
+/// next unbuilt index. Results are placed by segment index, and the error
+/// returned is the lowest-index one, as a serial loop would return.
 fn build_segmented_initial(
     method: HistogramMethod,
     budget_words: usize,
@@ -822,13 +826,40 @@ fn build_segmented_initial(
     let layout = SegmentLayout::equi_width(values.len(), segments)?;
     let budgets = split_segment_budget(values, &layout, method, budget_words)?;
     let params = anytime_params(config);
-    let mut parts: Vec<Arc<dyn RangeEstimator>> = Vec::with_capacity(segments);
-    let mut outcomes: Vec<BuildOutcome> = Vec::with_capacity(segments);
-    for (s, words) in budgets.iter().enumerate() {
-        let (est, outcome) = build_segment(method, values, &layout, s, *words, &params)?;
-        parts.push(est);
-        outcomes.push(outcome);
-    }
+    let threads = thread::available_parallelism()
+        .map_or(1, |p| p.get())
+        .min(segments);
+    let next = AtomicUsize::new(0);
+    let mut built: Vec<_> = thread::scope(|scope| {
+        let workers: Vec<_> = (0..threads)
+            .map(|_| {
+                scope.spawn(|| {
+                    let mut mine = Vec::new();
+                    loop {
+                        // Relaxed: the counter only hands out indices; the
+                        // results come back through `join`.
+                        let s = next.fetch_add(1, Ordering::Relaxed);
+                        if s >= segments {
+                            return mine;
+                        }
+                        let words = budgets[s];
+                        mine.push((s, build_segment(method, values, &layout, s, words, &params)));
+                    }
+                })
+            })
+            .collect();
+        workers
+            .into_iter()
+            .flat_map(|w| w.join().unwrap_or_else(|payload| resume_unwind(payload)))
+            .collect()
+    });
+    built.sort_unstable_by_key(|&(s, _)| s);
+    let (parts, outcomes): (Vec<Arc<dyn RangeEstimator>>, Vec<BuildOutcome>) = built
+        .into_iter()
+        .map(|(_, result)| result)
+        .collect::<Result<Vec<_>>>()?
+        .into_iter()
+        .unzip();
     let composed = SegmentedEstimator::new(layout.clone(), parts.clone())?;
     let worst = worst_outcome(&outcomes);
     let runtime = SegmentRuntime {

@@ -7,8 +7,11 @@
 use std::sync::Arc;
 
 use synoptic_catalog::FsStorage;
-use synoptic_core::{CancelToken, RangeQuery, SynopticError};
-use synoptic_hist::builder::HistogramMethod;
+use synoptic_core::{
+    BuildOutcome, CancelToken, PrefixSums, RangeEstimator, RangeQuery, Rng, SegmentLayout,
+    SegmentedEstimator, SynopticError,
+};
+use synoptic_hist::builder::{build_anytime, AnytimeParams, HistogramMethod};
 use synoptic_stream::{
     DurabilityConfig, MaintainedPool, RebuildConfig, RebuildPolicy, SharedStorage,
 };
@@ -149,6 +152,106 @@ fn saturated_budget_makes_the_composition_exact() {
     // The joint split granted every segment a positive budget.
     let budgets = col.segment_budgets().unwrap();
     assert!(budgets.iter().all(|&w| w >= wpb));
+}
+
+/// Registration builds the segments in parallel; the column must be the
+/// serial composition: `build_anytime` on each slice with the column's own
+/// budget split, in segment order.
+fn serial_composition(
+    vals: &[i64],
+    budgets: &[usize],
+    params: &AnytimeParams,
+) -> (SegmentedEstimator, Vec<BuildOutcome>) {
+    let layout = SegmentLayout::equi_width(vals.len(), budgets.len()).unwrap();
+    let mut parts: Vec<Arc<dyn RangeEstimator>> = Vec::new();
+    let mut outcomes = Vec::new();
+    for (s, &words) in budgets.iter().enumerate() {
+        let (l, r) = layout.bounds(s);
+        let slice = &vals[l..=r];
+        let ps = PrefixSums::from_values(slice);
+        let built = build_anytime(HistogramMethod::Sap0, slice, &ps, words, params).unwrap();
+        parts.push(Arc::from(built.estimator));
+        outcomes.push(built.outcome);
+    }
+    (SegmentedEstimator::new(layout, parts).unwrap(), outcomes)
+}
+
+/// 16 segments of 16 keys with uneven mass, so the joint budget split
+/// gives the segments different bucket counts.
+fn sixteen_segment_values() -> Vec<i64> {
+    let mut rng = Rng::new(0x16);
+    (0..256)
+        .map(|i| rng.i64_in(-40, 40) + if i / 16 % 3 == 0 { 500 } else { 0 })
+        .collect()
+}
+
+#[test]
+fn parallel_registration_answers_like_the_serial_composition() {
+    let pool = MaintainedPool::new(1);
+    let vals = sixteen_segment_values();
+    let col = pool
+        .add_column_segmented(
+            "c",
+            &vals,
+            HistogramMethod::Sap0,
+            144,
+            16,
+            RebuildConfig::new(RebuildPolicy::Manual),
+        )
+        .unwrap();
+    let budgets = col.segment_budgets().unwrap();
+    let (serial, outcomes) = serial_composition(&vals, &budgets, &AnytimeParams::unconstrained());
+    let mut rng = Rng::new(0x64);
+    for _ in 0..64 {
+        let (a, b) = (rng.usize_in(0, vals.len()), rng.usize_in(0, vals.len()));
+        let q = RangeQuery {
+            lo: a.min(b),
+            hi: a.max(b),
+        };
+        assert_eq!(
+            col.estimate(q).to_bits(),
+            serial.estimate(q).to_bits(),
+            "q={q:?}"
+        );
+    }
+    let tiers = |os: &[BuildOutcome]| {
+        os.iter()
+            .map(|o| (o.tier, o.used.clone()))
+            .collect::<Vec<_>>()
+    };
+    assert_eq!(tiers(&col.segment_outcomes().unwrap()), tiers(&outcomes));
+}
+
+#[test]
+fn parallel_registration_degrades_the_same_segments_under_a_cell_cap() {
+    let pool = MaintainedPool::new(1);
+    let vals = sixteen_segment_values();
+    let cap = 400;
+    let col = pool
+        .add_column_segmented(
+            "c",
+            &vals,
+            HistogramMethod::Sap0,
+            144,
+            16,
+            RebuildConfig::new(RebuildPolicy::Manual).with_max_cells(cap),
+        )
+        .unwrap();
+    let budgets = col.segment_budgets().unwrap();
+    let params = AnytimeParams::unconstrained().with_max_cells(cap);
+    let (_, outcomes) = serial_composition(&vals, &budgets, &params);
+    let tiers: Vec<usize> = outcomes.iter().map(|o| o.tier).collect();
+    // The cap must split the segments, or the comparison proves nothing.
+    assert!(
+        tiers.contains(&0) && tiers.iter().any(|&t| t > 0),
+        "tiers {tiers:?}"
+    );
+    let got = col.segment_outcomes().unwrap();
+    assert_eq!(got.iter().map(|o| o.tier).collect::<Vec<_>>(), tiers);
+    assert_eq!(
+        got.iter().map(|o| o.used.as_str()).collect::<Vec<_>>(),
+        outcomes.iter().map(|o| o.used.as_str()).collect::<Vec<_>>()
+    );
 }
 
 /// Seeded sweep: cancellation lands mid-merge. Each seed dirties a

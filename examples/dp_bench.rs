@@ -2,7 +2,8 @@
 //!
 //! Times the shared bucket-additive DP of `hist::dp` with the SAP0, SAP1,
 //! A0 and POINT-OPT bucket costs over the grid n ∈ {256, 1024} ×
-//! B ∈ {1, 8, 64, 192}, and the OPT-A DP at the paper's n = 127, B = 16.
+//! B ∈ {1, 8, 64, 192}, SAP0 alone at n = 4096 (perfbench's column size)
+//! with B ∈ {8, 64}, and the OPT-A DP at the paper's n = 127, B = 16.
 //! Every entry reports its DP cells (the work units the DP charges its
 //! `Budget`) and, for the additive kernels, its cost-oracle calls; both are
 //! deterministic and counted in one untimed warm-up run. The timed runs
@@ -28,6 +29,9 @@ use synoptic::hist::sap1::sap1_bucket_cost;
 
 const GRID_N: [usize; 2] = [256, 1024];
 const GRID_B: [usize; 4] = [1, 8, 64, 192];
+/// The monolithic SAP0 build the construction-kernel target is stated at.
+const LARGE_N: usize = 4096;
+const LARGE_B: [usize; 2] = [8, 64];
 const OPTA_BUCKETS: usize = 16;
 const TRIALS: usize = 5;
 
@@ -146,14 +150,15 @@ fn main() {
     for n in GRID_N {
         let vals = values(n);
         let ps = PrefixSums::from_values(&vals);
-        let window = WindowOracle::new(&ps);
+        let window = WindowOracle::new(&ps).unwrap();
+        let fits = window.fits().unwrap();
         let point = WeightedPointOracle::range_inclusion(&vals);
         for buckets in GRID_B.into_iter().filter(|&b| b <= n) {
             entries.push(additive_entry("SAP0", n, buckets, |l, r| {
                 sap0_bucket_cost(&window, n, l, r)
             }));
             entries.push(additive_entry("SAP1", n, buckets, |l, r| {
-                sap1_bucket_cost(&window, n, l, r)
+                sap1_bucket_cost(&fits, n, l, r)
             }));
             entries.push(additive_entry("A0", n, buckets, |l, r| {
                 a0_bucket_cost(&window, n, l, r)
@@ -162,6 +167,13 @@ fn main() {
                 point.cost(l, r)
             }));
         }
+    }
+    let ps = PrefixSums::from_values(&values(LARGE_N));
+    let window = WindowOracle::new(&ps).unwrap();
+    for buckets in LARGE_B {
+        entries.push(additive_entry("SAP0", LARGE_N, buckets, |l, r| {
+            sap0_bucket_cost(&window, LARGE_N, l, r)
+        }));
     }
     entries.push(opt_a_entry());
     let report = JsonValue::obj([
