@@ -51,7 +51,7 @@ ${CAP} cargo test -q -p synoptic-stream --test batch_sweep --offline
 ${CAP} cargo test -q -p synoptic-stream --test maintained_faults --offline
 ${CAP} cargo test -q -p synoptic-cli --test store_cli --offline
 
-echo "==> replication suite: wire + transports, faulty-link convergence, promotion sweep, TCP e2e (capped at ${TEST_CAP}s)"
+echo "==> replication suite: wire + transports, TCP frame reassembly sweep, faulty-link convergence, promotion sweep, TCP e2e (capped at ${TEST_CAP}s)"
 ${CAP} cargo test -q -p synoptic-repl --offline
 ${CAP} cargo test -q -p synoptic-stream --test replication --offline
 ${CAP} cargo test -q -p synoptic-stream --test promotion_sweep --offline

@@ -177,10 +177,32 @@ impl Drop for MemTransport {
 // ---------------------------------------------------------------------------
 // TCP
 
+/// Size of a [`TcpTransport`]'s receive buffer, and the capacity its send
+/// buffer shrinks back to after an unusually large frame. A frame that
+/// fits usually arrives in one `read`, together with any frames queued
+/// behind it; the part of a body that did not arrive with its prefix is
+/// read straight into the frame, so the receive buffer never grows.
+const BUF_LEN: usize = 16 * 1024;
+
 /// `u32`-length-prefixed frames over a [`TcpStream`]. Std-only: the
 /// workspace's zero-external-deps contract holds.
+///
+/// Each frame is one `write` of `len | frame`, assembled in a reusable
+/// buffer. Reads are buffered: bytes past the current frame are kept for
+/// the next [`Transport::recv`], and so is a length prefix cut short by a
+/// timeout, so a slow peer can never desynchronise the stream. The
+/// socket's read timeout is only changed when a call asks for a
+/// different one.
 pub struct TcpTransport {
     stream: TcpStream,
+    /// `len | frame` of the frame being sent, reused across sends.
+    out: Vec<u8>,
+    /// Receive buffer: `inbuf[head..tail]` is received but not returned.
+    inbuf: Box<[u8]>,
+    head: usize,
+    tail: usize,
+    /// The read timeout the socket has (`None` until first set).
+    read_timeout: Option<Option<Duration>>,
 }
 
 impl TcpTransport {
@@ -188,57 +210,99 @@ impl TcpTransport {
     pub fn connect(addr: &str) -> Result<Self> {
         let stream =
             TcpStream::connect(addr).map_err(|e| io_err(format!("connect {addr}: {e}")))?;
-        stream.set_nodelay(true).ok();
-        Ok(Self { stream })
+        Ok(Self::from_stream(stream))
     }
 
     /// Wraps an accepted connection.
     pub fn from_stream(stream: TcpStream) -> Self {
         stream.set_nodelay(true).ok();
-        Self { stream }
+        Self {
+            stream,
+            out: Vec::new(),
+            inbuf: vec![0u8; BUF_LEN].into_boxed_slice(),
+            head: 0,
+            tail: 0,
+            read_timeout: None,
+        }
+    }
+
+    fn set_read_timeout(&mut self, timeout: Option<Duration>) -> Result<()> {
+        if self.read_timeout != Some(timeout) {
+            self.stream
+                .set_read_timeout(timeout)
+                .map_err(|e| io_err(format!("set timeout: {e}")))?;
+            self.read_timeout = Some(timeout);
+        }
+        Ok(())
+    }
+
+    /// One `read` into the receive buffer. It is only called while
+    /// fewer than 4 bytes are pending, so it first moves those to the
+    /// front and offers the read the rest of the buffer. Returns the byte
+    /// count (`0` at EOF).
+    fn fill(&mut self) -> std::io::Result<usize> {
+        self.inbuf.copy_within(self.head..self.tail, 0);
+        self.tail -= self.head;
+        self.head = 0;
+        let n = self.stream.read(&mut self.inbuf[self.tail..])?;
+        self.tail += n;
+        Ok(n)
     }
 }
 
 impl Transport for TcpTransport {
     fn send(&mut self, frame: &[u8]) -> Result<()> {
         let len = u32::try_from(frame.len()).map_err(|_| io_err("frame exceeds u32 length"))?;
-        self.stream
-            .write_all(&len.to_le_bytes())
-            .and_then(|()| self.stream.write_all(frame))
-            .and_then(|()| self.stream.flush())
-            .map_err(|e| io_err(format!("send: {e}")))
+        self.out.clear();
+        self.out.extend_from_slice(&len.to_le_bytes());
+        self.out.extend_from_slice(frame);
+        let sent = self.stream.write_all(&self.out);
+        self.out.clear();
+        self.out.shrink_to(BUF_LEN);
+        sent.map_err(|e| io_err(format!("send: {e}")))
     }
 
     fn recv(&mut self, timeout: Option<Duration>) -> Result<Received> {
-        self.stream
-            .set_read_timeout(timeout)
-            .map_err(|e| io_err(format!("set timeout: {e}")))?;
-        let mut len_buf = [0u8; 4];
-        match self.stream.read_exact(&mut len_buf) {
-            Ok(()) => {}
-            Err(e) if e.kind() == std::io::ErrorKind::UnexpectedEof => return Ok(Received::Closed),
-            Err(e)
-                if e.kind() == std::io::ErrorKind::WouldBlock
-                    || e.kind() == std::io::ErrorKind::TimedOut =>
-            {
-                return Ok(Received::TimedOut)
+        while self.tail - self.head < 4 {
+            self.set_read_timeout(timeout)?;
+            match self.fill() {
+                Ok(0) => return Ok(Received::Closed),
+                Ok(_) => {}
+                Err(e) if e.kind() == std::io::ErrorKind::Interrupted => {}
+                Err(e)
+                    if e.kind() == std::io::ErrorKind::WouldBlock
+                        || e.kind() == std::io::ErrorKind::TimedOut =>
+                {
+                    return Ok(Received::TimedOut)
+                }
+                Err(e) => return Err(io_err(format!("recv: {e}"))),
             }
-            Err(e) => return Err(io_err(format!("recv: {e}"))),
         }
-        let len = u32::from_le_bytes(len_buf) as usize;
+        let mut prefix = [0u8; 4];
+        prefix.copy_from_slice(&self.inbuf[self.head..self.head + 4]);
+        let len = u32::from_le_bytes(prefix) as usize;
         if len > MAX_FRAME_LEN {
             return Err(io_err(format!(
                 "frame length {len} exceeds {MAX_FRAME_LEN}"
             )));
         }
+        self.head += 4;
+        if self.tail - self.head >= len {
+            let frame = self.inbuf[self.head..self.head + len].to_vec();
+            self.head += len;
+            return Ok(Received::Frame(frame));
+        }
         // The length prefix arrived, so the body is in flight: block for
         // it without a timeout — a half-received frame cannot be resumed.
-        self.stream
-            .set_read_timeout(None)
-            .map_err(|e| io_err(format!("set timeout: {e}")))?;
+        // The rest of the body is read straight into the frame, sized
+        // once, with no bytes past it taken from the stream.
+        self.set_read_timeout(None)?;
+        let have = self.tail - self.head;
         let mut frame = vec![0u8; len];
+        frame[..have].copy_from_slice(&self.inbuf[self.head..self.tail]);
+        self.head = self.tail;
         self.stream
-            .read_exact(&mut frame)
+            .read_exact(&mut frame[have..])
             .map_err(|e| io_err(format!("recv body: {e}")))?;
         Ok(Received::Frame(frame))
     }
@@ -668,5 +732,34 @@ mod tests {
         );
         c.close();
         server.join().unwrap();
+    }
+
+    #[test]
+    fn tcp_length_prefix_split_across_a_timeout_is_kept() {
+        let listener = std::net::TcpListener::bind("127.0.0.1:0").unwrap();
+        let addr = listener.local_addr().unwrap();
+        let frame = b"a frame whose prefix straddles a recv timeout".to_vec();
+        let mut wire = (frame.len() as u32).to_le_bytes().to_vec();
+        wire.extend_from_slice(&frame);
+        let peer = std::thread::spawn(move || {
+            let mut s = TcpStream::connect(addr).unwrap();
+            s.set_nodelay(true).unwrap();
+            s.write_all(&wire[..2]).unwrap();
+            std::thread::sleep(Duration::from_millis(100));
+            s.write_all(&wire[2..]).unwrap();
+        });
+        let (stream, _) = listener.accept().unwrap();
+        let mut t = TcpTransport::from_stream(stream);
+        let mut timeouts = 0;
+        let got = loop {
+            match t.recv(Some(Duration::from_millis(20))).unwrap() {
+                Received::TimedOut => timeouts += 1,
+                other => break other,
+            }
+        };
+        assert_eq!(got, Received::Frame(frame));
+        assert!(timeouts > 0, "the prefix never straddled a timeout");
+        peer.join().unwrap();
+        assert_eq!(t.recv(None).unwrap(), Received::Closed);
     }
 }

@@ -84,7 +84,7 @@
 //! [`DegradeRung`]: synoptic_api::wire::DegradeRung
 
 use std::collections::HashMap;
-use std::net::TcpListener;
+use std::net::{IpAddr, Ipv4Addr, Ipv6Addr, SocketAddr, TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
 use std::time::{Duration, Instant};
@@ -201,6 +201,23 @@ struct Inner {
     /// Service latency of answered update batches (µs, log2 buckets).
     lat_update: LatencyHistogram,
     shutdown: AtomicBool,
+    /// Addresses of the listeners [`Server::serve`] is blocked on, which
+    /// [`Server::shutdown`] connects to so their `accept` returns.
+    listening: Mutex<Vec<SocketAddr>>,
+}
+
+/// How long [`Server::shutdown`] waits to connect to a blocked listener.
+const SHUTDOWN_WAKE_TIMEOUT: Duration = Duration::from_millis(500);
+
+/// Where to connect to reach a listener bound to `addr`: an unspecified
+/// IP (`0.0.0.0`, `::`) is reached through the loopback of its family.
+fn wake_addr(addr: SocketAddr) -> SocketAddr {
+    let ip = match addr.ip() {
+        IpAddr::V4(ip) if ip.is_unspecified() => IpAddr::V4(Ipv4Addr::LOCALHOST),
+        IpAddr::V6(ip) if ip.is_unspecified() => IpAddr::V6(Ipv6Addr::LOCALHOST),
+        ip => ip,
+    };
+    SocketAddr::new(ip, addr.port())
 }
 
 fn lock<'a, T>(m: &'a Mutex<T>) -> MutexGuard<'a, T> {
@@ -253,6 +270,7 @@ impl Server {
                 lat_estimate: LatencyHistogram::new(),
                 lat_update: LatencyHistogram::new(),
                 shutdown: AtomicBool::new(false),
+                listening: Mutex::new(Vec::new()),
             }),
         }
     }
@@ -272,9 +290,17 @@ impl Server {
         );
     }
 
-    /// Asks the accept loop and every connection loop to wind down.
+    /// Asks the accept loop and every connection loop to wind down. Each
+    /// blocked [`Server::serve`] is woken by a connection to its
+    /// listener; connection loops notice within `poll_interval`.
     pub fn shutdown(&self) {
         self.inner.shutdown.store(true, Ordering::SeqCst);
+        // Held across the wake-ups, so a `serve` cannot drop its listener
+        // (and free the port for someone else) while being connected to.
+        let listening = lock(&self.inner.listening);
+        for addr in listening.iter() {
+            let _ = TcpStream::connect_timeout(&wake_addr(*addr), SHUTDOWN_WAKE_TIMEOUT);
+        }
     }
 
     fn column(&self, name: &str) -> Option<Arc<ColumnState>> {
@@ -309,11 +335,39 @@ impl Server {
     /// Accept loop: serves connections until [`Server::shutdown`] (or the
     /// process exits). Each connection runs [`Server::handle_transport`]
     /// on its own thread.
+    ///
+    /// The accept blocks (the listener is switched to blocking mode);
+    /// `shutdown` wakes it by connecting to the listener, and that
+    /// connection, like any accepted after the shutdown flag is set, is
+    /// dropped unserved.
     pub fn serve(&self, listener: TcpListener) -> std::io::Result<()> {
-        listener.set_nonblocking(true)?;
+        listener.set_nonblocking(false)?;
+        let addr = listener.local_addr()?;
+        {
+            // Checked under the lock `shutdown` takes after setting the
+            // flag: either this sees the flag, or `shutdown` sees `addr`.
+            let mut listening = lock(&self.inner.listening);
+            if self.inner.shutdown.load(Ordering::SeqCst) {
+                return Ok(());
+            }
+            listening.push(addr);
+        }
+        let served = self.accept_loop(&listener);
+        let mut listening = lock(&self.inner.listening);
+        if let Some(i) = listening.iter().position(|a| *a == addr) {
+            listening.swap_remove(i);
+        }
+        served
+    }
+
+    fn accept_loop(&self, listener: &TcpListener) -> std::io::Result<()> {
         let mut workers: Vec<std::thread::JoinHandle<()>> = Vec::new();
-        while !self.inner.shutdown.load(Ordering::SeqCst) {
-            match listener.accept() {
+        loop {
+            let accepted = listener.accept();
+            if self.inner.shutdown.load(Ordering::SeqCst) {
+                break;
+            }
+            match accepted {
                 Ok((stream, _peer)) => {
                     let server = self.clone();
                     workers.push(std::thread::spawn(move || {
@@ -321,9 +375,7 @@ impl Server {
                         server.handle_transport(&mut transport);
                     }));
                 }
-                Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => {
-                    std::thread::sleep(self.inner.config.poll_interval);
-                }
+                Err(e) if e.kind() == std::io::ErrorKind::Interrupted => {}
                 Err(e) => return Err(e),
             }
             workers.retain(|w| !w.is_finished());

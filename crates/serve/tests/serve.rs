@@ -147,6 +147,74 @@ fn tcp_round_trip_ping_estimates_updates_and_stats() {
     drop(pool);
 }
 
+/// A server whose connection loops would take 30 s to notice a shutdown
+/// by polling, so only a woken accept can make `serve` return promptly.
+fn slow_poll_server() -> Server {
+    Server::new(ServeConfig {
+        poll_interval: Duration::from_secs(30),
+        ..ServeConfig::default()
+    })
+}
+
+/// Runs `serve` on its own thread; the receiver yields its result.
+fn spawn_serve(
+    server: &Server,
+    listener: std::net::TcpListener,
+) -> std::sync::mpsc::Receiver<std::io::Result<()>> {
+    let (tx, rx) = std::sync::mpsc::channel();
+    let server = server.clone();
+    std::thread::spawn(move || {
+        let _ = tx.send(server.serve(listener));
+    });
+    rx
+}
+
+#[test]
+fn shutdown_wakes_an_idle_accept_on_loopback_and_unspecified_listeners() {
+    for bind in ["127.0.0.1:0", "0.0.0.0:0"] {
+        let server = slow_poll_server();
+        let served = spawn_serve(&server, std::net::TcpListener::bind(bind).unwrap());
+        // Let `serve` reach its blocking accept.
+        std::thread::sleep(Duration::from_millis(100));
+        server.shutdown();
+        served
+            .recv_timeout(Duration::from_secs(2))
+            .unwrap_or_else(|e| panic!("serve on {bind} did not return within 2 s: {e}"))
+            .unwrap();
+    }
+}
+
+#[test]
+fn shutdown_racing_the_start_of_serve_is_never_missed() {
+    for round in 0..100 {
+        let server = slow_poll_server();
+        let listener = std::net::TcpListener::bind("127.0.0.1:0").unwrap();
+        let served = spawn_serve(&server, listener);
+        server.shutdown();
+        served
+            .recv_timeout(Duration::from_secs(5))
+            .unwrap_or_else(|e| panic!("round {round}: serve did not return: {e}"))
+            .unwrap();
+    }
+}
+
+#[test]
+fn a_non_blocking_listener_still_serves_and_shuts_down() {
+    let server = slow_poll_server();
+    let listener = std::net::TcpListener::bind("127.0.0.1:0").unwrap();
+    listener.set_nonblocking(true).unwrap();
+    let addr = listener.local_addr().unwrap().to_string();
+    let served = spawn_serve(&server, listener);
+    let client = Client::connect(&addr).unwrap();
+    client.ping().unwrap();
+    drop(client);
+    server.shutdown();
+    served
+        .recv_timeout(Duration::from_secs(2))
+        .expect("serve did not return")
+        .unwrap();
+}
+
 // ---------------------------------------------------------------------------
 // Batch pinning
 
