@@ -96,6 +96,12 @@ ${CAP} cargo run -q --release --offline --example serve_bench
 echo "==> overload bench: goodput, shed rate, degraded fraction, p50/p99 at 1x/2x/4x offered load (capped at ${TEST_CAP}s)"
 ${CAP} cargo run -q --release --offline --example overload_bench
 
+echo "==> perfbench smoke: every BENCHMARK.json workload runs, passes its output checks and reports every declared metric (capped at ${TEST_CAP}s)"
+# perfbench is built outside the workspace (into .bench_build), so this is
+# the step that catches a pool or serving API change breaking the
+# benchmark before the benchmark itself runs.
+${CAP} python3 perfbench/smoke_test.py
+
 echo "==> full workspace tests (offline, capped at ${TEST_CAP}s)"
 ${CAP} cargo test -q --workspace --offline
 

@@ -228,10 +228,11 @@ impl Budget {
         }
     }
 
-    /// Adds a wall-clock deadline, measured from *now*.
+    /// Adds a wall-clock deadline, measured from *now*. A deadline beyond
+    /// the range of [`Instant`] is no deadline at all.
     #[must_use]
     pub fn with_deadline(mut self, limit: Duration) -> Self {
-        self.deadline = Some(Instant::now() + limit);
+        self.deadline = Instant::now().checked_add(limit);
         self
     }
 
@@ -399,6 +400,14 @@ mod tests {
             b.charge(1).unwrap();
         }
         assert!(b.remaining().unwrap() > Duration::from_secs(3000));
+    }
+
+    #[test]
+    fn a_deadline_past_the_instant_range_is_no_deadline() {
+        let b = Budget::unlimited().with_deadline(Duration::MAX);
+        assert!(b.is_unlimited());
+        assert!(b.remaining().is_none());
+        b.charge(1).unwrap();
     }
 
     #[test]

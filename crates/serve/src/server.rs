@@ -94,7 +94,7 @@ use synoptic_api::wire::{
     QueryBatch, Request, RequestHeader, Response, ServerStats,
 };
 use synoptic_core::{
-    AnswerSource, Budget, HotSwapReader, RangeEstimator, RangeQuery, SynopticError,
+    AnswerSource, Budget, BuildOutcome, HotSwapReader, RangeEstimator, RangeQuery, SynopticError,
 };
 use synoptic_repl::{Clock, Received, TcpTransport, Transport, WallClock};
 use synoptic_stream::ColumnHandle;
@@ -178,6 +178,16 @@ struct ColumnState {
 struct CachedReader {
     column: Arc<ColumnState>,
     reader: HotSwapReader<dyn RangeEstimator>,
+}
+
+/// One batch's snapshot pin: the estimator, the generation it was
+/// published at, and the provenance of the build that produced it, all
+/// read in one step ([`ColumnHandle::pinned_with_provenance`]).
+struct Pinned {
+    generation: u64,
+    snapshot: Arc<dyn RangeEstimator>,
+    outcome: Option<BuildOutcome>,
+    segment_outcomes: Option<Vec<BuildOutcome>>,
 }
 
 struct Inner {
@@ -594,8 +604,8 @@ impl Server {
                 column: Arc::clone(&col),
                 reader: col.handle.reader(),
             });
-        let (generation, snapshot) = entry.reader.pinned();
-        let snapshot = Arc::clone(snapshot);
+        let (generation, snapshot, outcome, segment_outcomes) =
+            col.handle.pinned_with_provenance(&mut entry.reader);
         let n = snapshot.n();
         for q in &batch.ranges {
             if q.hi >= n {
@@ -603,7 +613,13 @@ impl Server {
             }
         }
         if let Some(reason) = shed {
-            return self.degraded_batch(&col, &snapshot, generation, lag, reason, batch);
+            let pin = Pinned {
+                generation,
+                snapshot,
+                outcome,
+                segment_outcomes,
+            };
+            return self.degraded_batch(&col, pin, lag, reason, batch);
         }
         let mut values = Vec::with_capacity(batch.ranges.len());
         let mut cached = Vec::with_capacity(batch.ranges.len());
@@ -631,8 +647,8 @@ impl Server {
             generation,
             source: AnswerSource::Primary,
             lag,
-            outcome: col.handle.last_outcome(),
-            segment_outcomes: col.handle.segment_outcomes(),
+            outcome,
+            segment_outcomes,
             values,
             cached,
             rung: None,
@@ -645,15 +661,18 @@ impl Server {
     fn degraded_batch(
         &self,
         col: &ColumnState,
-        snapshot: &Arc<dyn RangeEstimator>,
-        generation: u64,
+        pin: Pinned,
         lag: u64,
         reason: ShedReason,
         batch: &QueryBatch,
     ) -> Response {
         self.inner.degraded.fetch_add(1, Ordering::Relaxed);
-        let outcome = col.handle.last_outcome();
-        let segment_outcomes = col.handle.segment_outcomes();
+        let Pinned {
+            generation,
+            snapshot,
+            outcome,
+            segment_outcomes,
+        } = pin;
         // Rung 1 — cache-hit: if every range is in the generation-keyed
         // cache, the answer costs nothing and is as fresh as a normal
         // one. All-or-nothing: a partial probe descends.

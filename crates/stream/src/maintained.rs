@@ -16,8 +16,9 @@
 //! * [`RebuildStats`] — the maintenance counters a column reports;
 //! * [`drift_exceeds`] — the exact integer test behind
 //!   [`RebuildPolicy::DriftFraction`];
-//! * the panic-contained builder call and the bounded persist retry
-//!   ladder the pool's workers run.
+//! * the one panic-containment helper every call into builder or hook
+//!   code goes through, and the bounded persist retry ladder the pool's
+//!   workers run.
 //!
 //! ## Robustness contract
 //!
@@ -28,15 +29,18 @@
 //! * Every rebuild runs under a [`Budget`] (deadline / cell cap /
 //!   cancellation from [`RebuildConfig`]). A rebuild that exhausts its
 //!   budget or is cancelled leaves the **last-good** synopsis serving.
-//! * Builder panics are contained at this subsystem boundary with
-//!   [`std::panic::catch_unwind`] and surface as
-//!   [`SynopticError::BuildPanicked`]; the last-good synopsis keeps
-//!   serving.
+//! * Builder and persist-hook panics are contained at this subsystem
+//!   boundary with [`std::panic::catch_unwind`] and surface as
+//!   [`SynopticError::BuildPanicked`]; the last-good (or, for a hook,
+//!   the fresh) synopsis keeps serving and the worker keeps running.
+//! * A deadline too far out to represent is no deadline, and upgrade
+//!   budgets scale with saturating arithmetic — no configuration value
+//!   can overflow on the worker.
 //! * After a failed rebuild the column enters a doubling *cooldown* (in
 //!   updates) so a persistently failing builder cannot turn the ingest
 //!   path into a rebuild storm.
-//! * An optional persist hook runs after each successful rebuild, with
-//!   bounded retry + doubling backoff on transient
+//! * An optional persist hook runs after each successful rebuild or
+//!   upgrade, with bounded retry + doubling backoff on transient
 //!   [`SynopticError::Io`] / [`SynopticError::CorruptSynopsis`] errors,
 //!   and a **hard cap on total retry wall-clock**
 //!   ([`RebuildConfig::persist_total_backoff`], default 2 s) so a dead disk
@@ -50,7 +54,8 @@ use std::time::Duration;
 
 use synoptic_catalog::wal::{ColumnWal, FsyncCadence, WalConfig};
 use synoptic_catalog::Storage;
-use synoptic_core::{Budget, CancelToken, PrefixSums, RangeEstimator, Result, SynopticError};
+use synoptic_core::{Budget, CancelToken, RangeEstimator, Result, SynopticError};
+use synoptic_hist::builder::AnytimeParams;
 
 /// The storage handle journaled columns append through: shared because
 /// appends run on ingest threads while checkpoints run on rebuild workers.
@@ -189,18 +194,31 @@ impl RebuildConfig {
         self
     }
 
-    pub(crate) fn budget(&self) -> Budget {
+    /// The [`Budget`] for one direct build: the configured deadline and
+    /// cell cap scaled by `factor` (1 for rebuilds, the upgrade factor for
+    /// upgrades; a product past the range means no limit), plus the cancel
+    /// token and [`RebuildConfig::charge_batch`].
+    pub(crate) fn budget(&self, factor: u32) -> Budget {
         let mut b = Budget::unlimited().with_charge_batch(self.charge_batch);
         if let Some(d) = self.deadline {
-            b = b.with_deadline(d);
+            b = b.with_deadline(d.saturating_mul(factor));
         }
         if let Some(c) = self.max_cells {
-            b = b.with_max_cells(c);
+            b = b.with_max_cells(c.saturating_mul(u64::from(factor)));
         }
         if let Some(t) = &self.cancel {
             b = b.with_cancel_token(t.clone());
         }
         b
+    }
+
+    /// The per-rung constraints the anytime ladder runs a rebuild under.
+    pub(crate) fn anytime_params(&self) -> AnytimeParams {
+        AnytimeParams {
+            deadline: self.deadline,
+            max_cells: self.max_cells,
+            cancel: self.cancel.clone(),
+        }
     }
 }
 
@@ -402,19 +420,28 @@ fn cmp_u256(a: (u128, u128), b: (u128, u128)) -> std::cmp::Ordering {
     a.0.cmp(&b.0).then(a.1.cmp(&b.1))
 }
 
-/// Renders a caught panic payload as text.
-pub(crate) fn panic_detail(payload: Box<dyn std::any::Any + Send>) -> String {
-    if let Some(s) = payload.downcast_ref::<&str>() {
-        (*s).to_string()
-    } else if let Some(s) = payload.downcast_ref::<String>() {
-        s.clone()
-    } else {
-        "non-string panic payload".to_string()
-    }
+/// Runs builder or hook code with its panics contained at this subsystem
+/// boundary: a panic surfaces as [`SynopticError::BuildPanicked`], its
+/// detail naming `what` panicked, and the maintenance worker lives on.
+/// Every call from the pool into caller-supplied or construction code
+/// goes through here.
+pub(crate) fn contain<T>(what: &str, f: impl FnOnce() -> Result<T>) -> Result<T> {
+    catch_unwind(AssertUnwindSafe(f)).unwrap_or_else(|payload| {
+        let detail = if let Some(s) = payload.downcast_ref::<&str>() {
+            s
+        } else if let Some(s) = payload.downcast_ref::<String>() {
+            s.as_str()
+        } else {
+            "non-string panic payload"
+        };
+        Err(SynopticError::BuildPanicked {
+            detail: format!("{what} panicked: {detail}"),
+        })
+    })
 }
 
 /// Classifies persist errors worth retrying: transient storage conditions,
-/// not logic errors.
+/// not logic errors (and not a contained hook panic).
 pub(crate) fn persist_error_is_transient(err: &SynopticError) -> bool {
     matches!(
         err,
@@ -463,31 +490,31 @@ pub(crate) struct PersistReport {
     pub last_error: Option<SynopticError>,
 }
 
-/// Runs the persist hook with bounded retry + doubling backoff, and a hard
-/// cap on the total wall-clock slept ([`RebuildConfig::persist_total_backoff`]).
+/// Runs one persist `attempt` with bounded retry + doubling backoff, and a
+/// hard cap on the total wall-clock slept
+/// ([`RebuildConfig::persist_total_backoff`]). Returns the report and the
+/// successful attempt's value, if any attempt succeeded.
 ///
 /// This function may sleep. The pool runs it on the column's rebuild
 /// worker, where the sleeps overlap serving and ingest instead of
 /// stalling them.
-pub(crate) fn persist_with_retry(
-    persist: &mut (dyn FnMut(&dyn RangeEstimator) -> Result<()> + Send),
-    estimator: &dyn RangeEstimator,
+pub(crate) fn persist_with_retry<T>(
+    mut attempt: impl FnMut() -> Result<T>,
     config: &RebuildConfig,
-) -> PersistReport {
+) -> (PersistReport, Option<T>) {
     let mut report = PersistReport::default();
     let mut backoff = config.persist_backoff;
     let mut slept = Duration::ZERO;
     let attempts = 1 + config.persist_retries;
-    for attempt in 0..attempts {
-        match persist(estimator) {
-            Ok(()) => return report,
+    for n in 0..attempts {
+        match attempt() {
+            Ok(value) => return (report, Some(value)),
             Err(err) => {
                 let transient = persist_error_is_transient(&err);
                 report.last_error = Some(err);
                 let remaining = config.persist_total_backoff.saturating_sub(slept);
-                if !transient || attempt + 1 >= attempts || remaining.is_zero() {
-                    report.failed = true;
-                    return report;
+                if !transient || n + 1 >= attempts || remaining.is_zero() {
+                    break;
                 }
                 report.retries += 1;
                 let nap = backoff.min(remaining);
@@ -498,47 +525,13 @@ pub(crate) fn persist_with_retry(
         }
     }
     report.failed = true;
-    report
-}
-
-/// Runs a durable persist hook through the same bounded retry ladder as
-/// [`persist_with_retry`], returning the committed generation alongside
-/// the report when any attempt succeeded.
-pub(crate) fn persist_durable_with_retry(
-    persist: &mut (dyn FnMut(&DurableSnapshot<'_>) -> Result<u64> + Send),
-    snapshot: &DurableSnapshot<'_>,
-    config: &RebuildConfig,
-) -> (PersistReport, Option<u64>) {
-    let mut generation = None;
-    let mut adaptor = |_: &dyn RangeEstimator| -> Result<()> {
-        generation = Some(persist(snapshot)?);
-        Ok(())
-    };
-    let report = persist_with_retry(&mut adaptor, snapshot.estimator, config);
-    (report, generation)
-}
-
-/// Invokes the builder with panics contained at this subsystem boundary.
-pub(crate) fn run_builder<F>(
-    build: &mut F,
-    values: &[i64],
-    ps: &PrefixSums,
-    budget: &Budget,
-) -> Result<Box<dyn RangeEstimator>>
-where
-    F: FnMut(&[i64], &PrefixSums, &Budget) -> Result<Box<dyn RangeEstimator>>,
-{
-    match catch_unwind(AssertUnwindSafe(|| build(values, ps, budget))) {
-        Ok(result) => result,
-        Err(payload) => Err(SynopticError::BuildPanicked {
-            detail: panic_detail(payload),
-        }),
-    }
+    (report, None)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use synoptic_core::PrefixSums;
     use synoptic_hist::sap0::build_sap0_with_budget;
 
     #[test]
@@ -601,7 +594,7 @@ mod tests {
             build_sap0_with_budget(&PrefixSums::from_values(&vals), 2, &Budget::unlimited())
                 .unwrap();
         let start = std::time::Instant::now();
-        let report = persist_with_retry(&mut *persist, &est, &config);
+        let (report, _) = persist_with_retry(|| persist(&est), &config);
         let elapsed = start.elapsed();
         assert!(report.failed);
         // One 5 ms nap, then `remaining` hits zero and the ladder gives up:

@@ -13,10 +13,19 @@
 //!   last-good estimator behind a [`HotSwap`] cell — the read path is an
 //!   `Arc` snapshot, and hot readers ([`ColumnHandle::reader`]) skip even
 //!   that in the steady state via a generation check;
-//! * a **background rebuild worker** that receives rebuild jobs over a
-//!   channel, snapshots the live frequencies, runs the (budgeted,
-//!   panic-contained) build, hot-swaps the fresh synopsis in, and performs
-//!   the persist retry/backoff ladder *off-thread*.
+//! * a **background worker** that receives maintenance jobs over a
+//!   channel and runs each through one pipeline, whatever the job and
+//!   the column's kind: **snapshot** the live frequencies, **build** the
+//!   job's target parts (panic-contained, budgeted), then **commit** —
+//!   hot-swap the fresh synopsis in together with its provenance and run
+//!   the persist retry ladder *off-thread* — or take the one **failure**
+//!   path, which leaves the last-good synopsis serving.
+//!
+//! A column is made of parts: a monolithic column has one (its whole
+//! domain, served unwrapped), a segmented column one per segment (served
+//! behind a [`SegmentedEstimator`]). A rebuild targets the dirty parts, or
+//! every part when none is dirty; an upgrade targets the parts whose
+//! committed build degraded.
 //!
 //! A [`MaintainedPool`] shards many columns across a fixed set of worker
 //! threads (round-robin at registration; every job for a column runs on
@@ -36,22 +45,23 @@
 //! deadline or cell cap forces the ladder to commit a *degraded* rung, a
 //! column configured with [`RebuildConfig::with_background_upgrade`]
 //! schedules an **upgrade job**: the worker re-runs the originally
-//! requested method over a fresh snapshot with a multiplied budget and, on
-//! success, hot-swaps the better synopsis (and re-persists it). This is
-//! the inverse of the fallback ladder — degrade under pressure, quietly
-//! restore full quality when the pressure lifts — and it runs entirely in
-//! the background: serving answers from the degraded rung until the
-//! upgrade lands, never from nothing.
+//! requested method directly over a fresh snapshot of the degraded parts,
+//! with the budget scaled by the upgrade factor, and on success hot-swaps
+//! the better synopsis (and re-persists it). This is the inverse of the
+//! fallback ladder — degrade under pressure, quietly restore full quality
+//! when the pressure lifts — and it runs entirely in the background:
+//! serving answers from the degraded rung until the upgrade lands, never
+//! from nothing.
 //!
 //! ## Serving invariant
 //!
 //! Once [`MaintainedPool::add_column`] returns, the column's estimator
 //! **never disappears** — every failure mode (budget exhaustion, cancellation,
-//! builder panic, persist failure, worker shutdown) leaves the last-good
-//! synopsis serving and is visible through [`ColumnHandle::stats`] /
-//! [`ColumnHandle::last_error`].
+//! builder or persist-hook panic, persist failure, worker shutdown) leaves
+//! the last-good synopsis serving and is visible through
+//! [`ColumnHandle::stats`] / [`ColumnHandle::last_error`].
 
-use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
+use std::panic::resume_unwind;
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use std::sync::{mpsc, Arc, Condvar, Mutex, PoisonError};
 use std::thread;
@@ -60,15 +70,14 @@ use synoptic_core::{
     Budget, BuildOutcome, HotSwap, HotSwapReader, PrefixSums, RangeEstimator, RangeQuery, Result,
     SegmentLayout, SegmentedEstimator, SynopticError,
 };
-use synoptic_hist::builder::{build_anytime, build_with_budget, AnytimeParams, HistogramMethod};
+use synoptic_hist::builder::HistogramMethod;
 
 use crate::fenwick::Fenwick;
 use crate::maintained::{
-    drift_exceeds, panic_detail, persist_durable_with_retry, persist_with_retry, run_builder,
-    ColumnJournal, DurabilityConfig, DurablePersistFn, DurableSnapshot, PersistFn, RebuildConfig,
-    RebuildPolicy, RebuildStats, SharedStorage,
+    contain, drift_exceeds, persist_with_retry, ColumnJournal, DurabilityConfig, DurablePersistFn,
+    DurableSnapshot, PersistFn, RebuildConfig, RebuildPolicy, RebuildStats, SharedStorage,
 };
-use crate::segments::{build_segment, split_segment_budget, upgrade_segment, SegmentRuntime};
+use crate::segments::{build_segment, split_segment_budget, Segments};
 
 /// A boxed construction function for [`ColumnBuild::Custom`] columns.
 /// `Send` because it runs on the column's home worker thread.
@@ -93,7 +102,7 @@ pub enum ColumnBuild {
 
 /// Ingest-side mutable state, behind one short-lived mutex. The lock is
 /// held for `O(log n)` Fenwick arithmetic on the ingest path and for the
-/// `O(n)` snapshot copy at the start of a rebuild — never across a build,
+/// `O(n)` snapshot copy at the start of a job — never across a build,
 /// a persist, or a sleep.
 struct IngestState {
     fenwick: Fenwick,
@@ -121,6 +130,18 @@ struct AtomicStats {
     segments_reused: AtomicU64,
 }
 
+/// What a column serves, part by part, with the provenance of the build
+/// that produced each part. A commit swaps the serving cell while holding
+/// this record's lock, so a pin taken under the same lock
+/// ([`ColumnHandle::pinned_with_provenance`]) reads the provenance of
+/// exactly the build it pinned.
+struct Served {
+    /// The serving parts in segment order; a monolithic column has one.
+    parts: Vec<Arc<dyn RangeEstimator>>,
+    /// Per-part anytime provenance; empty for custom-built columns.
+    outcomes: Vec<BuildOutcome>,
+}
+
 /// Shared state of one maintained column.
 struct ColumnInner {
     name: String,
@@ -128,21 +149,21 @@ struct ColumnInner {
     /// Worker-only state (the home worker is the single consumer; the
     /// mutexes make the struct `Sync` and recover from builder panics).
     build: Mutex<ColumnBuild>,
-    persist: Mutex<Option<PersistFn>>,
+    /// The one persist hook. A plain [`PersistFn`] is adapted at
+    /// registration; only journaled columns checkpoint after it.
+    persist: Mutex<Option<DurablePersistFn>>,
     /// Write-ahead journal for durable columns (`None` = durability off,
     /// the default; the ingest path then never touches it). Appends run
     /// under the ingest lock so the journal order and the Fenwick order
-    /// agree with the snapshot cut taken by rebuilds.
+    /// agree with the snapshot cut taken by jobs.
     wal: Option<ColumnJournal>,
-    /// Persist hook for journaled columns (used instead of `persist`).
-    durable_persist: Mutex<Option<DurablePersistFn>>,
     serving: Arc<HotSwap<dyn RangeEstimator>>,
+    served: Mutex<Served>,
     ingest: Mutex<IngestState>,
-    /// Segment layout, per-segment budgets, and partial synopses for
-    /// columns registered through
-    /// [`MaintainedPool::add_column_segmented`]; `None` for monolithic
-    /// columns (the default — their paths are unchanged).
-    segments: Option<SegmentRuntime>,
+    /// Segment layout and per-segment budgets for columns registered
+    /// through [`MaintainedPool::add_column_segmented`]; `None` for
+    /// monolithic columns.
+    segments: Option<Segments>,
     /// Failure cooldown, kept as atomics so the ingest hot path can tick
     /// it without holding the ingest lock.
     cooldown_remaining: AtomicU64,
@@ -156,7 +177,6 @@ struct ColumnInner {
     inflight: Mutex<u64>,
     inflight_cv: Condvar,
     last_error: Mutex<Option<SynopticError>>,
-    last_outcome: Mutex<Option<BuildOutcome>>,
 }
 
 fn lock<'a, T>(m: &'a Mutex<T>) -> std::sync::MutexGuard<'a, T> {
@@ -222,12 +242,29 @@ impl ColumnInner {
     fn set_error(&self, err: SynopticError) {
         *lock(&self.last_error) = Some(err);
     }
+
+    /// Number of parts: one per segment, one for a monolithic column.
+    fn part_count(&self) -> usize {
+        self.segments.as_ref().map_or(1, |s| s.layout.segments())
+    }
+}
+
+/// What a maintenance job does. Both kinds run the one pipeline; they
+/// differ in their targets, in how a part builds, and in the counters.
+#[derive(Clone, Copy, PartialEq, Eq)]
+enum JobKind {
+    /// Refresh the dirty parts (every part when none is dirty) through
+    /// the anytime ladder, or the custom builder.
+    Rebuild,
+    /// Re-run the requested method directly, at the budget scaled by
+    /// [`RebuildConfig::upgrade_budget_factor`], on every part whose
+    /// committed build degraded.
+    Upgrade,
 }
 
 /// One job on a worker's queue.
 enum Job {
-    Rebuild(Arc<ColumnInner>),
-    Upgrade(Arc<ColumnInner>),
+    Run(JobKind, Arc<ColumnInner>),
     Shutdown,
 }
 
@@ -317,7 +354,10 @@ impl ColumnHandle {
             return Ok(false); // already in flight
         }
         self.inner.job_started();
-        match self.tx.send(Job::Rebuild(Arc::clone(&self.inner))) {
+        match self
+            .tx
+            .send(Job::Run(JobKind::Rebuild, Arc::clone(&self.inner)))
+        {
             Ok(()) => Ok(true),
             Err(_) => {
                 self.inner.rebuild_pending.store(false, Ordering::Release);
@@ -342,6 +382,35 @@ impl ColumnHandle {
     /// per call in the steady state, no shared lock traffic.
     pub fn reader(&self) -> HotSwapReader<dyn RangeEstimator> {
         self.inner.serving.reader()
+    }
+
+    /// Pins `reader` (one of this column's [`Self::reader`]s) and reads the
+    /// provenance of the pinned build in one step: the generation, the
+    /// snapshot, the whole-column outcome ([`Self::last_outcome`]) and the
+    /// per-segment outcomes ([`Self::segment_outcomes`]) all describe the
+    /// same committed build, however many commits race the call.
+    pub fn pinned_with_provenance(
+        &self,
+        reader: &mut HotSwapReader<dyn RangeEstimator>,
+    ) -> (
+        u64,
+        Arc<dyn RangeEstimator>,
+        Option<BuildOutcome>,
+        Option<Vec<BuildOutcome>>,
+    ) {
+        let served = lock(&self.inner.served);
+        let (generation, snapshot) = reader.pinned();
+        let per_segment = self
+            .inner
+            .segments
+            .as_ref()
+            .map(|_| served.outcomes.clone());
+        (
+            generation,
+            Arc::clone(snapshot),
+            worst_outcome(&served.outcomes),
+            per_segment,
+        )
     }
 
     /// Estimated range sum from the current serving synopsis.
@@ -372,9 +441,10 @@ impl ColumnHandle {
 
     /// Provenance of the most recent committed build (anytime columns):
     /// which rung served, what was abandoned, whether an upgrade replaced
-    /// it (`tier == 0` with [`RebuildStats::upgrades`] incremented).
+    /// it (`tier == 0` with [`RebuildStats::upgrades`] incremented). A
+    /// segmented column reports its most-degraded segment.
     pub fn last_outcome(&self) -> Option<BuildOutcome> {
-        lock(&self.inner.last_outcome).clone()
+        worst_outcome(&lock(&self.inner.served).outcomes)
     }
 
     /// Number of segments for columns registered through
@@ -393,7 +463,7 @@ impl ColumnHandle {
         self.inner
             .segments
             .as_ref()
-            .map(|s| lock(&s.outcomes).clone())
+            .map(|_| lock(&self.inner.served).outcomes.clone())
     }
 
     /// The per-segment word budgets fixed by the joint split at
@@ -506,7 +576,7 @@ impl MaintainedPool {
         build: ColumnBuild,
         config: RebuildConfig,
     ) -> Result<ColumnHandle> {
-        self.add_column_with_persist(name, values, build, config, None)
+        self.register_column(name, values, build, config, None, None, None)
     }
 
     /// [`MaintainedPool::add_column`] with a persist hook, invoked by the
@@ -520,7 +590,10 @@ impl MaintainedPool {
         config: RebuildConfig,
         persist: Option<PersistFn>,
     ) -> Result<ColumnHandle> {
-        self.register_column(name, values, build, config, persist, None, None, None)
+        let persist = persist.map(|mut hook| -> DurablePersistFn {
+            Box::new(move |snap: &DurableSnapshot<'_>| hook(snap.estimator).map(|()| 0))
+        });
+        self.register_column(name, values, build, config, None, persist, None)
     }
 
     /// Registers a **segmented** column: the domain is split into
@@ -540,19 +613,11 @@ impl MaintainedPool {
         segments: usize,
         config: RebuildConfig,
     ) -> Result<ColumnHandle> {
-        self.register_column(
-            name,
-            values,
-            ColumnBuild::Anytime {
-                method,
-                budget_words,
-            },
-            config,
-            None,
-            None,
-            None,
-            Some(segments),
-        )
+        let build = ColumnBuild::Anytime {
+            method,
+            budget_words,
+        };
+        self.register_column(name, values, build, config, None, None, Some(segments))
     }
 
     /// [`MaintainedPool::add_column_segmented`] with write-ahead
@@ -575,19 +640,11 @@ impl MaintainedPool {
         persist: Option<DurablePersistFn>,
     ) -> Result<ColumnHandle> {
         let wal = durability.open_journal(storage, name, committed_generation)?;
-        self.register_column(
-            name,
-            values,
-            ColumnBuild::Anytime {
-                method,
-                budget_words,
-            },
-            config,
-            None,
-            wal,
-            persist,
-            Some(segments),
-        )
+        let build = ColumnBuild::Anytime {
+            method,
+            budget_words,
+        };
+        self.register_column(name, values, build, config, wal, persist, Some(segments))
     }
 
     /// [`MaintainedPool::add_column_with_persist`] for a **journaled**
@@ -597,7 +654,7 @@ impl MaintainedPool {
     /// persist (`persist` returns the committed generation;
     /// `committed_generation` seeds new segment headers until then). With
     /// durability disabled in the config this degrades to the journal-free
-    /// registration path.
+    /// registration path: the hook still runs, and nothing checkpoints.
     #[allow(clippy::too_many_arguments)]
     pub fn add_column_durable(
         &self,
@@ -611,64 +668,71 @@ impl MaintainedPool {
         persist: Option<DurablePersistFn>,
     ) -> Result<ColumnHandle> {
         let wal = durability.open_journal(storage, name, committed_generation)?;
-        self.register_column(name, values, build, config, None, wal, persist, None)
+        self.register_column(name, values, build, config, wal, persist, None)
     }
 
+    /// Builds every part of a new column through the pipeline's build
+    /// step (a segmented column's on parallel threads) before registration
+    /// returns — a failure means there is nothing to serve, and the error
+    /// propagates.
     #[allow(clippy::too_many_arguments)]
     fn register_column(
         &self,
         name: &str,
         values: &[i64],
-        mut build: ColumnBuild,
+        build: ColumnBuild,
         config: RebuildConfig,
-        persist: Option<PersistFn>,
         wal: Option<ColumnJournal>,
-        durable_persist: Option<DurablePersistFn>,
+        persist: Option<DurablePersistFn>,
         segments: Option<usize>,
     ) -> Result<ColumnHandle> {
         validate_policy(&config.policy)?;
-        let ps = PrefixSums::from_values(values);
-        let budget = config.budget();
-        let (initial, outcome, runtime) = match segments {
-            None => {
-                let (est, outcome) = run_column_build(&mut build, values, &ps, &budget, &config)?;
-                (est, outcome, None)
-            }
-            Some(segs) => {
-                let ColumnBuild::Anytime {
+        let segments = match (segments, &build) {
+            (None, _) => None,
+            (
+                Some(count),
+                ColumnBuild::Anytime {
                     method,
                     budget_words,
-                } = &build
-                else {
-                    return Err(SynopticError::InvalidParameter(
-                        "segmented columns require an anytime build".into(),
-                    ));
-                };
-                let (est, outcome, runtime) =
-                    build_segmented_initial(*method, *budget_words, segs, values, &config)?;
-                (est, outcome, Some(runtime))
+                },
+            ) => {
+                let layout = SegmentLayout::equi_width(values.len(), count)?;
+                let budgets = split_segment_budget(values, &layout, *method, *budget_words)?;
+                Some(Segments { layout, budgets })
+            }
+            (Some(_), ColumnBuild::Custom(_)) => {
+                return Err(SynopticError::InvalidParameter(
+                    "segmented columns require an anytime build".into(),
+                ));
             }
         };
-        let degraded = outcome.as_ref().is_some_and(BuildOutcome::is_degraded);
-        let dirty = runtime
-            .as_ref()
-            .map_or_else(Vec::new, |r| vec![false; r.layout.segments()]);
+        let build = Mutex::new(build);
+        let count = segments.as_ref().map_or(1, |s| s.layout.segments());
+        let targets: Vec<usize> = (0..count).collect();
+        let threads = thread::available_parallelism().map_or(1, |p| p.get());
+        let (segs, kind) = (segments.as_ref(), JobKind::Rebuild);
+        let fresh = build_parts(&build, segs, values, &targets, kind, &config, threads)?;
+        let (parts, outcomes): (Vec<_>, Vec<_>) = fresh.into_iter().map(|(_, e, o)| (e, o)).unzip();
+        let outcomes: Vec<BuildOutcome> = outcomes.into_iter().flatten().collect();
+        let initial = compose(segs, &parts)?;
+        let degraded = outcomes.iter().any(BuildOutcome::is_degraded);
+        let dirty = vec![false; if segs.is_some() { count } else { 0 }];
         let inner = Arc::new(ColumnInner {
             name: name.to_string(),
             config,
-            build: Mutex::new(build),
+            build,
             persist: Mutex::new(persist),
             wal,
-            durable_persist: Mutex::new(durable_persist),
             serving: Arc::new(HotSwap::new(initial)),
+            served: Mutex::new(Served { parts, outcomes }),
             ingest: Mutex::new(IngestState {
                 fenwick: Fenwick::from_values(values),
                 drift_abs: 0,
-                mass_at_build: ps.total().abs(),
+                mass_at_build: mass(values),
                 updates_since_rebuild: 0,
                 dirty,
             }),
-            segments: runtime,
+            segments,
             cooldown_remaining: AtomicU64::new(0),
             cooldown_factor: AtomicU64::new(1),
             stats: AtomicStats::default(),
@@ -676,22 +740,17 @@ impl MaintainedPool {
             inflight: Mutex::new(0),
             inflight_cv: Condvar::new(),
             last_error: Mutex::new(None),
-            last_outcome: Mutex::new(outcome),
         });
         let shard = self.next_shard.fetch_add(1, Ordering::Relaxed) % self.shards.len();
         let tx = self.shards[shard].clone();
-        let handle = ColumnHandle {
-            inner: Arc::clone(&inner),
-            tx,
-        };
         // Persist the initial synopsis off-thread, piggybacked on the
-        // upgrade/rebuild machinery: schedule an upgrade job when degraded
-        // (it re-persists on success); otherwise leave durability to the
+        // upgrade machinery: schedule an upgrade job when degraded (it
+        // re-persists on success); otherwise leave durability to the
         // first rebuild.
         if degraded && inner.config.upgrade_in_background {
-            schedule_upgrade(&handle.tx, &inner);
+            schedule_upgrade(&tx, &inner);
         }
-        Ok(handle)
+        Ok(ColumnHandle { inner, tx })
     }
 
     /// Blocks until every column registered through this pool is idle.
@@ -721,7 +780,10 @@ impl Drop for MaintainedPool {
 /// Schedules an upgrade job, with quiesce bookkeeping.
 fn schedule_upgrade(tx: &mpsc::Sender<Job>, col: &Arc<ColumnInner>) {
     col.job_started();
-    if tx.send(Job::Upgrade(Arc::clone(col))).is_err() {
+    if tx
+        .send(Job::Run(JobKind::Upgrade, Arc::clone(col)))
+        .is_err()
+    {
         col.job_finished();
     }
 }
@@ -745,163 +807,144 @@ fn validate_policy(policy: &RebuildPolicy) -> Result<()> {
     Ok(())
 }
 
-/// Runs a column's builder (custom or anytime ladder) with panics contained,
-/// returning the estimator as a shareable `Arc` plus anytime provenance.
-#[allow(clippy::type_complexity)]
-fn run_column_build(
-    build: &mut ColumnBuild,
-    values: &[i64],
-    ps: &PrefixSums,
-    budget: &Budget,
-    config: &RebuildConfig,
-) -> Result<(Arc<dyn RangeEstimator>, Option<BuildOutcome>)> {
-    match build {
-        ColumnBuild::Custom(f) => run_builder(f, values, ps, budget).map(|est| {
-            let est: Arc<dyn RangeEstimator> = Arc::from(est);
-            (est, None)
-        }),
-        ColumnBuild::Anytime {
-            method,
-            budget_words,
-        } => {
-            let params = anytime_params(config);
-            let method = *method;
-            let words = *budget_words;
-            let result = catch_unwind(AssertUnwindSafe(|| {
-                build_anytime(method, values, ps, words, &params)
-            }))
-            .unwrap_or_else(|payload| {
-                Err(SynopticError::BuildPanicked {
-                    detail: panic_detail(payload),
-                })
-            })?;
-            let est: Arc<dyn RangeEstimator> = Arc::from(result.estimator);
-            Ok((est, Some(result.outcome)))
-        }
-    }
-}
-
-/// The anytime-ladder execution constraints a [`RebuildConfig`] implies.
-fn anytime_params(config: &RebuildConfig) -> AnytimeParams {
-    let mut params = AnytimeParams::unconstrained();
-    if let Some(d) = config.deadline {
-        params = params.with_deadline(d);
-    }
-    if let Some(c) = config.max_cells {
-        params = params.with_max_cells(c);
-    }
-    if let Some(t) = &config.cancel {
-        params = params.with_cancel_token(t.clone());
-    }
-    params
+/// The total mass `|Σ A[i]|` the drift trigger measures against.
+fn mass(values: &[i64]) -> i128 {
+    values.iter().map(|&v| i128::from(v)).sum::<i128>().abs()
 }
 
 /// The most-degraded outcome of a set (highest ladder tier), cloned — what
-/// a segmented column reports through the monolithic
-/// [`ColumnHandle::last_outcome`] accessor. Per-segment detail lives in
+/// [`ColumnHandle::last_outcome`] reports. Per-segment detail lives in
 /// [`ColumnHandle::segment_outcomes`].
 fn worst_outcome(outcomes: &[BuildOutcome]) -> Option<BuildOutcome> {
     outcomes.iter().max_by_key(|o| o.tier).cloned()
 }
 
-/// Builds every segment of a new segmented column through the anytime
-/// ladder before registration returns — like the monolithic initial build,
-/// a failure here means there is nothing to serve and the error propagates.
-///
-/// The segments are independent, so they are built on
-/// `available_parallelism().min(segments)` scoped threads, each taking the
-/// next unbuilt index. Results are placed by segment index, and the error
-/// returned is the lowest-index one, as a serial loop would return.
-fn build_segmented_initial(
-    method: HistogramMethod,
-    budget_words: usize,
-    segments: usize,
+/// Composes a column's parts into the estimator it serves: a segmented
+/// column's behind a [`SegmentedEstimator`], a monolithic column's one
+/// part unwrapped.
+fn compose(
+    segments: Option<&Segments>,
+    parts: &[Arc<dyn RangeEstimator>],
+) -> Result<Arc<dyn RangeEstimator>> {
+    match segments {
+        Some(seg) => Ok(Arc::new(SegmentedEstimator::new(
+            seg.layout.clone(),
+            parts.to_vec(),
+        )?)),
+        None => Ok(Arc::clone(&parts[0])),
+    }
+}
+
+/// A freshly built part: its index, estimator and anytime provenance.
+type Fresh = (usize, Arc<dyn RangeEstimator>, Option<BuildOutcome>);
+
+/// The pipeline's build step: builds each part in `targets` from the
+/// snapshot `values` for a `kind` job, on up to `threads` threads (the
+/// caller's alone when 1). Parts are claimed in order from a shared
+/// counter and claiming stops at the first failure, so the error returned
+/// is the lowest-index one, as a serial loop would return. Results come
+/// back in target order.
+fn build_parts(
+    build: &Mutex<ColumnBuild>,
+    segments: Option<&Segments>,
     values: &[i64],
+    targets: &[usize],
+    kind: JobKind,
     config: &RebuildConfig,
-) -> Result<(
-    Arc<dyn RangeEstimator>,
-    Option<BuildOutcome>,
-    SegmentRuntime,
-)> {
-    let layout = SegmentLayout::equi_width(values.len(), segments)?;
-    let budgets = split_segment_budget(values, &layout, method, budget_words)?;
-    let params = anytime_params(config);
-    let threads = thread::available_parallelism()
-        .map_or(1, |p| p.get())
-        .min(segments);
+    threads: usize,
+) -> Result<Vec<Fresh>> {
     let next = AtomicUsize::new(0);
-    let mut built: Vec<_> = thread::scope(|scope| {
-        let workers: Vec<_> = (0..threads)
-            .map(|_| {
-                scope.spawn(|| {
-                    let mut mine = Vec::new();
-                    loop {
-                        // Relaxed: the counter only hands out indices; the
-                        // results come back through `join`.
-                        let s = next.fetch_add(1, Ordering::Relaxed);
-                        if s >= segments {
-                            return mine;
-                        }
-                        let words = budgets[s];
-                        mine.push((s, build_segment(method, values, &layout, s, words, &params)));
-                    }
-                })
-            })
-            .collect();
-        workers
-            .into_iter()
-            .flat_map(|w| w.join().unwrap_or_else(|payload| resume_unwind(payload)))
-            .collect()
-    });
-    built.sort_unstable_by_key(|&(s, _)| s);
-    let (parts, outcomes): (Vec<Arc<dyn RangeEstimator>>, Vec<BuildOutcome>) = built
-        .into_iter()
-        .map(|(_, result)| result)
-        .collect::<Result<Vec<_>>>()?
-        .into_iter()
-        .unzip();
-    let composed = SegmentedEstimator::new(layout.clone(), parts.clone())?;
-    let worst = worst_outcome(&outcomes);
-    let runtime = SegmentRuntime {
-        layout,
-        method,
-        budgets,
-        parts: Mutex::new(parts),
-        outcomes: Mutex::new(outcomes),
-        segment_builds: AtomicU64::new(segments as u64),
+    let failed = AtomicBool::new(false);
+    // Relaxed: the counter only hands out indices and the flag only stops
+    // claiming early; the results come back through `join`.
+    let claim = || {
+        let mut mine = Vec::new();
+        while !failed.load(Ordering::Relaxed) {
+            let i = next.fetch_add(1, Ordering::Relaxed);
+            let Some(&s) = targets.get(i) else { break };
+            let part = build_part(build, segments, values, s, kind, config);
+            failed.fetch_or(part.is_err(), Ordering::Relaxed);
+            mine.push((i, part));
+        }
+        mine
     };
-    Ok((Arc::new(composed), worst, runtime))
+    let threads = threads.min(targets.len());
+    let mut built = if threads <= 1 {
+        claim()
+    } else {
+        thread::scope(|scope| {
+            let workers: Vec<_> = (0..threads).map(|_| scope.spawn(claim)).collect();
+            workers
+                .into_iter()
+                .flat_map(|w| w.join().unwrap_or_else(|payload| resume_unwind(payload)))
+                .collect()
+        })
+    };
+    built.sort_unstable_by_key(|&(i, _)| i);
+    built
+        .into_iter()
+        .map(|(i, part)| part.map(|(est, outcome)| (targets[i], est, outcome)))
+        .collect()
+}
+
+/// Builds part `s` of a column from the snapshot `values`: a custom
+/// column runs its builder over the whole domain under the configured
+/// budget; an anytime column runs [`build_segment`] over the part's slice
+/// at its word budget.
+fn build_part(
+    build: &Mutex<ColumnBuild>,
+    segments: Option<&Segments>,
+    values: &[i64],
+    s: usize,
+    kind: JobKind,
+    config: &RebuildConfig,
+) -> Result<(Arc<dyn RangeEstimator>, Option<BuildOutcome>)> {
+    let (method, words) = match &mut *lock(build) {
+        ColumnBuild::Custom(f) => {
+            let ps = PrefixSums::from_values(values);
+            let est = contain("build", || f(values, &ps, &config.budget(1)))?;
+            return Ok((Arc::from(est), None));
+        }
+        ColumnBuild::Anytime {
+            method,
+            budget_words,
+        } => (*method, *budget_words),
+    };
+    let (slice, words) = match segments {
+        Some(seg) => {
+            let (l, r) = seg.layout.bounds(s);
+            (&values[l..=r], seg.budgets[s])
+        }
+        None => (values, words),
+    };
+    let factor = (kind == JobKind::Upgrade).then(|| config.upgrade_budget_factor.max(1));
+    let (est, outcome) = build_segment(method, slice, words, factor, config)?;
+    Ok((est, Some(outcome)))
 }
 
 /// Releases an abandoned job's bookkeeping (pending flag, quiesce counter)
 /// so handles never wedge on shutdown.
 fn abandon(job: Job) {
-    match job {
-        Job::Rebuild(col) => {
+    if let Job::Run(kind, col) = job {
+        if kind == JobKind::Rebuild {
             col.rebuild_pending.store(false, Ordering::Release);
-            col.job_finished();
         }
-        Job::Upgrade(col) => col.job_finished(),
-        Job::Shutdown => {}
+        col.job_finished();
     }
 }
 
 /// The column `job` duplicates within `queued` (same column, same kind),
-/// if any. Running the earlier job serves both: a rebuild/upgrade always
-/// works from a *fresh* snapshot of the live frequencies, so the duplicate
-/// would redo identical work.
+/// if any. Running the earlier job serves both: a job always works from a
+/// *fresh* snapshot of the live frequencies, so the duplicate would redo
+/// identical work.
 fn coalesces_into(queued: &[Job], job: &Job) -> Option<Arc<ColumnInner>> {
-    for earlier in queued {
-        match (earlier, job) {
-            (Job::Rebuild(a), Job::Rebuild(b)) | (Job::Upgrade(a), Job::Upgrade(b))
-                if Arc::ptr_eq(a, b) =>
-            {
-                return Some(Arc::clone(a));
-            }
-            _ => {}
-        }
-    }
-    None
+    let Job::Run(kind, col) = job else {
+        return None;
+    };
+    queued.iter().find_map(|earlier| match earlier {
+        Job::Run(k, a) if k == kind && Arc::ptr_eq(a, col) => Some(Arc::clone(a)),
+        _ => None,
+    })
 }
 
 /// The worker loop: drains its queue until shutdown. Each wake-up pulls
@@ -936,10 +979,8 @@ fn worker_loop(rx: mpsc::Receiver<Job>, self_tx: mpsc::Sender<Job>) {
             accept(job, &mut run);
         }
         for job in run {
-            match job {
-                Job::Rebuild(col) => run_rebuild(&col, &self_tx),
-                Job::Upgrade(col) => run_upgrade(&col),
-                Job::Shutdown => unreachable!("shutdown jobs never enter the run list"),
+            if let Job::Run(kind, col) = job {
+                run_job(&col, kind, &self_tx);
             }
         }
         if shutdown {
@@ -951,406 +992,191 @@ fn worker_loop(rx: mpsc::Receiver<Job>, self_tx: mpsc::Sender<Job>) {
     }
 }
 
-/// One background rebuild: snapshot → budgeted build → hot-swap →
-/// off-thread persist → (optionally) schedule an upgrade of a degraded
-/// rung.
-fn run_rebuild(col: &Arc<ColumnInner>, self_tx: &mpsc::Sender<Job>) {
-    if col.segments.is_some() {
-        run_rebuild_segmented(col, self_tx);
-        return;
+/// The cut a job works from, taken under the ingest lock: the live
+/// frequencies, the drift meters and journal mark they cover, the dirty
+/// marks a rebuild clears, and the parts the job builds.
+struct Snapshot {
+    values: Vec<i64>,
+    drift_abs: i128,
+    updates: u64,
+    wal_mark: u64,
+    dirty: Vec<bool>,
+    targets: Vec<usize>,
+}
+
+/// The pipeline's snapshot step, or `None` when an upgrade finds no
+/// degraded part (a newer rebuild already restored full quality, or the
+/// column is custom-built). The journal mark is read under the ingest
+/// lock: appends also run under it, so the mark names exactly the last
+/// journal record the snapshot contains.
+fn snapshot(col: &ColumnInner, kind: JobKind) -> Option<Snapshot> {
+    let degraded: Vec<usize> = match kind {
+        JobKind::Rebuild => Vec::new(),
+        JobKind::Upgrade => {
+            let outcomes = &lock(&col.served).outcomes;
+            (0..outcomes.len())
+                .filter(|&s| outcomes[s].is_degraded())
+                .collect()
+        }
+    };
+    if kind == JobKind::Upgrade && degraded.is_empty() {
+        return None;
     }
-    // 1. Snapshot the live frequencies. The ingest lock is held for the
-    //    O(n) copy only — the build below runs without it. The WAL mark is
-    //    read under the same lock: appends also run under it, so the mark
-    //    names exactly the last journal record the snapshot contains.
-    let (values, drift_snap, usr_snap, wal_mark) = {
-        let st = lock(&col.ingest);
+    let mut st = lock(&col.ingest);
+    let mut dirty = Vec::new();
+    if kind == JobKind::Rebuild {
+        let clean = vec![false; st.dirty.len()];
+        dirty = std::mem::replace(&mut st.dirty, clean);
+    }
+    let targets = match kind {
+        JobKind::Upgrade => degraded,
+        JobKind::Rebuild if dirty.contains(&true) => {
+            (0..dirty.len()).filter(|&s| dirty[s]).collect()
+        }
+        JobKind::Rebuild => (0..col.part_count()).collect(),
+    };
+    Some(Snapshot {
+        values: st.fenwick.to_values(),
+        drift_abs: st.drift_abs,
+        updates: st.updates_since_rebuild,
+        wal_mark: col.wal.as_ref().map_or(0, |w| w.pending_mark()),
+        dirty,
+        targets,
+    })
+}
+
+/// Runs one job through the pipeline: snapshot → build → commit, or the
+/// failure path. Failure is atomic: unless every target builds and the
+/// parts compose, nothing swaps.
+fn run_job(col: &Arc<ColumnInner>, kind: JobKind, self_tx: &mpsc::Sender<Job>) {
+    if let Some(snap) = snapshot(col, kind) {
+        let (build, segments) = (&col.build, col.segments.as_ref());
+        let built = build_parts(
+            build,
+            segments,
+            &snap.values,
+            &snap.targets,
+            kind,
+            &col.config,
+            1,
+        );
+        if let Err(err) = built.and_then(|fresh| commit(col, kind, &snap, fresh, self_tx)) {
+            fail(col, kind, snap, err);
+        }
+    }
+    col.job_finished();
+}
+
+/// The pipeline's commit: composes the fresh parts with the reused ones
+/// and swaps the result in together with its provenance, rebases the
+/// drift meters on the snapshot, updates the counters, persists and
+/// checkpoints, and schedules an upgrade when what now serves is degraded.
+/// Fails, before changing anything, only if the parts do not compose.
+fn commit(
+    col: &Arc<ColumnInner>,
+    kind: JobKind,
+    snap: &Snapshot,
+    fresh: Vec<Fresh>,
+    self_tx: &mpsc::Sender<Job>,
+) -> Result<()> {
+    let (estimator, degraded) = {
+        let mut served = lock(&col.served);
+        let mut parts = served.parts.clone();
+        for (s, est, _) in &fresh {
+            parts[*s] = Arc::clone(est);
+        }
+        let estimator = compose(col.segments.as_ref(), &parts)?;
+        col.serving.swap(Arc::clone(&estimator));
+        served.parts = parts;
+        for (s, _, outcome) in fresh {
+            if let Some(outcome) = outcome {
+                served.outcomes[s] = outcome;
+            }
+        }
         (
-            st.fenwick.to_values(),
-            st.drift_abs,
-            st.updates_since_rebuild,
-            col.wal.as_ref().map(|w| w.pending_mark()),
+            estimator,
+            served.outcomes.iter().any(BuildOutcome::is_degraded),
         )
     };
-    let ps = PrefixSums::from_values(&values);
-    let budget = col.config.budget();
-    let result = {
-        let mut build = lock(&col.build);
-        run_column_build(&mut build, &values, &ps, &budget, &col.config)
-    };
-    match result {
-        Ok((est, outcome)) => {
-            col.serving.swap(est);
-            {
-                // Rebase drift bookkeeping on the snapshot: updates that
-                // arrived *during* the build keep their drift contribution
-                // relative to the freshly built synopsis.
-                let mut st = lock(&col.ingest);
-                st.drift_abs -= drift_snap;
-                st.mass_at_build = ps.total().abs();
-                st.updates_since_rebuild -= usr_snap;
-            }
+    {
+        // Rebase drift bookkeeping on the snapshot: updates that arrived
+        // *during* the build keep their drift contribution relative to
+        // the freshly built synopsis.
+        let mut st = lock(&col.ingest);
+        st.drift_abs -= snap.drift_abs;
+        st.mass_at_build = mass(&snap.values);
+        st.updates_since_rebuild -= snap.updates;
+    }
+    match kind {
+        JobKind::Rebuild => {
             col.clear_cooldown();
             col.stats.rebuilds.fetch_add(1, Ordering::Relaxed);
-            *lock(&col.last_error) = None;
-            let degraded = outcome.as_ref().is_some_and(BuildOutcome::is_degraded);
-            if outcome.is_some() {
-                *lock(&col.last_outcome) = outcome;
+            if col.segments.is_some() {
+                let rebuilt = snap.targets.len() as u64;
+                let reused = col.part_count() as u64 - rebuilt;
+                col.stats
+                    .segments_rebuilt
+                    .fetch_add(rebuilt, Ordering::Relaxed);
+                col.stats
+                    .segments_reused
+                    .fetch_add(reused, Ordering::Relaxed);
             }
+            *lock(&col.last_error) = None;
             // Ingest may schedule the next rebuild from here on; it will
             // run after this job (same worker), which is exactly the
             // serialization we want.
             col.rebuild_pending.store(false, Ordering::Release);
-            run_persist(col, &values, wal_mark);
-            if degraded && col.config.upgrade_in_background {
-                schedule_upgrade(self_tx, col);
-            }
         }
-        Err(err) => {
-            col.stats.failed_rebuilds.fetch_add(1, Ordering::Relaxed);
-            col.set_error(err);
-            col.start_cooldown();
-            col.rebuild_pending.store(false, Ordering::Release);
+        JobKind::Upgrade => {
+            col.stats.upgrades.fetch_add(1, Ordering::Relaxed);
         }
     }
-    col.job_finished();
+    run_persist(col, estimator.as_ref(), &snap.values, snap.wal_mark);
+    if degraded && col.config.upgrade_in_background {
+        schedule_upgrade(self_tx, col);
+    }
+    Ok(())
 }
 
-/// One background rebuild of a **segmented** column: snapshot the live
-/// frequencies *and* the dirty marks (clearing them at the cut), re-run
-/// the anytime ladder on dirty slices only, and hot-swap a composition of
-/// fresh and reused partials. A manual rebuild with nothing dirty
-/// refreshes every segment.
-///
-/// Failure is atomic: if any segment's build fails (budget exhaustion,
-/// cancellation mid-merge, panic), nothing swaps, the snapshot's dirty
-/// marks are OR-ed back over whatever ingest dirtied meanwhile, and the
-/// error — including cancellation provenance — surfaces through
-/// [`ColumnHandle::last_error`] exactly like a monolithic failure.
-fn run_rebuild_segmented(col: &Arc<ColumnInner>, self_tx: &mpsc::Sender<Job>) {
-    let seg = col.segments.as_ref().expect("caller checked segments");
-    let s_count = seg.layout.segments();
-    let (values, drift_snap, usr_snap, wal_mark, dirty) = {
-        let mut st = lock(&col.ingest);
-        let dirty = std::mem::replace(&mut st.dirty, vec![false; s_count]);
-        (
-            st.fenwick.to_values(),
-            st.drift_abs,
-            st.updates_since_rebuild,
-            col.wal.as_ref().map(|w| w.pending_mark()),
-            dirty,
-        )
-    };
-    let targets: Vec<usize> = if dirty.iter().any(|&d| d) {
-        (0..s_count).filter(|&s| dirty[s]).collect()
-    } else {
-        (0..s_count).collect()
-    };
-    let params = anytime_params(&col.config);
-    let mut fresh: Vec<(usize, Arc<dyn RangeEstimator>, BuildOutcome)> =
-        Vec::with_capacity(targets.len());
-    let mut failure: Option<SynopticError> = None;
-    for &s in &targets {
-        match build_segment(seg.method, &values, &seg.layout, s, seg.budgets[s], &params) {
-            Ok((est, outcome)) => fresh.push((s, est, outcome)),
-            Err(err) => {
-                failure = Some(err);
-                break;
-            }
-        }
-    }
-    seg.record_builds(fresh.len() as u64);
-    let composed = match failure {
-        Some(err) => Err(err),
-        None => {
-            let mut parts = lock(&seg.parts).clone();
-            for (s, est, _) in &fresh {
-                parts[*s] = Arc::clone(est);
-            }
-            SegmentedEstimator::new(seg.layout.clone(), parts)
-        }
-    };
-    match composed {
-        Ok(composed) => {
-            // Commit: publish the composition, then record the fresh
-            // partials and their provenance as the new baseline.
-            col.serving.swap(Arc::new(composed));
-            {
-                let mut parts = lock(&seg.parts);
-                let mut outcomes = lock(&seg.outcomes);
-                for (s, est, outcome) in fresh {
-                    parts[s] = est;
-                    outcomes[s] = outcome;
-                }
-            }
-            {
-                let mut st = lock(&col.ingest);
-                st.drift_abs -= drift_snap;
-                st.mass_at_build = PrefixSums::from_values(&values).total().abs();
-                st.updates_since_rebuild -= usr_snap;
-            }
-            col.clear_cooldown();
-            col.stats.rebuilds.fetch_add(1, Ordering::Relaxed);
-            col.stats
-                .segments_rebuilt
-                .fetch_add(targets.len() as u64, Ordering::Relaxed);
-            col.stats
-                .segments_reused
-                .fetch_add((s_count - targets.len()) as u64, Ordering::Relaxed);
-            *lock(&col.last_error) = None;
-            let (worst, degraded) = {
-                let outcomes = lock(&seg.outcomes);
-                let degraded = outcomes.iter().any(BuildOutcome::is_degraded);
-                (worst_outcome(&outcomes), degraded)
-            };
-            *lock(&col.last_outcome) = worst;
-            col.rebuild_pending.store(false, Ordering::Release);
-            run_persist(col, &values, wal_mark);
-            if degraded && col.config.upgrade_in_background {
-                schedule_upgrade(self_tx, col);
-            }
-        }
-        Err(err) => {
-            {
-                let mut st = lock(&col.ingest);
-                for (s, &was) in dirty.iter().enumerate() {
-                    if was {
-                        st.dirty[s] = true;
-                    }
-                }
+/// The pipeline's failure path; the last-good synopsis keeps serving. A
+/// failed rebuild ORs the snapshot's dirty marks back over whatever ingest
+/// dirtied meanwhile, records the error — cancellation provenance
+/// included — and starts the cooldown. A failed upgrade records the error;
+/// the next degraded rebuild schedules another attempt.
+fn fail(col: &ColumnInner, kind: JobKind, snap: Snapshot, err: SynopticError) {
+    match kind {
+        JobKind::Rebuild => {
+            for (mark, was) in lock(&col.ingest).dirty.iter_mut().zip(snap.dirty) {
+                *mark |= was;
             }
             col.stats.failed_rebuilds.fetch_add(1, Ordering::Relaxed);
             col.set_error(err);
             col.start_cooldown();
             col.rebuild_pending.store(false, Ordering::Release);
         }
-    }
-    col.job_finished();
-}
-
-/// One background upgrade: re-run the abandoned tier-0 rung over a fresh
-/// snapshot with a multiplied budget; hot-swap and re-persist on success.
-fn run_upgrade(col: &Arc<ColumnInner>) {
-    if col.segments.is_some() {
-        run_upgrade_segmented(col);
-        return;
-    }
-    let outcome = lock(&col.last_outcome).clone();
-    let Some(outcome) = outcome else {
-        col.job_finished();
-        return;
-    };
-    if !outcome.is_degraded() {
-        col.job_finished(); // a newer rebuild already restored full quality
-        return;
-    }
-    let (method, words) = {
-        let build = lock(&col.build);
-        match &*build {
-            ColumnBuild::Anytime {
-                method,
-                budget_words,
-            } => (*method, *budget_words),
-            ColumnBuild::Custom(_) => {
-                col.job_finished(); // upgrades are an anytime-ladder concept
-                return;
-            }
-        }
-    };
-    let (values, drift_snap, usr_snap, wal_mark) = {
-        let st = lock(&col.ingest);
-        (
-            st.fenwick.to_values(),
-            st.drift_abs,
-            st.updates_since_rebuild,
-            col.wal.as_ref().map(|w| w.pending_mark()),
-        )
-    };
-    let ps = PrefixSums::from_values(&values);
-    let factor = col.config.upgrade_budget_factor.max(1);
-    let mut budget = Budget::unlimited();
-    if let Some(d) = col.config.deadline {
-        budget = budget.with_deadline(d * factor);
-    }
-    if let Some(c) = col.config.max_cells {
-        budget = budget.with_max_cells(c.saturating_mul(factor as u64));
-    }
-    if let Some(t) = &col.config.cancel {
-        budget = budget.with_cancel_token(t.clone());
-    }
-    let started = std::time::Instant::now();
-    let result = catch_unwind(AssertUnwindSafe(|| {
-        build_with_budget(method, &values, &ps, words, &budget)
-    }))
-    .unwrap_or_else(|payload| {
-        Err(SynopticError::BuildPanicked {
-            detail: panic_detail(payload),
-        })
-    });
-    match result {
-        Ok(est) => {
-            let est: Arc<dyn RangeEstimator> = Arc::from(est);
-            col.serving.swap(est);
-            {
-                let mut st = lock(&col.ingest);
-                st.drift_abs -= drift_snap;
-                st.mass_at_build = ps.total().abs();
-                st.updates_since_rebuild -= usr_snap;
-            }
-            col.stats.upgrades.fetch_add(1, Ordering::Relaxed);
-            *lock(&col.last_outcome) = Some(BuildOutcome::direct(
-                method.name(),
-                started.elapsed().as_millis() as u64,
-                budget.cells_used(),
-            ));
-            run_persist(col, &values, wal_mark);
-        }
-        Err(err) => {
-            // The degraded synopsis keeps serving; the next degraded
-            // rebuild will schedule another attempt.
+        JobKind::Upgrade => {
             col.stats.failed_upgrades.fetch_add(1, Ordering::Relaxed);
             col.set_error(err);
         }
     }
-    col.job_finished();
 }
 
-/// One background upgrade of a **segmented** column: re-run the tier-0
-/// method directly (no ladder) on every segment whose committed outcome is
-/// degraded, at the multiplied budget, and hot-swap the re-composition.
-/// All-or-nothing like the monolithic upgrade: any failure keeps the
-/// degraded partials serving and counts one failed upgrade.
-fn run_upgrade_segmented(col: &Arc<ColumnInner>) {
-    let seg = col.segments.as_ref().expect("caller checked segments");
-    let degraded: Vec<usize> = {
-        let outcomes = lock(&seg.outcomes);
-        (0..outcomes.len())
-            .filter(|&s| outcomes[s].is_degraded())
-            .collect()
-    };
-    if degraded.is_empty() {
-        col.job_finished(); // a newer rebuild already restored full quality
-        return;
-    }
-    let (values, drift_snap, usr_snap, wal_mark) = {
-        let st = lock(&col.ingest);
-        (
-            st.fenwick.to_values(),
-            st.drift_abs,
-            st.updates_since_rebuild,
-            col.wal.as_ref().map(|w| w.pending_mark()),
-        )
-    };
-    let factor = col.config.upgrade_budget_factor.max(1);
-    let mut fresh: Vec<(usize, Arc<dyn RangeEstimator>, BuildOutcome)> =
-        Vec::with_capacity(degraded.len());
-    let mut failure: Option<SynopticError> = None;
-    for &s in &degraded {
-        let mut budget = Budget::unlimited();
-        if let Some(d) = col.config.deadline {
-            budget = budget.with_deadline(d * factor);
-        }
-        if let Some(c) = col.config.max_cells {
-            budget = budget.with_max_cells(c.saturating_mul(factor as u64));
-        }
-        if let Some(t) = &col.config.cancel {
-            budget = budget.with_cancel_token(t.clone());
-        }
-        match upgrade_segment(seg.method, &values, &seg.layout, s, seg.budgets[s], &budget) {
-            Ok((est, outcome)) => fresh.push((s, est, outcome)),
-            Err(err) => {
-                failure = Some(err);
-                break;
-            }
-        }
-    }
-    seg.record_builds(fresh.len() as u64);
-    let composed = match failure {
-        Some(err) => Err(err),
-        None => {
-            let mut parts = lock(&seg.parts).clone();
-            for (s, est, _) in &fresh {
-                parts[*s] = Arc::clone(est);
-            }
-            SegmentedEstimator::new(seg.layout.clone(), parts)
-        }
-    };
-    match composed {
-        Ok(composed) => {
-            col.serving.swap(Arc::new(composed));
-            {
-                let mut parts = lock(&seg.parts);
-                let mut outcomes = lock(&seg.outcomes);
-                for (s, est, outcome) in fresh {
-                    parts[s] = est;
-                    outcomes[s] = outcome;
-                }
-            }
-            {
-                let mut st = lock(&col.ingest);
-                st.drift_abs -= drift_snap;
-                st.mass_at_build = PrefixSums::from_values(&values).total().abs();
-                st.updates_since_rebuild -= usr_snap;
-            }
-            col.stats.upgrades.fetch_add(1, Ordering::Relaxed);
-            *lock(&col.last_outcome) = worst_outcome(&lock(&seg.outcomes));
-            run_persist(col, &values, wal_mark);
-        }
-        Err(err) => {
-            // The degraded partials keep serving; the next degraded
-            // rebuild schedules another attempt.
-            col.stats.failed_upgrades.fetch_add(1, Ordering::Relaxed);
-            col.set_error(err);
-        }
-    }
-    col.job_finished();
-}
-
-/// Runs the persist hook (if any) through the shared bounded retry ladder,
-/// on the worker thread. Journaled columns run the durable hook instead
-/// (snapshot values + WAL mark), then checkpoint the journal at the mark
-/// the committed generation now covers.
-fn run_persist(col: &Arc<ColumnInner>, values: &[i64], wal_mark: Option<u64>) {
-    let estimator = col.serving.load();
-    if let Some(wal) = &col.wal {
-        let mut hook = lock(&col.durable_persist);
-        let Some(hook) = hook.as_mut() else {
-            return;
-        };
-        let mark = wal_mark.unwrap_or(0);
-        let snapshot = DurableSnapshot {
-            estimator: estimator.as_ref(),
-            values,
-            wal_mark: mark,
-        };
-        let (report, generation) =
-            persist_durable_with_retry(hook.as_mut(), &snapshot, &col.config);
-        col.stats
-            .persist_retries
-            .fetch_add(report.retries, Ordering::Relaxed);
-        if report.failed {
-            col.stats.persist_failures.fetch_add(1, Ordering::Relaxed);
-        }
-        if let Some(err) = report.last_error {
-            col.set_error(err);
-        }
-        if !report.failed {
-            if let Some(generation) = generation {
-                // A failed truncation is non-fatal: stale segments are
-                // skipped at replay (LSNs ≤ the committed mark) and the
-                // next checkpoint retries the delete.
-                if let Err(err) = wal.checkpoint(mark, generation) {
-                    col.set_error(err);
-                }
-            }
-        }
-        return;
-    }
-    let mut persist = lock(&col.persist);
-    let Some(persist) = persist.as_mut() else {
+/// Runs the persist hook, if any, through the bounded retry ladder on the
+/// worker, each attempt panic-contained (a panic is final: counted as a
+/// persist failure and never retried). A journaled column then
+/// checkpoints its journal at the mark the committed generation covers.
+fn run_persist(col: &ColumnInner, estimator: &dyn RangeEstimator, values: &[i64], wal_mark: u64) {
+    let mut hook = lock(&col.persist);
+    let Some(hook) = hook.as_mut() else {
         return;
     };
-    let report = persist_with_retry(persist.as_mut(), estimator.as_ref(), &col.config);
+    let snapshot = DurableSnapshot {
+        estimator,
+        values,
+        wal_mark,
+    };
+    let attempt = || contain("persist hook", || hook(&snapshot));
+    let (report, generation) = persist_with_retry(attempt, &col.config);
     col.stats
         .persist_retries
         .fetch_add(report.retries, Ordering::Relaxed);
@@ -1359,6 +1185,14 @@ fn run_persist(col: &Arc<ColumnInner>, values: &[i64], wal_mark: Option<u64>) {
     }
     if let Some(err) = report.last_error {
         col.set_error(err);
+    }
+    if let (Some(wal), Some(generation)) = (&col.wal, generation) {
+        // A failed truncation is non-fatal: stale segments are skipped at
+        // replay (LSNs ≤ the committed mark) and the next checkpoint
+        // retries the delete.
+        if let Err(err) = wal.checkpoint(wal_mark, generation) {
+            col.set_error(err);
+        }
     }
 }
 
@@ -1379,6 +1213,7 @@ mod tests {
     use super::*;
     use std::time::Duration;
     use synoptic_core::CancelToken;
+    use synoptic_hist::builder::build_with_budget;
     use synoptic_hist::sap0::build_sap0_with_budget;
 
     fn sap0_builder() -> ColumnBuild {

@@ -22,12 +22,13 @@ impl Queryable for ColumnHandle {
                 self.name()
             )));
         }
-        // One pinned read gives (generation, snapshot) atomically: a
-        // hot-swap landing between two separate loads would stamp the
-        // NEW generation onto a value computed from the OLD snapshot —
-        // provenance that lies. The serving tier pins the same way.
-        let mut reader = self.reader();
-        let (generation, snapshot) = reader.pinned();
+        // One pinned read gives (generation, snapshot, provenance)
+        // atomically: a hot-swap landing between separate loads would
+        // stamp one build's generation or outcomes onto a value computed
+        // from another — provenance that lies. The serving tier pins the
+        // same way.
+        let (generation, snapshot, outcome, segment_outcomes) =
+            self.pinned_with_provenance(&mut self.reader());
         if q.hi >= snapshot.n() {
             return Err(SynopticError::IndexOutOfBounds {
                 index: q.hi,
@@ -39,8 +40,8 @@ impl Queryable for ColumnHandle {
             source: AnswerSource::Primary,
             generation,
             lag: self.stats().updates_since_rebuild,
-            outcome: self.last_outcome(),
-            segment_outcomes: self.segment_outcomes(),
+            outcome,
+            segment_outcomes,
         })
     }
 }

@@ -1,6 +1,7 @@
-//! Segmented maintained columns: the Storyboard-style joint budget split
-//! and the per-segment partial-build helpers used by
-//! [`crate::MaintainedPool`]'s dirty-segment rebuild path.
+//! Segmented maintained columns: the Storyboard-style joint budget split,
+//! and the part-build step [`crate::MaintainedPool`]'s job pipeline runs
+//! for every anytime part — a segment, or a monolithic column's whole
+//! domain.
 //!
 //! A segmented column splits its domain into [`SegmentLayout::equi_width`]
 //! segments and keeps one independently-built synopsis per segment,
@@ -19,41 +20,24 @@
 //! values), the standard surrogate when exact range-SSE curves are too
 //! expensive to construct at registration time.
 
-use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, Mutex};
+use std::sync::Arc;
 use std::time::Instant;
 
 use synoptic_catalog::{allocate_budget, ColumnCurve};
 use synoptic_core::{
-    Budget, BuildOutcome, PrefixSums, RangeEstimator, Result, SegmentLayout, SynopticError,
+    BuildOutcome, PrefixSums, RangeEstimator, Result, SegmentLayout, SynopticError,
 };
-use synoptic_hist::builder::{build_anytime, build_with_budget, AnytimeParams, HistogramMethod};
+use synoptic_hist::builder::{build_anytime, build_with_budget, HistogramMethod};
 
-use crate::maintained::panic_detail;
-use std::panic::{catch_unwind, AssertUnwindSafe};
+use crate::maintained::{contain, RebuildConfig};
 
-/// Runtime state of one segmented pool column. Budgets and layout are
-/// fixed at registration; partials and provenance are replaced by the
-/// home worker as dirty segments rebuild.
-pub(crate) struct SegmentRuntime {
+/// The fixed shape of one segmented pool column, set at registration: the
+/// equi-width layout and the per-segment word budgets of the joint split.
+pub(crate) struct Segments {
     /// The fixed equi-width segmentation of the domain.
     pub layout: SegmentLayout,
-    /// The tier-0 method every segment builds through the anytime ladder.
-    pub method: HistogramMethod,
     /// Per-segment word budgets from the joint split.
     pub budgets: Vec<usize>,
-    /// Current partials, in segment order (always full length).
-    pub parts: Mutex<Vec<Arc<dyn RangeEstimator>>>,
-    /// Per-segment provenance of the most recent committed build.
-    pub outcomes: Mutex<Vec<BuildOutcome>>,
-    /// Lifetime count of segment rebuilds (ladder runs) for this column.
-    pub segment_builds: AtomicU64,
-}
-
-impl SegmentRuntime {
-    pub(crate) fn record_builds(&self, n: u64) {
-        self.segment_builds.fetch_add(n, Ordering::Relaxed);
-    }
 }
 
 /// Splits `total_words` across the segments of `layout` with the catalog's
@@ -156,59 +140,33 @@ fn segment_curve(
     points
 }
 
-/// Builds one segment's synopsis through the anytime ladder, panics
-/// contained. `values` is the whole-column snapshot; the slice is taken
-/// from `layout`.
+/// Builds one part of a column — a segment's slice, or a monolithic
+/// column's whole domain — at `words` of storage, panics contained. A
+/// rebuild (`upgrade_factor` = `None`) runs the anytime ladder under the
+/// config's per-rung constraints; an upgrade runs `method` directly, with
+/// no ladder, under the budget scaled by the factor.
 pub(crate) fn build_segment(
     method: HistogramMethod,
-    values: &[i64],
-    layout: &SegmentLayout,
-    s: usize,
+    slice: &[i64],
     words: usize,
-    params: &AnytimeParams,
+    upgrade_factor: Option<u32>,
+    config: &RebuildConfig,
 ) -> Result<(Arc<dyn RangeEstimator>, BuildOutcome)> {
-    let (l, r) = layout.bounds(s);
-    let slice = &values[l..=r];
-    let lps = PrefixSums::from_values(slice);
-    let result = catch_unwind(AssertUnwindSafe(|| {
-        build_anytime(method, slice, &lps, words, params)
-    }))
-    .unwrap_or_else(|payload| {
-        Err(SynopticError::BuildPanicked {
-            detail: panic_detail(payload),
-        })
-    })?;
-    Ok((Arc::from(result.estimator), result.outcome))
-}
-
-/// Re-runs one segment's tier-0 method directly (no ladder) under `budget`,
-/// for the background upgrade path. Panics contained.
-pub(crate) fn upgrade_segment(
-    method: HistogramMethod,
-    values: &[i64],
-    layout: &SegmentLayout,
-    s: usize,
-    words: usize,
-    budget: &Budget,
-) -> Result<(Arc<dyn RangeEstimator>, BuildOutcome)> {
-    let (l, r) = layout.bounds(s);
-    let slice = &values[l..=r];
-    let lps = PrefixSums::from_values(slice);
-    let started = Instant::now();
-    let est = catch_unwind(AssertUnwindSafe(|| {
-        build_with_budget(method, slice, &lps, words, budget)
-    }))
-    .unwrap_or_else(|payload| {
-        Err(SynopticError::BuildPanicked {
-            detail: panic_detail(payload),
-        })
-    })?;
-    let outcome = BuildOutcome::direct(
-        method.name(),
-        started.elapsed().as_millis() as u64,
-        budget.cells_used(),
-    );
-    Ok((Arc::from(est), outcome))
+    let ps = PrefixSums::from_values(slice);
+    contain("build", || match upgrade_factor {
+        None => {
+            let built = build_anytime(method, slice, &ps, words, &config.anytime_params())?;
+            Ok((Arc::from(built.estimator), built.outcome))
+        }
+        Some(factor) => {
+            let budget = config.budget(factor);
+            let started = Instant::now();
+            let est = build_with_budget(method, slice, &ps, words, &budget)?;
+            let elapsed_ms = started.elapsed().as_millis() as u64;
+            let outcome = BuildOutcome::direct(method.name(), elapsed_ms, budget.cells_used());
+            Ok((Arc::from(est), outcome))
+        }
+    })
 }
 
 #[cfg(test)]

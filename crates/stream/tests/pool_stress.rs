@@ -14,15 +14,22 @@
 //! * **`update()` never pays for a persist.** With every persist failing
 //!   and the retry ladder sleeping tens of milliseconds per rebuild on the
 //!   worker, ingest latency stays in the microsecond regime.
+//! * **Provenance describes the build that answered.** While commits
+//!   alternate degraded rebuilds with tier-0 upgrades, every pinned answer
+//!   carries the outcome of the generation it was computed from.
 
 use std::sync::atomic::{AtomicBool, AtomicU32, Ordering};
 use std::sync::{Arc, Mutex};
 use std::time::{Duration, Instant};
 
+use synoptic_api::Queryable;
 use synoptic_catalog::{
     Catalog, ColumnEntry, DurableCatalog, Fault, FaultyStorage, FsStorage, PersistentSynopsis,
 };
-use synoptic_core::{RangeEstimator, RangeQuery, Result, Sap0Histogram, SynopticError};
+use synoptic_core::{
+    Budget, PrefixSums, RangeEstimator, RangeQuery, Result, Sap0Histogram, SynopticError,
+};
+use synoptic_hist::builder::{build_with_budget, HistogramMethod};
 use synoptic_hist::sap0::build_sap0_with_budget;
 use synoptic_stream::{
     ColumnBuild, MaintainedPool, PersistFn, PoolBuildFn, RebuildConfig, RebuildPolicy,
@@ -265,4 +272,76 @@ fn update_latency_is_unaffected_by_failing_persists() {
         "p99 update latency {p99:?} must stay below one persist nap (25 ms)"
     );
     pool.shutdown();
+}
+
+/// A cell cap below one SAP0 build makes every rebuild commit a degraded
+/// rung (even generations), and the ×4 upgrade restores tier 0 (odd
+/// generations). Two readers pin concurrently — one through
+/// `pinned_with_provenance`, one through the `Queryable` envelope — and
+/// every answer's outcome must match its generation's parity.
+#[test]
+fn pinned_provenance_matches_its_generation_under_racing_upgrades() {
+    const CYCLES: u64 = 300;
+    let values: Vec<i64> = (0..64).map(|i| (i * 29) % 53 - 20).collect();
+    let cells = {
+        let metered = Budget::unlimited();
+        let ps = PrefixSums::from_values(&values);
+        build_with_budget(HistogramMethod::Sap0, &values, &ps, 24, &metered).unwrap();
+        metered.cells_used()
+    };
+    let pool = MaintainedPool::new(1);
+    let config = RebuildConfig::new(RebuildPolicy::Manual)
+        .with_max_cells(cells / 2)
+        .with_background_upgrade(4);
+    let build = ColumnBuild::Anytime {
+        method: HistogramMethod::Sap0,
+        budget_words: 24,
+    };
+    let col = pool.add_column("c", &values, build, config).unwrap();
+    let stop = Arc::new(AtomicBool::new(false));
+    let q = RangeQuery::new(0, 63).unwrap();
+    let readers: Vec<_> = [false, true]
+        .into_iter()
+        .map(|via_envelope| {
+            let (col, stop) = (col.clone(), Arc::clone(&stop));
+            std::thread::spawn(move || {
+                let mut reader = col.reader();
+                let mut answers = 0u64;
+                while !stop.load(Ordering::Relaxed) {
+                    let (generation, outcome) = if via_envelope {
+                        let env = col.query("c", q).unwrap();
+                        (env.generation, env.outcome)
+                    } else {
+                        let (generation, snapshot, outcome, segments) =
+                            col.pinned_with_provenance(&mut reader);
+                        assert!(snapshot.estimate(q).is_finite());
+                        assert!(segments.is_none());
+                        (generation, outcome)
+                    };
+                    let outcome = outcome.expect("anytime columns carry provenance");
+                    assert_eq!(
+                        outcome.is_degraded(),
+                        generation % 2 == 0,
+                        "generation {generation} paired with a tier-{} outcome",
+                        outcome.tier
+                    );
+                    answers += 1;
+                }
+                answers
+            })
+        })
+        .collect();
+    col.quiesce();
+    for _ in 0..CYCLES {
+        assert!(col.request_rebuild().unwrap());
+        col.quiesce();
+    }
+    stop.store(true, Ordering::Relaxed);
+    for reader in readers {
+        assert!(reader.join().unwrap() > 0, "every reader answered");
+    }
+    let stats = col.stats();
+    assert_eq!((stats.rebuilds, stats.upgrades), (CYCLES, CYCLES + 1));
+    assert_eq!(stats.failed_upgrades, 0);
+    assert_eq!(col.serving_generation(), 2 * CYCLES + 1);
 }

@@ -8,12 +8,13 @@ use std::sync::Arc;
 
 use synoptic_catalog::FsStorage;
 use synoptic_core::{
-    BuildOutcome, CancelToken, PrefixSums, RangeEstimator, RangeQuery, Rng, SegmentLayout,
+    Budget, BuildOutcome, CancelToken, PrefixSums, RangeEstimator, RangeQuery, Rng, SegmentLayout,
     SegmentedEstimator, SynopticError,
 };
-use synoptic_hist::builder::{build_anytime, AnytimeParams, HistogramMethod};
+use synoptic_hist::builder::{build_anytime, build_with_budget, AnytimeParams, HistogramMethod};
 use synoptic_stream::{
-    DurabilityConfig, MaintainedPool, RebuildConfig, RebuildPolicy, SharedStorage,
+    ColumnBuild, ColumnHandle, DurabilityConfig, MaintainedPool, RebuildConfig, RebuildPolicy,
+    SharedStorage,
 };
 
 const N: usize = 64;
@@ -345,4 +346,88 @@ fn segmented_durable_column_journals_and_checkpoints_like_monolithic() {
     assert!(stats.rebuilds >= 1);
     assert!(stats.segments_rebuilt >= 1);
     let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// Asserts two columns serve bit-identical answers over every range, with
+/// the same provenance and the same maintenance history.
+fn assert_same_column(mono: &ColumnHandle, seg: &ColumnHandle, what: &str) {
+    for q in RangeQuery::all(N) {
+        assert_eq!(
+            mono.estimate(q).to_bits(),
+            seg.estimate(q).to_bits(),
+            "{what}: q={q:?}"
+        );
+    }
+    let (a, b) = (mono.last_outcome().unwrap(), seg.last_outcome().unwrap());
+    assert_eq!((&a.used, a.tier), (&b.used, b.tier), "{what}");
+    let (x, y) = (mono.stats(), seg.stats());
+    let history = |s: synoptic_stream::RebuildStats| (s.rebuilds, s.upgrades, s.failed_upgrades);
+    assert_eq!(history(x), history(y), "{what}");
+}
+
+/// Both column kinds run one pipeline: a one-segment segmented column and
+/// a monolithic anytime column fed the same values, updates and config
+/// serve the same bits after registration, after every rebuild and after
+/// every upgrade — unconstrained, degraded by a cell cap, and degraded
+/// then upgraded in the background.
+#[test]
+fn a_one_segment_column_answers_like_the_monolithic_column() {
+    let vals = values();
+    let (method, words) = (HistogramMethod::Sap0, 24);
+    let cells = {
+        let metered = Budget::unlimited();
+        let ps = PrefixSums::from_values(&vals);
+        build_with_budget(method, &vals, &ps, words, &metered).unwrap();
+        metered.cells_used()
+    };
+    let manual = || RebuildConfig::new(RebuildPolicy::Manual);
+    let configs = [
+        ("unconstrained", manual()),
+        ("capped", manual().with_max_cells(cells / 2)),
+        (
+            "upgraded",
+            manual()
+                .with_max_cells(cells / 2)
+                .with_background_upgrade(4),
+        ),
+    ];
+    for (name, config) in configs {
+        let pool = MaintainedPool::new(1);
+        let build = ColumnBuild::Anytime {
+            method,
+            budget_words: words,
+        };
+        let mono = pool
+            .add_column("mono", &vals, build, config.clone())
+            .unwrap();
+        let seg = pool
+            .add_column_segmented("seg", &vals, method, words, 1, config)
+            .unwrap();
+        assert_ne!(
+            mono.estimator().method_name(),
+            "SEGMENTED",
+            "served unwrapped"
+        );
+        let mut rng = Rng::new(0x51);
+        for round in 0..4 {
+            if round > 0 {
+                let batch: Vec<(usize, i64)> = (0..5)
+                    .map(|_| (rng.usize_in(0, N), rng.i64_in(-9, 9)))
+                    .collect();
+                for col in [&mono, &seg] {
+                    col.update_batch(&batch).unwrap();
+                    assert!(col.request_rebuild().unwrap());
+                }
+            }
+            mono.quiesce();
+            seg.quiesce();
+            assert_same_column(&mono, &seg, &format!("{name} round {round}"));
+        }
+        let outcome = mono.last_outcome().unwrap();
+        match name {
+            "capped" => assert!(outcome.is_degraded()),
+            "upgraded" => assert!(!outcome.is_degraded() && mono.stats().upgrades == 4),
+            _ => assert!(!outcome.is_degraded()),
+        }
+    }
 }
