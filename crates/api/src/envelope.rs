@@ -113,7 +113,7 @@ impl<S: Storage> Queryable for DurableCatalog<S> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use synoptic_catalog::{Catalog, ColumnEntry, FsStorage, PersistentSynopsis};
+    use synoptic_catalog::{Catalog, FsStorage};
 
     #[test]
     fn degradation_is_visible_from_source_and_outcome() {
@@ -150,14 +150,7 @@ mod tests {
         let store = DurableCatalog::open(&dir, FsStorage::new()).unwrap();
         let values = vec![3i64, 1, 4, 1, 5, 9, 2, 6];
         let mut catalog = Catalog::new();
-        catalog.insert(
-            "c",
-            ColumnEntry {
-                n: values.len(),
-                total_rows: values.iter().sum(),
-                synopsis: PersistentSynopsis::from_frequencies(&values),
-            },
-        );
+        catalog.insert_exact("c", &values, 0).unwrap();
         let generation = store.save(&catalog).unwrap();
         let env = store.query("c", RangeQuery::new(1, 3).unwrap()).unwrap();
         assert_eq!(env.generation, generation);

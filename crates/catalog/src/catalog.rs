@@ -53,6 +53,38 @@ impl Catalog {
         self.columns.insert(name.into(), entry);
     }
 
+    /// Commits a column's exact frequencies and the WAL mark they capture
+    /// as a [`PersistentSynopsis::Frequencies`] entry — the one way to
+    /// build an exact-column commit. `total_rows` is summed in `i128`; a
+    /// total outside `i64` is refused with [`SynopticError::Overflow`] and
+    /// an empty domain with [`SynopticError::InvalidParameter`]. A refused
+    /// call leaves the catalog unchanged.
+    pub fn insert_exact(
+        &mut self,
+        name: impl Into<String>,
+        values: &[i64],
+        wal_mark: u64,
+    ) -> Result<()> {
+        let name = name.into();
+        if values.is_empty() {
+            return Err(SynopticError::InvalidParameter(format!(
+                "exact column '{name}' has an empty domain"
+            )));
+        }
+        let total: i128 = values.iter().map(|&v| i128::from(v)).sum();
+        let total_rows = i64::try_from(total).map_err(|_| SynopticError::Overflow)?;
+        self.wal_marks.insert(name.clone(), wal_mark);
+        self.columns.insert(
+            name,
+            ColumnEntry {
+                n: values.len(),
+                total_rows,
+                synopsis: PersistentSynopsis::from_frequencies(values),
+            },
+        );
+        Ok(())
+    }
+
     /// Removes a column; returns whether it existed.
     pub fn remove(&mut self, name: &str) -> bool {
         self.columns.remove(name).is_some()
@@ -245,6 +277,74 @@ mod tests {
         cat.insert("alpha", entry(&[6, 5, 4, 3, 2, 1]));
         let names: Vec<&str> = cat.iter().map(|(n, _)| n).collect();
         assert_eq!(names, vec!["alpha", "zeta"]);
+    }
+
+    #[test]
+    fn insert_exact_accepts_totals_at_the_i64_bounds() {
+        let mut cat = Catalog::new();
+        cat.insert_exact("max", &[i64::MAX - 1, 1], 7).unwrap();
+        cat.insert_exact("min", &[i64::MIN + 1, -1], 9).unwrap();
+        // Only the total must fit: a partial sum may leave i64.
+        cat.insert_exact("swing", &[i64::MAX, 1, -1], 0).unwrap();
+        assert_eq!(cat.get("max").unwrap().total_rows, i64::MAX);
+        assert_eq!(cat.get("min").unwrap().total_rows, i64::MIN);
+        assert_eq!(cat.get("swing").unwrap().total_rows, i64::MAX);
+        assert_eq!(cat.get("max").unwrap().n, 2);
+        assert_eq!((cat.wal_mark("max"), cat.wal_mark("min")), (7, 9));
+        assert_eq!(
+            cat.get("max").unwrap().synopsis,
+            PersistentSynopsis::Frequencies {
+                values: vec![i64::MAX - 1, 1]
+            }
+        );
+    }
+
+    #[test]
+    fn insert_exact_refusals_leave_the_catalog_unchanged() {
+        let mut cat = Catalog::new();
+        cat.insert_exact("c", &[1, 2, 3], 4).unwrap();
+        let before = cat.clone();
+        for hostile in [
+            &[i64::MAX, 1][..],
+            &[i64::MIN, -1],
+            &[i64::MAX, i64::MAX, i64::MIN, 2],
+        ] {
+            for name in ["c", "fresh"] {
+                assert!(matches!(
+                    cat.insert_exact(name, hostile, 99),
+                    Err(SynopticError::Overflow)
+                ));
+            }
+        }
+        for name in ["c", "fresh"] {
+            assert!(matches!(
+                cat.insert_exact(name, &[], 99),
+                Err(SynopticError::InvalidParameter(_))
+            ));
+        }
+        assert_eq!(cat, before);
+        assert_eq!(cat.get("c").unwrap().total_rows, 6);
+        assert_eq!(cat.wal_mark("c"), 4);
+        assert!(cat.get("fresh").is_none());
+        assert_eq!(cat.wal_mark("fresh"), 0);
+    }
+
+    #[test]
+    fn exact_column_round_trips_through_the_durable_store() {
+        let dir =
+            std::env::temp_dir().join(format!("synoptic-catalog-exact-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        let store = crate::DurableCatalog::open(&dir, crate::FsStorage::new()).unwrap();
+        let values = [i64::MAX - 10, 4, 6];
+        let mut cat = Catalog::new();
+        cat.insert_exact("c", &values, 42).unwrap();
+        store.save(&cat).unwrap();
+        let back = store.load().unwrap();
+        let e = back.get("c").unwrap();
+        assert_eq!((e.n, e.total_rows), (3, i64::MAX));
+        assert_eq!(back.wal_mark("c"), 42);
+        assert_eq!(back, cat);
+        let _ = std::fs::remove_dir_all(&dir);
     }
 
     #[test]

@@ -768,7 +768,7 @@ pub fn maintain(args: &[String]) -> Result<(), CliError> {
         Some(wal_dir) => {
             use std::sync::Arc;
             use synoptic_catalog::wal::scan_column_journal;
-            use synoptic_stream::{DurabilityConfig, DurablePersistFn, SharedStorage};
+            use synoptic_stream::{catalog_persist_hook, DurabilityConfig, SharedStorage};
 
             let Some(catalog_dir) = f.optional("catalog") else {
                 return Err(CliError::usage(
@@ -806,36 +806,14 @@ pub fn maintain(args: &[String]) -> Result<(), CliError> {
                     scan.max_lsn
                 )));
             }
-            let total: i64 = values.iter().sum();
-            catalog.insert(
-                "cli",
-                ColumnEntry {
-                    n,
-                    total_rows: total,
-                    synopsis: PersistentSynopsis::from_frequencies(&values),
-                },
-            );
-            catalog.set_wal_mark("cli", scan.max_lsn);
+            catalog.insert_exact("cli", &values, scan.max_lsn)?;
             let generation = store.save(&catalog)?;
 
             // Each successful rebuild commits the exact snapshot + WAL mark
             // as a new generation; the pool then truncates the journal up
             // to that mark.
-            let persist_store = DurableCatalog::open(catalog_dir, FsStorage::new())?;
-            let hook: DurablePersistFn = Box::new(move |snap| {
-                let mut cat = persist_store.load()?;
-                let total: i64 = snap.values.iter().sum();
-                cat.insert(
-                    "cli",
-                    ColumnEntry {
-                        n: snap.values.len(),
-                        total_rows: total,
-                        synopsis: PersistentSynopsis::from_frequencies(snap.values),
-                    },
-                );
-                cat.set_wal_mark("cli", snap.wal_mark);
-                persist_store.save(&cat)
-            });
+            let hook =
+                catalog_persist_hook(DurableCatalog::open(catalog_dir, FsStorage::new())?, "cli");
             let storage: SharedStorage = Arc::new(FsStorage::new());
             match segments {
                 None => pool.add_column_durable(
@@ -1328,16 +1306,7 @@ pub fn recover(args: &[String]) -> Result<(), CliError> {
         ..
     } = report;
     for c in &columns {
-        let total: i64 = c.values.iter().sum();
-        catalog.insert(
-            &c.name,
-            ColumnEntry {
-                n: c.values.len(),
-                total_rows: total,
-                synopsis: PersistentSynopsis::from_frequencies(&c.values),
-            },
-        );
-        catalog.set_wal_mark(&c.name, c.max_lsn.max(c.committed_mark));
+        catalog.insert_exact(c.name.as_str(), &c.values, c.max_lsn.max(c.committed_mark))?;
     }
     let generation = store.save(&catalog)?;
     for c in &columns {

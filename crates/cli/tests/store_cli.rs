@@ -245,6 +245,52 @@ fn recover_replays_journals_and_exit_7_on_corruption() {
     let _ = std::fs::remove_dir_all(&wal);
 }
 
+/// A journaled `maintain` whose input column sums past `i64` refuses the
+/// initial commit with the generic failure code and an overflow message,
+/// and leaves no generation behind.
+#[test]
+fn maintain_refuses_a_column_total_past_i64() {
+    let col = tmp("synoptic_overflow_col.txt");
+    let store = tmp("synoptic_overflow_store");
+    let wal = tmp("synoptic_overflow_wal");
+    let _ = std::fs::remove_dir_all(&store);
+    let _ = std::fs::remove_dir_all(&wal);
+    std::fs::write(&col, "9223372036854775807\n1\n").unwrap();
+    let out = run(&[
+        "maintain",
+        "--input",
+        col.to_str().unwrap(),
+        "--method",
+        "sap0",
+        "--budget",
+        "6",
+        "--wal-dir",
+        wal.to_str().unwrap(),
+        "--catalog",
+        store.to_str().unwrap(),
+    ]);
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert_eq!(out.status.code(), Some(1), "stderr: {stderr}");
+    assert!(stderr.contains("overflow"), "{stderr}");
+    let committed: Vec<_> = std::fs::read_dir(&store)
+        .into_iter()
+        .flatten()
+        .map(|e| e.unwrap().file_name().to_string_lossy().into_owned())
+        .filter(|name| name.starts_with("MANIFEST-") || name.ends_with(".syn"))
+        .collect();
+    assert!(committed.is_empty(), "committed files: {committed:?}");
+    assert_ne!(
+        run(&["report", "--catalog", store.to_str().unwrap()])
+            .status
+            .code(),
+        Some(0)
+    );
+
+    let _ = std::fs::remove_file(&col);
+    let _ = std::fs::remove_dir_all(&store);
+    let _ = std::fs::remove_dir_all(&wal);
+}
+
 /// The documented exit-code contract (see `synoptic help`):
 /// 0 success, 1 failure, 2 usage, 4 corrupt synopsis/store,
 /// 5 deadline/cell budget exceeded, 6 cancelled, 7 unrecoverable journal

@@ -48,11 +48,14 @@ pub enum SynopticError {
     /// A linear system arising in re-optimization was singular and could not
     /// be solved even with ridge fallback.
     SingularSystem(String),
-    /// The input lies outside the exact-arithmetic envelope of the `i128`
-    /// window statistics: with `N = n + 1` prefix-table positions and
-    /// `R = max P − min P`, the window oracle needs `N ≤ 2²¹` and
-    /// `N²·R ≤ ⌊√(2¹²⁷ − 1)⌋` (≈ 2^63.5), and SAP1's fits additionally
-    /// `⌈(n·R)²/4⌉ · n²(n²−1)/12 ≤ 2¹²⁷ − 1` (see `window`).
+    /// A value left the exact-arithmetic range it must fit. Either the
+    /// input lies outside the envelope of the `i128` window statistics —
+    /// with `N = n + 1` prefix-table positions and `R = max P − min P`, the
+    /// window oracle needs `N ≤ 2²¹` and `N²·R ≤ ⌊√(2¹²⁷ − 1)⌋` (≈ 2^63.5),
+    /// and SAP1's fits additionally `⌈(n·R)²/4⌉ · n²(n²−1)/12 ≤ 2¹²⁷ − 1`
+    /// (see `window`) — or a column's total row count, summed exactly,
+    /// lies outside `i64` (see `Catalog::insert_exact` in
+    /// `synoptic-catalog`).
     Overflow,
     /// A persisted synopsis failed integrity or semantic validation on load
     /// (bad magic, checksum mismatch, truncation, non-finite floats,
@@ -209,7 +212,8 @@ impl fmt::Display for SynopticError {
             Self::SingularSystem(msg) => write!(f, "singular linear system: {msg}"),
             Self::Overflow => write!(
                 f,
-                "arithmetic overflow: input outside the exact i128 window-statistic envelope"
+                "arithmetic overflow: input outside the exact i128 window-statistic \
+                 envelope, or a column total outside i64"
             ),
             Self::CorruptSynopsis { context, detail } => {
                 write!(f, "corrupt synopsis ({context}): {detail}")

@@ -16,12 +16,15 @@
 //! * [`metrics`] — per-query error distributions and certified-interval
 //!   statistics (extension).
 //! * [`report`] — ASCII tables, CSV and JSON artifacts.
+//! * [`bench`](mod@bench) — the helpers shared by the `examples/*_bench.rs`
+//!   emitters (xorshift stream, percentiles, scratch dirs, report output).
 //!
 //! Binaries: `fig1`, `claims`, `sweep` (see `src/bin/`).
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
+pub mod bench;
 pub mod claims;
 pub mod figure1;
 pub mod json;

@@ -347,7 +347,7 @@ impl<S: Storage + Clone> Seeder<S> {
 mod tests {
     use super::*;
     use synoptic_catalog::storage::FsStorage;
-    use synoptic_catalog::{Catalog, ColumnEntry, PersistentSynopsis};
+    use synoptic_catalog::Catalog;
 
     #[test]
     fn manual_clock_is_shared_across_clones() {
@@ -392,14 +392,7 @@ mod tests {
     fn seed_catalog(root: &PathBuf) {
         let store = DurableCatalog::open(root, FsStorage::new()).unwrap();
         let mut cat = Catalog::new();
-        cat.insert(
-            "c",
-            ColumnEntry {
-                n: 4,
-                total_rows: 10,
-                synopsis: PersistentSynopsis::from_frequencies(&[1, 2, 3, 4]),
-            },
-        );
+        cat.insert_exact("c", &[1, 2, 3, 4], 0).unwrap();
         store.save(&cat).unwrap();
     }
 

@@ -57,7 +57,7 @@ use synoptic_catalog::wal::{
     decode_segment, restamp_segment_generation, wal_file_name, ColumnWal, DecodedSegment,
     WalConfig, WAL_RECORD_LEN,
 };
-use synoptic_catalog::{Catalog, ColumnEntry, DurableCatalog, PersistentSynopsis};
+use synoptic_catalog::{Catalog, DurableCatalog};
 use synoptic_core::{
     HotSwap, HotSwapReader, PrefixSums, RangeEstimator, RangeQuery, Result, SynopticError,
 };
@@ -334,16 +334,10 @@ impl Follower {
     /// untouched by a failed checkpoint (the journal simply stays long).
     fn checkpoint_column(&mut self, column: &str) -> std::result::Result<(), String> {
         let col = self.columns.get(column).expect("caller checked");
-        let (values, applied_lsn) = (col.values.clone(), col.applied_lsn);
-        self.catalog.insert(
-            column,
-            ColumnEntry {
-                n: values.len(),
-                total_rows: values.iter().sum(),
-                synopsis: PersistentSynopsis::from_frequencies(&values),
-            },
-        );
-        self.catalog.set_wal_mark(column, applied_lsn);
+        let applied_lsn = col.applied_lsn;
+        self.catalog
+            .insert_exact(column, &col.values, applied_lsn)
+            .map_err(|e| format!("checkpoint refused: {e}"))?;
         let generation = self
             .store
             .save(&self.catalog)

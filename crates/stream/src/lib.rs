@@ -27,8 +27,9 @@
 //!   rebuild or a persist retry; serving estimators are published through
 //!   `synoptic_core::HotSwap`.
 //! * [`maintained`] — what the engine is configured with: the rebuild
-//!   policy and budget ([`RebuildConfig`]), opt-in durability, the
-//!   maintenance counters, and the exact drift trigger.
+//!   policy and budget ([`RebuildConfig`]), opt-in durability and its
+//!   catalog persist hook ([`catalog_persist_hook`]), the maintenance
+//!   counters, and the exact drift trigger.
 //! * [`recovery`] — crash recovery for journaled columns: fsck the durable
 //!   catalog, prune abandoned generations, replay the write-ahead journal
 //!   on top of the committed snapshot, and hand back exact frequencies to
@@ -57,8 +58,8 @@ pub use fenwick::Fenwick;
 pub use follow::{promote, FollowConfig, Follower, ServeOutcome};
 pub use haar_stream::{StreamingHaar, StreamingRangeOptimal};
 pub use maintained::{
-    drift_exceeds, ColumnJournal, DurabilityConfig, DurablePersistFn, DurableSnapshot, PersistFn,
-    RebuildConfig, RebuildPolicy, RebuildStats, SharedStorage,
+    catalog_persist_hook, drift_exceeds, ColumnJournal, DurabilityConfig, DurablePersistFn,
+    DurableSnapshot, PersistFn, RebuildConfig, RebuildPolicy, RebuildStats, SharedStorage,
 };
 pub use pool::{ColumnBuild, ColumnHandle, MaintainedPool, PoolBuildFn};
 pub use progressive::{ProgressiveAnswer, ProgressiveQuery};

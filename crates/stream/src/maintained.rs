@@ -53,7 +53,7 @@ use std::path::PathBuf;
 use std::time::Duration;
 
 use synoptic_catalog::wal::{ColumnWal, FsyncCadence, WalConfig};
-use synoptic_catalog::Storage;
+use synoptic_catalog::{DurableCatalog, Storage};
 use synoptic_core::{Budget, CancelToken, RangeEstimator, Result, SynopticError};
 use synoptic_hist::builder::AnytimeParams;
 
@@ -458,10 +458,9 @@ pub type PersistFn = Box<dyn FnMut(&dyn RangeEstimator) -> Result<()> + Send>;
 /// What a durable persist hook is handed after a successful rebuild of a
 /// journaled column: the fresh estimator, the **exact frequencies** the
 /// build snapshotted (recovery replays journal deltas on top of these, so
-/// the hook must persist them — typically via
-/// [`synoptic_catalog::PersistentSynopsis::from_frequencies`]), and the
-/// journal LSN the snapshot covers (to record as the column's WAL mark via
-/// [`synoptic_catalog::Catalog::set_wal_mark`]).
+/// the hook must persist them), and the journal LSN the snapshot covers
+/// (the column's new WAL mark). [`catalog_persist_hook`] is the hook that
+/// commits both.
 pub struct DurableSnapshot<'a> {
     /// The freshly built (now serving) estimator.
     pub estimator: &'a dyn RangeEstimator,
@@ -476,6 +475,23 @@ pub struct DurableSnapshot<'a> {
 /// journal at the snapshot's WAL mark, truncating segments whose deltas
 /// the committed generation now covers.
 pub type DurablePersistFn = Box<dyn FnMut(&DurableSnapshot<'_>) -> Result<u64> + Send>;
+
+/// The durable persist hook for `column`: loads `store`'s committed
+/// catalog, commits the snapshot's exact frequencies at its WAL mark
+/// through [`synoptic_catalog::Catalog::insert_exact`] (a total outside
+/// `i64` is refused, never wrapped), and saves the result as a new
+/// generation.
+pub fn catalog_persist_hook<S: Storage + Send + 'static>(
+    store: DurableCatalog<S>,
+    column: impl Into<String>,
+) -> DurablePersistFn {
+    let column = column.into();
+    Box::new(move |snap| {
+        let mut catalog = store.load()?;
+        catalog.insert_exact(column.as_str(), snap.values, snap.wal_mark)?;
+        store.save(&catalog)
+    })
+}
 
 /// What one run of the persist retry ladder did.
 #[derive(Debug, Default)]

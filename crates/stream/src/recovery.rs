@@ -49,8 +49,7 @@ use std::sync::Arc;
 
 use synoptic_catalog::wal::{list_journal_columns, scan_column_journal};
 use synoptic_catalog::{
-    Catalog, ColumnEntry, DurableCatalog, FsckReport, PersistentSynopsis, PruneReport,
-    RepairReport, Storage,
+    Catalog, DurableCatalog, FsckReport, PersistentSynopsis, PruneReport, RepairReport, Storage,
 };
 use synoptic_core::{Result, SynopticError};
 use synoptic_repl::transport::{Received, Transport};
@@ -393,11 +392,20 @@ pub fn rejoin(
                     mark,
                     values,
                 } => {
-                    if t != term {
-                        let reason = format!(
+                    // A wrong term, an empty domain or a total outside i64
+                    // is refused before anything is staged.
+                    let refusal = if t != term {
+                        Some(format!(
                             "snapshot of column {column} carries term {t}, but this \
                              rejoin granted term {term}"
-                        );
+                        ))
+                    } else {
+                        staged
+                            .insert_exact(column.as_str(), &values, mark)
+                            .err()
+                            .map(|e| format!("snapshot of column {column} refused: {e}"))
+                    };
+                    if let Some(reason) = refusal {
                         transport.send(&encode_frame(&Frame::Refuse {
                             term,
                             column,
@@ -406,25 +414,6 @@ pub fn rejoin(
                         }))?;
                         return Err(reseed_diverged(reason));
                     }
-                    if values.is_empty() {
-                        let reason = format!("snapshot of column {column} carries an empty domain");
-                        transport.send(&encode_frame(&Frame::Refuse {
-                            term,
-                            column,
-                            applied_lsn: 0,
-                            reason: reason.clone(),
-                        }))?;
-                        return Err(reseed_diverged(reason));
-                    }
-                    staged.insert(
-                        column.clone(),
-                        ColumnEntry {
-                            n: values.len(),
-                            total_rows: values.iter().sum(),
-                            synopsis: PersistentSynopsis::from_frequencies(&values),
-                        },
-                    );
-                    staged.set_wal_mark(&column, mark);
                     transport.send(&encode_frame(&Frame::Ack {
                         term,
                         column,
@@ -461,7 +450,7 @@ pub fn rejoin(
 mod tests {
     use super::*;
     use synoptic_catalog::wal::{ColumnWal, WalConfig};
-    use synoptic_catalog::FsStorage;
+    use synoptic_catalog::{ColumnEntry, FsStorage};
 
     fn tempdir(tag: &str) -> std::path::PathBuf {
         let dir =
@@ -478,15 +467,7 @@ mod tests {
         mark: u64,
     ) -> u64 {
         let mut cat = Catalog::new();
-        cat.insert(
-            name,
-            ColumnEntry {
-                n: values.len(),
-                total_rows: values.len() as i64,
-                synopsis: PersistentSynopsis::from_frequencies(values),
-            },
-        );
-        cat.set_wal_mark(name, mark);
+        cat.insert_exact(name, values, mark).unwrap();
         store.save(&cat).unwrap()
     }
 

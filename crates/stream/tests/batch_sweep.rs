@@ -23,13 +23,11 @@
 use std::sync::Arc;
 
 use synoptic_catalog::wal::{FsyncCadence, WAL_RECORD_LEN};
-use synoptic_catalog::{
-    Catalog, ColumnEntry, DurableCatalog, Fault, FaultyStorage, FsStorage, PersistentSynopsis,
-};
+use synoptic_catalog::{Catalog, DurableCatalog, Fault, FaultyStorage, FsStorage};
 use synoptic_core::{Budget, PrefixSums, RangeEstimator, Result};
 use synoptic_hist::sap0::build_sap0_with_budget;
 use synoptic_stream::{
-    recover, ColumnBuild, DurabilityConfig, DurablePersistFn, MaintainedPool, RebuildConfig,
+    catalog_persist_hook, recover, ColumnBuild, DurabilityConfig, MaintainedPool, RebuildConfig,
     RebuildPolicy, SharedStorage,
 };
 
@@ -78,14 +76,7 @@ fn builder() -> impl FnMut(&[i64], &PrefixSums, &Budget) -> Result<Box<dyn Range
 fn commit_initial(cat_dir: &std::path::Path, values: &[i64]) -> u64 {
     let store = DurableCatalog::open(cat_dir, FsStorage::new()).unwrap();
     let mut cat = Catalog::new();
-    cat.insert(
-        COLUMN,
-        ColumnEntry {
-            n: values.len(),
-            total_rows: values.iter().sum(),
-            synopsis: PersistentSynopsis::from_frequencies(values),
-        },
-    );
+    cat.insert_exact(COLUMN, values, 0).unwrap();
     store.save(&cat).unwrap()
 }
 
@@ -129,20 +120,10 @@ fn run_crash_scenario(
     let durability = DurabilityConfig::journaled(&wal_dir)
         .with_segment_bytes(2 * BATCH * WAL_RECORD_LEN) // rotate every ~2 batches
         .with_fsync(cadence);
-    let hook_store = DurableCatalog::open(&cat_dir, Arc::clone(&faulty)).unwrap();
-    let hook: DurablePersistFn = Box::new(move |snap| {
-        let mut cat = hook_store.load()?;
-        cat.insert(
-            COLUMN,
-            ColumnEntry {
-                n: snap.values.len(),
-                total_rows: snap.values.iter().sum(),
-                synopsis: PersistentSynopsis::from_frequencies(snap.values),
-            },
-        );
-        cat.set_wal_mark(COLUMN, snap.wal_mark);
-        hook_store.save(&cat)
-    });
+    let hook = catalog_persist_hook(
+        DurableCatalog::open(&cat_dir, Arc::clone(&faulty)).unwrap(),
+        COLUMN,
+    );
     let config =
         RebuildConfig::new(policy).with_persist_retries(0, std::time::Duration::from_micros(1));
     let pool = MaintainedPool::new(1);

@@ -37,9 +37,7 @@
 use std::sync::Arc;
 use std::time::Duration;
 
-use synoptic_catalog::{
-    Catalog, ColumnEntry, DurableCatalog, Fault, FaultyStorage, FsStorage, PersistentSynopsis,
-};
+use synoptic_catalog::{Catalog, DurableCatalog, Fault, FaultyStorage, FsStorage};
 use synoptic_core::{Budget, PrefixSums, RangeEstimator, RangeQuery, Result, SynopticError};
 use synoptic_hist::sap0::build_sap0_with_budget;
 use synoptic_repl::election::{ManualClock, Seeder, TermLedger};
@@ -94,14 +92,7 @@ fn builder() -> impl FnMut(&[i64], &PrefixSums, &Budget) -> Result<Box<dyn Range
 fn commit_initial(cat_dir: &std::path::Path, values: &[i64]) -> u64 {
     let store = DurableCatalog::open(cat_dir, FsStorage::new()).unwrap();
     let mut cat = Catalog::new();
-    cat.insert(
-        COLUMN,
-        ColumnEntry {
-            n: values.len(),
-            total_rows: values.iter().sum(),
-            synopsis: PersistentSynopsis::from_frequencies(values),
-        },
-    );
+    cat.insert_exact(COLUMN, values, 0).unwrap();
     store.save(&cat).unwrap()
 }
 

@@ -27,13 +27,11 @@
 
 use std::sync::Arc;
 
-use synoptic_catalog::{
-    Catalog, ColumnEntry, DurableCatalog, Fault, FaultyStorage, FsStorage, PersistentSynopsis,
-};
+use synoptic_catalog::{Catalog, DurableCatalog, Fault, FaultyStorage, FsStorage};
 use synoptic_core::{Budget, PrefixSums, RangeEstimator, Result};
 use synoptic_hist::sap0::build_sap0_with_budget;
 use synoptic_stream::{
-    recover, ColumnBuild, DurabilityConfig, DurablePersistFn, MaintainedPool, RebuildConfig,
+    catalog_persist_hook, recover, ColumnBuild, DurabilityConfig, MaintainedPool, RebuildConfig,
     RebuildPolicy, SharedStorage,
 };
 
@@ -77,14 +75,7 @@ fn builder() -> impl FnMut(&[i64], &PrefixSums, &Budget) -> Result<Box<dyn Range
 fn commit_initial(cat_dir: &std::path::Path, values: &[i64]) -> u64 {
     let store = DurableCatalog::open(cat_dir, FsStorage::new()).unwrap();
     let mut cat = Catalog::new();
-    cat.insert(
-        COLUMN,
-        ColumnEntry {
-            n: values.len(),
-            total_rows: values.iter().sum(),
-            synopsis: PersistentSynopsis::from_frequencies(values),
-        },
-    );
+    cat.insert_exact(COLUMN, values, 0).unwrap();
     store.save(&cat).unwrap()
 }
 
@@ -127,20 +118,10 @@ fn run_crash_scenario(
     let durability = DurabilityConfig::journaled(&wal_dir)
         .with_segment_bytes(128) // rotate every ~3 records
         .with_fsync(cadence);
-    let hook_store = DurableCatalog::open(&cat_dir, Arc::clone(&faulty)).unwrap();
-    let hook: DurablePersistFn = Box::new(move |snap| {
-        let mut cat = hook_store.load()?;
-        cat.insert(
-            COLUMN,
-            ColumnEntry {
-                n: snap.values.len(),
-                total_rows: snap.values.iter().sum(),
-                synopsis: PersistentSynopsis::from_frequencies(snap.values),
-            },
-        );
-        cat.set_wal_mark(COLUMN, snap.wal_mark);
-        hook_store.save(&cat)
-    });
+    let hook = catalog_persist_hook(
+        DurableCatalog::open(&cat_dir, Arc::clone(&faulty)).unwrap(),
+        COLUMN,
+    );
     // No persist retries: a failed persist is a failed persist — the crash
     // arrives before any retry would.
     let config =
@@ -314,20 +295,10 @@ fn clean_run_recovers_everything_and_is_idempotent() {
     let durability = DurabilityConfig::journaled(&wal_dir)
         .with_segment_bytes(128)
         .with_fsync(synoptic_catalog::wal::FsyncCadence::OnRotate);
-    let hook_store = DurableCatalog::open(&cat_dir, FsStorage::new()).unwrap();
-    let hook: DurablePersistFn = Box::new(move |snap| {
-        let mut cat = hook_store.load()?;
-        cat.insert(
-            COLUMN,
-            ColumnEntry {
-                n: snap.values.len(),
-                total_rows: snap.values.iter().sum(),
-                synopsis: PersistentSynopsis::from_frequencies(snap.values),
-            },
-        );
-        cat.set_wal_mark(COLUMN, snap.wal_mark);
-        hook_store.save(&cat)
-    });
+    let hook = catalog_persist_hook(
+        DurableCatalog::open(&cat_dir, FsStorage::new()).unwrap(),
+        COLUMN,
+    );
     let config = RebuildConfig::new(RebuildPolicy::EveryKUpdates(5));
     let pool = MaintainedPool::new(1);
     let col = pool
@@ -395,20 +366,10 @@ fn pool_survives_background_persist_faults() {
     let durability = DurabilityConfig::journaled(&wal_dir)
         .with_segment_bytes(128)
         .with_fsync(synoptic_catalog::wal::FsyncCadence::OnRotate);
-    let hook_store = DurableCatalog::open(&cat_dir, Arc::clone(&faulty)).unwrap();
-    let hook: DurablePersistFn = Box::new(move |snap| {
-        let mut cat = hook_store.load()?;
-        cat.insert(
-            COLUMN,
-            ColumnEntry {
-                n: snap.values.len(),
-                total_rows: snap.values.iter().sum(),
-                synopsis: PersistentSynopsis::from_frequencies(snap.values),
-            },
-        );
-        cat.set_wal_mark(COLUMN, snap.wal_mark);
-        hook_store.save(&cat)
-    });
+    let hook = catalog_persist_hook(
+        DurableCatalog::open(&cat_dir, Arc::clone(&faulty)).unwrap(),
+        COLUMN,
+    );
     let pool = MaintainedPool::new(1);
     let col = pool
         .add_column_durable(

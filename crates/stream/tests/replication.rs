@@ -18,10 +18,12 @@ use std::time::Duration;
 use synoptic_catalog::wal::{
     list_journal_columns, scan_column_journal, ColumnWal, FsyncCadence, WalConfig,
 };
-use synoptic_catalog::{Catalog, ColumnEntry, DurableCatalog, FsStorage, PersistentSynopsis};
+use synoptic_catalog::{Catalog, DurableCatalog, FsStorage};
 use synoptic_core::{RangeQuery, SynopticError};
 use synoptic_repl::election::{ManualClock, Seeder, TermLedger};
-use synoptic_repl::transport::{FaultyTransport, MemTransport, Transport, TransportFault};
+use synoptic_repl::transport::{
+    FaultyTransport, MemTransport, Received, Transport, TransportFault,
+};
 use synoptic_repl::wire::{decode_frame, encode_frame, Frame};
 use synoptic_repl::Shipper;
 use synoptic_stream::{promote, rejoin, FollowConfig, Follower, ServeOutcome, SharedStorage};
@@ -62,14 +64,7 @@ fn stream(len: usize) -> Vec<(usize, i64)> {
 fn commit_initial(cat_dir: &Path, values: &[i64]) -> u64 {
     let store = DurableCatalog::open(cat_dir, FsStorage::new()).unwrap();
     let mut cat = Catalog::new();
-    cat.insert(
-        COLUMN,
-        ColumnEntry {
-            n: values.len(),
-            total_rows: values.iter().sum(),
-            synopsis: PersistentSynopsis::from_frequencies(values),
-        },
-    );
+    cat.insert_exact(COLUMN, values, 0).unwrap();
     store.save(&cat).unwrap()
 }
 
@@ -850,14 +845,7 @@ fn multiple_columns_fan_in_over_one_link() {
     let store = DurableCatalog::open(&cat_dir, FsStorage::new()).unwrap();
     let mut cat = Catalog::new();
     for (name, values) in [("a", &a0), ("b", &b0)] {
-        cat.insert(
-            name,
-            ColumnEntry {
-                n: values.len(),
-                total_rows: values.iter().sum(),
-                synopsis: PersistentSynopsis::from_frequencies(values),
-            },
-        );
+        cat.insert_exact(name, values, 0).unwrap();
     }
     let generation = store.save(&cat).unwrap();
 
@@ -889,14 +877,7 @@ fn multiple_columns_fan_in_over_one_link() {
     let f_store = DurableCatalog::open(&f_cat, FsStorage::new()).unwrap();
     let mut fcat = Catalog::new();
     for (name, values) in [("a", &a0), ("b", &b0)] {
-        fcat.insert(
-            name,
-            ColumnEntry {
-                n: values.len(),
-                total_rows: values.iter().sum(),
-                synopsis: PersistentSynopsis::from_frequencies(values),
-            },
-        );
+        fcat.insert_exact(name, values, 0).unwrap();
     }
     f_store.save(&fcat).unwrap();
     let storage: SharedStorage = Arc::new(FsStorage::new());
@@ -1006,5 +987,73 @@ fn a_stranded_node_reseeds_and_rejoins_as_a_follower() {
         }
         other => panic!("expected a divergence refusal, got {other:?}"),
     }
+    let _ = std::fs::remove_dir_all(&root);
+}
+
+/// A re-seed snapshot whose exact frequencies sum past `i64` is refused
+/// with one `Refuse` frame and a divergence error — never a panic, never
+/// a wrapped row total — and nothing of it is committed.
+#[test]
+fn a_snapshot_whose_total_leaves_i64_is_refused_on_rejoin() {
+    let root = tempdir("reseed-overflow");
+    let (cat_dir, wal_dir) = (root.join("cat"), root.join("wal"));
+    let (mut leader_end, follower_end) = MemTransport::pair();
+    let (rx_cat, rx_wal) = (cat_dir.clone(), wal_dir.clone());
+    let receiver = std::thread::spawn(move || {
+        let storage: SharedStorage = Arc::new(FsStorage::new());
+        let mut transport = follower_end;
+        rejoin(
+            storage,
+            &rx_cat,
+            &rx_wal,
+            FollowConfig::default(),
+            &mut transport,
+        )
+        .map(|_| ())
+    });
+    let recv = |t: &mut MemTransport| match t.recv(Some(Duration::from_secs(5))).unwrap() {
+        Received::Frame(bytes) => decode_frame(&bytes).unwrap(),
+        other => panic!("expected a frame, got {other:?}"),
+    };
+    leader_end
+        .send(&encode_frame(&Frame::Claim { term: 3, node: 1 }))
+        .unwrap();
+    assert!(matches!(
+        recv(&mut leader_end),
+        Frame::Grant { term: 3, node: 1 }
+    ));
+    leader_end
+        .send(&encode_frame(&Frame::Snapshot {
+            term: 3,
+            column: COLUMN.to_string(),
+            mark: 9,
+            values: vec![i64::MAX, 1],
+        }))
+        .unwrap();
+    match recv(&mut leader_end) {
+        Frame::Refuse {
+            term: 3,
+            column,
+            applied_lsn: 0,
+            reason,
+        } => {
+            assert_eq!(column, COLUMN);
+            assert!(reason.contains("overflow"), "{reason}");
+        }
+        other => panic!("expected a refusal, got {other:?}"),
+    }
+    match receiver.join().unwrap() {
+        Err(SynopticError::ReplicationDivergence { detail, .. }) => {
+            assert!(detail.contains("overflow"), "{detail}")
+        }
+        other => panic!("expected a divergence refusal, got {other:?}"),
+    }
+    // Only the grant was persisted: no column, no mark.
+    let cat = DurableCatalog::open(&cat_dir, FsStorage::new())
+        .unwrap()
+        .load()
+        .unwrap();
+    assert!(cat.is_empty());
+    assert_eq!(cat.wal_mark(COLUMN), 0);
     let _ = std::fs::remove_dir_all(&root);
 }

@@ -20,6 +20,7 @@ use std::time::Instant;
 use synoptic::core::window::{WeightedPointOracle, WindowOracle};
 use synoptic::core::{Budget, PrefixSums, RoundingMode};
 use synoptic::data::zipf::{paper_dataset, ZipfConfig};
+use synoptic::eval::bench::write_report;
 use synoptic::eval::json::JsonValue;
 use synoptic::hist::a0::a0_bucket_cost;
 use synoptic::hist::dp::optimal_bucketing_with_budget;
@@ -181,9 +182,5 @@ fn main() {
         ("trials", JsonValue::Int(TRIALS as i128)),
         ("entries", JsonValue::Arr(entries)),
     ]);
-    let out_dir = std::env::var("BENCH_OUT_DIR").unwrap_or_else(|_| "results".to_string());
-    std::fs::create_dir_all(&out_dir).unwrap();
-    let path = std::path::Path::new(&out_dir).join("BENCH_dp.json");
-    std::fs::write(&path, report.to_string_pretty()).unwrap();
-    println!("wrote {}", path.display());
+    write_report("BENCH_dp.json", &report);
 }

@@ -21,8 +21,9 @@ use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 use synoptic::catalog::wal::{ColumnWal, FsyncCadence, WalConfig};
-use synoptic::catalog::{Catalog, ColumnEntry, DurableCatalog, FsStorage, PersistentSynopsis};
+use synoptic::catalog::{Catalog, DurableCatalog, FsStorage};
 use synoptic::core::RangeQuery;
+use synoptic::eval::bench::{tempdir, write_report};
 use synoptic::eval::json::JsonValue;
 use synoptic::repl::{MemTransport, Shipper, WallClock};
 use synoptic::stream::{promote, FollowConfig, Follower, ServeOutcome, SharedStorage};
@@ -34,32 +35,14 @@ const SEGMENT_BYTES: usize = 4096;
 const TTL_MS: u64 = 50;
 const TRIALS: usize = 5;
 
-fn tempdir(tag: &str) -> std::path::PathBuf {
-    let dir = std::env::temp_dir().join(format!(
-        "synoptic-bench-failover-{tag}-{}",
-        std::process::id()
-    ));
-    let _ = std::fs::remove_dir_all(&dir);
-    std::fs::create_dir_all(&dir).unwrap();
-    dir
-}
-
 fn initial_values() -> Vec<i64> {
     (0..N as i64).map(|i| 100 + (i * 13) % 57).collect()
 }
 
 fn commit_initial(cat_dir: &std::path::Path) -> u64 {
-    let values = initial_values();
     let store = DurableCatalog::open(cat_dir, FsStorage::new()).unwrap();
     let mut cat = Catalog::new();
-    cat.insert(
-        COLUMN,
-        ColumnEntry {
-            n: values.len(),
-            total_rows: values.iter().sum(),
-            synopsis: PersistentSynopsis::from_frequencies(&values),
-        },
-    );
+    cat.insert_exact(COLUMN, &initial_values(), 0).unwrap();
     store.save(&cat).unwrap()
 }
 
@@ -82,7 +65,7 @@ struct Trial {
 
 /// One full failover: replicate, fall silent, detect, promote, serve.
 fn run_trial(trial: usize) -> Trial {
-    let root = tempdir(&format!("t{trial}"));
+    let root = tempdir(&format!("failover-t{trial}"));
     let generation = commit_initial(&root.join("leader-cat"));
     commit_initial(&root.join("follower-cat"));
     let wal = ColumnWal::open(
@@ -205,9 +188,5 @@ fn main() {
         ),
         ("total_ms_mean", JsonValue::Num(total_mean)),
     ]);
-    let out_dir = std::env::var("BENCH_OUT_DIR").unwrap_or_else(|_| "results".to_string());
-    std::fs::create_dir_all(&out_dir).unwrap();
-    let path = std::path::Path::new(&out_dir).join("BENCH_failover.json");
-    std::fs::write(&path, report.to_string_pretty()).unwrap();
-    println!("wrote {}", path.display());
+    write_report("BENCH_failover.json", &report);
 }

@@ -23,6 +23,7 @@ use std::time::{Duration, Instant};
 
 use synoptic::api::wire::RequestHeader;
 use synoptic::core::{RangeQuery, SynopticError};
+use synoptic::eval::bench::{percentile, write_report, Rng};
 use synoptic::eval::json::JsonValue;
 use synoptic::hist::HistogramMethod;
 use synoptic::serve::{Client, ServeConfig, Server};
@@ -39,26 +40,6 @@ const CAPACITY_PER_SEC: u64 = 1_000 / REFILL_MS;
 const LEVEL_SECS: f64 = 1.5;
 /// One update lands every this many estimate requests.
 const UPDATE_EVERY: usize = 20;
-
-/// Deterministic xorshift stream for query bounds.
-struct Rng(u64);
-
-impl Rng {
-    fn next(&mut self) -> u64 {
-        self.0 ^= self.0 << 13;
-        self.0 ^= self.0 >> 7;
-        self.0 ^= self.0 << 17;
-        self.0
-    }
-}
-
-fn percentile(sorted_us: &[f64], p: f64) -> f64 {
-    if sorted_us.is_empty() {
-        return 0.0;
-    }
-    let rank = ((p / 100.0) * sorted_us.len() as f64).ceil() as usize;
-    sorted_us[rank.clamp(1, sorted_us.len()) - 1]
-}
 
 struct LevelReport {
     multiple: u64,
@@ -134,8 +115,8 @@ fn run_level(multiple: u64) -> LevelReport {
         if due > now {
             std::thread::sleep(due - now);
         }
-        let lo = (rng.next() % N as u64) as usize;
-        let hi = (lo + (rng.next() % 64) as usize).min(N - 1);
+        let lo = (rng.next_u64() % N as u64) as usize;
+        let hi = (lo + (rng.next_u64() % 64) as usize).min(N - 1);
         let t = Instant::now();
         match reader.estimate_batch_with(&header, COLUMN, vec![RangeQuery::new(lo, hi).unwrap()]) {
             Ok(answer) => {
@@ -151,7 +132,7 @@ fn run_level(multiple: u64) -> LevelReport {
         if i % UPDATE_EVERY == UPDATE_EVERY - 1 {
             // The writer's own bucket paces these well under its burst.
             writer
-                .update_with(&writer_header, COLUMN, vec![(rng.next() % N as u64, 1)])
+                .update_with(&writer_header, COLUMN, vec![(rng.next_u64() % N as u64, 1)])
                 .unwrap();
         }
     }
@@ -258,9 +239,5 @@ fn main() {
             ),
         ),
     ]);
-    let out_dir = std::env::var("BENCH_OUT_DIR").unwrap_or_else(|_| "results".to_string());
-    std::fs::create_dir_all(&out_dir).unwrap();
-    let path = std::path::Path::new(&out_dir).join("BENCH_overload.json");
-    std::fs::write(&path, report.to_string_pretty()).unwrap();
-    println!("wrote {}", path.display());
+    write_report("BENCH_overload.json", &report);
 }

@@ -21,7 +21,8 @@ use std::sync::Arc;
 use std::time::Instant;
 
 use synoptic::catalog::wal::{ColumnWal, FsyncCadence, WalConfig};
-use synoptic::catalog::{Catalog, ColumnEntry, DurableCatalog, FsStorage, PersistentSynopsis};
+use synoptic::catalog::{Catalog, DurableCatalog, FsStorage};
+use synoptic::eval::bench::{tempdir, write_report};
 use synoptic::eval::json::JsonValue;
 use synoptic::repl::{MemTransport, Shipper};
 use synoptic::stream::{FollowConfig, Follower, SharedStorage};
@@ -33,30 +34,14 @@ const SEGMENT_BYTES: usize = 4096; // ~127 records per segment
 const ROUNDS: usize = 40;
 const BATCH: usize = 250;
 
-fn tempdir(tag: &str) -> std::path::PathBuf {
-    let dir =
-        std::env::temp_dir().join(format!("synoptic-bench-repl-{tag}-{}", std::process::id()));
-    let _ = std::fs::remove_dir_all(&dir);
-    std::fs::create_dir_all(&dir).unwrap();
-    dir
-}
-
 fn initial_values() -> Vec<i64> {
     (0..N as i64).map(|i| 100 + (i * 13) % 57).collect()
 }
 
 fn commit_initial(cat_dir: &std::path::Path) -> u64 {
-    let values = initial_values();
     let store = DurableCatalog::open(cat_dir, FsStorage::new()).unwrap();
     let mut cat = Catalog::new();
-    cat.insert(
-        COLUMN,
-        ColumnEntry {
-            n: values.len(),
-            total_rows: values.iter().sum(),
-            synopsis: PersistentSynopsis::from_frequencies(&values),
-        },
-    );
+    cat.insert_exact(COLUMN, &initial_values(), 0).unwrap();
     store.save(&cat).unwrap()
 }
 
@@ -101,7 +86,7 @@ fn updates(len: usize) -> impl Iterator<Item = (u64, i64)> {
 
 /// One converging ship of a fully built journal into a fresh follower.
 fn bench_ship_replay() -> JsonValue {
-    let root = tempdir("throughput");
+    let root = tempdir("repl-throughput");
     let generation = commit_initial(&root.join("leader-cat"));
     let wal = open_leader_wal(&root, generation);
     for (i, d) in updates(RECORDS) {
@@ -145,7 +130,7 @@ fn bench_ship_replay() -> JsonValue {
 
 /// Leader ingest racing follower replay: lag sampled after every round.
 fn bench_sustained_lag() -> JsonValue {
-    let root = tempdir("lag");
+    let root = tempdir("repl-lag");
     let generation = commit_initial(&root.join("leader-cat"));
     let wal = open_leader_wal(&root, generation);
     let mut follower = open_follower(&root);
@@ -208,9 +193,5 @@ fn main() {
         ("ship_replay", bench_ship_replay()),
         ("sustained_ingest", bench_sustained_lag()),
     ]);
-    let out_dir = std::env::var("BENCH_OUT_DIR").unwrap_or_else(|_| "results".to_string());
-    std::fs::create_dir_all(&out_dir).unwrap();
-    let path = std::path::Path::new(&out_dir).join("BENCH_replication.json");
-    std::fs::write(&path, report.to_string_pretty()).unwrap();
-    println!("wrote {}", path.display());
+    write_report("BENCH_replication.json", &report);
 }

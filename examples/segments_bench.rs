@@ -24,6 +24,7 @@
 
 use std::time::Instant;
 
+use synoptic::eval::bench::write_report;
 use synoptic::eval::json::JsonValue;
 use synoptic::hist::HistogramMethod;
 use synoptic::stream::{MaintainedPool, RebuildConfig, RebuildPolicy};
@@ -104,9 +105,5 @@ fn main() {
         ("trials", JsonValue::Int(TRIALS as i128)),
         ("configs", JsonValue::Arr(rows)),
     ]);
-    let out_dir = std::env::var("BENCH_OUT_DIR").unwrap_or_else(|_| "results".to_string());
-    std::fs::create_dir_all(&out_dir).unwrap();
-    let path = std::path::Path::new(&out_dir).join("BENCH_segments.json");
-    std::fs::write(&path, report.to_string_pretty()).unwrap();
-    println!("wrote {}", path.display());
+    write_report("BENCH_segments.json", &report);
 }

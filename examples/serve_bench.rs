@@ -20,6 +20,7 @@ use std::net::TcpListener;
 use std::time::Instant;
 
 use synoptic::core::RangeQuery;
+use synoptic::eval::bench::{percentile, write_report, Rng};
 use synoptic::eval::json::JsonValue;
 use synoptic::hist::HistogramMethod;
 use synoptic::serve::{Client, ServeConfig, Server};
@@ -36,26 +37,6 @@ const REBUILD_EVERY: u64 = 8192;
 
 fn initial_values() -> Vec<i64> {
     (0..N as i64).map(|i| 100 + (i * 13) % 57).collect()
-}
-
-/// Deterministic xorshift stream for update positions and query bounds.
-struct Rng(u64);
-
-impl Rng {
-    fn next(&mut self) -> u64 {
-        self.0 ^= self.0 << 13;
-        self.0 ^= self.0 >> 7;
-        self.0 ^= self.0 << 17;
-        self.0
-    }
-}
-
-fn percentile(sorted_us: &[f64], p: f64) -> f64 {
-    if sorted_us.is_empty() {
-        return 0.0;
-    }
-    let rank = ((p / 100.0) * sorted_us.len() as f64).ceil() as usize;
-    sorted_us[rank.clamp(1, sorted_us.len()) - 1]
 }
 
 fn main() {
@@ -89,8 +70,8 @@ fn main() {
     let mut rng = Rng(0x5E4E);
     let hot: Vec<RangeQuery> = (0..HOT_RANGES)
         .map(|_| {
-            let lo = (rng.next() % (N as u64 / 2)) as usize;
-            let hi = lo + (rng.next() % (N as u64 / 2)) as usize;
+            let lo = (rng.next_u64() % (N as u64 / 2)) as usize;
+            let hi = lo + (rng.next_u64() % (N as u64 / 2)) as usize;
             RangeQuery::new(lo, hi.min(N - 1)).unwrap()
         })
         .collect();
@@ -101,7 +82,7 @@ fn main() {
     let start = Instant::now();
     for _ in 0..ROUNDS {
         let deltas: Vec<(u64, i64)> = (0..UPDATE_BATCH)
-            .map(|_| (rng.next() % N as u64, (rng.next() % 17) as i64 - 8))
+            .map(|_| (rng.next_u64() % N as u64, (rng.next_u64() % 17) as i64 - 8))
             .collect();
         let t = Instant::now();
         let (applied, _) = client.update(COLUMN, deltas).unwrap();
@@ -111,10 +92,10 @@ fn main() {
         let ranges: Vec<RangeQuery> = (0..QUERY_BATCH)
             .map(|k| {
                 if k % 2 == 0 {
-                    hot[(rng.next() % HOT_RANGES as u64) as usize]
+                    hot[(rng.next_u64() % HOT_RANGES as u64) as usize]
                 } else {
-                    let lo = (rng.next() % N as u64) as usize;
-                    let hi = lo + (rng.next() % 64) as usize;
+                    let lo = (rng.next_u64() % N as u64) as usize;
+                    let hi = lo + (rng.next_u64() % 64) as usize;
                     RangeQuery::new(lo, hi.min(N - 1)).unwrap()
                 }
             })
@@ -194,9 +175,5 @@ fn main() {
             JsonValue::Int(stats.cache_invalidations as i128),
         ),
     ]);
-    let out_dir = std::env::var("BENCH_OUT_DIR").unwrap_or_else(|_| "results".to_string());
-    std::fs::create_dir_all(&out_dir).unwrap();
-    let path = std::path::Path::new(&out_dir).join("BENCH_serve.json");
-    std::fs::write(&path, report.to_string_pretty()).unwrap();
-    println!("wrote {}", path.display());
+    write_report("BENCH_serve.json", &report);
 }
