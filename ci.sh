@@ -102,6 +102,12 @@ echo "==> perfbench smoke: every BENCHMARK.json workload runs, passes its output
 # benchmark before the benchmark itself runs.
 ${CAP} python3 perfbench/smoke_test.py
 
+echo "==> anytime ladder suite: run_ladder under cancellation and the oracle's Overflow step-down, eval build_tracked (capped at ${TEST_CAP}s)"
+# Every build that may degrade runs through one rung loop; these name the
+# layer a ladder regression lands in before the full run repeats them.
+${CAP} cargo test -q -p synoptic-hist --test cancellation_sweep --test oracle_envelope --offline
+${CAP} cargo test -q -p synoptic-eval --lib --offline
+
 echo "==> full workspace tests (offline, capped at ${TEST_CAP}s)"
 ${CAP} cargo test -q --workspace --offline
 

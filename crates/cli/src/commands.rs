@@ -1,11 +1,10 @@
 //! The CLI subcommands.
 
-use std::time::{Duration, Instant};
+use std::time::Duration;
 
 use synoptic_catalog::{Catalog, ColumnEntry, DurableCatalog, FsStorage, PersistentSynopsis};
 use synoptic_core::{
-    Budget, BuildAttempt, BuildOutcome, CancelToken, PrefixSums, RangeEstimator, RangeQuery,
-    RoundingMode, SynopticError,
+    Budget, CancelToken, PrefixSums, RangeEstimator, RangeQuery, RoundingMode, SynopticError,
 };
 use synoptic_data::zipf::{paper_dataset, ZipfConfig};
 use synoptic_eval::methods::{exact_sse, MethodSpec};
@@ -13,7 +12,7 @@ use synoptic_hist::opta::{build_opt_a_with_budget, OptAConfig};
 use synoptic_hist::reopt::reoptimize_with_budget;
 use synoptic_hist::sap0::build_sap0_with_budget;
 use synoptic_hist::sap1::build_sap1_with_budget;
-use synoptic_hist::{AnytimeParams, HistogramMethod};
+use synoptic_hist::{run_ladder, AnytimeParams, HistogramMethod};
 use synoptic_wavelet::{coeffs_for_budget, RangeOptimalWavelet};
 
 use crate::io::{parse_range, read_column, write_column, Flags};
@@ -23,7 +22,7 @@ use crate::io::{parse_range, read_column, write_column, Flags};
 // (whose §7.2 table the api crate's tests parse). `CliError::from` maps
 // every `SynopticError` through `synoptic_api::exit_code`; the constants
 // imported here are the ones the command layer assigns directly.
-pub use synoptic_api::{EXIT_CORRUPT, EXIT_DEADLINE, EXIT_FAILURE, EXIT_USAGE};
+pub use synoptic_api::{EXIT_CORRUPT, EXIT_FAILURE, EXIT_USAGE};
 
 /// A CLI failure carrying the process exit code it maps to. The code
 /// contract is part of the CLI's public interface (see `USAGE` and
@@ -256,12 +255,14 @@ fn parse_exec(f: &Flags) -> Result<AnytimeParams, CliError> {
     })
 }
 
+/// Builds one persistable `method` under `exec`. The method names are
+/// the ones [`persistable_ladder`] admits.
 fn build_synopsis(
     method: &str,
     ps: &PrefixSums,
     budget: usize,
     exec: &Budget,
-) -> Result<PersistentSynopsis, CliError> {
+) -> synoptic_core::Result<PersistentSynopsis> {
     // Sizes come from the library's word accounting, so a budget too small
     // for one bucket (or one coefficient) is refused, never exceeded.
     let buckets = |m: HistogramMethod| m.buckets_for_budget(budget, ps.n());
@@ -303,16 +304,17 @@ fn build_synopsis(
             )?)
         }
         other => {
-            return Err(CliError::usage(format!(
-                "unknown method '{other}' (naive|opt-a|opt-a-reopt|sap0|sap1|wavelet-range)"
-            )));
+            return Err(SynopticError::InvalidParameter(format!(
+                "no persistable build for '{other}'"
+            )))
         }
     })
 }
 
 /// The CLI-side fallback ladder over *persistable* methods, mirroring the
-/// library ladder in `synoptic_hist::fallback_ladder`. The terminal `naive`
-/// rung runs without resource constraints so a synopsis always lands.
+/// library ladder in `synoptic_hist::fallback_ladder`; `None` for a method
+/// the CLI cannot persist. The terminal `naive` rung runs without resource
+/// constraints so a synopsis always lands.
 fn persistable_ladder(method: &str) -> Option<Vec<(&'static str, bool)>> {
     Some(match method {
         "naive" => vec![("naive", false)],
@@ -323,65 +325,6 @@ fn persistable_ladder(method: &str) -> Option<Vec<(&'static str, bool)>> {
         "wavelet-range" => vec![("wavelet-range", true), ("naive", false)],
         _ => return None,
     })
-}
-
-/// Builds `method` under the budget flags. Without `--anytime` any budget
-/// exhaustion aborts (distinct exit code); with it the build descends
-/// [`persistable_ladder`] and the returned [`BuildOutcome`] says what
-/// actually got committed. Cancellation always aborts.
-fn build_with_flags(
-    method: &str,
-    ps: &PrefixSums,
-    budget: usize,
-    exec: &AnytimeParams,
-    anytime: bool,
-) -> Result<(PersistentSynopsis, BuildOutcome), CliError> {
-    let started = Instant::now();
-    if !anytime {
-        let b = exec.budget_for_attempt(true);
-        let syn = build_synopsis(method, ps, budget, &b)?;
-        let outcome =
-            BuildOutcome::direct(method, started.elapsed().as_millis() as u64, b.cells_used());
-        return Ok((syn, outcome));
-    }
-    let Some(ladder) = persistable_ladder(method) else {
-        // Surface the canonical unknown-method usage error.
-        return Err(build_synopsis(method, ps, budget, &Budget::unlimited())
-            .map(|_| ())
-            .expect_err("unknown method must error"));
-    };
-    let mut attempts = Vec::new();
-    let mut total_cells = 0u64;
-    let last = ladder.len() - 1;
-    for (tier, &(rung, enforce)) in ladder.iter().enumerate() {
-        let b = exec.budget_for_attempt(enforce);
-        let attempt_started = Instant::now();
-        match build_synopsis(rung, ps, budget, &b) {
-            Ok(syn) => {
-                total_cells += b.cells_used();
-                let outcome = BuildOutcome {
-                    requested: method.to_string(),
-                    used: rung.to_string(),
-                    tier,
-                    attempts,
-                    elapsed_ms: started.elapsed().as_millis() as u64,
-                    cells: total_cells,
-                };
-                return Ok((syn, outcome));
-            }
-            Err(e) if e.code == EXIT_DEADLINE && tier < last => {
-                total_cells += b.cells_used();
-                attempts.push(BuildAttempt {
-                    method: rung.to_string(),
-                    error: e.msg,
-                    elapsed_ms: attempt_started.elapsed().as_millis() as u64,
-                    cells: b.cells_used(),
-                });
-            }
-            Err(e) => return Err(e),
-        }
-    }
-    unreachable!("the terminal ladder rung cannot fail on resources")
 }
 
 /// `build`: construct a synopsis and commit it to the store as a new
@@ -396,9 +339,30 @@ pub fn build(args: &[String]) -> Result<(), CliError> {
     let exec = parse_exec(&f)?;
     let anytime = f.switch("anytime");
 
+    let Some(ladder) = persistable_ladder(method) else {
+        return Err(CliError::usage(format!(
+            "unknown method '{method}' (naive|opt-a|opt-a-reopt|sap0|sap1|wavelet-range)"
+        )));
+    };
+
     let values = read_column(input)?;
     let ps = PrefixSums::from_values(&values);
-    let (synopsis, outcome) = build_with_flags(method, &ps, budget, &exec, anytime)?;
+    let total_rows = i64::try_from(ps.total()).map_err(|_| SynopticError::Overflow)?;
+    // Without --anytime the requested method is the only rung, so any
+    // exhausted limit aborts (distinct exit code); with it the build
+    // descends the persistable ladder and the outcome says what landed.
+    let rungs = if anytime {
+        ladder
+    } else {
+        vec![(method, true)]
+    };
+    let (synopsis, outcome) = run_ladder(
+        method,
+        &rungs,
+        &exec,
+        |rung| rung.to_string(),
+        |rung, b| build_synopsis(rung, &ps, budget, b),
+    )?;
     if outcome.is_degraded() {
         eprintln!("warning: degraded build for column '{column}' ({outcome})");
     }
@@ -416,7 +380,7 @@ pub fn build(args: &[String]) -> Result<(), CliError> {
         column,
         ColumnEntry {
             n: values.len(),
-            total_rows: ps.total() as i64,
+            total_rows,
             synopsis,
         },
     );
@@ -491,14 +455,7 @@ pub fn serve(args: &[String]) -> Result<(), CliError> {
     }
 
     let policy = rebuild_policy(&f, 64)?;
-    let exec = parse_exec(&f)?;
-    let mut rebuild = RebuildConfig::new(policy);
-    if let Some(d) = exec.deadline {
-        rebuild = rebuild.with_deadline(d);
-    }
-    if let Some(c) = exec.max_cells {
-        rebuild = rebuild.with_max_cells(c);
-    }
+    let rebuild = RebuildConfig::new(policy).with_exec(parse_exec(&f)?);
 
     // Serving-tier bounds, each validated before the listener binds.
     let defaults = ServeConfig::default();
@@ -733,18 +690,8 @@ pub fn maintain(args: &[String]) -> Result<(), CliError> {
     let workers: usize = f.parsed_or("workers", 2).usage()?;
     let policy = rebuild_policy(&f, (updates / 8).max(1))?;
     let seed: u64 = f.parsed_or("seed", 2001).usage()?;
-    let exec = parse_exec(&f)?;
 
-    let mut config = RebuildConfig::new(policy);
-    if let Some(d) = exec.deadline {
-        config = config.with_deadline(d);
-    }
-    if let Some(c) = exec.max_cells {
-        config = config.with_max_cells(c);
-    }
-    if let Some(t) = &exec.cancel {
-        config = config.with_cancel_token(t.clone());
-    }
+    let mut config = RebuildConfig::new(policy).with_exec(parse_exec(&f)?);
     if f.switch("upgrade-in-background") {
         let factor: u32 = f.parsed_or("upgrade-factor", 4).usage()?;
         config = config.with_background_upgrade(factor);

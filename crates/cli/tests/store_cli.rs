@@ -291,6 +291,42 @@ fn maintain_refuses_a_column_total_past_i64() {
     let _ = std::fs::remove_dir_all(&wal);
 }
 
+/// `build` over a column whose total leaves `i64` refuses with the generic
+/// failure code and an overflow message before it commits anything.
+#[test]
+fn build_refuses_a_column_total_past_i64() {
+    let col = tmp("synoptic_build_overflow_col.txt");
+    let store = tmp("synoptic_build_overflow_store");
+    let _ = std::fs::remove_dir_all(&store);
+    std::fs::write(&col, "9223372036854775807\n1\n").unwrap();
+    let out = run(&[
+        "build",
+        "--input",
+        col.to_str().unwrap(),
+        "--method",
+        "naive",
+        "--budget",
+        "8",
+        "--catalog",
+        store.to_str().unwrap(),
+        "--column",
+        "rows",
+    ]);
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert_eq!(out.status.code(), Some(1), "stderr: {stderr}");
+    assert!(stderr.contains("overflow"), "{stderr}");
+    assert_ne!(
+        run(&["report", "--catalog", store.to_str().unwrap()])
+            .status
+            .code(),
+        Some(0),
+        "no generation may be committed"
+    );
+
+    let _ = std::fs::remove_file(&col);
+    let _ = std::fs::remove_dir_all(&store);
+}
+
 /// The documented exit-code contract (see `synoptic help`):
 /// 0 success, 1 failure, 2 usage, 4 corrupt synopsis/store,
 /// 5 deadline/cell budget exceeded, 6 cancelled, 7 unrecoverable journal
@@ -445,6 +481,41 @@ fn exit_code_contract() {
         "--range",
         "0..31",
     ]);
+
+    // 0 + provenance: a later rung that does not fit the storage budget
+    // steps down like an exhausted deadline does. OPT-A fits 2 words (one
+    // bucket), the deadline kills it, SAP0 needs 3 words, and NAIVE lands.
+    // A separate store keeps the generation the corruption check flips.
+    let fit_store = tmp("synoptic_exit_fit_store");
+    let _ = std::fs::remove_dir_all(&fit_store);
+    let out = ok(&[
+        "build",
+        "--input",
+        col_s,
+        "--method",
+        "opt-a",
+        "--budget",
+        "2",
+        "--catalog",
+        fit_store.to_str().unwrap(),
+        "--column",
+        "price",
+        "--deadline-ms",
+        "0",
+        "--anytime",
+    ]);
+    let stdout = String::from_utf8_lossy(&out.stdout).to_string();
+    assert!(stdout.contains("provenance: degraded:naive"), "{stdout}");
+    let _ = std::fs::remove_dir_all(&fit_store);
+
+    // 1: `maintain` applies the same rule — a budget below the requested
+    // method's smallest synopsis is refused, not served by a cheaper rung.
+    let out = run(&[
+        "maintain", "--input", col_s, "--method", "sap1", "--budget", "4",
+    ]);
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert_eq!(out.status.code(), Some(1), "{stderr}");
+    assert!(stderr.contains("budget"), "{stderr}");
 
     // 4: corruption has its own code — fsck on a damaged store.
     let victim = store.join("price-1.syn");

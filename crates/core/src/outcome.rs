@@ -11,16 +11,14 @@
 
 use std::fmt;
 
-use crate::error::SynopticError;
-
 /// One abandoned rung of the fallback ladder: which method was attempted
-/// and the budget error that stopped it.
+/// and the error that stopped it.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct BuildAttempt {
     /// Method name of the abandoned attempt (e.g. `"OPT-A"`).
     pub method: String,
-    /// The budget error that aborted it, rendered as text (stable across
-    /// `Display` of [`SynopticError`]).
+    /// The error that aborted it, rendered as text (stable across
+    /// `Display` of [`crate::SynopticError`]).
     pub error: String,
     /// Wall-clock milliseconds spent in this attempt.
     pub elapsed_ms: u64,
@@ -66,20 +64,6 @@ impl BuildOutcome {
     /// `true` unless the requested method itself completed.
     pub fn is_degraded(&self) -> bool {
         self.tier != 0
-    }
-
-    /// Classifies a budget error: `true` for errors that should trigger a
-    /// descent down the ladder (deadline, cell cap), `false` for explicit
-    /// cancellation (user intent: abort, don't substitute) and for
-    /// genuine build failures (invalid input does not get better on a
-    /// weaker rung of the *same* input… except when it does — see
-    /// [`SynopticError::BudgetTooSmall`], which a coarser method can
-    /// sometimes satisfy; callers decide that case explicitly).
-    pub fn error_triggers_fallback(err: &SynopticError) -> bool {
-        matches!(
-            err,
-            SynopticError::DeadlineExceeded { .. } | SynopticError::CellBudgetExceeded { .. }
-        )
     }
 }
 
@@ -147,21 +131,5 @@ mod tests {
         assert!(s.contains("degraded:SAP0"), "{s}");
         assert!(s.contains("requested OPT-A"), "{s}");
         assert!(s.contains("2 tiers"), "{s}");
-    }
-
-    #[test]
-    fn fallback_trigger_classification() {
-        assert!(BuildOutcome::error_triggers_fallback(
-            &SynopticError::DeadlineExceeded { elapsed_ms: 1 }
-        ));
-        assert!(BuildOutcome::error_triggers_fallback(
-            &SynopticError::CellBudgetExceeded { used: 2, limit: 1 }
-        ));
-        assert!(!BuildOutcome::error_triggers_fallback(
-            &SynopticError::Cancelled
-        ));
-        assert!(!BuildOutcome::error_triggers_fallback(
-            &SynopticError::EmptyInput
-        ));
     }
 }

@@ -1,9 +1,9 @@
 //! Uniform access to every synopsis family at a given storage budget.
 
-use std::time::Instant;
-
-use synoptic_core::{Budget, BuildAttempt, BuildOutcome, PrefixSums, RangeEstimator, Result};
-use synoptic_hist::builder::{build_anytime, build_with_budget, AnytimeParams, HistogramMethod};
+use synoptic_core::{Budget, BuildOutcome, PrefixSums, RangeEstimator, Result};
+use synoptic_hist::builder::{
+    build_with_budget, fallback_ladder, run_ladder, AnytimeParams, HistogramMethod,
+};
 use synoptic_wavelet::{
     coeffs_for_budget, PointWaveletSynopsis, PrefixWaveletSynopsis, RangeOptimalWavelet,
 };
@@ -183,17 +183,16 @@ impl MethodSpec {
 
     /// Like [`MethodSpec::build_at_budget`] but under execution control,
     /// returning the estimator together with its [`BuildOutcome`]
-    /// provenance. Histogram methods descend the anytime ladder
-    /// (`synoptic_hist::build_anytime`). A wavelet method that exhausts
-    /// its budget first retries the *same* family at half the coefficient
-    /// count under a fresh budget — truncating to the top `B/2`
-    /// coefficients is the wavelet-native degradation, typically far
-    /// cheaper than the full-B selection — and only if that rung also
-    /// exhausts its budget does the build fall into the histogram ladder
-    /// at the equi-depth tier. Every abandoned rung is recorded in
-    /// [`BuildOutcome::attempts`] (the truncation rung as `"NAME(B/2)"`).
-    /// Unconstrained `params` reproduce [`MethodSpec::build_at_budget`]
-    /// bit-for-bit.
+    /// provenance. Everything runs through one [`run_ladder`], so the
+    /// step-down rule is the runner's. A histogram method descends its
+    /// [`fallback_ladder`]. A wavelet method's ladder first retries the
+    /// *same* family at half the coefficient count — truncating to the top
+    /// `B/2` coefficients is the wavelet-native degradation, typically far
+    /// cheaper than the full-B selection — and then falls into the
+    /// histogram ladder at the equi-depth tier. Every abandoned rung is
+    /// recorded in [`BuildOutcome::attempts`] (the truncation rung as
+    /// `"NAME(B/2)"`). Unconstrained `params` reproduce
+    /// [`MethodSpec::build_at_budget`] bit-for-bit.
     pub fn build_tracked(
         &self,
         values: &[i64],
@@ -201,79 +200,49 @@ impl MethodSpec {
         budget_words: usize,
         params: &AnytimeParams,
     ) -> Result<(Box<dyn RangeEstimator>, BuildOutcome)> {
-        if let Some(hm) = self.histogram_method() {
-            let r = build_anytime(hm, values, ps, budget_words, params)?;
-            return Ok((r.estimator, r.outcome));
-        }
-        // Wavelet tier: one constrained attempt of the method itself.
-        let b = coeffs_for_budget(budget_words)?;
-        let budget = params.budget_for_attempt(true);
-        let started = Instant::now();
-        let attempt = self.build_wavelet_with_budget(values, ps, b, &budget);
-        let elapsed_ms = started.elapsed().as_millis() as u64;
-        let first_failed = match attempt {
-            Ok(est) => {
-                return Ok((
-                    est,
-                    BuildOutcome::direct(self.name(), elapsed_ms, budget.cells_used()),
-                ))
-            }
-            Err(e) if BuildOutcome::error_triggers_fallback(&e) => BuildAttempt {
-                method: self.name().to_string(),
-                error: e.to_string(),
-                elapsed_ms,
-                cells: budget.cells_used(),
-            },
-            Err(e) => return Err(e),
+        let histogram_rungs = |hm| {
+            fallback_ladder(hm)
+                .into_iter()
+                .map(|(m, e)| (Rung::Histogram(m), e))
         };
-        let mut attempts = vec![first_failed];
-        // Wavelet-native fallback rung: same family, top B/2 coefficients,
-        // fresh budget (the first attempt's cell spend is not charged
-        // against the retry; an absolute deadline still applies as-is).
-        if b / 2 >= 1 {
-            let rung_name = format!("{}(B/2)", self.name());
-            let retry_budget = params.budget_for_attempt(true);
-            let retry_started = Instant::now();
-            let retry = self.build_wavelet_with_budget(values, ps, b / 2, &retry_budget);
-            let retry_ms = retry_started.elapsed().as_millis() as u64;
-            match retry {
-                Ok(est) => {
-                    let total: u64 = attempts.iter().map(|a| a.elapsed_ms).sum();
-                    let cells: u64 = attempts.iter().map(|a| a.cells).sum();
-                    return Ok((
-                        est,
-                        BuildOutcome {
-                            requested: self.name().to_string(),
-                            used: rung_name,
-                            tier: 1,
-                            attempts,
-                            elapsed_ms: total + retry_ms,
-                            cells: cells + retry_budget.cells_used(),
-                        },
-                    ));
-                }
-                Err(e) if BuildOutcome::error_triggers_fallback(&e) => {
-                    attempts.push(BuildAttempt {
-                        method: rung_name,
-                        error: e.to_string(),
-                        elapsed_ms: retry_ms,
-                        cells: retry_budget.cells_used(),
-                    });
-                }
-                Err(e) => return Err(e),
+        let ladder: Vec<(Rung, bool)> = match self.histogram_method() {
+            Some(hm) => histogram_rungs(hm).collect(),
+            None => {
+                let b = coeffs_for_budget(budget_words)?;
+                let truncated = (b / 2 >= 1).then_some((Rung::Truncated(b / 2), true));
+                std::iter::once((Rung::Wavelet(b), true))
+                    .chain(truncated)
+                    .chain(histogram_rungs(HistogramMethod::EquiDepth))
+                    .collect()
             }
-        }
-        let r = build_anytime(HistogramMethod::EquiDepth, values, ps, budget_words, params)?;
-        let mut outcome = r.outcome;
-        outcome.requested = self.name().to_string();
-        outcome.tier += attempts.len();
-        outcome.elapsed_ms += attempts.iter().map(|a| a.elapsed_ms).sum::<u64>();
-        outcome.cells += attempts.iter().map(|a| a.cells).sum::<u64>();
-        for (i, failed) in attempts.into_iter().enumerate() {
-            outcome.attempts.insert(i, failed);
-        }
-        Ok((r.estimator, outcome))
+        };
+        run_ladder(
+            self.name(),
+            &ladder,
+            params,
+            |rung| match rung {
+                Rung::Wavelet(_) => self.name().to_string(),
+                Rung::Truncated(_) => format!("{}(B/2)", self.name()),
+                Rung::Histogram(m) => m.name().to_string(),
+            },
+            |rung, budget| match *rung {
+                Rung::Wavelet(c) | Rung::Truncated(c) => {
+                    self.build_wavelet_with_budget(values, ps, c, budget)
+                }
+                Rung::Histogram(m) => build_with_budget(m, values, ps, budget_words, budget),
+            },
+        )
     }
+}
+
+/// One rung of [`MethodSpec::build_tracked`]'s ladder.
+enum Rung {
+    /// The requested wavelet family at its full coefficient count.
+    Wavelet(usize),
+    /// The same family truncated to half the coefficients.
+    Truncated(usize),
+    /// A histogram method at the full word budget.
+    Histogram(HistogramMethod),
 }
 
 /// Exact all-ranges SSE of an estimator (brute force through the public

@@ -5,6 +5,13 @@
 //! numbers of values per bucket (paper §4, Figure 1's x-axis). This module
 //! maps `(method, budget)` to a concrete construction with
 //! `B = ⌊budget / words_per_bucket⌋` buckets.
+//!
+//! It also owns the one anytime rung loop, [`run_ladder`]: every build
+//! that may degrade — [`build_anytime`]'s histogram ladder, the pool's
+//! rebuilds and upgrades, the evaluation harness's wavelet ladder and the
+//! CLI's persistable ladder — runs its rungs through it under one
+//! [`AnytimeParams`], and so under one rule for which errors step down a
+//! rung.
 
 use std::time::{Duration, Instant};
 
@@ -187,9 +194,11 @@ pub fn build_with_budget(
     })
 }
 
-/// Execution-control parameters for an anytime build: constraints applied
-/// *per ladder rung* (each attempt gets a fresh allowance), plus a shared
-/// cancellation token that aborts the whole ladder.
+/// The limits on one build attempt: constraints applied *per ladder rung*
+/// (each attempt gets a fresh allowance), plus a shared cancellation token
+/// that aborts the whole ladder. This is the one place those limits live —
+/// the pool's `RebuildConfig` holds one, and the CLI parses its flags into
+/// one — and [`run_ladder`] turns it into each rung's [`Budget`].
 #[derive(Debug, Clone, Default)]
 pub struct AnytimeParams {
     /// Wall-clock allowance per attempt. `None` = no deadline.
@@ -228,6 +237,19 @@ impl AnytimeParams {
     pub fn with_cancel_token(mut self, token: CancelToken) -> Self {
         self.cancel = Some(token);
         self
+    }
+
+    /// The same constraints with the deadline and the cell cap multiplied
+    /// by `factor` — a background upgrade's larger allowance. A product
+    /// past the range saturates, and a deadline too far out to represent
+    /// is no deadline at all.
+    #[must_use]
+    pub fn scaled(&self, factor: u32) -> Self {
+        Self {
+            deadline: self.deadline.map(|d| d.saturating_mul(factor)),
+            max_cells: self.max_cells.map(|c| c.saturating_mul(u64::from(factor))),
+            cancel: self.cancel.clone(),
+        }
     }
 
     /// Whether any constraint is configured.
@@ -309,24 +331,87 @@ pub fn fallback_ladder(method: HistogramMethod) -> Vec<(HistogramMethod, bool)> 
     ladder
 }
 
-/// Builds `method` under the paper's anytime quality ladder
-/// (OPT-A → OPT-A-ROUNDED → SAP0/A0 → greedy → naive).
+/// Runs a quality ladder: each rung in order, each under a fresh
+/// [`AnytimeParams::budget_for_attempt`] with the rung's `enforce` flag,
+/// until one builds. This is the one rung loop every build that may
+/// degrade goes through — [`build_anytime`], the pool's rebuilds and
+/// upgrades, the evaluation harness and the CLI — so the rule for
+/// stepping down is stated once, here:
 ///
-/// Semantics:
-/// * **Unconstrained** ([`AnytimeParams::unconstrained`]): bit-identical to
-///   [`build_with_budget`] with [`Budget::unlimited`] — same code path,
-///   never degrades, `tier = 0`.
-/// * **Deadline / cell cap exhausted** on a rung: the attempt is recorded
-///   in the returned [`BuildOutcome`] and the next (cheaper) rung runs with
-///   a fresh allowance. The terminal greedy/naive rungs run without
-///   resource constraints, so the ladder always returns *some* synopsis.
-/// * **Cancellation**: propagates immediately as
-///   [`SynopticError::Cancelled`] — explicit user intent is never papered
-///   over with a weaker synopsis.
-/// * Non-budget build errors on a rung (e.g. a storage budget too small
-///   for that representation's words-per-bucket) also descend the ladder,
-///   because a cheaper representation may fit; if even the naive rung
-///   fails, its error propagates.
+/// * [`SynopticError::Cancelled`] always propagates: explicit user intent
+///   is never papered over with a weaker synopsis.
+/// * The last rung's error propagates.
+/// * [`SynopticError::BudgetTooSmall`] on rung 0 propagates: a storage
+///   budget that cannot hold the requested method is a usage error, not a
+///   reason to serve another method.
+/// * Every other error is recorded as a [`BuildAttempt`] and the next
+///   rung runs — a deadline or cell cap, a later rung that does not fit
+///   the storage budget, an `Overflow` from the certified oracle.
+///
+/// The returned [`BuildOutcome`] names `requested` and the rung that
+/// built (through `rung_name`), lists the abandoned rungs in order, sums
+/// the cells every rung charged, and measures `elapsed_ms` from the start
+/// of the ladder. A one-rung ladder is a direct build: its error always
+/// propagates and its outcome equals [`BuildOutcome::direct`].
+pub fn run_ladder<R, T>(
+    requested: &str,
+    ladder: &[(R, bool)],
+    params: &AnytimeParams,
+    rung_name: impl Fn(&R) -> String,
+    mut build: impl FnMut(&R, &Budget) -> Result<T>,
+) -> Result<(T, BuildOutcome)> {
+    let started = Instant::now();
+    let mut attempts: Vec<BuildAttempt> = Vec::new();
+    let mut total_cells: u64 = 0;
+    for (tier, (rung, enforce)) in ladder.iter().enumerate() {
+        let budget = params.budget_for_attempt(*enforce);
+        let attempt_started = Instant::now();
+        let built = build(rung, &budget);
+        total_cells = total_cells.saturating_add(budget.cells_used());
+        let err = match built {
+            Ok(value) => {
+                let outcome = BuildOutcome {
+                    requested: requested.to_string(),
+                    used: rung_name(rung),
+                    tier,
+                    attempts,
+                    elapsed_ms: started.elapsed().as_millis() as u64,
+                    cells: total_cells,
+                };
+                return Ok((value, outcome));
+            }
+            Err(err) => err,
+        };
+        let propagates = tier + 1 == ladder.len()
+            || matches!(err, SynopticError::Cancelled)
+            || (tier == 0 && matches!(err, SynopticError::BudgetTooSmall { .. }));
+        if propagates {
+            return Err(err);
+        }
+        attempts.push(BuildAttempt {
+            method: rung_name(rung),
+            error: err.to_string(),
+            elapsed_ms: attempt_started.elapsed().as_millis() as u64,
+            cells: budget.cells_used(),
+        });
+    }
+    Err(SynopticError::InvalidParameter(
+        "a quality ladder needs at least one rung".to_string(),
+    ))
+}
+
+/// Builds `method` under the paper's anytime quality ladder
+/// (OPT-A → OPT-A-ROUNDED → SAP0/A0 → greedy → naive): [`run_ladder`]
+/// over [`fallback_ladder`], so the step-down rule is [`run_ladder`]'s.
+///
+/// Unconstrained ([`AnytimeParams::unconstrained`]) it is bit-identical
+/// to [`build_with_budget`] with [`Budget::unlimited`] — same code path,
+/// `tier = 0` — for every input the requested method builds. A deadline
+/// or cell cap exhausted on a rung records the attempt and runs the next,
+/// cheaper rung with a fresh allowance; the terminal greedy/naive rungs
+/// run without resource constraints, so only cancellation, a budget too
+/// small for the requested method, or an input even NAIVE refuses fails
+/// the ladder.
 pub fn build_anytime(
     method: HistogramMethod,
     values: &[i64],
@@ -334,41 +419,14 @@ pub fn build_anytime(
     budget_words: usize,
     params: &AnytimeParams,
 ) -> Result<AnytimeResult> {
-    let started = Instant::now();
-    let mut attempts: Vec<BuildAttempt> = Vec::new();
-    let mut total_cells: u64 = 0;
-    let ladder = fallback_ladder(method);
-    let last = ladder.len() - 1;
-    for (tier, &(rung, enforce)) in ladder.iter().enumerate() {
-        let budget = params.budget_for_attempt(enforce);
-        let attempt_started = Instant::now();
-        match build_with_budget(rung, values, ps, budget_words, &budget) {
-            Ok(estimator) => {
-                total_cells = total_cells.saturating_add(budget.cells_used());
-                let outcome = BuildOutcome {
-                    requested: method.name().to_string(),
-                    used: rung.name().to_string(),
-                    tier,
-                    attempts,
-                    elapsed_ms: started.elapsed().as_millis() as u64,
-                    cells: total_cells,
-                };
-                return Ok(AnytimeResult { estimator, outcome });
-            }
-            Err(SynopticError::Cancelled) => return Err(SynopticError::Cancelled),
-            Err(err) if tier < last => {
-                total_cells = total_cells.saturating_add(budget.cells_used());
-                attempts.push(BuildAttempt {
-                    method: rung.name().to_string(),
-                    error: err.to_string(),
-                    elapsed_ms: attempt_started.elapsed().as_millis() as u64,
-                    cells: budget.cells_used(),
-                });
-            }
-            Err(err) => return Err(err),
-        }
-    }
-    unreachable!("ladder always has at least one rung")
+    let (estimator, outcome) = run_ladder(
+        method.name(),
+        &fallback_ladder(method),
+        params,
+        |m| m.name().to_string(),
+        |&m, budget| build_with_budget(m, values, ps, budget_words, budget),
+    )?;
+    Ok(AnytimeResult { estimator, outcome })
 }
 
 #[cfg(test)]
@@ -616,6 +674,174 @@ mod tests {
             assert_eq!(last.name(), "NAIVE", "{}", m.name());
             assert!(!enforce);
         }
+    }
+
+    /// Runs a scripted ladder of `script.len()` rungs named `r0`, `r1`, …:
+    /// rung `i` charges `10·(i+1)` cells, then fails with `script[i]` or,
+    /// when that is `None`, builds `i`. Returns the result and the rungs
+    /// that ran.
+    fn scripted(
+        script: &[Option<SynopticError>],
+        params: &AnytimeParams,
+    ) -> (Result<(usize, BuildOutcome)>, Vec<usize>) {
+        let ladder: Vec<(usize, bool)> = (0..script.len()).map(|i| (i, true)).collect();
+        let mut ran = Vec::new();
+        let result = run_ladder(
+            "r0",
+            &ladder,
+            params,
+            |i| format!("r{i}"),
+            |&i, budget| {
+                ran.push(i);
+                budget.charge(10 * (i as u64 + 1))?;
+                match &script[i] {
+                    Some(err) => Err(err.clone()),
+                    None => Ok(i),
+                }
+            },
+        );
+        (result, ran)
+    }
+
+    fn deadline() -> Option<SynopticError> {
+        Some(SynopticError::DeadlineExceeded { elapsed_ms: 1 })
+    }
+
+    #[test]
+    fn ladder_cancellation_propagates_at_every_rung() {
+        for k in 0..4 {
+            let mut script = vec![deadline(), deadline(), deadline(), None];
+            script[k] = Some(SynopticError::Cancelled);
+            let (result, ran) = scripted(&script, &AnytimeParams::unconstrained());
+            assert_eq!(result.err(), Some(SynopticError::Cancelled), "rung {k}");
+            assert_eq!(ran, (0..=k).collect::<Vec<_>>(), "rung {k}");
+        }
+    }
+
+    #[test]
+    fn ladder_last_rung_error_propagates() {
+        let script = [
+            deadline(),
+            Some(SynopticError::EmptyInput),
+            Some(SynopticError::Overflow),
+        ];
+        let (result, ran) = scripted(&script, &AnytimeParams::unconstrained());
+        assert_eq!(result.err(), Some(SynopticError::Overflow));
+        assert_eq!(ran, vec![0, 1, 2]);
+    }
+
+    #[test]
+    fn ladder_rung_zero_budget_too_small_propagates() {
+        let too_small = SynopticError::BudgetTooSmall {
+            words: 2,
+            minimum: 3,
+        };
+        let (result, ran) = scripted(
+            &[Some(too_small.clone()), None],
+            &AnytimeParams::unconstrained(),
+        );
+        assert_eq!(result.err(), Some(too_small));
+        assert_eq!(ran, vec![0], "no later rung may stand in for the request");
+    }
+
+    #[test]
+    fn ladder_middle_rung_errors_step_down() {
+        for err in [
+            SynopticError::BudgetTooSmall {
+                words: 2,
+                minimum: 3,
+            },
+            SynopticError::EmptyInput,
+            SynopticError::Overflow,
+            SynopticError::CellBudgetExceeded { used: 2, limit: 1 },
+        ] {
+            let script = [deadline(), Some(err.clone()), None];
+            let (result, _) = scripted(&script, &AnytimeParams::unconstrained());
+            let (built, outcome) = result.unwrap_or_else(|e| panic!("{err:?}: {e:?}"));
+            assert_eq!(built, 2, "{err:?}");
+            assert_eq!(outcome.attempts[1].error, err.to_string());
+        }
+    }
+
+    #[test]
+    fn ladder_outcome_records_tier_attempts_and_summed_cells() {
+        let script = [deadline(), Some(SynopticError::Overflow), None, None];
+        let (result, ran) = scripted(&script, &AnytimeParams::unconstrained());
+        let (built, outcome) = result.unwrap();
+        assert_eq!((built, ran), (2, vec![0, 1, 2]));
+        assert_eq!(outcome.requested, "r0");
+        assert_eq!(outcome.used, "r2");
+        assert_eq!(outcome.tier, 2);
+        let names: Vec<&str> = outcome.attempts.iter().map(|a| a.method.as_str()).collect();
+        assert_eq!(names, vec!["r0", "r1"]);
+        let cells: Vec<u64> = outcome.attempts.iter().map(|a| a.cells).collect();
+        assert_eq!(cells, vec![10, 20]);
+        assert_eq!(outcome.cells, 10 + 20 + 30);
+        assert!(outcome.elapsed_ms >= outcome.attempts.iter().map(|a| a.elapsed_ms).sum());
+    }
+
+    #[test]
+    fn ladder_gives_each_rung_a_fresh_allowance_and_lifts_it_when_not_enforced() {
+        let params = AnytimeParams::unconstrained().with_max_cells(25);
+        let mut seen = Vec::new();
+        let (_, outcome) = run_ladder(
+            "r0",
+            &[(0, true), (1, true), (2, false)],
+            &params,
+            |i| format!("r{i}"),
+            |&i, budget| {
+                seen.push(budget.is_unlimited());
+                // Rungs 0 and 2 spend 40 cells, past the cap of 25; rung 1
+                // spends 20, within a fresh allowance, then fails by itself.
+                budget.charge(20)?;
+                match i {
+                    1 => Err(SynopticError::Overflow),
+                    _ => budget.charge(20).map(|()| i),
+                }
+            },
+        )
+        .unwrap();
+        assert_eq!(seen, vec![false, false, true]);
+        assert_eq!(outcome.used, "r2", "{outcome}");
+        assert!(
+            outcome.attempts[0].error.contains("cell budget"),
+            "{outcome:?}"
+        );
+        assert_eq!(
+            outcome.attempts[1].error,
+            SynopticError::Overflow.to_string()
+        );
+        assert_eq!(outcome.cells, 40 + 20 + 40);
+    }
+
+    #[test]
+    fn a_one_rung_ladder_is_a_direct_build() {
+        let (result, _) = scripted(&[None], &AnytimeParams::unconstrained());
+        let (_, outcome) = result.unwrap();
+        assert_eq!(outcome, BuildOutcome::direct("r0", outcome.elapsed_ms, 10));
+        let (result, _) = scripted(&[deadline()], &AnytimeParams::unconstrained());
+        assert_eq!(result.err(), deadline());
+    }
+
+    #[test]
+    fn scaled_params_multiply_the_limits_with_saturation() {
+        let token = CancelToken::new();
+        let params = AnytimeParams::unconstrained()
+            .with_deadline(Duration::from_millis(3))
+            .with_max_cells(u64::MAX / 2)
+            .with_cancel_token(token.clone());
+        let scaled = params.scaled(4);
+        assert_eq!(scaled.deadline, Some(Duration::from_millis(12)));
+        assert_eq!(scaled.max_cells, Some(u64::MAX));
+        token.cancel();
+        assert!(scaled.cancel.unwrap().is_cancelled());
+        assert_eq!(
+            AnytimeParams::unconstrained()
+                .with_deadline(Duration::MAX)
+                .scaled(2)
+                .deadline,
+            Some(Duration::MAX)
+        );
     }
 
     #[test]

@@ -50,7 +50,7 @@ pub mod vopt;
 pub mod workload_opt;
 
 pub use builder::{
-    build_anytime, build_with_budget, fallback_ladder, AnytimeParams, AnytimeResult,
+    build_anytime, build_with_budget, fallback_ladder, run_ladder, AnytimeParams, AnytimeResult,
     HistogramMethod,
 };
 pub use merge::{build_sap0_partials, merge_sap0};

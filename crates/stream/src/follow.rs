@@ -66,7 +66,7 @@ use synoptic_repl::transport::{Received, Transport};
 use synoptic_repl::wire::{decode_frame, encode_frame, Frame};
 
 use crate::maintained::SharedStorage;
-use crate::recovery::{recover, RecoveryReport};
+use crate::recovery::{recover, replay, RecoveryReport};
 
 /// Tuning for a [`Follower`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -411,24 +411,13 @@ impl Follower {
         bytes: &[u8],
         decoded: &DecodedSegment,
     ) -> std::result::Result<(), String> {
-        let col = self.columns.get_mut(column).expect("caller checked");
-        let n = col.values.len();
-        let fresh: Vec<_> = decoded
-            .records
-            .iter()
-            .filter(|r| r.lsn > col.applied_lsn)
-            .collect();
-        // Validate everything before touching journal or memory: a
+        let col = self.columns.get(column).expect("caller checked");
+        // Replay onto a copy before touching journal or memory: a
         // half-applied segment would be exactly the silent divergence
         // this subsystem exists to refuse.
-        for r in &fresh {
-            if r.index >= n as u64 {
-                return Err(format!(
-                    "record LSN {} targets index {} outside 0..{n}",
-                    r.lsn, r.index
-                ));
-            }
-        }
+        let applied_lsn = col.applied_lsn;
+        let fresh = decoded.records.iter().filter(|r| r.lsn > applied_lsn);
+        let values = replay(&col.values, fresh)?;
         // Journal before state, re-stamped to the *local* committed
         // generation so promotion-time recovery anchors cleanly.
         let valid = decoded.header_len + decoded.records.len() * WAL_RECORD_LEN;
@@ -440,10 +429,7 @@ impl Follower {
             .write_atomic(&self.wal_dir.join(&file), &local)
             .map_err(|e| format!("journaling shipped segment failed: {e}"))?;
         let col = self.columns.get_mut(column).expect("caller checked");
-        for r in fresh {
-            let i = r.index as usize;
-            col.values[i] = col.values[i].wrapping_add(r.delta);
-        }
+        col.values = values;
         col.applied_lsn = decoded.last_lsn;
         col.segments_since_checkpoint += 1;
         col.serving

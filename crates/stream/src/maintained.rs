@@ -8,9 +8,9 @@
 //! module holds what it is configured with and the pieces of the loop
 //! that do not depend on threads:
 //!
-//! * [`RebuildPolicy`] / [`RebuildConfig`] — the trigger plus the
-//!   execution-control (deadline, cell cap, cancellation) and persist
-//!   retry knobs applied to every rebuild;
+//! * [`RebuildPolicy`] / [`RebuildConfig`] — the trigger, the limits on
+//!   one build attempt (one [`AnytimeParams`]: deadline, cell cap,
+//!   cancellation) and the persist retry knobs applied to every rebuild;
 //! * [`DurabilityConfig`] — opt-in write-ahead journaling of the ingest
 //!   path;
 //! * [`RebuildStats`] — the maintenance counters a column reports;
@@ -26,9 +26,11 @@
 //! column's initial build succeeds, it always has a synopsis to answer
 //! from, no matter what rebuilds do. Concretely:
 //!
-//! * Every rebuild runs under a [`Budget`] (deadline / cell cap /
-//!   cancellation from [`RebuildConfig`]). A rebuild that exhausts its
-//!   budget or is cancelled leaves the **last-good** synopsis serving.
+//! * Every rebuild runs under [`RebuildConfig::exec`] (deadline / cell
+//!   cap / cancellation): an anytime column through the one rung loop,
+//!   [`synoptic_hist::builder::run_ladder`], a custom builder as one
+//!   attempt. A rebuild that exhausts its budget or is cancelled leaves
+//!   the **last-good** synopsis serving.
 //! * Builder and persist-hook panics are contained at this subsystem
 //!   boundary with [`std::panic::catch_unwind`] and surface as
 //!   [`SynopticError::BuildPanicked`]; the last-good (or, for a hook,
@@ -54,7 +56,7 @@ use std::time::Duration;
 
 use synoptic_catalog::wal::{ColumnWal, FsyncCadence, WalConfig};
 use synoptic_catalog::{DurableCatalog, Storage};
-use synoptic_core::{Budget, CancelToken, RangeEstimator, Result, SynopticError};
+use synoptic_core::{RangeEstimator, Result, SynopticError};
 use synoptic_hist::builder::AnytimeParams;
 
 /// The storage handle journaled columns append through: shared because
@@ -83,12 +85,11 @@ pub enum RebuildPolicy {
 pub struct RebuildConfig {
     /// When to rebuild.
     pub policy: RebuildPolicy,
-    /// Wall-clock allowance per rebuild. `None` = no deadline.
-    pub deadline: Option<Duration>,
-    /// DP-cell allowance per rebuild. `None` = no cap.
-    pub max_cells: Option<u64>,
-    /// Cooperative cancellation observed by in-flight rebuilds.
-    pub cancel: Option<CancelToken>,
+    /// The limits on one build attempt — deadline, cell cap, cancel token
+    /// — applied per ladder rung of every rebuild, scaled by
+    /// [`RebuildConfig::upgrade_budget_factor`] for upgrades, and applied
+    /// as-is to a custom builder's one attempt.
+    pub exec: AnytimeParams,
     /// Extra attempts for the persist hook on transient storage errors
     /// (0 = no retry).
     pub persist_retries: u32,
@@ -112,13 +113,6 @@ pub struct RebuildConfig {
     /// Budget multiplier (deadline and cell cap) for background upgrade
     /// attempts. Default 4.
     pub upgrade_budget_factor: u32,
-    /// Evaluate budget constraints only at every `charge_batch`-th
-    /// checkpoint ([`Budget::with_charge_batch`]): on small `n`, where a
-    /// checkpoint guards a handful of DP cells, this trades up to
-    /// `charge_batch - 1` checkpoints of cancellation/deadline latency for
-    /// lower per-checkpoint overhead. Default 1 (check every checkpoint);
-    /// never changes what an unconstrained build produces.
-    pub charge_batch: u64,
 }
 
 impl RebuildConfig {
@@ -128,37 +122,21 @@ impl RebuildConfig {
     pub fn new(policy: RebuildPolicy) -> Self {
         Self {
             policy,
-            deadline: None,
-            max_cells: None,
-            cancel: None,
+            exec: AnytimeParams::unconstrained(),
             persist_retries: 2,
             persist_backoff: Duration::from_millis(1),
             persist_total_backoff: Duration::from_secs(2),
             failure_cooldown_updates: 8,
             upgrade_in_background: false,
             upgrade_budget_factor: 4,
-            charge_batch: 1,
         }
     }
 
-    /// Sets the per-rebuild wall-clock allowance.
+    /// Sets the limits on every build attempt (see
+    /// [`RebuildConfig::exec`]).
     #[must_use]
-    pub fn with_deadline(mut self, limit: Duration) -> Self {
-        self.deadline = Some(limit);
-        self
-    }
-
-    /// Sets the per-rebuild DP-cell allowance.
-    #[must_use]
-    pub fn with_max_cells(mut self, max_cells: u64) -> Self {
-        self.max_cells = Some(max_cells);
-        self
-    }
-
-    /// Attaches a cancellation token observed by every rebuild.
-    #[must_use]
-    pub fn with_cancel_token(mut self, token: CancelToken) -> Self {
-        self.cancel = Some(token);
+    pub fn with_exec(mut self, exec: AnytimeParams) -> Self {
+        self.exec = exec;
         self
     }
 
@@ -184,41 +162,6 @@ impl RebuildConfig {
         self.upgrade_in_background = true;
         self.upgrade_budget_factor = budget_factor.max(1);
         self
-    }
-
-    /// Sets the checkpoint batching factor (see
-    /// [`RebuildConfig::charge_batch`]).
-    #[must_use]
-    pub fn with_charge_batch(mut self, batch: u64) -> Self {
-        self.charge_batch = batch;
-        self
-    }
-
-    /// The [`Budget`] for one direct build: the configured deadline and
-    /// cell cap scaled by `factor` (1 for rebuilds, the upgrade factor for
-    /// upgrades; a product past the range means no limit), plus the cancel
-    /// token and [`RebuildConfig::charge_batch`].
-    pub(crate) fn budget(&self, factor: u32) -> Budget {
-        let mut b = Budget::unlimited().with_charge_batch(self.charge_batch);
-        if let Some(d) = self.deadline {
-            b = b.with_deadline(d.saturating_mul(factor));
-        }
-        if let Some(c) = self.max_cells {
-            b = b.with_max_cells(c.saturating_mul(u64::from(factor)));
-        }
-        if let Some(t) = &self.cancel {
-            b = b.with_cancel_token(t.clone());
-        }
-        b
-    }
-
-    /// The per-rung constraints the anytime ladder runs a rebuild under.
-    pub(crate) fn anytime_params(&self) -> AnytimeParams {
-        AnytimeParams {
-            deadline: self.deadline,
-            max_cells: self.max_cells,
-            cancel: self.cancel.clone(),
-        }
     }
 }
 
@@ -547,7 +490,7 @@ pub(crate) fn persist_with_retry<T>(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use synoptic_core::PrefixSums;
+    use synoptic_core::{Budget, PrefixSums};
     use synoptic_hist::sap0::build_sap0_with_budget;
 
     #[test]

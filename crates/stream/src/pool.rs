@@ -902,7 +902,9 @@ fn build_part(
     let (method, words) = match &mut *lock(build) {
         ColumnBuild::Custom(f) => {
             let ps = PrefixSums::from_values(values);
-            let est = contain("build", || f(values, &ps, &config.budget(1)))?;
+            let est = contain("build", || {
+                f(values, &ps, &config.exec.budget_for_attempt(true))
+            })?;
             return Ok((Arc::from(est), None));
         }
         ColumnBuild::Anytime {
@@ -1213,7 +1215,7 @@ mod tests {
     use super::*;
     use std::time::Duration;
     use synoptic_core::CancelToken;
-    use synoptic_hist::builder::build_with_budget;
+    use synoptic_hist::builder::{build_with_budget, AnytimeParams};
     use synoptic_hist::sap0::build_sap0_with_budget;
 
     fn sap0_builder() -> ColumnBuild {
@@ -1354,11 +1356,13 @@ mod tests {
             ("panic", RebuildConfig::new(policy)),
             (
                 "cells",
-                RebuildConfig::new(policy).with_max_cells(initial_cells),
+                RebuildConfig::new(policy)
+                    .with_exec(AnytimeParams::unconstrained().with_max_cells(initial_cells)),
             ),
             (
                 "cancel",
-                RebuildConfig::new(policy).with_cancel_token(token.clone()),
+                RebuildConfig::new(policy)
+                    .with_exec(AnytimeParams::unconstrained().with_cancel_token(token.clone())),
             ),
         ];
         for (mode, config) in cases {
@@ -1551,7 +1555,7 @@ mod tests {
         let factor = (opta / cap + 2).min(u32::MAX as u64) as u32;
         let pool = MaintainedPool::new(1);
         let config = RebuildConfig::new(RebuildPolicy::EveryKUpdates(4))
-            .with_max_cells(cap)
+            .with_exec(AnytimeParams::unconstrained().with_max_cells(cap))
             .with_background_upgrade(factor);
         let col = pool
             .add_column(

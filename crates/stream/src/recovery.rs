@@ -47,7 +47,7 @@
 use std::path::Path;
 use std::sync::Arc;
 
-use synoptic_catalog::wal::{list_journal_columns, scan_column_journal};
+use synoptic_catalog::wal::{list_journal_columns, scan_column_journal, WalRecord};
 use synoptic_catalog::{
     Catalog, DurableCatalog, FsckReport, PersistentSynopsis, PruneReport, RepairReport, Storage,
 };
@@ -168,7 +168,8 @@ impl RecoveryReport {
 ///
 /// Errors: anything fsck/repair/prune/load surface, plus
 /// [`SynopticError::CorruptJournal`] (journal damage beyond the tolerated
-/// torn tail, an out-of-range replay index, or unreplayable records
+/// torn tail, an out-of-range replay index, a delta that moves a cell
+/// outside `i64`, or unreplayable records
 /// against a lossy snapshot) and [`SynopticError::WalGenerationMismatch`]
 /// (journal written against a newer generation than the one recovered).
 /// Both of the latter mean the journal cannot be trusted; the CLI maps
@@ -243,26 +244,13 @@ pub fn recover<S: Storage>(
                 });
             }
         }
-        let mut values = base.clone();
-        let mut replayed = 0u64;
-        for rec in pending {
-            let idx = usize::try_from(rec.index)
-                .ok()
-                .filter(|&i| i < values.len());
-            let Some(idx) = idx else {
-                return Err(SynopticError::CorruptJournal {
-                    context: name.to_string(),
-                    detail: format!(
-                        "record lsn {} targets index {} outside domain 0..{}",
-                        rec.lsn,
-                        rec.index,
-                        values.len()
-                    ),
-                });
-            };
-            values[idx] = values[idx].wrapping_add(rec.delta);
-            replayed += 1;
-        }
+        let values = replay(base, pending.iter().copied()).map_err(|detail| {
+            SynopticError::CorruptJournal {
+                context: name.to_string(),
+                detail,
+            }
+        })?;
+        let replayed = pending.len() as u64;
         columns.push(RecoveredColumn {
             name: name.to_string(),
             values,
@@ -308,6 +296,34 @@ pub fn recover<S: Storage>(
         orphaned,
         catalog,
     })
+}
+
+/// Applies journal records to a copy of `values` — the one replay both
+/// crash recovery and a follower run. A record whose index falls outside
+/// the domain, or whose delta moves its cell outside `i64`, refuses the
+/// whole replay with a reason naming that record's LSN and index; the
+/// input is never touched, so a refusal leaves nothing half-applied.
+pub(crate) fn replay<'a>(
+    values: &[i64],
+    records: impl IntoIterator<Item = &'a WalRecord>,
+) -> std::result::Result<Vec<i64>, String> {
+    let mut out = values.to_vec();
+    let n = out.len();
+    for rec in records {
+        let Some(cell) = usize::try_from(rec.index).ok().and_then(|i| out.get_mut(i)) else {
+            return Err(format!(
+                "record lsn {} targets index {} outside domain 0..{n}",
+                rec.lsn, rec.index
+            ));
+        };
+        *cell = cell.checked_add(rec.delta).ok_or_else(|| {
+            format!(
+                "record lsn {} moves index {} by {} outside the i64 range",
+                rec.lsn, rec.index, rec.delta
+            )
+        })?;
+    }
+    Ok(out)
 }
 
 fn reseed_diverged(detail: impl Into<String>) -> SynopticError {
@@ -647,6 +663,28 @@ mod tests {
         match recover(&store, &wal_dir) {
             Err(SynopticError::CorruptJournal { detail, .. }) => {
                 assert!(detail.contains("index 99"), "{detail}");
+            }
+            other => panic!("expected CorruptJournal, got {other:?}"),
+        }
+        let _ = std::fs::remove_dir_all(&root);
+    }
+
+    #[test]
+    fn replay_past_i64_is_a_corrupt_journal() {
+        let root = tempdir("wrap");
+        let store = DurableCatalog::open(root.join("cat"), FsStorage).unwrap();
+        let wal_dir = root.join("wal");
+        let storage: Arc<dyn Storage + Send + Sync> = Arc::new(FsStorage);
+        let wal =
+            ColumnWal::open(Arc::clone(&storage), &wal_dir, "c", 0, WalConfig::default()).unwrap();
+        wal.append(1, 5).unwrap(); // i64::MAX − 1 + 5 leaves i64
+        commit_frequencies(&store, "c", &[0, i64::MAX - 1], 0);
+        match recover(&store, &wal_dir) {
+            Err(SynopticError::CorruptJournal { context, detail }) => {
+                assert_eq!(context, "c");
+                assert!(detail.contains("lsn 1"), "{detail}");
+                assert!(detail.contains("index 1"), "{detail}");
+                assert!(detail.contains("i64"), "{detail}");
             }
             other => panic!("expected CorruptJournal, got {other:?}"),
         }

@@ -21,13 +21,12 @@
 //! expensive to construct at registration time.
 
 use std::sync::Arc;
-use std::time::Instant;
 
 use synoptic_catalog::{allocate_budget, ColumnCurve};
 use synoptic_core::{
     BuildOutcome, PrefixSums, RangeEstimator, Result, SegmentLayout, SynopticError,
 };
-use synoptic_hist::builder::{build_anytime, build_with_budget, HistogramMethod};
+use synoptic_hist::builder::{build_with_budget, fallback_ladder, run_ladder, HistogramMethod};
 
 use crate::maintained::{contain, RebuildConfig};
 
@@ -142,9 +141,10 @@ fn segment_curve(
 
 /// Builds one part of a column — a segment's slice, or a monolithic
 /// column's whole domain — at `words` of storage, panics contained. A
-/// rebuild (`upgrade_factor` = `None`) runs the anytime ladder under the
-/// config's per-rung constraints; an upgrade runs `method` directly, with
-/// no ladder, under the budget scaled by the factor.
+/// rebuild (`upgrade_factor` = `None`) runs the method's
+/// [`fallback_ladder`] under the config's per-rung limits; an upgrade runs
+/// the one-rung ladder of `method` itself under the limits scaled by the
+/// factor.
 pub(crate) fn build_segment(
     method: HistogramMethod,
     slice: &[i64],
@@ -153,20 +153,20 @@ pub(crate) fn build_segment(
     config: &RebuildConfig,
 ) -> Result<(Arc<dyn RangeEstimator>, BuildOutcome)> {
     let ps = PrefixSums::from_values(slice);
-    contain("build", || match upgrade_factor {
-        None => {
-            let built = build_anytime(method, slice, &ps, words, &config.anytime_params())?;
-            Ok((Arc::from(built.estimator), built.outcome))
-        }
-        Some(factor) => {
-            let budget = config.budget(factor);
-            let started = Instant::now();
-            let est = build_with_budget(method, slice, &ps, words, &budget)?;
-            let elapsed_ms = started.elapsed().as_millis() as u64;
-            let outcome = BuildOutcome::direct(method.name(), elapsed_ms, budget.cells_used());
-            Ok((Arc::from(est), outcome))
-        }
-    })
+    let (ladder, exec) = match upgrade_factor {
+        None => (fallback_ladder(method), config.exec.clone()),
+        Some(factor) => (vec![(method, true)], config.exec.scaled(factor)),
+    };
+    let (est, outcome) = contain("build", || {
+        run_ladder(
+            method.name(),
+            &ladder,
+            &exec,
+            |m| m.name().to_string(),
+            |&m, budget| build_with_budget(m, slice, &ps, words, budget),
+        )
+    })?;
+    Ok((Arc::from(est), outcome))
 }
 
 #[cfg(test)]

@@ -25,7 +25,7 @@ use synoptic_catalog::{
 use synoptic_core::{
     Budget, PrefixSums, RangeEstimator, RangeQuery, Result, Sap0Histogram, SynopticError,
 };
-use synoptic_hist::builder::HistogramMethod;
+use synoptic_hist::builder::{AnytimeParams, HistogramMethod};
 use synoptic_hist::sap0::build_sap0_with_budget;
 use synoptic_stream::{
     ColumnBuild, ColumnHandle, DurabilityConfig, DurablePersistFn, MaintainedPool, PersistFn,
@@ -230,7 +230,8 @@ fn a_deadline_past_the_clock_range_registers_and_rebuilds() {
     };
     for (kind, build) in [("anytime", anytime()), ("custom", sap0_custom())] {
         let pool = MaintainedPool::new(1);
-        let config = RebuildConfig::new(RebuildPolicy::Manual).with_deadline(Duration::MAX);
+        let config = RebuildConfig::new(RebuildPolicy::Manual)
+            .with_exec(AnytimeParams::unconstrained().with_deadline(Duration::MAX));
         let col = pool.add_column(kind, &values, build, config).unwrap();
         assert!(
             col.last_outcome().is_none_or(|o| !o.is_degraded()),
@@ -251,8 +252,11 @@ fn a_far_deadline_upgrade_leaves_the_worker_running() {
     let values: Vec<i64> = (0..256).map(|i| (i * 37) % 101 - 50).collect();
     let pool = MaintainedPool::new(1);
     let config = RebuildConfig::new(RebuildPolicy::Manual)
-        .with_deadline(Duration::from_secs(1 << 62))
-        .with_max_cells(64)
+        .with_exec(
+            AnytimeParams::unconstrained()
+                .with_deadline(Duration::from_secs(1 << 62))
+                .with_max_cells(64),
+        )
         .with_background_upgrade(4);
     let build = ColumnBuild::Anytime {
         method: HistogramMethod::Sap0,

@@ -29,7 +29,7 @@ use synoptic_catalog::{
 use synoptic_core::{
     Budget, PrefixSums, RangeEstimator, RangeQuery, Result, Sap0Histogram, SynopticError,
 };
-use synoptic_hist::builder::{build_with_budget, HistogramMethod};
+use synoptic_hist::builder::{build_with_budget, AnytimeParams, HistogramMethod};
 use synoptic_hist::sap0::build_sap0_with_budget;
 use synoptic_stream::{
     ColumnBuild, MaintainedPool, PersistFn, PoolBuildFn, RebuildConfig, RebuildPolicy,
@@ -291,7 +291,7 @@ fn pinned_provenance_matches_its_generation_under_racing_upgrades() {
     };
     let pool = MaintainedPool::new(1);
     let config = RebuildConfig::new(RebuildPolicy::Manual)
-        .with_max_cells(cells / 2)
+        .with_exec(AnytimeParams::unconstrained().with_max_cells(cells / 2))
         .with_background_upgrade(4);
     let build = ColumnBuild::Anytime {
         method: HistogramMethod::Sap0,

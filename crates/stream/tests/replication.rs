@@ -298,6 +298,71 @@ fn non_anchoring_segment_is_refused_when_window_disabled() {
     let _ = std::fs::remove_dir_all(&root);
 }
 
+/// A shipped delta that would move a committed cell outside `i64` is
+/// refused with one `Refuse` frame naming the record: nothing is
+/// journaled, the applied mark and the values stay where they were.
+#[test]
+fn a_delta_past_i64_is_refused_before_journaling() {
+    let root = tempdir("wrap");
+    let mut values = vec![0i64; N];
+    values[3] = i64::MAX - 1;
+    let follower_cat = root.join("follower-cat");
+    let follower_wal = root.join("follower-wal");
+    commit_initial(&follower_cat, &values);
+    let storage: SharedStorage = Arc::new(FsStorage::new());
+    let (mut follower, _) = Follower::open(
+        storage,
+        &follower_cat,
+        follower_wal.clone(),
+        FollowConfig::default(),
+    )
+    .unwrap();
+
+    let leader_wal = root.join("leader-wal");
+    let generation = commit_initial(&root.join("leader-cat"), &values);
+    let wal = ColumnWal::open(
+        FsStorage::new(),
+        &leader_wal,
+        COLUMN,
+        generation,
+        WalConfig::default(),
+    )
+    .unwrap();
+    wal.append(0, 1).unwrap();
+    wal.append(3, 5).unwrap();
+    wal.seal().unwrap();
+    let journaled = |dir: &Path| std::fs::read_dir(dir).map(|d| d.count()).unwrap_or(0);
+    let before = journaled(&follower_wal);
+
+    let (seq, bytes) = leader_segments(&leader_wal)[0].clone();
+    let response = follower.handle(&encode_frame(&Frame::Segment {
+        term: 0,
+        column: COLUMN.into(),
+        seq,
+        leader_mark: wal.pending_mark(),
+        bytes,
+    }));
+    match decode_frame(&response).unwrap() {
+        Frame::Refuse {
+            column,
+            applied_lsn,
+            reason,
+            ..
+        } => {
+            assert_eq!(column, COLUMN);
+            assert_eq!(applied_lsn, 0, "nothing may have been applied");
+            assert!(reason.contains("lsn 2"), "{reason}");
+            assert!(reason.contains("index 3"), "{reason}");
+            assert!(reason.contains("i64"), "{reason}");
+        }
+        other => panic!("expected a refusal, got {other:?}"),
+    }
+    assert_eq!(follower.values(COLUMN).unwrap(), &values[..]);
+    assert_eq!(follower.applied_lsn(COLUMN), Some(0));
+    assert_eq!(journaled(&follower_wal), before, "nothing may be journaled");
+    let _ = std::fs::remove_dir_all(&root);
+}
+
 /// A CRC-corrupt record mid-stream: the whole segment is refused before
 /// anything is applied, and a pristine retry of the same segment then
 /// applies cleanly — corruption costs a retry, never integrity.

@@ -235,7 +235,8 @@ fn parallel_registration_degrades_the_same_segments_under_a_cell_cap() {
             HistogramMethod::Sap0,
             144,
             16,
-            RebuildConfig::new(RebuildPolicy::Manual).with_max_cells(cap),
+            RebuildConfig::new(RebuildPolicy::Manual)
+                .with_exec(AnytimeParams::unconstrained().with_max_cells(cap)),
         )
         .unwrap();
     let budgets = col.segment_budgets().unwrap();
@@ -275,7 +276,8 @@ fn seeded_cancellation_mid_merge_propagates_provenance_and_restores_dirty() {
                 HistogramMethod::Sap0,
                 48,
                 8,
-                RebuildConfig::new(RebuildPolicy::Manual).with_cancel_token(token.clone()),
+                RebuildConfig::new(RebuildPolicy::Manual)
+                    .with_exec(AnytimeParams::unconstrained().with_cancel_token(token.clone())),
             )
             .unwrap();
         let outcomes_before = col.segment_outcomes().unwrap();
@@ -381,15 +383,11 @@ fn a_one_segment_column_answers_like_the_monolithic_column() {
         metered.cells_used()
     };
     let manual = || RebuildConfig::new(RebuildPolicy::Manual);
+    let capped = || manual().with_exec(AnytimeParams::unconstrained().with_max_cells(cells / 2));
     let configs = [
         ("unconstrained", manual()),
-        ("capped", manual().with_max_cells(cells / 2)),
-        (
-            "upgraded",
-            manual()
-                .with_max_cells(cells / 2)
-                .with_background_upgrade(4),
-        ),
+        ("capped", capped()),
+        ("upgraded", capped().with_background_upgrade(4)),
     ];
     for (name, config) in configs {
         let pool = MaintainedPool::new(1);
