@@ -327,6 +327,42 @@ fn build_refuses_a_column_total_past_i64() {
     let _ = std::fs::remove_dir_all(&store);
 }
 
+/// `evaluate` over a column whose POINT-OPT window statistics would leave
+/// `i128` answers every method: POINT-OPT's oracle refuses the input with
+/// `Overflow` and the ladder steps down past it, as it does past SAP0,
+/// where the unchecked oracle used to panic the process (exit 101).
+#[test]
+fn evaluate_steps_down_past_point_opt_overflow() {
+    let col = tmp("synoptic_point_overflow_col.txt");
+    std::fs::write(
+        &col,
+        "3000000000000000000\n1\n2500000000000000000\n7\n5\n3000000000\n1\n2\n",
+    )
+    .unwrap();
+    let args = [
+        "evaluate",
+        "--input",
+        col.to_str().unwrap(),
+        "--budget",
+        "6",
+        "--deadline-ms",
+        "600000",
+    ];
+    let out = run(&args);
+    let stdout = String::from_utf8_lossy(&out.stdout);
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert_ne!(out.status.code(), Some(101), "panicked: {stderr}");
+    assert_eq!(out.status.code(), Some(0), "stderr: {stderr}");
+    let row = stdout
+        .lines()
+        .find(|l| l.starts_with("POINT-OPT"))
+        .unwrap_or_else(|| panic!("no POINT-OPT row in {stdout}"));
+    assert!(row.contains("degraded:"), "{row}");
+    assert!(row.contains("requested POINT-OPT"), "{row}");
+
+    let _ = std::fs::remove_file(&col);
+}
+
 /// The documented exit-code contract (see `synoptic help`):
 /// 0 success, 1 failure, 2 usage, 4 corrupt synopsis/store,
 /// 5 deadline/cell budget exceeded, 6 cancelled, 7 unrecoverable journal

@@ -27,6 +27,26 @@
 //! centre at `P[l]`, so the suffix and prefix moments are the intra
 //! moments minus one end position each.
 //!
+//! ## Narrow-first evaluation
+//!
+//! Every SAP0 build calls [`WindowOracle::sap0_cost`] once per window, so
+//! it first evaluates its formula in `i64` with checked operations,
+//! narrowing each prefix-table difference with `i64::try_from`. On the
+//! first overflow it evaluates the same formula in `i128`, unchecked
+//! inside the certificate below. The formula is written once, generic over
+//! the width, and the output is bit-identical either way:
+//!
+//! * a checked `i64` run either forms every intermediate exactly — the
+//!   same integers the `i128` run forms — or gives up and leaves nothing;
+//! * `i64 as f64` and `i128 as f64` round the same integer identically
+//!   (to nearest, ties to even);
+//! * the divisions and the order of the final `f64` sum are shared.
+//!
+//! Windows over moderate data fit `i64` (a segment of perfbench's served
+//! column almost entirely), and there the `i128` multiplies and
+//! `i128 → f64` conversions that dominated the cost are gone. The other
+//! statistics keep the `i128` path.
+//!
 //! ## Exact-arithmetic envelope
 //!
 //! The per-window statistics multiply `i128`s without overflow checks.
@@ -82,7 +102,8 @@
 use crate::array::PrefixSums;
 use crate::error::{Result, SynopticError};
 
-/// `⌊√(2¹²⁷ − 1)⌋`: the largest `N²·R` with `N⁴·R² ≤ i128::MAX`.
+/// `⌊√(2¹²⁷ − 1)⌋`, the largest `x` with `x² ≤ i128::MAX`: the bound on
+/// `N²·R` ([`WindowOracle`]) and on `W·V` ([`WeightedPointOracle`]).
 const MAX_N2_R: u128 = 13_043_817_825_332_782_212;
 
 /// The most prefix-table positions `N = n + 1` the oracle certifies: keeps
@@ -107,14 +128,6 @@ pub struct EndpointAggregates {
     pub v2: f64,
 }
 
-/// Checked `i128` product for [`WeightedPointOracle`], whose inputs carry
-/// no envelope certificate.
-#[inline]
-fn mul(a: i128, b: i128) -> i128 {
-    a.checked_mul(b)
-        .expect("window statistic overflowed i128: input exceeds the supported envelope")
-}
-
 /// `(Σ t, Σ t²)` over `t = 1..=len`, computed in `i64` (exact for
 /// `len < 2²¹`, which the envelope guarantees) and widened.
 #[inline]
@@ -123,25 +136,138 @@ fn index_sums(len: i64) -> (i128, i128) {
     (st as i128, (st * (2 * len + 1) / 3) as i128)
 }
 
+/// An integer width the window formulas evaluate in (see "Narrow-first
+/// evaluation" in the module docs): `i64` checks every operation and
+/// reports an overflow as `None`; `i128` cannot overflow inside the
+/// certificate, so its operations always succeed (debug builds still trap).
+trait Width: Copy + Ord + Default {
+    fn narrow(x: i128) -> Option<Self>;
+    fn checked_add(self, rhs: Self) -> Option<Self>;
+    fn checked_sub(self, rhs: Self) -> Option<Self>;
+    fn checked_mul(self, rhs: Self) -> Option<Self>;
+    fn to_f64(self) -> f64;
+}
+
+impl Width for i64 {
+    #[inline]
+    fn narrow(x: i128) -> Option<Self> {
+        i64::try_from(x).ok()
+    }
+    #[inline]
+    fn checked_add(self, rhs: Self) -> Option<Self> {
+        i64::checked_add(self, rhs)
+    }
+    #[inline]
+    fn checked_sub(self, rhs: Self) -> Option<Self> {
+        i64::checked_sub(self, rhs)
+    }
+    #[inline]
+    fn checked_mul(self, rhs: Self) -> Option<Self> {
+        i64::checked_mul(self, rhs)
+    }
+    #[inline]
+    fn to_f64(self) -> f64 {
+        self as f64
+    }
+}
+
+impl Width for i128 {
+    #[inline]
+    fn narrow(x: i128) -> Option<Self> {
+        Some(x)
+    }
+    #[inline]
+    fn checked_add(self, rhs: Self) -> Option<Self> {
+        Some(self + rhs)
+    }
+    #[inline]
+    fn checked_sub(self, rhs: Self) -> Option<Self> {
+        Some(self - rhs)
+    }
+    #[inline]
+    fn checked_mul(self, rhs: Self) -> Option<Self> {
+        Some(self * rhs)
+    }
+    #[inline]
+    fn to_f64(self) -> f64 {
+        self as f64
+    }
+}
+
+/// An exact integer of width `T`, or `None` once an operation on the way
+/// to it left `T`. The operators propagate `None`, so a formula reads as
+/// plain arithmetic.
+#[derive(Debug, Clone, Copy)]
+struct Exact<T>(Option<T>);
+
+impl<T: Width> Exact<T> {
+    #[inline]
+    fn of(x: i128) -> Self {
+        Self(T::narrow(x))
+    }
+}
+
+impl<T: Width> std::ops::Add for Exact<T> {
+    type Output = Self;
+    #[inline]
+    fn add(self, rhs: Self) -> Self {
+        Self(self.0.zip(rhs.0).and_then(|(a, b)| a.checked_add(b)))
+    }
+}
+
+impl<T: Width> std::ops::Sub for Exact<T> {
+    type Output = Self;
+    #[inline]
+    fn sub(self, rhs: Self) -> Self {
+        Self(self.0.zip(rhs.0).and_then(|(a, b)| a.checked_sub(b)))
+    }
+}
+
+impl<T: Width> std::ops::Mul for Exact<T> {
+    type Output = Self;
+    #[inline]
+    fn mul(self, rhs: Self) -> Self {
+        Self(self.0.zip(rhs.0).and_then(|(a, b)| a.checked_mul(b)))
+    }
+}
+
+/// The value of a certified `i128` evaluation, which cannot have failed.
+#[inline]
+fn certified<T>(x: Option<T>) -> T {
+    x.expect("i128 window statistic inside the certified envelope")
+}
+
 /// `L²` times the variance of `L` values with sum `s1` and sum of squares
 /// `s2` (shift-invariant, so any common centre works), divided once by `L`:
 /// `(L·s2 − s1²) / L`, with the subtraction exact.
 #[inline]
-fn spread(len: i128, s1: i128, s2: i128) -> f64 {
-    let num = len * s2 - s1 * s1;
-    debug_assert!(num >= 0);
-    num.max(0) as f64 / len as f64
+fn spread<T: Width>(len: i64, s1: Exact<T>, s2: Exact<T>) -> Option<f64> {
+    let num = (Exact::of(len as i128) * s2 - s1 * s1).0?;
+    debug_assert!(num >= T::default());
+    Some(num.max(T::default()).to_f64() / len as f64)
 }
 
-/// Exact centered window moments over prefix-table positions, in `i128`.
+/// Exact centered window moments over prefix-table positions.
 #[derive(Debug, Clone, Copy)]
-struct Centered {
+struct Centered<T> {
     /// `Σ d_x` with `d_x = P[x] − P[center]`.
-    s1: i128,
+    s1: Exact<T>,
     /// `Σ d_x²`.
-    s2: i128,
+    s2: Exact<T>,
     /// `Σ (x − x0)·d_x`.
-    sxp: i128,
+    sxp: Exact<T>,
+}
+
+impl Centered<i128> {
+    /// The three moments as plain certified `i128`s.
+    #[inline]
+    fn wide(self) -> (i128, i128, i128) {
+        (
+            certified(self.s1.0),
+            certified(self.s2.0),
+            certified(self.sxp.0),
+        )
+    }
 }
 
 /// Precomputed prefix-sum cumulatives enabling O(1) window statistics.
@@ -249,19 +375,21 @@ impl WindowOracle {
     }
 
     /// Centered window moments over prefix-table positions `x ∈ [x0, x1]`
-    /// with `d_x = P[x] − P[center]`, exactly in `i128`.
+    /// with `d_x = P[x] − P[center]`, exactly in width `T`.
     #[inline]
-    fn centered(&self, x0: usize, x1: usize, center: usize) -> Centered {
+    fn centered<T: Width>(&self, x0: usize, x1: usize, center: usize) -> Centered<T> {
         let k = (x1 - x0 + 1) as i64;
-        let pc = self.p[center];
-        let sp = self.cp[x1 + 1] - self.cp[x0];
+        let kw = Exact::of(k as i128);
+        let pc = Exact::of(self.p[center]);
+        let sp = Exact::of(self.cp[x1 + 1] - self.cp[x0]);
         // Σ (P − pc)² = ΣP² − pc·(2·ΣP − K·pc).
-        let s2 = self.cp2[x1 + 1] - self.cp2[x0] - pc * (2 * sp - k as i128 * pc);
+        let s2 = Exact::of(self.cp2[x1 + 1] - self.cp2[x0]) - pc * (Exact::of(2) * sp - kw * pc);
         // Σ (x − x0)(P − pc) = Σ x·P − x0·ΣP − pc·Σ (x − x0).
-        let sxp =
-            self.cxp[x1 + 1] - self.cxp[x0] - x0 as i128 * sp - pc * (k * (k - 1) / 2) as i128;
+        let sxp = Exact::of(self.cxp[x1 + 1] - self.cxp[x0])
+            - Exact::of(x0 as i128) * sp
+            - pc * Exact::of((k * (k - 1) / 2) as i128);
         Centered {
-            s1: sp - k as i128 * pc,
+            s1: sp - kw * pc,
             s2,
             sxp,
         }
@@ -271,16 +399,17 @@ impl WindowOracle {
     /// [`intra_avg_sse`](Self::intra_avg_sse), from the moments `c` of
     /// positions `[l, r+1]` centred at `P[l]`, `len = L` and `d = s[l, r]`.
     #[inline]
-    fn intra_num(len: i64, d: i128, c: &Centered) -> i128 {
+    fn intra_num<T: Width>(len: i64, d: Exact<T>, c: &Centered<T>) -> Exact<T> {
         // Positions x − l run over 0..=L, so Σ(x−l) and Σ(x−l)² are the
         // index sums of 1..=L.
         let (qx, qx2) = index_sums(len);
-        let len = len as i128;
+        let (qx, qx2) = (Exact::of(qx), Exact::of(qx2));
+        let len = Exact::of(len as i128);
         // W_x = L·d_x − S·(x − l):
         // ΣW = L·s1 − S·Σ(x−l);  ΣW² = L²·s2 − 2·L·S·sxp + S²·Σ(x−l)².
         let sw = len * c.s1 - d * qx;
-        let sw2 = len * len * c.s2 - 2 * len * d * c.sxp + d * d * qx2;
-        (len + 1) * sw2 - sw * sw
+        let sw2 = len * len * c.s2 - Exact::of(2) * len * d * c.sxp + d * d * qx2;
+        (len + Exact::of(1)) * sw2 - sw * sw
     }
 
     /// SSE over all sub-ranges of `[l, r]` answered by `(len)·avg(l,r)`
@@ -294,32 +423,41 @@ impl WindowOracle {
     /// subtraction exact: `cost = (K·ΣW² − (ΣW)²) / L²`.
     pub fn intra_avg_sse(&self, l: usize, r: usize) -> f64 {
         let len = (r - l + 1) as i64;
-        let num = Self::intra_num(len, self.sum(l, r), &self.centered(l, r + 1, l));
+        let c = self.centered::<i128>(l, r + 1, l);
+        let num = certified(Self::intra_num(len, Exact::of(self.sum(l, r)), &c).0);
         debug_assert!(num >= 0);
         num.max(0) as f64 / (len * len) as f64
     }
 
     /// The SAP0 bucket cost of `[l, r]` in a domain of `n` keys,
     /// `intra + Var_suffix·(n − 1 − r) + Var_prefix·l`, from one centred
-    /// evaluation. Bit-identical to composing
-    /// [`intra_avg_sse`](Self::intra_avg_sse),
+    /// evaluation, narrow-first (see the module docs): exactly in `i64`
+    /// when every intermediate fits, else in the certified `i128`.
+    /// Bit-identical to composing [`intra_avg_sse`](Self::intra_avg_sse),
     /// [`suffix_var`](Self::suffix_var) and [`prefix_var`](Self::prefix_var):
     /// each term's exact integer numerator is the same, and so are the
     /// divisions and the order of the sum.
     pub fn sap0_cost(&self, n: usize, l: usize, r: usize) -> f64 {
+        self.sap0_cost_in::<i64>(n, l, r)
+            .unwrap_or_else(|| certified(self.sap0_cost_in::<i128>(n, l, r)))
+    }
+
+    /// [`sap0_cost`](Self::sap0_cost) in width `T`, or `None` when an
+    /// intermediate leaves `T`.
+    #[inline]
+    fn sap0_cost_in<T: Width>(&self, n: usize, l: usize, r: usize) -> Option<f64> {
         let len = (r - l + 1) as i64;
-        let d = self.sum(l, r);
+        let d = Exact::of(self.sum(l, r));
         // Positions [l, r+1] centred at P[l]: d_l = 0 and d_{r+1} = D = s[l, r].
-        let c = self.centered(l, r + 1, l);
-        let num = Self::intra_num(len, d, &c);
-        debug_assert!(num >= 0);
-        let intra = num.max(0) as f64 / (len * len) as f64;
-        let len = len as i128;
+        let c = self.centered::<T>(l, r + 1, l);
+        let num = Self::intra_num(len, d, &c).0?;
+        debug_assert!(num >= T::default());
+        let intra = num.max(T::default()).to_f64() / (len * len) as f64;
         // The suffix sums' positions [l, r] drop d_{r+1} = D; the prefix
         // sums' positions [l+1, r+1] drop d_l = 0.
-        let suffix = spread(len, c.s1 - d, c.s2 - d * d);
-        let prefix = spread(len, c.s1, c.s2);
-        intra + suffix * (n - 1 - r) as f64 + prefix * l as f64
+        let suffix = spread(len, c.s1 - d, c.s2 - d * d)?;
+        let prefix = spread(len, c.s1, c.s2)?;
+        Some(intra + suffix * (n - 1 - r) as f64 + prefix * l as f64)
     }
 
     /// Exact integer moments `(Σ σ_a, Σ σ_a², Σ t_a·σ_a)` over `a ∈ [l, r]`
@@ -328,13 +466,13 @@ impl WindowOracle {
         let lcount = (r - l + 1) as i128;
         // σ_a = D − d_a where D = P[r+1] − P[l], d_a = P[a] − P[l], a ∈ [l, r].
         let d = self.p[r + 1] - self.p[l];
-        let c = self.centered(l, r, l);
-        let sum = lcount * d - c.s1;
-        let sumsq = lcount * d * d - 2 * d * c.s1 + c.s2;
+        let (s1, s2, sxp) = self.centered::<i128>(l, r, l).wide();
+        let sum = lcount * d - s1;
+        let sumsq = lcount * d * d - 2 * d * s1 + s2;
         // t_a = r + 1 − a; with j = a − l ∈ [0, L−1], t = L − j.
         // Σ t σ = Σ (L − j)(D − d_a) = L²·D − D·Σj − L·Σd + Σ j·d.
         let sum_j = (lcount - 1) * lcount / 2;
-        let tsum = lcount * lcount * d - d * sum_j - lcount * c.s1 + c.sxp;
+        let tsum = lcount * lcount * d - d * sum_j - lcount * s1 + sxp;
         (sum, sumsq, tsum)
     }
 
@@ -342,9 +480,9 @@ impl WindowOracle {
     /// with prefix sums `π_b = s[l, b]` and multipliers `t_b = b − l + 1`.
     pub fn prefix_moments_int(&self, l: usize, r: usize) -> (i128, i128, i128) {
         // π_b = P[b+1] − P[l]; positions x = b + 1 ∈ [l+1, r+1]; t = x − l.
-        let c = self.centered(l + 1, r + 1, l);
+        let (s1, s2, sxp) = self.centered::<i128>(l + 1, r + 1, l).wide();
         // t_b = (x − (l+1)) + 1, so Σ t π = sxp + s1.
-        (c.s1, c.s2, c.sxp + c.s1)
+        (s1, s2, sxp + s1)
     }
 
     /// `f64` view of [`suffix_moments_int`](Self::suffix_moments_int).
@@ -365,14 +503,14 @@ impl WindowOracle {
     /// subtraction in exact integers.
     pub fn suffix_var(&self, l: usize, r: usize) -> f64 {
         // σ_a = D − d_a: a variance ignores the shift by D and the sign.
-        let c = self.centered(l, r, l);
-        spread((r - l + 1) as i128, c.s1, c.s2)
+        let c = self.centered::<i128>(l, r, l);
+        certified(spread((r - l + 1) as i64, c.s1, c.s2))
     }
 
     /// Sum of squared deviations of the prefix sums around their mean.
     pub fn prefix_var(&self, l: usize, r: usize) -> f64 {
-        let c = self.centered(l + 1, r + 1, l);
-        spread((r - l + 1) as i128, c.s1, c.s2)
+        let c = self.centered::<i128>(l + 1, r + 1, l);
+        certified(spread((r - l + 1) as i64, c.s1, c.s2))
     }
 
     /// Mean of the suffix sums — the optimal SAP0 `suff` value (Lemma 5.2).
@@ -472,6 +610,20 @@ impl<'a> FitOracle<'a> {
 
 /// O(1) weighted point-query variances after O(n) preprocessing — the cost
 /// oracle for V-optimal / POINT-OPT histograms.
+///
+/// Its constructors certify, once, that no per-window intermediate can
+/// overflow `i128`. With total weight `W = Σ w_i` and `V = max |A[i]|`,
+/// every cumulative and window sum of `w`, `w·A` and `w·A²` is at most
+/// `W·V²` in magnitude (or `W`, `W·V`), and the determinant
+/// `W_win·Σwa² − (Σwa)²` of [`cost`](Self::cost) has operands at most
+/// `(W·V)²`; it lies between 0 and its first operand (Cauchy–Schwarz). So
+/// the certificate is
+///
+/// ```text
+/// W·V ≤ ⌊√(2¹²⁷ − 1)⌋
+/// ```
+///
+/// and anything past it is refused with [`SynopticError::Overflow`].
 #[derive(Debug, Clone)]
 pub struct WeightedPointOracle {
     /// `cw[i] = Σ_{x<i} w_x`.
@@ -483,10 +635,38 @@ pub struct WeightedPointOracle {
 }
 
 impl WeightedPointOracle {
-    /// Builds the oracle for frequencies `values` and non-negative integer
-    /// point weights `weights` (same length).
-    pub fn new(values: &[i64], weights: &[i64]) -> Self {
-        assert_eq!(values.len(), weights.len());
+    /// Certifies the envelope (see the type docs) and builds the oracle for
+    /// frequencies `values` and non-negative integer point weights
+    /// `weights`, both in O(n).
+    ///
+    /// # Errors
+    ///
+    /// [`SynopticError::InvalidParameter`] when the lengths differ or a
+    /// weight is negative; [`SynopticError::Overflow`] when
+    /// `Σ w · max |A| > ⌊√(2¹²⁷ − 1)⌋`.
+    pub fn new(values: &[i64], weights: &[i64]) -> Result<Self> {
+        if values.len() != weights.len() {
+            return Err(SynopticError::InvalidParameter(format!(
+                "{} point weights for {} values",
+                weights.len(),
+                values.len()
+            )));
+        }
+        if weights.iter().any(|&w| w < 0) {
+            return Err(SynopticError::InvalidParameter(
+                "point weights must be non-negative".to_string(),
+            ));
+        }
+        let total = weights
+            .iter()
+            .try_fold(0u128, |acc, &w| acc.checked_add(w as u128));
+        let top = values.iter().map(|v| v.unsigned_abs() as u128).max();
+        let certified = total
+            .and_then(|w| w.checked_mul(top.unwrap_or(0)))
+            .is_some_and(|wv| wv <= MAX_N2_R);
+        if !certified {
+            return Err(SynopticError::Overflow);
+        }
         let n = values.len();
         let mut cw = Vec::with_capacity(n + 1);
         let mut cwa = Vec::with_capacity(n + 1);
@@ -496,21 +676,24 @@ impl WeightedPointOracle {
         cwa2.push(0);
         let (mut a, mut b, mut c) = (0i128, 0i128, 0i128);
         for (&v, &w) in values.iter().zip(weights) {
-            debug_assert!(w >= 0, "point weights must be non-negative");
             let (v, w) = (v as i128, w as i128);
             a += w;
-            b += mul(w, v);
-            c += mul(w, mul(v, v));
+            b += w * v;
+            c += w * (v * v);
             cw.push(a);
             cwa.push(b);
             cwa2.push(c);
         }
-        Self { cw, cwa, cwa2 }
+        Ok(Self { cw, cwa, cwa2 })
     }
 
     /// Uniform (all-ones) weights: the classical V-optimal objective of
     /// Jagadish et al.
-    pub fn uniform(values: &[i64]) -> Self {
+    ///
+    /// # Errors
+    ///
+    /// [`SynopticError::Overflow`] past the envelope, as [`Self::new`].
+    pub fn uniform(values: &[i64]) -> Result<Self> {
         Self::new(values, &vec![1i64; values.len()])
     }
 
@@ -518,9 +701,16 @@ impl WeightedPointOracle {
     /// queries containing index `i`, i.e. the probability (up to scale) that
     /// `A[i]` is part of a uniformly random range query — the adjustment the
     /// paper applies to POINT-OPT.
-    pub fn range_inclusion(values: &[i64]) -> Self {
+    ///
+    /// # Errors
+    ///
+    /// [`SynopticError::Overflow`] past the envelope, as [`Self::new`].
+    pub fn range_inclusion(values: &[i64]) -> Result<Self> {
         let n = values.len() as i64;
-        let w: Vec<i64> = (0..n).map(|i| (i + 1) * (n - i)).collect();
+        let w: Vec<i64> = (0..n)
+            .map(|i| (i + 1).checked_mul(n - i))
+            .collect::<Option<_>>()
+            .ok_or(SynopticError::Overflow)?;
         Self::new(values, &w)
     }
 
@@ -547,7 +737,7 @@ impl WeightedPointOracle {
 
     /// Minimum weighted point SSE `min_v Σ_{i∈[l,r]} w_i (A[i] − v)²`,
     /// computed as `(W·Σwa² − (Σwa)²)/W` with the subtraction in exact
-    /// integers.
+    /// integers, unchecked inside the constructor's certificate.
     pub fn cost(&self, l: usize, r: usize) -> f64 {
         let w = self.weight(l, r);
         if w == 0 {
@@ -555,7 +745,7 @@ impl WeightedPointOracle {
         }
         let swa = self.cwa[r + 1] - self.cwa[l];
         let swa2 = self.cwa2[r + 1] - self.cwa2[l];
-        let num = mul(w, swa2) - mul(swa, swa);
+        let num = w * swa2 - swa * swa;
         debug_assert!(num >= 0);
         num.max(0) as f64 / w as f64
     }
@@ -817,8 +1007,8 @@ mod tests {
     fn weighted_point_oracle_matches_brute_force() {
         let vals = vec![3i64, 1, 4, 1, 5, 9, 2, 6];
         for orc in [
-            WeightedPointOracle::uniform(&vals),
-            WeightedPointOracle::range_inclusion(&vals),
+            WeightedPointOracle::uniform(&vals).unwrap(),
+            WeightedPointOracle::range_inclusion(&vals).unwrap(),
         ] {
             assert_eq!(orc.n(), vals.len());
             let n = vals.len();
@@ -854,7 +1044,7 @@ mod tests {
     #[test]
     fn zero_weight_window_is_free() {
         let vals = vec![5i64, 6, 7];
-        let orc = WeightedPointOracle::new(&vals, &[0, 0, 0]);
+        let orc = WeightedPointOracle::new(&vals, &[0, 0, 0]).unwrap();
         assert_eq!(orc.cost(0, 2), 0.0);
         assert_eq!(orc.wmean(0, 2), 0.0);
     }
@@ -864,7 +1054,7 @@ mod tests {
         // w_i must equal #{(a,b): a ≤ i ≤ b}.
         let n = 9usize;
         let vals = vec![1i64; n];
-        let orc = WeightedPointOracle::range_inclusion(&vals);
+        let orc = WeightedPointOracle::range_inclusion(&vals).unwrap();
         for i in 0..n {
             let brute = (0..n)
                 .flat_map(|a| (a..n).map(move |b| (a, b)))
@@ -898,6 +1088,65 @@ mod tests {
         assert!(matches!(
             WindowOracle::new(&ps),
             Err(SynopticError::Overflow)
+        ));
+    }
+
+    /// The point oracle's certificate `Σw · max|A| ≤ ⌊√(2¹²⁷ − 1)⌋` at its
+    /// boundary: on it every window's cost equals the checked-`i128`
+    /// determinant, one step past it the constructor refuses with
+    /// `Overflow` instead of the per-window product panicking.
+    #[test]
+    fn point_oracle_certificate_boundary() {
+        let w = [3i64, 0, 5, 1];
+        let total = w.iter().sum::<i64>() as u128;
+        let top = (MAX_N2_R / total) as i64;
+        for vals in [[top, -top, 7, top], [-top, 0, -top, 1]] {
+            let o = WeightedPointOracle::new(&vals, &w).unwrap();
+            for l in 0..vals.len() {
+                for r in l..vals.len() {
+                    let (mut sw, mut swa, mut swa2) = (0i128, 0i128, 0i128);
+                    for i in l..=r {
+                        let (v, wi) = (vals[i] as i128, w[i] as i128);
+                        sw = sw.checked_add(wi).unwrap();
+                        swa = swa.checked_add(wi.checked_mul(v).unwrap()).unwrap();
+                        let wv2 = wi.checked_mul(v.checked_mul(v).unwrap()).unwrap();
+                        swa2 = swa2.checked_add(wv2).unwrap();
+                    }
+                    let want = if sw == 0 {
+                        0.0
+                    } else {
+                        let num = sw
+                            .checked_mul(swa2)
+                            .unwrap()
+                            .checked_sub(swa.checked_mul(swa).unwrap())
+                            .unwrap();
+                        num as f64 / sw as f64
+                    };
+                    assert_eq!(o.cost(l, r).to_bits(), want.to_bits(), "[{l}, {r}]");
+                }
+            }
+            let mut past = vals;
+            past[0] += past[0].signum();
+            assert!(matches!(
+                WeightedPointOracle::new(&past, &w),
+                Err(SynopticError::Overflow)
+            ));
+        }
+        // The range-inclusion weights count too: fine at unit weights,
+        // refused once they multiply the same values past the bound.
+        let vals = [1 << 61, 1, 1 << 61];
+        assert!(WeightedPointOracle::uniform(&vals).is_ok());
+        assert!(matches!(
+            WeightedPointOracle::range_inclusion(&vals),
+            Err(SynopticError::Overflow)
+        ));
+        assert!(matches!(
+            WeightedPointOracle::new(&[1, 2], &[1, -1]),
+            Err(SynopticError::InvalidParameter(_))
+        ));
+        assert!(matches!(
+            WeightedPointOracle::new(&[1, 2], &[1]),
+            Err(SynopticError::InvalidParameter(_))
         ));
     }
 

@@ -215,7 +215,7 @@ fn weighted_oracle_cost_is_nonnegative_and_additive_at_split() {
     for case in 0..CASES / 2 {
         let mut rng = Rng::new(0x9000 + case);
         let vals = rand_values(&mut rng);
-        let o = WeightedPointOracle::range_inclusion(&vals);
+        let o = WeightedPointOracle::range_inclusion(&vals).unwrap();
         let n = vals.len();
         for l in 0..n {
             for r in l..n {

@@ -30,14 +30,17 @@ pub enum PointWeighting {
 /// an O(n) column; stored values are the weighted bucket means. Returns the
 /// histogram with the weighted point-query objective the DP minimized (not
 /// the range SSE!). The DP charges `budget` at every cell and aborts with
-/// the budget's error once it is exhausted.
+/// the budget's error once it is exhausted; an input outside the point
+/// oracle's exact-arithmetic envelope is refused with
+/// [`SynopticError::Overflow`](synoptic_core::SynopticError::Overflow)
+/// before the DP starts.
 pub fn build_point_opt_with_budget(
     values: &[i64],
     buckets: usize,
     weighting: PointWeighting,
     budget: &Budget,
 ) -> Result<(ValueHistogram, f64)> {
-    let oracle = point_oracle(values, weighting);
+    let oracle = point_oracle(values, weighting)?;
     let sol =
         optimal_bucketing_with_budget(values.len(), buckets, |l, r| oracle.cost(l, r), budget)?;
     let vals: Vec<f64> = sol
@@ -65,7 +68,7 @@ pub fn build_point_opt(
     Ok(build_point_opt_with_budget(values, buckets, weighting, &Budget::unlimited())?.0)
 }
 
-fn point_oracle(values: &[i64], weighting: PointWeighting) -> WeightedPointOracle {
+fn point_oracle(values: &[i64], weighting: PointWeighting) -> Result<WeightedPointOracle> {
     match weighting {
         PointWeighting::Uniform => WeightedPointOracle::uniform(values),
         PointWeighting::RangeInclusion => WeightedPointOracle::range_inclusion(values),
@@ -74,9 +77,18 @@ fn point_oracle(values: &[i64], weighting: PointWeighting) -> WeightedPointOracl
 
 /// Weighted point-query SSE of an arbitrary bucketing with weighted-mean
 /// values (for tests and diagnostics).
-pub fn weighted_point_sse(values: &[i64], bucketing: &Bucketing, weighting: PointWeighting) -> f64 {
-    let oracle = point_oracle(values, weighting);
-    bucketing.iter().map(|(l, r)| oracle.cost(l, r)).sum()
+///
+/// # Errors
+///
+/// [`SynopticError::Overflow`](synoptic_core::SynopticError::Overflow)
+/// outside the point oracle's envelope.
+pub fn weighted_point_sse(
+    values: &[i64],
+    bucketing: &Bucketing,
+    weighting: PointWeighting,
+) -> Result<f64> {
+    let oracle = point_oracle(values, weighting)?;
+    Ok(bucketing.iter().map(|(l, r)| oracle.cost(l, r)).sum())
 }
 
 #[cfg(test)]
@@ -113,7 +125,7 @@ mod tests {
             for b in 1..=4 {
                 let (h, obj) =
                     build_point_opt_with_budget(&vals, b, w, &Budget::unlimited()).unwrap();
-                let recomputed = weighted_point_sse(&vals, h.bucketing(), w);
+                let recomputed = weighted_point_sse(&vals, h.bucketing(), w).unwrap();
                 assert!(
                     (obj - recomputed).abs() <= 1e-6 * (1.0 + obj),
                     "w={w:?} b={b}"

@@ -104,9 +104,12 @@ fn point_opt_dp_objective_is_the_exhaustive_optimum() {
         for (weighting, oracle) in [
             (
                 PointWeighting::RangeInclusion,
-                WeightedPointOracle::range_inclusion(&vals),
+                WeightedPointOracle::range_inclusion(&vals).unwrap(),
             ),
-            (PointWeighting::Uniform, WeightedPointOracle::uniform(&vals)),
+            (
+                PointWeighting::Uniform,
+                WeightedPointOracle::uniform(&vals).unwrap(),
+            ),
         ] {
             check(
                 &format!("{weighting:?} point"),

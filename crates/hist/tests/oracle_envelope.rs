@@ -2,6 +2,9 @@
 //!
 //! * The fused SAP0 cost is bit-identical to its three composed terms on
 //!   every window of seeded signed columns.
+//! * On columns whose short windows fit `i64` and whose long windows do
+//!   not, the narrow-first SAP0 cost equals the checked reference bit for
+//!   bit on both sides of the `i64` boundary.
 //! * At the largest range `R = max P − min P` each certificate admits for a
 //!   fixed `n`, the SAP0 and SAP1 bucket costs equal, bit for bit, a
 //!   reference that sums the window moments directly and checks every
@@ -90,15 +93,43 @@ impl Reference {
         (l..=r).map(|b| sub(self.p[b + 1], self.p[l])).collect()
     }
 
-    /// `(K·ΣW² − (ΣW)²) / L²` with `W_x = L·(P[x] − P[l]) − S·(x − l)`.
-    fn intra(&self, l: usize, r: usize) -> f64 {
+    /// `W_x = L·(P[x] − P[l]) − S·(x − l)` over the positions `x ∈ [l, r+1]`.
+    fn w(&self, l: usize, r: usize) -> Vec<i128> {
         let len = (r - l + 1) as i128;
         let s = sub(self.p[r + 1], self.p[l]);
-        let w: Vec<i128> = (l..=r + 1)
+        (l..=r + 1)
             .map(|x| sub(mul(len, sub(self.p[x], self.p[l])), mul(s, (x - l) as i128)))
-            .collect();
-        let num = Self::spread_num(&w);
+            .collect()
+    }
+
+    /// `(K·ΣW² − (ΣW)²) / L²`.
+    fn intra(&self, l: usize, r: usize) -> f64 {
+        let len = (r - l + 1) as i128;
+        let num = Self::spread_num(&self.w(l, r));
         num as f64 / mul(len, len) as f64
+    }
+
+    /// Which side of the `i64` boundary the oracle's narrow SAP0
+    /// evaluation of `[l, r]` lies on, or `None` when this cannot tell.
+    ///
+    /// * `Some(true)`: every intermediate of the narrow evaluation fits.
+    ///   With `K = L + 1` positions, `M = n + 1` and `Pm = max |P[x]|` over
+    ///   the window's positions, each table difference, centred moment and
+    ///   product it forms is at most `32·K³·M·Pm²` in magnitude (the largest
+    ///   is `K·ΣW²`, below `16·K³·M·Pm²`), and that bound fits `i64`.
+    /// * `Some(false)`: `K·ΣW²`, which the evaluation forms exactly, leaves
+    ///   `i64`, so it must fall back to `i128`.
+    fn narrow_side(&self, l: usize, r: usize) -> Option<bool> {
+        let w = self.w(l, r);
+        let k = w.len() as i128;
+        let operand = mul(k, w.iter().fold(0, |a, &v| add(a, mul(v, v))));
+        if operand > i64::MAX as i128 {
+            return Some(false);
+        }
+        let pm = self.p[l..=r + 1].iter().map(|p| p.unsigned_abs()).max()?;
+        let (k, m) = (k as u128, self.p.len() as u128);
+        let bound = (32 * k * k * k * m).checked_mul(pm.checked_mul(pm)?)?;
+        (bound <= i64::MAX as u128).then_some(true)
     }
 
     fn sap0(&self, n: usize, l: usize, r: usize) -> f64 {
@@ -191,6 +222,62 @@ fn fused_sap0_cost_is_the_composed_sum_bit_for_bit() {
                     "window [{l}, {r}] of {vals:?}: fused {fused} vs composed {composed}"
                 );
             }
+        }
+    }
+}
+
+/// Columns whose first half holds small values and whose second half
+/// climbs steeply: windows inside the first half evaluate in `i64`,
+/// windows reaching far into the second half need `i128`. The climb comes
+/// in two heights: one keeps every prefix-table difference inside `i64`,
+/// so only the products overflow, the other reaches half the base
+/// certificate's range, so the table differences overflow too. Both sides
+/// equal the checked reference bit for bit, and
+/// [`Reference::narrow_side`] proves both were exercised on every column.
+#[test]
+fn narrow_first_sap0_cost_is_exact_on_both_sides_of_the_i64_boundary() {
+    let mut rng = Rng::new(0x1664);
+    for n in [16usize, 64, 256] {
+        // `(n+1)·R² ≤ i64::MAX / 4` bounds every table difference.
+        let tables_fit = ((i64::MAX as f64 / (n + 1) as f64).sqrt() / n as f64) as i64;
+        let near_certificate = i64::try_from(base_max_range(n) / n as u128).unwrap();
+        let mut columns = Vec::new();
+        for high in [tables_fit, near_certificate] {
+            let climbing: Vec<i64> = (0..n)
+                .map(|i| {
+                    if i < n / 2 {
+                        rng.i64_in(-50, 50)
+                    } else {
+                        rng.i64_in(high / 2, high)
+                    }
+                })
+                .collect();
+            columns.push(climbing.iter().map(|v| -v).collect());
+            columns.push(climbing);
+        }
+        for vals in columns {
+            let ps = PrefixSums::from_values(&vals);
+            let o = WindowOracle::new(&ps).unwrap();
+            let reference = Reference::new(&ps);
+            let (mut narrow, mut wide) = (0usize, 0usize);
+            for l in 0..n {
+                for r in l..n {
+                    assert_eq!(
+                        sap0_bucket_cost(&o, n, l, r).to_bits(),
+                        reference.sap0(n, l, r).to_bits(),
+                        "n={n}, window [{l}, {r}]"
+                    );
+                    match reference.narrow_side(l, r) {
+                        Some(true) => narrow += 1,
+                        Some(false) => wide += 1,
+                        None => {}
+                    }
+                }
+            }
+            assert!(
+                narrow > 0 && wide > 0,
+                "n={n}: {narrow} narrow, {wide} wide"
+            );
         }
     }
 }

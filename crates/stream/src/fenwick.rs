@@ -1,12 +1,18 @@
 //! A binary-indexed (Fenwick) tree over `i64` frequencies: the exact,
 //! update-friendly companion to the static `PrefixSums` table.
 
+use synoptic_core::{Result, SynopticError};
+
 /// Fenwick tree supporting O(log n) point updates and prefix sums.
 #[derive(Debug, Clone)]
 pub struct Fenwick {
     /// 1-based internal tree; `tree[0]` unused.
     tree: Vec<i128>,
     n: usize,
+    /// An upper bound on every `|A[i]|`: the largest at construction plus
+    /// every `|delta|` since, so it only grows. While it stays inside
+    /// `i64`, [`Fenwick::check_batch`] needs no point reads.
+    bound: u128,
 }
 
 impl Fenwick {
@@ -15,6 +21,7 @@ impl Fenwick {
         Self {
             tree: vec![0; n + 1],
             n,
+            bound: 0,
         }
     }
 
@@ -30,7 +37,12 @@ impl Fenwick {
                 tree[j] += carried;
             }
         }
-        Self { tree, n }
+        let bound = values.iter().map(|v| v.unsigned_abs() as u128).max();
+        Self {
+            tree,
+            n,
+            bound: bound.unwrap_or(0),
+        }
     }
 
     /// Domain size.
@@ -46,6 +58,7 @@ impl Fenwick {
             self.tree[j] += delta as i128;
             j += j & j.wrapping_neg();
         }
+        self.bound = self.bound.saturating_add(delta.unsigned_abs() as u128);
     }
 
     /// Fallible [`Fenwick::update`] for untrusted indexes (WAL replay):
@@ -71,6 +84,49 @@ impl Fenwick {
         acc
     }
 
+    /// `A[i]`, O(log n).
+    fn value(&self, i: usize) -> i128 {
+        self.range_sum(i, i)
+    }
+
+    /// Checks, without changing the tree, that `A[i] += delta` for every
+    /// `(i, delta)` of `batch`, in order, keeps every index in range and
+    /// every cell inside `i64` at every step — the check replay makes
+    /// record by record, so a batch this admits replays. Deltas to one
+    /// index accumulate in batch order. O(k) for `k` deltas while the
+    /// running bound on `|A[i]|` plus the batch's `Σ|delta|` stays inside
+    /// `i64`; past that, each touched cell is read once, in O(log n).
+    ///
+    /// # Errors
+    ///
+    /// [`SynopticError::IndexOutOfBounds`] for the first index outside the
+    /// domain, else [`SynopticError::Overflow`] when a step leaves `i64`.
+    pub(crate) fn check_batch(&self, batch: &[(usize, i64)]) -> Result<()> {
+        if let Some(&(index, _)) = batch.iter().find(|&&(i, _)| i >= self.n) {
+            return Err(SynopticError::IndexOutOfBounds { index, n: self.n });
+        }
+        let reach = batch.iter().fold(self.bound, |acc, &(_, delta)| {
+            acc.saturating_add(delta.unsigned_abs() as u128)
+        });
+        if reach <= i64::MAX as u128 {
+            return Ok(());
+        }
+        // Positions grouped by index, batch order within a group.
+        let mut order: Vec<usize> = (0..batch.len()).collect();
+        order.sort_unstable_by_key(|&k| (batch[k].0, k));
+        let mut cell: Option<(usize, i64)> = None;
+        for k in order {
+            let (i, delta) = batch[k];
+            let current = match cell {
+                Some((j, v)) if j == i => v,
+                _ => i64::try_from(self.value(i)).map_err(|_| SynopticError::Overflow)?,
+            };
+            let next = current.checked_add(delta).ok_or(SynopticError::Overflow)?;
+            cell = Some((i, next));
+        }
+        Ok(())
+    }
+
     /// Inclusive range sum `s[a, b]`.
     pub fn range_sum(&self, a: usize, b: usize) -> i128 {
         self.prefix(b + 1) - self.prefix(a)
@@ -82,8 +138,16 @@ impl Fenwick {
     }
 
     /// Materializes the current frequencies in O(n log n).
-    pub fn to_values(&self) -> Vec<i64> {
-        (0..self.n).map(|i| (self.range_sum(i, i)) as i64).collect()
+    ///
+    /// # Errors
+    ///
+    /// [`SynopticError::Overflow`] when a cell lies outside `i64`. The
+    /// pool refuses every batch that would move a cell there, so its
+    /// snapshots never see one.
+    pub fn to_values(&self) -> Result<Vec<i64>> {
+        (0..self.n)
+            .map(|i| i64::try_from(self.value(i)).map_err(|_| SynopticError::Overflow))
+            .collect()
     }
 }
 
@@ -102,7 +166,7 @@ mod tests {
                 acc += vals[i] as i128;
             }
         }
-        assert_eq!(f.to_values(), vals);
+        assert_eq!(f.to_values().unwrap(), vals);
     }
 
     #[test]
@@ -153,5 +217,38 @@ mod tests {
         assert!(!f.try_update(4, 1));
         assert!(!f.try_update(usize::MAX, 1));
         assert_eq!(f.total(), 5);
+    }
+
+    #[test]
+    fn check_batch_refuses_a_step_outside_i64_and_changes_nothing() {
+        // Inside the running bound: no point reads needed, all admitted.
+        let f = Fenwick::from_values(&[-5, 9]);
+        assert_eq!(
+            f.check_batch(&[(0, 100 - i64::MAX), (1, -9), (1, 9)]),
+            Ok(())
+        );
+        let mut f = Fenwick::from_values(&[0, 0, 0, i64::MAX - 1]);
+        let before = f.tree.clone();
+        assert_eq!(f.check_batch(&[(3, 5)]), Err(SynopticError::Overflow));
+        assert_eq!(f.check_batch(&[(3, 1)]), Ok(()));
+        // Deltas to one index accumulate in batch order, each step checked:
+        // +1 then +1 leaves i64 at the second step, even though -1 follows.
+        assert_eq!(
+            f.check_batch(&[(3, 1), (0, 7), (3, 1), (3, -1)]),
+            Err(SynopticError::Overflow)
+        );
+        assert_eq!(f.check_batch(&[(3, -1), (0, 7), (3, 2)]), Ok(()));
+        assert_eq!(
+            f.check_batch(&[(2, i64::MIN), (2, -1)]),
+            Err(SynopticError::Overflow)
+        );
+        assert_eq!(
+            f.check_batch(&[(3, 5), (4, 1)]),
+            Err(SynopticError::IndexOutOfBounds { index: 4, n: 4 })
+        );
+        assert_eq!(f.tree, before);
+        // A cell the tree holds past i64 fails the snapshot, not a cast.
+        f.update(3, 5);
+        assert_eq!(f.to_values(), Err(SynopticError::Overflow));
     }
 }

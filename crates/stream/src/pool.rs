@@ -284,9 +284,12 @@ impl ColumnHandle {
     }
 
     /// Ingests `A[i] += delta` for every `(i, delta)` of `batch`, whole or
-    /// not at all: an out-of-range index ([`SynopticError::IndexOutOfBounds`])
-    /// or a failed journal append rejects the batch before any state
-    /// changes, and recovery replays a journaled batch whole or not at all.
+    /// not at all: an out-of-range index ([`SynopticError::IndexOutOfBounds`]),
+    /// a step that would move a cell outside `i64`
+    /// ([`SynopticError::Overflow`]; deltas to one index accumulate in
+    /// batch order, as replay applies them) or a failed journal append
+    /// rejects the batch before any state changes, and recovery replays a
+    /// journaled batch whole or not at all.
     /// Never blocks on a rebuild or a persist: the critical section is the
     /// one journal append plus Fenwick arithmetic. When the rebuild policy
     /// fires after the batch (and no rebuild is already in flight), a
@@ -306,10 +309,7 @@ impl ColumnHandle {
         // run on the captured snapshot after the lock drops.
         let (usr, drift_abs, mass) = {
             let mut st = lock(&self.inner.ingest);
-            let n = st.fenwick.n();
-            if let Some(&(index, _)) = batch.iter().find(|&&(i, _)| i >= n) {
-                return Err(SynopticError::IndexOutOfBounds { index, n });
-            }
+            st.fenwick.check_batch(batch)?;
             if let Some(wal) = &self.inner.wal {
                 // Write-ahead: journal before mutating, inside the ingest
                 // critical section so the journal order agrees with the
@@ -1010,8 +1010,9 @@ struct Snapshot {
 /// degraded part (a newer rebuild already restored full quality, or the
 /// column is custom-built). The journal mark is read under the ingest
 /// lock: appends also run under it, so the mark names exactly the last
-/// journal record the snapshot contains.
-fn snapshot(col: &ColumnInner, kind: JobKind) -> Option<Snapshot> {
+/// journal record the snapshot contains. Fails, taking nothing, only if a
+/// cell lies outside `i64`, which ingest refuses to bring about.
+fn snapshot(col: &ColumnInner, kind: JobKind) -> Result<Option<Snapshot>> {
     let degraded: Vec<usize> = match kind {
         JobKind::Rebuild => Vec::new(),
         JobKind::Upgrade => {
@@ -1022,9 +1023,10 @@ fn snapshot(col: &ColumnInner, kind: JobKind) -> Option<Snapshot> {
         }
     };
     if kind == JobKind::Upgrade && degraded.is_empty() {
-        return None;
+        return Ok(None);
     }
     let mut st = lock(&col.ingest);
+    let values = st.fenwick.to_values()?;
     let mut dirty = Vec::new();
     if kind == JobKind::Rebuild {
         let clean = vec![false; st.dirty.len()];
@@ -1037,34 +1039,38 @@ fn snapshot(col: &ColumnInner, kind: JobKind) -> Option<Snapshot> {
         }
         JobKind::Rebuild => (0..col.part_count()).collect(),
     };
-    Some(Snapshot {
-        values: st.fenwick.to_values(),
+    Ok(Some(Snapshot {
+        values,
         drift_abs: st.drift_abs,
         updates: st.updates_since_rebuild,
         wal_mark: col.wal.as_ref().map_or(0, |w| w.pending_mark()),
         dirty,
         targets,
-    })
+    }))
 }
 
 /// Runs one job through the pipeline: snapshot → build → commit, or the
 /// failure path. Failure is atomic: unless every target builds and the
 /// parts compose, nothing swaps.
 fn run_job(col: &Arc<ColumnInner>, kind: JobKind, self_tx: &mpsc::Sender<Job>) {
-    if let Some(snap) = snapshot(col, kind) {
-        let (build, segments) = (&col.build, col.segments.as_ref());
-        let built = build_parts(
-            build,
-            segments,
-            &snap.values,
-            &snap.targets,
-            kind,
-            &col.config,
-            1,
-        );
-        if let Err(err) = built.and_then(|fresh| commit(col, kind, &snap, fresh, self_tx)) {
-            fail(col, kind, snap, err);
+    match snapshot(col, kind) {
+        Ok(Some(snap)) => {
+            let (build, segments) = (&col.build, col.segments.as_ref());
+            let built = build_parts(
+                build,
+                segments,
+                &snap.values,
+                &snap.targets,
+                kind,
+                &col.config,
+                1,
+            );
+            if let Err(err) = built.and_then(|fresh| commit(col, kind, &snap, fresh, self_tx)) {
+                fail(col, kind, snap.dirty, err);
+            }
         }
+        Ok(None) => {}
+        Err(err) => fail(col, kind, Vec::new(), err),
     }
     col.job_finished();
 }
@@ -1141,14 +1147,15 @@ fn commit(
 }
 
 /// The pipeline's failure path; the last-good synopsis keeps serving. A
-/// failed rebuild ORs the snapshot's dirty marks back over whatever ingest
-/// dirtied meanwhile, records the error — cancellation provenance
-/// included — and starts the cooldown. A failed upgrade records the error;
-/// the next degraded rebuild schedules another attempt.
-fn fail(col: &ColumnInner, kind: JobKind, snap: Snapshot, err: SynopticError) {
+/// failed rebuild ORs the snapshot's dirty marks (`dirty`, empty when no
+/// snapshot was taken) back over whatever ingest dirtied meanwhile,
+/// records the error — cancellation provenance included — and starts the
+/// cooldown. A failed upgrade records the error; the next degraded
+/// rebuild schedules another attempt.
+fn fail(col: &ColumnInner, kind: JobKind, dirty: Vec<bool>, err: SynopticError) {
     match kind {
         JobKind::Rebuild => {
-            for (mark, was) in lock(&col.ingest).dirty.iter_mut().zip(snap.dirty) {
+            for (mark, was) in lock(&col.ingest).dirty.iter_mut().zip(dirty) {
                 *mark |= was;
             }
             col.stats.failed_rebuilds.fetch_add(1, Ordering::Relaxed);
@@ -1313,6 +1320,68 @@ mod tests {
             assert_eq!(col.stats().updates, 1);
         }
         assert_eq!(journaled.wal_mark(), 1);
+        drop(pool);
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    /// A batch that would move a cell outside `i64` is refused whole,
+    /// before the journal, like an out-of-range index: the Fenwick tree
+    /// sums in `i128`, so without the check `exact` reads past `i64` and
+    /// the next rebuild's snapshot wraps.
+    #[test]
+    fn a_batch_that_would_leave_i64_is_refused_whole_untouched() {
+        let dir = std::env::temp_dir().join(format!("synoptic_pool_wrap_{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        let pool = MaintainedPool::new(1);
+        let mut vals = [0i64; 8];
+        vals[3] = i64::MAX - 1;
+        let naive = || {
+            ColumnBuild::Custom(Box::new(|v: &[i64], ps: &PrefixSums, b: &Budget| {
+                build_with_budget(HistogramMethod::Naive, v, ps, 1, b)
+            }))
+        };
+        let config = RebuildConfig::new(RebuildPolicy::Manual);
+        let plain = pool
+            .add_column("plain", &vals, naive(), config.clone())
+            .unwrap();
+        let storage: SharedStorage = Arc::new(synoptic_catalog::FsStorage::new());
+        let journaled = pool
+            .add_column_durable(
+                "journaled",
+                &vals,
+                naive(),
+                config,
+                storage,
+                &DurabilityConfig::journaled(&dir),
+                0,
+                None,
+            )
+            .unwrap();
+        let cell = |col: &ColumnHandle| col.exact(RangeQuery::new(3, 3).unwrap());
+        for col in [&plain, &journaled] {
+            col.update(0, 1).unwrap();
+            let mark = col.wal_mark();
+            assert_eq!(col.update_batch(&[(3, 5)]), Err(SynopticError::Overflow));
+            // Each delta fits alone; accumulated in batch order the second
+            // leaves i64, so nothing of the batch lands.
+            assert_eq!(
+                col.update_batch(&[(1, 2), (3, 1), (3, 1)]),
+                Err(SynopticError::Overflow)
+            );
+            assert_eq!(col.wal_mark(), mark, "{}", col.name());
+            assert_eq!(cell(col), (i64::MAX - 1) as i128);
+            assert_eq!(col.exact(RangeQuery::new(0, 2).unwrap()), 1);
+            assert_eq!(col.stats().updates, 1);
+            // A batch whose every step stays inside i64 lands, and the next
+            // rebuild snapshots it without error.
+            assert!(!col.update_batch(&[(3, 1), (3, -2)]).unwrap());
+            assert_eq!(cell(col), (i64::MAX - 2) as i128);
+            col.request_rebuild().unwrap();
+            col.quiesce();
+            assert_eq!(col.stats().rebuilds, 1, "{}", col.name());
+            assert_eq!(col.last_error(), None, "{}", col.name());
+        }
+        assert_eq!(journaled.wal_mark(), 3);
         drop(pool);
         let _ = std::fs::remove_dir_all(&dir);
     }

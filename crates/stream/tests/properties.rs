@@ -32,7 +32,7 @@ fn fenwick_matches_reference_after_any_script() {
             f.update(i, d);
             reference[i] += d;
         }
-        assert_eq!(f.to_values(), reference, "case {case}");
+        assert_eq!(f.to_values().unwrap(), reference, "case {case}");
         let ps = PrefixSums::from_values(&reference);
         for i in 0..=reference.len() {
             assert_eq!(f.prefix(i), ps.p(i), "case {case}: prefix {i}");

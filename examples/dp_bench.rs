@@ -3,12 +3,17 @@
 //! Times the shared bucket-additive DP of `hist::dp` with the SAP0, SAP1,
 //! A0 and POINT-OPT bucket costs over the grid n ∈ {256, 1024} ×
 //! B ∈ {1, 8, 64, 192}, SAP0 alone at n = 4096 (perfbench's column size)
-//! with B ∈ {8, 64}, and the OPT-A DP at the paper's n = 127, B = 16.
-//! Every entry reports its DP cells (the work units the DP charges its
-//! `Budget`) and, for the additive kernels, its cost-oracle calls; both are
-//! deterministic and counted in one untimed warm-up run. The timed runs
+//! with B ∈ {8, 64}, the OPT-A DP at the paper's n = 127, B = 16, and
+//! SAP0 over perfbench's served column as the pool builds it at
+//! registration: 16 segments of 256 keys at their `split_segment_budget`
+//! shares of 384 words (the kernel behind perfbench's `setup_s`; that
+//! column's windows mostly fit `i64`, the signed grid's long windows do
+//! not). Every entry reports its DP cells (the work units the DP charges
+//! its `Budget`) and, for the additive kernels, its cost-oracle calls; both
+//! are deterministic and counted in one untimed warm-up run. The timed runs
 //! then give wall-clock ms, ns per cell and ns per oracle call, each as
-//! min / median / max over `TRIALS` runs.
+//! min / median / max over `TRIALS` runs; the segmented entry sums all 16
+//! segments in each run.
 //!
 //! Run with: `cargo run --release --example dp_bench`
 //! Writes `results/BENCH_dp.json` (override dir with `BENCH_OUT_DIR`).
@@ -17,16 +22,20 @@ use std::cell::Cell;
 use std::hint::black_box;
 use std::time::Instant;
 
+use synoptic::core::segment::SegmentLayout;
 use synoptic::core::window::{WeightedPointOracle, WindowOracle};
-use synoptic::core::{Budget, PrefixSums, RoundingMode};
+use synoptic::core::{Budget, PrefixSums, Rng, RoundingMode};
+use synoptic::data::normal_mixture;
 use synoptic::data::zipf::{paper_dataset, ZipfConfig};
 use synoptic::eval::bench::write_report;
 use synoptic::eval::json::JsonValue;
 use synoptic::hist::a0::a0_bucket_cost;
+use synoptic::hist::builder::HistogramMethod;
 use synoptic::hist::dp::optimal_bucketing_with_budget;
 use synoptic::hist::opta::{build_opt_a_with_budget, OptAConfig};
 use synoptic::hist::sap0::sap0_bucket_cost;
 use synoptic::hist::sap1::sap1_bucket_cost;
+use synoptic::stream::split_segment_budget;
 
 const GRID_N: [usize; 2] = [256, 1024];
 const GRID_B: [usize; 4] = [1, 8, 64, 192];
@@ -35,11 +44,28 @@ const LARGE_N: usize = 4096;
 const LARGE_B: [usize; 2] = [8, 64];
 const OPTA_BUCKETS: usize = 16;
 const TRIALS: usize = 5;
+/// perfbench's served column: its segment count, its word budget, and the
+/// seed of the noise (the first of the seeds its alternating runs use).
+const SERVED_SEGMENTS: usize = 16;
+const SERVED_WORDS: usize = SERVED_SEGMENTS * 8 * 3;
+const SERVED_SEED: u64 = 11;
 
 /// The signed column `segments_bench` uses, at length `n`.
 fn values(n: usize) -> Vec<i64> {
     (0..n as i64)
         .map(|i| (i * i * 31 + 7 * i) % 997 - 300)
+        .collect()
+}
+
+/// perfbench's served column at `SERVED_SEED`: a fixed twelve-mode shape
+/// plus seeded per-key noise in [0, 100].
+fn served_values() -> Vec<i64> {
+    let shape = normal_mixture(LARGE_N, 12, 1000.0, 2001);
+    let mut rng = Rng::new(SERVED_SEED ^ 0x00C0_FFEE);
+    shape
+        .values()
+        .iter()
+        .map(|v| v + rng.i64_in(0, 100))
         .collect()
 }
 
@@ -75,32 +101,96 @@ fn additive_entry(
     buckets: usize,
     cost: impl Fn(usize, usize) -> f64,
 ) -> JsonValue {
+    let label = format!("{method:>9} n={n:>4} B={buckets:>3}");
+    let entry = parts_entry(&label, &[(n, buckets, cost)]);
+    JsonValue::obj(
+        [
+            ("method", JsonValue::Str(method.to_string())),
+            ("n", JsonValue::Int(n as i128)),
+            ("buckets", JsonValue::Int(buckets as i128)),
+        ]
+        .into_iter()
+        .chain(entry),
+    )
+}
+
+/// The segmented SAP0 entry: every segment of perfbench's served column at
+/// its share of the joint budget split, timed together.
+fn served_segments_entry() -> JsonValue {
+    let vals = served_values();
+    let layout = SegmentLayout::equi_width(vals.len(), SERVED_SEGMENTS).unwrap();
+    let method = HistogramMethod::Sap0;
+    let budgets = split_segment_budget(&vals, &layout, method, SERVED_WORDS).unwrap();
+    let oracles: Vec<(usize, usize, WindowOracle)> = layout
+        .iter()
+        .zip(&budgets)
+        .map(|((l, r), &words)| {
+            let ps = PrefixSums::from_values(&vals[l..=r]);
+            let buckets = words / method.words_per_bucket();
+            (r - l + 1, buckets, WindowOracle::new(&ps).unwrap())
+        })
+        .collect();
+    let parts: Vec<_> = oracles
+        .iter()
+        .map(|(n, buckets, oracle)| {
+            let n = *n;
+            (n, *buckets, move |l, r| sap0_bucket_cost(oracle, n, l, r))
+        })
+        .collect();
+    let buckets: usize = parts.iter().map(|p| p.1).sum();
+    let label = format!(
+        "{:>9} n={LARGE_N:>4} B={buckets:>3} in {SERVED_SEGMENTS} segments",
+        "SAP0"
+    );
+    let entry = parts_entry(&label, &parts);
+    JsonValue::obj(
+        [
+            ("method", JsonValue::Str("SAP0".to_string())),
+            ("column", JsonValue::Str("perfbench served".to_string())),
+            ("n", JsonValue::Int(LARGE_N as i128)),
+            ("segments", JsonValue::Int(SERVED_SEGMENTS as i128)),
+            ("words", JsonValue::Int(SERVED_WORDS as i128)),
+            ("buckets", JsonValue::Int(buckets as i128)),
+        ]
+        .into_iter()
+        .chain(entry),
+    )
+}
+
+/// Times the DP over every `(n, buckets, cost)` of `parts` in each run,
+/// prints one line under `label`, and returns the summed cells and oracle
+/// calls with the ms, ns per cell and ns per oracle call spreads.
+fn parts_entry<F: Fn(usize, usize) -> f64>(
+    label: &str,
+    parts: &[(usize, usize, F)],
+) -> Vec<(&'static str, JsonValue)> {
     let calls = Cell::new(0u64);
-    let counted = |l: usize, r: usize| {
-        calls.set(calls.get() + 1);
-        cost(l, r)
-    };
-    let budget = Budget::unlimited();
-    optimal_bucketing_with_budget(n, buckets, counted, &budget).unwrap();
+    let warm_up = Budget::unlimited();
+    for (n, buckets, cost) in parts {
+        let counted = |l: usize, r: usize| {
+            calls.set(calls.get() + 1);
+            cost(l, r)
+        };
+        optimal_bucketing_with_budget(*n, *buckets, counted, &warm_up).unwrap();
+    }
     let calls = calls.get();
     let (cells, ns) = trials(|| {
         let budget = Budget::unlimited();
-        black_box(optimal_bucketing_with_budget(n, buckets, &cost, &budget).unwrap());
+        for (n, buckets, cost) in parts {
+            black_box(optimal_bucketing_with_budget(*n, *buckets, cost, &budget).unwrap());
+        }
         budget.cells_used()
     });
-    assert_eq!(cells, budget.cells_used(), "{method}: cells must repeat");
+    assert_eq!(cells, warm_up.cells_used(), "{label}: cells must repeat");
     let median = ns[TRIALS / 2];
     println!(
-        "{method:>9} n={n:>4} B={buckets:>3}: {:>9.3} ms, {:>6.2} ns/cell, \
+        "{label}: {:>9.3} ms, {:>6.2} ns/cell, \
          {:>7.1} ns/oracle call ({cells} cells, {calls} calls)",
         median / 1e6,
         median / cells as f64,
         median / calls as f64,
     );
-    JsonValue::obj([
-        ("method", JsonValue::Str(method.to_string())),
-        ("n", JsonValue::Int(n as i128)),
-        ("buckets", JsonValue::Int(buckets as i128)),
+    vec![
         ("cells", JsonValue::Int(cells as i128)),
         ("oracle_calls", JsonValue::Int(calls as i128)),
         ("ms", spread(ns.iter().map(|t| t / 1e6).collect())),
@@ -112,7 +202,7 @@ fn additive_entry(
             "ns_per_oracle_call",
             spread(ns.iter().map(|t| t / calls as f64).collect()),
         ),
-    ])
+    ]
 }
 
 /// The OPT-A entry at the paper's dataset (n = 127) and B = 16. OPT-A has
@@ -153,7 +243,7 @@ fn main() {
         let ps = PrefixSums::from_values(&vals);
         let window = WindowOracle::new(&ps).unwrap();
         let fits = window.fits().unwrap();
-        let point = WeightedPointOracle::range_inclusion(&vals);
+        let point = WeightedPointOracle::range_inclusion(&vals).unwrap();
         for buckets in GRID_B.into_iter().filter(|&b| b <= n) {
             entries.push(additive_entry("SAP0", n, buckets, |l, r| {
                 sap0_bucket_cost(&window, n, l, r)
@@ -176,6 +266,7 @@ fn main() {
             sap0_bucket_cost(&window, LARGE_N, l, r)
         }));
     }
+    entries.push(served_segments_entry());
     entries.push(opt_a_entry());
     let report = JsonValue::obj([
         ("bench", JsonValue::Str("dp".to_string())),
