@@ -108,11 +108,12 @@ echo "==> anytime ladder suite: run_ladder under cancellation and the oracle's O
 ${CAP} cargo test -q -p synoptic-hist --test cancellation_sweep --test oracle_envelope --offline
 ${CAP} cargo test -q -p synoptic-eval --lib --offline
 
-echo "==> kernel exactness (release): the narrow-first i64 window cost and the certified i128 fallback agree bit for bit without debug overflow checks (capped at ${TEST_CAP}s)"
+echo "==> kernel exactness (release): the checked-i64 SAP0 column, its certified i128 fallback and the per-window cost agree bit for bit, and the column DP matches its k-outer reference, without debug overflow checks (capped at ${TEST_CAP}s)"
 # The narrow path must detect every i64 overflow with its own checked
 # arithmetic; a release build has no debug overflow traps to lean on.
 ${CAP} cargo test -q --release -p synoptic-hist --test oracle_envelope --test additive_vs_exhaustive --offline
 ${CAP} cargo test -q --release -p synoptic-core --lib window --offline
+${CAP} cargo test -q --release -p synoptic-hist --lib dp --offline
 
 echo "==> full workspace tests (offline, capped at ${TEST_CAP}s)"
 ${CAP} cargo test -q --workspace --offline

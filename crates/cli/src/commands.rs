@@ -531,34 +531,27 @@ pub fn serve(args: &[String]) -> Result<(), CliError> {
     Ok(())
 }
 
-/// `evaluate`: compare methods on a column file at one budget. With
-/// `--deadline-ms`/`--max-cells` every method builds through the anytime
-/// ladder and the table gains a provenance column, so a slow method shows
-/// *what it degraded to* rather than silently misreporting its error.
+/// `evaluate`: compare methods on a column file at one budget. Every
+/// method builds through the anytime ladder (constrained by
+/// `--deadline-ms`/`--max-cells` when given) and every row carries its
+/// provenance, so a method that could not be built shows *what it degraded
+/// to* rather than silently misreporting its error.
 pub fn evaluate(args: &[String]) -> Result<(), CliError> {
     let f = Flags::parse(args).usage()?;
     let values = read_column(f.required("input").usage()?)?;
     let ps = PrefixSums::from_values(&values);
     let budget: usize = f.parsed_or("budget", 32).usage()?;
     let params = parse_exec(&f)?;
-    let constrained = !params.is_unconstrained();
     println!(
         "n = {}, rows = {}, budget = {budget} words; SSE over all {} ranges",
         values.len(),
         ps.total(),
         RangeQuery::count_all(values.len())
     );
-    if constrained {
-        println!(
-            "{:<14} {:>8} {:>14} {:>12}  provenance",
-            "method", "words", "sse", "rmse"
-        );
-    } else {
-        println!(
-            "{:<14} {:>8} {:>14} {:>12}",
-            "method", "words", "sse", "rmse"
-        );
-    }
+    println!(
+        "{:<14} {:>8} {:>14} {:>12}  provenance",
+        "method", "words", "sse", "rmse"
+    );
     for m in [
         MethodSpec::Naive,
         MethodSpec::EquiDepth,
@@ -573,23 +566,13 @@ pub fn evaluate(args: &[String]) -> Result<(), CliError> {
             Ok((est, outcome)) => {
                 let sse = exact_sse(est.as_ref(), &ps);
                 let rmse = (sse / RangeQuery::count_all(values.len()) as f64).sqrt();
-                if constrained {
-                    println!(
-                        "{:<14} {:>8} {:>14.4e} {:>12.2}  {outcome}",
-                        m.name(),
-                        est.storage_words(),
-                        sse,
-                        rmse
-                    );
-                } else {
-                    println!(
-                        "{:<14} {:>8} {:>14.4e} {:>12.2}",
-                        m.name(),
-                        est.storage_words(),
-                        sse,
-                        rmse
-                    );
-                }
+                println!(
+                    "{:<14} {:>8} {:>14.4e} {:>12.2}  {outcome}",
+                    m.name(),
+                    est.storage_words(),
+                    sse,
+                    rmse
+                );
             }
             Err(e @ SynopticError::Cancelled) => return Err(e.into()),
             Err(e) => println!("{:<14} {:>8} {e}", m.name(), "-"),

@@ -363,6 +363,39 @@ fn evaluate_steps_down_past_point_opt_overflow() {
     let _ = std::fs::remove_file(&col);
 }
 
+/// `evaluate` without an execution limit over the same column: the
+/// degraded rows still name what they degraded to, instead of passing an
+/// EQUI-DEPTH synopsis off under the requested method's name.
+#[test]
+fn evaluate_steps_down_past_point_opt_overflow_without_a_deadline() {
+    let col = tmp("synoptic_point_overflow_unlimited_col.txt");
+    std::fs::write(
+        &col,
+        "3000000000000000000\n1\n2500000000000000000\n7\n5\n3000000000\n1\n2\n",
+    )
+    .unwrap();
+    let args = [
+        "evaluate",
+        "--input",
+        col.to_str().unwrap(),
+        "--budget",
+        "6",
+    ];
+    let out = run(&args);
+    let stdout = String::from_utf8_lossy(&out.stdout);
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert_ne!(out.status.code(), Some(101), "panicked: {stderr}");
+    assert_eq!(out.status.code(), Some(0), "stderr: {stderr}");
+    let row = stdout
+        .lines()
+        .find(|l| l.starts_with("POINT-OPT"))
+        .unwrap_or_else(|| panic!("no POINT-OPT row in {stdout}"));
+    assert!(row.contains("degraded:"), "{row}");
+    assert!(row.contains("requested POINT-OPT"), "{row}");
+
+    let _ = std::fs::remove_file(&col);
+}
+
 /// The documented exit-code contract (see `synoptic help`):
 /// 0 success, 1 failure, 2 usage, 4 corrupt synopsis/store,
 /// 5 deadline/cell budget exceeded, 6 cancelled, 7 unrecoverable journal

@@ -14,38 +14,63 @@
 //!
 //! All of these reduce to window sums of `P[x]`, `P[x]²` and `x·P[x]` over
 //! the prefix-sum table, which this oracle precomputes as exact `i128`
-//! cumulatives. Per-window quantities are *centered* (shifted by `P[l]` and
-//! `l`) while still in integer arithmetic, and the cancellation-prone final
-//! subtractions (variances, regression residuals, intra SSE) are performed in
-//! **scaled integer arithmetic** — multiplying through by the window length
-//! so fractional averages become integral — before a single conversion to
-//! `f64`. This keeps every statistic exact (not merely accurate) for data
-//! within the certified envelope below.
+//! cumulatives. Per-window quantities are *centered* (shifted by a window
+//! end's `P` and position) while still in integer arithmetic, and the
+//! cancellation-prone final subtractions (variances, regression residuals,
+//! intra SSE) are performed in **scaled integer arithmetic** — multiplying
+//! through by the window length so fractional averages become integral —
+//! before a single conversion to `f64`. This keeps every statistic exact
+//! (not merely accurate) for data within the certified envelope below.
 //!
-//! SAP0's whole bucket cost comes from one centred evaluation
-//! ([`WindowOracle::sap0_cost`]): its intra, suffix and prefix terms all
-//! centre at `P[l]`, so the suffix and prefix moments are the intra
-//! moments minus one end position each.
+//! SAP0's whole bucket cost comes from one formula over the window's
+//! moments centred at its right end `P[r+1]` (see "Column evaluation"):
+//! its intra, suffix and prefix terms all read the same three moments.
 //!
-//! ## Narrow-first evaluation
+//! ## Column evaluation
 //!
-//! Every SAP0 build calls [`WindowOracle::sap0_cost`] once per window, so
-//! it first evaluates its formula in `i64` with checked operations,
-//! narrowing each prefix-table difference with `i64::try_from`. On the
-//! first overflow it evaluates the same formula in `i128`, unchecked
-//! inside the certificate below. The formula is written once, generic over
-//! the width, and the output is bit-identical either way:
+//! The DP asks for SAP0 costs one column at a time: a fixed right end `r`
+//! and every left end `l ≤ r` ([`WindowOracle::sap0_column`]). Write
+//! `e_x = P[x] − P[r+1]` and `S = s[l, r] = −e_l`. The intra vector is then
+//!
+//! ```text
+//! W_x = L·d_x − S·(x − l) = L·e_x + S·(r+1−x),      d_x = P[x] − P[l],
+//! ```
+//!
+//! the same integers with the same magnitudes (`W_l = W_{r+1} = 0`). The
+//! suffix and prefix spreads are shift-invariant determinants: the suffix
+//! sums `σ_a = −e_a` use `(t1, t2)` directly, since `e_{r+1} = 0`, and the
+//! prefix sums `π_b = e_{b+1} − e_l` use `(t1 − e_l, t2 − e_l²)`. Here the
+//! running sums over `x ∈ [l, r+1]` are
+//!
+//! ```text
+//! t1 = Σ e_x,   t2 = Σ e_x²,   u = Σ (r+1−x)·e_x,
+//! ```
+//!
+//! so `ΣW = L·t1 + S·Σ(r+1−x)` and `ΣW² = L²·t2 + 2L·S·u + S²·Σ(r+1−x)²`.
+//! Each running sum moves by one term as `l` decreases: a column pays one
+//! add per moment per window, where a window alone rebuilds its moments
+//! from the cumulative tables. One private formula turns moments into the
+//! cost. The per-window [`WindowOracle::sap0_cost`] feeds it moments taken
+//! from the tables; the column feeds it running ones. Every exact
+//! numerator is the same integer either way, and the conversions, the
+//! three divisions and the order of the final sum are shared, so the two
+//! agree bit for bit.
+//!
+//! A column runs in checked `i64`. Windows over moderate data fit (a
+//! segment of perfbench's served column almost entirely), and there the
+//! `i128` multiplies and `i128 → f64` conversions are gone. At the first
+//! window that overflows, the column re-derives that window's moments in
+//! `i128` from the tables once and finishes in the certified `i128`. The
+//! output is bit-identical either way:
 //!
 //! * a checked `i64` run either forms every intermediate exactly — the
-//!   same integers the `i128` run forms — or gives up and leaves nothing;
+//!   same integers the `i128` run forms — or gives up on that window;
 //! * `i64 as f64` and `i128 as f64` round the same integer identically
 //!   (to nearest, ties to even);
 //! * the divisions and the order of the final `f64` sum are shared.
 //!
-//! Windows over moderate data fit `i64` (a segment of perfbench's served
-//! column almost entirely), and there the `i128` multiplies and
-//! `i128 → f64` conversions that dominated the cost are gone. The other
-//! statistics keep the `i128` path.
+//! The per-window SAP0 cost and every other statistic run in the certified
+//! `i128`.
 //!
 //! ## Exact-arithmetic envelope
 //!
@@ -57,9 +82,9 @@
 //! Write `N = n + 1` for the number of prefix-table positions and
 //! `R = max P − min P` for the table's range. Since `P[0] = 0` is in the
 //! table, `|P[x]| ≤ R`, and every window sum `S = s[l, r]`, centred
-//! difference `d_x = P[x] − P[l]`, suffix sum and prefix sum lies in
-//! `[−R, R]`. Fix a window of `L = r − l + 1 ≤ n` keys, `K = L + 1 ≤ N`
-//! table positions `x ∈ [l, r+1]` and `j = x − l`.
+//! difference `d_x = P[x] − P[l]` or `e_x = P[x] − P[r+1]`, suffix sum and
+//! prefix sum lies in `[−R, R]`. Fix a window of `L = r − l + 1 ≤ n` keys,
+//! `K = L + 1 ≤ N` table positions `x ∈ [l, r+1]` and `j = x − l`.
 //!
 //! **Base certificate** (every statistic except the SAP1 fits):
 //!
@@ -72,10 +97,13 @@
 //!   so `|W_x| ≤ L·R`, and `W_l = W_{r+1} = 0`. Hence
 //!   `K·ΣW² ≤ (L+1)(L−1)·L²R² < N⁴R²` and `(ΣW)² ≤ ((L−1)·L·R)² < N⁴R²`,
 //!   and the determinant lies between 0 and `K·ΣW²`.
-//! * The running sums of `ΣW² = L²·Σd² − 2L·S·Σj·d + S²·Σj²`, and of the
+//! * The running sums of `ΣW² = L²·t2 + 2L·S·u + S²·Σ(r+1−x)²`, and of the
 //!   same shape in the OPT-A endpoint aggregates, are bounded term by term
 //!   by `L³R² + L²(L+1)R² + L(L+1)(2L+1)R²/6`, which is at most `K⁴R²`
-//!   for every `K ≥ 2`.
+//!   for every `K ≥ 2`: `e_{r+1} = 0` leaves `L` nonzero terms of
+//!   `|e_x| ≤ R`, so `t2 ≤ L·R²` and `|u| ≤ R·Σ(r+1−x) = L(L+1)R/2`.
+//!   The same bounds hold term by term for a column's running sums
+//!   `|t1| ≤ L·R`, `t2` and `u`, so its `i128` phase is certified too.
 //! * Suffix and prefix moments and their variance determinants are at most
 //!   `4·L²R²`; the centred moments and cumulative tables at most `4N·R²`
 //!   and `N²·R`.
@@ -129,18 +157,20 @@ pub struct EndpointAggregates {
 }
 
 /// `(Σ t, Σ t²)` over `t = 1..=len`, computed in `i64` (exact for
-/// `len < 2²¹`, which the envelope guarantees) and widened.
+/// `len < 2²¹`, which the envelope guarantees).
 #[inline]
-fn index_sums(len: i64) -> (i128, i128) {
+fn index_sums(len: i64) -> (i64, i64) {
     let st = len * (len + 1) / 2;
-    (st as i128, (st * (2 * len + 1) / 3) as i128)
+    (st, st * (2 * len + 1) / 3)
 }
 
-/// An integer width the window formulas evaluate in (see "Narrow-first
-/// evaluation" in the module docs): `i64` checks every operation and
-/// reports an overflow as `None`; `i128` cannot overflow inside the
-/// certificate, so its operations always succeed (debug builds still trap).
+/// An integer width the SAP0 formula evaluates in (see "Column evaluation"
+/// in the module docs): `i64` checks every operation and reports an
+/// overflow as `None`; `i128` cannot overflow inside the certificate, so
+/// its operations always succeed (debug builds still trap).
 trait Width: Copy + Ord + Default {
+    /// A count or an index sum, which every width holds.
+    fn int(x: i64) -> Self;
     fn narrow(x: i128) -> Option<Self>;
     fn checked_add(self, rhs: Self) -> Option<Self>;
     fn checked_sub(self, rhs: Self) -> Option<Self>;
@@ -149,6 +179,10 @@ trait Width: Copy + Ord + Default {
 }
 
 impl Width for i64 {
+    #[inline]
+    fn int(x: i64) -> Self {
+        x
+    }
     #[inline]
     fn narrow(x: i128) -> Option<Self> {
         i64::try_from(x).ok()
@@ -173,6 +207,10 @@ impl Width for i64 {
 
 impl Width for i128 {
     #[inline]
+    fn int(x: i64) -> Self {
+        x as i128
+    }
+    #[inline]
     fn narrow(x: i128) -> Option<Self> {
         Some(x)
     }
@@ -194,43 +232,6 @@ impl Width for i128 {
     }
 }
 
-/// An exact integer of width `T`, or `None` once an operation on the way
-/// to it left `T`. The operators propagate `None`, so a formula reads as
-/// plain arithmetic.
-#[derive(Debug, Clone, Copy)]
-struct Exact<T>(Option<T>);
-
-impl<T: Width> Exact<T> {
-    #[inline]
-    fn of(x: i128) -> Self {
-        Self(T::narrow(x))
-    }
-}
-
-impl<T: Width> std::ops::Add for Exact<T> {
-    type Output = Self;
-    #[inline]
-    fn add(self, rhs: Self) -> Self {
-        Self(self.0.zip(rhs.0).and_then(|(a, b)| a.checked_add(b)))
-    }
-}
-
-impl<T: Width> std::ops::Sub for Exact<T> {
-    type Output = Self;
-    #[inline]
-    fn sub(self, rhs: Self) -> Self {
-        Self(self.0.zip(rhs.0).and_then(|(a, b)| a.checked_sub(b)))
-    }
-}
-
-impl<T: Width> std::ops::Mul for Exact<T> {
-    type Output = Self;
-    #[inline]
-    fn mul(self, rhs: Self) -> Self {
-        Self(self.0.zip(rhs.0).and_then(|(a, b)| a.checked_mul(b)))
-    }
-}
-
 /// The value of a certified `i128` evaluation, which cannot have failed.
 #[inline]
 fn certified<T>(x: Option<T>) -> T {
@@ -241,32 +242,38 @@ fn certified<T>(x: Option<T>) -> T {
 /// `s2` (shift-invariant, so any common centre works), divided once by `L`:
 /// `(L·s2 − s1²) / L`, with the subtraction exact.
 #[inline]
-fn spread<T: Width>(len: i64, s1: Exact<T>, s2: Exact<T>) -> Option<f64> {
-    let num = (Exact::of(len as i128) * s2 - s1 * s1).0?;
+fn spread<T: Width>(len: i64, s1: T, s2: T) -> Option<f64> {
+    let num = T::int(len)
+        .checked_mul(s2)?
+        .checked_sub(s1.checked_mul(s1)?)?;
     debug_assert!(num >= T::default());
     Some(num.max(T::default()).to_f64() / len as f64)
 }
 
-/// Exact centered window moments over prefix-table positions.
-#[derive(Debug, Clone, Copy)]
-struct Centered<T> {
-    /// `Σ d_x` with `d_x = P[x] − P[center]`.
-    s1: Exact<T>,
-    /// `Σ d_x²`.
-    s2: Exact<T>,
-    /// `Σ (x − x0)·d_x`.
-    sxp: Exact<T>,
+/// Moments of `e_x = P[x] − P[r+1]` over the positions `x ∈ [l, r+1]` of
+/// a window `[l, r]`: centred at its right end, so a column of fixed `r`
+/// accumulates them as `l` decreases (see "Column evaluation"). The
+/// default is the lone position `r+1`, where `e_{r+1} = 0`.
+#[derive(Debug, Clone, Copy, Default)]
+struct EndMoments<T> {
+    /// `Σ e_x`.
+    t1: T,
+    /// `Σ e_x²`.
+    t2: T,
+    /// `Σ (r+1−x)·e_x`.
+    u: T,
 }
 
-impl Centered<i128> {
-    /// The three moments as plain certified `i128`s.
+impl<T: Width> EndMoments<T> {
+    /// The moments with one more position `x` added, where
+    /// `s = P[r+1] − P[x] = −e_x` and `weight = r+1−x`.
     #[inline]
-    fn wide(self) -> (i128, i128, i128) {
-        (
-            certified(self.s1.0),
-            certified(self.s2.0),
-            certified(self.sxp.0),
-        )
+    fn push(self, s: T, weight: usize) -> Option<Self> {
+        Some(Self {
+            t1: self.t1.checked_sub(s)?,
+            t2: self.t2.checked_add(s.checked_mul(s)?)?,
+            u: self.u.checked_sub(T::int(weight as i64).checked_mul(s)?)?,
+        })
     }
 }
 
@@ -374,42 +381,52 @@ impl WindowOracle {
         self.sum(l, r) as f64 / (r - l + 1) as f64
     }
 
-    /// Centered window moments over prefix-table positions `x ∈ [x0, x1]`
-    /// with `d_x = P[x] − P[center]`, exactly in width `T`.
+    /// Centered window moments `(Σ d_x, Σ d_x², Σ (x − x0)·d_x)` over
+    /// prefix-table positions `x ∈ [x0, x1]` with `d_x = P[x] − P[center]`.
     #[inline]
-    fn centered<T: Width>(&self, x0: usize, x1: usize, center: usize) -> Centered<T> {
-        let k = (x1 - x0 + 1) as i64;
-        let kw = Exact::of(k as i128);
-        let pc = Exact::of(self.p[center]);
-        let sp = Exact::of(self.cp[x1 + 1] - self.cp[x0]);
+    fn centered(&self, x0: usize, x1: usize, center: usize) -> (i128, i128, i128) {
+        let k = (x1 - x0 + 1) as i128;
+        let pc = self.p[center];
+        let sp = self.cp[x1 + 1] - self.cp[x0];
         // Σ (P − pc)² = ΣP² − pc·(2·ΣP − K·pc).
-        let s2 = Exact::of(self.cp2[x1 + 1] - self.cp2[x0]) - pc * (Exact::of(2) * sp - kw * pc);
+        let s2 = self.cp2[x1 + 1] - self.cp2[x0] - pc * (2 * sp - k * pc);
         // Σ (x − x0)(P − pc) = Σ x·P − x0·ΣP − pc·Σ (x − x0).
-        let sxp = Exact::of(self.cxp[x1 + 1] - self.cxp[x0])
-            - Exact::of(x0 as i128) * sp
-            - pc * Exact::of((k * (k - 1) / 2) as i128);
-        Centered {
-            s1: sp - kw * pc,
-            s2,
-            sxp,
+        let sxp = self.cxp[x1 + 1] - self.cxp[x0] - x0 as i128 * sp - pc * (k * (k - 1) / 2);
+        (sp - k * pc, s2, sxp)
+    }
+
+    /// The end moments of the window `[l, r]`, taken from the tables.
+    #[inline]
+    fn end_moments(&self, l: usize, r: usize) -> EndMoments<i128> {
+        let (t1, t2, sxp) = self.centered(l, r + 1, r + 1);
+        // Σ (r+1−x)·e_x = L·Σ e_x − Σ (x−l)·e_x.
+        EndMoments {
+            t1,
+            t2,
+            u: (r - l + 1) as i128 * t1 - sxp,
         }
     }
 
     /// The intra determinant `K·ΣW² − (ΣW)²` of
-    /// [`intra_avg_sse`](Self::intra_avg_sse), from the moments `c` of
-    /// positions `[l, r+1]` centred at `P[l]`, `len = L` and `d = s[l, r]`.
+    /// [`intra_avg_sse`](Self::intra_avg_sse), from the end moments `m` of
+    /// a window of `len = L` keys with sum `s = S`.
     #[inline]
-    fn intra_num<T: Width>(len: i64, d: Exact<T>, c: &Centered<T>) -> Exact<T> {
-        // Positions x − l run over 0..=L, so Σ(x−l) and Σ(x−l)² are the
-        // index sums of 1..=L.
+    fn intra_num<T: Width>(len: i64, s: T, m: &EndMoments<T>) -> Option<T> {
+        // The weights r+1−x run over 0..=L, so their sum and sum of squares
+        // are the index sums of 1..=L.
         let (qx, qx2) = index_sums(len);
-        let (qx, qx2) = (Exact::of(qx), Exact::of(qx2));
-        let len = Exact::of(len as i128);
-        // W_x = L·d_x − S·(x − l):
-        // ΣW = L·s1 − S·Σ(x−l);  ΣW² = L²·s2 − 2·L·S·sxp + S²·Σ(x−l)².
-        let sw = len * c.s1 - d * qx;
-        let sw2 = len * len * c.s2 - Exact::of(2) * len * d * c.sxp + d * d * qx2;
-        (len + Exact::of(1)) * sw2 - sw * sw
+        let (qx, qx2, twice, len) = (T::int(qx), T::int(qx2), T::int(2 * len), T::int(len));
+        // W_x = L·e_x + S·(r+1−x):
+        // ΣW = L·t1 + S·Σ(r+1−x);  ΣW² = L²·t2 + 2·L·S·u + S²·Σ(r+1−x)².
+        let sw = len.checked_mul(m.t1)?.checked_add(s.checked_mul(qx)?)?;
+        let sw2 = len
+            .checked_mul(len)?
+            .checked_mul(m.t2)?
+            .checked_add(twice.checked_mul(s)?.checked_mul(m.u)?)?
+            .checked_add(s.checked_mul(s)?.checked_mul(qx2)?)?;
+        len.checked_add(T::int(1))?
+            .checked_mul(sw2)?
+            .checked_sub(sw.checked_mul(sw)?)
     }
 
     /// SSE over all sub-ranges of `[l, r]` answered by `(len)·avg(l,r)`
@@ -423,40 +440,107 @@ impl WindowOracle {
     /// subtraction exact: `cost = (K·ΣW² − (ΣW)²) / L²`.
     pub fn intra_avg_sse(&self, l: usize, r: usize) -> f64 {
         let len = (r - l + 1) as i64;
-        let c = self.centered::<i128>(l, r + 1, l);
-        let num = certified(Self::intra_num(len, Exact::of(self.sum(l, r)), &c).0);
+        let num = certified(Self::intra_num(
+            len,
+            self.sum(l, r),
+            &self.end_moments(l, r),
+        ));
         debug_assert!(num >= 0);
         num.max(0) as f64 / (len * len) as f64
     }
 
     /// The SAP0 bucket cost of `[l, r]` in a domain of `n` keys,
-    /// `intra + Var_suffix·(n − 1 − r) + Var_prefix·l`, from one centred
-    /// evaluation, narrow-first (see the module docs): exactly in `i64`
-    /// when every intermediate fits, else in the certified `i128`.
+    /// `intra + Var_suffix·(n − 1 − r) + Var_prefix·l`, from the window's
+    /// end moments taken from the tables, in the certified `i128`.
     /// Bit-identical to composing [`intra_avg_sse`](Self::intra_avg_sse),
-    /// [`suffix_var`](Self::suffix_var) and [`prefix_var`](Self::prefix_var):
-    /// each term's exact integer numerator is the same, and so are the
-    /// divisions and the order of the sum.
+    /// [`suffix_var`](Self::suffix_var) and [`prefix_var`](Self::prefix_var),
+    /// and to [`sap0_column`](Self::sap0_column): each term's exact integer
+    /// numerator is the same, and so are the divisions and the order of
+    /// the sum.
     pub fn sap0_cost(&self, n: usize, l: usize, r: usize) -> f64 {
-        self.sap0_cost_in::<i64>(n, l, r)
-            .unwrap_or_else(|| certified(self.sap0_cost_in::<i128>(n, l, r)))
+        let m = self.end_moments(l, r);
+        certified(Self::sap0_from_moments(n, l, r, self.sum(l, r), &m))
     }
 
-    /// [`sap0_cost`](Self::sap0_cost) in width `T`, or `None` when an
-    /// intermediate leaves `T`.
+    /// Fills `out[l] = sap0_cost(n, l, r)` for every `l < out.len()`: one
+    /// DP column of right end `r` (see "Column evaluation" in the module
+    /// docs). A whole column (`out.len() = r + 1`) runs on moments
+    /// accumulated along it, in checked `i64` up to the first window that
+    /// overflows and in the certified `i128` from there on; a shorter slice
+    /// is filled window by window.
+    ///
+    /// # Panics
+    ///
+    /// When `out.len() > r + 1` or `r ≥` [`n()`](Self::n).
+    pub fn sap0_column(&self, n: usize, r: usize, out: &mut [f64]) {
+        assert!(
+            out.len() <= r + 1,
+            "{} windows asked of a column of {}",
+            out.len(),
+            r + 1
+        );
+        if out.len() <= r {
+            for (l, c) in out.iter_mut().enumerate() {
+                *c = self.sap0_cost(n, l, r);
+            }
+            return;
+        }
+        if let Err(l) = self.sap0_fill::<i64>(n, r, out, EndMoments::default()) {
+            // Window l left i64: re-derive its moments in i128 from the
+            // tables once, then finish the column in i128.
+            let m = self.end_moments(l, r);
+            out[l] = certified(Self::sap0_from_moments(n, l, r, self.sum(l, r), &m));
+            certified(self.sap0_fill(n, r, &mut out[..l], m).ok());
+        }
+    }
+
+    /// Fills `out` from its last window down to `l = 0` in width `T`,
+    /// starting from the end moments `m` of the positions
+    /// `[out.len(), r+1]`; stops at the first window `l` that leaves `T`
+    /// and returns `Err(l)`.
     #[inline]
-    fn sap0_cost_in<T: Width>(&self, n: usize, l: usize, r: usize) -> Option<f64> {
+    fn sap0_fill<T: Width>(
+        &self,
+        n: usize,
+        r: usize,
+        out: &mut [f64],
+        mut m: EndMoments<T>,
+    ) -> std::result::Result<(), usize> {
+        let end = self.p[r + 1];
+        for l in (0..out.len()).rev() {
+            let cost = (|| {
+                let s = T::narrow(end - self.p[l])?;
+                m = m.push(s, r + 1 - l)?;
+                Self::sap0_from_moments(n, l, r, s, &m)
+            })();
+            out[l] = cost.ok_or(l)?;
+        }
+        Ok(())
+    }
+
+    /// The one SAP0 formula, in width `T`: the cost of `[l, r]` from its
+    /// end moments `m` and its sum `s = S`, or `None` when an intermediate
+    /// leaves `T`.
+    #[inline]
+    fn sap0_from_moments<T: Width>(
+        n: usize,
+        l: usize,
+        r: usize,
+        s: T,
+        m: &EndMoments<T>,
+    ) -> Option<f64> {
         let len = (r - l + 1) as i64;
-        let d = Exact::of(self.sum(l, r));
-        // Positions [l, r+1] centred at P[l]: d_l = 0 and d_{r+1} = D = s[l, r].
-        let c = self.centered::<T>(l, r + 1, l);
-        let num = Self::intra_num(len, d, &c).0?;
+        let num = Self::intra_num(len, s, m)?;
         debug_assert!(num >= T::default());
         let intra = num.max(T::default()).to_f64() / (len * len) as f64;
-        // The suffix sums' positions [l, r] drop d_{r+1} = D; the prefix
-        // sums' positions [l+1, r+1] drop d_l = 0.
-        let suffix = spread(len, c.s1 - d, c.s2 - d * d)?;
-        let prefix = spread(len, c.s1, c.s2)?;
+        // The suffix sums σ_a = −e_a over a ∈ [l, r] drop e_{r+1} = 0; the
+        // prefix sums π_b = e_{b+1} + S over b ∈ [l, r] drop e_l.
+        let suffix = spread(len, m.t1, m.t2)?;
+        let prefix = spread(
+            len,
+            m.t1.checked_add(s)?,
+            m.t2.checked_sub(s.checked_mul(s)?)?,
+        )?;
         Some(intra + suffix * (n - 1 - r) as f64 + prefix * l as f64)
     }
 
@@ -466,7 +550,7 @@ impl WindowOracle {
         let lcount = (r - l + 1) as i128;
         // σ_a = D − d_a where D = P[r+1] − P[l], d_a = P[a] − P[l], a ∈ [l, r].
         let d = self.p[r + 1] - self.p[l];
-        let (s1, s2, sxp) = self.centered::<i128>(l, r, l).wide();
+        let (s1, s2, sxp) = self.centered(l, r, l);
         let sum = lcount * d - s1;
         let sumsq = lcount * d * d - 2 * d * s1 + s2;
         // t_a = r + 1 − a; with j = a − l ∈ [0, L−1], t = L − j.
@@ -480,7 +564,7 @@ impl WindowOracle {
     /// with prefix sums `π_b = s[l, b]` and multipliers `t_b = b − l + 1`.
     pub fn prefix_moments_int(&self, l: usize, r: usize) -> (i128, i128, i128) {
         // π_b = P[b+1] − P[l]; positions x = b + 1 ∈ [l+1, r+1]; t = x − l.
-        let (s1, s2, sxp) = self.centered::<i128>(l + 1, r + 1, l).wide();
+        let (s1, s2, sxp) = self.centered(l + 1, r + 1, l);
         // t_b = (x − (l+1)) + 1, so Σ t π = sxp + s1.
         (s1, s2, sxp + s1)
     }
@@ -503,14 +587,14 @@ impl WindowOracle {
     /// subtraction in exact integers.
     pub fn suffix_var(&self, l: usize, r: usize) -> f64 {
         // σ_a = D − d_a: a variance ignores the shift by D and the sign.
-        let c = self.centered::<i128>(l, r, l);
-        certified(spread((r - l + 1) as i64, c.s1, c.s2))
+        let (s1, s2, _) = self.centered(l, r, l);
+        certified(spread((r - l + 1) as i64, s1, s2))
     }
 
     /// Sum of squared deviations of the prefix sums around their mean.
     pub fn prefix_var(&self, l: usize, r: usize) -> f64 {
-        let c = self.centered::<i128>(l + 1, r + 1, l);
-        certified(spread((r - l + 1) as i64, c.s1, c.s2))
+        let (s1, s2, _) = self.centered(l + 1, r + 1, l);
+        certified(spread((r - l + 1) as i64, s1, s2))
     }
 
     /// Mean of the suffix sums — the optimal SAP0 `suff` value (Lemma 5.2).
@@ -530,6 +614,7 @@ impl WindowOracle {
     /// in scaled integers (`L·u_a` is integral) for exactness.
     pub fn endpoint_aggregates(&self, l: usize, r: usize) -> EndpointAggregates {
         let (st, st2) = index_sums((r - l + 1) as i64);
+        let (st, st2) = (st as i128, st2 as i128);
         let len = (r - l + 1) as i128;
         let s = self.sum(l, r);
         let (ss, ss2, sts) = self.suffix_moments_int(l, r);
@@ -589,7 +674,7 @@ impl<'a> FitOracle<'a> {
     /// ```
     fn linear_fit(len: i64, (sy, sy2, sty): (i128, i128, i128)) -> (f64, f64, f64) {
         let (st, st2) = index_sums(len);
-        let len = len as i128;
+        let (st, st2, len) = (st as i128, st2 as i128, len as i128);
         let lsxx = len * st2 - st * st;
         if lsxx == 0 {
             // Single point: fit is exact with α = 0 (convention), β = σ.

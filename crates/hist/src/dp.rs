@@ -20,9 +20,27 @@
 //! The table is filled with the right end `i` outermost. For each `i` the
 //! column `cost(j, i−1)`, `0 ≤ j < i`, is evaluated once and then shared by
 //! the min-plus scans of every bucket count `k`, so each window's exact
-//! (i128-backed) cost is computed once instead of once per `k`.
+//! (i128-backed) cost is computed once instead of once per `k`. The costs
+//! come through [`ColumnCost`], one column per call, so an objective whose
+//! windows of one right end share work (SAP0's running moments) can fill
+//! the column at once; any `Fn(l, r) -> f64` fills it window by window.
 
 use synoptic_core::{Bucketing, Budget, Result, SynopticError};
+
+/// The window costs of the DP, one column of fixed right end at a time.
+pub trait ColumnCost {
+    /// Fills `col[l] = cost(l, r)` for every `l < col.len()`, where
+    /// `col.len() ≤ r + 1`.
+    fn fill(&self, r: usize, col: &mut [f64]);
+}
+
+impl<F: Fn(usize, usize) -> f64> ColumnCost for F {
+    fn fill(&self, r: usize, col: &mut [f64]) {
+        for (l, c) in col.iter_mut().enumerate() {
+            *c = self(l, r);
+        }
+    }
+}
 
 /// Result of the bucket-additive DP: boundaries, the DP objective value, and
 /// the number of buckets actually used.
@@ -38,10 +56,10 @@ pub struct DpSolution {
 /// Runs the interval-partition DP for a bucket-additive cost under
 /// execution control.
 ///
-/// `cost(l, r)` must return the cost of a single bucket covering the
-/// inclusive window `[l, r]`, `0 ≤ l ≤ r < n`. Uses **at most** `max_buckets`
-/// buckets (fewer if that is cheaper, which can happen for costs that are not
-/// monotone in the partition refinement).
+/// `cost` must give the cost of a single bucket covering the inclusive
+/// window `[l, r]`, `0 ≤ l ≤ r < n` (any `Fn(l, r) -> f64` does). Uses
+/// **at most** `max_buckets` buckets (fewer if that is cheaper, which can
+/// happen for costs that are not monotone in the partition refinement).
 ///
 /// The DP charges its [`Budget`] one checkpoint per `(k, i)` cell (counting
 /// the candidate split points examined as work units) and aborts with the
@@ -60,7 +78,7 @@ pub fn optimal_bucketing_with_budget<C>(
     budget: &Budget,
 ) -> Result<DpSolution>
 where
-    C: Fn(usize, usize) -> f64,
+    C: ColumnCost,
 {
     if n == 0 {
         return Err(SynopticError::EmptyInput);
@@ -82,9 +100,7 @@ where
     for i in 1..=n {
         // With one bucket only E(0, 0) is finite, so only [0, i−1] is read.
         let reach = if b == 1 { 1 } else { i };
-        for (j, c) in col.iter_mut().enumerate().take(reach) {
-            *c = cost(j, i - 1);
-        }
+        cost.fill(i - 1, &mut col[..reach]);
         // With k buckets we can cover at least k and at most n positions.
         for k in 1..=b.min(i) {
             budget.charge((i - (k - 1)) as u64)?;

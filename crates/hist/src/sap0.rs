@@ -1,6 +1,6 @@
 //! Optimal SAP0 construction (paper Theorem 6).
 
-use crate::dp::optimal_bucketing_with_budget;
+use crate::dp::{optimal_bucketing_with_budget, ColumnCost};
 use synoptic_core::window::WindowOracle;
 use synoptic_core::{Budget, PrefixSums, Result, Sap0Histogram};
 
@@ -21,6 +21,26 @@ pub fn sap0_bucket_cost(oracle: &WindowOracle, n: usize, l: usize, r: usize) -> 
     oracle.sap0_cost(n, l, r)
 }
 
+/// The SAP0 bucket costs of a domain of `n` keys for the DP, one column at
+/// a time through [`WindowOracle::sap0_column`]: bit-identical to
+/// [`sap0_bucket_cost`] on every window, from moments accumulated along
+/// each column.
+pub fn sap0_columns(oracle: &WindowOracle, n: usize) -> impl ColumnCost + Copy + '_ {
+    Sap0Columns { oracle, n }
+}
+
+#[derive(Clone, Copy)]
+struct Sap0Columns<'a> {
+    oracle: &'a WindowOracle,
+    n: usize,
+}
+
+impl ColumnCost for Sap0Columns<'_> {
+    fn fill(&self, r: usize, col: &mut [f64]) {
+        self.oracle.sap0_column(self.n, r, col);
+    }
+}
+
 /// Builds the SSE-optimal SAP0 histogram with at most `buckets` buckets
 /// (Theorem 6) in O(n²) cost-oracle calls plus O(n²B) f64 min-plus steps,
 /// O(nB) memory plus an O(n) column, and returns it with the DP objective
@@ -37,12 +57,7 @@ pub fn build_sap0_with_budget(
 ) -> Result<(Sap0Histogram, f64)> {
     let oracle = WindowOracle::new(ps)?;
     let n = ps.n();
-    let sol = optimal_bucketing_with_budget(
-        n,
-        buckets,
-        |l, r| sap0_bucket_cost(&oracle, n, l, r),
-        budget,
-    )?;
+    let sol = optimal_bucketing_with_budget(n, buckets, sap0_columns(&oracle, n), budget)?;
     let h = Sap0Histogram::optimal_values(sol.bucketing, ps)?;
     Ok((h, sol.objective))
 }

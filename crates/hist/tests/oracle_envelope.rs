@@ -3,8 +3,12 @@
 //! * The fused SAP0 cost is bit-identical to its three composed terms on
 //!   every window of seeded signed columns.
 //! * On columns whose short windows fit `i64` and whose long windows do
-//!   not, the narrow-first SAP0 cost equals the checked reference bit for
-//!   bit on both sides of the `i64` boundary.
+//!   not, the SAP0 cost equals the checked reference bit for bit on both
+//!   sides of the `i64` boundary.
+//! * A SAP0 DP column filled at once, on running moments that switch from
+//!   `i64` to `i128` partway, equals the reference bit for bit at every
+//!   right end, on all of the columns above and at the base certificate's
+//!   boundary.
 //! * At the largest range `R = max P − min P` each certificate admits for a
 //!   fixed `n`, the SAP0 and SAP1 bucket costs equal, bit for bit, a
 //!   reference that sums the window moments directly and checks every
@@ -109,8 +113,9 @@ impl Reference {
         num as f64 / mul(len, len) as f64
     }
 
-    /// Which side of the `i64` boundary the oracle's narrow SAP0
-    /// evaluation of `[l, r]` lies on, or `None` when this cannot tell.
+    /// Which side of the `i64` boundary a narrow SAP0 evaluation of
+    /// `[l, r]` from table moments centred at `P[l]` lies on, or `None`
+    /// when this cannot tell.
     ///
     /// * `Some(true)`: every intermediate of the narrow evaluation fits.
     ///   With `K = L + 1` positions, `M = n + 1` and `Pm = max |P[x]|` over
@@ -129,6 +134,34 @@ impl Reference {
         let pm = self.p[l..=r + 1].iter().map(|p| p.unsigned_abs()).max()?;
         let (k, m) = (k as u128, self.p.len() as u128);
         let bound = (32 * k * k * k * m).checked_mul(pm.checked_mul(pm)?)?;
+        (bound <= i64::MAX as u128).then_some(true)
+    }
+
+    /// Which side of the `i64` boundary the column evaluation of `[l, r]`
+    /// lies on, or `None` when this cannot tell.
+    ///
+    /// * `Some(true)`: every intermediate fits. With `K = L + 1` positions
+    ///   and `E = max |P[x] − P[r+1]|` over them, the running moments of
+    ///   the column down to `l` are at most `K·E`, `K·E²` and `K²E/2`, and
+    ///   the formula's largest operand is `K·ΣW²` with its expansion below
+    ///   `2.34·K⁴E²`; so `4·K⁴E²` bounds every intermediate, and it fits
+    ///   `i64`. Every shorter window of the column fits too.
+    /// * `Some(false)`: `K·ΣW²`, which the formula forms exactly, leaves
+    ///   `i64`, so the column is in `i128` by this window.
+    fn column_side(&self, l: usize, r: usize) -> Option<bool> {
+        let w = self.w(l, r);
+        let k = w.len() as i128;
+        let operand = mul(k, w.iter().fold(0, |a, &v| add(a, mul(v, v))));
+        if operand > i64::MAX as i128 {
+            return Some(false);
+        }
+        let end = self.p[r + 1];
+        let e = self.p[l..=r + 1]
+            .iter()
+            .map(|&p| sub(p, end).unsigned_abs())
+            .max()?;
+        let k = k as u128;
+        let bound = (4 * k * k * k * k).checked_mul(e.checked_mul(e)?)?;
         (bound <= i64::MAX as u128).then_some(true)
     }
 
@@ -192,8 +225,10 @@ fn range_of(ps: &PrefixSums) -> u128 {
     hi.abs_diff(*lo)
 }
 
-#[test]
-fn fused_sap0_cost_is_the_composed_sum_bit_for_bit() {
+/// Seeded signed columns: flat, constant and single-key ones, then at
+/// several lengths small, large negative and sparse values and the shapes
+/// at the base certificate's largest range.
+fn fused_columns() -> Vec<Vec<i64>> {
     let mut rng = Rng::new(0x5a90);
     let mut columns: Vec<Vec<i64>> = vec![vec![0; 9], vec![-3; 5], vec![7]];
     for n in [2usize, 7, 33, 100] {
@@ -206,7 +241,12 @@ fn fused_sap0_cost_is_the_composed_sum_bit_for_bit() {
         );
         columns.extend(shapes_with_range(n, base_max_range(n), rng.next_u64()));
     }
-    for vals in &columns {
+    columns
+}
+
+#[test]
+fn fused_sap0_cost_is_the_composed_sum_bit_for_bit() {
+    for vals in &fused_columns() {
         let ps = PrefixSums::from_values(vals);
         let o = WindowOracle::new(&ps).unwrap();
         let n = vals.len();
@@ -227,21 +267,18 @@ fn fused_sap0_cost_is_the_composed_sum_bit_for_bit() {
 }
 
 /// Columns whose first half holds small values and whose second half
-/// climbs steeply: windows inside the first half evaluate in `i64`,
-/// windows reaching far into the second half need `i128`. The climb comes
-/// in two heights: one keeps every prefix-table difference inside `i64`,
-/// so only the products overflow, the other reaches half the base
-/// certificate's range, so the table differences overflow too. Both sides
-/// equal the checked reference bit for bit, and
-/// [`Reference::narrow_side`] proves both were exercised on every column.
-#[test]
-fn narrow_first_sap0_cost_is_exact_on_both_sides_of_the_i64_boundary() {
+/// climbs steeply: windows inside the first half fit `i64`, windows
+/// reaching far into the second half need `i128`. The climb comes in two
+/// heights: one keeps every prefix-table difference inside `i64`, so only
+/// the products overflow, the other reaches half the base certificate's
+/// range, so the table differences overflow too.
+fn climbing_columns() -> Vec<Vec<i64>> {
     let mut rng = Rng::new(0x1664);
+    let mut columns = Vec::new();
     for n in [16usize, 64, 256] {
         // `(n+1)·R² ≤ i64::MAX / 4` bounds every table difference.
         let tables_fit = ((i64::MAX as f64 / (n + 1) as f64).sqrt() / n as f64) as i64;
         let near_certificate = i64::try_from(base_max_range(n) / n as u128).unwrap();
-        let mut columns = Vec::new();
         for high in [tables_fit, near_certificate] {
             let climbing: Vec<i64> = (0..n)
                 .map(|i| {
@@ -255,29 +292,94 @@ fn narrow_first_sap0_cost_is_exact_on_both_sides_of_the_i64_boundary() {
             columns.push(climbing.iter().map(|v| -v).collect());
             columns.push(climbing);
         }
-        for vals in columns {
-            let ps = PrefixSums::from_values(&vals);
-            let o = WindowOracle::new(&ps).unwrap();
-            let reference = Reference::new(&ps);
-            let (mut narrow, mut wide) = (0usize, 0usize);
-            for l in 0..n {
-                for r in l..n {
-                    assert_eq!(
-                        sap0_bucket_cost(&o, n, l, r).to_bits(),
-                        reference.sap0(n, l, r).to_bits(),
-                        "n={n}, window [{l}, {r}]"
-                    );
-                    match reference.narrow_side(l, r) {
-                        Some(true) => narrow += 1,
-                        Some(false) => wide += 1,
-                        None => {}
-                    }
+    }
+    columns
+}
+
+/// On the climbing columns both sides of the `i64` boundary equal the
+/// checked reference bit for bit, and [`Reference::narrow_side`] proves
+/// both were exercised on every column.
+#[test]
+fn narrow_first_sap0_cost_is_exact_on_both_sides_of_the_i64_boundary() {
+    for vals in climbing_columns() {
+        let n = vals.len();
+        let ps = PrefixSums::from_values(&vals);
+        let o = WindowOracle::new(&ps).unwrap();
+        let reference = Reference::new(&ps);
+        let (mut narrow, mut wide) = (0usize, 0usize);
+        for l in 0..n {
+            for r in l..n {
+                assert_eq!(
+                    sap0_bucket_cost(&o, n, l, r).to_bits(),
+                    reference.sap0(n, l, r).to_bits(),
+                    "n={n}, window [{l}, {r}]"
+                );
+                match reference.narrow_side(l, r) {
+                    Some(true) => narrow += 1,
+                    Some(false) => wide += 1,
+                    None => {}
                 }
             }
-            assert!(
-                narrow > 0 && wide > 0,
-                "n={n}: {narrow} narrow, {wide} wide"
+        }
+        assert!(
+            narrow > 0 && wide > 0,
+            "n={n}: {narrow} narrow, {wide} wide"
+        );
+    }
+}
+
+/// Fills every SAP0 DP column of `vals` with [`WindowOracle::sap0_column`],
+/// whole and as the one-window slice the one-bucket DP asks for, and
+/// checks each window against the reference bit for bit. Returns whether
+/// some column switched from `i64` to `i128` partway: it holds a window
+/// [`Reference::column_side`] places in `i64` and one it places past it.
+fn columns_match_reference(vals: &[i64]) -> bool {
+    let ps = PrefixSums::from_values(vals);
+    let o = WindowOracle::new(&ps).unwrap();
+    let reference = Reference::new(&ps);
+    let n = vals.len();
+    let mut column = vec![f64::NAN; n];
+    let mut switched = false;
+    for r in 0..n {
+        o.sap0_column(n, r, &mut column[..=r]);
+        let (mut narrow, mut wide) = (false, false);
+        for (l, cost) in column[..=r].iter().enumerate() {
+            assert_eq!(
+                cost.to_bits(),
+                reference.sap0(n, l, r).to_bits(),
+                "n={n}, window [{l}, {r}] of the whole column"
             );
+            match reference.column_side(l, r) {
+                Some(true) => narrow = true,
+                Some(false) => wide = true,
+                None => {}
+            }
+        }
+        switched |= narrow && wide;
+        let mut first = [f64::NAN];
+        o.sap0_column(n, r, &mut first);
+        assert_eq!(
+            first[0].to_bits(),
+            column[0].to_bits(),
+            "n={n}, window [0, {r}] alone"
+        );
+    }
+    switched
+}
+
+#[test]
+fn sap0_column_is_the_reference_bit_for_bit() {
+    for vals in fused_columns() {
+        columns_match_reference(&vals);
+    }
+    let switched = climbing_columns()
+        .iter()
+        .filter(|vals| columns_match_reference(vals))
+        .count();
+    assert!(switched > 0, "no climbing column switched width partway");
+    for (n, seed) in [(1usize, 1u64), (2, 2), (8, 3), (15, 4)] {
+        for vals in shapes_with_range(n, base_max_range(n), seed) {
+            columns_match_reference(&vals);
         }
     }
 }

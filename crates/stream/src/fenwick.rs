@@ -61,17 +61,6 @@ impl Fenwick {
         self.bound = self.bound.saturating_add(delta.unsigned_abs() as u128);
     }
 
-    /// Fallible [`Fenwick::update`] for untrusted indexes (WAL replay):
-    /// returns `false` and leaves the tree untouched when `i >= n` instead
-    /// of panicking.
-    pub fn try_update(&mut self, i: usize, delta: i64) -> bool {
-        if i >= self.n {
-            return false;
-        }
-        self.update(i, delta);
-        true
-    }
-
     /// Prefix sum `A[0] + … + A[i−1]` (i.e. `P[i]`), `i ∈ 0..=n`, O(log n).
     pub fn prefix(&self, i: usize) -> i128 {
         debug_assert!(i <= self.n);
@@ -208,15 +197,6 @@ mod tests {
     #[should_panic(expected = "out of bounds")]
     fn update_bounds_checked() {
         Fenwick::new(4).update(4, 1);
-    }
-
-    #[test]
-    fn try_update_rejects_out_of_range_without_panicking() {
-        let mut f = Fenwick::new(4);
-        assert!(f.try_update(3, 5));
-        assert!(!f.try_update(4, 1));
-        assert!(!f.try_update(usize::MAX, 1));
-        assert_eq!(f.total(), 5);
     }
 
     #[test]

@@ -8,8 +8,10 @@
 //! registration: 16 segments of 256 keys at their `split_segment_budget`
 //! shares of 384 words (the kernel behind perfbench's `setup_s`; that
 //! column's windows mostly fit `i64`, the signed grid's long windows do
-//! not). Every entry reports its DP cells (the work units the DP charges
-//! its `Budget`) and, for the additive kernels, its cost-oracle calls; both
+//! not). SAP0 runs through the column filler its builder uses
+//! (`sap0_columns`), the other kernels window by window. Every entry
+//! reports its DP cells (the work units the DP charges its `Budget`) and,
+//! for the additive kernels, its cost-oracle calls (windows costed); both
 //! are deterministic and counted in one untimed warm-up run. The timed runs
 //! then give wall-clock ms, ns per cell and ns per oracle call, each as
 //! min / median / max over `TRIALS` runs; the segmented entry sums all 16
@@ -31,9 +33,9 @@ use synoptic::eval::bench::write_report;
 use synoptic::eval::json::JsonValue;
 use synoptic::hist::a0::a0_bucket_cost;
 use synoptic::hist::builder::HistogramMethod;
-use synoptic::hist::dp::optimal_bucketing_with_budget;
+use synoptic::hist::dp::{optimal_bucketing_with_budget, ColumnCost};
 use synoptic::hist::opta::{build_opt_a_with_budget, OptAConfig};
-use synoptic::hist::sap0::sap0_bucket_cost;
+use synoptic::hist::sap0::sap0_columns;
 use synoptic::hist::sap1::sap1_bucket_cost;
 use synoptic::stream::split_segment_budget;
 
@@ -94,12 +96,12 @@ fn trials(mut run: impl FnMut() -> u64) -> (u64, Vec<f64>) {
     (cells, ns)
 }
 
-/// One grid entry for a bucket-additive kernel with window cost `cost`.
+/// One grid entry for a bucket-additive kernel with window costs `cost`.
 fn additive_entry(
     method: &str,
     n: usize,
     buckets: usize,
-    cost: impl Fn(usize, usize) -> f64,
+    cost: impl ColumnCost + Copy,
 ) -> JsonValue {
     let label = format!("{method:>9} n={n:>4} B={buckets:>3}");
     let entry = parts_entry(&label, &[(n, buckets, cost)]);
@@ -132,10 +134,7 @@ fn served_segments_entry() -> JsonValue {
         .collect();
     let parts: Vec<_> = oracles
         .iter()
-        .map(|(n, buckets, oracle)| {
-            let n = *n;
-            (n, *buckets, move |l, r| sap0_bucket_cost(oracle, n, l, r))
-        })
+        .map(|(n, buckets, oracle)| (*n, *buckets, sap0_columns(oracle, *n)))
         .collect();
     let buckets: usize = parts.iter().map(|p| p.1).sum();
     let label = format!(
@@ -157,27 +156,40 @@ fn served_segments_entry() -> JsonValue {
     )
 }
 
+/// Window costs that count the windows they fill.
+struct Counted<'a, C> {
+    cost: C,
+    calls: &'a Cell<u64>,
+}
+
+impl<C: ColumnCost> ColumnCost for Counted<'_, C> {
+    fn fill(&self, r: usize, col: &mut [f64]) {
+        self.calls.set(self.calls.get() + col.len() as u64);
+        self.cost.fill(r, col);
+    }
+}
+
 /// Times the DP over every `(n, buckets, cost)` of `parts` in each run,
 /// prints one line under `label`, and returns the summed cells and oracle
 /// calls with the ms, ns per cell and ns per oracle call spreads.
-fn parts_entry<F: Fn(usize, usize) -> f64>(
+fn parts_entry<C: ColumnCost + Copy>(
     label: &str,
-    parts: &[(usize, usize, F)],
+    parts: &[(usize, usize, C)],
 ) -> Vec<(&'static str, JsonValue)> {
     let calls = Cell::new(0u64);
     let warm_up = Budget::unlimited();
-    for (n, buckets, cost) in parts {
-        let counted = |l: usize, r: usize| {
-            calls.set(calls.get() + 1);
-            cost(l, r)
+    for &(n, buckets, cost) in parts {
+        let counted = Counted {
+            cost,
+            calls: &calls,
         };
-        optimal_bucketing_with_budget(*n, *buckets, counted, &warm_up).unwrap();
+        optimal_bucketing_with_budget(n, buckets, counted, &warm_up).unwrap();
     }
     let calls = calls.get();
     let (cells, ns) = trials(|| {
         let budget = Budget::unlimited();
-        for (n, buckets, cost) in parts {
-            black_box(optimal_bucketing_with_budget(*n, *buckets, cost, &budget).unwrap());
+        for &(n, buckets, cost) in parts {
+            black_box(optimal_bucketing_with_budget(n, buckets, cost, &budget).unwrap());
         }
         budget.cells_used()
     });
@@ -245,9 +257,7 @@ fn main() {
         let fits = window.fits().unwrap();
         let point = WeightedPointOracle::range_inclusion(&vals).unwrap();
         for buckets in GRID_B.into_iter().filter(|&b| b <= n) {
-            entries.push(additive_entry("SAP0", n, buckets, |l, r| {
-                sap0_bucket_cost(&window, n, l, r)
-            }));
+            entries.push(additive_entry("SAP0", n, buckets, sap0_columns(&window, n)));
             entries.push(additive_entry("SAP1", n, buckets, |l, r| {
                 sap1_bucket_cost(&fits, n, l, r)
             }));
@@ -262,9 +272,12 @@ fn main() {
     let ps = PrefixSums::from_values(&values(LARGE_N));
     let window = WindowOracle::new(&ps).unwrap();
     for buckets in LARGE_B {
-        entries.push(additive_entry("SAP0", LARGE_N, buckets, |l, r| {
-            sap0_bucket_cost(&window, LARGE_N, l, r)
-        }));
+        entries.push(additive_entry(
+            "SAP0",
+            LARGE_N,
+            buckets,
+            sap0_columns(&window, LARGE_N),
+        ));
     }
     entries.push(served_segments_entry());
     entries.push(opt_a_entry());
