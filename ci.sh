@@ -115,6 +115,12 @@ ${CAP} cargo test -q --release -p synoptic-hist --test oracle_envelope --test ad
 ${CAP} cargo test -q --release -p synoptic-core --lib window --offline
 ${CAP} cargo test -q --release -p synoptic-hist --lib dp --offline
 
+echo "==> journal reader (release): the one journal walk, the golden SYNWAL01 bytes, LSNs past u64 refused, and CRC-resealed segment mutants refused, without debug overflow checks (capped at ${TEST_CAP}s)"
+# An LSN that wraps u64 is silent in a release build, which has no
+# overflow traps: the decoder's own checked arithmetic must refuse it.
+${CAP} cargo test -q --release -p synoptic-catalog --lib wal --offline
+${CAP} cargo test -q --release --test decoder_fuzz --offline
+
 echo "==> full workspace tests (offline, capped at ${TEST_CAP}s)"
 ${CAP} cargo test -q --workspace --offline
 

@@ -1,6 +1,7 @@
 //! The one little-endian byte codec behind every format this workspace
-//! writes: SYNOPTC1 catalog files (see [`crate::format`]), the `SQP1`
-//! query protocol (`synoptic-api`) and the `SRP1` replication protocol
+//! writes: SYNOPTC1 catalog files (see [`crate::format`]), `SYNWAL01`
+//! journal segments (see [`crate::wal`]), the `SQP1` query protocol
+//! (`synoptic-api`) and the `SRP1` replication protocol
 //! (`synoptic-repl`).
 //!
 //! * [`ByteWriter`] / [`ByteReader`] encode and decode the primitives.
@@ -38,14 +39,11 @@ const SEAL_OVERHEAD: usize = 4 + 1 + 4;
 /// Builds one `magic | kind | payload | crc32` frame; `payload` writes
 /// the bytes between the type and the CRC.
 pub fn seal(magic: [u8; 4], kind: u8, payload: impl FnOnce(&mut ByteWriter)) -> Vec<u8> {
-    let mut w = ByteWriter {
-        buf: Vec::with_capacity(64),
-    };
+    let mut w = ByteWriter::with_capacity(64);
     w.bytes(&magic);
     w.u8(kind);
     payload(&mut w);
-    let crc = crc32(&w.buf);
-    w.u32(crc);
+    w.crc32_since(0);
     w.buf
 }
 
@@ -80,9 +78,30 @@ impl ByteWriter {
         Self::default()
     }
 
+    /// An empty writer with room for `capacity` bytes.
+    pub fn with_capacity(capacity: usize) -> Self {
+        Self {
+            buf: Vec::with_capacity(capacity),
+        }
+    }
+
     /// The accumulated bytes.
     pub fn into_bytes(self) -> Vec<u8> {
         self.buf
+    }
+
+    /// Bytes written so far: the offset the next write lands at.
+    #[inline]
+    pub fn offset(&self) -> usize {
+        self.buf.len()
+    }
+
+    /// Appends, as a `u32`, the CRC-32 of every byte written from offset
+    /// `start` on.
+    #[inline]
+    pub fn crc32_since(&mut self, start: usize) {
+        let crc = crc32(&self.buf[start..]);
+        self.u32(crc);
     }
 
     /// Writes raw bytes, unprefixed.
@@ -95,6 +114,12 @@ impl ByteWriter {
     #[inline]
     pub fn u8(&mut self, v: u8) {
         self.buf.push(v);
+    }
+
+    /// Writes a `u16`.
+    #[inline]
+    pub fn u16(&mut self, v: u16) {
+        self.buf.extend_from_slice(&v.to_le_bytes());
     }
 
     /// Writes a `u32`.
@@ -138,8 +163,8 @@ impl ByteWriter {
         while !s.is_char_boundary(end) {
             end -= 1;
         }
-        self.buf.extend_from_slice(&(end as u16).to_le_bytes());
-        self.buf.extend_from_slice(&s.as_bytes()[..end]);
+        self.u16(end as u16);
+        self.bytes(&s.as_bytes()[..end]);
     }
 
     /// Writes a length-prefixed `usize` vector (as `u64`s).
@@ -178,6 +203,12 @@ impl<'a> ByteReader<'a> {
         }
     }
 
+    /// Bytes consumed so far: the offset the next read starts at.
+    #[inline]
+    pub fn offset(&self) -> usize {
+        self.pos
+    }
+
     fn fail(&self, detail: impl Into<String>) -> SynopticError {
         corrupt(
             self.context,
@@ -189,20 +220,33 @@ impl<'a> ByteReader<'a> {
     #[inline]
     pub fn bytes(&mut self, len: usize) -> Result<&'a [u8]> {
         if self.buf.len() - self.pos < len {
-            return Err(self.fail(format!(
-                "unexpected end of payload: need {len} bytes, have {}",
-                self.buf.len() - self.pos
-            )));
+            return Err(self.short(len));
         }
         let s = &self.buf[self.pos..self.pos + len];
         self.pos += len;
         Ok(s)
     }
 
+    /// The error for a read past the end, kept out of line so the inlined
+    /// read paths stay small.
+    #[cold]
+    fn short(&self, len: usize) -> SynopticError {
+        self.fail(format!(
+            "unexpected end of payload: need {len} bytes, have {}",
+            self.buf.len() - self.pos
+        ))
+    }
+
     /// Reads one byte.
     #[inline]
     pub fn u8(&mut self) -> Result<u8> {
         Ok(self.bytes(1)?[0])
+    }
+
+    /// Reads a `u16`.
+    #[inline]
+    pub fn u16(&mut self) -> Result<u16> {
+        Ok(u16::from_le_bytes(self.bytes(2)?.try_into().unwrap()))
     }
 
     /// Reads a `u32`.
@@ -270,7 +314,7 @@ impl<'a> ByteReader<'a> {
     /// Reads a `u16`-length-prefixed UTF-8 string (see
     /// [`ByteWriter::str16`]).
     pub fn str16(&mut self) -> Result<String> {
-        let len = u16::from_le_bytes(self.bytes(2)?.try_into().unwrap());
+        let len = self.u16()?;
         self.utf8(usize::from(len))
     }
 

@@ -17,9 +17,10 @@
 //!   prefixes, header + payload CRCs). See `docs/PERSISTENCE.md` for the
 //!   normative specification.
 //! * [`codec`] — the one byte codec: [`codec::ByteWriter`] /
-//!   [`codec::ByteReader`] primitives shared by the catalog format and
-//!   the `SQP1`/`SRP1` wire protocols, plus the [`codec::seal`] /
-//!   [`codec::open`] CRC envelope both protocols use.
+//!   [`codec::ByteReader`] primitives shared by the catalog format, the
+//!   `SYNWAL01` journal segments and the `SQP1`/`SRP1` wire protocols,
+//!   plus the [`codec::seal`] / [`codec::open`] CRC envelope both
+//!   protocols use.
 //! * [`storage`] — the [`storage::Storage`] trait with a production
 //!   filesystem backend (write-temp → fsync → atomic-rename) and a
 //!   deterministic fault-injection backend for crash/corruption testing.
@@ -56,7 +57,7 @@ pub use persist::{LoadedSynopsis, PersistentSynopsis};
 pub use storage::{Fault, FaultyStorage, FsStorage, Storage};
 pub use store::{DurableCatalog, FsckReport, PruneReport, RepairReport};
 pub use wal::{
-    decode_segment, list_sealed_segments, restamp_segment_generation, scan_column_journal,
-    CheckpointReport, ColumnWal, DecodedSegment, FsyncCadence, JournalScan, SegmentFile,
+    column_segments, decode_segment, restamp_segment_generation, scan_column_journal,
+    scan_journals, CheckpointReport, ColumnWal, DecodedSegment, FsyncCadence, JournalScan,
     SegmentMeta, WalConfig, WalRecord,
 };

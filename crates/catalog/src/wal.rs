@@ -18,12 +18,16 @@
 //!          | index u64 | delta i64 | crc32 u32
 //! ```
 //!
-//! All integers are little-endian. The header CRC covers every header byte
-//! before it; a record CRC covers the length prefix and payload. Records
-//! carry consecutive LSNs starting at the header's `first_lsn`, and
+//! All integers are little-endian, written and read through the shared
+//! [`crate::codec`] (a decode failure there surfaces as
+//! [`SynopticError::CorruptJournal`]). The header CRC covers every header
+//! byte before it; a record CRC covers the length prefix and payload.
+//! Records carry consecutive LSNs starting at the header's `first_lsn`, and
 //! consecutive segments chain (`next.first_lsn = prev.last_lsn + 1`), so a
-//! vanished middle segment is detectable. `base_generation` is the catalog
-//! generation that was committed when the segment was opened.
+//! vanished middle segment is detectable. An LSN is never 0 and never
+//! `u64::MAX`: every record's successor is a valid LSN, so no reader's
+//! `last_lsn + 1` can wrap. `base_generation` is the catalog generation
+//! that was committed when the segment was opened.
 //!
 //! ## Batches
 //!
@@ -53,23 +57,32 @@
 //!
 //! ## Reading back
 //!
-//! [`scan_column_journal`] validates the whole chain. A torn *tail* —
-//! fewer trailing bytes than one record, a trailing batch with no end mark
-//! (dropped whole), or an unreadable header on the final segment (the
-//! crash hit the segment's very first append) — is tolerated and
-//! truncated, because those bytes were never acknowledged as durable.
+//! Every reader goes through one walk that lists the directory once and
+//! reads each segment file once (a file a checkpoint deleted after the
+//! listing counts as unlisted): [`scan_column_journal`] for one column's
+//! chain, [`scan_journals`] for every column's, and [`column_segments`]
+//! for the segments a replication shipper sends.
+//!
+//! A chain scan validates the whole chain. A torn *tail* — fewer trailing
+//! bytes than one record, a trailing batch with no end mark (dropped
+//! whole), or an unreadable header on the final segment (the crash hit the
+//! segment's very first append) — is tolerated and truncated, because
+//! those bytes were never acknowledged as durable. An unreadable header
+//! mid-chain is forgiven only when the LSN chain runs unbroken across it.
 //! Everything else (mid-stream CRC mismatch, broken LSN chain, torn tail
 //! on a non-final segment) is a hard [`SynopticError::CorruptJournal`]:
 //! the journal cannot be trusted and recovery must say so rather than
 //! guess.
 
 use std::collections::BTreeMap;
+use std::iter::Peekable;
 use std::path::{Path, PathBuf};
 use std::sync::{Mutex, PoisonError};
 
 use synoptic_core::{Result, SynopticError};
 
 use crate::checksum::crc32;
+use crate::codec::{ByteReader, ByteWriter};
 use crate::storage::Storage;
 use crate::store::sanitize_column;
 
@@ -142,7 +155,8 @@ pub struct WalRecord {
     pub delta: i64,
 }
 
-/// Metadata of one readable segment found by [`scan_column_journal`].
+/// Metadata of one readable segment file, as a chain scan or
+/// [`column_segments`] found it.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct SegmentMeta {
     /// File name relative to the journal directory.
@@ -159,7 +173,7 @@ pub struct SegmentMeta {
     pub torn_tail: bool,
 }
 
-/// Everything [`scan_column_journal`] recovered for one column.
+/// Everything a chain scan recovered for one column.
 #[derive(Debug, Clone, Default)]
 pub struct JournalScan {
     /// All valid records across all segments, in LSN order.
@@ -174,22 +188,6 @@ pub struct JournalScan {
     pub skipped: Vec<String>,
     /// Highest valid LSN seen (`0` when the journal is empty).
     pub max_lsn: u64,
-}
-
-/// One segment file found by [`list_sealed_segments`]: a header-validated
-/// on-disk segment, the unit replication ships.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct SegmentFile {
-    /// File name relative to the journal directory.
-    pub file: String,
-    /// Sequence number parsed from the file name.
-    pub seq: u64,
-    /// Column the header declares ownership by.
-    pub column: String,
-    /// Catalog generation committed when the segment was opened.
-    pub base_generation: u64,
-    /// LSN of the segment's first record.
-    pub first_lsn: u64,
 }
 
 /// One fully decoded segment, as [`decode_segment`] returns it.
@@ -236,14 +234,11 @@ pub fn wal_file_name(column: &str, seq: u64) -> String {
     format!("{}-{seq}.{WAL_EXT}", sanitize_column(column))
 }
 
-/// Parses the sequence number out of a segment file name, given the
-/// column's `"<sanitized>-"` prefix. Sanitized names never contain `-`, so
-/// the parse is unambiguous.
-fn parse_wal_seq(name: &str, prefix: &str) -> Option<u64> {
-    name.strip_prefix(prefix)?
-        .strip_suffix(&format!(".{WAL_EXT}"))?
-        .parse::<u64>()
-        .ok()
+/// Splits a segment file name into its sanitized column name and sequence
+/// number. Sanitized names never contain `-`, so the split is unambiguous.
+fn split_wal_name(name: &str) -> Option<(&str, u64)> {
+    let (prefix, seq) = name.strip_suffix(&format!(".{WAL_EXT}"))?.split_once('-')?;
+    Some((prefix, seq.parse().ok()?))
 }
 
 fn corrupt(file: &str, detail: impl Into<String>) -> SynopticError {
@@ -253,34 +248,45 @@ fn corrupt(file: &str, detail: impl Into<String>) -> SynopticError {
     }
 }
 
-fn encode_header(column: &str, base_generation: u64, first_lsn: u64) -> Vec<u8> {
-    let name = column.as_bytes();
-    let mut out = Vec::with_capacity(HEADER_FIXED_LEN + name.len() + 4);
-    out.extend_from_slice(&WAL_MAGIC);
-    out.extend_from_slice(&WAL_VERSION.to_le_bytes());
-    out.extend_from_slice(&(name.len() as u16).to_le_bytes());
-    out.extend_from_slice(&base_generation.to_le_bytes());
-    out.extend_from_slice(&first_lsn.to_le_bytes());
-    out.extend_from_slice(name);
-    let crc = crc32(&out);
-    out.extend_from_slice(&crc.to_le_bytes());
-    out
+/// Reports a [`ByteReader`] failure, which the codec raises as a corrupt
+/// synopsis, as the journal damage it is; other errors pass through.
+fn journal_error(e: SynopticError) -> SynopticError {
+    match e {
+        SynopticError::CorruptSynopsis { context, detail } => {
+            SynopticError::CorruptJournal { context, detail }
+        }
+        e => e,
+    }
 }
 
-fn encode_record(lsn: u64, index: u64, delta: i64, continues: bool) -> [u8; WAL_RECORD_LEN] {
-    let mut out = [0u8; WAL_RECORD_LEN];
-    let len = if continues {
+fn encode_header(
+    w: &mut ByteWriter,
+    version: u16,
+    column: &str,
+    base_generation: u64,
+    first_lsn: u64,
+) {
+    let start = w.offset();
+    w.bytes(&WAL_MAGIC);
+    w.u16(version);
+    w.u16(column.len() as u16);
+    w.u64(base_generation);
+    w.u64(first_lsn);
+    w.bytes(column.as_bytes());
+    w.crc32_since(start);
+}
+
+fn encode_record(w: &mut ByteWriter, lsn: u64, index: u64, delta: i64, continues: bool) {
+    let start = w.offset();
+    w.u32(if continues {
         RECORD_PAYLOAD_LEN | BATCH_CONTINUES
     } else {
         RECORD_PAYLOAD_LEN
-    };
-    out[0..4].copy_from_slice(&len.to_le_bytes());
-    out[4..12].copy_from_slice(&lsn.to_le_bytes());
-    out[12..20].copy_from_slice(&index.to_le_bytes());
-    out[20..28].copy_from_slice(&delta.to_le_bytes());
-    let crc = crc32(&out[0..28]);
-    out[28..32].copy_from_slice(&crc.to_le_bytes());
-    out
+    });
+    w.u64(lsn);
+    w.u64(index);
+    w.i64(delta);
+    w.crc32_since(start);
 }
 
 struct ParsedHeader {
@@ -290,18 +296,6 @@ struct ParsedHeader {
     first_lsn: u64,
     /// Total header length including name and CRC.
     len: usize,
-}
-
-fn u16_at(bytes: &[u8], at: usize) -> u16 {
-    u16::from_le_bytes(bytes[at..at + 2].try_into().expect("bounds checked"))
-}
-
-fn u32_at(bytes: &[u8], at: usize) -> u32 {
-    u32::from_le_bytes(bytes[at..at + 4].try_into().expect("bounds checked"))
-}
-
-fn u64_at(bytes: &[u8], at: usize) -> u64 {
-    u64::from_le_bytes(bytes[at..at + 8].try_into().expect("bounds checked"))
 }
 
 /// Validates a segment header. Integrity failures are
@@ -315,107 +309,125 @@ fn parse_header(bytes: &[u8], file: &str) -> Result<ParsedHeader> {
             format!("{} bytes is shorter than a segment header", bytes.len()),
         ));
     }
-    if bytes[0..8] != WAL_MAGIC {
-        return Err(corrupt(file, "bad magic"));
-    }
-    let name_len = u16_at(bytes, 10) as usize;
-    let header_len = HEADER_FIXED_LEN + name_len + 4;
-    if bytes.len() < header_len {
-        return Err(corrupt(
-            file,
-            "shorter than its declared header (torn at creation)",
-        ));
-    }
-    let crc_stored = u32_at(bytes, HEADER_FIXED_LEN + name_len);
-    let crc_actual = crc32(&bytes[..HEADER_FIXED_LEN + name_len]);
-    if crc_stored != crc_actual {
-        return Err(corrupt(file, "header CRC mismatch"));
-    }
-    // The CRC validated, so the version field is trustworthy.
-    let version = u16_at(bytes, 8);
-    if version > WAL_VERSION {
-        return Err(SynopticError::UnsupportedVersion {
-            found: version,
-            supported: WAL_VERSION,
-        });
-    }
-    let first_lsn = u64_at(bytes, 20);
-    if first_lsn == 0 {
-        return Err(corrupt(file, "first LSN is 0 (LSNs start at 1)"));
-    }
-    let column = std::str::from_utf8(&bytes[HEADER_FIXED_LEN..HEADER_FIXED_LEN + name_len])
-        .map_err(|_| corrupt(file, "column name is not UTF-8"))?
-        .to_string();
-    Ok(ParsedHeader {
-        version,
-        column,
-        base_generation: u64_at(bytes, 12),
-        first_lsn,
-        len: header_len,
-    })
+    let mut r = ByteReader::new(bytes, file);
+    let mut read = || -> Result<ParsedHeader> {
+        if r.bytes(WAL_MAGIC.len())? != WAL_MAGIC {
+            return Err(corrupt(file, "bad magic"));
+        }
+        let version = r.u16()?;
+        let name_len = usize::from(r.u16()?);
+        let base_generation = r.u64()?;
+        let first_lsn = r.u64()?;
+        if bytes.len() < HEADER_FIXED_LEN + name_len + 4 {
+            return Err(corrupt(
+                file,
+                "shorter than its declared header (torn at creation)",
+            ));
+        }
+        let name = r.bytes(name_len)?;
+        let covered = r.offset();
+        if r.u32()? != crc32(&bytes[..covered]) {
+            return Err(corrupt(file, "header CRC mismatch"));
+        }
+        // The CRC validated, so the version field is trustworthy.
+        if version > WAL_VERSION {
+            return Err(SynopticError::UnsupportedVersion {
+                found: version,
+                supported: WAL_VERSION,
+            });
+        }
+        if first_lsn == 0 {
+            return Err(corrupt(file, "first LSN is 0 (LSNs start at 1)"));
+        }
+        let column = std::str::from_utf8(name)
+            .map_err(|_| corrupt(file, "column name is not UTF-8"))?
+            .to_string();
+        Ok(ParsedHeader {
+            version,
+            column,
+            base_generation,
+            first_lsn,
+            len: r.offset(),
+        })
+    };
+    read().map_err(journal_error)
+}
+
+/// The record stream after one segment header.
+struct ParsedRecords {
+    records: Vec<WalRecord>,
+    /// LSN of the last record (`first_lsn - 1` when there is none).
+    last_lsn: u64,
+    /// Why a torn tail was truncated off, when one was.
+    torn: Option<String>,
 }
 
 /// Decodes the record stream following a segment header. `Err` means
-/// untrustworthy mid-stream bytes; `Ok(.., Some(detail))` means a torn
-/// tail was truncated off — always a whole batch, so a batch is either
-/// fully in the returned records or absent.
-fn parse_records(
-    bytes: &[u8],
-    first_lsn: u64,
-    version: u16,
-    file: &str,
-) -> Result<(Vec<WalRecord>, Option<String>)> {
+/// untrustworthy mid-stream bytes; `torn: Some(detail)` means a torn tail
+/// was truncated off — always a whole batch, so a batch is either fully in
+/// the returned records or absent.
+fn parse_records(bytes: &[u8], first_lsn: u64, version: u16, file: &str) -> Result<ParsedRecords> {
     let mut records = Vec::with_capacity(bytes.len() / WAL_RECORD_LEN);
     // Records before this index belong to batches whose end mark was read.
     let mut complete = 0usize;
-    let mut at = 0usize;
     let mut torn = None;
-    while at < bytes.len() {
-        let remaining = bytes.len() - at;
-        if remaining < WAL_RECORD_LEN {
-            // A torn append leaves a strict prefix of its bytes; anything
-            // shorter than a whole record can only be that.
-            torn = Some(format!("{remaining} trailing bytes, less than one record"));
-            break;
+    let mut r = ByteReader::new(bytes, file);
+    let mut read = || -> Result<()> {
+        while r.has_remaining() {
+            let at = r.offset();
+            let remaining = bytes.len() - at;
+            if remaining < WAL_RECORD_LEN {
+                // A torn append leaves a strict prefix of its bytes;
+                // anything shorter than a whole record can only be that.
+                torn = Some(format!("{remaining} trailing bytes, less than one record"));
+                break;
+            }
+            let record = r.bytes(WAL_RECORD_LEN)?;
+            let mut f = ByteReader::new(record, file);
+            let word = f.u32()?;
+            // Version 1 predates batches: bit 31 there is corruption,
+            // caught by the length check below.
+            let continues = version >= 2 && word & BATCH_CONTINUES != 0;
+            let len = if continues {
+                word & !BATCH_CONTINUES
+            } else {
+                word
+            };
+            if len != RECORD_PAYLOAD_LEN {
+                return Err(corrupt(
+                    file,
+                    format!("record at byte {at} declares payload length {len}"),
+                ));
+            }
+            let (lsn, index, delta) = (f.u64()?, f.u64()?, f.i64()?);
+            if f.u32()? != crc32(&record[..WAL_RECORD_LEN - 4]) {
+                return Err(corrupt(file, format!("record CRC mismatch at byte {at}")));
+            }
+            // The record's successor must be a valid LSN too, so no
+            // `last_lsn + 1` downstream can wrap.
+            let expect = first_lsn
+                .checked_add(records.len() as u64)
+                .filter(|&expect| expect < u64::MAX)
+                .ok_or_else(|| {
+                    corrupt(
+                        file,
+                        format!("record at byte {at} leaves the u64 LSN range"),
+                    )
+                })?;
+            if lsn != expect {
+                return Err(corrupt(
+                    file,
+                    format!("LSN {lsn} where {expect} was expected"),
+                ));
+            }
+            records.push(WalRecord { lsn, index, delta });
+            if !continues {
+                complete = records.len();
+            }
         }
-        let word = u32_at(bytes, at);
-        // Version 1 predates batches: bit 31 there is corruption, caught
-        // by the length check below.
-        let continues = version >= 2 && word & BATCH_CONTINUES != 0;
-        let len = if continues {
-            word & !BATCH_CONTINUES
-        } else {
-            word
-        };
-        if len != RECORD_PAYLOAD_LEN {
-            return Err(corrupt(
-                file,
-                format!("record at byte {at} declares payload length {len}"),
-            ));
-        }
-        let crc_stored = u32_at(bytes, at + 28);
-        let crc_actual = crc32(&bytes[at..at + 28]);
-        if crc_stored != crc_actual {
-            return Err(corrupt(file, format!("record CRC mismatch at byte {at}")));
-        }
-        let lsn = u64_at(bytes, at + 4);
-        let expect = first_lsn + records.len() as u64;
-        if lsn != expect {
-            return Err(corrupt(
-                file,
-                format!("LSN {lsn} where {expect} was expected"),
-            ));
-        }
-        records.push(WalRecord {
-            lsn,
-            index: u64_at(bytes, at + 12),
-            delta: u64_at(bytes, at + 20) as i64,
-        });
-        at += WAL_RECORD_LEN;
-        if !continues {
-            complete = records.len();
-        }
-    }
+        Ok(())
+    };
+    read().map_err(journal_error)?;
     let open = records.len() - complete;
     if open > 0 {
         // The append that carried this batch tore before its end mark
@@ -427,7 +439,184 @@ fn parse_records(
             None => detail,
         });
     }
-    Ok((records, torn))
+    // Every kept record's LSN is below `u64::MAX`, so `first_lsn +
+    // records.len()` fits, and `first_lsn >= 1` keeps the difference at
+    // or above 0.
+    let last_lsn = first_lsn + records.len() as u64 - 1;
+    Ok(ParsedRecords {
+        records,
+        last_lsn,
+        torn,
+    })
+}
+
+/// One segment file as the walk read it.
+struct WalFile {
+    name: String,
+    /// The sanitized column name the file name carries.
+    prefix: String,
+    seq: u64,
+    bytes: Vec<u8>,
+    /// The header, and the record stream behind it when the header is
+    /// readable.
+    parsed: Result<(ParsedHeader, Result<ParsedRecords>)>,
+}
+
+impl SegmentMeta {
+    fn new(file: String, seq: u64, header: &ParsedHeader, records: &ParsedRecords) -> Self {
+        Self {
+            file,
+            seq,
+            base_generation: header.base_generation,
+            first_lsn: header.first_lsn,
+            last_lsn: records.last_lsn,
+            torn_tail: records.torn.is_some(),
+        }
+    }
+}
+
+/// The one directory walk behind every journal reader: lists `dir` once,
+/// then yields, in journal and sequence order, each segment file of the
+/// journal named `prefix` (a sanitized column name; every journal when
+/// `None`). Each file is read once, when it is yielded, and its header and
+/// records are parsed once, right after the read. A file that vanished
+/// between the listing and its read — a checkpoint deleted a covered
+/// segment — counts as unlisted.
+fn walk<'a, S: Storage>(
+    storage: &'a S,
+    dir: &'a Path,
+    prefix: Option<&str>,
+) -> Result<impl Iterator<Item = Result<WalFile>> + 'a> {
+    let mut names: Vec<(String, u64, String)> = Vec::new();
+    if storage.exists(dir) {
+        for name in storage.list(dir)? {
+            if let Some((file_prefix, seq)) = split_wal_name(&name) {
+                if prefix.is_none_or(|p| p == file_prefix) {
+                    names.push((file_prefix.to_string(), seq, name));
+                }
+            }
+        }
+    }
+    names.sort_unstable();
+    Ok(names.into_iter().filter_map(move |(prefix, seq, name)| {
+        let path = dir.join(&name);
+        let bytes = match storage.read(&path) {
+            Ok(bytes) => bytes,
+            Err(_) if !storage.exists(&path) => return None,
+            Err(e) => return Some(Err(e)),
+        };
+        let parsed = parse_header(&bytes, &name).map(|h| {
+            let records = parse_records(&bytes[h.len..], h.first_lsn, h.version, &name);
+            (h, records)
+        });
+        Some(Ok(WalFile {
+            name,
+            prefix,
+            seq,
+            bytes,
+            parsed,
+        }))
+    }))
+}
+
+/// Validates the chain of the journal `files` yields next, consuming its
+/// files, with the rules in the module docs. Every readable header must
+/// name `column`, or, when `None`, the column the first one names; that
+/// column is returned with the scan (`None` when no header was readable).
+fn scan_chain(
+    column: Option<&str>,
+    files: &mut Peekable<impl Iterator<Item = Result<WalFile>>>,
+) -> Result<(Option<String>, JournalScan)> {
+    let mut column = column.map(str::to_string);
+    let mut prefix: Option<String> = None;
+    let mut scan = JournalScan::default();
+    // Unreadable-header segments seen since the last readable one. They are
+    // forgiven only if the next readable segment proves (by LSN continuity)
+    // that they never held an acknowledged record.
+    let mut wrecks: Vec<(String, SynopticError)> = Vec::new();
+    while let Some(f) = files.next_if(|next| match (next, &prefix) {
+        (Ok(f), Some(p)) => f.prefix == *p,
+        _ => true,
+    }) {
+        let f = f?;
+        let prefix = prefix.get_or_insert_with(|| f.prefix.clone());
+        let is_final = match files.peek() {
+            Some(Ok(next)) => next.prefix != *prefix,
+            Some(Err(_)) => false,
+            None => true,
+        };
+        let (header, records) = match f.parsed {
+            Ok(parsed) => parsed,
+            Err(e @ SynopticError::UnsupportedVersion { .. }) => return Err(e),
+            Err(e) => {
+                if is_final {
+                    // The crash hit this segment's very first append: no
+                    // record in it was ever acknowledged as durable.
+                    scan.skipped.push(f.name);
+                    continue;
+                }
+                if scan.segments.is_empty() {
+                    // No earlier readable segment to anchor a continuity
+                    // proof: the wreck may hold real records. Refuse.
+                    return Err(e);
+                }
+                wrecks.push((f.name, e));
+                continue;
+            }
+        };
+        // A header naming another column, or one its file name does not
+        // belong to, means two names sanitized to the same file prefix.
+        let column = column.get_or_insert_with(|| header.column.clone());
+        if header.column != *column || sanitize_column(column) != *prefix {
+            return Err(corrupt(
+                &f.name,
+                format!(
+                    "segment belongs to column '{}' (sanitized file-name collision)",
+                    header.column
+                ),
+            ));
+        }
+        if let Some(prev) = scan.segments.last() {
+            if prev.last_lsn.checked_add(1) != Some(header.first_lsn) {
+                // A broken chain: either this segment is damaged, or one of
+                // the unreadable segments between it and `prev` held real
+                // records. Surface the wreck's own error when there is one.
+                if let Some((_, e)) = wrecks.into_iter().next() {
+                    return Err(e);
+                }
+                return Err(corrupt(
+                    &f.name,
+                    format!(
+                        "LSN chain broken: segment starts at {} but {} was expected",
+                        header.first_lsn,
+                        prev.last_lsn + 1
+                    ),
+                ));
+            }
+        }
+        // Continuity held across any intervening wrecks: they provably
+        // carried nothing durable.
+        scan.skipped.extend(wrecks.drain(..).map(|(name, _)| name));
+        let records = records?;
+        if let Some(detail) = &records.torn {
+            if !is_final {
+                return Err(corrupt(
+                    &f.name,
+                    format!("torn tail on a non-final segment: {detail}"),
+                ));
+            }
+        }
+        scan.max_lsn = scan.max_lsn.max(records.last_lsn);
+        scan.segments
+            .push(SegmentMeta::new(f.name, f.seq, &header, &records));
+        scan.records.extend(records.records);
+    }
+    // Wrecks with no later readable segment to vouch for them (the journal
+    // ended in the middle of them) stay unproven: refuse.
+    if let Some((_, e)) = wrecks.into_iter().next() {
+        return Err(e);
+    }
+    Ok((column, scan))
 }
 
 /// Reads and validates `column`'s whole journal under `dir`.
@@ -442,171 +631,56 @@ pub fn scan_column_journal<S: Storage>(
     dir: &Path,
     column: &str,
 ) -> Result<JournalScan> {
-    let mut scan = JournalScan::default();
-    if !storage.exists(dir) {
-        return Ok(scan);
-    }
-    let prefix = format!("{}-", sanitize_column(column));
-    let mut files: Vec<(u64, String)> = storage
-        .list(dir)?
-        .into_iter()
-        .filter_map(|name| parse_wal_seq(&name, &prefix).map(|seq| (seq, name)))
-        .collect();
-    files.sort_unstable();
-
-    // Unreadable-header segments seen since the last readable one. They are
-    // forgiven only if the next readable segment proves (by LSN continuity)
-    // that they never held an acknowledged record.
-    let mut wrecks: Vec<(String, SynopticError)> = Vec::new();
-
-    for (i, (seq, name)) in files.iter().enumerate() {
-        let is_final = i + 1 == files.len();
-        let bytes = storage.read(&dir.join(name))?;
-        let header = match parse_header(&bytes, name) {
-            Ok(h) => h,
-            Err(e @ SynopticError::UnsupportedVersion { .. }) => return Err(e),
-            Err(e) => {
-                if is_final {
-                    // The crash hit this segment's very first append: no
-                    // record in it was ever acknowledged as durable.
-                    scan.skipped.push(name.clone());
-                    break;
-                }
-                if scan.segments.is_empty() {
-                    // No earlier readable segment to anchor a continuity
-                    // proof: the wreck may hold real records. Refuse.
-                    return Err(e);
-                }
-                wrecks.push((name.clone(), e));
-                continue;
-            }
-        };
-        if header.column != column {
-            return Err(corrupt(
-                name,
-                format!(
-                    "segment belongs to column '{}' (sanitized file-name collision)",
-                    header.column
-                ),
-            ));
-        }
-        if let Some(prev) = scan.segments.last() {
-            if header.first_lsn != prev.last_lsn + 1 {
-                // A broken chain: either this segment is damaged, or one of
-                // the unreadable segments between it and `prev` held real
-                // records. Surface the wreck's own error when there is one.
-                if let Some((_, e)) = wrecks.drain(..).next() {
-                    return Err(e);
-                }
-                return Err(corrupt(
-                    name,
-                    format!(
-                        "LSN chain broken: segment starts at {} but {} was expected",
-                        header.first_lsn,
-                        prev.last_lsn + 1
-                    ),
-                ));
-            }
-        }
-        // Continuity held across any intervening wrecks: they provably
-        // carried nothing durable.
-        scan.skipped.extend(wrecks.drain(..).map(|(n, _)| n));
-        let (records, torn) =
-            parse_records(&bytes[header.len..], header.first_lsn, header.version, name)?;
-        if let Some(detail) = &torn {
-            if !is_final {
-                return Err(corrupt(
-                    name,
-                    format!("torn tail on a non-final segment: {detail}"),
-                ));
-            }
-        }
-        let last_lsn = header.first_lsn + records.len() as u64 - 1;
-        scan.max_lsn = scan.max_lsn.max(last_lsn);
-        scan.segments.push(SegmentMeta {
-            file: name.clone(),
-            seq: *seq,
-            base_generation: header.base_generation,
-            first_lsn: header.first_lsn,
-            last_lsn,
-            torn_tail: torn.is_some(),
-        });
-        scan.records.extend(records);
-    }
-    // Wrecks with no later readable segment to vouch for them (the journal
-    // ended in the middle of them) stay unproven: refuse.
-    if let Some((_, e)) = wrecks.into_iter().next() {
-        return Err(e);
-    }
-    Ok(scan)
+    let mut files = walk(storage, dir, Some(&sanitize_column(column)))?.peekable();
+    Ok(scan_chain(Some(column), &mut files)?.1)
 }
 
-/// Enumerates every segment file with a readable, CRC-valid header under
-/// `dir`, ordered by `(column, first_lsn)` — the one directory walk both
-/// replication shipping and fsck/recovery share. Segments whose header
-/// never became readable are skipped here: the header goes out in the same
-/// append as the first record, so an unreadable header means nothing in
-/// that segment was ever acknowledged as durable (and there is nothing to
-/// ship). A CRC-valid header from a newer format version still errors —
-/// its contents are intact, just not ours to interpret.
-pub fn list_sealed_segments<S: Storage>(storage: &S, dir: &Path) -> Result<Vec<SegmentFile>> {
-    let mut segments: Vec<SegmentFile> = Vec::new();
-    if !storage.exists(dir) {
-        return Ok(segments);
+/// Reads and validates every journal under `dir` in one walk, each exactly
+/// as [`scan_column_journal`] validates its column's, keyed by the column
+/// its first readable header names. A journal with no readable header
+/// names no column and is left out once its chain checks out: nothing in
+/// it was acknowledged.
+pub fn scan_journals<S: Storage>(storage: &S, dir: &Path) -> Result<BTreeMap<String, JournalScan>> {
+    let mut files = walk(storage, dir, None)?.peekable();
+    let mut journals = BTreeMap::new();
+    while files.peek().is_some() {
+        if let (Some(column), scan) = scan_chain(None, &mut files)? {
+            journals.insert(column, scan);
+        }
     }
-    let suffix = format!(".{WAL_EXT}");
-    for name in storage.list(dir)? {
-        if !name.ends_with(&suffix) {
+    Ok(journals)
+}
+
+/// `column`'s segment files under `dir` holding records past `after_lsn`,
+/// in sequence order, each with its validated prefix (header plus whole
+/// records) — what replication ships. Every file of the column is read and
+/// decoded once; unlike a chain scan, each segment is judged on its own.
+/// One whose header never became readable holds nothing acknowledged and
+/// is left out, as is one whose header names another column (a
+/// sanitized-name collision, which [`scan_column_journal`] reports);
+/// damage inside a readable segment still errors.
+pub fn column_segments<S: Storage>(
+    storage: &S,
+    dir: &Path,
+    column: &str,
+    after_lsn: u64,
+) -> Result<Vec<(SegmentMeta, Vec<u8>)>> {
+    let mut segments = Vec::new();
+    for f in walk(storage, dir, Some(&sanitize_column(column)))? {
+        let f = f?;
+        let (header, records) = match f.parsed {
+            Ok((header, records)) if header.column == column => (header, records?),
+            Err(e @ SynopticError::UnsupportedVersion { .. }) => return Err(e),
+            _ => continue,
+        };
+        if records.records.is_empty() || records.last_lsn <= after_lsn {
             continue;
         }
-        let path = dir.join(&name);
-        let bytes = match storage.read(&path) {
-            Ok(bytes) => bytes,
-            // A checkpoint may delete a covered segment between the
-            // listing and this read; a vanished segment is not listed.
-            Err(_) if !storage.exists(&path) => continue,
-            Err(e) => return Err(e),
-        };
-        match parse_header(&bytes, &name) {
-            Ok(h) => {
-                let prefix = format!("{}-", sanitize_column(&h.column));
-                let Some(seq) = parse_wal_seq(&name, &prefix) else {
-                    // A readable header inside a file whose name does not
-                    // match its own column: a sanitized-name collision.
-                    // The per-column scan reports it precisely; the
-                    // enumeration just leaves it out.
-                    continue;
-                };
-                segments.push(SegmentFile {
-                    file: name,
-                    seq,
-                    column: h.column,
-                    base_generation: h.base_generation,
-                    first_lsn: h.first_lsn,
-                });
-            }
-            Err(e @ SynopticError::UnsupportedVersion { .. }) => return Err(e),
-            Err(_) => {}
-        }
+        let mut bytes = f.bytes;
+        bytes.truncate(header.len + records.records.len() * WAL_RECORD_LEN);
+        segments.push((SegmentMeta::new(f.name, f.seq, &header, &records), bytes));
     }
-    segments.sort_by(|a, b| (&a.column, a.first_lsn, a.seq).cmp(&(&b.column, b.first_lsn, b.seq)));
     Ok(segments)
-}
-
-/// Distinct column names owning at least one segment with a readable
-/// header under `dir`, sorted. Recovery uses this to find journals whose
-/// column is *absent* from the committed catalog (e.g. a column whose
-/// first durable persist never committed) — silently skipping them would
-/// drop acknowledged records. Built on [`list_sealed_segments`], the same
-/// enumeration the replication shipper walks.
-pub fn list_journal_columns<S: Storage>(storage: &S, dir: &Path) -> Result<Vec<String>> {
-    let mut columns: Vec<String> = Vec::new();
-    for seg in list_sealed_segments(storage, dir)? {
-        if columns.last() != Some(&seg.column) {
-            columns.push(seg.column);
-        }
-    }
-    Ok(columns)
 }
 
 /// Decodes one whole segment file as shipped over a replication transport:
@@ -618,17 +692,15 @@ pub fn list_journal_columns<S: Storage>(storage: &S, dir: &Path) -> Result<Vec<S
 /// will retry, and on disk it means a torn final append.
 pub fn decode_segment(bytes: &[u8], file: &str) -> Result<DecodedSegment> {
     let header = parse_header(bytes, file)?;
-    let (records, torn) =
-        parse_records(&bytes[header.len..], header.first_lsn, header.version, file)?;
-    let last_lsn = header.first_lsn + records.len() as u64 - 1;
+    let parsed = parse_records(&bytes[header.len..], header.first_lsn, header.version, file)?;
     Ok(DecodedSegment {
         header_len: header.len,
         column: header.column,
         base_generation: header.base_generation,
         first_lsn: header.first_lsn,
-        last_lsn,
-        records,
-        torn_tail: torn.is_some(),
+        last_lsn: parsed.last_lsn,
+        records: parsed.records,
+        torn_tail: parsed.torn.is_some(),
     })
 }
 
@@ -642,11 +714,10 @@ pub fn decode_segment(bytes: &[u8], file: &str) -> Result<DecodedSegment> {
 /// is an annotation relative to the local snapshot, not part of the record
 /// stream, and the anchor-at-mark check still guarantees completeness.
 pub fn restamp_segment_generation(bytes: &mut [u8], file: &str, generation: u64) -> Result<()> {
-    let header = parse_header(bytes, file)?;
-    bytes[12..20].copy_from_slice(&generation.to_le_bytes());
-    let crc_at = header.len - 4;
-    let crc = crc32(&bytes[..crc_at]);
-    bytes[crc_at..header.len].copy_from_slice(&crc.to_le_bytes());
+    let h = parse_header(bytes, file)?;
+    let mut w = ByteWriter::with_capacity(h.len);
+    encode_header(&mut w, h.version, &h.column, generation, h.first_lsn);
+    bytes[..h.len].copy_from_slice(&w.into_bytes());
     Ok(())
 }
 
@@ -721,14 +792,18 @@ impl<S: Storage> ColumnWal<S> {
         }
         storage.create_dir_all(&dir)?;
         let scan = scan_column_journal(&storage, &dir, column)?;
-        let prefix = format!("{}-", sanitize_column(column));
         // Never reuse a sequence number, including one whose header never
         // became readable — appending to that file would bury live records
-        // behind garbage.
-        let next_seq = storage
-            .list(&dir)?
+        // behind garbage. The scan accounts for every file of the column.
+        let next_seq = scan
+            .segments
             .iter()
-            .filter_map(|n| parse_wal_seq(n, &prefix))
+            .map(|s| s.seq)
+            .chain(
+                scan.skipped
+                    .iter()
+                    .filter_map(|n| Some(split_wal_name(n)?.1)),
+            )
             .max()
             .map_or(1, |s| s + 1);
         let mut sealed: Vec<SealedSegment> = scan
@@ -888,6 +963,11 @@ impl<S: Storage> ColumnWal<S> {
             return Ok(st.next_lsn - 1);
         }
         let k = batch.len() as u64;
+        if st.next_lsn.checked_add(k).is_none() {
+            // The last record's successor would leave the LSN range, which
+            // every reader refuses.
+            return Err(SynopticError::Overflow);
+        }
         // A batch never spans segments: rotate before it, not inside it.
         let over_budget = st
             .active
@@ -902,23 +982,34 @@ impl<S: Storage> ColumnWal<S> {
             FsyncCadence::EveryN(n) => st.since_sync + k >= n.max(1),
             FsyncCadence::OnRotate => false,
         };
-        let (path, acked, mut buf) = match &st.active {
-            Some(a) => (a.path.clone(), a.bytes, Vec::new()),
+        let records_len = batch.len() * WAL_RECORD_LEN;
+        let (path, acked, mut w) = match &st.active {
+            Some(a) => (
+                a.path.clone(),
+                a.bytes,
+                ByteWriter::with_capacity(records_len),
+            ),
             // First batch of a new segment: header and records go out in
             // one append, so a tear at any byte is a torn creation or a
             // torn tail — never a half-header with a live record stranded
             // behind it.
-            None => (
-                self.dir.join(wal_file_name(&self.column, st.next_seq)),
-                0,
-                encode_header(&self.column, st.generation, first),
-            ),
+            None => {
+                let mut w = ByteWriter::with_capacity(
+                    HEADER_FIXED_LEN + self.column.len() + 4 + records_len,
+                );
+                encode_header(&mut w, WAL_VERSION, &self.column, st.generation, first);
+                (
+                    self.dir.join(wal_file_name(&self.column, st.next_seq)),
+                    0,
+                    w,
+                )
+            }
         };
-        buf.reserve(batch.len() * WAL_RECORD_LEN);
         for (j, &(index, delta)) in batch.iter().enumerate() {
             let lsn = first + j as u64;
-            buf.extend_from_slice(&encode_record(lsn, index, delta, j + 1 < batch.len()));
+            encode_record(&mut w, lsn, index, delta, j + 1 < batch.len());
         }
+        let buf = w.into_bytes();
         if let Err(e) = self.storage.append(&path, &buf, sync) {
             // Some of the bytes may have landed (a short write, or a write
             // followed by a failed fsync). Cut them off so the next append
@@ -1086,6 +1177,22 @@ mod tests {
         d
     }
 
+    fn header(column: &str, base_generation: u64, first_lsn: u64) -> Vec<u8> {
+        let mut w = ByteWriter::new();
+        encode_header(&mut w, WAL_VERSION, column, base_generation, first_lsn);
+        w.into_bytes()
+    }
+
+    fn record(lsn: u64, index: u64, delta: i64, continues: bool) -> Vec<u8> {
+        let mut w = ByteWriter::new();
+        encode_record(&mut w, lsn, index, delta, continues);
+        w.into_bytes()
+    }
+
+    fn u16_le(bytes: &[u8], at: usize) -> u16 {
+        u16::from_le_bytes([bytes[at], bytes[at + 1]])
+    }
+
     #[test]
     fn append_scan_round_trip() {
         let d = tmp_dir("roundtrip");
@@ -1165,7 +1272,7 @@ mod tests {
         wal.append(1, 10).unwrap();
         wal.append(2, 20).unwrap();
         // Power fails mid-append: a strict prefix of record 3 lands.
-        let partial = &encode_record(3, 3, 30, false)[..11];
+        let partial = &record(3, 3, 30, false)[..11];
         s.append(&d.join(wal_file_name("t", 1)), partial, false)
             .unwrap();
         let scan = scan_column_journal(&s, &d, "t").unwrap();
@@ -1425,10 +1532,10 @@ mod tests {
     }
 
     #[test]
-    fn list_journal_columns_names_every_readable_journal() {
+    fn scan_journals_names_every_readable_journal() {
         let d = tmp_dir("listcols");
         let s = FsStorage::new();
-        assert!(list_journal_columns(&s, &d).unwrap().is_empty());
+        assert!(scan_journals(&s, &d).unwrap().is_empty());
         for col in ["beta", "alpha"] {
             let wal = ColumnWal::open(s.clone(), &d, col, 1, WalConfig::default()).unwrap();
             wal.append(0, 1).unwrap();
@@ -1437,7 +1544,14 @@ mod tests {
         // acknowledged.
         s.append(&d.join(wal_file_name("ghost", 1)), &WAL_MAGIC[..4], false)
             .unwrap();
-        assert_eq!(list_journal_columns(&s, &d).unwrap(), vec!["alpha", "beta"]);
+        let journals = scan_journals(&s, &d).unwrap();
+        assert_eq!(journals.keys().collect::<Vec<_>>(), vec!["alpha", "beta"]);
+        // A second wreck leaves the first unanchored: refused, exactly as
+        // scanning that column by name refuses it.
+        s.append(&d.join(wal_file_name("ghost", 2)), &WAL_MAGIC[..4], false)
+            .unwrap();
+        let err = scan_journals(&s, &d).unwrap_err();
+        assert_eq!(err, scan_column_journal(&s, &d, "ghost").unwrap_err());
         let _ = std::fs::remove_dir_all(&d);
     }
 
@@ -1447,7 +1561,7 @@ mod tests {
         let s = FsStorage::new();
         std::fs::create_dir_all(&d).unwrap();
         // A CRC-valid header claiming the next, unknown version.
-        let mut h = encode_header("v", 1, 1);
+        let mut h = header("v", 1, 1);
         h[8..10].copy_from_slice(&(WAL_VERSION + 1).to_le_bytes());
         let crc = crc32(&h[..h.len() - 4]);
         let at = h.len() - 4;
@@ -1504,7 +1618,7 @@ mod tests {
     }
 
     #[test]
-    fn list_sealed_segments_orders_by_column_then_first_lsn() {
+    fn every_reader_orders_segments_by_column_then_first_lsn() {
         let d = tmp_dir("listsegs");
         let s = FsStorage::new();
         let cfg = WalConfig {
@@ -1522,18 +1636,24 @@ mod tests {
             .unwrap();
         // Nor is one a checkpoint deleted after the directory listing.
         let s = VanishedListing(s);
-        let segs = list_sealed_segments(&s, &d).unwrap();
-        assert_eq!(segs.len(), 6);
-        let keys: Vec<(&str, u64)> = segs
+        let journals = scan_journals(&s, &d).unwrap();
+        let keys: Vec<(&str, u64)> = journals
             .iter()
-            .map(|g| (g.column.as_str(), g.first_lsn))
+            .flat_map(|(c, scan)| scan.segments.iter().map(move |g| (c.as_str(), g.first_lsn)))
             .collect();
         assert_eq!(
             keys,
             vec![("a", 1), ("a", 2), ("a", 3), ("b", 1), ("b", 2), ("b", 3)]
         );
-        // The column walk is the same enumeration.
-        assert_eq!(list_journal_columns(&s, &d).unwrap(), vec!["a", "b"]);
+        assert_eq!(journals["a"].skipped, vec![wal_file_name("a", 9)]);
+        // The shipper's view walks one column: its own readable segments,
+        // each clipped to its validated prefix.
+        let shipped = column_segments(&s, &d, "a", 0).unwrap();
+        let seqs: Vec<(u64, u64)> = shipped.iter().map(|(m, _)| (m.seq, m.last_lsn)).collect();
+        assert_eq!(seqs, vec![(1, 1), (2, 2), (3, 3)]);
+        for (meta, bytes) in &shipped {
+            assert_eq!(bytes, &s.read(&d.join(&meta.file)).unwrap());
+        }
         let _ = std::fs::remove_dir_all(&d);
     }
 
@@ -1732,9 +1852,12 @@ mod tests {
         );
         let bytes = std::fs::read(d.join(wal_file_name("b", 1))).unwrap();
         let header = bytes.len() - 4 * WAL_RECORD_LEN;
-        assert_eq!(u16_at(&bytes, 8), WAL_VERSION);
+        assert_eq!(u16_le(&bytes, 8), WAL_VERSION);
         let continues: Vec<bool> = (0..4)
-            .map(|r| u32_at(&bytes, header + r * WAL_RECORD_LEN) & BATCH_CONTINUES != 0)
+            .map(|r| {
+                let at = header + r * WAL_RECORD_LEN;
+                u32::from_le_bytes(bytes[at..at + 4].try_into().unwrap()) & BATCH_CONTINUES != 0
+            })
             .collect();
         assert_eq!(continues, vec![true, true, false, false]);
         let scan = scan_column_journal(&FsStorage::new(), &d, "b").unwrap();
@@ -1758,11 +1881,11 @@ mod tests {
         // Power fails mid-append of a three-record batch: its first two
         // records land whole, its last one (the end mark) does not.
         let mut torn = whole.clone();
-        torn.extend_from_slice(&encode_record(3, 2, 5, true));
-        torn.extend_from_slice(&encode_record(4, 3, 5, true));
+        torn.extend_from_slice(&record(3, 2, 5, true));
+        torn.extend_from_slice(&record(4, 3, 5, true));
         for tail in [0, 9] {
             let mut bytes = torn.clone();
-            bytes.extend_from_slice(&encode_record(5, 4, 5, false)[..tail]);
+            bytes.extend_from_slice(&record(5, 4, 5, false)[..tail]);
             std::fs::write(&path, &bytes).unwrap();
             let scan = scan_column_journal(&s, &d, "t").unwrap();
             assert_eq!(scan.max_lsn, 2, "tail {tail}");
@@ -1776,12 +1899,8 @@ mod tests {
             );
         }
         // The same open batch on a non-final segment is corruption.
-        s.append(
-            &d.join(wal_file_name("t", 2)),
-            &encode_header("t", 1, 3),
-            false,
-        )
-        .unwrap();
+        s.append(&d.join(wal_file_name("t", 2)), &header("t", 1, 3), false)
+            .unwrap();
         let err = scan_column_journal(&s, &d, "t").unwrap_err();
         assert!(
             matches!(err, SynopticError::CorruptJournal { ref detail, .. } if detail.contains("end mark")),
@@ -1836,7 +1955,7 @@ mod tests {
         assert_eq!(scan.records[..2], expect[..]);
         assert_eq!(scan.max_lsn, 4);
         let v2 = s.read(&d.join(wal_file_name("old", 2))).unwrap();
-        assert_eq!(u16_at(&v2, 8), 2);
+        assert_eq!(u16_le(&v2, 8), 2);
         // Version 1 has no continuation bit: a record claiming one is
         // corrupt there, not an open batch.
         let mut flagged = V1_SEGMENT;
@@ -1847,6 +1966,101 @@ mod tests {
             decode_segment(&flagged, "old-1.wal"),
             Err(SynopticError::CorruptJournal { .. })
         ));
+        let _ = std::fs::remove_dir_all(&d);
+    }
+
+    /// A version-2 segment as the format writes it: column "price", base
+    /// generation 1, the three-record batch (3, 5), (0, -2), (63, 7) with
+    /// continuation bits on its first two records, then the one-record
+    /// batch (9, 1).
+    const V2_SEGMENT_HEX: &str = concat!(
+        "53594e57414c30310200050001000000000000000100000000000000",
+        "707269636547efbdc6",
+        "18000080010000000000000003000000000000000500000000000000d3a0a7db",
+        "1800008002000000000000000000000000000000feffffffffffffff86b35d6a",
+        "1800000003000000000000003f00000000000000070000000000000039cca9bb",
+        "18000000040000000000000009000000000000000100000000000000cede57ee",
+    );
+
+    #[test]
+    fn a_version_2_segment_encodes_and_decodes_byte_for_byte() {
+        let d = tmp_dir("golden");
+        let s = FsStorage::new();
+        let wal = ColumnWal::open(s.clone(), &d, "price", 1, WalConfig::default()).unwrap();
+        wal.append_batch(&[(3, 5), (0, -2), (63, 7)]).unwrap();
+        wal.append_batch(&[(9, 1)]).unwrap();
+        wal.seal().unwrap();
+        let bytes = s.read(&d.join(wal_file_name("price", 1))).unwrap();
+        let hex: String = bytes.iter().map(|b| format!("{b:02x}")).collect();
+        assert_eq!(hex, V2_SEGMENT_HEX);
+        let seg = decode_segment(&bytes, "price-1.wal").unwrap();
+        assert_eq!(seg.column, "price");
+        assert_eq!(
+            (seg.base_generation, seg.first_lsn, seg.last_lsn),
+            (1, 1, 4)
+        );
+        assert!(!seg.torn_tail);
+        let got: Vec<(u64, u64, i64)> = seg
+            .records
+            .iter()
+            .map(|r| (r.lsn, r.index, r.delta))
+            .collect();
+        assert_eq!(got, vec![(1, 3, 5), (2, 0, -2), (3, 63, 7), (4, 9, 1)]);
+        // Restamping to the generation already stamped changes no byte.
+        let mut same = bytes.clone();
+        restamp_segment_generation(&mut same, "price-1.wal", 1).unwrap();
+        assert_eq!(same, bytes);
+        let _ = std::fs::remove_dir_all(&d);
+    }
+
+    /// A CRC-valid segment of column "x" whose header starts at
+    /// `first_lsn` and whose one-record batches carry `lsns`.
+    fn hand_built(first_lsn: u64, lsns: &[u64]) -> Vec<u8> {
+        let mut bytes = header("x", 1, first_lsn);
+        for &lsn in lsns {
+            bytes.extend_from_slice(&record(lsn, 0, 1, false));
+        }
+        bytes
+    }
+
+    #[test]
+    fn lsns_that_leave_u64_are_refused_not_wrapped() {
+        let d = tmp_dir("lsnwrap");
+        let s = FsStorage::new();
+        s.create_dir_all(&d).unwrap();
+        let path = d.join(wal_file_name("x", 1));
+        for (first, lsns) in [
+            (u64::MAX, vec![u64::MAX]),
+            (u64::MAX, vec![u64::MAX, 0]),
+            (u64::MAX - 1, vec![u64::MAX - 1, u64::MAX]),
+        ] {
+            let bytes = hand_built(first, &lsns);
+            let refused = |r: Result<()>| {
+                let err = r.unwrap_err();
+                assert!(
+                    matches!(err, SynopticError::CorruptJournal { ref detail, .. } if detail.contains("u64")),
+                    "first {first}, lsns {lsns:?}: {err:?}"
+                );
+            };
+            refused(decode_segment(&bytes, "x-1.wal").map(drop));
+            std::fs::write(&path, &bytes).unwrap();
+            refused(scan_column_journal(&s, &d, "x").map(drop));
+            refused(scan_journals(&s, &d).map(drop));
+            refused(column_segments(&s, &d, "x", 0).map(drop));
+        }
+        // The highest LSN a record may carry is u64::MAX - 1; a journal
+        // that holds it refuses further appends rather than writing a
+        // record its readers would refuse.
+        let bytes = hand_built(u64::MAX - 1, &[u64::MAX - 1]);
+        assert_eq!(
+            decode_segment(&bytes, "x-1.wal").unwrap().last_lsn,
+            u64::MAX - 1
+        );
+        std::fs::write(&path, &bytes).unwrap();
+        let wal = ColumnWal::open(s.clone(), &d, "x", 1, WalConfig::default()).unwrap();
+        assert_eq!(wal.pending_mark(), u64::MAX - 1);
+        assert_eq!(wal.append(0, 1).unwrap_err(), SynopticError::Overflow);
+        assert_eq!(wal.segment_count(), 1, "nothing written");
         let _ = std::fs::remove_dir_all(&d);
     }
 

@@ -887,8 +887,7 @@ fn start_replication(
     wal_dir: &str,
     term: u64,
 ) -> Result<ReplicationLink, CliError> {
-    use synoptic_catalog::wal::{list_journal_columns, scan_column_journal};
-    use synoptic_repl::{Shipper, TcpTransport};
+    use synoptic_repl::{ship_journals, Shipper, TcpTransport};
 
     let journal = col.journal().expect("--replicate-to requires a journal");
     let mut transport = TcpTransport::connect(addr)?;
@@ -898,23 +897,24 @@ fn start_replication(
     // --wal-dir (earlier runs, other processes) ship over this same link
     // before the live loop starts, so one follower session converges on
     // every column the directory holds — not just the maintained one.
-    let wal_path = std::path::Path::new(wal_dir);
-    let mut fanned_in = 0usize;
-    for column in list_journal_columns(&FsStorage::new(), wal_path)? {
-        if column == "cli" {
-            continue;
-        }
-        let scan = scan_column_journal(&FsStorage::new(), wal_path, &column)?;
-        let side = Shipper::new(FsStorage::new(), wal_dir, &column).with_term(term);
-        let report = side.ship(&mut transport, scan.max_lsn)?;
+    let fanned_in = ship_journals(
+        &FsStorage::new(),
+        std::path::Path::new(wal_dir),
+        term,
+        Some("cli"),
+        &mut transport,
+    )?;
+    for (column, report) in &fanned_in {
         println!(
             "replication: fanned in column {column} (follower acked lsn {} of {})",
             report.acked_lsn, report.target_lsn
         );
-        fanned_in += 1;
     }
-    if fanned_in > 0 {
-        println!("replication: {fanned_in} side column(s) fanned in over the link");
+    if !fanned_in.is_empty() {
+        println!(
+            "replication: {} side column(s) fanned in over the link",
+            fanned_in.len()
+        );
     }
     let (tx, rx) = std::sync::mpsc::channel::<u64>();
     let hook_tx = tx.clone();

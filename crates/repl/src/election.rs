@@ -45,10 +45,9 @@ use std::time::Duration;
 
 use synoptic_catalog::storage::Storage;
 use synoptic_catalog::store::DurableCatalog;
-use synoptic_catalog::wal::{list_journal_columns, scan_column_journal};
 use synoptic_core::{Result, SynopticError};
 
-use crate::ship::Shipper;
+use crate::ship::ship_journals;
 use crate::transport::{Received, Transport};
 use crate::wire::{decode_frame, encode_frame, Frame};
 
@@ -332,11 +331,7 @@ impl<S: Storage + Clone> Seeder<S> {
 
         // The journal tail past each mark, as ordinary term-stamped
         // segment shipping.
-        for column in list_journal_columns(&self.storage, &self.wal_dir)? {
-            let scan = scan_column_journal(&self.storage, &self.wal_dir, &column)?;
-            let shipper =
-                Shipper::new(self.storage.clone(), &self.wal_dir, &column).with_term(self.term);
-            let ship = shipper.ship(transport, scan.max_lsn)?;
+        for (_, ship) in ship_journals(&self.storage, &self.wal_dir, self.term, None, transport)? {
             report.segments += ship.shipped;
         }
         Ok(report)

@@ -40,7 +40,7 @@ pub mod transport;
 pub mod wire;
 
 pub use election::{Clock, LeaseTracker, ManualClock, SeedReport, Seeder, TermLedger, WallClock};
-pub use ship::{ShipReport, Shipper};
+pub use ship::{ship_journals, ShipReport, Shipper};
 pub use transport::{
     FaultyTransport, MemTransport, Received, TcpTransport, Transport, TransportFault,
 };

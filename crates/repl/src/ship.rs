@@ -9,10 +9,12 @@
 //!    the shipper learns where the follower already is (a restarted
 //!    leader does not re-ship what the follower holds; a duplicate would
 //!    be absorbed idempotently anyway).
-//! 2. **Ship.** Every on-disk segment holding records past the acked LSN
-//!    is sent as a [`Frame::Segment`] — byte-for-byte, clipped to its
-//!    validated prefix, so a torn on-disk tail (never acknowledged) is
-//!    not shipped.
+//! 2. **Ship.** Each pass walks the column's own segment files once
+//!    ([`column_segments`]: every file read and decoded once) and sends
+//!    every segment holding records past the acked LSN as a
+//!    [`Frame::Segment`] — byte-for-byte from the bytes already read,
+//!    clipped to the validated prefix, so a torn on-disk tail (never
+//!    acknowledged) is not shipped.
 //! 3. **Drain.** Acks advance the watermark; [`Frame::Refuse`] frames are
 //!    recorded. When the watermark reaches the last sealed LSN the pass
 //!    succeeds.
@@ -23,17 +25,19 @@
 //!    [`SynopticError::ReplicationDivergence`] carrying the follower's
 //!    own refusal reason — never a silent divergence.
 //!
-//! The shipper is deliberately storage-driven (it walks
-//! [`list_sealed_segments`], the same enumeration fsck uses) rather than
-//! hooked into a live `ColumnWal`'s internals: the one-shot `synoptic
-//! ship` CLI and the in-process `maintain --replicate-to` loop ship
-//! through the identical code path.
+//! The shipper is deliberately storage-driven (it reads the journal
+//! through the same walk recovery uses) rather than hooked into a live
+//! `ColumnWal`'s internals: the one-shot `synoptic ship` CLI and the
+//! in-process `maintain --replicate-to` loop ship through the identical
+//! code path. [`ship_journals`] fans every column of a journal directory
+//! in over one link — the re-seed path and `maintain --replicate-to`'s
+//! side columns.
 
-use std::path::PathBuf;
+use std::path::{Path, PathBuf};
 use std::time::Duration;
 
 use synoptic_catalog::storage::Storage;
-use synoptic_catalog::wal::{decode_segment, list_sealed_segments, WAL_RECORD_LEN};
+use synoptic_catalog::wal::{column_segments, scan_journals};
 use synoptic_core::{Result, SynopticError};
 
 use crate::transport::{Received, Transport};
@@ -161,45 +165,6 @@ impl<S: Storage> Shipper<S> {
         )))
     }
 
-    /// Segments of this column holding records past `acked`, each clipped
-    /// to its validated prefix, ordered by first LSN. Returns
-    /// `(file, seq, last_lsn, bytes)` tuples and the on-disk target LSN.
-    #[allow(clippy::type_complexity)]
-    fn pending_segments(&self, acked: u64) -> Result<(Vec<(String, u64, u64, Vec<u8>)>, u64)> {
-        let mut out = Vec::new();
-        let mut target = acked;
-        for seg in list_sealed_segments(&self.storage, &self.dir)? {
-            if seg.column != self.column {
-                continue;
-            }
-            let path = self.dir.join(&seg.file);
-            let bytes = match self.storage.read(&path) {
-                Ok(bytes) => bytes,
-                // A checkpoint may truncate a fully-acknowledged segment
-                // between the directory listing and this read (the live
-                // `maintain --replicate-to` loop races its own
-                // checkpoints, which delete nothing past the retention
-                // hold). A vanished segment holds nothing the follower
-                // still needs.
-                Err(_) if !self.storage.exists(&path) => continue,
-                Err(e) => return Err(e),
-            };
-            let decoded = decode_segment(&bytes, &seg.file)?;
-            if decoded.records.is_empty() {
-                continue;
-            }
-            target = target.max(decoded.last_lsn);
-            if decoded.last_lsn <= acked {
-                continue;
-            }
-            // Ship only the validated prefix: a torn on-disk tail was
-            // never acknowledged and must not travel.
-            let valid = decoded.header_len + decoded.records.len() * WAL_RECORD_LEN;
-            out.push((seg.file, seg.seq, decoded.last_lsn, bytes[..valid].to_vec()));
-        }
-        Ok((out, target))
-    }
-
     /// Ships every sealed segment the follower has not acknowledged and
     /// drains acks until the follower converges to the highest sealed
     /// LSN, retrying with backoff. `leader_mark` is stamped into every
@@ -211,18 +176,23 @@ impl<S: Storage> Shipper<S> {
         };
         for pass in 0..self.max_passes {
             report.passes = pass + 1;
-            let (pending, target) = self.pending_segments(report.acked_lsn)?;
+            let pending =
+                column_segments(&self.storage, &self.dir, &self.column, report.acked_lsn)?;
+            let target = pending
+                .iter()
+                .map(|(meta, _)| meta.last_lsn)
+                .fold(report.acked_lsn, u64::max);
             report.target_lsn = target;
             if report.acked_lsn >= target {
                 return Ok(report);
             }
-            for (_, seq, _, bytes) in &pending {
+            for (meta, bytes) in pending {
                 transport.send(&encode_frame(&Frame::Segment {
                     term: self.term,
                     column: self.column.clone(),
-                    seq: *seq,
+                    seq: meta.seq,
                     leader_mark,
-                    bytes: bytes.clone(),
+                    bytes,
                 }))?;
                 report.shipped += 1;
             }
@@ -291,12 +261,37 @@ impl<S: Storage> Shipper<S> {
     }
 }
 
+/// Ships every column journaled under `dir` except `except` over one
+/// link, one [`Shipper`] on election term `term` per column, each with its
+/// column's highest journaled LSN as the leader mark. The directory is
+/// scanned once ([`scan_journals`]); each shipper then walks only its own
+/// column. Returns every column's report, in column order.
+pub fn ship_journals<S: Storage + Clone>(
+    storage: &S,
+    dir: &Path,
+    term: u64,
+    except: Option<&str>,
+    transport: &mut dyn Transport,
+) -> Result<Vec<(String, ShipReport)>> {
+    let mut reports = Vec::new();
+    for (column, scan) in scan_journals(storage, dir)? {
+        if except == Some(column.as_str()) {
+            continue;
+        }
+        let report = Shipper::new(storage.clone(), dir, &column)
+            .with_term(term)
+            .ship(transport, scan.max_lsn)?;
+        reports.push((column, report));
+    }
+    Ok(reports)
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::transport::MemTransport;
     use synoptic_catalog::storage::FsStorage;
-    use synoptic_catalog::wal::{ColumnWal, WalConfig};
+    use synoptic_catalog::wal::{decode_segment, ColumnWal, WalConfig};
 
     fn tmp_dir(tag: &str) -> PathBuf {
         let d = std::env::temp_dir().join(format!("synoptic_ship_{tag}_{}", std::process::id()));

@@ -481,7 +481,9 @@ impl Follower {
                 applied_lsn,
             };
         }
-        if decoded.first_lsn > col.applied_lsn + 1 {
+        // `first_lsn >= 1`, so `first_lsn - 1` cannot wrap where
+        // `applied_lsn + 1` could.
+        if decoded.first_lsn - 1 > col.applied_lsn {
             // Does not anchor at the applied mark. Park it when the
             // reorder window allows; otherwise refuse, loudly.
             if col.pending.len() < self.config.reorder_window {
@@ -513,7 +515,7 @@ impl Follower {
             let Some((&first_lsn, _)) = col.pending.iter().next() else {
                 break;
             };
-            if first_lsn > col.applied_lsn + 1 {
+            if first_lsn - 1 > col.applied_lsn {
                 break;
             }
             let (seq, parked) = col.pending.remove(&first_lsn).expect("peeked");

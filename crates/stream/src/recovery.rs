@@ -14,10 +14,12 @@
 //! 2. **prune** — [`DurableCatalog::prune_abandoned`] reclaims generation
 //!    files that were written but never committed (idempotent; never runs
 //!    without a valid committed pointer).
-//! 3. **replay** — for every column whose committed snapshot is an exact
-//!    frequency vector ([`PersistentSynopsis::Frequencies`]), the journal
-//!    is scanned ([`scan_column_journal`]) and records with `lsn >` the
-//!    column's committed WAL mark are applied in order. A torn final
+//! 3. **replay** — the journal directory is scanned once
+//!    ([`scan_journals`]: every segment file read once, every column's
+//!    chain validated). For every column whose committed snapshot is an
+//!    exact frequency vector ([`PersistentSynopsis::Frequencies`]),
+//!    records with `lsn >` the column's committed WAL mark are applied in
+//!    order. A torn final
 //!    record is tolerated (truncate-and-continue: it was never
 //!    acknowledged as durable under `FsyncCadence::EveryRecord`); any
 //!    deeper damage surfaces as [`SynopticError::CorruptJournal`], and a
@@ -47,7 +49,7 @@
 use std::path::Path;
 use std::sync::Arc;
 
-use synoptic_catalog::wal::{list_journal_columns, scan_column_journal, WalRecord};
+use synoptic_catalog::wal::{scan_journals, JournalScan, WalRecord};
 use synoptic_catalog::{
     Catalog, DurableCatalog, FsckReport, PersistentSynopsis, PruneReport, RepairReport, Storage,
 };
@@ -189,10 +191,12 @@ pub fn recover<S: Storage>(
     let catalog = store.load()?;
     let generation = store.effective_manifest()?.generation;
 
+    let journals = scan_journals(store.storage(), wal_dir)?;
+    let no_journal = JournalScan::default();
     let mut columns = Vec::new();
     for (name, entry) in catalog.iter() {
         let mark = catalog.wal_mark(name);
-        let scan = scan_column_journal(store.storage(), wal_dir, name)?;
+        let scan = journals.get(name).unwrap_or(&no_journal);
         let pending: Vec<_> = scan.records.iter().filter(|r| r.lsn > mark).collect();
         let base = match &entry.synopsis {
             PersistentSynopsis::Frequencies { values } => values,
@@ -267,11 +271,10 @@ pub fn recover<S: Storage>(
     // catalog entry — if such a journal holds acknowledged records, they
     // have no snapshot to replay onto and must be refused, not dropped.
     let mut orphaned = Vec::new();
-    for column in list_journal_columns(store.storage(), wal_dir)? {
+    for (column, scan) in journals {
         if catalog.get(&column).is_some() {
             continue;
         }
-        let scan = scan_column_journal(store.storage(), wal_dir, &column)?;
         if !scan.records.is_empty() {
             return Err(SynopticError::CorruptJournal {
                 context: column.clone(),
@@ -368,7 +371,7 @@ pub fn rejoin(
              its diverged state and rejoins from fresh directories",
         ));
     }
-    if !list_journal_columns(&storage, wal_dir.as_ref())?.is_empty() {
+    if !scan_journals(&storage, wal_dir.as_ref())?.is_empty() {
         return Err(reseed_diverged(
             "target journal directory already holds segments: a re-seeded node \
              discards its diverged journal and rejoins from fresh directories",

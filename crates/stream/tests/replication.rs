@@ -15,9 +15,7 @@ use std::path::{Path, PathBuf};
 use std::sync::Arc;
 use std::time::Duration;
 
-use synoptic_catalog::wal::{
-    list_journal_columns, scan_column_journal, ColumnWal, FsyncCadence, WalConfig,
-};
+use synoptic_catalog::wal::{scan_journals, ColumnWal, FsyncCadence, WalConfig};
 use synoptic_catalog::{Catalog, DurableCatalog, FsStorage};
 use synoptic_core::{RangeQuery, SynopticError};
 use synoptic_repl::election::{ManualClock, Seeder, TermLedger};
@@ -123,9 +121,10 @@ fn serve_in_thread(
 /// Reads the leader's sealed segments in LSN order as raw file bytes.
 fn leader_segments(wal_dir: &Path) -> Vec<(u64, Vec<u8>)> {
     let storage = FsStorage::new();
-    synoptic_catalog::list_sealed_segments(&storage, wal_dir)
+    scan_journals(&storage, wal_dir)
         .unwrap()
-        .into_iter()
+        .into_values()
+        .flat_map(|scan| scan.segments)
         .map(|s| (s.seq, std::fs::read(wal_dir.join(&s.file)).unwrap()))
         .collect()
 }
@@ -871,10 +870,11 @@ fn auto_checkpoint_keeps_the_follower_journal_bounded() {
 
     // The journal was truncated along the way: only the post-checkpoint
     // tail remains of the `shipped` segments that travelled.
-    let remaining =
-        synoptic_catalog::list_sealed_segments(&FsStorage::new(), &root.join("follower-wal"))
-            .unwrap()
-            .len();
+    let remaining: usize = scan_journals(&FsStorage::new(), &root.join("follower-wal"))
+        .unwrap()
+        .values()
+        .map(|scan| scan.segments.len())
+        .sum();
     assert!(
         remaining <= 3,
         "journal must stay bounded: {remaining} of {shipped} shipped segments remain"
@@ -959,8 +959,7 @@ fn multiple_columns_fan_in_over_one_link() {
     // exactly what `maintain --replicate-to` does per cycle.
     let (mut leader_end, follower_end) = MemTransport::pair();
     let handle = serve_in_thread(follower, follower_end);
-    for column in list_journal_columns(&FsStorage::new(), &wal_dir).unwrap() {
-        let scan = scan_column_journal(&FsStorage::new(), &wal_dir, &column).unwrap();
+    for (column, scan) in scan_journals(&FsStorage::new(), &wal_dir).unwrap() {
         let report = Shipper::new(FsStorage::new(), &wal_dir, &column)
             .ship(&mut leader_end, scan.max_lsn)
             .unwrap();

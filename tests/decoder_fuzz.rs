@@ -25,7 +25,7 @@ use synoptic_api::{
 use synoptic_catalog::checksum::crc32;
 use synoptic_catalog::format::{manifest_to_bytes, HEADER_LEN};
 use synoptic_catalog::{
-    decode_segment, list_sealed_segments, synopsis_from_bytes, synopsis_to_bytes, ColumnWal,
+    decode_segment, scan_column_journal, synopsis_from_bytes, synopsis_to_bytes, ColumnWal,
     FsStorage, Manifest, ManifestColumn, PersistentSynopsis, WalConfig,
 };
 use synoptic_core::{AnswerSource, BuildAttempt, BuildOutcome, RangeQuery, Rng, SynopticError};
@@ -290,7 +290,9 @@ fn wal_segments() -> Vec<Vec<u8>> {
                 wal.append_batch(batch).unwrap();
             }
             wal.seal().unwrap();
-            let segments = list_sealed_segments(&FsStorage::new(), &dir).unwrap();
+            let segments = scan_column_journal(&FsStorage::new(), &dir, "price")
+                .unwrap()
+                .segments;
             let bytes = std::fs::read(dir.join(&segments[0].file)).unwrap();
             let _ = std::fs::remove_dir_all(&dir);
             bytes
