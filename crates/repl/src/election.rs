@@ -211,7 +211,7 @@ pub struct SeedReport {
 /// 2. One [`Frame::Snapshot`] per committed frequency column (values +
 ///    WAL mark), each acknowledged.
 /// 3. The journal tail past each mark ships as ordinary segments through
-///    the term-stamped [`Shipper`].
+///    the term-stamped [`ship_journals`] fan-in.
 pub struct Seeder<S: Storage + Clone> {
     storage: S,
     catalog_root: PathBuf,
