@@ -87,7 +87,7 @@ ${CAP} cargo run -q --release --offline --example failover_bench
 echo "==> segments bench: dirty-segment vs full rebuild at 1/4/16/64 segments (capped at ${TEST_CAP}s)"
 ${CAP} cargo run -q --release --offline --example segments_bench
 
-echo "==> DP kernel bench: ns per DP cell and per oracle call, SAP0/SAP1/A0/POINT-OPT over n x B, SAP0 at n=4096, OPT-A at n=127 (capped at ${TEST_CAP}s)"
+echo "==> DP kernel bench: ns per DP cell and per oracle call, SAP0/SAP1/A0/POINT-OPT over n x B, SAP0 at n=4096 and over the served segments with their window-fill split, OPT-A at n=127 (capped at ${TEST_CAP}s)"
 ${CAP} cargo run -q --release --offline --example dp_bench
 
 echo "==> serve bench: mixed update+query throughput and wire latency over live TCP (capped at ${TEST_CAP}s)"
@@ -108,18 +108,19 @@ echo "==> anytime ladder suite: run_ladder under cancellation and the oracle's O
 ${CAP} cargo test -q -p synoptic-hist --test cancellation_sweep --test oracle_envelope --offline
 ${CAP} cargo test -q -p synoptic-eval --lib --offline
 
-echo "==> kernel exactness (release): the checked-i64 SAP0 column, its certified i128 fallback and the per-window cost agree bit for bit, and the column DP matches its k-outer reference, without debug overflow checks (capped at ${TEST_CAP}s)"
+echo "==> kernel exactness (release): the checked-i64 SAP0 column, its certified i128 fallback and the per-window cost agree bit for bit, and the column DP's lane min-plus matches its k-outer reference on NaN, infinite, signed-zero and tied costs, without debug overflow checks (capped at ${TEST_CAP}s)"
 # The narrow path must detect every i64 overflow with its own checked
 # arithmetic; a release build has no debug overflow traps to lean on.
 ${CAP} cargo test -q --release -p synoptic-hist --test oracle_envelope --test additive_vs_exhaustive --offline
 ${CAP} cargo test -q --release -p synoptic-core --lib window --offline
 ${CAP} cargo test -q --release -p synoptic-hist --lib dp --offline
 
-echo "==> journal reader (release): the one journal walk, the golden SYNWAL01 bytes, LSNs past u64 refused, and CRC-resealed segment mutants refused, without debug overflow checks (capped at ${TEST_CAP}s)"
+echo "==> journal reader (release): the one journal walk, the golden SYNWAL01 bytes, LSNs past u64 refused, CRC-resealed segment mutants refused, and the read count of every journal consumer, the shipper's sequence floor included, without debug overflow checks (capped at ${TEST_CAP}s)"
 # An LSN that wraps u64 is silent in a release build, which has no
 # overflow traps: the decoder's own checked arithmetic must refuse it.
 ${CAP} cargo test -q --release -p synoptic-catalog --lib wal --offline
 ${CAP} cargo test -q --release --test decoder_fuzz --offline
+${CAP} cargo test -q --release -p synoptic-stream --test journal_reads --offline
 
 echo "==> full workspace tests (offline, capped at ${TEST_CAP}s)"
 ${CAP} cargo test -q --workspace --offline

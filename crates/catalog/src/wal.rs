@@ -478,20 +478,22 @@ impl SegmentMeta {
 /// The one directory walk behind every journal reader: lists `dir` once,
 /// then yields, in journal and sequence order, each segment file of the
 /// journal named `prefix` (a sanitized column name; every journal when
-/// `None`). Each file is read once, when it is yielded, and its header and
-/// records are parsed once, right after the read. A file that vanished
-/// between the listing and its read — a checkpoint deleted a covered
-/// segment — counts as unlisted.
+/// `None`) whose sequence number is at least `from_seq`. Both filters
+/// apply to the file name, before any read. Each file is read once, when
+/// it is yielded, and its header and records are parsed once, right after
+/// the read. A file that vanished between the listing and its read — a
+/// checkpoint deleted a covered segment — counts as unlisted.
 fn walk<'a, S: Storage>(
     storage: &'a S,
     dir: &'a Path,
     prefix: Option<&str>,
+    from_seq: u64,
 ) -> Result<impl Iterator<Item = Result<WalFile>> + 'a> {
     let mut names: Vec<(String, u64, String)> = Vec::new();
     if storage.exists(dir) {
         for name in storage.list(dir)? {
             if let Some((file_prefix, seq)) = split_wal_name(&name) {
-                if prefix.is_none_or(|p| p == file_prefix) {
+                if seq >= from_seq && prefix.is_none_or(|p| p == file_prefix) {
                     names.push((file_prefix.to_string(), seq, name));
                 }
             }
@@ -631,7 +633,7 @@ pub fn scan_column_journal<S: Storage>(
     dir: &Path,
     column: &str,
 ) -> Result<JournalScan> {
-    let mut files = walk(storage, dir, Some(&sanitize_column(column)))?.peekable();
+    let mut files = walk(storage, dir, Some(&sanitize_column(column)), 0)?.peekable();
     Ok(scan_chain(Some(column), &mut files)?.1)
 }
 
@@ -641,7 +643,7 @@ pub fn scan_column_journal<S: Storage>(
 /// names no column and is left out once its chain checks out: nothing in
 /// it was acknowledged.
 pub fn scan_journals<S: Storage>(storage: &S, dir: &Path) -> Result<BTreeMap<String, JournalScan>> {
-    let mut files = walk(storage, dir, None)?.peekable();
+    let mut files = walk(storage, dir, None, 0)?.peekable();
     let mut journals = BTreeMap::new();
     while files.peek().is_some() {
         if let (Some(column), scan) = scan_chain(None, &mut files)? {
@@ -653,8 +655,10 @@ pub fn scan_journals<S: Storage>(storage: &S, dir: &Path) -> Result<BTreeMap<Str
 
 /// `column`'s segment files under `dir` holding records past `after_lsn`,
 /// in sequence order, each with its validated prefix (header plus whole
-/// records) — what replication ships. Every file of the column is read and
-/// decoded once; unlike a chain scan, each segment is judged on its own.
+/// records) — what replication ships. Files numbered below `from_seq` are
+/// skipped by name, unread (pass 0 for every file); every other file of
+/// the column is read and decoded once. Unlike a chain scan, each segment
+/// is judged on its own.
 /// One whose header never became readable holds nothing acknowledged and
 /// is left out, as is one whose header names another column (a
 /// sanitized-name collision, which [`scan_column_journal`] reports);
@@ -664,9 +668,10 @@ pub fn column_segments<S: Storage>(
     dir: &Path,
     column: &str,
     after_lsn: u64,
+    from_seq: u64,
 ) -> Result<Vec<(SegmentMeta, Vec<u8>)>> {
     let mut segments = Vec::new();
-    for f in walk(storage, dir, Some(&sanitize_column(column)))? {
+    for f in walk(storage, dir, Some(&sanitize_column(column)), from_seq)? {
         let f = f?;
         let (header, records) = match f.parsed {
             Ok((header, records)) if header.column == column => (header, records?),
@@ -1648,12 +1653,16 @@ mod tests {
         assert_eq!(journals["a"].skipped, vec![wal_file_name("a", 9)]);
         // The shipper's view walks one column: its own readable segments,
         // each clipped to its validated prefix.
-        let shipped = column_segments(&s, &d, "a", 0).unwrap();
+        let shipped = column_segments(&s, &d, "a", 0, 0).unwrap();
         let seqs: Vec<(u64, u64)> = shipped.iter().map(|(m, _)| (m.seq, m.last_lsn)).collect();
         assert_eq!(seqs, vec![(1, 1), (2, 2), (3, 3)]);
         for (meta, bytes) in &shipped {
             assert_eq!(bytes, &s.read(&d.join(&meta.file)).unwrap());
         }
+        // A sequence-number floor leaves the files below it out.
+        let floored = column_segments(&s, &d, "a", 0, 2).unwrap();
+        let seqs: Vec<u64> = floored.iter().map(|(m, _)| m.seq).collect();
+        assert_eq!(seqs, vec![2, 3]);
         let _ = std::fs::remove_dir_all(&d);
     }
 
@@ -2046,7 +2055,7 @@ mod tests {
             std::fs::write(&path, &bytes).unwrap();
             refused(scan_column_journal(&s, &d, "x").map(drop));
             refused(scan_journals(&s, &d).map(drop));
-            refused(column_segments(&s, &d, "x", 0).map(drop));
+            refused(column_segments(&s, &d, "x", 0, 0).map(drop));
         }
         // The highest LSN a record may carry is u64::MAX - 1; a journal
         // that holds it refuses further appends rather than writing a

@@ -24,6 +24,38 @@
 //! come through [`ColumnCost`], one column per call, so an objective whose
 //! windows of one right end share work (SAP0's running moments) can fill
 //! the column at once; any `Fn(l, r) -> f64` fills it window by window.
+//!
+//! # Min-plus
+//!
+//! The result is bit-identical to the serial scan that visits `j` in
+//! ascending order, skips a non-finite `E(j, k−1)` and keeps a candidate
+//! only when it is strictly below the best so far. Only the entries that
+//! scan's answer depends on are computed, and those in lanes:
+//!
+//! - **Row 1** has one candidate, since `E(0, 0) = 0` is row 0's only
+//!   finite entry: `E(i, 1) = E(0, 0) + cost(0, i−1)` when that is below
+//!   +∞. It costs O(1) per `i` and reads the single window `[0, i−1]`.
+//! - **Row B** is filled only at `i = n`: the optimum and the parent walk
+//!   never read `E(i, B)` for `i < n`. With `B ≤ 2`, every column before
+//!   `n` is therefore cut to the windows row 1 reads (none when `B = 1`).
+//! - **Rows 2..B** run an 8-lane scan: lane `s` takes every `j ≡ s (mod
+//!   8)` and keeps its minimum and the first `j` that reached it; the lanes
+//!   then combine to the smallest minimum, the smallest `j` on a tie, and
+//!   the few `j` past the last whole block follow serially. The winner's
+//!   sum is recomputed at its `j`, so the stored cost has the serial
+//!   scan's bits, the sign of a zero included.
+//!
+//! The lane scan needs no `is_finite` test because below `i = n` a
+//! non-finite `E(i, k)` is stored as +∞ — entries there are read only as
+//! parents. A masked parent's sum is then +∞ or NaN, and neither wins,
+//! exactly as the serial scan skips it. A minimum over values that are
+//! never NaN does not depend on the order in which they are met, and the
+//! index rule picks the same first `j` among exact ties. `E(n, k)` keeps
+//! its value unmasked, so a −∞ optimum is still reported.
+//!
+//! Every `(k, i)` cell charges the [`Budget`] its `i − (k−1)` candidates,
+//! the rows skipped above included, so `cells_used` and the anytime
+//! ladder's decisions do not depend on how much of the table is filled.
 
 use synoptic_core::{Bucketing, Budget, Result, SynopticError};
 
@@ -62,15 +94,18 @@ pub struct DpSolution {
 /// happen for costs that are not monotone in the partition refinement).
 ///
 /// The DP charges its [`Budget`] one checkpoint per `(k, i)` cell (counting
-/// the candidate split points examined as work units) and aborts with the
+/// the cell's candidate split points as work units, whether or not the
+/// cell is filled) and aborts with the
 /// budget's error at the first exhausted constraint; pass
 /// [`Budget::unlimited`] for an unconstrained run.
 ///
 /// # Complexity
 ///
-/// `O(n²)` cost-oracle calls (each window once; only the `n` windows
-/// starting at 0 when `max_buckets == 1`) plus `O(n² · max_buckets)` f64
-/// min-plus steps, `O(n · max_buckets)` memory plus an `O(n)` column.
+/// `O(n²)` cost-oracle calls (each window at most once; one when
+/// `max_buckets == 1` and `2n − 1` when it is 2) plus `O(n² · max_buckets)`
+/// f64 min-plus steps, 8 lanes at a time, `O(n · max_buckets)` memory plus
+/// an `O(n)` column. Row 1 costs O(1) per right end and row `max_buckets`
+/// is filled only at `n` (see "Min-plus" in the module docs).
 pub fn optimal_bucketing_with_budget<C>(
     n: usize,
     max_buckets: usize,
@@ -91,39 +126,96 @@ where
     }
     let b = max_buckets;
     // e[k][i]: best cost covering [0, i) with exactly k buckets; usize::MAX
-    // parents mark unreachable states.
+    // parents mark unreachable states. Below i = n a non-finite cost is
+    // stored as +∞: there e[k][i] is only ever read as a parent, and a
+    // non-finite parent never wins (see "Min-plus" in the module docs).
     let mut e = vec![vec![f64::INFINITY; n + 1]; b + 1];
     let mut parent = vec![vec![usize::MAX; n + 1]; b + 1];
     e[0][0] = 0.0;
     // col[j] = cost(j, i − 1) for the current right end i.
     let mut col = vec![f64::INFINITY; n];
     for i in 1..=n {
-        // With one bucket only E(0, 0) is finite, so only [0, i−1] is read.
-        let reach = if b == 1 { 1 } else { i };
+        // Rows 1..=rows are filled at this i; row b only at i = n, the one
+        // entry of it `best_solution` reads. Row 1 reads only the window
+        // [0, i−1], every later row the whole column.
+        let top = if i < n { b - 1 } else { b };
+        let rows = top.min(i);
+        let reach = if rows > 1 { i } else { rows };
         cost.fill(i - 1, &mut col[..reach]);
         // With k buckets we can cover at least k and at most n positions.
         for k in 1..=b.min(i) {
             budget.charge((i - (k - 1)) as u64)?;
-            let mut best = f64::INFINITY;
-            let mut best_j = usize::MAX;
-            let (prev_row, col) = (&e[k - 1][..i], &col[..i]);
-            #[allow(clippy::needless_range_loop)] // j is an index *and* a boundary value
-            for j in (k - 1)..i {
-                let prev = prev_row[j];
-                if !prev.is_finite() {
-                    continue;
-                }
-                let c = prev + col[j];
-                if c < best {
-                    best = c;
-                    best_j = j;
-                }
+            if k > rows {
+                continue;
             }
-            e[k][i] = best;
-            parent[k][i] = best_j;
+            let j = match k {
+                // Row 0's only finite entry is E(0, 0): one candidate.
+                1 => 0,
+                _ => match argmin(&e[k - 1][k - 1..i], &col[k - 1..i]) {
+                    Some(j) => k - 1 + j,
+                    None => continue,
+                },
+            };
+            // Summed again at the chosen j, the cost has the serial scan's
+            // bits, the sign of a zero included.
+            let best = e[k - 1][j] + col[j];
+            if best < f64::INFINITY {
+                e[k][i] = if i < n && best == f64::NEG_INFINITY {
+                    f64::INFINITY
+                } else {
+                    best
+                };
+                parent[k][i] = j;
+            }
         }
     }
     best_solution(n, &e, &parent)
+}
+
+/// Lanes of the min-plus scan.
+const LANES: usize = 8;
+
+/// The first `j` minimizing `prev[j] + col[j]` over the values below +∞
+/// (NaN never wins), or `None` when there is none: the serial scan's
+/// strict-`<` choice, found in `LANES` independent lanes. `prev` holds no
+/// NaN or −∞ (non-finite parents are stored as +∞).
+fn argmin(prev: &[f64], col: &[f64]) -> Option<usize> {
+    let len = prev.len();
+    let col = &col[..len];
+    // Lane s takes j ≡ s (mod LANES); `at[s]` is the block of its
+    // minimum, the first block to reach it.
+    let mut acc = [f64::INFINITY; LANES];
+    let mut at = [usize::MAX; LANES];
+    for (block, (p, c)) in prev
+        .chunks_exact(LANES)
+        .zip(col.chunks_exact(LANES))
+        .enumerate()
+    {
+        for s in 0..LANES {
+            let v = p[s] + c[s];
+            let lower = v < acc[s];
+            acc[s] = if lower { v } else { acc[s] };
+            at[s] = if lower { block } else { at[s] };
+        }
+    }
+    // The smallest lane minimum, the smallest index on a tie; then the
+    // tail past the last whole block, whose indices are all larger.
+    let (mut best, mut best_j) = (f64::INFINITY, usize::MAX);
+    for s in 0..LANES {
+        if at[s] != usize::MAX {
+            let j = at[s] * LANES + s;
+            if acc[s] < best || (acc[s] == best && j < best_j) {
+                (best, best_j) = (acc[s], j);
+            }
+        }
+    }
+    for j in len - len % LANES..len {
+        let v = prev[j] + col[j];
+        if v < best {
+            (best, best_j) = (v, j);
+        }
+    }
+    (best_j != usize::MAX).then_some(best_j)
 }
 
 /// The best of the filled tables' "at most `b` buckets" states, with its
@@ -278,6 +370,64 @@ mod tests {
                     assert_eq!(got_budget.cells_used(), closed_form, "n={n} b={b}");
                 }
             }
+        }
+    }
+
+    /// A seeded `n × n` table that stresses the lane scan's exactness:
+    /// small integers and signed zeros (so many sums tie exactly), with
+    /// NaN, +∞ and −∞ windows mixed in. Windows starting at 0 are never
+    /// NaN or +∞, so one bucket always covers the domain.
+    fn hostile_costs(n: usize, seed: u64) -> Vec<Vec<f64>> {
+        let mut rng = synoptic_core::Rng::new(seed);
+        (0..n)
+            .map(|l| {
+                (0..n)
+                    .map(|r| match rng.usize_in(0, 19) {
+                        _ if r < l => f64::NAN,
+                        0 => -0.0,
+                        1 => 0.0,
+                        2 if l > 0 => f64::NAN,
+                        3 if l > 0 => f64::INFINITY,
+                        4 => f64::NEG_INFINITY,
+                        _ => rng.i64_in(0, 3) as f64,
+                    })
+                    .collect()
+            })
+            .collect()
+    }
+
+    #[test]
+    fn lane_min_plus_matches_k_outer_reference_on_hostile_costs() {
+        let mut cases: Vec<(usize, usize)> = (1..=48usize)
+            .flat_map(|n| (1..=n).map(move |b| (n, b)))
+            .collect();
+        for n in [64usize, 65, 71, 257] {
+            cases.extend([1, 2, 3, 8, n].map(|b| (n, b)));
+        }
+        let mut tables = std::collections::BTreeMap::new();
+        for (n, b) in cases {
+            let table = tables
+                .entry(n)
+                .or_insert_with(|| hostile_costs(n, 0x1A4E_0000 + n as u64));
+            let cost = |l: usize, r: usize| table[l][r];
+            let (got_budget, want_budget) = (Budget::unlimited(), Budget::unlimited());
+            let got = optimal_bucketing_with_budget(n, b, cost, &got_budget).unwrap();
+            let want = k_outer_reference(n, b, cost, &want_budget).unwrap();
+            assert_eq!(
+                got.bucketing.starts(),
+                want.bucketing.starts(),
+                "n={n} b={b}"
+            );
+            assert_eq!(
+                got.objective.to_bits(),
+                want.objective.to_bits(),
+                "n={n} b={b}"
+            );
+            assert_eq!(
+                got_budget.cells_used(),
+                want_budget.cells_used(),
+                "n={n} b={b}"
+            );
         }
     }
 

@@ -14,7 +14,13 @@
 //!    every segment holding records past the acked LSN as a
 //!    [`Frame::Segment`] — byte-for-byte from the bytes already read,
 //!    clipped to the validated prefix, so a torn on-disk tail (never
-//!    acknowledged) is not shipped.
+//!    acknowledged) is not shipped. The walk starts at a sequence-number
+//!    floor: the newest segment an earlier pass found pending. Every file
+//!    below it is sealed and holds only records below that segment's
+//!    first LSN, so while the follower's ack covers them they are skipped
+//!    by name, unread. A probe that reports an ack below them (a follower
+//!    that lost what it had) drops the floor, and the next walk reads
+//!    every file again.
 //! 3. **Drain.** Acks advance the watermark; [`Frame::Refuse`] frames are
 //!    recorded. When the watermark reaches the last sealed LSN the pass
 //!    succeeds.
@@ -34,10 +40,11 @@
 //! side columns.
 
 use std::path::{Path, PathBuf};
+use std::sync::{Mutex, PoisonError};
 use std::time::Duration;
 
 use synoptic_catalog::storage::Storage;
-use synoptic_catalog::wal::{column_segments, scan_journals};
+use synoptic_catalog::wal::{column_segments, scan_journals, SegmentMeta};
 use synoptic_core::{Result, SynopticError};
 
 use crate::transport::{Received, Transport};
@@ -69,6 +76,9 @@ pub struct Shipper<S: Storage> {
     max_passes: u32,
     backoff: Duration,
     drain_timeout: Duration,
+    /// `(seq, lsn)`: every segment file numbered below `seq` holds only
+    /// records at or below `lsn`. `(0, 0)` when nothing is known.
+    floor: Mutex<(u64, u64)>,
 }
 
 impl<S: Storage> Shipper<S> {
@@ -84,6 +94,7 @@ impl<S: Storage> Shipper<S> {
             max_passes: 4,
             backoff: Duration::from_millis(10),
             drain_timeout: Duration::from_millis(500),
+            floor: Mutex::new((0, 0)),
         }
     }
 
@@ -111,6 +122,28 @@ impl<S: Storage> Shipper<S> {
     pub fn with_drain_timeout(mut self, timeout: Duration) -> Self {
         self.drain_timeout = timeout;
         self
+    }
+
+    /// The sequence number the next walk starts at: the floor while the
+    /// follower's `acked` LSN covers every file below it, else 0 (and the
+    /// floor is dropped).
+    fn walk_from(&self, acked: u64) -> u64 {
+        let mut floor = self.floor.lock().unwrap_or_else(PoisonError::into_inner);
+        if acked < floor.1 {
+            *floor = (0, 0);
+        }
+        floor.0
+    }
+
+    /// Raises the floor to the newest `pending` segment: the files below
+    /// it are sealed and hold only records before its first.
+    fn raise_floor(&self, pending: &[(SegmentMeta, Vec<u8>)]) {
+        if let Some((newest, _)) = pending.last() {
+            let mut floor = self.floor.lock().unwrap_or_else(PoisonError::into_inner);
+            if newest.seq > floor.0 {
+                *floor = (newest.seq, newest.first_lsn.saturating_sub(1));
+            }
+        }
     }
 
     fn diverged(&self, detail: impl Into<String>) -> SynopticError {
@@ -176,8 +209,14 @@ impl<S: Storage> Shipper<S> {
         };
         for pass in 0..self.max_passes {
             report.passes = pass + 1;
-            let pending =
-                column_segments(&self.storage, &self.dir, &self.column, report.acked_lsn)?;
+            let pending = column_segments(
+                &self.storage,
+                &self.dir,
+                &self.column,
+                report.acked_lsn,
+                self.walk_from(report.acked_lsn),
+            )?;
+            self.raise_floor(&pending);
             let target = pending
                 .iter()
                 .map(|(meta, _)| meta.last_lsn)

@@ -6,6 +6,9 @@
 //! asserted here are what one walk of the directory costs:
 //!
 //! * one ship pass for one column reads only that column's 8 files;
+//! * once the follower acknowledged everything, the same shipper's next
+//!   pass reads at most the newest file: the sealed ones below it are
+//!   skipped by name;
 //! * the all-columns fan-in (`ship_journals`, behind re-seed and
 //!   `maintain --replicate-to`) reads at most 48: one scan of the 24
 //!   files, then each shipper's own 8;
@@ -15,7 +18,7 @@ use std::collections::BTreeMap;
 use std::path::{Path, PathBuf};
 use std::sync::{Arc, Mutex};
 
-use synoptic_catalog::wal::{decode_segment, ColumnWal, WalConfig};
+use synoptic_catalog::wal::{decode_segment, wal_file_name, ColumnWal, WalConfig};
 use synoptic_catalog::{Catalog, DurableCatalog, FsStorage, Storage};
 use synoptic_core::Result;
 use synoptic_repl::transport::{MemTransport, Received, Transport};
@@ -164,6 +167,46 @@ fn one_ship_pass_reads_only_its_own_column_once() {
     assert!(total <= SEGMENTS as usize, "{total} files read");
     t.close();
     assert_eq!(stub.join().unwrap(), 1);
+    let _ = std::fs::remove_dir_all(&root);
+}
+
+#[test]
+fn a_pass_after_a_full_ack_reads_at_most_the_newest_file() {
+    let root = tmp_root("floor");
+    let wal_dir = root.join("wal");
+    let storage = CountingStorage::default();
+    journal(&storage, &wal_dir);
+    // One record per segment: column a's newest file is its last record's.
+    let newest = wal_file_name("a", SEGMENTS);
+    assert!(storage.list(&wal_dir).unwrap().contains(&newest));
+    let shipper = Shipper::new(storage.clone(), &wal_dir, "a");
+    let (leader_end, follower_end) = MemTransport::pair();
+    let stub = follower(follower_end, at(0));
+    let mut t: Box<dyn Transport> = Box::new(leader_end);
+    let first = shipper.ship(t.as_mut(), SEGMENTS).unwrap();
+    assert_eq!(
+        (first.shipped, first.acked_lsn),
+        (SEGMENTS as usize, SEGMENTS)
+    );
+    assert_eq!(storage.take_reads().len(), SEGMENTS as usize);
+    let second = shipper.ship(t.as_mut(), SEGMENTS).unwrap();
+    assert_eq!((second.shipped, second.acked_lsn), (0, SEGMENTS));
+    let reads = storage.take_reads();
+    assert!(reads.iter().all(|f| *f == newest), "{reads:?}");
+    t.close();
+    assert_eq!(stub.join().unwrap(), SEGMENTS as usize);
+    // A follower that acks below the floor gets the whole journal again.
+    let (leader_end, follower_end) = MemTransport::pair();
+    let stub = follower(follower_end, at(0));
+    let mut t: Box<dyn Transport> = Box::new(leader_end);
+    let third = shipper.ship(t.as_mut(), SEGMENTS).unwrap();
+    assert_eq!(
+        (third.shipped, third.acked_lsn),
+        (SEGMENTS as usize, SEGMENTS)
+    );
+    assert_eq!(storage.take_reads().len(), SEGMENTS as usize);
+    t.close();
+    assert_eq!(stub.join().unwrap(), SEGMENTS as usize);
     let _ = std::fs::remove_dir_all(&root);
 }
 

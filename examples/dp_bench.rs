@@ -15,12 +15,15 @@
 //! are deterministic and counted in one untimed warm-up run. The timed runs
 //! then give wall-clock ms, ns per cell and ns per oracle call, each as
 //! min / median / max over `TRIALS` runs; the segmented entry sums all 16
-//! segments in each run.
+//! segments in each run. The segmented entry and the n = 4096 entries also
+//! give `fill_ms`: the window columns the warm-up run filled, filled again
+//! in the same order through the same `ColumnCost` with no DP around them,
+//! so `ms − fill_ms` is the min-plus and bookkeeping share of the build.
 //!
 //! Run with: `cargo run --release --example dp_bench`
 //! Writes `results/BENCH_dp.json` (override dir with `BENCH_OUT_DIR`).
 
-use std::cell::Cell;
+use std::cell::RefCell;
 use std::hint::black_box;
 use std::time::Instant;
 
@@ -102,9 +105,10 @@ fn additive_entry(
     n: usize,
     buckets: usize,
     cost: impl ColumnCost + Copy,
+    split_fill: bool,
 ) -> JsonValue {
     let label = format!("{method:>9} n={n:>4} B={buckets:>3}");
-    let entry = parts_entry(&label, &[(n, buckets, cost)]);
+    let entry = parts_entry(&label, &[(n, buckets, cost)], split_fill);
     JsonValue::obj(
         [
             ("method", JsonValue::Str(method.to_string())),
@@ -141,7 +145,7 @@ fn served_segments_entry() -> JsonValue {
         "{:>9} n={LARGE_N:>4} B={buckets:>3} in {SERVED_SEGMENTS} segments",
         "SAP0"
     );
-    let entry = parts_entry(&label, &parts);
+    let entry = parts_entry(&label, &parts, true);
     JsonValue::obj(
         [
             ("method", JsonValue::Str("SAP0".to_string())),
@@ -156,36 +160,42 @@ fn served_segments_entry() -> JsonValue {
     )
 }
 
-/// Window costs that count the windows they fill.
-struct Counted<'a, C> {
+/// Window costs that record the columns they fill: `(r, windows)` each.
+struct Recorded<'a, C> {
     cost: C,
-    calls: &'a Cell<u64>,
+    fills: &'a RefCell<Vec<(usize, usize)>>,
 }
 
-impl<C: ColumnCost> ColumnCost for Counted<'_, C> {
+impl<C: ColumnCost> ColumnCost for Recorded<'_, C> {
     fn fill(&self, r: usize, col: &mut [f64]) {
-        self.calls.set(self.calls.get() + col.len() as u64);
+        self.fills.borrow_mut().push((r, col.len()));
         self.cost.fill(r, col);
     }
 }
 
 /// Times the DP over every `(n, buckets, cost)` of `parts` in each run,
 /// prints one line under `label`, and returns the summed cells and oracle
-/// calls with the ms, ns per cell and ns per oracle call spreads.
+/// calls with the ms, ns per cell and ns per oracle call spreads; with
+/// `split_fill`, also the ms spread of filling the same columns alone.
 fn parts_entry<C: ColumnCost + Copy>(
     label: &str,
     parts: &[(usize, usize, C)],
+    split_fill: bool,
 ) -> Vec<(&'static str, JsonValue)> {
-    let calls = Cell::new(0u64);
     let warm_up = Budget::unlimited();
-    for &(n, buckets, cost) in parts {
-        let counted = Counted {
-            cost,
-            calls: &calls,
-        };
-        optimal_bucketing_with_budget(n, buckets, counted, &warm_up).unwrap();
-    }
-    let calls = calls.get();
+    let fills: Vec<Vec<(usize, usize)>> = parts
+        .iter()
+        .map(|&(n, buckets, cost)| {
+            let fills = RefCell::new(Vec::new());
+            let recorded = Recorded {
+                cost,
+                fills: &fills,
+            };
+            optimal_bucketing_with_budget(n, buckets, recorded, &warm_up).unwrap();
+            fills.into_inner()
+        })
+        .collect();
+    let calls: u64 = fills.iter().flatten().map(|&(_, len)| len as u64).sum();
     let (cells, ns) = trials(|| {
         let budget = Budget::unlimited();
         for &(n, buckets, cost) in parts {
@@ -202,7 +212,15 @@ fn parts_entry<C: ColumnCost + Copy>(
         median / cells as f64,
         median / calls as f64,
     );
-    vec![
+    let fill = split_fill.then(|| {
+        let fill_ns = fill_trials(parts, &fills);
+        println!(
+            "{label}: {:>9.3} ms of it fills the window columns",
+            fill_ns[TRIALS / 2] / 1e6
+        );
+        ("fill_ms", spread(fill_ns.iter().map(|t| t / 1e6).collect()))
+    });
+    let mut fields = vec![
         ("cells", JsonValue::Int(cells as i128)),
         ("oracle_calls", JsonValue::Int(calls as i128)),
         ("ms", spread(ns.iter().map(|t| t / 1e6).collect())),
@@ -214,7 +232,28 @@ fn parts_entry<C: ColumnCost + Copy>(
             "ns_per_oracle_call",
             spread(ns.iter().map(|t| t / calls as f64).collect()),
         ),
-    ]
+    ];
+    fields.extend(fill);
+    fields
+}
+
+/// The per-trial nanoseconds, ascending, of filling the columns `fills`
+/// recorded for each part, in the DP's order, with no DP around them.
+fn fill_trials<C: ColumnCost + Copy>(
+    parts: &[(usize, usize, C)],
+    fills: &[Vec<(usize, usize)>],
+) -> Vec<f64> {
+    let mut col = vec![0.0; parts.iter().map(|p| p.0).max().unwrap_or(0)];
+    trials(|| {
+        for (&(_, _, cost), fills) in parts.iter().zip(fills) {
+            for &(r, len) in fills {
+                cost.fill(r, &mut col[..len]);
+                black_box(&col[..len]);
+            }
+        }
+        0
+    })
+    .1
 }
 
 /// The OPT-A entry at the paper's dataset (n = 127) and B = 16. OPT-A has
@@ -257,16 +296,14 @@ fn main() {
         let fits = window.fits().unwrap();
         let point = WeightedPointOracle::range_inclusion(&vals).unwrap();
         for buckets in GRID_B.into_iter().filter(|&b| b <= n) {
-            entries.push(additive_entry("SAP0", n, buckets, sap0_columns(&window, n)));
-            entries.push(additive_entry("SAP1", n, buckets, |l, r| {
-                sap1_bucket_cost(&fits, n, l, r)
-            }));
-            entries.push(additive_entry("A0", n, buckets, |l, r| {
-                a0_bucket_cost(&window, n, l, r)
-            }));
-            entries.push(additive_entry("POINT-OPT", n, buckets, |l, r| {
-                point.cost(l, r)
-            }));
+            let sap0 = sap0_columns(&window, n);
+            let sap1 = |l, r| sap1_bucket_cost(&fits, n, l, r);
+            let a0 = |l, r| a0_bucket_cost(&window, n, l, r);
+            let point_opt = |l, r| point.cost(l, r);
+            entries.push(additive_entry("SAP0", n, buckets, sap0, false));
+            entries.push(additive_entry("SAP1", n, buckets, sap1, false));
+            entries.push(additive_entry("A0", n, buckets, a0, false));
+            entries.push(additive_entry("POINT-OPT", n, buckets, point_opt, false));
         }
     }
     let ps = PrefixSums::from_values(&values(LARGE_N));
@@ -277,6 +314,7 @@ fn main() {
             LARGE_N,
             buckets,
             sap0_columns(&window, LARGE_N),
+            true,
         ));
     }
     entries.push(served_segments_entry());
