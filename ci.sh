@@ -73,10 +73,8 @@ echo "==> overload suite: deadline sheds, tenant admission, degradation ladder, 
 ${CAP} cargo test -q -p synoptic-serve --test overload --offline
 ${CAP} cargo test -q -p synoptic-serve --test resilience --offline
 
-echo "==> segment suite: dirty-segment rebuilds + merge equivalence (capped at ${TEST_CAP}s)"
+echo "==> segment suite: dirty-segment rebuilds, parallel registration, cancellation, and segmented columns against monolithic ones (capped at ${TEST_CAP}s)"
 ${CAP} cargo test -q -p synoptic-stream --test segments --offline
-${CAP} cargo test -q -p synoptic-hist --test merge_equivalence --offline
-${CAP} cargo test -q -p synoptic-wavelet --test merge_bound --offline
 
 echo "==> replication bench: ship+replay throughput and follower lag (capped at ${TEST_CAP}s)"
 ${CAP} cargo run -q --release --offline --example replication_bench
@@ -84,14 +82,11 @@ ${CAP} cargo run -q --release --offline --example replication_bench
 echo "==> failover bench: detection -> promotion -> first-served-read latency (capped at ${TEST_CAP}s)"
 ${CAP} cargo run -q --release --offline --example failover_bench
 
-echo "==> segments bench: dirty-segment vs full rebuild at 1/4/16/64 segments (capped at ${TEST_CAP}s)"
+echo "==> segments bench: dirty-segment vs full rebuild and the served column's exact all-range SSE at 1/4/16/64 segments (capped at ${TEST_CAP}s)"
 ${CAP} cargo run -q --release --offline --example segments_bench
 
 echo "==> DP kernel bench: ns per DP cell and per oracle call, SAP0/SAP1/A0/POINT-OPT over n x B, SAP0 at n=4096 and over the served segments with their window-fill split, OPT-A at n=127 (capped at ${TEST_CAP}s)"
 ${CAP} cargo run -q --release --offline --example dp_bench
-
-echo "==> serve bench: mixed update+query throughput and wire latency over live TCP (capped at ${TEST_CAP}s)"
-${CAP} cargo run -q --release --offline --example serve_bench
 
 echo "==> overload bench: goodput, shed rate, degraded fraction, p50/p99 at 1x/2x/4x offered load (capped at ${TEST_CAP}s)"
 ${CAP} cargo run -q --release --offline --example overload_bench

@@ -78,56 +78,6 @@ impl Sap0Histogram {
         Self::new(bucketing, ps, suff, pref)
     }
 
-    /// Stitches per-segment SAP0 partials (each over its segment-local
-    /// domain, in segment order) into one histogram over the concatenated
-    /// domain — the prefix-sum stitching merge operator.
-    ///
-    /// Bucket starts are shifted by the running segment offset; the stored
-    /// `suff`/`pref` values are carried over **unchanged** (each is an exact
-    /// `i128` moment of its bucket divided once by the bucket width, so the
-    /// value is identical whether computed from segment-local or global
-    /// prefix sums); the exact per-bucket sums are concatenated and their
-    /// cumulative table rebased. The result is bit-identical to
-    /// [`Sap0Histogram::optimal_values`] on the merged bucketing over the
-    /// full array — the property `synoptic-hist`'s merge-equivalence suite
-    /// asserts.
-    pub fn stitch(parts: &[Sap0Histogram]) -> Result<Self> {
-        use crate::error::SynopticError;
-        if parts.is_empty() {
-            return Err(SynopticError::EmptyInput);
-        }
-        let n: usize = parts.iter().map(|p| p.bucketing.n()).sum();
-        let mut starts = Vec::new();
-        let mut suff = Vec::new();
-        let mut pref = Vec::new();
-        let mut sums = Vec::new();
-        let mut cum = vec![0i128];
-        let mut offset = 0usize;
-        let mut acc = 0i128;
-        for part in parts {
-            for &s in part.bucketing.starts() {
-                starts.push(offset + s);
-            }
-            suff.extend_from_slice(&part.suff);
-            pref.extend_from_slice(&part.pref);
-            for &s in &part.sums.sums {
-                sums.push(s);
-                acc += s;
-                cum.push(acc);
-            }
-            offset += part.bucketing.n();
-        }
-        let bucketing = Bucketing::new(n, starts)?;
-        let posmap = bucketing.position_map();
-        Ok(Self {
-            bucketing,
-            suff,
-            pref,
-            sums: BucketSums { sums, cum },
-            posmap,
-        })
-    }
-
     /// The bucket boundaries.
     pub fn bucketing(&self) -> &Bucketing {
         &self.bucketing
@@ -267,37 +217,6 @@ mod tests {
         assert_eq!(h.storage_words(), 6);
         assert_eq!(h.method_name(), "SAP0");
         assert_eq!(h.n(), 3);
-    }
-
-    #[test]
-    fn stitched_partials_are_bit_identical_to_the_monolithic_build() {
-        let vals = vec![7i64, 2, 9, 4, 4, 6, 1, 3, 8, 8, 0, 5];
-        let ps = PrefixSums::from_values(&vals);
-        // Segments [0,4], [5,8], [9,11] with their own local bucketings.
-        let segs: [(usize, usize, Vec<usize>); 3] =
-            [(0, 4, vec![0, 2]), (5, 8, vec![0, 1, 3]), (9, 11, vec![0])];
-        let mut parts = Vec::new();
-        let mut merged_starts = Vec::new();
-        for (l, r, local_starts) in &segs {
-            let local = &vals[*l..=*r];
-            let lps = PrefixSums::from_values(local);
-            let lb = Bucketing::new(local.len(), local_starts.clone()).unwrap();
-            parts.push(Sap0Histogram::optimal_values(lb, &lps).unwrap());
-            merged_starts.extend(local_starts.iter().map(|s| l + s));
-        }
-        let stitched = Sap0Histogram::stitch(&parts).unwrap();
-        let mono =
-            Sap0Histogram::optimal_values(Bucketing::new(vals.len(), merged_starts).unwrap(), &ps)
-                .unwrap();
-        assert_eq!(stitched, mono, "stitching must be exact, not approximate");
-        for q in RangeQuery::all(vals.len()) {
-            assert_eq!(
-                stitched.estimate(q).to_bits(),
-                mono.estimate(q).to_bits(),
-                "{q:?}"
-            );
-        }
-        assert!(Sap0Histogram::stitch(&[]).is_err());
     }
 
     #[test]

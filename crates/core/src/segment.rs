@@ -1,5 +1,5 @@
-//! Partial, mergeable synopses: fixed segmentation of the index domain and
-//! an estimator that answers cross-segment ranges by composing per-segment
+//! Segmented synopses: fixed segmentation of the index domain and an
+//! estimator that answers cross-segment ranges by composing per-segment
 //! partials.
 //!
 //! A column's domain `0..n` is split into `S` fixed, contiguous, equi-width
@@ -12,11 +12,9 @@
 //! so composition introduces no error beyond what each partial already
 //! carries.
 //!
-//! This is the substrate for incremental maintenance (rebuild only the
-//! segments an update dirtied — see `synoptic-stream`) and for the explicit
-//! merge operators that collapse partials back into one monolithic synopsis
-//! (prefix-sum stitching in `synoptic-hist`, coefficient union +
-//! re-truncation in `synoptic-wavelet`).
+//! This is the substrate for incremental maintenance: rebuild only the
+//! segments an update dirtied (see `synoptic-stream`), and serve the
+//! composition.
 
 use std::sync::Arc;
 

@@ -1,13 +1,12 @@
-//! Runs the extended ablations A1–A4 (DESIGN.md §6).
+//! Runs the extended ablations A1–A6 (DESIGN.md §6).
 //!
-//! Usage: `sweep <rounding|states|wavelets|datasets|bounds|hull|segments|all> [--out DIR]`
+//! Usage: `sweep <rounding|states|wavelets|datasets|bounds|hull|all> [--out DIR]`
 
 use synoptic_data::zipf::ZipfConfig;
 use synoptic_eval::methods::MethodSpec;
 use synoptic_eval::report::write_artifact;
 use synoptic_eval::sweeps::{
-    bounds_sweep, dataset_sweep, hull_cap_sweep, rounding_sweep, segments_sweep, states_sweep,
-    wavelet_sweep,
+    bounds_sweep, dataset_sweep, hull_cap_sweep, rounding_sweep, states_sweep, wavelet_sweep,
 };
 
 fn out_dir(args: &[String]) -> String {
@@ -144,36 +143,6 @@ fn run_hull(out: &str) {
     let _ = write_artifact(out, "sweep_hull.json", &json);
 }
 
-fn run_segments(out: &str) {
-    let rows = segments_sweep(
-        &ZipfConfig {
-            n: 128,
-            ..ZipfConfig::default()
-        },
-        16,
-        &[1, 2, 4, 8, 16],
-    )
-    .expect("segments sweep failed");
-    println!("A7 — cost of partialization (n = 128, 16 buckets, SAP0 + Haar merges)");
-    println!(
-        "{:>9} {:>13} {:>13} {:>13} {:>9} {:>16}",
-        "segments", "stitch dev", "sse stitched", "sse monolith", "ratio", "haar min slack"
-    );
-    for r in &rows {
-        println!(
-            "{:>9} {:>13.4e} {:>13.4e} {:>13.4e} {:>9.4} {:>16.4e}",
-            r.segments,
-            r.stitch_max_dev,
-            r.sse_stitched,
-            r.sse_monolithic,
-            r.sse_ratio,
-            r.haar_bound_min_slack
-        );
-    }
-    let json = synoptic_eval::json::to_string_pretty(&rows);
-    let _ = write_artifact(out, "sweep_segments.json", &json);
-}
-
 fn main() {
     let args: Vec<String> = std::env::args().collect();
     let which = args.get(1).map(String::as_str).unwrap_or("all");
@@ -185,7 +154,6 @@ fn main() {
         "datasets" => run_datasets(&out),
         "bounds" => run_bounds(&out),
         "hull" => run_hull(&out),
-        "segments" => run_segments(&out),
         "all" => {
             run_rounding(&out);
             println!();
@@ -198,11 +166,9 @@ fn main() {
             run_bounds(&out);
             println!();
             run_hull(&out);
-            println!();
-            run_segments(&out);
         }
         other => {
-            eprintln!("unknown sweep '{other}'; expected rounding|states|wavelets|datasets|bounds|hull|segments|all");
+            eprintln!("unknown sweep '{other}'; expected rounding|states|wavelets|datasets|bounds|hull|all");
             std::process::exit(2);
         }
     }

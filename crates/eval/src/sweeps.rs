@@ -538,157 +538,3 @@ mod hull_cap_tests {
         );
     }
 }
-
-/// A7 — cost of partialization: how much quality the segment-merge path
-/// gives up relative to monolithic builds, per segment count.
-#[derive(Debug, Clone)]
-pub struct SegmentsSweepRow {
-    /// Number of equi-width segments.
-    pub segments: usize,
-    /// Max |stitched − monolithic-on-stitched-bucketing| over all ranges
-    /// (the histogram merge operator's exactness claim: must be 0.0).
-    pub stitch_max_dev: f64,
-    /// SSE of the stitched per-segment SAP0 histograms.
-    pub sse_stitched: f64,
-    /// SSE of the monolithic SAP0 DP at the same total bucket count.
-    pub sse_monolithic: f64,
-    /// `sse_stitched / sse_monolithic` — ≥ 1 up to float noise; the gap
-    /// is the price of forbidding buckets across segment edges.
-    pub sse_ratio: f64,
-    /// Min over ranges of `bound − |merged(q) − union(q)|` for the Haar
-    /// coefficient-union merge at the same segmentation (the documented
-    /// re-truncation bound: must be ≥ 0 up to float noise).
-    pub haar_bound_min_slack: f64,
-}
-
-impl ToJson for SegmentsSweepRow {
-    fn to_json(&self) -> JsonValue {
-        JsonValue::obj([
-            ("segments", self.segments.to_json()),
-            ("stitch_max_dev", self.stitch_max_dev.to_json()),
-            ("sse_stitched", self.sse_stitched.to_json()),
-            ("sse_monolithic", self.sse_monolithic.to_json()),
-            ("sse_ratio", self.sse_ratio.to_json()),
-            ("haar_bound_min_slack", self.haar_bound_min_slack.to_json()),
-        ])
-    }
-}
-
-/// Runs ablation A7 on a power-of-two Zipf dataset (`n` must be divisible
-/// by every entry of `segment_counts` so the Haar merge sees equal
-/// power-of-two segments; 128 with counts {1,2,4,8,16} is the default in
-/// `sweep`). `buckets` is the total bucket count, split evenly.
-pub fn segments_sweep(
-    dataset: &ZipfConfig,
-    buckets: usize,
-    segment_counts: &[usize],
-) -> Result<Vec<SegmentsSweepRow>> {
-    use synoptic_core::{Bucketing, RangeEstimator, RangeQuery, Sap0Histogram, SegmentLayout};
-    use synoptic_hist::sap0::build_sap0_with_budget;
-    use synoptic_hist::{build_sap0_partials, merge_sap0};
-    use synoptic_wavelet::{merge_point_wavelets, PointWaveletSynopsis};
-
-    let data = paper_dataset(dataset);
-    let values = data.values();
-    let n = values.len();
-    let ps = data.prefix_sums();
-    let unlimited = Budget::unlimited();
-    let (mono, _) = build_sap0_with_budget(&ps, buckets, &unlimited)?;
-    let sse_monolithic = exact_sse(&mono, &ps);
-    segment_counts
-        .iter()
-        .map(|&segments| {
-            let layout = SegmentLayout::equi_width(n, segments)?;
-            // Histogram half: partial builds + prefix-sum stitching.
-            let per_seg = (buckets / segments).max(1);
-            let parts = build_sap0_partials(
-                values,
-                &layout,
-                &vec![per_seg; segments],
-                &Budget::unlimited(),
-            )?;
-            let merged = merge_sap0(&parts)?;
-            let mut starts = Vec::new();
-            for ((l, _), part) in layout.iter().zip(&parts) {
-                starts.extend(part.bucketing().starts().iter().map(|s| l + s));
-            }
-            let mono_stitched = Sap0Histogram::optimal_values(Bucketing::new(n, starts)?, &ps)?;
-            let mut stitch_max_dev = 0.0_f64;
-            for q in RangeQuery::all(n) {
-                stitch_max_dev =
-                    stitch_max_dev.max((merged.estimate(q) - mono_stitched.estimate(q)).abs());
-            }
-            let sse_stitched = exact_sse(&merged, &ps);
-            // Haar half: per-segment point-wavelet synopses, coefficient
-            // union + re-truncation, bound verified against the untruncated
-            // union.
-            let b_total = buckets; // coefficient budget, same accounting
-            let waves: Vec<PointWaveletSynopsis> = layout
-                .iter()
-                .map(|(l, r)| {
-                    PointWaveletSynopsis::build_with_budget(&values[l..=r], b_total, &unlimited)
-                })
-                .collect::<Result<_>>()?;
-            let refs: Vec<&PointWaveletSynopsis> = waves.iter().collect();
-            let (merged_w, outcome) = merge_point_wavelets(&refs, b_total)?;
-            let (union_w, _) = merge_point_wavelets(&refs, usize::MAX)?;
-            let mut haar_bound_min_slack = f64::INFINITY;
-            for q in RangeQuery::all(n) {
-                let err = (merged_w.estimate(q) - union_w.estimate(q)).abs();
-                let slack = outcome.retruncation_bound(q) - err;
-                haar_bound_min_slack = haar_bound_min_slack.min(slack);
-            }
-            Ok(SegmentsSweepRow {
-                segments,
-                stitch_max_dev,
-                sse_stitched,
-                sse_monolithic,
-                sse_ratio: if sse_monolithic > 0.0 {
-                    sse_stitched / sse_monolithic
-                } else {
-                    1.0
-                },
-                haar_bound_min_slack,
-            })
-        })
-        .collect()
-}
-
-#[cfg(test)]
-mod segments_tests {
-    use super::*;
-
-    #[test]
-    fn partialization_is_exact_on_stitched_buckets_and_bounded_for_haar() {
-        let rows = segments_sweep(
-            &ZipfConfig {
-                n: 64,
-                ..ZipfConfig::default()
-            },
-            8,
-            &[1, 2, 4, 8],
-        )
-        .unwrap();
-        for r in &rows {
-            assert_eq!(
-                r.stitch_max_dev, 0.0,
-                "stitching must be exact at S={}",
-                r.segments
-            );
-            assert!(
-                r.haar_bound_min_slack > -1e-6,
-                "re-truncation bound violated at S={}: slack {}",
-                r.segments,
-                r.haar_bound_min_slack
-            );
-            assert!(
-                r.sse_ratio >= 1.0 - 1e-9,
-                "S={}: {}",
-                r.segments,
-                r.sse_ratio
-            );
-        }
-        // One segment is the monolithic build itself.
-        assert!((rows[0].sse_ratio - 1.0).abs() < 1e-9);
-    }
-}

@@ -39,7 +39,6 @@ pub mod dp;
 pub mod exhaustive;
 pub mod heuristics;
 pub mod local_search;
-pub mod merge;
 pub mod opta;
 pub mod opta_rounded;
 pub mod opta_warmup;
@@ -53,5 +52,4 @@ pub use builder::{
     build_anytime, build_with_budget, fallback_ladder, run_ladder, AnytimeParams, AnytimeResult,
     HistogramMethod,
 };
-pub use merge::{build_sap0_partials, merge_sap0};
 pub use opta::{build_opt_a, build_opt_a_with_budget, OptAConfig, OptAResult};

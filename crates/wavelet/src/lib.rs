@@ -27,14 +27,12 @@
 
 pub mod coeff;
 pub mod haar;
-pub mod merge;
 pub mod point_topb;
 pub mod prefix_topb;
 pub mod range_greedy;
 pub mod range_optimal;
 
 pub use coeff::{coeffs_for_budget, SparseCoeffs};
-pub use merge::{lift_index, merge_point_wavelets, merge_sparse, MergeOutcome};
 pub use point_topb::PointWaveletSynopsis;
 pub use prefix_topb::PrefixWaveletSynopsis;
 pub use range_greedy::build_range_greedy_with_budget;

@@ -13,7 +13,8 @@
 //! reports its DP cells (the work units the DP charges its `Budget`) and,
 //! for the additive kernels, its cost-oracle calls (windows costed); both
 //! are deterministic and counted in one untimed warm-up run. The timed runs
-//! then give wall-clock ms, ns per cell and ns per oracle call, each as
+//! then give wall-clock ms, ns per cell and ns per oracle call (not at
+//! B = 1, where the one call is the whole build), each as
 //! min / median / max over `TRIALS` runs; the segmented entry sums all 16
 //! segments in each run. The segmented entry and the n = 4096 entries also
 //! give `fill_ms`: the window columns the warm-up run filled, filled again
@@ -175,8 +176,9 @@ impl<C: ColumnCost> ColumnCost for Recorded<'_, C> {
 
 /// Times the DP over every `(n, buckets, cost)` of `parts` in each run,
 /// prints one line under `label`, and returns the summed cells and oracle
-/// calls with the ms, ns per cell and ns per oracle call spreads; with
-/// `split_fill`, also the ms spread of filling the same columns alone.
+/// calls with the ms, ns per cell and ns per oracle call spreads (the last
+/// omitted when every part has one bucket); with `split_fill`, also the ms
+/// spread of filling the same columns alone.
 fn parts_entry<C: ColumnCost + Copy>(
     label: &str,
     parts: &[(usize, usize, C)],
@@ -205,12 +207,19 @@ fn parts_entry<C: ColumnCost + Copy>(
     });
     assert_eq!(cells, warm_up.cells_used(), "{label}: cells must repeat");
     let median = ns[TRIALS / 2];
+    // With one bucket the DP costs one window per part, so a time per
+    // oracle call would be the whole build's time: report none.
+    let per_call = parts.iter().any(|&(_, buckets, _)| buckets > 1);
+    let ns_per_call = if per_call {
+        format!("{:.1}", median / calls as f64)
+    } else {
+        "-".to_string()
+    };
     println!(
         "{label}: {:>9.3} ms, {:>6.2} ns/cell, \
-         {:>7.1} ns/oracle call ({cells} cells, {calls} calls)",
+         {ns_per_call:>7} ns/oracle call ({cells} cells, {calls} calls)",
         median / 1e6,
         median / cells as f64,
-        median / calls as f64,
     );
     let fill = split_fill.then(|| {
         let fill_ns = fill_trials(parts, &fills);
@@ -228,11 +237,13 @@ fn parts_entry<C: ColumnCost + Copy>(
             "ns_per_cell",
             spread(ns.iter().map(|t| t / cells as f64).collect()),
         ),
-        (
+    ];
+    if per_call {
+        fields.push((
             "ns_per_oracle_call",
             spread(ns.iter().map(|t| t / calls as f64).collect()),
-        ),
-    ];
+        ));
+    }
     fields.extend(fill);
     fields
 }

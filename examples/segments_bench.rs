@@ -18,12 +18,21 @@
 //! config's dirty-rebuild time) should far exceed the 4× the roadmap
 //! demands at 16 segments.
 //!
+//! Beside each speed-up it reports what the column serves: `served_sse`,
+//! the exact SSE over all `n(n+1)/2` ranges of the registered column's
+//! estimator (the segment-local SAP0 answers summed), and
+//! `sse_ratio_vs_monolithic`, that SSE over the 1-segment column's (the
+//! monolithic build). Both are taken right after registration, before any
+//! trial update.
+//!
 //! Run with: `cargo run --release --example segments_bench`
 //! Writes `results/BENCH_segments.json` (override dir with
 //! `BENCH_OUT_DIR`).
 
 use std::time::Instant;
 
+use synoptic::core::sse::sse_brute;
+use synoptic::core::PrefixSums;
 use synoptic::eval::bench::write_report;
 use synoptic::eval::json::JsonValue;
 use synoptic::hist::HistogramMethod;
@@ -52,8 +61,10 @@ fn timed_rebuild(col: &synoptic::stream::ColumnHandle) -> f64 {
 
 fn main() {
     let vals = values();
+    let ps = PrefixSums::from_values(&vals);
     let mut rows = Vec::new();
     let mut monolithic_full = f64::NAN;
+    let mut monolithic_sse = f64::NAN;
     for segments in SEGMENT_COUNTS {
         let pool = MaintainedPool::new(1);
         let col = pool
@@ -66,6 +77,7 @@ fn main() {
                 RebuildConfig::new(RebuildPolicy::Manual),
             )
             .unwrap();
+        let served_sse = sse_brute(&col.estimator().as_ref(), &ps);
         let mut full = f64::INFINITY;
         let mut dirty = f64::INFINITY;
         for _ in 0..TRIALS {
@@ -83,17 +95,22 @@ fn main() {
         );
         if segments == 1 {
             monolithic_full = full;
+            monolithic_sse = served_sse;
         }
         let speedup = monolithic_full / dirty;
+        let sse_ratio = served_sse / monolithic_sse;
         println!(
             "segments {segments:>3}: full {full:>9.3} ms, one-dirty {dirty:>9.3} ms, \
-             {speedup:>7.1}x vs monolithic rebuild"
+             {speedup:>7.1}x vs monolithic rebuild; served SSE {served_sse:.3e} \
+             ({sse_ratio:.2}x monolithic)"
         );
         rows.push(JsonValue::obj([
             ("segments", JsonValue::Int(segments as i128)),
             ("full_rebuild_ms", JsonValue::Num(full)),
             ("dirty_rebuild_ms", JsonValue::Num(dirty)),
             ("speedup_vs_monolithic", JsonValue::Num(speedup)),
+            ("served_sse", JsonValue::Num(served_sse)),
+            ("sse_ratio_vs_monolithic", JsonValue::Num(sse_ratio)),
         ]));
         pool.shutdown();
     }
