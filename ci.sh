@@ -33,8 +33,9 @@ echo "==> tier-1: cargo build --release (offline)"
 # This build doubles as the compile-time thread-safety gate: const-context
 # `assert_send_sync` proofs in crates/core/src/budget.rs (Budget,
 # CancelToken), crates/core/src/swap.rs (HotSwap/HotSwapReader),
-# crates/stream/src/pool.rs (ColumnHandle, MaintainedPool, and the Send
-# bound on PersistFn — the persist hook crosses a thread boundary), and
+# crates/stream/src/pool.rs (ColumnHandle, PinnedBuild, MaintainedPool, and
+# the Send bound on DurablePersistFn — the persist hook crosses a thread
+# boundary), and
 # crates/catalog/src/store.rs (DurableCatalog behind the persist hook)
 # fail the build if any of them regresses to !Send or !Sync.
 cargo build --release --offline
@@ -61,10 +62,11 @@ echo "==> failover suite: kill-the-leader sweep, CLI election e2e (capped at ${T
 ${CAP} cargo test -q -p synoptic-stream --test failover_sweep --offline
 ${CAP} cargo test -q -p synoptic-cli --test failover_cli --offline
 
-echo "==> serving suite: wire codec + exit-code table, batch pinning, cache invalidation, admission control, CLI e2e (capped at ${TEST_CAP}s)"
+echo "==> serving suite: wire codec + exit-code table, batch pinning, cache invalidation, admission control, CLI e2e, and (release) swap::tests::a_pin_never_pairs_a_value_with_another_generation, the hot-swap pin race (capped at ${TEST_CAP}s)"
 ${CAP} cargo test -q -p synoptic-api --offline
 ${CAP} cargo test -q -p synoptic-serve --offline
 ${CAP} cargo test -q -p synoptic-cli --test serve_cli --offline
+${CAP} cargo test -q --release -p synoptic-core --lib swap --offline
 
 echo "==> decoder fuzz: CRC-resealed mutants of SQP1, SRP1, SYNWAL01 and SYNOPTC1 decode or refuse, never panic (capped at ${TEST_CAP}s)"
 ${CAP} cargo test -q --test decoder_fuzz --offline

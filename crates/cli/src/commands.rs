@@ -1,5 +1,6 @@
 //! The CLI subcommands.
 
+use std::net::{SocketAddr, TcpListener};
 use std::time::Duration;
 
 use synoptic_catalog::{Catalog, ColumnEntry, DurableCatalog, FsStorage, PersistentSynopsis};
@@ -426,7 +427,7 @@ pub fn estimate(args: &[String]) -> Result<(), CliError> {
 /// (exit 10). Runs until killed (or the listener fails); scripts read
 /// the bound port from `--port-file`. See `docs/SERVING.md`.
 pub fn serve(args: &[String]) -> Result<(), CliError> {
-    use std::net::{TcpListener, ToSocketAddrs};
+    use std::net::ToSocketAddrs;
     use synoptic_serve::{ServeConfig, Server};
     use synoptic_stream::{ColumnBuild, MaintainedPool, RebuildConfig};
 
@@ -509,18 +510,7 @@ pub fn serve(args: &[String]) -> Result<(), CliError> {
         println!("initial build: {outcome}");
     }
 
-    let listener =
-        TcpListener::bind(listen).map_err(|e| CliError::from(format!("bind {listen}: {e}")))?;
-    let local = listener
-        .local_addr()
-        .map_err(|e| CliError::from(format!("local_addr: {e}")))?;
-    // Port 0 binds an ephemeral port; the port file tells scripts (and
-    // tests) where the server actually listens.
-    if let Some(path) = f.optional("port-file") {
-        std::fs::write(path, local.port().to_string())
-            .map_err(|e| CliError::from(format!("write {path}: {e}")))?;
-    }
-
+    let (listener, local) = bind_listener(&f, listen)?;
     let server = Server::new(config);
     server.register(col);
     println!("serving column '{column}' ({method_name}, {budget} words, n = {n}) on {local}");
@@ -680,21 +670,22 @@ pub fn maintain(args: &[String]) -> Result<(), CliError> {
         config = config.with_background_upgrade(factor);
     }
 
-    let segments: Option<usize> = f.parsed_opt("segments").usage()?;
     let n = values.len();
     let pool = MaintainedPool::new(workers);
-    let build = ColumnBuild::Anytime {
-        method,
-        budget_words: budget,
+    let build = match f.parsed_opt("segments").usage()? {
+        None => ColumnBuild::Anytime {
+            method,
+            budget_words: budget,
+        },
+        Some(segments) => ColumnBuild::Segmented {
+            method,
+            budget_words: budget,
+            segments,
+        },
     };
     let wal_dir = f.optional("wal-dir").map(str::to_string);
     let col = match &wal_dir {
-        None => match segments {
-            None => pool.add_column("cli", &values, build, config)?,
-            Some(segs) => {
-                pool.add_column_segmented("cli", &values, method, budget, segs, config)?
-            }
-        },
+        None => pool.add_column("cli", &values, build, config)?,
         Some(wal_dir) => {
             use std::sync::Arc;
             use synoptic_catalog::wal::scan_column_journal;
@@ -745,30 +736,16 @@ pub fn maintain(args: &[String]) -> Result<(), CliError> {
             let hook =
                 catalog_persist_hook(DurableCatalog::open(catalog_dir, FsStorage::new())?, "cli");
             let storage: SharedStorage = Arc::new(FsStorage::new());
-            match segments {
-                None => pool.add_column_durable(
-                    "cli",
-                    &values,
-                    build,
-                    config,
-                    storage,
-                    &durability,
-                    generation,
-                    Some(hook),
-                )?,
-                Some(segs) => pool.add_column_segmented_durable(
-                    "cli",
-                    &values,
-                    method,
-                    budget,
-                    segs,
-                    config,
-                    storage,
-                    &durability,
-                    generation,
-                    Some(hook),
-                )?,
-            }
+            pool.add_column_durable(
+                "cli",
+                &values,
+                build,
+                config,
+                storage,
+                &durability,
+                generation,
+                Some(hook),
+            )?
         }
     };
     if let Some(outcome) = col.last_outcome() {
@@ -1032,7 +1009,6 @@ pub fn ship(args: &[String]) -> Result<(), CliError> {
 /// connections, verifying and applying shipped segments. Reads staler
 /// than `--max-lag` are refused with the observed lag (exit 8).
 pub fn follow(args: &[String]) -> Result<(), CliError> {
-    use std::net::TcpListener;
     use std::sync::Arc;
     use synoptic_repl::{TcpTransport, WallClock};
     use synoptic_stream::{promote, FollowConfig, Follower, ServeOutcome, SharedStorage};
@@ -1059,17 +1035,7 @@ pub fn follow(args: &[String]) -> Result<(), CliError> {
     let (mut follower, report) = Follower::open(storage, catalog_dir, wal_dir, config)?;
     print!("{}", report.render());
 
-    let listener =
-        TcpListener::bind(listen).map_err(|e| CliError::from(format!("bind {listen}: {e}")))?;
-    let local = listener
-        .local_addr()
-        .map_err(|e| CliError::from(format!("local_addr: {e}")))?;
-    // Port 0 binds an ephemeral port; the port file tells scripts (and
-    // tests) where the replica actually listens.
-    if let Some(path) = f.optional("port-file") {
-        std::fs::write(path, local.port().to_string())
-            .map_err(|e| CliError::from(format!("write {path}: {e}")))?;
-    }
+    let (listener, local) = bind_listener(&f, listen)?;
     println!("replica listening on {local} for {sessions} session(s)");
     for session in 1..=sessions {
         let (stream, peer) = listener
@@ -1125,16 +1091,39 @@ pub fn follow(args: &[String]) -> Result<(), CliError> {
             }
         }
     }
+    report_follower(&follower, "replica")
+}
+
+/// Binds `listen` for `serve`, `follow` and `reseed`, and writes the bound
+/// port to `--port-file` when given: port 0 binds an ephemeral port, and
+/// the port file tells scripts (and tests) where the process listens.
+fn bind_listener(f: &Flags, listen: &str) -> Result<(TcpListener, SocketAddr), CliError> {
+    let listener =
+        TcpListener::bind(listen).map_err(|e| CliError::from(format!("bind {listen}: {e}")))?;
+    let local = listener
+        .local_addr()
+        .map_err(|e| CliError::from(format!("local_addr: {e}")))?;
+    if let Some(path) = f.optional("port-file") {
+        std::fs::write(path, local.port().to_string())
+            .map_err(|e| CliError::from(format!("write {path}: {e}")))?;
+    }
+    Ok((listener, local))
+}
+
+/// The end-of-session report of `follow` and `reseed`: per column (each
+/// line prefixed `{label} column`), the applied LSN and lag, then the
+/// lag-bounded full-range read, which refuses (exit 8) when too stale;
+/// then every refusal the follower recorded, on stderr.
+fn report_follower(follower: &synoptic_stream::Follower, label: &str) -> Result<(), CliError> {
     for column in follower.columns() {
         let applied = follower.applied_lsn(&column).unwrap_or(0);
         let lag = follower.lag(&column).unwrap_or(0);
-        println!("replica column {column}: applied lsn {applied}, lag {lag}");
+        println!("{label} column {column}: applied lsn {applied}, lag {lag}");
         if let Some(values) = follower.values(&column) {
             if !values.is_empty() {
                 let q = RangeQuery::new(0, values.len() - 1)?;
-                // The lag-bounded read: refuses (exit 8) when too stale.
                 let est = follower.estimate(&column, q)?;
-                println!("replica column {column}: full-range sum {est:.0}");
+                println!("{label} column {column}: full-range sum {est:.0}");
             }
         }
     }
@@ -1151,7 +1140,6 @@ pub fn follow(args: &[String]) -> Result<(), CliError> {
 /// the granted term, committed snapshots, and journal tail, then keeps
 /// serving the session like `follow` until the seeder closes.
 pub fn reseed(args: &[String]) -> Result<(), CliError> {
-    use std::net::TcpListener;
     use std::sync::Arc;
     use synoptic_repl::TcpTransport;
     use synoptic_stream::{rejoin, FollowConfig, SharedStorage};
@@ -1162,15 +1150,7 @@ pub fn reseed(args: &[String]) -> Result<(), CliError> {
     let listen = f.required("listen").usage()?;
     let max_lag: Option<u64> = f.parsed_opt("max-lag").usage()?;
 
-    let listener =
-        TcpListener::bind(listen).map_err(|e| CliError::from(format!("bind {listen}: {e}")))?;
-    let local = listener
-        .local_addr()
-        .map_err(|e| CliError::from(format!("local_addr: {e}")))?;
-    if let Some(path) = f.optional("port-file") {
-        std::fs::write(path, local.port().to_string())
-            .map_err(|e| CliError::from(format!("write {path}: {e}")))?;
-    }
+    let (listener, local) = bind_listener(&f, listen)?;
     println!("re-seed target listening on {local} (into {catalog_dir} + {wal_dir})");
     let (stream, peer) = listener
         .accept()
@@ -1188,22 +1168,7 @@ pub fn reseed(args: &[String]) -> Result<(), CliError> {
         follower.term()
     );
     follower.serve(&mut transport)?;
-    for column in follower.columns() {
-        let applied = follower.applied_lsn(&column).unwrap_or(0);
-        let lag = follower.lag(&column).unwrap_or(0);
-        println!("rejoined column {column}: applied lsn {applied}, lag {lag}");
-        if let Some(values) = follower.values(&column) {
-            if !values.is_empty() {
-                let q = RangeQuery::new(0, values.len() - 1)?;
-                let est = follower.estimate(&column, q)?;
-                println!("rejoined column {column}: full-range sum {est:.0}");
-            }
-        }
-    }
-    for refusal in follower.refusals() {
-        eprintln!("refused: {refusal}");
-    }
-    Ok(())
+    report_follower(&follower, "rejoined")
 }
 
 /// `recover`: replay the write-ahead journals under `--wal-dir` on top of

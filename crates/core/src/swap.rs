@@ -57,13 +57,24 @@ impl<T: ?Sized> HotSwap<T> {
             .clone()
     }
 
+    /// Snapshots the current value together with the generation it was
+    /// published at. Both are read under the slot mutex, which
+    /// [`HotSwap::swap`] holds while it replaces the value *and* bumps the
+    /// counter, so the pair always names one publication.
+    pub fn load_pinned(&self) -> (u64, Arc<T>) {
+        let guard = self.slot.lock().unwrap_or_else(PoisonError::into_inner);
+        (self.generation.load(Ordering::Acquire), Arc::clone(&guard))
+    }
+
     /// Publishes `value`, returning the previous one. Readers that already
     /// hold a snapshot are unaffected; new `load`s see the new value.
     pub fn swap(&self, value: Arc<T>) -> Arc<T> {
         let mut guard = self.slot.lock().unwrap_or_else(PoisonError::into_inner);
         let old = std::mem::replace(&mut *guard, value);
-        // Publish the bump *after* the slot holds the new value (the mutex
-        // release orders the store; the counter itself is a hint).
+        // Bump while the slot mutex is still held: `load_pinned` reads the
+        // counter under the same mutex, so it never pairs a value with
+        // another publication's generation. Lock-free readers only use the
+        // counter as a hint to refresh.
         self.generation.fetch_add(1, Ordering::Release);
         old
     }
@@ -76,10 +87,11 @@ impl<T: ?Sized> HotSwap<T> {
 
     /// A caching reader handle for hot read paths (see [`HotSwapReader`]).
     pub fn reader(self: &Arc<Self>) -> HotSwapReader<T> {
+        let (seen, cached) = self.load_pinned();
         HotSwapReader {
             cell: Arc::clone(self),
-            seen: self.generation(),
-            cached: self.load(),
+            seen,
+            cached,
         }
     }
 }
@@ -109,11 +121,14 @@ impl<T: ?Sized> HotSwapReader<T> {
     /// batch from one `pinned()` snapshot can stamp every answer with the
     /// returned generation: all of them provably came from the same
     /// published value, no matter how many swaps raced the batch.
+    ///
+    /// The steady state is one atomic load; after a swap the pair is
+    /// refreshed through [`HotSwap::load_pinned`], so a swap landing
+    /// between the check and the refresh cannot stamp the new value with
+    /// the old generation.
     pub fn pinned(&mut self) -> (u64, &Arc<T>) {
-        let now = self.cell.generation();
-        if now != self.seen {
-            self.cached = self.cell.load();
-            self.seen = now;
+        if self.cell.generation() != self.seen {
+            (self.seen, self.cached) = self.cell.load_pinned();
         }
         (self.seen, &self.cached)
     }
@@ -180,6 +195,52 @@ mod tests {
         assert_eq!(r.generation(), 2);
         // Stable while nothing swaps: the pin is the same snapshot.
         assert_eq!(r.pinned().0, 2);
+    }
+
+    /// Every pin names one publication: a writer publishes values equal to
+    /// their generation while readers check `generation == value` on every
+    /// pin, fresh readers included.
+    #[test]
+    fn a_pin_never_pairs_a_value_with_another_generation() {
+        const READERS: usize = 2;
+        let cell = Arc::new(HotSwap::new(Arc::new(0u64)));
+        let stop = Arc::new(std::sync::atomic::AtomicBool::new(false));
+        let start = Arc::new(std::sync::Barrier::new(READERS + 1));
+        let readers: Vec<_> = (0..READERS)
+            .map(|_| {
+                let (cell, stop, start) =
+                    (Arc::clone(&cell), Arc::clone(&stop), Arc::clone(&start));
+                std::thread::spawn(move || {
+                    start.wait();
+                    let mut pins = 0u64;
+                    // Check-then-break: every reader pins at least once.
+                    loop {
+                        // A fresh reader's first pin is the pair `reader()`
+                        // loaded, unless a swap has landed since.
+                        let mut r = cell.reader();
+                        for _ in 0..64 {
+                            let (generation, v) = r.pinned();
+                            assert_eq!(generation, **v, "pin paired across a swap");
+                            pins += 1;
+                        }
+                        let (generation, v) = cell.load_pinned();
+                        assert_eq!(generation, *v);
+                        if stop.load(Ordering::Relaxed) {
+                            return pins;
+                        }
+                    }
+                })
+            })
+            .collect();
+        start.wait();
+        for v in 1..=20_000u64 {
+            cell.swap(Arc::new(v));
+        }
+        stop.store(true, Ordering::Relaxed);
+        for r in readers {
+            assert!(r.join().unwrap() > 0);
+        }
+        assert_eq!(cell.load_pinned(), (20_000, Arc::new(20_000)));
     }
 
     #[test]

@@ -1,7 +1,7 @@
 //! Shared scaffolding of the `examples/*_bench.rs` emitters: a
-//! deterministic xorshift stream, nearest-rank percentiles, a fresh
-//! scratch directory, and the one place a `BENCH_*.json` report is
-//! written.
+//! deterministic xorshift stream, nearest-rank percentiles, the
+//! min/median/max summary of repeated trials, a fresh scratch directory,
+//! and the one place a `BENCH_*.json` report is written.
 
 use std::path::{Path, PathBuf};
 
@@ -29,6 +29,19 @@ pub fn percentile(sorted: &[f64], p: f64) -> f64 {
     }
     let rank = ((p / 100.0) * sorted.len() as f64).ceil() as usize;
     sorted[rank.clamp(1, sorted.len()) - 1]
+}
+
+/// `{min, median, max}` of `xs`, in any order: the summary every bench
+/// reports for its repeated trials. The median of an even count is the
+/// upper middle value.
+pub fn spread(xs: impl IntoIterator<Item = f64>) -> JsonValue {
+    let mut xs: Vec<f64> = xs.into_iter().collect();
+    xs.sort_by(f64::total_cmp);
+    JsonValue::obj([
+        ("min", JsonValue::Num(xs[0])),
+        ("median", JsonValue::Num(xs[xs.len() / 2])),
+        ("max", JsonValue::Num(xs[xs.len() - 1])),
+    ])
 }
 
 /// A fresh, empty `synoptic-bench-{tag}-{pid}` directory under the
@@ -61,6 +74,17 @@ mod tests {
         assert_eq!(percentile(&xs, 99.0), 4.0);
         assert_eq!(percentile(&xs, 0.0), 1.0);
         assert_eq!(percentile(&[], 50.0), 0.0);
+    }
+
+    #[test]
+    fn spread_sorts_before_it_summarises() {
+        let got = spread([3.0, 1.0, 2.0, 5.0]).to_string_pretty();
+        let want = JsonValue::obj([
+            ("min", JsonValue::Num(1.0)),
+            ("median", JsonValue::Num(3.0)),
+            ("max", JsonValue::Num(5.0)),
+        ]);
+        assert_eq!(got, want.to_string_pretty());
     }
 
     #[test]

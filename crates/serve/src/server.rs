@@ -10,9 +10,12 @@
 //! ## Batching: one pin per batch
 //!
 //! Every [`Request::EstimateBatch`] is answered against a **single
-//! snapshot pin**: the connection's [`HotSwapReader`] is pinned once
-//! ([`HotSwapReader::pinned`]), and every range in the batch reads the
-//! same `Arc` snapshot at the same generation. A rebuild landing mid-batch
+//! snapshot pin**: the column's handle is pinned once
+//! ([`ColumnHandle::pin`]), and every range in the batch reads the same
+//! `Arc` snapshot at the same generation, stamped with the provenance of
+//! the build that produced it. The column is looked up by name for every
+//! batch, so a column re-registered under the same name serves the very
+//! next batch on every connection. A rebuild landing mid-batch
 //! cannot split the batch across snapshots — the response's
 //! batch-wide `generation` is the proof, and the answers are mutually
 //! consistent (e.g. a full-range sum equals the sum of its halves).
@@ -93,11 +96,9 @@ use synoptic_api::wire::{
     decode_request_with, encode_response, encode_response_extended, BatchAnswer, DegradeRung,
     QueryBatch, Request, RequestHeader, Response, ServerStats,
 };
-use synoptic_core::{
-    AnswerSource, Budget, BuildOutcome, HotSwapReader, RangeEstimator, RangeQuery, SynopticError,
-};
+use synoptic_core::{AnswerSource, Budget, RangeQuery, SynopticError};
 use synoptic_repl::{Clock, Received, TcpTransport, Transport, WallClock};
-use synoptic_stream::ColumnHandle;
+use synoptic_stream::{ColumnHandle, PinnedBuild};
 
 use crate::admission::TenantBuckets;
 use crate::cache::AnswerCache;
@@ -166,28 +167,6 @@ impl Default for ServeConfig {
 struct ColumnState {
     handle: ColumnHandle,
     cache: AnswerCache,
-}
-
-/// A per-connection cached snapshot reader, pinned to the *identity* of
-/// the [`ColumnState`] it was created from. [`Server::register`] may
-/// replace a column under the same name (fresh handle, fresh cache);
-/// comparing the stored `Arc` by pointer on every batch notices the
-/// replacement and re-fetches the reader, so a long-lived connection can
-/// never keep answering from the replaced column's hot-swap cell — or
-/// worse, store its values into the new column's cache.
-struct CachedReader {
-    column: Arc<ColumnState>,
-    reader: HotSwapReader<dyn RangeEstimator>,
-}
-
-/// One batch's snapshot pin: the estimator, the generation it was
-/// published at, and the provenance of the build that produced it, all
-/// read in one step ([`ColumnHandle::pinned_with_provenance`]).
-struct Pinned {
-    generation: u64,
-    snapshot: Arc<dyn RangeEstimator>,
-    outcome: Option<BuildOutcome>,
-    segment_outcomes: Option<Vec<BuildOutcome>>,
 }
 
 struct Inner {
@@ -417,15 +396,10 @@ impl Server {
             transport.close();
             return;
         }
-        // Per-connection snapshot readers: one atomic generation check per
-        // batch in the steady state, no shared lock traffic on the answer
-        // path. Each entry remembers which ColumnState it belongs to, so
-        // a column replaced via `register` is noticed (see CachedReader).
-        let mut readers: HashMap<String, CachedReader> = HashMap::new();
         loop {
             match transport.recv(Some(self.inner.config.poll_interval)) {
                 Ok(Received::Frame(bytes)) => {
-                    let (headered, response) = self.respond(&bytes, &mut readers);
+                    let (headered, response) = self.respond(&bytes);
                     // Responses speak the dialect of their request: only
                     // headered (PR-10+) clients receive extended frames.
                     let encoded = if headered {
@@ -453,11 +427,7 @@ impl Server {
     /// the response dialect). Never panics on wire input: malformed bytes
     /// become the decode error, refusals become
     /// [`SynopticError::ServerOverloaded`].
-    fn respond(
-        &self,
-        bytes: &[u8],
-        readers: &mut HashMap<String, CachedReader>,
-    ) -> (bool, Response) {
+    fn respond(&self, bytes: &[u8]) -> (bool, Response) {
         let (header, request) = match decode_request_with(bytes) {
             Ok(r) => r,
             Err(e) => return (false, Response::Error(e)),
@@ -501,7 +471,7 @@ impl Server {
                 }
             }
             Request::EstimateBatch(batch) => {
-                let resp = self.estimate_batch(&header, &budget, &batch, readers, inflight);
+                let resp = self.estimate_batch(&header, &budget, &batch, inflight);
                 if matches!(resp, Response::Estimates(_)) {
                     self.inner
                         .lat_estimate
@@ -533,7 +503,6 @@ impl Server {
         header: &RequestHeader,
         budget: &Budget,
         batch: &QueryBatch,
-        readers: &mut HashMap<String, CachedReader>,
         inflight: u64,
     ) -> Response {
         let name = &batch.column;
@@ -586,41 +555,23 @@ impl Server {
             return *refusal;
         }
         // The batch's one snapshot pin: every range below reads this Arc
-        // at this generation, no matter what hot-swaps mid-batch. The
-        // cached reader is only valid for the ColumnState it was created
-        // from — re-registration replaces that Arc, so a stale entry is
-        // re-fetched rather than pinning the replaced column forever.
-        let entry = readers
-            .entry(name.to_string())
-            .and_modify(|cached| {
-                if !Arc::ptr_eq(&cached.column, &col) {
-                    *cached = CachedReader {
-                        column: Arc::clone(&col),
-                        reader: col.handle.reader(),
-                    };
-                }
-            })
-            .or_insert_with(|| CachedReader {
-                column: Arc::clone(&col),
-                reader: col.handle.reader(),
-            });
-        let (generation, snapshot, outcome, segment_outcomes) =
-            col.handle.pinned_with_provenance(&mut entry.reader);
-        let n = snapshot.n();
+        // at this generation, no matter what hot-swaps mid-batch.
+        let pin = col.handle.pin();
+        let n = pin.estimator.n();
         for q in &batch.ranges {
             if q.hi >= n {
                 return Response::Error(SynopticError::IndexOutOfBounds { index: q.hi, n });
             }
         }
         if let Some(reason) = shed {
-            let pin = Pinned {
-                generation,
-                snapshot,
-                outcome,
-                segment_outcomes,
-            };
             return self.degraded_batch(&col, pin, lag, reason, batch);
         }
+        let PinnedBuild {
+            generation,
+            estimator: snapshot,
+            outcome,
+            segment_outcomes,
+        } = pin;
         let mut values = Vec::with_capacity(batch.ranges.len());
         let mut cached = Vec::with_capacity(batch.ranges.len());
         for q in &batch.ranges {
@@ -648,7 +599,7 @@ impl Server {
             source: AnswerSource::Primary,
             lag,
             outcome,
-            segment_outcomes,
+            segment_outcomes: segment_outcomes.map(|s| s.to_vec()),
             values,
             cached,
             rung: None,
@@ -661,18 +612,19 @@ impl Server {
     fn degraded_batch(
         &self,
         col: &ColumnState,
-        pin: Pinned,
+        pin: PinnedBuild,
         lag: u64,
         reason: ShedReason,
         batch: &QueryBatch,
     ) -> Response {
         self.inner.degraded.fetch_add(1, Ordering::Relaxed);
-        let Pinned {
+        let PinnedBuild {
             generation,
-            snapshot,
+            estimator: snapshot,
             outcome,
             segment_outcomes,
         } = pin;
+        let segment_outcomes = segment_outcomes.map(|s| s.to_vec());
         // Rung 1 — cache-hit: if every range is in the generation-keyed
         // cache, the answer costs nothing and is as fresh as a normal
         // one. All-or-nothing: a partial probe descends.

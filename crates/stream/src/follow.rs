@@ -23,9 +23,9 @@
 //!    [`restamp_segment_generation`]) *before* the in-memory frequencies
 //!    change, preserving the leader-side WAL discipline. Promotion is
 //!    therefore exactly [`crate::recovery::recover`] over local files.
-//! 4. **Serve read-only, lag-bounded.** After each apply the follower
-//!    publishes a fresh exact estimator through a
-//!    [`synoptic_core::HotSwap`]; reads via [`Follower::estimate`] are
+//! 4. **Serve read-only, lag-bounded.** Reads via [`Follower::estimate`]
+//!    are exact range sums over the applied frequencies, summed in `i128`
+//!    on demand (nothing is rebuilt per applied segment). They are
 //!    refused with [`SynopticError::ReplicationLagExceeded`] (column,
 //!    lag, and bound in the error — provenance, not a bare "no") once the
 //!    replica trails the leader's mark beyond
@@ -58,9 +58,7 @@ use synoptic_catalog::wal::{
     WalConfig, WAL_RECORD_LEN,
 };
 use synoptic_catalog::{Catalog, DurableCatalog};
-use synoptic_core::{
-    HotSwap, HotSwapReader, PrefixSums, RangeEstimator, RangeQuery, Result, SynopticError,
-};
+use synoptic_core::{RangeQuery, Result, SynopticError};
 use synoptic_repl::election::{Clock, LeaseTracker};
 use synoptic_repl::transport::{Received, Transport};
 use synoptic_repl::wire::{decode_frame, encode_frame, Frame};
@@ -106,44 +104,12 @@ pub enum ServeOutcome {
     LeaseExpired,
 }
 
-/// Exact read-only answering over the replica's live frequencies.
-#[derive(Debug)]
-struct ReplicaEstimator {
-    n: usize,
-    ps: PrefixSums,
-}
-
-impl ReplicaEstimator {
-    fn new(values: &[i64]) -> Self {
-        Self {
-            n: values.len(),
-            ps: PrefixSums::from_values(values),
-        }
-    }
-}
-
-impl RangeEstimator for ReplicaEstimator {
-    fn n(&self) -> usize {
-        self.n
-    }
-    fn estimate(&self, q: RangeQuery) -> f64 {
-        self.ps.answer(q) as f64
-    }
-    fn storage_words(&self) -> usize {
-        self.n
-    }
-    fn method_name(&self) -> &str {
-        "REPLICA"
-    }
-}
-
 struct FollowedColumn {
     values: Vec<i64>,
     applied_lsn: u64,
     leader_mark: u64,
     /// Parked out-of-order segments keyed by first LSN: `(seq, bytes)`.
     pending: BTreeMap<u64, (u64, Vec<u8>)>,
-    serving: Arc<HotSwap<dyn RangeEstimator>>,
     /// Segments journaled since the last auto-checkpoint.
     segments_since_checkpoint: usize,
 }
@@ -185,8 +151,6 @@ impl Follower {
         storage.create_dir_all(&wal_dir)?;
         let mut columns = BTreeMap::new();
         for col in &report.columns {
-            let serving: Arc<HotSwap<dyn RangeEstimator>> =
-                Arc::new(HotSwap::new(Arc::new(ReplicaEstimator::new(&col.values))));
             columns.insert(
                 col.name.clone(),
                 FollowedColumn {
@@ -194,7 +158,6 @@ impl Follower {
                     applied_lsn: col.committed_mark.max(col.max_lsn),
                     leader_mark: col.committed_mark.max(col.max_lsn),
                     pending: BTreeMap::new(),
-                    serving,
                     segments_since_checkpoint: 0,
                 },
             );
@@ -242,22 +205,17 @@ impl Follower {
         self.columns.get(column).map(|c| c.values.as_slice())
     }
 
-    /// A hot-swap reader over the column's serving estimator. The reader
-    /// itself does **not** enforce the lag bound — use
-    /// [`Follower::estimate`] for bounded reads.
-    pub fn reader(&self, column: &str) -> Option<HotSwapReader<dyn RangeEstimator>> {
-        self.columns.get(column).map(|c| c.serving.reader())
-    }
-
     /// Every refusal this follower has recorded, in order — the loud
     /// half of "converge or refuse".
     pub fn refusals(&self) -> &[String] {
         &self.refusals
     }
 
-    /// Answers a range-sum query from the replica, refusing with full
+    /// Answers a range-sum query from the replica exactly (the `i128` sum
+    /// of the applied frequencies over the range), refusing with full
     /// provenance ([`SynopticError::ReplicationLagExceeded`]) when the
-    /// replica is staler than [`FollowConfig::max_lag`].
+    /// replica is staler than [`FollowConfig::max_lag`], and with
+    /// [`SynopticError::IndexOutOfBounds`] past the column's end.
     pub fn estimate(&self, column: &str, q: RangeQuery) -> Result<f64> {
         let col = self
             .columns
@@ -273,7 +231,13 @@ impl Follower {
                 });
             }
         }
-        Ok(col.serving.load().estimate(q))
+        let Some(range) = col.values.get(q.lo..=q.hi) else {
+            return Err(SynopticError::IndexOutOfBounds {
+                index: q.hi,
+                n: col.values.len(),
+            });
+        };
+        Ok(range.iter().map(|&v| i128::from(v)).sum::<i128>() as f64)
     }
 
     fn refuse(&mut self, column: &str, reason: String) -> Frame {
@@ -402,7 +366,7 @@ impl Follower {
     }
 
     /// Applies one decoded, validated, anchoring segment: journal first,
-    /// then memory, then publish. Returns a refusal reason on failure
+    /// then memory. Returns a refusal reason on failure
     /// (nothing applied).
     fn apply_anchored(
         &mut self,
@@ -432,8 +396,6 @@ impl Follower {
         col.values = values;
         col.applied_lsn = decoded.last_lsn;
         col.segments_since_checkpoint += 1;
-        col.serving
-            .swap(Arc::new(ReplicaEstimator::new(&col.values)));
         Ok(())
     }
 

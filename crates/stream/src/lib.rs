@@ -39,7 +39,7 @@
 //!   segments, each with its own anytime-built partial synopsis and a word
 //!   budget fixed by the catalog's exact knapsack DP; `update()` dirties
 //!   only the touched segment and rebuilds re-run the ladder on dirty
-//!   slices alone ([`pool::MaintainedPool::add_column_segmented`]).
+//!   slices alone ([`pool::ColumnBuild::Segmented`]).
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -59,9 +59,9 @@ pub use follow::{promote, FollowConfig, Follower, ServeOutcome};
 pub use haar_stream::{StreamingHaar, StreamingRangeOptimal};
 pub use maintained::{
     catalog_persist_hook, drift_exceeds, ColumnJournal, DurabilityConfig, DurablePersistFn,
-    DurableSnapshot, PersistFn, RebuildConfig, RebuildPolicy, RebuildStats, SharedStorage,
+    DurableSnapshot, RebuildConfig, RebuildPolicy, RebuildStats, SharedStorage,
 };
-pub use pool::{ColumnBuild, ColumnHandle, MaintainedPool, PoolBuildFn};
+pub use pool::{ColumnBuild, ColumnHandle, MaintainedPool, PinnedBuild, PoolBuildFn};
 pub use progressive::{ProgressiveAnswer, ProgressiveQuery};
 pub use recovery::{recover, rejoin, RecoveredColumn, RecoveryReport};
 pub use segments::split_segment_budget;

@@ -392,12 +392,6 @@ pub(crate) fn persist_error_is_transient(err: &SynopticError) -> bool {
     )
 }
 
-/// The post-rebuild durability hook. `Send` because the hook crosses a
-/// thread boundary in the pool design: the serving thread installs it, the
-/// background rebuild worker runs it (with retries and backoff) off the
-/// ingest path.
-pub type PersistFn = Box<dyn FnMut(&dyn RangeEstimator) -> Result<()> + Send>;
-
 /// What a durable persist hook is handed after a successful rebuild of a
 /// journaled column: the fresh estimator, the **exact frequencies** the
 /// build snapshotted (recovery replays journal deltas on top of these, so
@@ -413,10 +407,13 @@ pub struct DurableSnapshot<'a> {
     pub wal_mark: u64,
 }
 
-/// The persist hook for journaled columns. Returns the committed catalog
-/// generation on success; the maintenance loop then checkpoints the
-/// journal at the snapshot's WAL mark, truncating segments whose deltas
-/// the committed generation now covers.
+/// The post-rebuild persist hook. `Send` because the hook crosses a thread
+/// boundary in the pool design: the registering thread installs it, the
+/// background rebuild worker runs it (with retries and backoff) off the
+/// ingest path. Returns the committed catalog generation on success; for
+/// a journaled column the maintenance loop then checkpoints the journal at
+/// the snapshot's WAL mark, truncating segments whose deltas the committed
+/// generation now covers. A column without a journal ignores the value.
 pub type DurablePersistFn = Box<dyn FnMut(&DurableSnapshot<'_>) -> Result<u64> + Send>;
 
 /// The durable persist hook for `column`: loads `store`'s committed
@@ -490,8 +487,6 @@ pub(crate) fn persist_with_retry<T>(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use synoptic_core::{Budget, PrefixSums};
-    use synoptic_hist::sap0::build_sap0_with_budget;
 
     #[test]
     fn drift_exceeds_is_exact_at_the_2p53_boundary() {
@@ -539,21 +534,17 @@ mod tests {
     fn persist_total_backoff_caps_wall_clock() {
         // 20 retries with 100 ms starting backoff would sleep > 2 s doubling;
         // a 5 ms cap must bound the whole ladder to ~5 ms.
-        let mut persist: PersistFn = Box::new(|_e: &dyn RangeEstimator| {
+        let persist = || -> Result<()> {
             Err(SynopticError::Io {
                 path: "/dev/full".into(),
                 detail: "enospc".into(),
             })
-        });
+        };
         let config = RebuildConfig::new(RebuildPolicy::Manual)
             .with_persist_retries(20, Duration::from_millis(100))
             .with_persist_total_backoff(Duration::from_millis(5));
-        let vals = vec![2i64; 4];
-        let (est, _) =
-            build_sap0_with_budget(&PrefixSums::from_values(&vals), 2, &Budget::unlimited())
-                .unwrap();
         let start = std::time::Instant::now();
-        let (report, _) = persist_with_retry(|| persist(&est), &config);
+        let (report, _) = persist_with_retry(persist, &config);
         let elapsed = start.elapsed();
         assert!(report.failed);
         // One 5 ms nap, then `remaining` hits zero and the ladder gives up:

@@ -11,8 +11,10 @@
 //!   into a [`Fenwick`] tree behind a short mutex (held for `O(log n)`
 //!   arithmetic, never across a build or I/O), and answers come from the
 //!   last-good estimator behind a [`HotSwap`] cell — the read path is an
-//!   `Arc` snapshot, and hot readers ([`ColumnHandle::reader`]) skip even
-//!   that in the steady state via a generation check;
+//!   `Arc` snapshot. [`ColumnHandle::pin`] takes that snapshot together
+//!   with its generation and the provenance of the build behind it, under
+//!   the lock every commit swaps under, so a served answer never mixes one
+//!   build's value with another's provenance;
 //! * a **background worker** that receives maintenance jobs over a
 //!   channel and runs each through one pipeline, whatever the job and
 //!   the column's kind: **snapshot** the live frequencies, **build** the
@@ -23,9 +25,12 @@
 //!
 //! A column is made of parts: a monolithic column has one (its whole
 //! domain, served unwrapped), a segmented column one per segment (served
-//! behind a [`SegmentedEstimator`]). A rebuild targets the dirty parts, or
-//! every part when none is dirty; an upgrade targets the parts whose
-//! committed build degraded.
+//! behind a [`SegmentedEstimator`]). Segmentation is a property of the
+//! build ([`ColumnBuild::Segmented`]): [`MaintainedPool::add_column`] and
+//! [`MaintainedPool::add_column_durable`] register every kind of column,
+//! the latter with its journal and persist hook. A rebuild targets the
+//! dirty parts, or every part when none is dirty; an upgrade targets the
+//! parts whose committed build degraded.
 //!
 //! A [`MaintainedPool`] shards many columns across a fixed set of worker
 //! threads (round-robin at registration; every job for a column runs on
@@ -75,7 +80,7 @@ use synoptic_hist::builder::HistogramMethod;
 use crate::fenwick::Fenwick;
 use crate::maintained::{
     contain, drift_exceeds, persist_with_retry, ColumnJournal, DurabilityConfig, DurablePersistFn,
-    DurableSnapshot, PersistFn, RebuildConfig, RebuildPolicy, RebuildStats, SharedStorage,
+    DurableSnapshot, RebuildConfig, RebuildPolicy, RebuildStats, SharedStorage,
 };
 use crate::segments::{build_segment, split_segment_budget, Segments};
 
@@ -98,6 +103,40 @@ pub enum ColumnBuild {
         /// Storage budget in machine words (the paper's accounting).
         budget_words: usize,
     },
+    /// The anytime ladder per segment: the domain splits into `segments`
+    /// equi-width segments, `budget_words` is divided across them once by
+    /// the catalog's exact knapsack DP ([`crate::split_segment_budget`]),
+    /// and serving composes the partials behind a [`SegmentedEstimator`].
+    /// An update marks only its segment dirty, and a rebuild re-runs the
+    /// ladder on the dirty slices alone, reusing every clean partial
+    /// bit-for-bit.
+    Segmented {
+        /// The requested (tier-0) histogram method of every segment.
+        method: HistogramMethod,
+        /// The column's whole storage budget in machine words.
+        budget_words: usize,
+        /// How many equi-width segments the domain splits into.
+        segments: usize,
+    },
+}
+
+/// One committed build, pinned by [`ColumnHandle::pin`]: the serving
+/// estimator, the generation it was published at, and the provenance of
+/// the build that produced it. Every field describes the same build,
+/// however many commits race the pin.
+#[derive(Clone)]
+pub struct PinnedBuild {
+    /// The serving generation ([`ColumnHandle::serving_generation`]) the
+    /// estimator was published at.
+    pub generation: u64,
+    /// The pinned estimator; it keeps answering after later swaps.
+    pub estimator: Arc<dyn RangeEstimator>,
+    /// The whole-column outcome ([`ColumnHandle::last_outcome`]).
+    pub outcome: Option<BuildOutcome>,
+    /// The per-segment outcomes ([`ColumnHandle::segment_outcomes`]),
+    /// shared with the commit that published them; `None` for monolithic
+    /// columns.
+    pub segment_outcomes: Option<Arc<[BuildOutcome]>>,
 }
 
 /// Ingest-side mutable state, behind one short-lived mutex. The lock is
@@ -133,13 +172,15 @@ struct AtomicStats {
 /// What a column serves, part by part, with the provenance of the build
 /// that produced each part. A commit swaps the serving cell while holding
 /// this record's lock, so a pin taken under the same lock
-/// ([`ColumnHandle::pinned_with_provenance`]) reads the provenance of
-/// exactly the build it pinned.
+/// ([`ColumnHandle::pin`]) reads the provenance of exactly the build it
+/// pinned.
 struct Served {
     /// The serving parts in segment order; a monolithic column has one.
     parts: Vec<Arc<dyn RangeEstimator>>,
-    /// Per-part anytime provenance; empty for custom-built columns.
-    outcomes: Vec<BuildOutcome>,
+    /// Per-part anytime provenance; empty for custom-built columns. A
+    /// commit publishes a fresh slice, so a pin shares it by reference
+    /// count instead of copying it under the lock.
+    outcomes: Arc<[BuildOutcome]>,
 }
 
 /// Shared state of one maintained column.
@@ -149,8 +190,7 @@ struct ColumnInner {
     /// Worker-only state (the home worker is the single consumer; the
     /// mutexes make the struct `Sync` and recover from builder panics).
     build: Mutex<ColumnBuild>,
-    /// The one persist hook. A plain [`PersistFn`] is adapted at
-    /// registration; only journaled columns checkpoint after it.
+    /// The one persist hook; only journaled columns checkpoint after it.
     persist: Mutex<Option<DurablePersistFn>>,
     /// Write-ahead journal for durable columns (`None` = durability off,
     /// the default; the ingest path then never touches it). Appends run
@@ -160,9 +200,8 @@ struct ColumnInner {
     serving: Arc<HotSwap<dyn RangeEstimator>>,
     served: Mutex<Served>,
     ingest: Mutex<IngestState>,
-    /// Segment layout and per-segment budgets for columns registered
-    /// through [`MaintainedPool::add_column_segmented`]; `None` for
-    /// monolithic columns.
+    /// Segment layout and per-segment budgets for columns built with
+    /// [`ColumnBuild::Segmented`]; `None` for monolithic columns.
     segments: Option<Segments>,
     /// Failure cooldown, kept as atomics so the ingest hot path can tick
     /// it without holding the ingest lock.
@@ -379,38 +418,29 @@ impl ColumnHandle {
     }
 
     /// A caching reader for hot answer loops: one atomic generation check
-    /// per call in the steady state, no shared lock traffic.
+    /// per call in the steady state, no shared lock traffic. It carries no
+    /// provenance; [`Self::pin`] does.
     pub fn reader(&self) -> HotSwapReader<dyn RangeEstimator> {
         self.inner.serving.reader()
     }
 
-    /// Pins `reader` (one of this column's [`Self::reader`]s) and reads the
-    /// provenance of the pinned build in one step: the generation, the
-    /// snapshot, the whole-column outcome ([`Self::last_outcome`]) and the
-    /// per-segment outcomes ([`Self::segment_outcomes`]) all describe the
-    /// same committed build, however many commits race the call.
-    pub fn pinned_with_provenance(
-        &self,
-        reader: &mut HotSwapReader<dyn RangeEstimator>,
-    ) -> (
-        u64,
-        Arc<dyn RangeEstimator>,
-        Option<BuildOutcome>,
-        Option<Vec<BuildOutcome>>,
-    ) {
-        let served = lock(&self.inner.served);
-        let (generation, snapshot) = reader.pinned();
-        let per_segment = self
-            .inner
-            .segments
-            .as_ref()
-            .map(|_| served.outcomes.clone());
-        (
+    /// Pins the committed build that serves now: its generation, its
+    /// estimator, and its provenance, all read under the lock every commit
+    /// swaps under, so they describe the same build however many commits
+    /// race the call. The critical section is a few reference-count
+    /// increments; the worst outcome is picked after the lock drops.
+    pub fn pin(&self) -> PinnedBuild {
+        let (generation, estimator, outcomes) = {
+            let served = lock(&self.inner.served);
+            let (generation, estimator) = self.inner.serving.load_pinned();
+            (generation, estimator, Arc::clone(&served.outcomes))
+        };
+        PinnedBuild {
             generation,
-            Arc::clone(snapshot),
-            worst_outcome(&served.outcomes),
-            per_segment,
-        )
+            estimator,
+            outcome: worst_outcome(&outcomes),
+            segment_outcomes: self.inner.segments.as_ref().map(|_| outcomes),
+        }
     }
 
     /// Estimated range sum from the current serving synopsis.
@@ -447,9 +477,8 @@ impl ColumnHandle {
         worst_outcome(&lock(&self.inner.served).outcomes)
     }
 
-    /// Number of segments for columns registered through
-    /// [`MaintainedPool::add_column_segmented`]; `None` for monolithic
-    /// columns.
+    /// Number of segments of a [`ColumnBuild::Segmented`] column; `None`
+    /// for monolithic columns.
     pub fn segments(&self) -> Option<usize> {
         self.inner.segments.as_ref().map(|s| s.layout.segments())
     }
@@ -463,7 +492,7 @@ impl ColumnHandle {
         self.inner
             .segments
             .as_ref()
-            .map(|_| lock(&self.inner.served).outcomes.clone())
+            .map(|_| lock(&self.inner.served).outcomes.to_vec())
     }
 
     /// The per-segment word budgets fixed by the joint split at
@@ -565,9 +594,10 @@ impl MaintainedPool {
 
     /// Registers a column: builds the initial synopsis synchronously on the
     /// caller's thread (under the configured budget — if it fails there is
-    /// nothing to serve, so the error propagates), then hands maintenance
-    /// to the column's home worker. If the initial anytime build committed
-    /// a degraded rung and the config enables background upgrades, an
+    /// nothing to serve, so the error propagates; a segmented column builds
+    /// its segments on parallel threads), then hands maintenance to the
+    /// column's home worker. If the initial anytime build committed a
+    /// degraded rung and the config enables background upgrades, an
     /// upgrade job is scheduled immediately.
     pub fn add_column(
         &self,
@@ -576,34 +606,11 @@ impl MaintainedPool {
         build: ColumnBuild,
         config: RebuildConfig,
     ) -> Result<ColumnHandle> {
-        self.register_column(name, values, build, config, None, None, None)
+        self.register_column(name, values, build, config, None, None)
     }
 
-    /// [`MaintainedPool::add_column`] with a persist hook, invoked by the
-    /// worker (never the serving thread) after every successful rebuild or
-    /// upgrade, under the bounded retry ladder.
-    pub fn add_column_with_persist(
-        &self,
-        name: &str,
-        values: &[i64],
-        build: ColumnBuild,
-        config: RebuildConfig,
-        persist: Option<PersistFn>,
-    ) -> Result<ColumnHandle> {
-        let persist = persist.map(|mut hook| -> DurablePersistFn {
-            Box::new(move |snap: &DurableSnapshot<'_>| hook(snap.estimator).map(|()| 0))
-        });
-        self.register_column(name, values, build, config, None, persist, None)
-    }
-
-    /// Registers a **segmented** column: the domain is split into
-    /// `segments` equi-width segments, the global `budget_words` is
-    /// divided across them once by the catalog's exact knapsack DP
-    /// ([`crate::split_segment_budget`]), and each segment builds its own
-    /// synopsis through the anytime ladder. Serving composes the partials
-    /// behind a [`SegmentedEstimator`]; `update()` marks only the touched
-    /// segment dirty, and rebuilds re-run the ladder on dirty slices
-    /// alone, reusing every clean partial bit-for-bit.
+    /// [`MaintainedPool::add_column`] for a `Segmented` build
+    /// ([`ColumnBuild::Segmented`]).
     pub fn add_column_segmented(
         &self,
         name: &str,
@@ -613,18 +620,16 @@ impl MaintainedPool {
         segments: usize,
         config: RebuildConfig,
     ) -> Result<ColumnHandle> {
-        let build = ColumnBuild::Anytime {
+        let build = ColumnBuild::Segmented {
             method,
             budget_words,
+            segments,
         };
-        self.register_column(name, values, build, config, None, None, Some(segments))
+        self.add_column(name, values, build, config)
     }
 
-    /// [`MaintainedPool::add_column_segmented`] with write-ahead
-    /// durability, composing exactly like
-    /// [`MaintainedPool::add_column_durable`]: the journal, checkpoint,
-    /// and replication paths are unchanged — segmentation only alters
-    /// *what the worker rebuilds*, never what is journaled or persisted.
+    /// [`MaintainedPool::add_column_durable`] for a `Segmented` build
+    /// ([`ColumnBuild::Segmented`]).
     #[allow(clippy::too_many_arguments)]
     pub fn add_column_segmented_durable(
         &self,
@@ -639,22 +644,34 @@ impl MaintainedPool {
         committed_generation: u64,
         persist: Option<DurablePersistFn>,
     ) -> Result<ColumnHandle> {
-        let wal = durability.open_journal(storage, name, committed_generation)?;
-        let build = ColumnBuild::Anytime {
+        let build = ColumnBuild::Segmented {
             method,
             budget_words,
+            segments,
         };
-        self.register_column(name, values, build, config, wal, persist, Some(segments))
+        self.add_column_durable(
+            name,
+            values,
+            build,
+            config,
+            storage,
+            durability,
+            committed_generation,
+            persist,
+        )
     }
 
-    /// [`MaintainedPool::add_column_with_persist`] for a **journaled**
-    /// column: opens (or resumes) the column's write-ahead journal per
-    /// `durability`, appends every acknowledged update to it before the
-    /// in-memory state changes, and checkpoints it after each committed
-    /// persist (`persist` returns the committed generation;
-    /// `committed_generation` seeds new segment headers until then). With
-    /// durability disabled in the config this degrades to the journal-free
-    /// registration path: the hook still runs, and nothing checkpoints.
+    /// [`MaintainedPool::add_column`] with a persist hook, invoked by the
+    /// worker (never the serving thread) after every successful rebuild or
+    /// upgrade, under the bounded retry ladder. With journaling enabled in
+    /// `durability` it opens (or resumes) the column's write-ahead journal,
+    /// appends every acknowledged update to it before the in-memory state
+    /// changes, and checkpoints it after each committed persist (`persist`
+    /// returns the committed generation; `committed_generation` seeds new
+    /// segment headers until then). With [`DurabilityConfig::disabled`]
+    /// this is the journal-free path: the hook still runs, and nothing
+    /// checkpoints. Segmentation changes only *what the worker rebuilds*,
+    /// never what is journaled or persisted.
     #[allow(clippy::too_many_arguments)]
     pub fn add_column_durable(
         &self,
@@ -668,14 +685,13 @@ impl MaintainedPool {
         persist: Option<DurablePersistFn>,
     ) -> Result<ColumnHandle> {
         let wal = durability.open_journal(storage, name, committed_generation)?;
-        self.register_column(name, values, build, config, wal, persist, None)
+        self.register_column(name, values, build, config, wal, persist)
     }
 
     /// Builds every part of a new column through the pipeline's build
     /// step (a segmented column's on parallel threads) before registration
     /// returns — a failure means there is nothing to serve, and the error
     /// propagates.
-    #[allow(clippy::too_many_arguments)]
     fn register_column(
         &self,
         name: &str,
@@ -684,27 +700,19 @@ impl MaintainedPool {
         config: RebuildConfig,
         wal: Option<ColumnJournal>,
         persist: Option<DurablePersistFn>,
-        segments: Option<usize>,
     ) -> Result<ColumnHandle> {
         validate_policy(&config.policy)?;
-        let segments = match (segments, &build) {
-            (None, _) => None,
-            (
-                Some(count),
-                ColumnBuild::Anytime {
-                    method,
-                    budget_words,
-                },
-            ) => {
-                let layout = SegmentLayout::equi_width(values.len(), count)?;
+        let segments = match &build {
+            ColumnBuild::Segmented {
+                method,
+                budget_words,
+                segments,
+            } => {
+                let layout = SegmentLayout::equi_width(values.len(), *segments)?;
                 let budgets = split_segment_budget(values, &layout, *method, *budget_words)?;
                 Some(Segments { layout, budgets })
             }
-            (Some(_), ColumnBuild::Custom(_)) => {
-                return Err(SynopticError::InvalidParameter(
-                    "segmented columns require an anytime build".into(),
-                ));
-            }
+            ColumnBuild::Custom(_) | ColumnBuild::Anytime { .. } => None,
         };
         let build = Mutex::new(build);
         let count = segments.as_ref().map_or(1, |s| s.layout.segments());
@@ -713,7 +721,7 @@ impl MaintainedPool {
         let (segs, kind) = (segments.as_ref(), JobKind::Rebuild);
         let fresh = build_parts(&build, segs, values, &targets, kind, &config, threads)?;
         let (parts, outcomes): (Vec<_>, Vec<_>) = fresh.into_iter().map(|(_, e, o)| (e, o)).unzip();
-        let outcomes: Vec<BuildOutcome> = outcomes.into_iter().flatten().collect();
+        let outcomes: Arc<[BuildOutcome]> = outcomes.into_iter().flatten().collect();
         let initial = compose(segs, &parts)?;
         let degraded = outcomes.iter().any(BuildOutcome::is_degraded);
         let dirty = vec![false; if segs.is_some() { count } else { 0 }];
@@ -910,6 +918,11 @@ fn build_part(
         ColumnBuild::Anytime {
             method,
             budget_words,
+        }
+        | ColumnBuild::Segmented {
+            method,
+            budget_words,
+            ..
         } => (*method, *budget_words),
     };
     let (slice, words) = match segments {
@@ -1096,11 +1109,13 @@ fn commit(
         let estimator = compose(col.segments.as_ref(), &parts)?;
         col.serving.swap(Arc::clone(&estimator));
         served.parts = parts;
+        let mut outcomes = served.outcomes.to_vec();
         for (s, _, outcome) in fresh {
             if let Some(outcome) = outcome {
-                served.outcomes[s] = outcome;
+                outcomes[s] = outcome;
             }
         }
+        served.outcomes = outcomes.into();
         (
             estimator,
             served.outcomes.iter().any(BuildOutcome::is_degraded),
@@ -1206,14 +1221,15 @@ fn run_persist(col: &ColumnInner, estimator: &dyn RangeEstimator, values: &[i64]
 }
 
 /// Compile-time proof (checked by every `cargo build`, including the
-/// release gate in `ci.sh`) that the serving handle, the pool, and the
-/// persist hook type cross thread boundaries.
+/// release gate in `ci.sh`) that the serving handle, its pin, the pool,
+/// and the persist hook type cross thread boundaries.
 const _: () = {
     const fn assert_send_sync<T: Send + Sync>() {}
     const fn assert_send<T: Send>() {}
     assert_send_sync::<ColumnHandle>();
+    assert_send_sync::<PinnedBuild>();
     assert_send_sync::<MaintainedPool>();
-    assert_send::<PersistFn>();
+    assert_send::<DurablePersistFn>();
     assert_send::<PoolBuildFn>();
 };
 
@@ -1701,7 +1717,7 @@ mod tests {
             let pool = MaintainedPool::new(1);
             let vals = vec![1i64; 6];
             let mut failures_left = failing;
-            let persist: PersistFn = Box::new(move |_e: &dyn RangeEstimator| {
+            let persist: DurablePersistFn = Box::new(move |_snap| {
                 if failures_left > 0 {
                     failures_left -= 1;
                     return Err(SynopticError::Io {
@@ -1709,12 +1725,22 @@ mod tests {
                         detail: "enospc".into(),
                     });
                 }
-                Ok(())
+                Ok(0)
             });
             let config = RebuildConfig::new(RebuildPolicy::Manual)
                 .with_persist_retries(retries, Duration::from_micros(10));
+            let storage: SharedStorage = Arc::new(synoptic_catalog::FsStorage::new());
             let col = pool
-                .add_column_with_persist("c", &vals, sap0_builder(), config, Some(persist))
+                .add_column_durable(
+                    "c",
+                    &vals,
+                    sap0_builder(),
+                    config,
+                    storage,
+                    &DurabilityConfig::disabled(),
+                    0,
+                    Some(persist),
+                )
                 .unwrap();
             for i in 0..6 {
                 col.update(i, 10).unwrap();

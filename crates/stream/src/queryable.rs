@@ -22,26 +22,22 @@ impl Queryable for ColumnHandle {
                 self.name()
             )));
         }
-        // One pinned read gives (generation, snapshot, provenance)
-        // atomically: a hot-swap landing between separate loads would
-        // stamp one build's generation or outcomes onto a value computed
-        // from another — provenance that lies. The serving tier pins the
-        // same way.
-        let (generation, snapshot, outcome, segment_outcomes) =
-            self.pinned_with_provenance(&mut self.reader());
-        if q.hi >= snapshot.n() {
-            return Err(SynopticError::IndexOutOfBounds {
-                index: q.hi,
-                n: snapshot.n(),
-            });
+        // One pin gives (generation, estimator, provenance) atomically: a
+        // hot-swap landing between separate loads would stamp one build's
+        // generation or outcomes onto a value computed from another —
+        // provenance that lies. The serving tier pins the same way.
+        let pin = self.pin();
+        let n = pin.estimator.n();
+        if q.hi >= n {
+            return Err(SynopticError::IndexOutOfBounds { index: q.hi, n });
         }
         Ok(AnswerEnvelope {
-            value: snapshot.estimate(q),
+            value: pin.estimator.estimate(q),
             source: AnswerSource::Primary,
-            generation,
+            generation: pin.generation,
             lag: self.stats().updates_since_rebuild,
-            outcome,
-            segment_outcomes,
+            outcome: pin.outcome,
+            segment_outcomes: pin.segment_outcomes.map(|s| s.to_vec()),
         })
     }
 }

@@ -28,8 +28,8 @@ use synoptic_core::{
 use synoptic_hist::builder::{AnytimeParams, HistogramMethod};
 use synoptic_hist::sap0::build_sap0_with_budget;
 use synoptic_stream::{
-    ColumnBuild, ColumnHandle, DurabilityConfig, DurablePersistFn, MaintainedPool, PersistFn,
-    RebuildConfig, RebuildPolicy, SharedStorage,
+    ColumnBuild, ColumnHandle, DurabilityConfig, DurablePersistFn, MaintainedPool, RebuildConfig,
+    RebuildPolicy, SharedStorage,
 };
 
 type SharedStore = Arc<DurableCatalog<FaultyStorage<FsStorage>>>;
@@ -49,8 +49,9 @@ fn maintained_with_store(
     retries: u32,
 ) -> (MaintainedPool, ColumnHandle) {
     // The builder parks a clone of the concrete histogram for the persist
-    // hook (the hook only sees `&dyn RangeEstimator`). `PersistFn` is `Send`
-    // (it may run on a background worker), so the shared slot is Arc/Mutex.
+    // hook (the hook only sees `&dyn RangeEstimator`). `DurablePersistFn` is
+    // `Send` (it runs on a background worker), so the shared slot is
+    // Arc/Mutex.
     let latest: Arc<Mutex<Option<Sap0Histogram>>> = Arc::new(Mutex::new(None));
     let latest_build = Arc::clone(&latest);
     let build = move |_v: &[i64], ps: &PrefixSums, budget: &Budget| {
@@ -58,7 +59,7 @@ fn maintained_with_store(
         *latest_build.lock().unwrap() = Some(h.clone());
         Ok(Box::new(h) as Box<dyn RangeEstimator>)
     };
-    let persist: PersistFn = Box::new(move |_est: &dyn RangeEstimator| -> Result<()> {
+    let persist: DurablePersistFn = Box::new(move |_snap| -> Result<u64> {
         let guard = latest.lock().unwrap();
         let h = guard.as_ref().expect("persist runs after a build");
         let mut cat = Catalog::new();
@@ -70,16 +71,20 @@ fn maintained_with_store(
                 synopsis: PersistentSynopsis::from_sap0(h),
             },
         );
-        store.save(&cat).map(|_| ())
+        store.save(&cat)
     });
     let pool = MaintainedPool::new(1);
+    let storage: SharedStorage = Arc::new(FsStorage::new());
     let col = pool
-        .add_column_with_persist(
+        .add_column_durable(
             "col",
             values,
             ColumnBuild::Custom(Box::new(build)),
             RebuildConfig::new(RebuildPolicy::EveryKUpdates(4))
                 .with_persist_retries(retries, Duration::from_micros(10)),
+            storage,
+            &DurabilityConfig::disabled(),
+            0,
             Some(persist),
         )
         .unwrap();
@@ -286,17 +291,27 @@ fn a_far_deadline_upgrade_leaves_the_worker_running() {
 fn a_panicking_persist_hook_is_contained_and_the_worker_runs_on() {
     let calls = Arc::new(AtomicU32::new(0));
     let seen = Arc::clone(&calls);
-    let persist: PersistFn = Box::new(move |_est: &dyn RangeEstimator| {
+    let persist: DurablePersistFn = Box::new(move |_snap| {
         if seen.fetch_add(1, Ordering::SeqCst) == 0 {
             panic!("injected persist panic");
         }
-        Ok(())
+        Ok(0)
     });
     let pool = MaintainedPool::new(1);
     let config = RebuildConfig::new(RebuildPolicy::Manual)
         .with_persist_retries(3, Duration::from_micros(10));
+    let storage: SharedStorage = Arc::new(FsStorage::new());
     let col = pool
-        .add_column_with_persist("hook", &[4i64; 16], sap0_custom(), config, Some(persist))
+        .add_column_durable(
+            "hook",
+            &[4i64; 16],
+            sap0_custom(),
+            config,
+            storage,
+            &DurabilityConfig::disabled(),
+            0,
+            Some(persist),
+        )
         .unwrap();
     col.update(3, 400).unwrap();
     assert_eq!(col.request_rebuild(), Ok(true));

@@ -32,7 +32,8 @@ use synoptic_core::{
 use synoptic_hist::builder::{build_with_budget, AnytimeParams, HistogramMethod};
 use synoptic_hist::sap0::build_sap0_with_budget;
 use synoptic_stream::{
-    ColumnBuild, MaintainedPool, PersistFn, PoolBuildFn, RebuildConfig, RebuildPolicy,
+    ColumnBuild, ColumnHandle, DurabilityConfig, DurablePersistFn, MaintainedPool, PoolBuildFn,
+    RebuildConfig, RebuildPolicy, SharedStorage,
 };
 
 type SharedStore = Arc<DurableCatalog<FaultyStorage<FsStorage>>>;
@@ -60,8 +61,11 @@ fn flaky_sap0_builder(
     })
 }
 
-fn store_persist(latest: Arc<Mutex<Option<Sap0Histogram>>>, store: SharedStore) -> PersistFn {
-    Box::new(move |_est: &dyn RangeEstimator| -> Result<()> {
+fn store_persist(
+    latest: Arc<Mutex<Option<Sap0Histogram>>>,
+    store: SharedStore,
+) -> DurablePersistFn {
+    Box::new(move |_snap| -> Result<u64> {
         let guard = latest.lock().unwrap();
         let h = guard.as_ref().expect("persist runs after a build");
         let mut cat = Catalog::new();
@@ -73,8 +77,32 @@ fn store_persist(latest: Arc<Mutex<Option<Sap0Histogram>>>, store: SharedStore) 
                 synopsis: PersistentSynopsis::from_sap0(h),
             },
         );
-        store.save(&cat).map(|_| ())
+        store.save(&cat)
     })
+}
+
+/// Registers a journal-free custom column whose worker runs `persist`
+/// after every committed rebuild.
+fn add_with_persist(
+    pool: &MaintainedPool,
+    name: &str,
+    values: &[i64],
+    build: PoolBuildFn,
+    config: RebuildConfig,
+    persist: DurablePersistFn,
+) -> ColumnHandle {
+    let storage: SharedStorage = Arc::new(FsStorage::new());
+    pool.add_column_durable(
+        name,
+        values,
+        ColumnBuild::Custom(build),
+        config,
+        storage,
+        &DurabilityConfig::disabled(),
+        0,
+        Some(persist),
+    )
+    .unwrap()
 }
 
 #[test]
@@ -99,16 +127,15 @@ fn writers_and_readers_survive_failing_rebuilds_and_persists() {
     let latest = Arc::new(Mutex::new(None));
     let calls = Arc::new(AtomicU32::new(0));
     let pool = MaintainedPool::new(2);
-    let col = pool
-        .add_column_with_persist(
-            "storm",
-            &values,
-            ColumnBuild::Custom(flaky_sap0_builder(Arc::clone(&latest), Arc::clone(&calls))),
-            RebuildConfig::new(RebuildPolicy::EveryKUpdates(32))
-                .with_persist_retries(2, Duration::from_micros(50)),
-            Some(store_persist(Arc::clone(&latest), Arc::clone(&store))),
-        )
-        .unwrap();
+    let col = add_with_persist(
+        &pool,
+        "storm",
+        &values,
+        flaky_sap0_builder(Arc::clone(&latest), Arc::clone(&calls)),
+        RebuildConfig::new(RebuildPolicy::EveryKUpdates(32))
+            .with_persist_retries(2, Duration::from_micros(50)),
+        store_persist(Arc::clone(&latest), Arc::clone(&store)),
+    );
 
     let stop = Arc::new(AtomicBool::new(false));
     let mut readers = Vec::new();
@@ -204,7 +231,7 @@ fn update_latency_is_unaffected_by_failing_persists() {
 
     // Every persist fails with a transient error; the retry ladder sleeps
     // 25 ms + 50 ms per rebuild *on the worker thread*.
-    let persist: PersistFn = Box::new(|_e: &dyn RangeEstimator| {
+    let persist: DurablePersistFn = Box::new(|_snap| {
         Err(SynopticError::Io {
             path: "/dev/full".into(),
             detail: "enospc (injected)".into(),
@@ -224,17 +251,16 @@ fn update_latency_is_unaffected_by_failing_persists() {
 
     let values = vec![5i64; DOMAIN];
     let pool = MaintainedPool::new(1);
-    let col = pool
-        .add_column_with_persist(
-            "latency",
-            &values,
-            ColumnBuild::Custom(always),
-            RebuildConfig::new(RebuildPolicy::EveryKUpdates(16))
-                .with_persist_retries(2, Duration::from_millis(25))
-                .with_persist_total_backoff(Duration::from_millis(200)),
-            Some(persist),
-        )
-        .unwrap();
+    let col = add_with_persist(
+        &pool,
+        "latency",
+        &values,
+        always,
+        RebuildConfig::new(RebuildPolicy::EveryKUpdates(16))
+            .with_persist_retries(2, Duration::from_millis(25))
+            .with_persist_total_backoff(Duration::from_millis(200)),
+        persist,
+    );
 
     let mut latencies = Vec::with_capacity(UPDATES);
     for t in 0..UPDATES {
@@ -277,7 +303,7 @@ fn update_latency_is_unaffected_by_failing_persists() {
 /// A cell cap below one SAP0 build makes every rebuild commit a degraded
 /// rung (even generations), and the ×4 upgrade restores tier 0 (odd
 /// generations). Two readers pin concurrently — one through
-/// `pinned_with_provenance`, one through the `Queryable` envelope — and
+/// `ColumnHandle::pin`, one through the `Queryable` envelope — and
 /// every answer's outcome must match its generation's parity.
 #[test]
 fn pinned_provenance_matches_its_generation_under_racing_upgrades() {
@@ -305,18 +331,16 @@ fn pinned_provenance_matches_its_generation_under_racing_upgrades() {
         .map(|via_envelope| {
             let (col, stop) = (col.clone(), Arc::clone(&stop));
             std::thread::spawn(move || {
-                let mut reader = col.reader();
                 let mut answers = 0u64;
                 while !stop.load(Ordering::Relaxed) {
                     let (generation, outcome) = if via_envelope {
                         let env = col.query("c", q).unwrap();
                         (env.generation, env.outcome)
                     } else {
-                        let (generation, snapshot, outcome, segments) =
-                            col.pinned_with_provenance(&mut reader);
-                        assert!(snapshot.estimate(q).is_finite());
-                        assert!(segments.is_none());
-                        (generation, outcome)
+                        let pin = col.pin();
+                        assert!(pin.estimator.estimate(q).is_finite());
+                        assert!(pin.segment_outcomes.is_none());
+                        (pin.generation, pin.outcome)
                     };
                     let outcome = outcome.expect("anytime columns carry provenance");
                     assert_eq!(

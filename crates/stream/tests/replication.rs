@@ -162,6 +162,24 @@ fn shipped_segments_converge_to_leader_state() {
     let _ = std::fs::remove_dir_all(&root);
 }
 
+/// Replica reads are exact range sums over the applied frequencies, and a
+/// range past the column's end is refused, never a panic.
+#[test]
+fn replica_reads_are_exact_range_sums_and_refuse_past_the_end() {
+    let root = tempdir("bounds");
+    let follower = build_follower(&root, FollowConfig::default());
+    let values = initial_values();
+    for q in RangeQuery::all(N) {
+        let exact: i64 = values[q.lo..=q.hi].iter().sum();
+        assert_eq!(follower.estimate(COLUMN, q).unwrap(), exact as f64);
+    }
+    assert_eq!(
+        follower.estimate(COLUMN, RangeQuery::new(3, N).unwrap()),
+        Err(SynopticError::IndexOutOfBounds { index: N, n: N })
+    );
+    let _ = std::fs::remove_dir_all(&root);
+}
+
 /// Shipping twice is incremental and idempotent: the second ship finds
 /// the follower already at the watermark and re-ships nothing.
 #[test]

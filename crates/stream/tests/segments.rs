@@ -37,12 +37,14 @@ fn rebuild_touches_only_the_dirty_segment() {
     let pool = MaintainedPool::new(1);
     let vals = values();
     let col = pool
-        .add_column_segmented(
+        .add_column(
             "c",
             &vals,
-            HistogramMethod::Sap0,
-            48,
-            8,
+            ColumnBuild::Segmented {
+                method: HistogramMethod::Sap0,
+                budget_words: 48,
+                segments: 8,
+            },
             RebuildConfig::new(RebuildPolicy::EveryKUpdates(4)),
         )
         .unwrap();
@@ -73,12 +75,14 @@ fn rebuild_touches_only_the_dirty_segment() {
 fn updates_across_segments_mark_each_touched_segment() {
     let pool = MaintainedPool::new(1);
     let col = pool
-        .add_column_segmented(
+        .add_column(
             "c",
             &values(),
-            HistogramMethod::Sap0,
-            48,
-            4,
+            ColumnBuild::Segmented {
+                method: HistogramMethod::Sap0,
+                budget_words: 48,
+                segments: 4,
+            },
             RebuildConfig::new(RebuildPolicy::Manual),
         )
         .unwrap();
@@ -99,12 +103,14 @@ fn updates_across_segments_mark_each_touched_segment() {
 fn manual_rebuild_with_clean_segments_refreshes_everything() {
     let pool = MaintainedPool::new(1);
     let col = pool
-        .add_column_segmented(
+        .add_column(
             "c",
             &values(),
-            HistogramMethod::Sap0,
-            48,
-            4,
+            ColumnBuild::Segmented {
+                method: HistogramMethod::Sap0,
+                budget_words: 48,
+                segments: 4,
+            },
             RebuildConfig::new(RebuildPolicy::Manual),
         )
         .unwrap();
@@ -126,12 +132,14 @@ fn saturated_budget_makes_the_composition_exact() {
     let vals = values();
     let wpb = HistogramMethod::Sap0.words_per_bucket();
     let col = pool
-        .add_column_segmented(
+        .add_column(
             "c",
             &vals,
-            HistogramMethod::Sap0,
-            wpb * N,
-            8,
+            ColumnBuild::Segmented {
+                method: HistogramMethod::Sap0,
+                budget_words: wpb * N,
+                segments: 8,
+            },
             RebuildConfig::new(RebuildPolicy::Manual),
         )
         .unwrap();
@@ -191,12 +199,14 @@ fn parallel_registration_answers_like_the_serial_composition() {
     let pool = MaintainedPool::new(1);
     let vals = sixteen_segment_values();
     let col = pool
-        .add_column_segmented(
+        .add_column(
             "c",
             &vals,
-            HistogramMethod::Sap0,
-            144,
-            16,
+            ColumnBuild::Segmented {
+                method: HistogramMethod::Sap0,
+                budget_words: 144,
+                segments: 16,
+            },
             RebuildConfig::new(RebuildPolicy::Manual),
         )
         .unwrap();
@@ -229,12 +239,14 @@ fn parallel_registration_degrades_the_same_segments_under_a_cell_cap() {
     let vals = sixteen_segment_values();
     let cap = 400;
     let col = pool
-        .add_column_segmented(
+        .add_column(
             "c",
             &vals,
-            HistogramMethod::Sap0,
-            144,
-            16,
+            ColumnBuild::Segmented {
+                method: HistogramMethod::Sap0,
+                budget_words: 144,
+                segments: 16,
+            },
             RebuildConfig::new(RebuildPolicy::Manual)
                 .with_exec(AnytimeParams::unconstrained().with_max_cells(cap)),
         )
@@ -270,12 +282,14 @@ fn seeded_cancellation_mid_merge_propagates_provenance_and_restores_dirty() {
         let token = CancelToken::new();
         let pool = MaintainedPool::new(1);
         let col = pool
-            .add_column_segmented(
+            .add_column(
                 "c",
                 &values(),
-                HistogramMethod::Sap0,
-                48,
-                8,
+                ColumnBuild::Segmented {
+                    method: HistogramMethod::Sap0,
+                    budget_words: 48,
+                    segments: 8,
+                },
                 RebuildConfig::new(RebuildPolicy::Manual)
                     .with_exec(AnytimeParams::unconstrained().with_cancel_token(token.clone())),
             )
@@ -324,12 +338,14 @@ fn segmented_durable_column_journals_and_checkpoints_like_monolithic() {
     let durability = DurabilityConfig::journaled(dir.join("wal"));
     let pool = MaintainedPool::new(1);
     let col = pool
-        .add_column_segmented_durable(
+        .add_column_durable(
             "c",
             &values(),
-            HistogramMethod::Sap0,
-            48,
-            4,
+            ColumnBuild::Segmented {
+                method: HistogramMethod::Sap0,
+                budget_words: 48,
+                segments: 4,
+            },
             RebuildConfig::new(RebuildPolicy::EveryKUpdates(3)),
             storage,
             &durability,
@@ -399,7 +415,16 @@ fn a_one_segment_column_answers_like_the_monolithic_column() {
             .add_column("mono", &vals, build, config.clone())
             .unwrap();
         let seg = pool
-            .add_column_segmented("seg", &vals, method, words, 1, config)
+            .add_column(
+                "seg",
+                &vals,
+                ColumnBuild::Segmented {
+                    method,
+                    budget_words: words,
+                    segments: 1,
+                },
+                config,
+            )
             .unwrap();
         assert_ne!(
             mono.estimator().method_name(),

@@ -33,7 +33,7 @@ use synoptic::core::window::{WeightedPointOracle, WindowOracle};
 use synoptic::core::{Budget, PrefixSums, Rng, RoundingMode};
 use synoptic::data::normal_mixture;
 use synoptic::data::zipf::{paper_dataset, ZipfConfig};
-use synoptic::eval::bench::write_report;
+use synoptic::eval::bench::{spread, write_report};
 use synoptic::eval::json::JsonValue;
 use synoptic::hist::a0::a0_bucket_cost;
 use synoptic::hist::builder::HistogramMethod;
@@ -73,15 +73,6 @@ fn served_values() -> Vec<i64> {
         .iter()
         .map(|v| v + rng.i64_in(0, 100))
         .collect()
-}
-
-/// `{min, median, max}` of the ascending `xs`.
-fn spread(xs: Vec<f64>) -> JsonValue {
-    JsonValue::obj([
-        ("min", JsonValue::Num(xs[0])),
-        ("median", JsonValue::Num(xs[xs.len() / 2])),
-        ("max", JsonValue::Num(xs[xs.len() - 1])),
-    ])
 }
 
 /// Runs `run` (which returns the DP cells it charged) once untimed, then
@@ -227,21 +218,18 @@ fn parts_entry<C: ColumnCost + Copy>(
             "{label}: {:>9.3} ms of it fills the window columns",
             fill_ns[TRIALS / 2] / 1e6
         );
-        ("fill_ms", spread(fill_ns.iter().map(|t| t / 1e6).collect()))
+        ("fill_ms", spread(fill_ns.iter().map(|t| t / 1e6)))
     });
     let mut fields = vec![
         ("cells", JsonValue::Int(cells as i128)),
         ("oracle_calls", JsonValue::Int(calls as i128)),
-        ("ms", spread(ns.iter().map(|t| t / 1e6).collect())),
-        (
-            "ns_per_cell",
-            spread(ns.iter().map(|t| t / cells as f64).collect()),
-        ),
+        ("ms", spread(ns.iter().map(|t| t / 1e6))),
+        ("ns_per_cell", spread(ns.iter().map(|t| t / cells as f64))),
     ];
     if per_call {
         fields.push((
             "ns_per_oracle_call",
-            spread(ns.iter().map(|t| t / calls as f64).collect()),
+            spread(ns.iter().map(|t| t / calls as f64)),
         ));
     }
     fields.extend(fill);
@@ -290,11 +278,8 @@ fn opt_a_entry() -> JsonValue {
         ("n", JsonValue::Int(ps.n() as i128)),
         ("buckets", JsonValue::Int(OPTA_BUCKETS as i128)),
         ("cells", JsonValue::Int(cells as i128)),
-        ("ms", spread(ns.iter().map(|t| t / 1e6).collect())),
-        (
-            "ns_per_cell",
-            spread(ns.iter().map(|t| t / cells as f64).collect()),
-        ),
+        ("ms", spread(ns.iter().map(|t| t / 1e6))),
+        ("ns_per_cell", spread(ns.iter().map(|t| t / cells as f64))),
     ])
 }
 

@@ -1,8 +1,9 @@
 //! Dirty-segment rebuild benchmark — the offline emitter behind
 //! `results/BENCH_segments.json`.
 //!
-//! Registers one column as a segmented pool column at 1 / 4 / 16 / 64
-//! segments and measures, wall clock:
+//! Registers one column as a segmented pool column
+//! ([`ColumnBuild::Segmented`]) at 1 / 4 / 16 / 64 segments and measures,
+//! wall clock, as min / median / max over `TRIALS` trials:
 //!
 //! * **full rebuild** — a manual rebuild with every segment clean, which
 //!   refreshes all partials (at 1 segment this is exactly the monolithic
@@ -14,8 +15,8 @@
 //! The SAP0 DP costs `O(n²)` cost-oracle calls plus `O(n²B)` f64 min-plus
 //! steps, so rebuilding one dirty segment of `S` costs between `1/S²` and
 //! `1/S³` of the monolithic build — the reported
-//! `speedup_vs_monolithic` (monolithic full-rebuild time over this
-//! config's dirty-rebuild time) should far exceed the 4× the roadmap
+//! `speedup_vs_monolithic` (the monolithic full-rebuild median over this
+//! config's dirty-rebuild median) should far exceed the 4× the roadmap
 //! demands at 16 segments.
 //!
 //! Beside each speed-up it reports what the column serves: `served_sse`,
@@ -33,17 +34,17 @@ use std::time::Instant;
 
 use synoptic::core::sse::sse_brute;
 use synoptic::core::PrefixSums;
-use synoptic::eval::bench::write_report;
+use synoptic::eval::bench::{spread, write_report};
 use synoptic::eval::json::JsonValue;
 use synoptic::hist::HistogramMethod;
-use synoptic::stream::{MaintainedPool, RebuildConfig, RebuildPolicy};
+use synoptic::stream::{ColumnBuild, MaintainedPool, RebuildConfig, RebuildPolicy};
 
 const N: usize = 1024;
 /// 64 SAP0 buckets globally — also the one-bucket-per-segment floor at
 /// the largest segment count below.
 const BUDGET_WORDS: usize = 64 * 3;
 const SEGMENT_COUNTS: [usize; 4] = [1, 4, 16, 64];
-const TRIALS: usize = 3;
+const TRIALS: usize = 7;
 
 fn values() -> Vec<i64> {
     (0..N as i64)
@@ -68,25 +69,30 @@ fn main() {
     for segments in SEGMENT_COUNTS {
         let pool = MaintainedPool::new(1);
         let col = pool
-            .add_column_segmented(
+            .add_column(
                 "bench",
                 &vals,
-                HistogramMethod::Sap0,
-                BUDGET_WORDS,
-                segments,
+                ColumnBuild::Segmented {
+                    method: HistogramMethod::Sap0,
+                    budget_words: BUDGET_WORDS,
+                    segments,
+                },
                 RebuildConfig::new(RebuildPolicy::Manual),
             )
             .unwrap();
         let served_sse = sse_brute(&col.estimator().as_ref(), &ps);
-        let mut full = f64::INFINITY;
-        let mut dirty = f64::INFINITY;
+        let mut fulls = Vec::with_capacity(TRIALS);
+        let mut dirties = Vec::with_capacity(TRIALS);
         for _ in 0..TRIALS {
             // All segments clean → the manual rebuild refreshes everything.
-            full = full.min(timed_rebuild(&col));
+            fulls.push(timed_rebuild(&col));
             // One update dirties exactly one segment.
             col.update(N / 2, 1).unwrap();
-            dirty = dirty.min(timed_rebuild(&col));
+            dirties.push(timed_rebuild(&col));
         }
+        fulls.sort_by(f64::total_cmp);
+        dirties.sort_by(f64::total_cmp);
+        let (full, dirty) = (fulls[TRIALS / 2], dirties[TRIALS / 2]);
         let stats = col.stats();
         assert_eq!(
             stats.segments_rebuilt as usize,
@@ -100,14 +106,14 @@ fn main() {
         let speedup = monolithic_full / dirty;
         let sse_ratio = served_sse / monolithic_sse;
         println!(
-            "segments {segments:>3}: full {full:>9.3} ms, one-dirty {dirty:>9.3} ms, \
+            "segments {segments:>3}: median full {full:>9.3} ms, one-dirty {dirty:>9.3} ms, \
              {speedup:>7.1}x vs monolithic rebuild; served SSE {served_sse:.3e} \
              ({sse_ratio:.2}x monolithic)"
         );
         rows.push(JsonValue::obj([
             ("segments", JsonValue::Int(segments as i128)),
-            ("full_rebuild_ms", JsonValue::Num(full)),
-            ("dirty_rebuild_ms", JsonValue::Num(dirty)),
+            ("full_rebuild_ms", spread(fulls)),
+            ("dirty_rebuild_ms", spread(dirties)),
             ("speedup_vs_monolithic", JsonValue::Num(speedup)),
             ("served_sse", JsonValue::Num(served_sse)),
             ("sse_ratio_vs_monolithic", JsonValue::Num(sse_ratio)),
