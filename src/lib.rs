@@ -56,7 +56,6 @@ pub use synoptic_linalg as linalg;
 pub use synoptic_repl as repl;
 pub use synoptic_serve as serve;
 pub use synoptic_stream as stream;
-pub use synoptic_twod as twod;
 pub use synoptic_wavelet as wavelet;
 
 /// One-stop imports for the common types.

@@ -1,4 +1,4 @@
-//! Integration tests for the extension subsystems (stream, catalog, twod,
+//! Integration tests for the extension subsystems (stream, catalog,
 //! workload optimization, sampling) working together with the core paper
 //! algorithms.
 
@@ -205,26 +205,4 @@ fn budget_allocation_end_to_end_over_real_curves() {
         "allocation: {:?}",
         alloc.choices
     );
-}
-
-#[test]
-fn two_d_methods_agree_with_one_d_on_a_single_row() {
-    // A 1×n grid degenerates to the 1-D problem: the 2-D grid histogram
-    // with 1×g tiles must match the 1-D equi-width histogram.
-    use synoptic::twod::{Grid2D, GridHistogram, RectEstimator, RectQuery};
-    let (d, ps) = dataset(16);
-    let g2 = Grid2D::new(1, 16, d.values().to_vec()).unwrap();
-    let ps2 = g2.prefix_sums();
-    let h2 = GridHistogram::build(&ps2, 1, 4).unwrap();
-    let h1 = synoptic::hist::heuristics::build_equi_width(&ps, 4).unwrap();
-    for lo in 0..16 {
-        for hi in lo..16 {
-            let q1 = RangeQuery { lo, hi };
-            let q2 = RectQuery::new(0, 0, lo, hi).unwrap();
-            assert!(
-                (h1.estimate(q1) - h2.estimate(q2)).abs() < 1e-9,
-                "({lo},{hi})"
-            );
-        }
-    }
 }
