@@ -52,7 +52,6 @@ pub mod error;
 pub mod estimator;
 pub mod histogram;
 pub mod outcome;
-pub mod quantile;
 pub mod query;
 pub mod rng;
 pub mod rounding;
