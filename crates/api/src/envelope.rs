@@ -11,6 +11,7 @@
 //! no boundary is allowed to strip the provenance off.
 
 use std::fmt;
+use std::sync::Arc;
 
 use synoptic_catalog::{DurableCatalog, Storage};
 use synoptic_core::{AnswerSource, BuildOutcome, RangeQuery, Result};
@@ -39,8 +40,9 @@ pub struct AnswerEnvelope {
     /// (which anytime rung served and why), when the answerer tracks it.
     pub outcome: Option<BuildOutcome>,
     /// Per-segment build provenance for segmented columns, in segment
-    /// order; `None` for monolithic answerers.
-    pub segment_outcomes: Option<Vec<BuildOutcome>>,
+    /// order; `None` for monolithic answerers. Shared with the pin that
+    /// answered, so a batch's envelopes do not copy it per range.
+    pub segment_outcomes: Option<Arc<[BuildOutcome]>>,
 }
 
 impl AnswerEnvelope {

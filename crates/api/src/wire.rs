@@ -30,6 +30,8 @@
 //! `SynopticError` → wire error → exit code chain has exactly one link
 //! per hop and no lossy step.
 
+use std::sync::Arc;
+
 use synoptic_catalog::codec::{self, ByteReader, ByteWriter};
 use synoptic_core::{AnswerSource, BuildAttempt, BuildOutcome, RangeQuery, Result, SynopticError};
 
@@ -195,8 +197,9 @@ pub struct BatchAnswer {
     pub lag: u64,
     /// Build provenance of the answering synopsis, when tracked.
     pub outcome: Option<BuildOutcome>,
-    /// Per-segment build provenance for segmented columns.
-    pub segment_outcomes: Option<Vec<BuildOutcome>>,
+    /// Per-segment build provenance for segmented columns, shared with
+    /// the pin that answered.
+    pub segment_outcomes: Option<Arc<[BuildOutcome]>>,
     /// Estimated range sums, in request order.
     pub values: Vec<f64>,
     /// Per-range: `true` when the hot-range cache answered (same
@@ -800,7 +803,7 @@ fn put_batch_answer(w: &mut ByteWriter, b: &BatchAnswer) {
         Some(outcomes) => {
             w.u8(1);
             w.u32(outcomes.len() as u32);
-            for o in outcomes {
+            for o in outcomes.iter() {
                 put_outcome(w, o);
             }
         }
@@ -886,7 +889,8 @@ fn read_batch_answer(r: &mut ByteReader<'_>, rung: Option<DegradeRung>) -> Resul
             Some(
                 (0..count)
                     .map(|_| read_outcome(r))
-                    .collect::<Result<Vec<_>>>()?,
+                    .collect::<Result<Vec<_>>>()?
+                    .into(),
             )
         }
         other => return Err(corrupt(format!("bad segment-outcomes flag {other}"))),
@@ -1019,7 +1023,9 @@ mod tests {
                 source: AnswerSource::FallbackGeneration { generation: 41 },
                 lag: 7,
                 outcome: Some(sample_outcome()),
-                segment_outcomes: Some(vec![sample_outcome(), BuildOutcome::direct("sap0", 1, 2)]),
+                segment_outcomes: Some(
+                    vec![sample_outcome(), BuildOutcome::direct("sap0", 1, 2)].into(),
+                ),
                 values: vec![1.5, -0.25, 1e12],
                 cached: vec![true, false, true],
                 rung: None,

@@ -79,16 +79,15 @@ impl SegmentLayout {
     }
 
     /// The segments `[a, b]` overlaps, as
-    /// `(segment, local_lo, local_hi)` clips in segment-local coordinates.
-    pub fn clips(&self, q: RangeQuery) -> Vec<(usize, usize, usize)> {
+    /// `(segment, local_lo, local_hi)` clips in segment-local coordinates,
+    /// in segment order.
+    pub fn clips(&self, q: RangeQuery) -> impl Iterator<Item = (usize, usize, usize)> + '_ {
         let first = self.segment_of(q.lo);
         let last = self.segment_of(q.hi);
-        (first..=last)
-            .map(|s| {
-                let (l, r) = self.bounds(s);
-                (s, q.lo.max(l) - l, q.hi.min(r) - l)
-            })
-            .collect()
+        (first..=last).map(move |s| {
+            let (l, r) = self.bounds(s);
+            (s, q.lo.max(l) - l, q.hi.min(r) - l)
+        })
     }
 }
 
@@ -145,7 +144,6 @@ impl RangeEstimator for SegmentedEstimator {
     fn estimate(&self, q: RangeQuery) -> f64 {
         self.layout
             .clips(q)
-            .into_iter()
             .map(|(s, lo, hi)| self.parts[s].estimate(RangeQuery { lo, hi }))
             .sum()
     }
@@ -194,9 +192,9 @@ mod tests {
     #[test]
     fn clips_cover_exactly_the_query() {
         let l = SegmentLayout::equi_width(12, 3).unwrap();
-        let clips = l.clips(RangeQuery { lo: 2, hi: 9 });
+        let clips = l.clips(RangeQuery { lo: 2, hi: 9 }).collect::<Vec<_>>();
         assert_eq!(clips, vec![(0, 2, 3), (1, 0, 3), (2, 0, 1)]);
-        let clips = l.clips(RangeQuery { lo: 5, hi: 6 });
+        let clips = l.clips(RangeQuery { lo: 5, hi: 6 }).collect::<Vec<_>>();
         assert_eq!(clips, vec![(1, 1, 2)]);
     }
 

@@ -599,7 +599,7 @@ impl Server {
             source: AnswerSource::Primary,
             lag,
             outcome,
-            segment_outcomes: segment_outcomes.map(|s| s.to_vec()),
+            segment_outcomes,
             values,
             cached,
             rung: None,
@@ -624,7 +624,6 @@ impl Server {
             outcome,
             segment_outcomes,
         } = pin;
-        let segment_outcomes = segment_outcomes.map(|s| s.to_vec());
         // Rung 1 — cache-hit: if every range is in the generation-keyed
         // cache, the answer costs nothing and is as fresh as a normal
         // one. All-or-nothing: a partial probe descends.

@@ -37,7 +37,7 @@ impl Queryable for ColumnHandle {
             generation: pin.generation,
             lag: self.stats().updates_since_rebuild,
             outcome: pin.outcome,
-            segment_outcomes: pin.segment_outcomes.map(|s| s.to_vec()),
+            segment_outcomes: pin.segment_outcomes,
         })
     }
 }

@@ -194,7 +194,7 @@ fn sqp1_responses() -> Vec<Vec<u8>> {
         source: AnswerSource::FallbackGeneration { generation: 41 },
         lag: 7,
         outcome: Some(outcome()),
-        segment_outcomes: Some(vec![outcome(), BuildOutcome::direct("sap0", 1, 2)]),
+        segment_outcomes: Some(vec![outcome(), BuildOutcome::direct("sap0", 1, 2)].into()),
         values: vec![1.5, -0.25],
         cached: vec![true, false],
         rung: None,
