@@ -889,8 +889,7 @@ fn read_batch_answer(r: &mut ByteReader<'_>, rung: Option<DegradeRung>) -> Resul
             Some(
                 (0..count)
                     .map(|_| read_outcome(r))
-                    .collect::<Result<Vec<_>>>()?
-                    .into(),
+                    .collect::<Result<Arc<[_]>>>()?,
             )
         }
         other => return Err(corrupt(format!("bad segment-outcomes flag {other}"))),
