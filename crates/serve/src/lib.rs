@@ -14,10 +14,6 @@
 //! * [`Client`] — the same [`Queryable`](synoptic_api::Queryable)
 //!   surface as every in-process answerer, over TCP; server-side errors
 //!   arrive structurally with their exit codes intact.
-//! * [`ResilientClient`] — the self-healing wrapper: auto-reconnect
-//!   after poisoning, jittered-exponential-backoff retries for
-//!   idempotent calls, and a circuit breaker — all deterministic under
-//!   injected clocks and sleepers.
 //! * [`AnswerCache`] — the generation-keyed cache, separately testable.
 //! * [`TenantBuckets`] — per-tenant token-bucket admission, refilled
 //!   from an injected clock.
@@ -47,12 +43,10 @@ pub mod admission;
 pub mod cache;
 pub mod client;
 pub mod histo;
-pub mod resilient;
 pub mod server;
 
 pub use admission::TenantBuckets;
 pub use cache::AnswerCache;
 pub use client::Client;
 pub use histo::LatencyHistogram;
-pub use resilient::{BreakerState, Connector, ResilientClient, RetryPolicy, Sleeper};
 pub use server::{ServeConfig, Server};
