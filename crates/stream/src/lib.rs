@@ -16,9 +16,6 @@
 //!   update shifts the prefix-sum vector by a *step function*, which is
 //!   orthogonal to every wavelet whose support does not straddle the update
 //!   position — so only one wavelet per level changes.
-//! * [`progressive`] — online query answering (the paper's §1 scenario):
-//!   a synopsis answer refined by user-paced scanning, with certified
-//!   shrinking bounds.
 //! * [`pool`] — the maintenance engine: a [`pool::MaintainedPool`] ingests
 //!   updates, serves the last-built synopsis of every column, and rebuilds
 //!   it when the accumulated drift or update count crosses a policy
@@ -49,7 +46,6 @@ pub mod follow;
 pub mod haar_stream;
 pub mod maintained;
 pub mod pool;
-pub mod progressive;
 pub mod queryable;
 pub mod recovery;
 pub mod segments;
@@ -62,6 +58,5 @@ pub use maintained::{
     DurableSnapshot, RebuildConfig, RebuildPolicy, RebuildStats, SharedStorage,
 };
 pub use pool::{ColumnBuild, ColumnHandle, MaintainedPool, PinnedBuild, PoolBuildFn};
-pub use progressive::{ProgressiveAnswer, ProgressiveQuery};
 pub use recovery::{recover, rejoin, RecoveredColumn, RecoveryReport};
 pub use segments::split_segment_budget;

@@ -91,57 +91,3 @@ fn streaming_range_optimal_snapshot_equals_rebuild() {
         }
     }
 }
-
-mod progressive_props {
-    use synoptic_core::rng::Rng;
-    use synoptic_core::{PrefixSums, RangeQuery};
-    use synoptic_stream::progressive::{bounded_synopsis, ProgressiveQuery};
-
-    const CASES: u64 = 48;
-
-    /// For any data, query, and chunk schedule: every certified interval
-    /// contains the truth and the final snapshot is exact.
-    #[test]
-    fn progressive_intervals_are_always_sound() {
-        for case in 0..CASES {
-            let mut rng = Rng::new(0x34_000 + case);
-            let n = rng.usize_in(3, 24);
-            let vals: Vec<i64> = (0..n).map(|_| rng.i64_in(0, 79)).collect();
-            let a = ((rng.f64() * n as f64) as usize).min(n - 1);
-            let b = ((rng.f64() * n as f64) as usize).min(n - 1);
-            let chunk = rng.usize_in(1, 5);
-            let q = RangeQuery {
-                lo: a.min(b),
-                hi: a.max(b),
-            };
-            let ps = PrefixSums::from_values(&vals);
-            let h = bounded_synopsis(&vals, &ps, 3.min(n)).unwrap();
-            let truth = ps.answer(q) as f64;
-            let snaps = ProgressiveQuery::new(&vals, &h, q)
-                .unwrap()
-                .run_to_completion(chunk);
-            for s in &snaps {
-                assert!(
-                    s.lo - 1e-9 <= truth && truth <= s.hi + 1e-9,
-                    "case {case}: {s:?}"
-                );
-                assert!(
-                    s.lo <= s.estimate + 1e-9 && s.estimate <= s.hi + 1e-9,
-                    "case {case}"
-                );
-            }
-            let last = snaps.last().unwrap();
-            assert!(last.is_final(), "case {case}");
-            assert!((last.estimate - truth).abs() < 1e-9, "case {case}");
-            // Widths never grow.
-            for w in snaps.windows(2) {
-                assert!(
-                    w[1].hi - w[1].lo <= w[0].hi - w[0].lo + 1e-9,
-                    "case {case}: width grew: {:?} -> {:?}",
-                    w[0],
-                    w[1]
-                );
-            }
-        }
-    }
-}
