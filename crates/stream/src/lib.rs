@@ -3,19 +3,12 @@
 //! Dynamic maintenance of range-sum synopses under point updates
 //! (`A[i] += δ`) — the "dynamic maintenance of such statistics" direction
 //! the paper cites from the wavelet literature (§3), built out as a full
-//! subsystem:
+//! subsystem. (The O(log n) streaming Haar transforms of that literature
+//! live in `synoptic_wavelet::streaming`.)
 //!
 //! * [`fenwick`] — a binary-indexed tree over the live frequencies: exact
 //!   O(log n) point updates and prefix sums, the maintenance-side source of
 //!   truth.
-//! * [`haar_stream`] — **O(log n)-per-update** maintenance of Haar
-//!   coefficient sets: [`haar_stream::StreamingHaar`] tracks the transform
-//!   of `A` itself; [`haar_stream::StreamingRangeOptimal`] tracks the
-//!   first-row/first-column coefficients of the paper's virtual range-sum
-//!   matrix (Theorem 9). The key fact making the latter cheap: a point
-//!   update shifts the prefix-sum vector by a *step function*, which is
-//!   orthogonal to every wavelet whose support does not straddle the update
-//!   position — so only one wavelet per level changes.
 //! * [`pool`] — the maintenance engine: a [`pool::MaintainedPool`] ingests
 //!   updates, serves the last-built synopsis of every column, and rebuilds
 //!   it when the accumulated drift or update count crosses a policy
@@ -43,7 +36,6 @@
 
 pub mod fenwick;
 pub mod follow;
-pub mod haar_stream;
 pub mod maintained;
 pub mod pool;
 pub mod queryable;
@@ -52,7 +44,6 @@ pub mod segments;
 
 pub use fenwick::Fenwick;
 pub use follow::{promote, FollowConfig, Follower, ServeOutcome};
-pub use haar_stream::{StreamingHaar, StreamingRangeOptimal};
 pub use maintained::{
     catalog_persist_hook, drift_exceeds, ColumnJournal, DurabilityConfig, DurablePersistFn,
     DurableSnapshot, RebuildConfig, RebuildPolicy, RebuildStats, SharedStorage,

@@ -19,6 +19,11 @@
 //!   — so selection is `O(N log N)` instead of the generic `Ω(N²)`, and by
 //!   Parseval the kept set is point-wise optimal for the virtual matrix.
 //!
+//! [`streaming`] keeps the dense transform of `A` and the two Theorem 9
+//! endpoint transforms up to date under point updates (`A[i] += δ`) in
+//! O(log n) each, the dynamic maintenance the paper's §3 cites, so a
+//! snapshot always equals a from-scratch build.
+//!
 //! The 1-D transform substrate lives in [`haar`]; sparse-coefficient
 //! machinery in [`coeff`].
 
@@ -31,9 +36,11 @@ pub mod point_topb;
 pub mod prefix_topb;
 pub mod range_greedy;
 pub mod range_optimal;
+pub mod streaming;
 
 pub use coeff::{coeffs_for_budget, SparseCoeffs};
 pub use point_topb::PointWaveletSynopsis;
 pub use prefix_topb::PrefixWaveletSynopsis;
 pub use range_greedy::build_range_greedy_with_budget;
 pub use range_optimal::RangeOptimalWavelet;
+pub use streaming::{StreamingHaar, StreamingRangeOptimal};

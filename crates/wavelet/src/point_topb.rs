@@ -37,9 +37,10 @@ impl PointWaveletSynopsis {
     }
 
     /// Builds the synopsis from an already-computed dense transform over the
-    /// padded domain (entry point for dynamically maintained transforms, see
-    /// `synoptic-stream`). `n` is the original (un-padded) domain size.
-    pub fn from_dense(n: usize, dense: &[f64], b: usize) -> Self {
+    /// padded domain; the sibling [`crate::streaming`] module calls it with a
+    /// dynamically maintained transform. `n` is the original (un-padded)
+    /// domain size.
+    pub(crate) fn from_dense(n: usize, dense: &[f64], b: usize) -> Self {
         assert!(dense.len().is_power_of_two() && dense.len() >= n);
         Self {
             n,

@@ -36,6 +36,22 @@
 use crate::haar::{forward, next_pow2, BasisFn};
 use synoptic_core::{Budget, PrefixSums, RangeEstimator, RangeQuery, Result};
 
+/// The two endpoint vectors of the virtual matrix, `p(j) = P[j+1]` and
+/// `q(i) = P[i]`, both of length `next_pow2(n + 1)` and padded with the
+/// constant continuation `P[n]`. `prefix(i)` must return `P[i]` for every
+/// `i ≤ n`.
+pub(crate) fn endpoint_vectors(n: usize, prefix: impl Fn(usize) -> f64) -> (Vec<f64>, Vec<f64>) {
+    let nn = next_pow2(n + 1);
+    let total = prefix(n);
+    let p = (0..nn)
+        .map(|j| if j < n { prefix(j + 1) } else { total })
+        .collect();
+    let q = (0..nn)
+        .map(|i| if i <= n { prefix(i) } else { total })
+        .collect();
+    (p, q)
+}
+
 /// Which half of the virtual matrix's transform a retained coefficient
 /// belongs to.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -76,16 +92,9 @@ impl RangeOptimalWavelet {
     pub fn build_with_budget(ps: &PrefixSums, b: usize, budget: &Budget) -> Result<Self> {
         let n = ps.n();
         let nn = next_pow2(n + 1);
-        let total = ps.total() as f64;
         let transform_cells = (nn.ilog2() as u64 + 1) * nn as u64;
         budget.charge(nn as u64)?;
-        // p(j) = P[j+1], q(i) = P[i], both length nn with constant padding.
-        let mut hp: Vec<f64> = (0..nn)
-            .map(|j| if j < n { ps.p(j + 1) as f64 } else { total })
-            .collect();
-        let mut hq: Vec<f64> = (0..nn)
-            .map(|i| if i <= n { ps.p(i) as f64 } else { total })
-            .collect();
+        let (mut hp, mut hq) = endpoint_vectors(n, |i| ps.p(i) as f64);
         budget.charge(transform_cells)?;
         forward(&mut hp);
         budget.charge(transform_cells)?;
@@ -97,9 +106,10 @@ impl RangeOptimalWavelet {
     /// Builds the synopsis from already-computed 1-D transforms of the two
     /// endpoint vectors (`hp` of `p(j) = P[j+1]`, `hq` of `q(i) = P[i]`,
     /// both padded to the same power-of-two length with the constant
-    /// continuation). This is the entry point for dynamically *maintained*
-    /// transforms (see `synoptic-stream`).
-    pub fn from_transforms(n: usize, hp: &[f64], hq: &[f64], b: usize) -> Self {
+    /// continuation, as [`endpoint_vectors`] lays them out). The sibling
+    /// [`crate::streaming`] module calls it with dynamically *maintained*
+    /// transforms.
+    pub(crate) fn from_transforms(n: usize, hp: &[f64], hq: &[f64], b: usize) -> Self {
         assert_eq!(hp.len(), hq.len());
         let nn = hp.len();
         assert!(nn.is_power_of_two() && nn > n);

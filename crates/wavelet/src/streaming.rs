@@ -17,9 +17,10 @@
 //! *identical* to a from-scratch build over the materialized array — the
 //! invariant the tests enforce.
 
+use crate::haar::{forward, next_pow2, BasisFn};
+use crate::range_optimal::endpoint_vectors;
+use crate::{PointWaveletSynopsis, RangeOptimalWavelet};
 use synoptic_core::{Result, SynopticError};
-use synoptic_wavelet::haar::{forward, next_pow2, BasisFn};
-use synoptic_wavelet::{PointWaveletSynopsis, RangeOptimalWavelet};
 
 /// The coefficient indices whose basis functions contain position `i`
 /// (scaling + one wavelet per level).
@@ -117,7 +118,6 @@ impl StreamingRangeOptimal {
             return Err(SynopticError::EmptyInput);
         }
         let n = values.len();
-        let nn = next_pow2(n + 1);
         let mut prefix = Vec::with_capacity(n + 1);
         prefix.push(0.0f64);
         let mut acc = 0.0;
@@ -125,13 +125,8 @@ impl StreamingRangeOptimal {
             acc += v as f64;
             prefix.push(acc);
         }
-        let total = acc;
-        let mut hp: Vec<f64> = (0..nn)
-            .map(|j| if j < n { prefix[j + 1] } else { total })
-            .collect();
-        let mut hq: Vec<f64> = (0..nn)
-            .map(|i| if i <= n { prefix[i] } else { total })
-            .collect();
+        let (mut hp, mut hq) = endpoint_vectors(n, |i| prefix[i]);
+        let nn = hp.len();
         forward(&mut hp);
         forward(&mut hq);
         Ok(Self {

@@ -15,9 +15,8 @@ use synoptic::core::rng::Rng;
 use synoptic::core::sse::sse_brute;
 use synoptic::data::zipf::{paper_dataset, ZipfConfig};
 use synoptic::prelude::*;
-use synoptic::stream::{
-    ColumnBuild, MaintainedPool, RebuildConfig, RebuildPolicy, StreamingRangeOptimal,
-};
+use synoptic::stream::{ColumnBuild, MaintainedPool, RebuildConfig, RebuildPolicy};
+use synoptic::wavelet::StreamingRangeOptimal;
 
 fn main() -> Result<()> {
     let data = paper_dataset(&ZipfConfig {

@@ -12,9 +12,8 @@ use synoptic::data::zipf::{paper_dataset, ZipfConfig};
 use synoptic::hist::sap0::build_sap0_with_budget;
 use synoptic::hist::workload_opt::{optimize_for_workload, reoptimize_for_workload};
 use synoptic::prelude::*;
-use synoptic::stream::{
-    ColumnBuild, MaintainedPool, RebuildConfig, RebuildPolicy, StreamingRangeOptimal,
-};
+use synoptic::stream::{ColumnBuild, MaintainedPool, RebuildConfig, RebuildPolicy};
+use synoptic::wavelet::StreamingRangeOptimal;
 
 fn dataset(n: usize) -> (DataArray, PrefixSums) {
     let d = paper_dataset(&ZipfConfig {

@@ -119,8 +119,7 @@ fn wavelets_handle_signed_data() {
 
 #[test]
 fn streaming_handles_signed_updates_to_negative_territory() {
-    use synoptic::stream::StreamingRangeOptimal;
-    use synoptic::wavelet::RangeOptimalWavelet;
+    use synoptic::wavelet::{RangeOptimalWavelet, StreamingRangeOptimal};
     let mut vals = vec![5i64, 5, 5, 5, 5, 5, 5, 5];
     let mut sr = StreamingRangeOptimal::new(&vals).unwrap();
     for (i, slot) in vals.iter_mut().enumerate() {

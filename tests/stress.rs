@@ -71,8 +71,7 @@ fn opt_a_exact_at_n_1024() {
     ignore = "slow without optimizations; run with --release"
 )]
 fn streaming_long_run_at_n_4096() {
-    use synoptic::stream::StreamingRangeOptimal;
-    use synoptic::wavelet::RangeOptimalWavelet;
+    use synoptic::wavelet::{RangeOptimalWavelet, StreamingRangeOptimal};
     let (d, _) = big(4096);
     let mut vals = d.values().to_vec();
     let mut sr = StreamingRangeOptimal::new(&vals).unwrap();
