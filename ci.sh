@@ -62,11 +62,12 @@ echo "==> failover suite: kill-the-leader sweep, CLI election e2e (capped at ${T
 ${CAP} cargo test -q -p synoptic-stream --test failover_sweep --offline
 ${CAP} cargo test -q -p synoptic-cli --test failover_cli --offline
 
-echo "==> serving suite: wire codec + exit-code table, batch pinning, cache invalidation, admission control, CLI e2e, and (release) swap::tests::a_pin_never_pairs_a_value_with_another_generation, the hot-swap pin race (capped at ${TEST_CAP}s)"
+echo "==> serving suite: wire codec + exit-code table, batch pinning, cache invalidation, admission control, CLI e2e, and (release) swap::tests::a_pin_never_pairs_a_value_with_another_generation, the hot-swap pin race, and cache::tests::a_hit_is_always_same_generation_under_concurrent_swaps, the answer-cache generation race (capped at ${TEST_CAP}s)"
 ${CAP} cargo test -q -p synoptic-api --offline
 ${CAP} cargo test -q -p synoptic-serve --offline
 ${CAP} cargo test -q -p synoptic-cli --test serve_cli --offline
 ${CAP} cargo test -q --release -p synoptic-core --lib swap --offline
+${CAP} cargo test -q --release -p synoptic-serve --lib cache --offline
 
 echo "==> decoder fuzz: CRC-resealed mutants of SQP1, SRP1, SYNWAL01 and SYNOPTC1 decode or refuse, never panic (capped at ${TEST_CAP}s)"
 ${CAP} cargo test -q --test decoder_fuzz --offline

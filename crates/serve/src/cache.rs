@@ -182,6 +182,84 @@ mod tests {
         assert_eq!(cache.lookup(1, 2, 2), None);
     }
 
+    /// The module's invariant under contention: writers advance the
+    /// serving generation while readers look up and store both at the
+    /// generation they load and at the one before it, as a batch pinned
+    /// before a swap would. Every stored value encodes `(generation, lo,
+    /// hi)`, so a hit computed at any other generation, or for any other
+    /// range, decodes to the wrong triple. Run in release by `ci.sh`.
+    #[test]
+    fn a_hit_is_always_same_generation_under_concurrent_swaps() {
+        use std::sync::{Arc, Barrier};
+        const WRITERS: usize = 2;
+        const READERS: usize = 2;
+        const ROUNDS: usize = 2_000;
+        const SPAN: usize = 8;
+        // Exact in f64 while generation < 2^40.
+        fn encode(generation: u64, lo: usize, hi: usize) -> f64 {
+            ((generation * 64 + lo as u64) * 64 + hi as u64) as f64
+        }
+        let cache = Arc::new(AnswerCache::new(4 * SPAN * SPAN));
+        let current = Arc::new(AtomicU64::new(1));
+        let stop = Arc::new(std::sync::atomic::AtomicBool::new(false));
+        let start = Arc::new(Barrier::new(WRITERS + READERS));
+        let readers: Vec<_> = (0..READERS)
+            .map(|_| {
+                let (cache, current, start) =
+                    (Arc::clone(&cache), Arc::clone(&current), Arc::clone(&start));
+                std::thread::spawn(move || {
+                    start.wait();
+                    let mut hits = 0u64;
+                    for _ in 0..ROUNDS {
+                        let now = current.load(Ordering::Acquire);
+                        for lo in 0..SPAN {
+                            for hi in lo..SPAN {
+                                for pinned in [now, now - 1] {
+                                    if let Some(v) = cache.lookup(pinned, lo, hi) {
+                                        let want = encode(pinned, lo, hi);
+                                        assert_eq!(
+                                            v,
+                                            want,
+                                            "hit at generation {pinned} for [{lo}, {hi}] \
+                                             holds the answer stored at {:?}",
+                                            (v as u64 >> 12, (v as u64 >> 6) & 63, v as u64 & 63)
+                                        );
+                                        hits += 1;
+                                    }
+                                    cache.store(pinned, lo, hi, encode(pinned, lo, hi));
+                                }
+                            }
+                        }
+                    }
+                    hits
+                })
+            })
+            .collect();
+        let writers: Vec<_> = (0..WRITERS)
+            .map(|_| {
+                let (current, stop, start) =
+                    (Arc::clone(&current), Arc::clone(&stop), Arc::clone(&start));
+                std::thread::spawn(move || {
+                    start.wait();
+                    while !stop.load(Ordering::Relaxed) {
+                        current.fetch_add(1, Ordering::Release);
+                        std::thread::yield_now();
+                    }
+                })
+            })
+            .collect();
+        let hits: u64 = readers.into_iter().map(|r| r.join().unwrap()).sum();
+        stop.store(true, Ordering::Relaxed);
+        for w in writers {
+            w.join().unwrap();
+        }
+        assert!(hits > 0, "the readers must exercise the hit path");
+        assert!(
+            cache.invalidations() > 0,
+            "the writers must re-key the cache"
+        );
+    }
+
     #[test]
     fn zero_capacity_disables_the_cache() {
         let cache = AnswerCache::new(0);

@@ -678,9 +678,15 @@ impl Follower {
 /// Promotes a replica to leadership: full crash recovery over its local
 /// catalog + journal (exactly [`Follower::open`]'s path — the invariants
 /// the promotion sweep proves), then a durable claim of `term + 1` voted
-/// to `node`. Returns the claimed term and the recovery report; the
-/// caller re-opens the maintained loop over the recovered state and
-/// starts shipping with the new term stamped on every frame.
+/// to `node`. Returns the claimed term and the recovery report.
+///
+/// Nothing more happens in-process. The one caller, `synoptic follow
+/// --auto-promote`, re-opens the recovered state as a read-only
+/// [`Follower`], prints one full-range read per column and returns; no
+/// caller re-opens a maintained loop over it. A later `synoptic ship
+/// --seed --catalog` run reads the claimed term from the catalog and
+/// stamps it on every frame. Serving the promoted state from the pool is
+/// the open "One serving state across replication" item in ROADMAP.md.
 pub fn promote(
     storage: SharedStorage,
     catalog_dir: impl AsRef<Path>,
