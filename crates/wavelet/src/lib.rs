@@ -22,7 +22,7 @@
 //! [`streaming`] keeps the dense transform of `A` and the two Theorem 9
 //! endpoint transforms up to date under point updates (`A[i] += δ`) in
 //! O(log n) each, the dynamic maintenance the paper's §3 cites, so a
-//! snapshot always equals a from-scratch build.
+//! snapshot matches a from-scratch build up to float accumulation.
 //!
 //! The 1-D transform substrate lives in [`haar`]; sparse-coefficient
 //! machinery in [`coeff`].
