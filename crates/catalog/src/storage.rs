@@ -8,6 +8,7 @@
 //! real failing disk.
 
 use std::collections::VecDeque;
+use std::fs::File;
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Mutex, PoisonError};
@@ -35,15 +36,18 @@ pub trait Storage {
     /// Atomically replaces `path` with `bytes` (write temp → fsync → rename).
     fn write_atomic(&self, path: &Path, bytes: &[u8]) -> Result<()>;
 
-    /// Appends `bytes` to `path`, creating the file when absent. When `sync`
-    /// is set the data is fsynced before returning — the write-ahead journal
-    /// uses this for its durability cadence. Appends are *not* atomic: a
-    /// crash may leave a torn tail, which journal readers must tolerate.
-    fn append(&self, path: &Path, bytes: &[u8], sync: bool) -> Result<()>;
+    /// Writes `bytes` at byte `offset` of `path`, creating the file when
+    /// absent and extending it when the write ends past its end. When `sync`
+    /// is set the written data is synced before returning — the write-ahead
+    /// journal uses this for its durability cadence. Writes are *not*
+    /// atomic: a crash may leave a prefix of `bytes` (a torn write), which
+    /// journal readers must tolerate.
+    fn write_at(&self, path: &Path, offset: u64, bytes: &[u8], sync: bool) -> Result<()>;
 
-    /// Shrinks `path` to its first `len` bytes and fsyncs it, so a failed
-    /// append's stray bytes cannot outlive the rollback. A missing file
-    /// already holds no bytes: truncating it to `0` succeeds.
+    /// Sets `path`'s length to `len` and fsyncs it, so a failed write's
+    /// stray bytes cannot outlive the rollback, and a sealed journal
+    /// segment loses its padding. A missing file already holds no bytes:
+    /// truncating it to `0` succeeds.
     fn truncate(&self, path: &Path, len: u64) -> Result<()>;
 
     /// Removes a file (used by checkpoint truncation and pruning, which
@@ -75,8 +79,8 @@ impl<S: Storage + ?Sized> Storage for std::sync::Arc<S> {
         (**self).write_atomic(path, bytes)
     }
 
-    fn append(&self, path: &Path, bytes: &[u8], sync: bool) -> Result<()> {
-        (**self).append(path, bytes, sync)
+    fn write_at(&self, path: &Path, offset: u64, bytes: &[u8], sync: bool) -> Result<()> {
+        (**self).write_at(path, offset, bytes, sync)
     }
 
     fn truncate(&self, path: &Path, len: u64) -> Result<()> {
@@ -107,13 +111,49 @@ impl<S: Storage + ?Sized> Storage for std::sync::Arc<S> {
 /// The production backend: write-temp → fsync → atomic-rename, plus a
 /// best-effort fsync of the parent directory so the rename itself is
 /// durable.
-#[derive(Debug, Default, Clone)]
-pub struct FsStorage;
+///
+/// [`Storage::write_at`] keeps the file it last wrote open for the next
+/// write: a journal writes one active segment at a time, so its batches
+/// skip the open and close. `truncate`, `remove` and `rename` of that path
+/// close it, so a file this backend writes must be removed or renamed
+/// through it, and not while a write to it is in flight: a file removed
+/// otherwise keeps taking this backend's writes. The open file is never `stat`ed either, since on Linux a
+/// query of its timestamps makes the next write stamp a fine-grained
+/// mtime, which a data sync must then commit as metadata. A clone starts
+/// with no file open.
+#[derive(Debug, Default)]
+pub struct FsStorage {
+    open: Mutex<Option<(PathBuf, File)>>,
+}
 
 impl FsStorage {
     /// A new filesystem backend.
     pub fn new() -> Self {
-        Self
+        Self::default()
+    }
+
+    /// Takes the open file out of its slot when it is `path`'s.
+    fn take_open(&self, path: &Path) -> Option<File> {
+        self.open
+            .lock()
+            .unwrap_or_else(PoisonError::into_inner)
+            .take()
+            .filter(|(p, _)| p == path)
+            .map(|(_, f)| f)
+    }
+
+    /// Closes the open file when it is `path`'s.
+    fn forget(&self, path: &Path) {
+        let mut open = self.open.lock().unwrap_or_else(PoisonError::into_inner);
+        if open.as_ref().is_some_and(|(p, _)| p == path) {
+            *open = None;
+        }
+    }
+}
+
+impl Clone for FsStorage {
+    fn clone(&self) -> Self {
+        Self::new()
     }
 }
 
@@ -147,30 +187,46 @@ impl Storage for FsStorage {
         Ok(())
     }
 
-    fn append(&self, path: &Path, bytes: &[u8], sync: bool) -> Result<()> {
-        use std::io::Write as _;
-        let created = !path.exists();
-        let mut f = std::fs::OpenOptions::new()
-            .append(true)
-            .create(true)
-            .open(path)
+    fn write_at(&self, path: &Path, offset: u64, bytes: &[u8], sync: bool) -> Result<()> {
+        use std::io::{Seek as _, SeekFrom, Write as _};
+        // The file leaves its slot while it is written and synced, so a
+        // sync holds no lock; a failed write drops it.
+        let (mut f, created) = match self.take_open(path) {
+            Some(f) => (f, false),
+            None => {
+                let created = !path.exists();
+                let f = std::fs::OpenOptions::new()
+                    .write(true)
+                    .create(true)
+                    .truncate(false)
+                    .open(path)
+                    .map_err(|e| io_err(path, e))?;
+                (f, created)
+            }
+        };
+        f.seek(SeekFrom::Start(offset))
             .map_err(|e| io_err(path, e))?;
         f.write_all(bytes).map_err(|e| io_err(path, e))?;
         if sync {
-            f.sync_all().map_err(|e| io_err(path, e))?;
+            // Data only: a write into blocks the file already holds
+            // changes no metadata a reader needs, and a write that grows
+            // the file still syncs its new length.
+            f.sync_data().map_err(|e| io_err(path, e))?;
         }
         // A new file's directory entry must be durable too, or a crash
-        // loses the whole file even after its data was fsynced — for a WAL
+        // loses the whole file even after its data was synced — for a WAL
         // segment that silently shortens an otherwise well-formed chain.
-        // Syncing the entry once at creation covers later appends as well:
+        // Syncing the entry once at creation covers later writes as well:
         // they change the inode, not the entry.
         if created {
             fsync_parent_dir(path);
         }
+        *self.open.lock().unwrap_or_else(PoisonError::into_inner) = Some((path.to_path_buf(), f));
         Ok(())
     }
 
     fn truncate(&self, path: &Path, len: u64) -> Result<()> {
+        self.forget(path);
         let f = match std::fs::OpenOptions::new().write(true).open(path) {
             Ok(f) => f,
             Err(e) if e.kind() == std::io::ErrorKind::NotFound && len == 0 => return Ok(()),
@@ -178,17 +234,20 @@ impl Storage for FsStorage {
         };
         f.set_len(len).map_err(|e| io_err(path, e))?;
         f.sync_all().map_err(|e| io_err(path, e))?;
-        // The failed append may have created the file without syncing its
-        // directory entry; later appends see it exist and would not either.
+        // The failed write may have created the file without syncing its
+        // directory entry; later writes see it exist and would not either.
         fsync_parent_dir(path);
         Ok(())
     }
 
     fn remove(&self, path: &Path) -> Result<()> {
+        self.forget(path);
         std::fs::remove_file(path).map_err(|e| io_err(path, e))
     }
 
     fn rename(&self, from: &Path, to: &Path) -> Result<()> {
+        self.forget(from);
+        self.forget(to);
         std::fs::rename(from, to).map_err(|e| io_err(from, e))
     }
 
@@ -413,22 +472,22 @@ impl<S: Storage> Storage for FaultyStorage<S> {
         }
     }
 
-    fn append(&self, path: &Path, bytes: &[u8], sync: bool) -> Result<()> {
+    fn write_at(&self, path: &Path, offset: u64, bytes: &[u8], sync: bool) -> Result<()> {
         let fault = self
             .write_faults
             .lock()
             .unwrap_or_else(PoisonError::into_inner)
             .pop_front();
         match fault {
-            None | Some(Fault::CleanWrite) => self.inner.append(path, bytes, sync),
+            None | Some(Fault::CleanWrite) => self.inner.write_at(path, offset, bytes, sync),
             Some(Fault::TornWrite { keep }) => {
                 self.fire();
-                // A torn tail that the caller never learns about: the bytes
+                // A torn write that the caller never learns about: the bytes
                 // were accepted into the page cache but only a prefix hit the
                 // platter before power was lost. Journal recovery must
                 // truncate-and-continue past exactly this.
                 self.inner
-                    .append(path, &bytes[..keep.min(bytes.len())], sync)
+                    .write_at(path, offset, &bytes[..keep.min(bytes.len())], sync)
             }
             Some(Fault::Enospc) => {
                 self.fire();
@@ -439,11 +498,11 @@ impl<S: Storage> Storage for FaultyStorage<S> {
             }
             Some(Fault::CrashBeforeRename) => {
                 self.fire();
-                // For appends this models a crash before any byte reached the
+                // For writes this models a crash before any byte reached the
                 // file: the caller sees an error, the journal tail is clean.
                 Err(SynopticError::Io {
                     path: path.display().to_string(),
-                    detail: "simulated crash before append".into(),
+                    detail: "simulated crash before write".into(),
                 })
             }
             Some(r) => unreachable!("read fault {r:?} in write queue"),
@@ -451,8 +510,9 @@ impl<S: Storage> Storage for FaultyStorage<S> {
     }
 
     /// Passes through without consuming a fault: a rollback is part of the
-    /// failed append it undoes, so fault schedules index the same write
-    /// operations whether or not an append has to roll back.
+    /// failed write it undoes, and a seal's trim of a journal segment's
+    /// padding follows the seal's own sync, so fault schedules index the
+    /// same write operations whether or not either happens.
     fn truncate(&self, path: &Path, len: u64) -> Result<()> {
         self.inner.truncate(path, len)
     }
@@ -576,13 +636,16 @@ mod tests {
     }
 
     #[test]
-    fn append_accumulates_and_remove_unlinks() {
-        let d = tmp_dir("append");
+    fn write_at_overwrites_in_place_and_remove_unlinks() {
+        let d = tmp_dir("write_at");
         let s = FsStorage::new();
         let p = d.join("j.wal");
-        s.append(&p, b"abc", false).unwrap();
-        s.append(&p, b"def", true).unwrap();
-        assert_eq!(s.read(&p).unwrap(), b"abcdef");
+        s.write_at(&p, 0, b"abc\0\0\0\0", false).unwrap();
+        s.write_at(&p, 3, b"def", true).unwrap();
+        assert_eq!(s.read(&p).unwrap(), b"abcdef\0");
+        // Past the end the file grows; a gap reads as zeros.
+        s.write_at(&p, 8, b"g", false).unwrap();
+        assert_eq!(s.read(&p).unwrap(), b"abcdef\0\0g");
         s.truncate(&p, 2).unwrap();
         assert_eq!(s.read(&p).unwrap(), b"ab");
         s.remove(&p).unwrap();
@@ -597,8 +660,29 @@ mod tests {
     }
 
     #[test]
-    fn append_faults_tear_fail_or_crash() {
-        let d = tmp_dir("appendf");
+    fn a_write_after_a_remove_or_rename_reaches_the_new_file() {
+        let d = tmp_dir("reopen");
+        let s = FsStorage::new();
+        let p = d.join("j.wal");
+        s.write_at(&p, 0, b"old", false).unwrap();
+        // The open file goes with its name: a new file there takes the
+        // next write, not the unlinked one.
+        s.remove(&p).unwrap();
+        std::fs::write(&p, b"new").unwrap();
+        s.write_at(&p, 3, b"!", false).unwrap();
+        assert_eq!(s.read(&p).unwrap(), b"new!");
+        // Likewise a rename away from the name.
+        let q = d.join("k.wal");
+        s.rename(&p, &q).unwrap();
+        s.write_at(&p, 0, b"fresh", false).unwrap();
+        assert_eq!(s.read(&p).unwrap(), b"fresh");
+        assert_eq!(s.read(&q).unwrap(), b"new!");
+        let _ = std::fs::remove_dir_all(&d);
+    }
+
+    #[test]
+    fn write_faults_tear_fail_or_crash() {
+        let d = tmp_dir("write_atf");
         let s = FaultyStorage::new(
             FsStorage::new(),
             vec![
@@ -609,17 +693,17 @@ mod tests {
         );
         let p = d.join("j.wal");
         // Torn: silent success, only a prefix lands.
-        s.append(&p, b"0123", false).unwrap();
+        s.write_at(&p, 0, b"0123", false).unwrap();
         assert_eq!(s.read(&p).unwrap(), b"01");
         // ENOSPC: loud failure, nothing lands.
-        assert!(s.append(&p, b"4567", false).is_err());
+        assert!(s.write_at(&p, 2, b"4567", false).is_err());
         assert_eq!(s.read(&p).unwrap(), b"01");
-        // Crash-before-append: loud failure, nothing lands.
-        assert!(s.append(&p, b"89", false).is_err());
+        // Crash-before-write: loud failure, nothing lands.
+        assert!(s.write_at(&p, 2, b"89", false).is_err());
         assert_eq!(s.read(&p).unwrap(), b"01");
         assert_eq!(s.faults_fired(), 3);
-        // Schedule exhausted: appends are clean again.
-        s.append(&p, b"ab", true).unwrap();
+        // Schedule exhausted: writes are clean again.
+        s.write_at(&p, 2, b"ab", true).unwrap();
         assert_eq!(s.read(&p).unwrap(), b"01ab");
         // A scripted crash-before-remove keeps the file.
         s.push_fault(Fault::CrashBeforeRename);

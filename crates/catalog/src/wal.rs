@@ -16,6 +16,7 @@
 //!          | base_generation u64 | first_lsn u64 | name bytes | crc32 u32
 //! record:  len u32 (= 24, bit 31 = batch continues) | lsn u64
 //!          | index u64 | delta i64 | crc32 u32
+//! padding: zero bytes (the active segment only)
 //! ```
 //!
 //! All integers are little-endian, written and read through the shared
@@ -32,26 +33,40 @@
 //! ## Batches
 //!
 //! [`ColumnWal::append_batch`] journals a batch of records in one
-//! [`Storage::append`]. Every record of a batch except the last sets bit 31
-//! of its length word (the *continuation bit*); the last record's clear bit
-//! is the batch's end mark. A batch never spans segments. Writers stamp
+//! [`Storage::write_at`]. Every record of a batch except the last sets bit
+//! 31 of its length word (the *continuation bit*); the last record's clear
+//! bit is the batch's end mark. A batch never spans segments. Writers stamp
 //! header version 2; version 1 segments, written before batches existed,
 //! never set the bit, so each of their records reads as a one-record batch.
 //! Readers accept both versions.
 //!
+//! ## Padding
+//!
+//! A segment's first write carries its header, its first batch and zero
+//! bytes up to [`WalConfig::segment_bytes`], in one [`Storage::write_at`].
+//! Every later batch overwrites zeros at the segment's acknowledged
+//! length, so a sync commits data into blocks the file already holds and
+//! no file-size change (on the filesystem backend, `sync_data` rather than
+//! a full `fsync`). A write that reaches past the file's end — a batch
+//! that crosses the budget, or the first one after a rollback — pads the
+//! file the same way. Sealing trims the padding with [`Storage::truncate`],
+//! so a sealed, shipped segment is exactly its header and records.
+//!
 //! ## Durability and truncation
 //!
-//! Appends go through [`Storage::append`] with an fsync cadence chosen by
+//! Writes go through [`Storage::write_at`] with a sync cadence chosen by
 //! [`FsyncCadence`], decided once per batch: `EveryN(n)` syncs a batch of
 //! `k` records iff `since_sync + k >= n`, so at most `n - 1` acknowledged
-//! records are ever unsynced. A failed append is rolled back to the
+//! records are ever unsynced. A failed write is rolled back to the
 //! segment's acknowledged length with [`Storage::truncate`], so its LSNs
 //! can be reused; if even the rollback fails, the journal refuses every
-//! later append with the original error. Segments rotate once they exceed
-//! [`WalConfig::segment_bytes`]. After a catalog generation commits with a
-//! WAL mark (see [`crate::Catalog::set_wal_mark`]), [`ColumnWal::checkpoint`]
-//! deletes every segment whose records are all covered by the mark — the
-//! only place the journal ever deletes, and only data a committed snapshot
+//! later append with the original error. Segments rotate once they reach
+//! [`WalConfig::segment_bytes`]; a seal syncs anything unsynced (a write of
+//! no bytes with `sync` set, an operation of its own) and then trims. After
+//! a catalog generation commits with a WAL mark (see
+//! [`crate::Catalog::set_wal_mark`]), [`ColumnWal::checkpoint`] deletes
+//! every segment whose records are all covered by the mark — the only
+//! place the journal ever deletes, and only data a committed snapshot
 //! already holds. A failed delete is harmless: replay skips records at or
 //! below the mark.
 //!
@@ -60,19 +75,45 @@
 //! Every reader goes through one walk that lists the directory once and
 //! reads each segment file once (a file a checkpoint deleted after the
 //! listing counts as unlisted): [`scan_column_journal`] for one column's
-//! chain, [`scan_journals`] for every column's, and [`column_segments`]
-//! for the segments a replication shipper sends.
+//! chain, [`scan_journals`] for every column's, [`column_segments`] for the
+//! segments a replication shipper sends, and [`scan_shippable_column`] /
+//! [`scan_shippable_journals`] for a chain scan that keeps the bytes a
+//! shipper sends.
 //!
-//! A chain scan validates the whole chain. A torn *tail* — fewer trailing
-//! bytes than one record, a trailing batch with no end mark (dropped
-//! whole), or an unreadable header on the final segment (the crash hit the
-//! segment's very first append) — is tolerated and truncated, because
-//! those bytes were never acknowledged as durable. An unreadable header
-//! mid-chain is forgiven only when the LSN chain runs unbroken across it.
-//! Everything else (mid-stream CRC mismatch, broken LSN chain, torn tail
-//! on a non-final segment) is a hard [`SynopticError::CorruptJournal`]:
-//! the journal cannot be trusted and recovery must say so rather than
-//! guess.
+//! The record stream ends at the first 32-byte slot that does not hold the
+//! next record. What follows decides whether the segment ends cleanly, ends
+//! in a torn tail, or is corrupt:
+//!
+//! 1. Only zero bytes, or nothing: a clean end (padding not yet written).
+//! 2. Fewer bytes than one record, not all zero: a torn tail (a write cut
+//!    short at the end of the file).
+//! 3. A slot whose declared payload length is 0 (bits 0–30 of its length
+//!    word clear), with non-zero bytes somewhere after it: a torn tail.
+//!    Every written record declares 24, so no write has reached the slot's
+//!    start. The bytes after it belong to a write in flight (a reader racing
+//!    the writer can see a slot's old zeros and a later slot's new record in
+//!    one read) or to a write torn by a crash.
+//! 4. A slot that declares a non-zero length but does not hold a valid
+//!    record (wrong length, CRC mismatch): a torn tail when bytes follow it
+//!    and the next slot does not hold a CRC-valid record (a write cut short
+//!    inside the padding). It is a hard [`SynopticError::CorruptJournal`]
+//!    when it ends the file (a write cut short never leaves a whole damaged
+//!    slot last) or when the next slot holds a CRC-valid record, such as
+//!    the one after the expected LSN (damage inside a stream that
+//!    continues).
+//!
+//! A CRC-valid record with an out-of-sequence LSN is always corrupt. A
+//! torn tail is dropped together with any trailing batch that has no end
+//! mark, so a batch replays whole or not at all.
+//!
+//! A chain scan validates the whole chain. A torn *tail* — the cases above,
+//! or an unreadable header on the final segment (the crash hit the
+//! segment's very first write) — is tolerated and truncated, because those
+//! bytes were never acknowledged as durable. An unreadable header mid-chain
+//! is forgiven only when the LSN chain runs unbroken across it. Everything
+//! else (a corrupt record, a broken LSN chain, a torn tail on a non-final
+//! segment) is a hard [`SynopticError::CorruptJournal`]: the journal cannot
+//! be trusted and recovery must say so rather than guess.
 
 use std::collections::BTreeMap;
 use std::iter::Peekable;
@@ -121,7 +162,8 @@ pub enum FsyncCadence {
 /// Tuning knobs for one column's journal.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct WalConfig {
-    /// Rotate to a new segment once the active one reaches this many bytes.
+    /// Rotate to a new segment once the active one reaches this many bytes;
+    /// also the length its first write pads it to with zeros.
     pub segment_bytes: usize,
     /// Fsync cadence for appends.
     pub fsync: FsyncCadence,
@@ -171,6 +213,12 @@ pub struct SegmentMeta {
     pub last_lsn: u64,
     /// Whether a torn final batch was truncated off this segment.
     pub torn_tail: bool,
+    /// Length of the validated prefix: the header and every whole batch.
+    /// A sealed segment's file is exactly this long.
+    pub len: u64,
+    /// Length of the file as read: longer than `len` when zero padding (an
+    /// active segment) or a torn tail follows the validated prefix.
+    pub file_len: u64,
 }
 
 /// Everything a chain scan recovered for one column.
@@ -186,6 +234,18 @@ pub struct JournalScan {
     /// records: it is the final segment, or the LSN chain runs unbroken
     /// from the segment before it to the segment after it.
     pub skipped: Vec<String>,
+    /// Highest valid LSN seen (`0` when the journal is empty).
+    pub max_lsn: u64,
+}
+
+/// One column's journal as a shipper sends it: each readable segment with
+/// its validated prefix (header plus whole batches), validated as
+/// [`scan_column_journal`] validates the chain.
+#[derive(Debug, Clone, Default)]
+pub struct ShippableJournal {
+    /// Readable segments and their validated prefixes, ascending by
+    /// sequence number.
+    pub segments: Vec<(SegmentMeta, Vec<u8>)>,
     /// Highest valid LSN seen (`0` when the journal is empty).
     pub max_lsn: u64,
 }
@@ -362,75 +422,125 @@ struct ParsedRecords {
     torn: Option<String>,
 }
 
-/// Decodes the record stream following a segment header. `Err` means
-/// untrustworthy mid-stream bytes; `torn: Some(detail)` means a torn tail
-/// was truncated off — always a whole batch, so a batch is either fully in
-/// the returned records or absent.
+/// What one 32-byte record slot holds.
+enum Slot {
+    /// The record the stream expects next, and whether its batch continues.
+    Record(WalRecord, bool),
+    /// A declared payload length of 0: no write has reached the slot.
+    Unwritten,
+    /// Written bytes that do not make a record, and why.
+    Damaged(String),
+}
+
+/// Decodes the slot at byte `at` of the record stream, which must hold LSN
+/// `expect` (`None` past `u64`). `Err` is a CRC-valid record that is out of
+/// sequence or leaves the LSN range: never the work of a torn write.
+fn decode_slot(
+    slot: &[u8],
+    at: usize,
+    expect: Option<u64>,
+    version: u16,
+    file: &str,
+) -> Result<Slot> {
+    let mut f = ByteReader::new(slot, file);
+    let word = f.u32()?;
+    // Version 1 predates batches: bit 31 there is damage, caught by the
+    // length check below.
+    let continues = version >= 2 && word & BATCH_CONTINUES != 0;
+    let len = if continues {
+        word & !BATCH_CONTINUES
+    } else {
+        word
+    };
+    if len == 0 {
+        return Ok(Slot::Unwritten);
+    }
+    if len != RECORD_PAYLOAD_LEN {
+        return Ok(Slot::Damaged(format!(
+            "record at byte {at} declares payload length {len}"
+        )));
+    }
+    let (lsn, index, delta) = (f.u64()?, f.u64()?, f.i64()?);
+    if f.u32()? != crc32(&slot[..WAL_RECORD_LEN - 4]) {
+        return Ok(Slot::Damaged(format!("record CRC mismatch at byte {at}")));
+    }
+    // The record's successor must be a valid LSN too, so no `last_lsn + 1`
+    // downstream can wrap.
+    let expect = expect.filter(|&expect| expect < u64::MAX).ok_or_else(|| {
+        corrupt(
+            file,
+            format!("record at byte {at} leaves the u64 LSN range"),
+        )
+    })?;
+    if lsn != expect {
+        return Err(corrupt(
+            file,
+            format!("LSN {lsn} where {expect} was expected"),
+        ));
+    }
+    Ok(Slot::Record(WalRecord { lsn, index, delta }, continues))
+}
+
+/// Decodes the record stream following a segment header with the tail rule
+/// in the module docs. `Err` means untrustworthy mid-stream bytes; `torn:
+/// Some(detail)` means a torn tail was truncated off — always a whole
+/// batch, so a batch is either fully in the returned records or absent.
 fn parse_records(bytes: &[u8], first_lsn: u64, version: u16, file: &str) -> Result<ParsedRecords> {
     let mut records = Vec::with_capacity(bytes.len() / WAL_RECORD_LEN);
     // Records before this index belong to batches whose end mark was read.
     let mut complete = 0usize;
     let mut torn = None;
-    let mut r = ByteReader::new(bytes, file);
-    let mut read = || -> Result<()> {
-        while r.has_remaining() {
-            let at = r.offset();
-            let remaining = bytes.len() - at;
-            if remaining < WAL_RECORD_LEN {
-                // A torn append leaves a strict prefix of its bytes;
-                // anything shorter than a whole record can only be that.
-                torn = Some(format!("{remaining} trailing bytes, less than one record"));
-                break;
+    let mut at = 0;
+    while at < bytes.len() {
+        let rest = &bytes[at..];
+        let expect = first_lsn.checked_add(records.len() as u64);
+        let slot = match rest.get(..WAL_RECORD_LEN) {
+            Some(slot) => decode_slot(slot, at, expect, version, file).map_err(journal_error)?,
+            None => Slot::Damaged(format!(
+                "{} trailing bytes, less than one record",
+                rest.len()
+            )),
+        };
+        let detail = match slot {
+            Slot::Record(record, continues) => {
+                records.push(record);
+                if !continues {
+                    complete = records.len();
+                }
+                at += WAL_RECORD_LEN;
+                continue;
             }
-            let record = r.bytes(WAL_RECORD_LEN)?;
-            let mut f = ByteReader::new(record, file);
-            let word = f.u32()?;
-            // Version 1 predates batches: bit 31 there is corruption,
-            // caught by the length check below.
-            let continues = version >= 2 && word & BATCH_CONTINUES != 0;
-            let len = if continues {
-                word & !BATCH_CONTINUES
-            } else {
-                word
-            };
-            if len != RECORD_PAYLOAD_LEN {
-                return Err(corrupt(
-                    file,
-                    format!("record at byte {at} declares payload length {len}"),
-                ));
+            _ if rest.iter().all(|&b| b == 0) => break,
+            Slot::Unwritten => {
+                format!("non-zero bytes after the unwritten record slot at byte {at}")
             }
-            let (lsn, index, delta) = (f.u64()?, f.u64()?, f.i64()?);
-            if f.u32()? != crc32(&record[..WAL_RECORD_LEN - 4]) {
-                return Err(corrupt(file, format!("record CRC mismatch at byte {at}")));
+            Slot::Damaged(detail) => {
+                // A write cut short ends the file inside a slot, or lands in
+                // the padding with bytes after it. A whole damaged slot that
+                // ends the file, or one the stream continues past, is
+                // damage.
+                let ends_file = rest.len() == WAL_RECORD_LEN;
+                let continued = rest
+                    .get(WAL_RECORD_LEN..2 * WAL_RECORD_LEN)
+                    .is_some_and(|next| {
+                        let after = expect.and_then(|e| e.checked_add(1));
+                        !matches!(
+                            decode_slot(next, at + WAL_RECORD_LEN, after, version, file),
+                            Ok(Slot::Unwritten | Slot::Damaged(_))
+                        )
+                    });
+                if ends_file || continued {
+                    return Err(corrupt(file, detail));
+                }
+                detail
             }
-            // The record's successor must be a valid LSN too, so no
-            // `last_lsn + 1` downstream can wrap.
-            let expect = first_lsn
-                .checked_add(records.len() as u64)
-                .filter(|&expect| expect < u64::MAX)
-                .ok_or_else(|| {
-                    corrupt(
-                        file,
-                        format!("record at byte {at} leaves the u64 LSN range"),
-                    )
-                })?;
-            if lsn != expect {
-                return Err(corrupt(
-                    file,
-                    format!("LSN {lsn} where {expect} was expected"),
-                ));
-            }
-            records.push(WalRecord { lsn, index, delta });
-            if !continues {
-                complete = records.len();
-            }
-        }
-        Ok(())
-    };
-    read().map_err(journal_error)?;
+        };
+        torn = Some(detail);
+        break;
+    }
     let open = records.len() - complete;
     if open > 0 {
-        // The append that carried this batch tore before its end mark
+        // The write that carried this batch tore before its end mark
         // landed: none of the batch was acknowledged, so all of it goes.
         records.truncate(complete);
         let detail = format!("batch of {open} record(s) has no end mark");
@@ -463,7 +573,13 @@ struct WalFile {
 }
 
 impl SegmentMeta {
-    fn new(file: String, seq: u64, header: &ParsedHeader, records: &ParsedRecords) -> Self {
+    fn new(
+        file: String,
+        seq: u64,
+        file_len: usize,
+        header: &ParsedHeader,
+        records: &ParsedRecords,
+    ) -> Self {
         Self {
             file,
             seq,
@@ -471,6 +587,8 @@ impl SegmentMeta {
             first_lsn: header.first_lsn,
             last_lsn: records.last_lsn,
             torn_tail: records.torn.is_some(),
+            len: (header.len + records.records.len() * WAL_RECORD_LEN) as u64,
+            file_len: file_len as u64,
         }
     }
 }
@@ -521,17 +639,31 @@ fn walk<'a, S: Storage>(
     }))
 }
 
+/// What a chain scan keeps of each readable segment besides its metadata.
+#[derive(Clone, Copy, PartialEq, Eq)]
+enum Keep {
+    /// The decoded records, for replay.
+    Records,
+    /// The validated prefix of the file's bytes, for shipping.
+    Bytes,
+}
+
 /// Validates the chain of the journal `files` yields next, consuming its
 /// files, with the rules in the module docs. Every readable header must
 /// name `column`, or, when `None`, the column the first one names; that
 /// column is returned with the scan (`None` when no header was readable).
+/// With [`Keep::Bytes`] the scan's `records` stay empty and each readable
+/// segment's validated prefix is returned instead, parallel to its
+/// `segments`.
 fn scan_chain(
     column: Option<&str>,
     files: &mut Peekable<impl Iterator<Item = Result<WalFile>>>,
-) -> Result<(Option<String>, JournalScan)> {
+    keep: Keep,
+) -> Result<(Option<String>, JournalScan, Vec<Vec<u8>>)> {
     let mut column = column.map(str::to_string);
     let mut prefix: Option<String> = None;
     let mut scan = JournalScan::default();
+    let mut prefixes = Vec::new();
     // Unreadable-header segments seen since the last readable one. They are
     // forgiven only if the next readable segment proves (by LSN continuity)
     // that they never held an acknowledged record.
@@ -609,16 +741,32 @@ fn scan_chain(
             }
         }
         scan.max_lsn = scan.max_lsn.max(records.last_lsn);
-        scan.segments
-            .push(SegmentMeta::new(f.name, f.seq, &header, &records));
-        scan.records.extend(records.records);
+        let meta = SegmentMeta::new(f.name, f.seq, f.bytes.len(), &header, &records);
+        match keep {
+            Keep::Records => scan.records.extend(records.records),
+            Keep::Bytes => {
+                let mut bytes = f.bytes;
+                bytes.truncate(meta.len as usize);
+                prefixes.push(bytes);
+            }
+        }
+        scan.segments.push(meta);
     }
     // Wrecks with no later readable segment to vouch for them (the journal
     // ended in the middle of them) stay unproven: refuse.
     if let Some((_, e)) = wrecks.into_iter().next() {
         return Err(e);
     }
-    Ok((column, scan))
+    Ok((column, scan, prefixes))
+}
+
+impl ShippableJournal {
+    fn new(scan: JournalScan, prefixes: Vec<Vec<u8>>) -> Self {
+        Self {
+            segments: scan.segments.into_iter().zip(prefixes).collect(),
+            max_lsn: scan.max_lsn,
+        }
+    }
 }
 
 /// Reads and validates `column`'s whole journal under `dir`.
@@ -634,7 +782,21 @@ pub fn scan_column_journal<S: Storage>(
     column: &str,
 ) -> Result<JournalScan> {
     let mut files = walk(storage, dir, Some(&sanitize_column(column)), 0)?.peekable();
-    Ok(scan_chain(Some(column), &mut files)?.1)
+    Ok(scan_chain(Some(column), &mut files, Keep::Records)?.1)
+}
+
+/// [`scan_column_journal`] for a shipper: the same walk and validation,
+/// keeping each readable segment's validated prefix instead of its
+/// records, so a [`ShippableJournal`] handed to the shipper needs no second
+/// read of the same files.
+pub fn scan_shippable_column<S: Storage>(
+    storage: &S,
+    dir: &Path,
+    column: &str,
+) -> Result<ShippableJournal> {
+    let mut files = walk(storage, dir, Some(&sanitize_column(column)), 0)?.peekable();
+    let (_, scan, prefixes) = scan_chain(Some(column), &mut files, Keep::Bytes)?;
+    Ok(ShippableJournal::new(scan, prefixes))
 }
 
 /// Reads and validates every journal under `dir` in one walk, each exactly
@@ -646,8 +808,24 @@ pub fn scan_journals<S: Storage>(storage: &S, dir: &Path) -> Result<BTreeMap<Str
     let mut files = walk(storage, dir, None, 0)?.peekable();
     let mut journals = BTreeMap::new();
     while files.peek().is_some() {
-        if let (Some(column), scan) = scan_chain(None, &mut files)? {
+        if let (Some(column), scan, _) = scan_chain(None, &mut files, Keep::Records)? {
             journals.insert(column, scan);
+        }
+    }
+    Ok(journals)
+}
+
+/// [`scan_journals`] for a shipper: every journal under `dir` in one walk,
+/// validated the same way, each as a [`ShippableJournal`].
+pub fn scan_shippable_journals<S: Storage>(
+    storage: &S,
+    dir: &Path,
+) -> Result<BTreeMap<String, ShippableJournal>> {
+    let mut files = walk(storage, dir, None, 0)?.peekable();
+    let mut journals = BTreeMap::new();
+    while files.peek().is_some() {
+        if let (Some(column), scan, prefixes) = scan_chain(None, &mut files, Keep::Bytes)? {
+            journals.insert(column, ShippableJournal::new(scan, prefixes));
         }
     }
     Ok(journals)
@@ -681,20 +859,21 @@ pub fn column_segments<S: Storage>(
         if records.records.is_empty() || records.last_lsn <= after_lsn {
             continue;
         }
+        let meta = SegmentMeta::new(f.name, f.seq, f.bytes.len(), &header, &records);
         let mut bytes = f.bytes;
-        bytes.truncate(header.len + records.records.len() * WAL_RECORD_LEN);
-        segments.push((SegmentMeta::new(f.name, f.seq, &header, &records), bytes));
+        bytes.truncate(meta.len as usize);
+        segments.push((meta, bytes));
     }
     Ok(segments)
 }
 
 /// Decodes one whole segment file as shipped over a replication transport:
 /// header plus record stream, CRC- and LSN-chain-validated exactly like
-/// [`scan_column_journal`] validates it on disk. A torn final batch —
-/// trailing bytes short of a whole record, or records with no batch end
-/// mark — is truncated off whole and flagged (`torn_tail`) rather than
-/// refused: over a transport that means an incomplete transfer the sender
-/// will retry, and on disk it means a torn final append.
+/// [`scan_column_journal`] validates it on disk, with the same tail rule
+/// (module docs). A torn final batch is truncated off whole and flagged
+/// (`torn_tail`) rather than refused: over a transport that means an
+/// incomplete transfer the sender will retry, and on disk it means a torn
+/// final write.
 pub fn decode_segment(bytes: &[u8], file: &str) -> Result<DecodedSegment> {
     let header = parse_header(bytes, file)?;
     let parsed = parse_records(&bytes[header.len..], header.first_lsn, header.version, file)?;
@@ -728,7 +907,10 @@ pub fn restamp_segment_generation(bytes: &mut [u8], file: &str, generation: u64)
 
 struct ActiveSegment {
     path: PathBuf,
+    /// Acknowledged length: the header and every whole batch written.
     bytes: usize,
+    /// Bytes the file holds, its zero padding included.
+    file_len: usize,
 }
 
 struct SealedSegment {
@@ -762,8 +944,9 @@ pub type SealHook = Box<dyn Fn(&Path, u64) + Send + Sync>;
 ///
 /// Thread-safe behind an internal mutex: the ingest path appends while a
 /// background worker checkpoints. Opening never appends to pre-existing
-/// segments (their tails may be torn); it seals them as found and starts a
-/// fresh segment on the first append.
+/// segments: it trims the final one to its last whole batch (dropping its
+/// padding and any torn tail), seals them all as found, and starts a fresh
+/// segment on the first append.
 pub struct ColumnWal<S: Storage> {
     storage: S,
     dir: PathBuf,
@@ -780,7 +963,11 @@ impl<S: Storage> ColumnWal<S> {
     /// absent. `committed_generation` is the catalog generation the
     /// in-memory state was loaded from; it is stamped into new segment
     /// headers until the first [`Self::checkpoint`]. The existing journal
-    /// must scan cleanly — run recovery first when in doubt.
+    /// must scan cleanly — run recovery first when in doubt. The final
+    /// segment is trimmed to its validated prefix before it is sealed: a
+    /// torn tail left on it would become a torn tail on a non-final segment
+    /// once the next append opens a segment after it, which every later scan
+    /// refuses.
     pub fn open(
         storage: S,
         dir: impl Into<PathBuf>,
@@ -797,6 +984,11 @@ impl<S: Storage> ColumnWal<S> {
         }
         storage.create_dir_all(&dir)?;
         let scan = scan_column_journal(&storage, &dir, column)?;
+        if let Some(last) = scan.segments.last() {
+            if last.file_len > last.len {
+                storage.truncate(&dir.join(&last.file), last.len)?;
+            }
+        }
         // Never reuse a sequence number, including one whose header never
         // became readable — appending to that file would bury live records
         // behind garbage. The scan accounts for every file of the column.
@@ -860,23 +1052,30 @@ impl<S: Storage> ColumnWal<S> {
         self.state.lock().unwrap_or_else(PoisonError::into_inner)
     }
 
-    /// Seals the active segment: fsyncs it whenever any record in it is
+    /// Seals the active segment: syncs it whenever any record in it is
     /// still unsynced (`EveryN` between sync points as well as `OnRotate`),
-    /// then moves it to the sealed list — a sealed segment must be fully
-    /// durable before the next segment starts receiving synced records, or
-    /// a crash would tear a *non-final* segment, which recovery rightly
-    /// treats as hard corruption. On fsync failure the segment stays active
-    /// so a later append retries the seal.
+    /// trims its zero padding, then moves it to the sealed list — a sealed
+    /// segment must be fully durable before the next segment starts
+    /// receiving synced records, or a crash would tear a *non-final*
+    /// segment, which recovery rightly treats as hard corruption. On a
+    /// failed sync or trim the segment stays active so a later append
+    /// retries the seal.
     fn seal_active(&self, st: &mut WalState) -> Result<()> {
         let Some(a) = st.active.take() else {
             return Ok(());
         };
         if st.since_sync > 0 {
-            if let Err(e) = self.storage.append(&a.path, &[], true) {
+            if let Err(e) = self.storage.write_at(&a.path, a.bytes as u64, &[], true) {
                 st.active = Some(a);
                 return Err(e);
             }
             st.since_sync = 0;
+        }
+        if a.file_len > a.bytes {
+            if let Err(e) = self.storage.truncate(&a.path, a.bytes as u64) {
+                st.active = Some(a);
+                return Err(e);
+            }
         }
         let last_lsn = st.next_lsn - 1;
         if let Some(hook) = self
@@ -953,7 +1152,7 @@ impl<S: Storage> ColumnWal<S> {
         self.append_batch(&[(index, delta)])
     }
 
-    /// Journals a batch of `(index, delta)` updates in one storage append
+    /// Journals a batch of `(index, delta)` updates in one storage write
     /// and returns the LSN of its last record (the current mark when the
     /// batch is empty, which appends nothing). The batch is on its way to
     /// disk (synced, per the cadence) before this returns; only then may
@@ -988,23 +1187,24 @@ impl<S: Storage> ColumnWal<S> {
             FsyncCadence::OnRotate => false,
         };
         let records_len = batch.len() * WAL_RECORD_LEN;
-        let (path, acked, mut w) = match &st.active {
+        let (path, acked, file_len, mut w) = match &st.active {
             Some(a) => (
                 a.path.clone(),
                 a.bytes,
+                a.file_len,
                 ByteWriter::with_capacity(records_len),
             ),
-            // First batch of a new segment: header and records go out in
-            // one append, so a tear at any byte is a torn creation or a
-            // torn tail — never a half-header with a live record stranded
+            // First batch of a new segment: header, records and padding go
+            // out in one write, so a tear at any byte is a torn creation or
+            // a torn tail — never a half-header with a live record stranded
             // behind it.
             None => {
-                let mut w = ByteWriter::with_capacity(
-                    HEADER_FIXED_LEN + self.column.len() + 4 + records_len,
-                );
+                let written = HEADER_FIXED_LEN + self.column.len() + 4 + records_len;
+                let mut w = ByteWriter::with_capacity(written.max(self.config.segment_bytes));
                 encode_header(&mut w, WAL_VERSION, &self.column, st.generation, first);
                 (
                     self.dir.join(wal_file_name(&self.column, st.next_seq)),
+                    0,
                     0,
                     w,
                 )
@@ -1014,14 +1214,29 @@ impl<S: Storage> ColumnWal<S> {
             let lsn = first + j as u64;
             encode_record(&mut w, lsn, index, delta, j + 1 < batch.len());
         }
-        let buf = w.into_bytes();
-        if let Err(e) = self.storage.append(&path, &buf, sync) {
+        let mut buf = w.into_bytes();
+        let written = buf.len();
+        // A write that reaches past the file's end pads it with zeros up to
+        // the segment budget, so the batches after it overwrite blocks the
+        // file already holds.
+        if acked + written > file_len {
+            buf.resize(
+                self.config.segment_bytes.saturating_sub(acked).max(written),
+                0,
+            );
+        }
+        if let Err(e) = self.storage.write_at(&path, acked as u64, &buf, sync) {
             // Some of the bytes may have landed (a short write, or a write
-            // followed by a failed fsync). Cut them off so the next append
+            // followed by a failed sync). Cut them off so the next append
             // can reuse these LSNs; if that fails too, the tail cannot be
             // trusted and the journal stops accepting appends.
-            if self.storage.truncate(&path, acked as u64).is_err() {
-                st.poisoned = Some(e.clone());
+            match self.storage.truncate(&path, acked as u64) {
+                Ok(()) => {
+                    if let Some(a) = st.active.as_mut() {
+                        a.file_len = acked;
+                    }
+                }
+                Err(_) => st.poisoned = Some(e.clone()),
             }
             return Err(e);
         }
@@ -1030,7 +1245,8 @@ impl<S: Storage> ColumnWal<S> {
         }
         st.active = Some(ActiveSegment {
             path,
-            bytes: acked + buf.len(),
+            bytes: acked + written,
+            file_len: file_len.max(acked + buf.len()),
         });
         st.next_lsn = first + k;
         st.since_sync = if sync { 0 } else { st.since_sync + k };
@@ -1198,6 +1414,20 @@ mod tests {
         u16::from_le_bytes([bytes[at], bytes[at + 1]])
     }
 
+    /// Writes `bytes` where the next batch of the segment at `path` would
+    /// land: right after its validated prefix (inside an active segment's
+    /// padding), or at byte 0 of a file with no readable header. A fresh
+    /// backend writes them, as the crashed writer's own handle is gone.
+    fn write_next(path: &Path, bytes: &[u8]) {
+        let s = FsStorage::new();
+        let at = s
+            .read(path)
+            .ok()
+            .and_then(|b| decode_segment(&b, "next").ok())
+            .map_or(0, |seg| seg.header_len + seg.records.len() * WAL_RECORD_LEN);
+        s.write_at(path, at as u64, bytes, false).unwrap();
+    }
+
     #[test]
     fn append_scan_round_trip() {
         let d = tmp_dir("roundtrip");
@@ -1278,8 +1508,7 @@ mod tests {
         wal.append(2, 20).unwrap();
         // Power fails mid-append: a strict prefix of record 3 lands.
         let partial = &record(3, 3, 30, false)[..11];
-        s.append(&d.join(wal_file_name("t", 1)), partial, false)
-            .unwrap();
+        write_next(&d.join(wal_file_name("t", 1)), partial);
         let scan = scan_column_journal(&s, &d, "t").unwrap();
         assert_eq!(scan.records.len(), 2);
         assert_eq!(scan.max_lsn, 2);
@@ -1298,8 +1527,7 @@ mod tests {
         let wal = ColumnWal::open(s.clone(), &d, "t", 1, cfg).unwrap();
         wal.append(1, 1).unwrap();
         wal.append(2, 2).unwrap();
-        s.append(&d.join(wal_file_name("t", 1)), b"stray", false)
-            .unwrap();
+        write_next(&d.join(wal_file_name("t", 1)), b"stray");
         let err = scan_column_journal(&s, &d, "t").unwrap_err();
         assert!(
             matches!(err, SynopticError::CorruptJournal { .. }),
@@ -1315,6 +1543,7 @@ mod tests {
         let wal = ColumnWal::open(s.clone(), &d, "b", 1, WalConfig::default()).unwrap();
         wal.append(1, 1).unwrap();
         wal.append(2, 2).unwrap();
+        wal.seal().unwrap(); // trims the padding: the file ends at record 2
         let p = d.join(wal_file_name("b", 1));
         let mut bytes = std::fs::read(&p).unwrap();
         let flip = bytes.len() - WAL_RECORD_LEN - 10; // inside record 1
@@ -1340,8 +1569,7 @@ mod tests {
         wal.append(1, 1).unwrap();
         // Crash hits the very first append of segment 2: only a few header
         // bytes land.
-        s.append(&d.join(wal_file_name("h", 2)), &WAL_MAGIC[..5], false)
-            .unwrap();
+        write_next(&d.join(wal_file_name("h", 2)), &WAL_MAGIC[..5]);
         let scan = scan_column_journal(&s, &d, "h").unwrap();
         assert_eq!(scan.records.len(), 1);
         assert_eq!(scan.skipped, vec!["h-2.wal".to_string()]);
@@ -1475,13 +1703,13 @@ mod tests {
         fn write_atomic(&self, path: &Path, bytes: &[u8]) -> Result<()> {
             self.inner.write_atomic(path, bytes)
         }
-        fn append(&self, path: &Path, bytes: &[u8], sync: bool) -> Result<()> {
+        fn write_at(&self, path: &Path, offset: u64, bytes: &[u8], sync: bool) -> Result<()> {
             self.appends.lock().unwrap().push((
                 path.file_name().unwrap().to_string_lossy().into_owned(),
                 bytes.len(),
                 sync,
             ));
-            self.inner.append(path, bytes, sync)
+            self.inner.write_at(path, offset, bytes, sync)
         }
         fn truncate(&self, path: &Path, len: u64) -> Result<()> {
             self.inner.truncate(path, len)
@@ -1547,14 +1775,12 @@ mod tests {
         }
         // A wreck whose header never landed names nothing: it was never
         // acknowledged.
-        s.append(&d.join(wal_file_name("ghost", 1)), &WAL_MAGIC[..4], false)
-            .unwrap();
+        write_next(&d.join(wal_file_name("ghost", 1)), &WAL_MAGIC[..4]);
         let journals = scan_journals(&s, &d).unwrap();
         assert_eq!(journals.keys().collect::<Vec<_>>(), vec!["alpha", "beta"]);
         // A second wreck leaves the first unanchored: refused, exactly as
         // scanning that column by name refuses it.
-        s.append(&d.join(wal_file_name("ghost", 2)), &WAL_MAGIC[..4], false)
-            .unwrap();
+        write_next(&d.join(wal_file_name("ghost", 2)), &WAL_MAGIC[..4]);
         let err = scan_journals(&s, &d).unwrap_err();
         assert_eq!(err, scan_column_journal(&s, &d, "ghost").unwrap_err());
         let _ = std::fs::remove_dir_all(&d);
@@ -1571,7 +1797,7 @@ mod tests {
         let crc = crc32(&h[..h.len() - 4]);
         let at = h.len() - 4;
         h[at..].copy_from_slice(&crc.to_le_bytes());
-        s.append(&d.join(wal_file_name("v", 1)), &h, false).unwrap();
+        write_next(&d.join(wal_file_name("v", 1)), &h);
         let err = scan_column_journal(&s, &d, "v").unwrap_err();
         assert!(
             matches!(
@@ -1597,8 +1823,8 @@ mod tests {
         fn write_atomic(&self, path: &Path, bytes: &[u8]) -> Result<()> {
             self.0.write_atomic(path, bytes)
         }
-        fn append(&self, path: &Path, bytes: &[u8], sync: bool) -> Result<()> {
-            self.0.append(path, bytes, sync)
+        fn write_at(&self, path: &Path, offset: u64, bytes: &[u8], sync: bool) -> Result<()> {
+            self.0.write_at(path, offset, bytes, sync)
         }
         fn truncate(&self, path: &Path, len: u64) -> Result<()> {
             self.0.truncate(path, len)
@@ -1637,8 +1863,7 @@ mod tests {
             }
         }
         // A wreck whose header never landed is not a shippable segment.
-        s.append(&d.join(wal_file_name("a", 9)), &WAL_MAGIC[..5], false)
-            .unwrap();
+        write_next(&d.join(wal_file_name("a", 9)), &WAL_MAGIC[..5]);
         // Nor is one a checkpoint deleted after the directory listing.
         let s = VanishedListing(s);
         let journals = scan_journals(&s, &d).unwrap();
@@ -1673,6 +1898,7 @@ mod tests {
         let wal = ColumnWal::open(s.clone(), &d, "price", 7, WalConfig::default()).unwrap();
         wal.append(3, -2).unwrap();
         wal.append(4, 9).unwrap();
+        wal.seal().unwrap(); // trims the padding, as a shipped segment is
         let bytes = s.read(&d.join(wal_file_name("price", 1))).unwrap();
         let seg = decode_segment(&bytes, "price-1.wal").unwrap();
         assert_eq!(seg.column, "price");
@@ -1859,6 +2085,7 @@ mod tests {
             2,
             "one storage append per batch: {appends:?}"
         );
+        wal.seal().unwrap(); // trims the padding: the file ends at record 4
         let bytes = std::fs::read(d.join(wal_file_name("b", 1))).unwrap();
         let header = bytes.len() - 4 * WAL_RECORD_LEN;
         assert_eq!(u16_le(&bytes, 8), WAL_VERSION);
@@ -1885,6 +2112,7 @@ mod tests {
         let s = FsStorage::new();
         let wal = ColumnWal::open(s.clone(), &d, "t", 1, WalConfig::default()).unwrap();
         wal.append_batch(&[(0, 1), (1, 1)]).unwrap();
+        wal.seal().unwrap(); // trims the padding: the file ends at the batch
         let path = d.join(wal_file_name("t", 1));
         let whole = s.read(&path).unwrap();
         // Power fails mid-append of a three-record batch: its first two
@@ -1908,8 +2136,7 @@ mod tests {
             );
         }
         // The same open batch on a non-final segment is corruption.
-        s.append(&d.join(wal_file_name("t", 2)), &header("t", 1, 3), false)
-            .unwrap();
+        write_next(&d.join(wal_file_name("t", 2)), &header("t", 1, 3));
         let err = scan_column_journal(&s, &d, "t").unwrap_err();
         assert!(
             matches!(err, SynopticError::CorruptJournal { ref detail, .. } if detail.contains("end mark")),
@@ -1938,8 +2165,7 @@ mod tests {
         let d = tmp_dir("v1");
         let s = FsStorage::new();
         std::fs::create_dir_all(&d).unwrap();
-        s.append(&d.join(wal_file_name("old", 1)), &V1_SEGMENT, false)
-            .unwrap();
+        write_next(&d.join(wal_file_name("old", 1)), &V1_SEGMENT);
         let expect = vec![
             WalRecord {
                 lsn: 1,
@@ -2109,8 +2335,8 @@ mod tests {
         fn write_atomic(&self, path: &Path, bytes: &[u8]) -> Result<()> {
             self.inner.write_atomic(path, bytes)
         }
-        fn append(&self, path: &Path, bytes: &[u8], sync: bool) -> Result<()> {
-            self.inner.append(path, bytes, sync)?;
+        fn write_at(&self, path: &Path, offset: u64, bytes: &[u8], sync: bool) -> Result<()> {
+            self.inner.write_at(path, offset, bytes, sync)?;
             if self.fail_appends.swap(false, Ordering::SeqCst) {
                 return Err(SynopticError::Io {
                     path: path.display().to_string(),
@@ -2195,6 +2421,289 @@ mod tests {
             "{err:?}"
         );
         assert!(scan_column_journal(&s, &d, "a.b").is_ok());
+        let _ = std::fs::remove_dir_all(&d);
+    }
+
+    /// `records` as one batch's bytes: continuation bits on all but the
+    /// last, LSNs from `first`.
+    fn batch_bytes(first: u64, records: &[(u64, i64)]) -> Vec<u8> {
+        let mut w = ByteWriter::new();
+        for (j, &(index, delta)) in records.iter().enumerate() {
+            encode_record(
+                &mut w,
+                first + j as u64,
+                index,
+                delta,
+                j + 1 < records.len(),
+            );
+        }
+        w.into_bytes()
+    }
+
+    #[test]
+    fn a_segment_is_padded_while_active_and_trimmed_when_sealed() {
+        let d = tmp_dir("padded");
+        let spy = SyncSpy::new();
+        let cfg = WalConfig {
+            segment_bytes: 4096,
+            fsync: FsyncCadence::EveryN(3),
+            ..WalConfig::default()
+        };
+        let wal = ColumnWal::open(spy.clone(), &d, "p", 1, cfg).unwrap();
+        wal.append_batch(&[(0, 1), (1, 2)]).unwrap();
+        wal.append_batch(&[(2, 3)]).unwrap();
+        wal.append_batch(&[(3, 4)]).unwrap();
+        let path = d.join(wal_file_name("p", 1));
+        let header_len = header("p", 1, 1).len();
+        // The first write carries the header, the batch and the padding;
+        // later batches overwrite zeros and never grow the file.
+        let writes = spy.appends.lock().unwrap().clone();
+        let lens: Vec<usize> = writes.iter().map(|w| w.1).collect();
+        assert_eq!(lens, vec![4096, WAL_RECORD_LEN, WAL_RECORD_LEN]);
+        let syncs: Vec<bool> = writes.iter().map(|w| w.2).collect();
+        assert_eq!(syncs, vec![false, true, false]);
+        assert_eq!(std::fs::metadata(&path).unwrap().len(), 4096);
+        let scan = scan_column_journal(&spy, &d, "p").unwrap();
+        assert_eq!(scan.max_lsn, 4);
+        let meta = &scan.segments[0];
+        assert!(!meta.torn_tail, "zero padding is a clean end");
+        assert_eq!(meta.len as usize, header_len + 4 * WAL_RECORD_LEN);
+        assert_eq!(meta.file_len, 4096);
+        // Sealing syncs the unsynced batch in a write of its own, then
+        // trims: the sealed file is exactly its header and records.
+        wal.seal().unwrap();
+        let writes = spy.appends.lock().unwrap().clone();
+        assert_eq!(writes.last().map(|w| (w.1, w.2)), Some((0, true)));
+        assert_eq!(
+            std::fs::metadata(&path).unwrap().len() as usize,
+            header_len + 4 * WAL_RECORD_LEN
+        );
+        let _ = std::fs::remove_dir_all(&d);
+    }
+
+    #[test]
+    fn a_torn_write_at_every_byte_of_a_padded_batch_is_dropped_whole() {
+        let d = tmp_dir("tornpad");
+        let s = FsStorage::new();
+        let kept: [(u64, i64); 3] = [(0, 1), (1, 2), (2, 3)];
+        let torn = batch_bytes(4, &[(7, 7), (8, 8), (9, 9)]);
+        for keep in 0..=torn.len() {
+            let _ = std::fs::remove_dir_all(&d);
+            let wal = ColumnWal::open(s.clone(), &d, "t", 1, WalConfig::default()).unwrap();
+            wal.append_batch(&kept[..2]).unwrap();
+            wal.append_batch(&kept[2..]).unwrap();
+            drop(wal);
+            // Power fails mid-write: `keep` bytes of the next batch land in
+            // the padding.
+            let path = d.join(wal_file_name("t", 1));
+            write_next(&path, &torn[..keep]);
+            let scan = scan_column_journal(&s, &d, "t").unwrap();
+            let expect = if keep == torn.len() { 6 } else { 3 };
+            assert_eq!(scan.max_lsn, expect, "keep {keep}");
+            assert_eq!(scan.records.len() as u64, expect, "keep {keep}");
+            assert_eq!(
+                scan.segments[0].torn_tail,
+                keep > 0 && keep < torn.len(),
+                "keep {keep}"
+            );
+            // Reopening trims the segment to its last whole batch, padding
+            // included, and the next append chains on.
+            let wal = ColumnWal::open(s.clone(), &d, "t", 1, WalConfig::default()).unwrap();
+            let trimmed = std::fs::metadata(&path).unwrap().len();
+            assert_eq!(trimmed, scan.segments[0].len, "keep {keep}");
+            assert_eq!(wal.append(5, 5).unwrap(), expect + 1, "keep {keep}");
+            let scan = scan_column_journal(&s, &d, "t").unwrap();
+            assert_eq!(scan.max_lsn, expect + 1, "keep {keep}");
+            assert!(scan.segments.iter().all(|m| !m.torn_tail), "keep {keep}");
+        }
+        let _ = std::fs::remove_dir_all(&d);
+    }
+
+    #[test]
+    fn a_torn_final_segment_survives_two_restarts() {
+        let d = tmp_dir("restart2");
+        let s = FsStorage::new();
+        let wal = ColumnWal::open(s.clone(), &d, "r", 1, WalConfig::default()).unwrap();
+        for i in 1..=3u64 {
+            wal.append(i, 1).unwrap();
+        }
+        drop(wal);
+        // The crash tears the write of LSN 4.
+        write_next(&d.join(wal_file_name("r", 1)), &record(4, 4, 1, false)[..9]);
+        // First restart: the torn segment is sealed as found and LSN 4 is
+        // acknowledged into a new segment.
+        let wal = ColumnWal::open(s.clone(), &d, "r", 1, WalConfig::default()).unwrap();
+        assert_eq!(wal.append(9, 9).unwrap(), 4);
+        drop(wal);
+        // Second restart, before any checkpoint: the journal still scans,
+        // with LSN 4 in it.
+        let wal = ColumnWal::open(s.clone(), &d, "r", 1, WalConfig::default()).unwrap();
+        assert_eq!(wal.pending_mark(), 4);
+        let scan = scan_column_journal(&s, &d, "r").unwrap();
+        assert_eq!(scan.records.last().map(|r| (r.lsn, r.index)), Some((4, 9)));
+        let _ = std::fs::remove_dir_all(&d);
+    }
+
+    #[test]
+    fn a_damaged_record_the_stream_continues_past_is_refused() {
+        let d = tmp_dir("damaged");
+        let s = FsStorage::new();
+        let wal = ColumnWal::open(s.clone(), &d, "c", 1, WalConfig::default()).unwrap();
+        for i in 1..=3u64 {
+            wal.append(i, 1).unwrap();
+        }
+        let path = d.join(wal_file_name("c", 1));
+        let padded = s.read(&path).unwrap();
+        let first = header("c", 1, 1).len();
+        for (slot, flip, corrupt) in [
+            // A bad CRC with valid records after it.
+            (0, 20, true),
+            (1, 9, true),
+            // A bad declared length with a valid record after it.
+            (1, 1, true),
+            // The last record damaged, padding after it: indistinguishable
+            // from a write cut short inside the padding.
+            (2, 20, false),
+        ] {
+            let mut bytes = padded.clone();
+            bytes[first + slot * WAL_RECORD_LEN + flip] ^= 0x10;
+            std::fs::write(&path, &bytes).unwrap();
+            let got = scan_column_journal(&s, &d, "c");
+            if corrupt {
+                let err = got.unwrap_err();
+                assert!(
+                    matches!(err, SynopticError::CorruptJournal { .. }),
+                    "slot {slot}: {err:?}"
+                );
+            } else {
+                let scan = got.unwrap();
+                assert_eq!(scan.max_lsn, 2, "slot {slot}");
+                assert!(scan.segments[0].torn_tail);
+            }
+        }
+        // Once sealed, a damaged last record ends the file: corrupt too.
+        let mut sealed = padded[..first + 3 * WAL_RECORD_LEN].to_vec();
+        sealed[first + 2 * WAL_RECORD_LEN + 20] ^= 0x10;
+        assert!(matches!(
+            decode_segment(&sealed, "c-1.wal"),
+            Err(SynopticError::CorruptJournal { .. })
+        ));
+        let _ = std::fs::remove_dir_all(&d);
+    }
+
+    /// The filesystem, read 4 KiB at a time with a yield between reads, as
+    /// a read of a large file may be split: a read that overlaps a write can
+    /// see one chunk before the write and the next one after it.
+    struct ChunkedReads(FsStorage);
+
+    impl Storage for ChunkedReads {
+        fn read(&self, path: &Path) -> Result<Vec<u8>> {
+            use std::io::Read as _;
+            let io = |e: std::io::Error| SynopticError::Io {
+                path: path.display().to_string(),
+                detail: e.to_string(),
+            };
+            let mut f = std::fs::File::open(path).map_err(io)?;
+            let (mut bytes, mut chunk) = (Vec::new(), [0u8; 4096]);
+            loop {
+                let n = f.read(&mut chunk).map_err(io)?;
+                if n == 0 {
+                    return Ok(bytes);
+                }
+                bytes.extend_from_slice(&chunk[..n]);
+                std::thread::yield_now();
+            }
+        }
+        fn write_atomic(&self, path: &Path, bytes: &[u8]) -> Result<()> {
+            self.0.write_atomic(path, bytes)
+        }
+        fn write_at(&self, path: &Path, offset: u64, bytes: &[u8], sync: bool) -> Result<()> {
+            self.0.write_at(path, offset, bytes, sync)
+        }
+        fn truncate(&self, path: &Path, len: u64) -> Result<()> {
+            self.0.truncate(path, len)
+        }
+        fn remove(&self, path: &Path) -> Result<()> {
+            self.0.remove(path)
+        }
+        fn rename(&self, from: &Path, to: &Path) -> Result<()> {
+            self.0.rename(from, to)
+        }
+        fn list(&self, dir: &Path) -> Result<Vec<String>> {
+            self.0.list(dir)
+        }
+        fn create_dir_all(&self, dir: &Path) -> Result<()> {
+            self.0.create_dir_all(dir)
+        }
+        fn exists(&self, path: &Path) -> bool {
+            self.0.exists(path)
+        }
+    }
+
+    /// One reader thread scans the journal while the writer appends into
+    /// the padding of the active segment and rotates: every scan succeeds
+    /// and holds whole batches only. A reader that read a slot's zeros
+    /// before the writer reached it can see a later slot's new record in
+    /// the same read; that is a torn tail, never corruption.
+    #[test]
+    fn a_reader_racing_the_writer_sees_whole_batches_and_no_error() {
+        const BATCH: u64 = 64;
+        const BATCHES: u64 = 1500;
+        let d = tmp_dir("race");
+        let cfg = WalConfig {
+            segment_bytes: 32 * 1024,
+            fsync: FsyncCadence::OnRotate,
+            ..WalConfig::default()
+        };
+        let wal = ColumnWal::open(FsStorage::new(), &d, "r", 1, cfg).unwrap();
+        // Record `lsn` carries index `(lsn - 1) / BATCH` and delta `lsn`.
+        let whole = |records: &[WalRecord], what: &str| {
+            assert_eq!(records.len() as u64 % BATCH, 0, "{what}: a partial batch");
+            for r in records {
+                assert_eq!(
+                    (r.index, r.delta),
+                    ((r.lsn - 1) / BATCH, r.lsn as i64),
+                    "{what}"
+                );
+            }
+        };
+        let done = Arc::new(AtomicBool::new(false));
+        let reader = {
+            let done = Arc::clone(&done);
+            let d = d.clone();
+            std::thread::spawn(move || {
+                let s = ChunkedReads(FsStorage::new());
+                let (mut scans, mut from_seq) = (0u64, 0u64);
+                while !done.load(Ordering::SeqCst) {
+                    for (meta, bytes) in column_segments(&s, &d, "r", 0, from_seq).unwrap() {
+                        let seg = decode_segment(&bytes, &meta.file).unwrap();
+                        assert!(!seg.torn_tail, "a shipped prefix is never torn");
+                        whole(&seg.records, &meta.file);
+                        from_seq = from_seq.max(meta.seq);
+                    }
+                    if scans % 8 == 0 {
+                        let scan = scan_column_journal(&s, &d, "r").unwrap();
+                        whole(&scan.records, "chain scan");
+                    }
+                    scans += 1;
+                }
+                scans
+            })
+        };
+        for b in 0..BATCHES {
+            let batch: Vec<(u64, i64)> = (1..=BATCH).map(|j| (b, (b * BATCH + j) as i64)).collect();
+            wal.append_batch(&batch).unwrap();
+            // Pace the writer so the reader's passes overlap its writes.
+            let paced = std::time::Instant::now();
+            while paced.elapsed() < std::time::Duration::from_micros(20) {
+                std::hint::spin_loop();
+            }
+        }
+        done.store(true, Ordering::SeqCst);
+        assert!(reader.join().unwrap() > 0);
+        let scan = scan_column_journal(&FsStorage::new(), &d, "r").unwrap();
+        assert_eq!(scan.max_lsn, BATCH * BATCHES);
+        whole(&scan.records, "final scan");
         let _ = std::fs::remove_dir_all(&d);
     }
 }

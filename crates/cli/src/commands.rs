@@ -838,6 +838,9 @@ pub fn maintain(args: &[String]) -> Result<(), CliError> {
             "replication: follower acked lsn {acked} (of mark {}) over {rounds} ship round(s)",
             col.wal_mark()
         );
+    } else if let Some(journal) = col.journal() {
+        // A clean exit leaves the journal sealed: synced, padding trimmed.
+        journal.seal()?;
     }
     println!("full-range estimate {est:.2} vs exact {exact} after the stream");
     pool.shutdown();
@@ -947,7 +950,7 @@ impl ReplicationLink {
 /// snapshots, the granted election term, and every column's journal
 /// tail — to a `reseed` receiver, so a fenced ex-leader can rejoin.
 pub fn ship(args: &[String]) -> Result<(), CliError> {
-    use synoptic_catalog::wal::scan_column_journal;
+    use synoptic_catalog::wal::scan_shippable_column;
     use synoptic_repl::{Seeder, Shipper, TcpTransport, TermLedger, Transport};
 
     let f = Flags::parse(args).usage()?;
@@ -989,10 +992,10 @@ pub fn ship(args: &[String]) -> Result<(), CliError> {
         );
         return Ok(());
     }
-    let scan = scan_column_journal(&FsStorage::new(), std::path::Path::new(wal_dir), column)?;
+    let journal = scan_shippable_column(&FsStorage::new(), std::path::Path::new(wal_dir), column)?;
     let mut transport = TcpTransport::connect(to)?;
     let shipper = Shipper::new(FsStorage::new(), wal_dir, column);
-    let report = shipper.ship(&mut transport, scan.max_lsn)?;
+    let report = shipper.ship_journal(&mut transport, journal)?;
     println!(
         "shipped {} segment(s) of column {column} to {to}: follower acked \
          lsn {} of {} in {} pass(es)",

@@ -20,7 +20,9 @@
 //!    first LSN, so while the follower's ack covers them they are skipped
 //!    by name, unread. A probe that reports an ack below them (a follower
 //!    that lost what it had) drops the floor, and the next walk reads
-//!    every file again.
+//!    every file again. A caller that already read the chain hands its
+//!    bytes to the first pass ([`Shipper::ship_journal`]), which then
+//!    reads nothing.
 //! 3. **Drain.** Acks advance the watermark; [`Frame::Refuse`] frames are
 //!    recorded. When the watermark reaches the last sealed LSN the pass
 //!    succeeds.
@@ -44,7 +46,9 @@ use std::sync::{Mutex, PoisonError};
 use std::time::Duration;
 
 use synoptic_catalog::storage::Storage;
-use synoptic_catalog::wal::{column_segments, scan_journals, SegmentMeta};
+use synoptic_catalog::wal::{
+    column_segments, scan_shippable_journals, SegmentMeta, ShippableJournal,
+};
 use synoptic_core::{Result, SynopticError};
 
 use crate::transport::{Received, Transport};
@@ -203,19 +207,49 @@ impl<S: Storage> Shipper<S> {
     /// LSN, retrying with backoff. `leader_mark` is stamped into every
     /// segment frame for follower-side lag accounting.
     pub fn ship(&self, transport: &mut dyn Transport, leader_mark: u64) -> Result<ShipReport> {
+        self.ship_from(transport, leader_mark, None)
+    }
+
+    /// [`Self::ship`] from a chain scan the caller already made of this
+    /// column's journal: the first pass sends from its bytes instead of
+    /// reading the files again, and its highest LSN is the leader mark.
+    /// Retry passes walk the files as [`Self::ship`] does.
+    pub fn ship_journal(
+        &self,
+        transport: &mut dyn Transport,
+        journal: ShippableJournal,
+    ) -> Result<ShipReport> {
+        self.ship_from(transport, journal.max_lsn, Some(journal.segments))
+    }
+
+    fn ship_from(
+        &self,
+        transport: &mut dyn Transport,
+        leader_mark: u64,
+        mut scanned: Option<Vec<(SegmentMeta, Vec<u8>)>>,
+    ) -> Result<ShipReport> {
         let mut report = ShipReport {
             acked_lsn: self.probe(transport, leader_mark)?,
             ..ShipReport::default()
         };
         for pass in 0..self.max_passes {
             report.passes = pass + 1;
-            let pending = column_segments(
-                &self.storage,
-                &self.dir,
-                &self.column,
-                report.acked_lsn,
-                self.walk_from(report.acked_lsn),
-            )?;
+            let pending = match scanned.take() {
+                // What `column_segments` would return past the ack.
+                Some(segments) => segments
+                    .into_iter()
+                    .filter(|(meta, _)| {
+                        meta.last_lsn >= meta.first_lsn && meta.last_lsn > report.acked_lsn
+                    })
+                    .collect(),
+                None => column_segments(
+                    &self.storage,
+                    &self.dir,
+                    &self.column,
+                    report.acked_lsn,
+                    self.walk_from(report.acked_lsn),
+                )?,
+            };
             self.raise_floor(&pending);
             let target = pending
                 .iter()
@@ -303,8 +337,10 @@ impl<S: Storage> Shipper<S> {
 /// Ships every column journaled under `dir` except `except` over one
 /// link, one [`Shipper`] on election term `term` per column, each with its
 /// column's highest journaled LSN as the leader mark. The directory is
-/// scanned once ([`scan_journals`]); each shipper then walks only its own
-/// column. Returns every column's report, in column order.
+/// read once ([`scan_shippable_journals`]), and each shipper's first pass
+/// sends from that scan ([`Shipper::ship_journal`]); only a retry pass
+/// reads its column's files again. Returns every column's report, in
+/// column order.
 pub fn ship_journals<S: Storage + Clone>(
     storage: &S,
     dir: &Path,
@@ -313,13 +349,13 @@ pub fn ship_journals<S: Storage + Clone>(
     transport: &mut dyn Transport,
 ) -> Result<Vec<(String, ShipReport)>> {
     let mut reports = Vec::new();
-    for (column, scan) in scan_journals(storage, dir)? {
+    for (column, journal) in scan_shippable_journals(storage, dir)? {
         if except == Some(column.as_str()) {
             continue;
         }
         let report = Shipper::new(storage.clone(), dir, &column)
             .with_term(term)
-            .ship(transport, scan.max_lsn)?;
+            .ship_journal(transport, journal)?;
         reports.push((column, report));
     }
     Ok(reports)

@@ -493,9 +493,9 @@ mod tests {
     #[test]
     fn replay_applies_only_records_past_the_committed_mark() {
         let root = tempdir("mark");
-        let store = DurableCatalog::open(root.join("cat"), FsStorage).unwrap();
+        let store = DurableCatalog::open(root.join("cat"), FsStorage::new()).unwrap();
         let wal_dir = root.join("wal");
-        let storage: Arc<dyn Storage + Send + Sync> = Arc::new(FsStorage);
+        let storage: Arc<dyn Storage + Send + Sync> = Arc::new(FsStorage::new());
         let wal =
             ColumnWal::open(Arc::clone(&storage), &wal_dir, "c", 0, WalConfig::default()).unwrap();
         // Records 1..=3 are captured by the snapshot (mark 3); 4..=5 not.
@@ -517,9 +517,9 @@ mod tests {
     #[test]
     fn replay_refuses_a_journal_that_does_not_anchor_at_the_mark() {
         let root = tempdir("anchor");
-        let store = DurableCatalog::open(root.join("cat"), FsStorage).unwrap();
+        let store = DurableCatalog::open(root.join("cat"), FsStorage::new()).unwrap();
         let wal_dir = root.join("wal");
-        let storage: Arc<dyn Storage + Send + Sync> = Arc::new(FsStorage);
+        let storage: Arc<dyn Storage + Send + Sync> = Arc::new(FsStorage::new());
         let cfg = WalConfig {
             segment_bytes: 1, // one record per segment
             ..WalConfig::default()
@@ -551,9 +551,9 @@ mod tests {
     #[test]
     fn journal_for_a_column_absent_from_the_catalog_is_refused() {
         let root = tempdir("orphan");
-        let store = DurableCatalog::open(root.join("cat"), FsStorage).unwrap();
+        let store = DurableCatalog::open(root.join("cat"), FsStorage::new()).unwrap();
         let wal_dir = root.join("wal");
-        let storage: Arc<dyn Storage + Send + Sync> = Arc::new(FsStorage);
+        let storage: Arc<dyn Storage + Send + Sync> = Arc::new(FsStorage::new());
         // "ghost" acknowledged two updates, but its first durable persist
         // never committed a catalog entry; only "c" is in the catalog.
         let wal = ColumnWal::open(
@@ -583,7 +583,7 @@ mod tests {
     #[test]
     fn record_free_orphan_journal_is_reported_not_refused() {
         let root = tempdir("orphan-clean");
-        let store = DurableCatalog::open(root.join("cat"), FsStorage).unwrap();
+        let store = DurableCatalog::open(root.join("cat"), FsStorage::new()).unwrap();
         let wal_dir = root.join("wal");
         std::fs::create_dir_all(&wal_dir).unwrap();
         // The crash hit the ghost journal's very first append: an
@@ -597,7 +597,7 @@ mod tests {
         );
         // A readable header with zero whole records (torn first record,
         // never acknowledged) IS nameable: reported as orphaned, not fatal.
-        let storage: Arc<dyn Storage + Send + Sync> = Arc::new(FsStorage);
+        let storage: Arc<dyn Storage + Send + Sync> = Arc::new(FsStorage::new());
         let wal = ColumnWal::open(
             Arc::clone(&storage),
             &wal_dir,
@@ -607,6 +607,7 @@ mod tests {
         )
         .unwrap();
         wal.append(0, 1).unwrap();
+        wal.seal().unwrap(); // trims the padding: the file ends at the record
         let seg = wal_dir.join("wisp-1.wal");
         let bytes = std::fs::read(&seg).unwrap();
         std::fs::write(&seg, &bytes[..bytes.len() - 5]).unwrap();
@@ -619,7 +620,7 @@ mod tests {
     #[test]
     fn missing_journal_recovers_the_snapshot_verbatim() {
         let root = tempdir("nowal");
-        let store = DurableCatalog::open(root.join("cat"), FsStorage).unwrap();
+        let store = DurableCatalog::open(root.join("cat"), FsStorage::new()).unwrap();
         commit_frequencies(&store, "c", &[1, 2, 3], 0);
         let report = recover(&store, root.join("wal")).unwrap();
         let col = report.column("c").unwrap();
@@ -631,9 +632,9 @@ mod tests {
     #[test]
     fn newer_base_generation_is_refused_with_a_typed_error() {
         let root = tempdir("gen");
-        let store = DurableCatalog::open(root.join("cat"), FsStorage).unwrap();
+        let store = DurableCatalog::open(root.join("cat"), FsStorage::new()).unwrap();
         let wal_dir = root.join("wal");
-        let storage: Arc<dyn Storage + Send + Sync> = Arc::new(FsStorage);
+        let storage: Arc<dyn Storage + Send + Sync> = Arc::new(FsStorage::new());
         // Journal claims base generation 9; the committed snapshot is 1.
         let wal =
             ColumnWal::open(Arc::clone(&storage), &wal_dir, "c", 9, WalConfig::default()).unwrap();
@@ -656,9 +657,9 @@ mod tests {
     #[test]
     fn out_of_range_replay_index_is_a_corrupt_journal() {
         let root = tempdir("oob");
-        let store = DurableCatalog::open(root.join("cat"), FsStorage).unwrap();
+        let store = DurableCatalog::open(root.join("cat"), FsStorage::new()).unwrap();
         let wal_dir = root.join("wal");
-        let storage: Arc<dyn Storage + Send + Sync> = Arc::new(FsStorage);
+        let storage: Arc<dyn Storage + Send + Sync> = Arc::new(FsStorage::new());
         let wal =
             ColumnWal::open(Arc::clone(&storage), &wal_dir, "c", 0, WalConfig::default()).unwrap();
         wal.append(99, 1).unwrap(); // domain is only 2 wide
@@ -675,9 +676,9 @@ mod tests {
     #[test]
     fn replay_past_i64_is_a_corrupt_journal() {
         let root = tempdir("wrap");
-        let store = DurableCatalog::open(root.join("cat"), FsStorage).unwrap();
+        let store = DurableCatalog::open(root.join("cat"), FsStorage::new()).unwrap();
         let wal_dir = root.join("wal");
-        let storage: Arc<dyn Storage + Send + Sync> = Arc::new(FsStorage);
+        let storage: Arc<dyn Storage + Send + Sync> = Arc::new(FsStorage::new());
         let wal =
             ColumnWal::open(Arc::clone(&storage), &wal_dir, "c", 0, WalConfig::default()).unwrap();
         wal.append(1, 5).unwrap(); // i64::MAX − 1 + 5 leaves i64
@@ -697,9 +698,9 @@ mod tests {
     #[test]
     fn lossy_snapshot_with_pending_records_is_refused() {
         let root = tempdir("lossy");
-        let store = DurableCatalog::open(root.join("cat"), FsStorage).unwrap();
+        let store = DurableCatalog::open(root.join("cat"), FsStorage::new()).unwrap();
         let wal_dir = root.join("wal");
-        let storage: Arc<dyn Storage + Send + Sync> = Arc::new(FsStorage);
+        let storage: Arc<dyn Storage + Send + Sync> = Arc::new(FsStorage::new());
         let wal =
             ColumnWal::open(Arc::clone(&storage), &wal_dir, "c", 0, WalConfig::default()).unwrap();
         wal.append(0, 1).unwrap();

@@ -10,8 +10,9 @@
 //!   pass reads at most the newest file: the sealed ones below it are
 //!   skipped by name;
 //! * the all-columns fan-in (`ship_journals`, behind re-seed and
-//!   `maintain --replicate-to`) reads at most 48: one scan of the 24
-//!   files, then each shipper's own 8;
+//!   `maintain --replicate-to`) reads each of the 24 files exactly once:
+//!   one scan, whose bytes each shipper's first pass sends from (the
+//!   older bound, at most 48 reads, is kept as its own test);
 //! * `recover` reads each of the 24 files exactly once.
 
 use std::collections::BTreeMap;
@@ -54,8 +55,8 @@ impl Storage for CountingStorage {
     fn write_atomic(&self, path: &Path, bytes: &[u8]) -> Result<()> {
         self.inner.write_atomic(path, bytes)
     }
-    fn append(&self, path: &Path, bytes: &[u8], sync: bool) -> Result<()> {
-        self.inner.append(path, bytes, sync)
+    fn write_at(&self, path: &Path, offset: u64, bytes: &[u8], sync: bool) -> Result<()> {
+        self.inner.write_at(path, offset, bytes, sync)
     }
     fn truncate(&self, path: &Path, len: u64) -> Result<()> {
         self.inner.truncate(path, len)
@@ -228,6 +229,31 @@ fn the_fan_in_reads_each_file_at_most_twice() {
     assert!(reads.len() <= 48, "{} files read", reads.len());
     t.close();
     assert_eq!(stub.join().unwrap(), 0);
+    let _ = std::fs::remove_dir_all(&root);
+}
+
+#[test]
+fn the_fan_in_reads_each_file_once() {
+    let root = tmp_root("fanin_once");
+    let wal_dir = root.join("wal");
+    let storage = CountingStorage::default();
+    journal(&storage, &wal_dir);
+    // The follower holds all but each column's last segment: every
+    // shipper sends one segment, from the scan's bytes.
+    let (leader_end, follower_end) = MemTransport::pair();
+    let stub = follower(follower_end, at(SEGMENTS - 1));
+    let mut t: Box<dyn Transport> = Box::new(leader_end);
+    let reports = ship_journals(&storage, &wal_dir, 0, None, t.as_mut()).unwrap();
+    assert!(reports
+        .iter()
+        .all(|(_, r)| (r.shipped, r.acked_lsn) == (1, SEGMENTS)));
+    let mut reads = storage.take_reads();
+    reads.sort();
+    let mut once = storage.list(&wal_dir).unwrap();
+    once.sort();
+    assert_eq!(reads, once);
+    t.close();
+    assert_eq!(stub.join().unwrap(), COLUMNS.len());
     let _ = std::fs::remove_dir_all(&root);
 }
 
