@@ -13,6 +13,11 @@
 //!   round, reporting the worst and mean observed lag and asserting the
 //!   stream ends fully converged.
 //!
+//! Each curve runs `TRIALS` times on fresh directories, and every timing
+//! and lag figure is reported as min / median / max over the trials. The
+//! figures depend on the host and its disk, so a comparison across
+//! sessions needs a run of the parent commit in the same session.
+//!
 //! Run with: `cargo run --release --example replication_bench`
 //! Writes `results/BENCH_replication.json` (override dir with
 //! `BENCH_OUT_DIR`).
@@ -22,7 +27,7 @@ use std::time::Instant;
 
 use synoptic::catalog::wal::{ColumnWal, FsyncCadence, WalConfig};
 use synoptic::catalog::{Catalog, DurableCatalog, FsStorage};
-use synoptic::eval::bench::{tempdir, write_report};
+use synoptic::eval::bench::{spread, tempdir, write_report};
 use synoptic::eval::json::JsonValue;
 use synoptic::repl::{MemTransport, Shipper};
 use synoptic::stream::{FollowConfig, Follower, SharedStorage};
@@ -33,6 +38,7 @@ const RECORDS: usize = 20_000;
 const SEGMENT_BYTES: usize = 4096; // ~127 records per segment
 const ROUNDS: usize = 40;
 const BATCH: usize = 250;
+const TRIALS: usize = 7;
 
 fn initial_values() -> Vec<i64> {
     (0..N as i64).map(|i| 100 + (i * 13) % 57).collect()
@@ -84,8 +90,9 @@ fn updates(len: usize) -> impl Iterator<Item = (u64, i64)> {
     })
 }
 
-/// One converging ship of a fully built journal into a fresh follower.
-fn bench_ship_replay() -> JsonValue {
+/// One converging ship of a fully built journal into a fresh follower:
+/// the segments shipped and the seconds the ship took.
+fn bench_ship_replay() -> (usize, f64) {
     let root = tempdir("repl-throughput");
     let generation = commit_initial(&root.join("leader-cat"));
     let wal = open_leader_wal(&root, generation);
@@ -119,17 +126,18 @@ fn bench_ship_replay() -> JsonValue {
         report.shipped,
         RECORDS as f64 / secs
     );
-    JsonValue::obj([
-        ("records", JsonValue::Int(RECORDS as i128)),
-        ("segments", JsonValue::Int(report.shipped as i128)),
-        ("segment_bytes", JsonValue::Int(SEGMENT_BYTES as i128)),
-        ("seconds", JsonValue::Num(secs)),
-        ("records_per_sec", JsonValue::Num(RECORDS as f64 / secs)),
-    ])
+    (report.shipped, secs)
+}
+
+/// What one sustained-ingest run measured.
+struct Sustained {
+    secs: f64,
+    max_lag: f64,
+    mean_lag: f64,
 }
 
 /// Leader ingest racing follower replay: lag sampled after every round.
-fn bench_sustained_lag() -> JsonValue {
+fn bench_sustained_lag() -> Sustained {
     let root = tempdir("repl-lag");
     let generation = commit_initial(&root.join("leader-cat"));
     let wal = open_leader_wal(&root, generation);
@@ -176,22 +184,52 @@ fn bench_sustained_lag() -> JsonValue {
         ROUNDS * BATCH,
         final_mark - follower.applied_lsn(COLUMN).unwrap()
     );
-    JsonValue::obj([
-        ("rounds", JsonValue::Int(ROUNDS as i128)),
-        ("batch", JsonValue::Int(BATCH as i128)),
-        ("seconds", JsonValue::Num(secs)),
-        ("max_lag", JsonValue::Num(max_lag)),
-        ("mean_lag", JsonValue::Num(mean_lag)),
-        ("final_lag", JsonValue::Int(0)),
-    ])
+    Sustained {
+        secs,
+        max_lag,
+        mean_lag,
+    }
 }
 
 fn main() {
+    let ships: Vec<(usize, f64)> = (0..TRIALS).map(|_| bench_ship_replay()).collect();
+    let runs: Vec<Sustained> = (0..TRIALS).map(|_| bench_sustained_lag()).collect();
     let report = JsonValue::obj([
         ("bench", JsonValue::Str("replication".to_string())),
+        (
+            "note",
+            JsonValue::Str(
+                "Timings depend on the host and its disk: compare them across sessions \
+                 only against a parent-commit run made in the same session."
+                    .to_string(),
+            ),
+        ),
         ("n", JsonValue::Int(N as i128)),
-        ("ship_replay", bench_ship_replay()),
-        ("sustained_ingest", bench_sustained_lag()),
+        ("trials", JsonValue::Int(TRIALS as i128)),
+        (
+            "ship_replay",
+            JsonValue::obj([
+                ("records", JsonValue::Int(RECORDS as i128)),
+                ("segments", JsonValue::Int(ships[0].0 as i128)),
+                ("segment_bytes", JsonValue::Int(SEGMENT_BYTES as i128)),
+                ("seconds", spread(ships.iter().map(|s| s.1))),
+                (
+                    "records_per_sec",
+                    spread(ships.iter().map(|s| RECORDS as f64 / s.1)),
+                ),
+            ]),
+        ),
+        (
+            "sustained_ingest",
+            JsonValue::obj([
+                ("rounds", JsonValue::Int(ROUNDS as i128)),
+                ("batch", JsonValue::Int(BATCH as i128)),
+                ("seconds", spread(runs.iter().map(|r| r.secs))),
+                ("max_lag", spread(runs.iter().map(|r| r.max_lag))),
+                ("mean_lag", spread(runs.iter().map(|r| r.mean_lag))),
+                ("final_lag", JsonValue::Int(0)),
+            ]),
+        ),
     ]);
     write_report("BENCH_replication.json", &report);
 }
