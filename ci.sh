@@ -112,12 +112,13 @@ ${CAP} cargo test -q --release -p synoptic-hist --test oracle_envelope --test ad
 ${CAP} cargo test -q --release -p synoptic-core --lib window --offline
 ${CAP} cargo test -q --release -p synoptic-hist --lib dp --offline
 
-echo "==> journal reader (release): the one journal walk, the golden SYNWAL01 bytes, LSNs past u64 refused, CRC-resealed segment mutants refused, the zero-padded segment (wal::tests::a_segment_is_padded_while_active_and_trimmed_when_sealed, ::a_torn_write_at_every_byte_of_a_padded_batch_is_dropped_whole, ::a_torn_final_segment_survives_two_restarts, ::a_damaged_record_the_stream_continues_past_is_refused, and ::a_reader_racing_the_writer_sees_whole_batches_and_no_error, a reader thread against a writer appending into the padding), the storage backend's one-slot open file (storage::tests::a_write_after_a_remove_or_rename_reaches_the_new_file), and the read count of every journal consumer, the shipper's sequence floor and the one-read fan-in (journal_reads::the_fan_in_reads_each_file_once) included, without debug overflow checks (capped at ${TEST_CAP}s)"
+echo "==> journal reader (release): the one journal walk, the golden SYNWAL01 bytes, LSNs past u64 refused, CRC-resealed segment mutants refused, the zero-padded segment (wal::tests::a_segment_is_padded_while_active_and_trimmed_when_sealed, ::a_torn_write_at_every_byte_of_a_padded_batch_is_dropped_whole, ::a_torn_final_segment_survives_two_restarts, ::a_damaged_record_the_stream_continues_past_is_refused, ::a_corrupt_read_is_read_again_and_refused_only_when_it_repeats, and ::a_reader_racing_the_writer_sees_whole_batches_and_no_error, a reader thread against a writer appending into the padding), recovery refusing a zeroed record inside the final segment (recovery::tests::a_zeroed_record_inside_the_final_segment_is_refused), the storage backend's one-slot open file (storage::tests::a_write_after_a_remove_or_rename_reaches_the_new_file), and the read count of every journal consumer, the shipper's sequence floor and the one-read fan-in (journal_reads::the_fan_in_reads_each_file_once) included, without debug overflow checks (capped at ${TEST_CAP}s)"
 # An LSN that wraps u64 is silent in a release build, which has no
 # overflow traps: the decoder's own checked arithmetic must refuse it.
 ${CAP} cargo test -q --release -p synoptic-catalog --lib wal --offline
 ${CAP} cargo test -q --release -p synoptic-catalog --lib storage --offline
 ${CAP} cargo test -q --release --test decoder_fuzz --offline
+${CAP} cargo test -q --release -p synoptic-stream --lib recovery --offline
 ${CAP} cargo test -q --release -p synoptic-stream --test journal_reads --offline
 
 echo "==> full workspace tests (offline, capped at ${TEST_CAP}s)"

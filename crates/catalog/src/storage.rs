@@ -114,13 +114,13 @@ impl<S: Storage + ?Sized> Storage for std::sync::Arc<S> {
 ///
 /// [`Storage::write_at`] keeps the file it last wrote open for the next
 /// write: a journal writes one active segment at a time, so its batches
-/// skip the open and close. `truncate`, `remove` and `rename` of that path
-/// close it, so a file this backend writes must be removed or renamed
-/// through it, and not while a write to it is in flight: a file removed
-/// otherwise keeps taking this backend's writes. The open file is never `stat`ed either, since on Linux a
-/// query of its timestamps makes the next write stamp a fine-grained
-/// mtime, which a data sync must then commit as metadata. A clone starts
-/// with no file open.
+/// skip the open and close. `truncate`, `remove`, `rename` and
+/// `write_atomic` of that path close it, so a file this backend writes must
+/// be removed or replaced through it, and not while a write to it is in
+/// flight: a file removed otherwise keeps taking this backend's writes. The
+/// open file is never `stat`ed either, since on Linux a query of its
+/// timestamps makes the next write stamp a fine-grained mtime, which a data
+/// sync must then commit as metadata. A clone starts with no file open.
 #[derive(Debug, Default)]
 pub struct FsStorage {
     open: Mutex<Option<(PathBuf, File)>>,
@@ -175,6 +175,7 @@ impl Storage for FsStorage {
 
     fn write_atomic(&self, path: &Path, bytes: &[u8]) -> Result<()> {
         use std::io::Write as _;
+        self.forget(path);
         let tmp = tmp_path(path);
         {
             let mut f = std::fs::File::create(&tmp).map_err(|e| io_err(&tmp, e))?;
@@ -677,6 +678,10 @@ mod tests {
         s.write_at(&p, 0, b"fresh", false).unwrap();
         assert_eq!(s.read(&p).unwrap(), b"fresh");
         assert_eq!(s.read(&q).unwrap(), b"new!");
+        // And an atomic replace of the name.
+        s.write_atomic(&p, b"whole").unwrap();
+        s.write_at(&p, 5, b"!", false).unwrap();
+        assert_eq!(s.read(&p).unwrap(), b"whole!");
         let _ = std::fs::remove_dir_all(&d);
     }
 

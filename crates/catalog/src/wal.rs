@@ -74,7 +74,8 @@
 //!
 //! Every reader goes through one walk that lists the directory once and
 //! reads each segment file once (a file a checkpoint deleted after the
-//! listing counts as unlisted): [`scan_column_journal`] for one column's
+//! listing counts as unlisted; one whose record stream reads corrupt is
+//! read again, see below): [`scan_column_journal`] for one column's
 //! chain, [`scan_journals`] for every column's, [`column_segments`] for the
 //! segments a replication shipper sends, and [`scan_shippable_column`] /
 //! [`scan_shippable_journals`] for a chain scan that keeps the bytes a
@@ -87,24 +88,30 @@
 //! 1. Only zero bytes, or nothing: a clean end (padding not yet written).
 //! 2. Fewer bytes than one record, not all zero: a torn tail (a write cut
 //!    short at the end of the file).
-//! 3. A slot whose declared payload length is 0 (bits 0–30 of its length
-//!    word clear), with non-zero bytes somewhere after it: a torn tail.
-//!    Every written record declares 24, so no write has reached the slot's
-//!    start. The bytes after it belong to a write in flight (a reader racing
-//!    the writer can see a slot's old zeros and a later slot's new record in
-//!    one read) or to a write torn by a crash.
-//! 4. A slot that declares a non-zero length but does not hold a valid
-//!    record (wrong length, CRC mismatch): a torn tail when bytes follow it
-//!    and the next slot does not hold a CRC-valid record (a write cut short
-//!    inside the padding). It is a hard [`SynopticError::CorruptJournal`]
-//!    when it ends the file (a write cut short never leaves a whole damaged
-//!    slot last) or when the next slot holds a CRC-valid record, such as
-//!    the one after the expected LSN (damage inside a stream that
-//!    continues).
+//! 3. A whole slot that does not hold a valid record (wrong declared
+//!    length, CRC mismatch), whose last byte and every byte after it are
+//!    zero: a torn tail. A write cut short inside the padding leaves a
+//!    prefix of a record over zeros; a whole record with a bit flipped
+//!    keeps its CRC word, whose last byte is non-zero 255 times in 256.
+//! 4. Anything else is a hard [`SynopticError::CorruptJournal`]: a slot
+//!    with non-zero bytes after it (such as a zeroed record, which declares
+//!    payload length 0, inside a stream that continues), or a damaged slot
+//!    whose last byte is non-zero (a damaged record, whether it ends the
+//!    file or padding follows it).
 //!
 //! A CRC-valid record with an out-of-sequence LSN is always corrupt. A
 //! torn tail is dropped together with any trailing batch that has no end
 //! mark, so a batch replays whole or not at all.
+//!
+//! A reader racing a live writer can see a slot's old zeros, or part of a
+//! slot, and a later slot's new bytes in one read, which rule 4 refuses.
+//! The writer fills a segment front to back, so a second read shows that
+//! slot written, while damage at rest reads the same twice. The walk
+//! therefore reads a file whose record stream reads corrupt again, and
+//! refuses it only when two reads in a row give the same verdict (at most
+//! four reads). Trailing zeros cannot be told from padding: a final
+//! segment whose last slots read as zeros ends early, as one whose last
+//! writes were lost does.
 //!
 //! A chain scan validates the whole chain. A torn *tail* — the cases above,
 //! or an unreadable header on the final segment (the crash hit the
@@ -216,9 +223,6 @@ pub struct SegmentMeta {
     /// Length of the validated prefix: the header and every whole batch.
     /// A sealed segment's file is exactly this long.
     pub len: u64,
-    /// Length of the file as read: longer than `len` when zero padding (an
-    /// active segment) or a torn tail follows the validated prefix.
-    pub file_len: u64,
 }
 
 /// Everything a chain scan recovered for one column.
@@ -426,9 +430,7 @@ struct ParsedRecords {
 enum Slot {
     /// The record the stream expects next, and whether its batch continues.
     Record(WalRecord, bool),
-    /// A declared payload length of 0: no write has reached the slot.
-    Unwritten,
-    /// Written bytes that do not make a record, and why.
+    /// Bytes that do not make a record, and why.
     Damaged(String),
 }
 
@@ -452,9 +454,6 @@ fn decode_slot(
     } else {
         word
     };
-    if len == 0 {
-        return Ok(Slot::Unwritten);
-    }
     if len != RECORD_PAYLOAD_LEN {
         return Ok(Slot::Damaged(format!(
             "record at byte {at} declares payload length {len}"
@@ -511,29 +510,12 @@ fn parse_records(bytes: &[u8], first_lsn: u64, version: u16, file: &str) -> Resu
                 continue;
             }
             _ if rest.iter().all(|&b| b == 0) => break,
-            Slot::Unwritten => {
-                format!("non-zero bytes after the unwritten record slot at byte {at}")
-            }
-            Slot::Damaged(detail) => {
-                // A write cut short ends the file inside a slot, or lands in
-                // the padding with bytes after it. A whole damaged slot that
-                // ends the file, or one the stream continues past, is
-                // damage.
-                let ends_file = rest.len() == WAL_RECORD_LEN;
-                let continued = rest
-                    .get(WAL_RECORD_LEN..2 * WAL_RECORD_LEN)
-                    .is_some_and(|next| {
-                        let after = expect.and_then(|e| e.checked_add(1));
-                        !matches!(
-                            decode_slot(next, at + WAL_RECORD_LEN, after, version, file),
-                            Ok(Slot::Unwritten | Slot::Damaged(_))
-                        )
-                    });
-                if ends_file || continued {
-                    return Err(corrupt(file, detail));
-                }
-                detail
-            }
+            // A write cut short at the end of the file.
+            Slot::Damaged(detail) if rest.len() < WAL_RECORD_LEN => detail,
+            // A write cut short inside the padding: a prefix of a record,
+            // then zeros from the slot's last byte on.
+            Slot::Damaged(detail) if rest[WAL_RECORD_LEN - 1..].iter().all(|&b| b == 0) => detail,
+            Slot::Damaged(detail) => return Err(corrupt(file, detail)),
         };
         torn = Some(detail);
         break;
@@ -560,6 +542,15 @@ fn parse_records(bytes: &[u8], first_lsn: u64, version: u16, file: &str) -> Resu
     })
 }
 
+/// Most reads of one segment file whose record stream reads corrupt,
+/// before the last verdict stands.
+const CORRUPT_READS: usize = 4;
+
+/// The record-stream error of a parsed segment file, when it has one.
+fn record_error(parsed: &Result<(ParsedHeader, Result<ParsedRecords>)>) -> Option<&SynopticError> {
+    parsed.as_ref().ok()?.1.as_ref().err()
+}
+
 /// One segment file as the walk read it.
 struct WalFile {
     name: String,
@@ -573,13 +564,7 @@ struct WalFile {
 }
 
 impl SegmentMeta {
-    fn new(
-        file: String,
-        seq: u64,
-        file_len: usize,
-        header: &ParsedHeader,
-        records: &ParsedRecords,
-    ) -> Self {
+    fn new(file: String, seq: u64, header: &ParsedHeader, records: &ParsedRecords) -> Self {
         Self {
             file,
             seq,
@@ -588,7 +573,6 @@ impl SegmentMeta {
             last_lsn: records.last_lsn,
             torn_tail: records.torn.is_some(),
             len: (header.len + records.records.len() * WAL_RECORD_LEN) as u64,
-            file_len: file_len as u64,
         }
     }
 }
@@ -599,8 +583,10 @@ impl SegmentMeta {
 /// `None`) whose sequence number is at least `from_seq`. Both filters
 /// apply to the file name, before any read. Each file is read once, when
 /// it is yielded, and its header and records are parsed once, right after
-/// the read. A file that vanished between the listing and its read — a
-/// checkpoint deleted a covered segment — counts as unlisted.
+/// the read; a file whose record stream reads corrupt is read and parsed
+/// again until two reads agree (module docs). A file that vanished between
+/// the listing and its read — a checkpoint deleted a covered segment —
+/// counts as unlisted.
 fn walk<'a, S: Storage>(
     storage: &'a S,
     dir: &'a Path,
@@ -620,15 +606,39 @@ fn walk<'a, S: Storage>(
     names.sort_unstable();
     Ok(names.into_iter().filter_map(move |(prefix, seq, name)| {
         let path = dir.join(&name);
-        let bytes = match storage.read(&path) {
+        let read = || match storage.read(&path) {
+            Ok(bytes) => Some(Ok(bytes)),
+            Err(_) if !storage.exists(&path) => None,
+            Err(e) => Some(Err(e)),
+        };
+        let parse = |bytes: &[u8]| {
+            parse_header(bytes, &name).map(|h| {
+                let records = parse_records(&bytes[h.len..], h.first_lsn, h.version, &name);
+                (h, records)
+            })
+        };
+        let mut bytes = match read()? {
             Ok(bytes) => bytes,
-            Err(_) if !storage.exists(&path) => return None,
             Err(e) => return Some(Err(e)),
         };
-        let parsed = parse_header(&bytes, &name).map(|h| {
-            let records = parse_records(&bytes[h.len..], h.first_lsn, h.version, &name);
-            (h, records)
-        });
+        let mut parsed = parse(&bytes);
+        // A record stream that reads corrupt may have raced a live writer
+        // (module docs): read it again until two reads agree.
+        for _ in 1..CORRUPT_READS {
+            let Some(verdict) = record_error(&parsed) else {
+                break;
+            };
+            let again = match read()? {
+                Ok(bytes) => bytes,
+                Err(e) => return Some(Err(e)),
+            };
+            let reparsed = parse(&again);
+            let agreed = record_error(&reparsed) == Some(verdict);
+            (bytes, parsed) = (again, reparsed);
+            if agreed {
+                break;
+            }
+        }
         Some(Ok(WalFile {
             name,
             prefix,
@@ -741,7 +751,7 @@ fn scan_chain(
             }
         }
         scan.max_lsn = scan.max_lsn.max(records.last_lsn);
-        let meta = SegmentMeta::new(f.name, f.seq, f.bytes.len(), &header, &records);
+        let meta = SegmentMeta::new(f.name, f.seq, &header, &records);
         match keep {
             Keep::Records => scan.records.extend(records.records),
             Keep::Bytes => {
@@ -859,7 +869,7 @@ pub fn column_segments<S: Storage>(
         if records.records.is_empty() || records.last_lsn <= after_lsn {
             continue;
         }
-        let meta = SegmentMeta::new(f.name, f.seq, f.bytes.len(), &header, &records);
+        let meta = SegmentMeta::new(f.name, f.seq, &header, &records);
         let mut bytes = f.bytes;
         bytes.truncate(meta.len as usize);
         segments.push((meta, bytes));
@@ -985,9 +995,7 @@ impl<S: Storage> ColumnWal<S> {
         storage.create_dir_all(&dir)?;
         let scan = scan_column_journal(&storage, &dir, column)?;
         if let Some(last) = scan.segments.last() {
-            if last.file_len > last.len {
-                storage.truncate(&dir.join(&last.file), last.len)?;
-            }
+            storage.truncate(&dir.join(&last.file), last.len)?;
         }
         // Never reuse a sequence number, including one whose header never
         // became readable — appending to that file would bury live records
@@ -2468,7 +2476,6 @@ mod tests {
         let meta = &scan.segments[0];
         assert!(!meta.torn_tail, "zero padding is a clean end");
         assert_eq!(meta.len as usize, header_len + 4 * WAL_RECORD_LEN);
-        assert_eq!(meta.file_len, 4096);
         // Sealing syncs the unsynced batch in a write of its own, then
         // trims: the sealed file is exactly its header and records.
         wal.seal().unwrap();
@@ -2555,39 +2562,78 @@ mod tests {
         let path = d.join(wal_file_name("c", 1));
         let padded = s.read(&path).unwrap();
         let first = header("c", 1, 1).len();
-        for (slot, flip, corrupt) in [
+        let refused = |bytes: &[u8], what: &str| {
+            std::fs::write(&path, bytes).unwrap();
+            let err = scan_column_journal(&s, &d, "c").unwrap_err();
+            assert!(
+                matches!(err, SynopticError::CorruptJournal { .. }),
+                "{what}: {err:?}"
+            );
+        };
+        for (slot, flip) in [
             // A bad CRC with valid records after it.
-            (0, 20, true),
-            (1, 9, true),
+            (0, 20),
+            (1, 9),
             // A bad declared length with a valid record after it.
-            (1, 1, true),
-            // The last record damaged, padding after it: indistinguishable
-            // from a write cut short inside the padding.
-            (2, 20, false),
+            (1, 1),
+            // The last record with a bit flipped, padding after it: a write
+            // cut short never leaves the slot's last byte (its CRC word's
+            // top byte) written over zeros.
+            (2, 20),
         ] {
             let mut bytes = padded.clone();
             bytes[first + slot * WAL_RECORD_LEN + flip] ^= 0x10;
-            std::fs::write(&path, &bytes).unwrap();
-            let got = scan_column_journal(&s, &d, "c");
-            if corrupt {
-                let err = got.unwrap_err();
-                assert!(
-                    matches!(err, SynopticError::CorruptJournal { .. }),
-                    "slot {slot}: {err:?}"
-                );
-            } else {
-                let scan = got.unwrap();
-                assert_eq!(scan.max_lsn, 2, "slot {slot}");
-                assert!(scan.segments[0].torn_tail);
-            }
+            refused(&bytes, &format!("slot {slot} byte {flip}"));
         }
-        // Once sealed, a damaged last record ends the file: corrupt too.
-        let mut sealed = padded[..first + 3 * WAL_RECORD_LEN].to_vec();
-        sealed[first + 2 * WAL_RECORD_LEN + 20] ^= 0x10;
+        // A length word with its first byte zeroed (24 becomes 0, as
+        // 0x80000018 becomes 0x80000000 in a batch): a declared length of 0.
+        let mut bytes = padded.clone();
+        bytes[first] = 0;
+        refused(&bytes, "zeroed length byte");
+        // A zeroed record (a lost block) with a valid record after it.
+        let mut bytes = padded.clone();
+        bytes[first + WAL_RECORD_LEN..first + 2 * WAL_RECORD_LEN].fill(0);
+        refused(&bytes, "zeroed slot 1");
+        // The same once sealed, and a sealed segment whose last record is
+        // damaged.
+        let sealed = &padded[..first + 3 * WAL_RECORD_LEN];
+        refused(&bytes[..sealed.len()], "sealed, zeroed slot 1");
+        let mut bytes = sealed.to_vec();
+        bytes[first + 2 * WAL_RECORD_LEN + 20] ^= 0x10;
+        refused(&bytes, "sealed, damaged last record");
         assert!(matches!(
-            decode_segment(&sealed, "c-1.wal"),
+            decode_segment(&bytes, "c-1.wal"),
             Err(SynopticError::CorruptJournal { .. })
         ));
+        let _ = std::fs::remove_dir_all(&d);
+    }
+
+    #[test]
+    fn a_corrupt_read_is_read_again_and_refused_only_when_it_repeats() {
+        let d = tmp_dir("reread");
+        let wal = ColumnWal::open(FsStorage::new(), &d, "c", 1, WalConfig::default()).unwrap();
+        for i in 1..=3u64 {
+            wal.append(i, 1).unwrap();
+        }
+        // A bad CRC in slot 1, with slot 2 valid after it.
+        let flip = header("c", 1, 1).len() + WAL_RECORD_LEN + 20;
+        let bad = Fault::BitFlip {
+            offset: flip,
+            mask: 0x10,
+        };
+        // Seen once, as a reader racing the writer sees a slot it is
+        // overwriting: the second read is whole and stands.
+        let s = FaultyStorage::new(FsStorage::new(), vec![bad.clone()]);
+        let scan = scan_column_journal(&s, &d, "c").unwrap();
+        assert_eq!((scan.max_lsn, s.faults_fired()), (3, 1));
+        // Seen twice in a row, as damage at rest reads: refused.
+        let s = FaultyStorage::new(FsStorage::new(), vec![bad.clone(), bad]);
+        let err = scan_column_journal(&s, &d, "c").unwrap_err();
+        assert!(
+            matches!(err, SynopticError::CorruptJournal { .. }),
+            "{err:?}"
+        );
+        assert_eq!(s.faults_fired(), 2);
         let _ = std::fs::remove_dir_all(&d);
     }
 

@@ -515,6 +515,39 @@ mod tests {
     }
 
     #[test]
+    fn a_zeroed_record_inside_the_final_segment_is_refused() {
+        let root = tempdir("zeroed");
+        let store = DurableCatalog::open(root.join("cat"), FsStorage::new()).unwrap();
+        let wal_dir = root.join("wal");
+        let storage: Arc<dyn Storage + Send + Sync> = Arc::new(FsStorage::new());
+        let wal =
+            ColumnWal::open(Arc::clone(&storage), &wal_dir, "c", 0, WalConfig::default()).unwrap();
+        for i in 0..3u64 {
+            wal.append(i, 1).unwrap();
+        }
+        commit_frequencies(&store, "c", &[0, 0, 0], 0);
+        // A zeroed second record (a lost block) with a synced record after
+        // it is damage, not a torn tail, in the padded active segment and
+        // once the segment is sealed.
+        let seg = wal_dir.join("c-1.wal");
+        let slot = 32 + "c".len() + 32;
+        let mut bytes = std::fs::read(&seg).unwrap();
+        bytes[slot..slot + 32].fill(0);
+        std::fs::write(&seg, &bytes).unwrap();
+        for sealed in [false, true] {
+            if sealed {
+                wal.seal().unwrap();
+            }
+            let err = recover(&store, &wal_dir).unwrap_err();
+            assert!(
+                matches!(err, SynopticError::CorruptJournal { .. }),
+                "sealed {sealed}: {err:?}"
+            );
+        }
+        let _ = std::fs::remove_dir_all(&root);
+    }
+
+    #[test]
     fn replay_refuses_a_journal_that_does_not_anchor_at_the_mark() {
         let root = tempdir("anchor");
         let store = DurableCatalog::open(root.join("cat"), FsStorage::new()).unwrap();
