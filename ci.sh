@@ -81,16 +81,16 @@ ${CAP} cargo test -q -p synoptic-stream --test segments --offline
 echo "==> replication bench: ship+replay throughput and follower lag (capped at ${TEST_CAP}s)"
 ${CAP} cargo run -q --release --offline --example replication_bench
 
-echo "==> failover bench: detection -> promotion -> first-served-read latency (capped at ${TEST_CAP}s)"
+echo "==> failover bench: detection -> promotion -> first-served-read latency, min/median/max over 7 trials (capped at ${TEST_CAP}s)"
 ${CAP} cargo run -q --release --offline --example failover_bench
 
 echo "==> segments bench: dirty-segment vs full rebuild and the served column's exact all-range SSE at 1/4/16/64 segments (capped at ${TEST_CAP}s)"
 ${CAP} cargo run -q --release --offline --example segments_bench
 
-echo "==> DP kernel bench: ns per DP cell and per oracle call, SAP0/SAP1/A0/POINT-OPT over n x B, SAP0 at n=4096 and over the served segments with their window-fill split, OPT-A at n=127 (capped at ${TEST_CAP}s)"
+echo "==> DP kernel bench: ns per DP cell and per oracle call, SAP0/SAP1/A0/POINT-OPT over n x B, SAP0 at n=4096 and over the served segments with the median trial's window-fill split, OPT-A at n=127 (capped at ${TEST_CAP}s)"
 ${CAP} cargo run -q --release --offline --example dp_bench
 
-echo "==> overload bench: goodput, shed rate, degraded fraction, p50/p99 at 1x/2x/4x offered load (capped at ${TEST_CAP}s)"
+echo "==> overload bench: fresh and answered per second, shed rate, degraded fraction, p50/p99 at 1x/2x/4x offered load, min/median/max over 5 trials (capped at ${TEST_CAP}s)"
 ${CAP} cargo run -q --release --offline --example overload_bench
 
 echo "==> perfbench smoke: every BENCHMARK.json workload runs, passes its output checks and reports every declared metric (capped at ${TEST_CAP}s)"
@@ -112,13 +112,14 @@ ${CAP} cargo test -q --release -p synoptic-hist --test oracle_envelope --test ad
 ${CAP} cargo test -q --release -p synoptic-core --lib window --offline
 ${CAP} cargo test -q --release -p synoptic-hist --lib dp --offline
 
-echo "==> journal reader (release): the one journal walk, the golden SYNWAL01 bytes, LSNs past u64 refused, CRC-resealed segment mutants refused, the zero-padded segment (wal::tests::a_segment_is_padded_while_active_and_trimmed_when_sealed, ::a_torn_write_at_every_byte_of_a_padded_batch_is_dropped_whole, ::a_torn_final_segment_survives_two_restarts, ::a_damaged_record_the_stream_continues_past_is_refused, ::a_corrupt_read_is_read_again_and_refused_only_when_it_repeats, and ::a_reader_racing_the_writer_sees_whole_batches_and_no_error, a reader thread against a writer appending into the padding), recovery refusing a zeroed record inside the final segment (recovery::tests::a_zeroed_record_inside_the_final_segment_is_refused), the storage backend's one-slot open file (storage::tests::a_write_after_a_remove_or_rename_reaches_the_new_file), and the read count of every journal consumer, the shipper's sequence floor and the one-read fan-in (journal_reads::the_fan_in_reads_each_file_once) included, without debug overflow checks (capped at ${TEST_CAP}s)"
+echo "==> journal reader (release): the one journal walk, the golden SYNWAL01 bytes, LSNs past u64 refused, CRC-resealed segment mutants refused, the zero-padded segment (wal::tests::a_segment_is_padded_while_active_and_trimmed_when_sealed, ::a_torn_write_at_every_byte_of_a_padded_batch_is_dropped_whole, ::a_torn_final_segment_survives_two_restarts, ::a_damaged_record_the_stream_continues_past_is_refused, ::a_corrupt_read_is_read_again_and_refused_only_when_it_repeats, and ::a_reader_racing_the_writer_sees_whole_batches_and_no_error, a reader thread against a writer appending into the padding), recovery refusing a zeroed record inside the final segment (recovery::tests::a_zeroed_record_inside_the_final_segment_is_refused), the storage backend's one-slot open file (storage::tests::a_write_after_a_remove_or_rename_reaches_the_new_file) and its stat-free listing (storage::tests::fs_storage_lists_files_and_links_to_files_only), the shipper's one validation rule (ship::tests::ship_and_ship_journal_send_the_same_frames over a torn tail, a mid-chain wreck and a sequence floor, and ::a_segment_naming_another_column_is_refused), and the read count of every journal consumer, the shipper's sequence floor and the one-read fan-in (journal_reads::the_fan_in_reads_each_file_once) included, without debug overflow checks (capped at ${TEST_CAP}s)"
 # An LSN that wraps u64 is silent in a release build, which has no
 # overflow traps: the decoder's own checked arithmetic must refuse it.
 ${CAP} cargo test -q --release -p synoptic-catalog --lib wal --offline
 ${CAP} cargo test -q --release -p synoptic-catalog --lib storage --offline
 ${CAP} cargo test -q --release --test decoder_fuzz --offline
 ${CAP} cargo test -q --release -p synoptic-stream --lib recovery --offline
+${CAP} cargo test -q --release -p synoptic-repl --lib ship --offline
 ${CAP} cargo test -q --release -p synoptic-stream --test journal_reads --offline
 
 echo "==> full workspace tests (offline, capped at ${TEST_CAP}s)"

@@ -57,7 +57,7 @@ pub use persist::{LoadedSynopsis, PersistentSynopsis};
 pub use storage::{Fault, FaultyStorage, FsStorage, Storage};
 pub use store::{DurableCatalog, FsckReport, PruneReport, RepairReport};
 pub use wal::{
-    column_segments, decode_segment, restamp_segment_generation, scan_column_journal,
-    scan_journals, scan_shippable_column, scan_shippable_journals, CheckpointReport, ColumnWal,
-    DecodedSegment, FsyncCadence, JournalScan, SegmentMeta, ShippableJournal, WalConfig, WalRecord,
+    decode_segment, restamp_segment_generation, scan_column_journal, scan_journals,
+    CheckpointReport, ColumnWal, DecodedSegment, FsyncCadence, JournalScan, SegmentMeta, WalConfig,
+    WalRecord,
 };

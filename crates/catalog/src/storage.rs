@@ -170,7 +170,17 @@ fn fsync_parent_dir(path: &Path) {
 
 impl Storage for FsStorage {
     fn read(&self, path: &Path) -> Result<Vec<u8>> {
-        std::fs::read(path).map_err(|e| io_err(path, e))
+        use std::io::Read as _;
+        // `fs::read` and `File::read_to_end` size their buffer from a
+        // `metadata()` call. A timestamp query on a file another handle is
+        // writing makes that writer's next `sync_data` commit a
+        // fine-grained mtime on recent Linux, so the read takes no hint.
+        let f = std::fs::File::open(path).map_err(|e| io_err(path, e))?;
+        let mut bytes = Vec::new();
+        f.take(u64::MAX)
+            .read_to_end(&mut bytes)
+            .map_err(|e| io_err(path, e))?;
+        Ok(bytes)
     }
 
     fn write_atomic(&self, path: &Path, bytes: &[u8]) -> Result<()> {
@@ -257,7 +267,10 @@ impl Storage for FsStorage {
         let rd = std::fs::read_dir(dir).map_err(|e| io_err(dir, e))?;
         for entry in rd {
             let entry = entry.map_err(|e| io_err(dir, e))?;
-            if entry.path().is_file() {
+            // The entry's own type needs no `stat` (see `read`); only a
+            // symlink is followed, to list what it points at as before.
+            let ty = entry.file_type().map_err(|e| io_err(dir, e))?;
+            if ty.is_file() || (ty.is_symlink() && entry.path().is_file()) {
                 if let Some(name) = entry.file_name().to_str() {
                     names.push(name.to_string());
                 }
@@ -584,6 +597,22 @@ mod tests {
         assert!(!s.exists(&d.join("nope")));
         // No stray temp files after successful writes.
         assert!(!s.exists(&tmp_path(&p)));
+        let _ = std::fs::remove_dir_all(&d);
+    }
+
+    #[cfg(unix)]
+    #[test]
+    fn fs_storage_lists_files_and_links_to_files_only() {
+        use std::os::unix::fs::symlink;
+        let d = tmp_dir("list");
+        let s = FsStorage::new();
+        s.write_atomic(&d.join("file.wal"), b"x").unwrap();
+        std::fs::create_dir(d.join("dir.wal")).unwrap();
+        symlink(d.join("file.wal"), d.join("link.wal")).unwrap();
+        symlink(d.join("dir.wal"), d.join("dirlink.wal")).unwrap();
+        symlink(d.join("gone.wal"), d.join("dangling.wal")).unwrap();
+        assert_eq!(s.list(&d).unwrap(), vec!["file.wal", "link.wal"]);
+        assert_eq!(s.read(&d.join("link.wal")).unwrap(), b"x");
         let _ = std::fs::remove_dir_all(&d);
     }
 

@@ -72,14 +72,19 @@
 //!
 //! ## Reading back
 //!
-//! Every reader goes through one walk that lists the directory once and
-//! reads each segment file once (a file a checkpoint deleted after the
+//! Every reader goes through one chain scan, which lists the directory once
+//! and reads each segment file once (a file a checkpoint deleted after the
 //! listing counts as unlisted; one whose record stream reads corrupt is
-//! read again, see below): [`scan_column_journal`] for one column's
-//! chain, [`scan_journals`] for every column's, [`column_segments`] for the
-//! segments a replication shipper sends, and [`scan_shippable_column`] /
-//! [`scan_shippable_journals`] for a chain scan that keeps the bytes a
-//! shipper sends.
+//! read again, see below): [`scan_column_journal`] for one column's chain,
+//! [`scan_journals`] for every column's. A scan returns one
+//! [`JournalScan`] per column: each readable segment's metadata and its
+//! validated prefix (the header and every whole batch), which is what a
+//! replication shipper sends; recovery decodes the records from those
+//! bytes ([`JournalScan::records`]). A column scan may start at a
+//! sequence-number floor: the files below it are left out by name, unread,
+//! and the chain is validated from the first file at or above it. A
+//! shipper passes the newest segment an earlier pass found pending; every
+//! other reader passes 0.
 //!
 //! The record stream ends at the first 32-byte slot that does not hold the
 //! next record. What follows decides whether the segment ends cleanly, ends
@@ -204,8 +209,7 @@ pub struct WalRecord {
     pub delta: i64,
 }
 
-/// Metadata of one readable segment file, as a chain scan or
-/// [`column_segments`] found it.
+/// Metadata of one readable segment file, as a chain scan found it.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct SegmentMeta {
     /// File name relative to the journal directory.
@@ -225,13 +229,12 @@ pub struct SegmentMeta {
     pub len: u64,
 }
 
-/// Everything a chain scan recovered for one column.
+/// Everything a chain scan found of one column's journal.
 #[derive(Debug, Clone, Default)]
 pub struct JournalScan {
-    /// All valid records across all segments, in LSN order.
-    pub records: Vec<WalRecord>,
-    /// Readable segments, ascending by sequence number.
-    pub segments: Vec<SegmentMeta>,
+    /// Readable segments, ascending by sequence number, each with its
+    /// validated prefix: the header and every whole batch, byte for byte.
+    pub segments: Vec<(SegmentMeta, Vec<u8>)>,
     /// Segments skipped wholesale because their header never became
     /// readable (the crash hit the segment's very first append). Skipping
     /// is only allowed when the segment provably held no acknowledged
@@ -242,16 +245,27 @@ pub struct JournalScan {
     pub max_lsn: u64,
 }
 
-/// One column's journal as a shipper sends it: each readable segment with
-/// its validated prefix (header plus whole batches), validated as
-/// [`scan_column_journal`] validates the chain.
-#[derive(Debug, Clone, Default)]
-pub struct ShippableJournal {
-    /// Readable segments and their validated prefixes, ascending by
-    /// sequence number.
-    pub segments: Vec<(SegmentMeta, Vec<u8>)>,
-    /// Highest valid LSN seen (`0` when the journal is empty).
-    pub max_lsn: u64,
+impl JournalScan {
+    /// All valid records across all segments, in LSN order, decoded from
+    /// the validated prefixes: a segment's records are the last
+    /// `last_lsn - first_lsn + 1` slots of its prefix.
+    pub fn records(&self) -> Vec<WalRecord> {
+        let field = |slot: &[u8], at: usize| {
+            u64::from_le_bytes(slot[at..at + 8].try_into().expect("an 8-byte field"))
+        };
+        self.segments
+            .iter()
+            .flat_map(|(meta, bytes)| {
+                let count = (meta.last_lsn + 1 - meta.first_lsn) as usize;
+                bytes[bytes.len() - count * WAL_RECORD_LEN..].chunks_exact(WAL_RECORD_LEN)
+            })
+            .map(|slot| WalRecord {
+                lsn: field(slot, 4),
+                index: field(slot, 12),
+                delta: field(slot, 20) as i64,
+            })
+            .collect()
+    }
 }
 
 /// One fully decoded segment, as [`decode_segment`] returns it.
@@ -649,31 +663,17 @@ fn walk<'a, S: Storage>(
     }))
 }
 
-/// What a chain scan keeps of each readable segment besides its metadata.
-#[derive(Clone, Copy, PartialEq, Eq)]
-enum Keep {
-    /// The decoded records, for replay.
-    Records,
-    /// The validated prefix of the file's bytes, for shipping.
-    Bytes,
-}
-
 /// Validates the chain of the journal `files` yields next, consuming its
 /// files, with the rules in the module docs. Every readable header must
 /// name `column`, or, when `None`, the column the first one names; that
 /// column is returned with the scan (`None` when no header was readable).
-/// With [`Keep::Bytes`] the scan's `records` stay empty and each readable
-/// segment's validated prefix is returned instead, parallel to its
-/// `segments`.
 fn scan_chain(
     column: Option<&str>,
     files: &mut Peekable<impl Iterator<Item = Result<WalFile>>>,
-    keep: Keep,
-) -> Result<(Option<String>, JournalScan, Vec<Vec<u8>>)> {
+) -> Result<(Option<String>, JournalScan)> {
     let mut column = column.map(str::to_string);
     let mut prefix: Option<String> = None;
     let mut scan = JournalScan::default();
-    let mut prefixes = Vec::new();
     // Unreadable-header segments seen since the last readable one. They are
     // forgiven only if the next readable segment proves (by LSN continuity)
     // that they never held an acknowledged record.
@@ -720,7 +720,7 @@ fn scan_chain(
                 ),
             ));
         }
-        if let Some(prev) = scan.segments.last() {
+        if let Some((prev, _)) = scan.segments.last() {
             if prev.last_lsn.checked_add(1) != Some(header.first_lsn) {
                 // A broken chain: either this segment is damaged, or one of
                 // the unreadable segments between it and `prev` held real
@@ -752,61 +752,36 @@ fn scan_chain(
         }
         scan.max_lsn = scan.max_lsn.max(records.last_lsn);
         let meta = SegmentMeta::new(f.name, f.seq, &header, &records);
-        match keep {
-            Keep::Records => scan.records.extend(records.records),
-            Keep::Bytes => {
-                let mut bytes = f.bytes;
-                bytes.truncate(meta.len as usize);
-                prefixes.push(bytes);
-            }
-        }
-        scan.segments.push(meta);
+        let mut bytes = f.bytes;
+        bytes.truncate(meta.len as usize);
+        scan.segments.push((meta, bytes));
     }
     // Wrecks with no later readable segment to vouch for them (the journal
     // ended in the middle of them) stay unproven: refuse.
     if let Some((_, e)) = wrecks.into_iter().next() {
         return Err(e);
     }
-    Ok((column, scan, prefixes))
+    Ok((column, scan))
 }
 
-impl ShippableJournal {
-    fn new(scan: JournalScan, prefixes: Vec<Vec<u8>>) -> Self {
-        Self {
-            segments: scan.segments.into_iter().zip(prefixes).collect(),
-            max_lsn: scan.max_lsn,
-        }
-    }
-}
-
-/// Reads and validates `column`'s whole journal under `dir`.
+/// Reads and validates `column`'s journal under `dir`, from its segment
+/// file numbered `from_seq` on (0 for the whole journal).
 ///
 /// Tolerates exactly the damage an interrupted append can cause at the
 /// journal's tail (see the module docs); everything else errors. Returns
-/// all valid records in LSN order plus per-segment metadata, so recovery
-/// can check each contributing segment's `base_generation` against the
-/// snapshot it replays onto.
+/// each readable segment's metadata and validated prefix, so recovery can
+/// check each contributing segment's `base_generation` against the
+/// snapshot it replays onto and a shipper can send the bytes as read.
+/// Files below `from_seq` are left out by name, unread; the chain is
+/// validated from the first file at or above it.
 pub fn scan_column_journal<S: Storage>(
     storage: &S,
     dir: &Path,
     column: &str,
+    from_seq: u64,
 ) -> Result<JournalScan> {
-    let mut files = walk(storage, dir, Some(&sanitize_column(column)), 0)?.peekable();
-    Ok(scan_chain(Some(column), &mut files, Keep::Records)?.1)
-}
-
-/// [`scan_column_journal`] for a shipper: the same walk and validation,
-/// keeping each readable segment's validated prefix instead of its
-/// records, so a [`ShippableJournal`] handed to the shipper needs no second
-/// read of the same files.
-pub fn scan_shippable_column<S: Storage>(
-    storage: &S,
-    dir: &Path,
-    column: &str,
-) -> Result<ShippableJournal> {
-    let mut files = walk(storage, dir, Some(&sanitize_column(column)), 0)?.peekable();
-    let (_, scan, prefixes) = scan_chain(Some(column), &mut files, Keep::Bytes)?;
-    Ok(ShippableJournal::new(scan, prefixes))
+    let mut files = walk(storage, dir, Some(&sanitize_column(column)), from_seq)?.peekable();
+    Ok(scan_chain(Some(column), &mut files)?.1)
 }
 
 /// Reads and validates every journal under `dir` in one walk, each exactly
@@ -818,63 +793,11 @@ pub fn scan_journals<S: Storage>(storage: &S, dir: &Path) -> Result<BTreeMap<Str
     let mut files = walk(storage, dir, None, 0)?.peekable();
     let mut journals = BTreeMap::new();
     while files.peek().is_some() {
-        if let (Some(column), scan, _) = scan_chain(None, &mut files, Keep::Records)? {
+        if let (Some(column), scan) = scan_chain(None, &mut files)? {
             journals.insert(column, scan);
         }
     }
     Ok(journals)
-}
-
-/// [`scan_journals`] for a shipper: every journal under `dir` in one walk,
-/// validated the same way, each as a [`ShippableJournal`].
-pub fn scan_shippable_journals<S: Storage>(
-    storage: &S,
-    dir: &Path,
-) -> Result<BTreeMap<String, ShippableJournal>> {
-    let mut files = walk(storage, dir, None, 0)?.peekable();
-    let mut journals = BTreeMap::new();
-    while files.peek().is_some() {
-        if let (Some(column), scan, prefixes) = scan_chain(None, &mut files, Keep::Bytes)? {
-            journals.insert(column, ShippableJournal::new(scan, prefixes));
-        }
-    }
-    Ok(journals)
-}
-
-/// `column`'s segment files under `dir` holding records past `after_lsn`,
-/// in sequence order, each with its validated prefix (header plus whole
-/// records) — what replication ships. Files numbered below `from_seq` are
-/// skipped by name, unread (pass 0 for every file); every other file of
-/// the column is read and decoded once. Unlike a chain scan, each segment
-/// is judged on its own.
-/// One whose header never became readable holds nothing acknowledged and
-/// is left out, as is one whose header names another column (a
-/// sanitized-name collision, which [`scan_column_journal`] reports);
-/// damage inside a readable segment still errors.
-pub fn column_segments<S: Storage>(
-    storage: &S,
-    dir: &Path,
-    column: &str,
-    after_lsn: u64,
-    from_seq: u64,
-) -> Result<Vec<(SegmentMeta, Vec<u8>)>> {
-    let mut segments = Vec::new();
-    for f in walk(storage, dir, Some(&sanitize_column(column)), from_seq)? {
-        let f = f?;
-        let (header, records) = match f.parsed {
-            Ok((header, records)) if header.column == column => (header, records?),
-            Err(e @ SynopticError::UnsupportedVersion { .. }) => return Err(e),
-            _ => continue,
-        };
-        if records.records.is_empty() || records.last_lsn <= after_lsn {
-            continue;
-        }
-        let meta = SegmentMeta::new(f.name, f.seq, &header, &records);
-        let mut bytes = f.bytes;
-        bytes.truncate(meta.len as usize);
-        segments.push((meta, bytes));
-    }
-    Ok(segments)
 }
 
 /// Decodes one whole segment file as shipped over a replication transport:
@@ -993,8 +916,8 @@ impl<S: Storage> ColumnWal<S> {
             )));
         }
         storage.create_dir_all(&dir)?;
-        let scan = scan_column_journal(&storage, &dir, column)?;
-        if let Some(last) = scan.segments.last() {
+        let scan = scan_column_journal(&storage, &dir, column, 0)?;
+        if let Some((last, _)) = scan.segments.last() {
             storage.truncate(&dir.join(&last.file), last.len)?;
         }
         // Never reuse a sequence number, including one whose header never
@@ -1003,7 +926,7 @@ impl<S: Storage> ColumnWal<S> {
         let next_seq = scan
             .segments
             .iter()
-            .map(|s| s.seq)
+            .map(|(s, _)| s.seq)
             .chain(
                 scan.skipped
                     .iter()
@@ -1014,7 +937,7 @@ impl<S: Storage> ColumnWal<S> {
         let mut sealed: Vec<SealedSegment> = scan
             .segments
             .iter()
-            .map(|s| SealedSegment {
+            .map(|(s, _)| SealedSegment {
                 path: dir.join(&s.file),
                 last_lsn: s.last_lsn,
             })
@@ -1446,15 +1369,15 @@ mod tests {
             assert_eq!(lsn, i as u64 + 1);
         }
         assert_eq!(wal.pending_mark(), 3);
-        let scan = scan_column_journal(&FsStorage::new(), &d, "price").unwrap();
+        let scan = scan_column_journal(&FsStorage::new(), &d, "price", 0).unwrap();
         assert_eq!(scan.max_lsn, 3);
         assert_eq!(scan.segments.len(), 1);
-        assert_eq!(scan.segments[0].base_generation, 3);
-        assert_eq!(scan.segments[0].first_lsn, 1);
-        assert_eq!(scan.segments[0].last_lsn, 3);
-        assert!(!scan.segments[0].torn_tail);
+        assert_eq!(scan.segments[0].0.base_generation, 3);
+        assert_eq!(scan.segments[0].0.first_lsn, 1);
+        assert_eq!(scan.segments[0].0.last_lsn, 3);
+        assert!(!scan.segments[0].0.torn_tail);
         assert_eq!(
-            scan.records,
+            scan.records(),
             vec![
                 WalRecord {
                     lsn: 1,
@@ -1488,10 +1411,10 @@ mod tests {
             wal.append(i, 1).unwrap();
         }
         assert_eq!(wal.segment_count(), 5);
-        let scan = scan_column_journal(&FsStorage::new(), &d, "c").unwrap();
+        let scan = scan_column_journal(&FsStorage::new(), &d, "c", 0).unwrap();
         assert_eq!(scan.segments.len(), 5);
-        assert_eq!(scan.records.len(), 5);
-        for (i, s) in scan.segments.iter().enumerate() {
+        assert_eq!(scan.records().len(), 5);
+        for (i, (s, _)) in scan.segments.iter().enumerate() {
             assert_eq!(s.first_lsn, i as u64 + 1);
             assert_eq!(s.last_lsn, i as u64 + 1);
         }
@@ -1501,8 +1424,8 @@ mod tests {
     #[test]
     fn empty_or_missing_journal_scans_clean() {
         let d = tmp_dir("empty");
-        let scan = scan_column_journal(&FsStorage::new(), &d, "none").unwrap();
-        assert!(scan.records.is_empty() && scan.segments.is_empty());
+        let scan = scan_column_journal(&FsStorage::new(), &d, "none", 0).unwrap();
+        assert!(scan.records().is_empty() && scan.segments.is_empty());
         assert_eq!(scan.max_lsn, 0);
         let _ = std::fs::remove_dir_all(&d);
     }
@@ -1517,10 +1440,10 @@ mod tests {
         // Power fails mid-append: a strict prefix of record 3 lands.
         let partial = &record(3, 3, 30, false)[..11];
         write_next(&d.join(wal_file_name("t", 1)), partial);
-        let scan = scan_column_journal(&s, &d, "t").unwrap();
-        assert_eq!(scan.records.len(), 2);
+        let scan = scan_column_journal(&s, &d, "t", 0).unwrap();
+        assert_eq!(scan.records().len(), 2);
         assert_eq!(scan.max_lsn, 2);
-        assert!(scan.segments[0].torn_tail);
+        assert!(scan.segments[0].0.torn_tail);
         let _ = std::fs::remove_dir_all(&d);
     }
 
@@ -1536,7 +1459,7 @@ mod tests {
         wal.append(1, 1).unwrap();
         wal.append(2, 2).unwrap();
         write_next(&d.join(wal_file_name("t", 1)), b"stray");
-        let err = scan_column_journal(&s, &d, "t").unwrap_err();
+        let err = scan_column_journal(&s, &d, "t", 0).unwrap_err();
         assert!(
             matches!(err, SynopticError::CorruptJournal { .. }),
             "{err:?}"
@@ -1557,7 +1480,7 @@ mod tests {
         let flip = bytes.len() - WAL_RECORD_LEN - 10; // inside record 1
         bytes[flip] ^= 0x20;
         std::fs::write(&p, bytes).unwrap();
-        let err = scan_column_journal(&s, &d, "b").unwrap_err();
+        let err = scan_column_journal(&s, &d, "b", 0).unwrap_err();
         assert!(
             matches!(err, SynopticError::CorruptJournal { ref detail, .. } if detail.contains("CRC")),
             "{err:?}"
@@ -1578,16 +1501,16 @@ mod tests {
         // Crash hits the very first append of segment 2: only a few header
         // bytes land.
         write_next(&d.join(wal_file_name("h", 2)), &WAL_MAGIC[..5]);
-        let scan = scan_column_journal(&s, &d, "h").unwrap();
-        assert_eq!(scan.records.len(), 1);
+        let scan = scan_column_journal(&s, &d, "h", 0).unwrap();
+        assert_eq!(scan.records().len(), 1);
         assert_eq!(scan.skipped, vec!["h-2.wal".to_string()]);
         // Reopening seals the wreck and appends into a fresh sequence. The
         // wreck is now mid-chain, but LSN continuity (1 then 2) proves it
         // never held an acknowledged record, so the scan still succeeds.
         let wal = ColumnWal::open(s.clone(), &d, "h", 1, cfg).unwrap();
         assert_eq!(wal.append(9, 9).unwrap(), 2);
-        let scan = scan_column_journal(&s, &d, "h").unwrap();
-        assert_eq!(scan.records.len(), 2);
+        let scan = scan_column_journal(&s, &d, "h", 0).unwrap();
+        assert_eq!(scan.records().len(), 2);
         assert_eq!(scan.skipped, vec!["h-2.wal".to_string()]);
         // The first checkpoint reclaims the wreck along with covered
         // segments.
@@ -1612,19 +1535,19 @@ mod tests {
         // sealed segments go, the active one (LSN 4) stays.
         let removed = wal.checkpoint(3, 2).unwrap();
         assert_eq!(removed, 3);
-        let scan = scan_column_journal(&s, &d, "k").unwrap();
-        assert_eq!(scan.records.len(), 1);
-        assert_eq!(scan.records[0].lsn, 4);
+        let scan = scan_column_journal(&s, &d, "k", 0).unwrap();
+        assert_eq!(scan.records().len(), 1);
+        assert_eq!(scan.records()[0].lsn, 4);
         // Covering everything removes the active segment too; the next
         // append opens a segment stamped with the new generation.
         let removed = wal.checkpoint(4, 3).unwrap();
         assert_eq!(removed, 1);
         assert_eq!(wal.segment_count(), 0);
         wal.append(0, 1).unwrap();
-        let scan = scan_column_journal(&s, &d, "k").unwrap();
+        let scan = scan_column_journal(&s, &d, "k", 0).unwrap();
         assert_eq!(scan.segments.len(), 1);
-        assert_eq!(scan.segments[0].base_generation, 3);
-        assert_eq!(scan.records[0].lsn, 5, "LSNs never restart");
+        assert_eq!(scan.segments[0].0.base_generation, 3);
+        assert_eq!(scan.records()[0].lsn, 5, "LSNs never restart");
         let _ = std::fs::remove_dir_all(&d);
     }
 
@@ -1642,8 +1565,8 @@ mod tests {
         storage.push_fault(Fault::CrashBeforeRename);
         assert!(wal.checkpoint(2, 2).is_err());
         // The stale segment survived and is still readable.
-        let scan = scan_column_journal(&FsStorage::new(), &d, "r").unwrap();
-        assert_eq!(scan.records.len(), 2);
+        let scan = scan_column_journal(&FsStorage::new(), &d, "r", 0).unwrap();
+        assert_eq!(scan.records().len(), 2);
         // The retry (no fault scheduled) reclaims both segments.
         assert_eq!(wal.checkpoint(2, 2).unwrap(), 2);
         assert_eq!(wal.segment_count(), 0);
@@ -1662,7 +1585,7 @@ mod tests {
         let wal = ColumnWal::open(s.clone(), &d, "c", 1, WalConfig::default()).unwrap();
         assert_eq!(wal.pending_mark(), 2);
         assert_eq!(wal.append(7, 70).unwrap(), 3);
-        let scan = scan_column_journal(&s, &d, "c").unwrap();
+        let scan = scan_column_journal(&s, &d, "c", 0).unwrap();
         assert_eq!(scan.segments.len(), 2, "old segment sealed, new one opened");
         assert_eq!(scan.max_lsn, 3);
         let _ = std::fs::remove_dir_all(&d);
@@ -1681,8 +1604,8 @@ mod tests {
             for i in 0..7u64 {
                 wal.append(i, 1).unwrap();
             }
-            let scan = scan_column_journal(&FsStorage::new(), &d, "f").unwrap();
-            assert_eq!(scan.records.len(), 7, "{fsync:?}");
+            let scan = scan_column_journal(&FsStorage::new(), &d, "f", 0).unwrap();
+            assert_eq!(scan.records().len(), 7, "{fsync:?}");
             let _ = std::fs::remove_dir_all(&d);
         }
     }
@@ -1790,7 +1713,7 @@ mod tests {
         // scanning that column by name refuses it.
         write_next(&d.join(wal_file_name("ghost", 2)), &WAL_MAGIC[..4]);
         let err = scan_journals(&s, &d).unwrap_err();
-        assert_eq!(err, scan_column_journal(&s, &d, "ghost").unwrap_err());
+        assert_eq!(err, scan_column_journal(&s, &d, "ghost", 0).unwrap_err());
         let _ = std::fs::remove_dir_all(&d);
     }
 
@@ -1806,7 +1729,7 @@ mod tests {
         let at = h.len() - 4;
         h[at..].copy_from_slice(&crc.to_le_bytes());
         write_next(&d.join(wal_file_name("v", 1)), &h);
-        let err = scan_column_journal(&s, &d, "v").unwrap_err();
+        let err = scan_column_journal(&s, &d, "v", 0).unwrap_err();
         assert!(
             matches!(
                 err,
@@ -1877,23 +1800,27 @@ mod tests {
         let journals = scan_journals(&s, &d).unwrap();
         let keys: Vec<(&str, u64)> = journals
             .iter()
-            .flat_map(|(c, scan)| scan.segments.iter().map(move |g| (c.as_str(), g.first_lsn)))
+            .flat_map(|(c, scan)| {
+                scan.segments
+                    .iter()
+                    .map(move |(g, _)| (c.as_str(), g.first_lsn))
+            })
             .collect();
         assert_eq!(
             keys,
             vec![("a", 1), ("a", 2), ("a", 3), ("b", 1), ("b", 2), ("b", 3)]
         );
         assert_eq!(journals["a"].skipped, vec![wal_file_name("a", 9)]);
-        // The shipper's view walks one column: its own readable segments,
+        // One column's scan: its own readable segments,
         // each clipped to its validated prefix.
-        let shipped = column_segments(&s, &d, "a", 0, 0).unwrap();
+        let shipped = scan_column_journal(&s, &d, "a", 0).unwrap().segments;
         let seqs: Vec<(u64, u64)> = shipped.iter().map(|(m, _)| (m.seq, m.last_lsn)).collect();
         assert_eq!(seqs, vec![(1, 1), (2, 2), (3, 3)]);
         for (meta, bytes) in &shipped {
             assert_eq!(bytes, &s.read(&d.join(&meta.file)).unwrap());
         }
         // A sequence-number floor leaves the files below it out.
-        let floored = column_segments(&s, &d, "a", 0, 2).unwrap();
+        let floored = scan_column_journal(&s, &d, "a", 2).unwrap().segments;
         let seqs: Vec<u64> = floored.iter().map(|(m, _)| m.seq).collect();
         assert_eq!(seqs, vec![2, 3]);
         let _ = std::fs::remove_dir_all(&d);
@@ -1971,9 +1898,9 @@ mod tests {
         assert_eq!(*sealed.lock().unwrap(), vec![(wal_file_name("s", 1), 2)]);
         // The next append opens a fresh segment chained at LSN 3.
         wal.append(2, 1).unwrap();
-        let scan = scan_column_journal(&s, &d, "s").unwrap();
+        let scan = scan_column_journal(&s, &d, "s", 0).unwrap();
         assert_eq!(scan.segments.len(), 2);
-        assert_eq!(scan.segments[1].first_lsn, 3);
+        assert_eq!(scan.segments[1].0.first_lsn, 3);
         let _ = std::fs::remove_dir_all(&d);
     }
 
@@ -1996,8 +1923,8 @@ mod tests {
         assert_eq!(rep.removed, 1);
         assert_eq!(rep.retained_for_followers, 2);
         assert!(rep.evicted.is_empty());
-        let scan = scan_column_journal(&s, &d, "r").unwrap();
-        assert_eq!(scan.records.first().unwrap().lsn, 2);
+        let scan = scan_column_journal(&s, &d, "r", 0).unwrap();
+        assert_eq!(scan.records().first().unwrap().lsn, 2);
         // The follower catches up: the hold advances and the retained
         // segments go.
         wal.set_retention_hold("f1", 3);
@@ -2033,8 +1960,8 @@ mod tests {
         assert_eq!(rep.retained_for_followers, 1);
         assert_eq!(rep.removed, 4);
         assert_eq!(wal.retention_holds(), vec![("near".to_string(), 4)]);
-        let scan = scan_column_journal(&s, &d, "e").unwrap();
-        assert_eq!(scan.records.first().unwrap().lsn, 5);
+        let scan = scan_column_journal(&s, &d, "e", 0).unwrap();
+        assert_eq!(scan.records().first().unwrap().lsn, 5);
         let _ = std::fs::remove_dir_all(&d);
     }
 
@@ -2067,8 +1994,8 @@ mod tests {
         assert!(wal.retention_holds().is_empty());
         assert_eq!(rep.removed, 2); // LSNs 1 and 2, freed by the eviction
         assert_eq!(rep.retained_for_followers, 0);
-        let scan = scan_column_journal(&s, &d, "p").unwrap();
-        assert_eq!(scan.records.first().unwrap().lsn, 3);
+        let scan = scan_column_journal(&s, &d, "p", 0).unwrap();
+        assert_eq!(scan.records().first().unwrap().lsn, 3);
 
         // A follower already at the snapshot pins nothing: even over cap,
         // it is never evicted (dropping it would free no segment).
@@ -2104,9 +2031,9 @@ mod tests {
             })
             .collect();
         assert_eq!(continues, vec![true, true, false, false]);
-        let scan = scan_column_journal(&FsStorage::new(), &d, "b").unwrap();
+        let scan = scan_column_journal(&FsStorage::new(), &d, "b", 0).unwrap();
         let got: Vec<(u64, u64, i64)> = scan
-            .records
+            .records()
             .iter()
             .map(|r| (r.lsn, r.index, r.delta))
             .collect();
@@ -2132,10 +2059,10 @@ mod tests {
             let mut bytes = torn.clone();
             bytes.extend_from_slice(&record(5, 4, 5, false)[..tail]);
             std::fs::write(&path, &bytes).unwrap();
-            let scan = scan_column_journal(&s, &d, "t").unwrap();
+            let scan = scan_column_journal(&s, &d, "t", 0).unwrap();
             assert_eq!(scan.max_lsn, 2, "tail {tail}");
-            assert_eq!(scan.records.len(), 2);
-            assert!(scan.segments[0].torn_tail);
+            assert_eq!(scan.records().len(), 2);
+            assert!(scan.segments[0].0.torn_tail);
             let seg = decode_segment(&bytes, "t-1.wal").unwrap();
             assert!(seg.torn_tail);
             assert_eq!(
@@ -2145,7 +2072,7 @@ mod tests {
         }
         // The same open batch on a non-final segment is corruption.
         write_next(&d.join(wal_file_name("t", 2)), &header("t", 1, 3));
-        let err = scan_column_journal(&s, &d, "t").unwrap_err();
+        let err = scan_column_journal(&s, &d, "t", 0).unwrap_err();
         assert!(
             matches!(err, SynopticError::CorruptJournal { ref detail, .. } if detail.contains("end mark")),
             "{err:?}"
@@ -2186,16 +2113,16 @@ mod tests {
                 delta: -3,
             },
         ];
-        let scan = scan_column_journal(&s, &d, "old").unwrap();
-        assert_eq!(scan.records, expect);
-        assert_eq!(scan.segments[0].base_generation, 4);
-        assert!(!scan.segments[0].torn_tail);
+        let scan = scan_column_journal(&s, &d, "old", 0).unwrap();
+        assert_eq!(scan.records(), expect);
+        assert_eq!(scan.segments[0].0.base_generation, 4);
+        assert!(!scan.segments[0].0.torn_tail);
         // Appending after it opens a version-2 segment; the mixed chain
         // scans as one.
         let wal = ColumnWal::open(s.clone(), &d, "old", 4, WalConfig::default()).unwrap();
         assert_eq!(wal.append_batch(&[(1, 1), (3, 1)]).unwrap(), 4);
-        let scan = scan_column_journal(&s, &d, "old").unwrap();
-        assert_eq!(scan.records[..2], expect[..]);
+        let scan = scan_column_journal(&s, &d, "old", 0).unwrap();
+        assert_eq!(scan.records()[..2], expect[..]);
         assert_eq!(scan.max_lsn, 4);
         let v2 = s.read(&d.join(wal_file_name("old", 2))).unwrap();
         assert_eq!(u16_le(&v2, 8), 2);
@@ -2287,9 +2214,8 @@ mod tests {
             };
             refused(decode_segment(&bytes, "x-1.wal").map(drop));
             std::fs::write(&path, &bytes).unwrap();
-            refused(scan_column_journal(&s, &d, "x").map(drop));
+            refused(scan_column_journal(&s, &d, "x", 0).map(drop));
             refused(scan_journals(&s, &d).map(drop));
-            refused(column_segments(&s, &d, "x", 0, 0).map(drop));
         }
         // The highest LSN a record may carry is u64::MAX - 1; a journal
         // that holds it refuses further appends rather than writing a
@@ -2392,8 +2318,8 @@ mod tests {
         assert!(wal.append_batch(&[(8, 80), (8, 81)]).is_err());
         assert_eq!(wal.pending_mark(), 1);
         assert_eq!(wal.append_batch(&[(2, 20), (3, 30)]).unwrap(), 3);
-        let scan = scan_column_journal(&FsStorage::new(), &d, "r").unwrap();
-        let got: Vec<(u64, u64)> = scan.records.iter().map(|r| (r.lsn, r.index)).collect();
+        let scan = scan_column_journal(&FsStorage::new(), &d, "r", 0).unwrap();
+        let got: Vec<(u64, u64)> = scan.records().iter().map(|r| (r.lsn, r.index)).collect();
         assert_eq!(got, vec![(1, 1), (2, 2), (3, 3)]);
         assert_eq!(scan.segments.len(), 1);
         let _ = std::fs::remove_dir_all(&d);
@@ -2423,12 +2349,12 @@ mod tests {
         let wal = ColumnWal::open(s.clone(), &d, "a.b", 1, WalConfig::default()).unwrap();
         wal.append(0, 1).unwrap();
         // "a_b" sanitizes to the same file prefix but is a different column.
-        let err = scan_column_journal(&s, &d, "a_b").unwrap_err();
+        let err = scan_column_journal(&s, &d, "a_b", 0).unwrap_err();
         assert!(
             matches!(err, SynopticError::CorruptJournal { ref detail, .. } if detail.contains("collision")),
             "{err:?}"
         );
-        assert!(scan_column_journal(&s, &d, "a.b").is_ok());
+        assert!(scan_column_journal(&s, &d, "a.b", 0).is_ok());
         let _ = std::fs::remove_dir_all(&d);
     }
 
@@ -2471,9 +2397,9 @@ mod tests {
         let syncs: Vec<bool> = writes.iter().map(|w| w.2).collect();
         assert_eq!(syncs, vec![false, true, false]);
         assert_eq!(std::fs::metadata(&path).unwrap().len(), 4096);
-        let scan = scan_column_journal(&spy, &d, "p").unwrap();
+        let scan = scan_column_journal(&spy, &d, "p", 0).unwrap();
         assert_eq!(scan.max_lsn, 4);
-        let meta = &scan.segments[0];
+        let meta = &scan.segments[0].0;
         assert!(!meta.torn_tail, "zero padding is a clean end");
         assert_eq!(meta.len as usize, header_len + 4 * WAL_RECORD_LEN);
         // Sealing syncs the unsynced batch in a write of its own, then
@@ -2504,12 +2430,12 @@ mod tests {
             // the padding.
             let path = d.join(wal_file_name("t", 1));
             write_next(&path, &torn[..keep]);
-            let scan = scan_column_journal(&s, &d, "t").unwrap();
+            let scan = scan_column_journal(&s, &d, "t", 0).unwrap();
             let expect = if keep == torn.len() { 6 } else { 3 };
             assert_eq!(scan.max_lsn, expect, "keep {keep}");
-            assert_eq!(scan.records.len() as u64, expect, "keep {keep}");
+            assert_eq!(scan.records().len() as u64, expect, "keep {keep}");
             assert_eq!(
-                scan.segments[0].torn_tail,
+                scan.segments[0].0.torn_tail,
                 keep > 0 && keep < torn.len(),
                 "keep {keep}"
             );
@@ -2517,11 +2443,14 @@ mod tests {
             // included, and the next append chains on.
             let wal = ColumnWal::open(s.clone(), &d, "t", 1, WalConfig::default()).unwrap();
             let trimmed = std::fs::metadata(&path).unwrap().len();
-            assert_eq!(trimmed, scan.segments[0].len, "keep {keep}");
+            assert_eq!(trimmed, scan.segments[0].0.len, "keep {keep}");
             assert_eq!(wal.append(5, 5).unwrap(), expect + 1, "keep {keep}");
-            let scan = scan_column_journal(&s, &d, "t").unwrap();
+            let scan = scan_column_journal(&s, &d, "t", 0).unwrap();
             assert_eq!(scan.max_lsn, expect + 1, "keep {keep}");
-            assert!(scan.segments.iter().all(|m| !m.torn_tail), "keep {keep}");
+            assert!(
+                scan.segments.iter().all(|(m, _)| !m.torn_tail),
+                "keep {keep}"
+            );
         }
         let _ = std::fs::remove_dir_all(&d);
     }
@@ -2546,8 +2475,11 @@ mod tests {
         // with LSN 4 in it.
         let wal = ColumnWal::open(s.clone(), &d, "r", 1, WalConfig::default()).unwrap();
         assert_eq!(wal.pending_mark(), 4);
-        let scan = scan_column_journal(&s, &d, "r").unwrap();
-        assert_eq!(scan.records.last().map(|r| (r.lsn, r.index)), Some((4, 9)));
+        let scan = scan_column_journal(&s, &d, "r", 0).unwrap();
+        assert_eq!(
+            scan.records().last().map(|r| (r.lsn, r.index)),
+            Some((4, 9))
+        );
         let _ = std::fs::remove_dir_all(&d);
     }
 
@@ -2564,7 +2496,7 @@ mod tests {
         let first = header("c", 1, 1).len();
         let refused = |bytes: &[u8], what: &str| {
             std::fs::write(&path, bytes).unwrap();
-            let err = scan_column_journal(&s, &d, "c").unwrap_err();
+            let err = scan_column_journal(&s, &d, "c", 0).unwrap_err();
             assert!(
                 matches!(err, SynopticError::CorruptJournal { .. }),
                 "{what}: {err:?}"
@@ -2624,11 +2556,11 @@ mod tests {
         // Seen once, as a reader racing the writer sees a slot it is
         // overwriting: the second read is whole and stands.
         let s = FaultyStorage::new(FsStorage::new(), vec![bad.clone()]);
-        let scan = scan_column_journal(&s, &d, "c").unwrap();
+        let scan = scan_column_journal(&s, &d, "c", 0).unwrap();
         assert_eq!((scan.max_lsn, s.faults_fired()), (3, 1));
         // Seen twice in a row, as damage at rest reads: refused.
         let s = FaultyStorage::new(FsStorage::new(), vec![bad.clone(), bad]);
-        let err = scan_column_journal(&s, &d, "c").unwrap_err();
+        let err = scan_column_journal(&s, &d, "c", 0).unwrap_err();
         assert!(
             matches!(err, SynopticError::CorruptJournal { .. }),
             "{err:?}"
@@ -2721,15 +2653,17 @@ mod tests {
                 let s = ChunkedReads(FsStorage::new());
                 let (mut scans, mut from_seq) = (0u64, 0u64);
                 while !done.load(Ordering::SeqCst) {
-                    for (meta, bytes) in column_segments(&s, &d, "r", 0, from_seq).unwrap() {
+                    for (meta, bytes) in
+                        scan_column_journal(&s, &d, "r", from_seq).unwrap().segments
+                    {
                         let seg = decode_segment(&bytes, &meta.file).unwrap();
                         assert!(!seg.torn_tail, "a shipped prefix is never torn");
                         whole(&seg.records, &meta.file);
                         from_seq = from_seq.max(meta.seq);
                     }
                     if scans % 8 == 0 {
-                        let scan = scan_column_journal(&s, &d, "r").unwrap();
-                        whole(&scan.records, "chain scan");
+                        let scan = scan_column_journal(&s, &d, "r", 0).unwrap();
+                        whole(&scan.records(), "chain scan");
                     }
                     scans += 1;
                 }
@@ -2747,9 +2681,9 @@ mod tests {
         }
         done.store(true, Ordering::SeqCst);
         assert!(reader.join().unwrap() > 0);
-        let scan = scan_column_journal(&FsStorage::new(), &d, "r").unwrap();
+        let scan = scan_column_journal(&FsStorage::new(), &d, "r", 0).unwrap();
         assert_eq!(scan.max_lsn, BATCH * BATCHES);
-        whole(&scan.records, "final scan");
+        whole(&scan.records(), "final scan");
         let _ = std::fs::remove_dir_all(&d);
     }
 }

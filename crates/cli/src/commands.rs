@@ -715,7 +715,7 @@ pub fn maintain(args: &[String]) -> Result<(), CliError> {
                 Err(_) => Catalog::new(),
             };
             let scan =
-                scan_column_journal(&FsStorage::new(), std::path::Path::new(wal_dir), "cli")?;
+                scan_column_journal(&FsStorage::new(), std::path::Path::new(wal_dir), "cli", 0)?;
             if scan.max_lsn > catalog.wal_mark("cli") && !f.switch("discard-journal") {
                 return Err(CliError::usage(format!(
                     "journal in {wal_dir} holds acknowledged record(s) past the \
@@ -950,7 +950,7 @@ impl ReplicationLink {
 /// snapshots, the granted election term, and every column's journal
 /// tail — to a `reseed` receiver, so a fenced ex-leader can rejoin.
 pub fn ship(args: &[String]) -> Result<(), CliError> {
-    use synoptic_catalog::wal::scan_shippable_column;
+    use synoptic_catalog::wal::scan_column_journal;
     use synoptic_repl::{Seeder, Shipper, TcpTransport, TermLedger, Transport};
 
     let f = Flags::parse(args).usage()?;
@@ -992,7 +992,7 @@ pub fn ship(args: &[String]) -> Result<(), CliError> {
         );
         return Ok(());
     }
-    let journal = scan_shippable_column(&FsStorage::new(), std::path::Path::new(wal_dir), column)?;
+    let journal = scan_column_journal(&FsStorage::new(), std::path::Path::new(wal_dir), column, 0)?;
     let mut transport = TcpTransport::connect(to)?;
     let shipper = Shipper::new(FsStorage::new(), wal_dir, column);
     let report = shipper.ship_journal(&mut transport, journal)?;

@@ -9,20 +9,19 @@
 //!    the shipper learns where the follower already is (a restarted
 //!    leader does not re-ship what the follower holds; a duplicate would
 //!    be absorbed idempotently anyway).
-//! 2. **Ship.** Each pass walks the column's own segment files once
-//!    ([`column_segments`]: every file read and decoded once) and sends
-//!    every segment holding records past the acked LSN as a
-//!    [`Frame::Segment`] — byte-for-byte from the bytes already read,
-//!    clipped to the validated prefix, so a torn on-disk tail (never
-//!    acknowledged) is not shipped. The walk starts at a sequence-number
-//!    floor: the newest segment an earlier pass found pending. Every file
-//!    below it is sealed and holds only records below that segment's
-//!    first LSN, so while the follower's ack covers them they are skipped
-//!    by name, unread. A probe that reports an ack below them (a follower
-//!    that lost what it had) drops the floor, and the next walk reads
-//!    every file again. A caller that already read the chain hands its
-//!    bytes to the first pass ([`Shipper::ship_journal`]), which then
-//!    reads nothing.
+//! 2. **Ship.** Each pass sends, as [`Frame::Segment`]s, every segment of
+//!    a chain scan ([`scan_column_journal`]) that holds records past the
+//!    acked LSN — byte for byte its validated prefix, so a torn on-disk
+//!    tail (never acknowledged) is not shipped, and a journal the scan
+//!    refuses (damage, a broken LSN chain, a header naming another column)
+//!    ships nothing. The scan starts at a sequence-number floor: the newest
+//!    segment an earlier pass found pending. Every file below it is sealed
+//!    and holds only records below that segment's first LSN, so while the
+//!    follower's ack covers them they are skipped by name, unread. A probe
+//!    that reports an ack below them (a follower that lost what it had)
+//!    drops the floor, and the next scan reads every file again. A caller
+//!    that already scanned the journal hands its scan to the first pass
+//!    ([`Shipper::ship_journal`]), which then reads nothing.
 //! 3. **Drain.** Acks advance the watermark; [`Frame::Refuse`] frames are
 //!    recorded. When the watermark reaches the last sealed LSN the pass
 //!    succeeds.
@@ -34,7 +33,7 @@
 //!    own refusal reason — never a silent divergence.
 //!
 //! The shipper is deliberately storage-driven (it reads the journal
-//! through the same walk recovery uses) rather than hooked into a live
+//! through the same chain scan recovery uses) rather than hooked into a live
 //! `ColumnWal`'s internals: the one-shot `synoptic ship` CLI and the
 //! in-process `maintain --replicate-to` loop ship through the identical
 //! code path. [`ship_journals`] fans every column of a journal directory
@@ -46,9 +45,7 @@ use std::sync::{Mutex, PoisonError};
 use std::time::Duration;
 
 use synoptic_catalog::storage::Storage;
-use synoptic_catalog::wal::{
-    column_segments, scan_shippable_journals, SegmentMeta, ShippableJournal,
-};
+use synoptic_catalog::wal::{scan_column_journal, scan_journals, JournalScan, SegmentMeta};
 use synoptic_core::{Result, SynopticError};
 
 use crate::transport::{Received, Transport};
@@ -128,7 +125,7 @@ impl<S: Storage> Shipper<S> {
         self
     }
 
-    /// The sequence number the next walk starts at: the floor while the
+    /// The sequence number the next scan starts at: the floor while the
     /// follower's `acked` LSN covers every file below it, else 0 (and the
     /// floor is dropped).
     fn walk_from(&self, acked: u64) -> u64 {
@@ -213,20 +210,20 @@ impl<S: Storage> Shipper<S> {
     /// [`Self::ship`] from a chain scan the caller already made of this
     /// column's journal: the first pass sends from its bytes instead of
     /// reading the files again, and its highest LSN is the leader mark.
-    /// Retry passes walk the files as [`Self::ship`] does.
+    /// Retry passes scan the files as [`Self::ship`] does.
     pub fn ship_journal(
         &self,
         transport: &mut dyn Transport,
-        journal: ShippableJournal,
+        journal: JournalScan,
     ) -> Result<ShipReport> {
-        self.ship_from(transport, journal.max_lsn, Some(journal.segments))
+        self.ship_from(transport, journal.max_lsn, Some(journal))
     }
 
     fn ship_from(
         &self,
         transport: &mut dyn Transport,
         leader_mark: u64,
-        mut scanned: Option<Vec<(SegmentMeta, Vec<u8>)>>,
+        mut scanned: Option<JournalScan>,
     ) -> Result<ShipReport> {
         let mut report = ShipReport {
             acked_lsn: self.probe(transport, leader_mark)?,
@@ -234,22 +231,23 @@ impl<S: Storage> Shipper<S> {
         };
         for pass in 0..self.max_passes {
             report.passes = pass + 1;
-            let pending = match scanned.take() {
-                // What `column_segments` would return past the ack.
-                Some(segments) => segments
-                    .into_iter()
-                    .filter(|(meta, _)| {
-                        meta.last_lsn >= meta.first_lsn && meta.last_lsn > report.acked_lsn
-                    })
-                    .collect(),
-                None => column_segments(
+            let scan = match scanned.take() {
+                Some(scan) => scan,
+                None => scan_column_journal(
                     &self.storage,
                     &self.dir,
                     &self.column,
-                    report.acked_lsn,
                     self.walk_from(report.acked_lsn),
                 )?,
             };
+            // The segments holding records past the ack.
+            let pending: Vec<_> = scan
+                .segments
+                .into_iter()
+                .filter(|(meta, _)| {
+                    meta.last_lsn >= meta.first_lsn && meta.last_lsn > report.acked_lsn
+                })
+                .collect();
             self.raise_floor(&pending);
             let target = pending
                 .iter()
@@ -337,7 +335,7 @@ impl<S: Storage> Shipper<S> {
 /// Ships every column journaled under `dir` except `except` over one
 /// link, one [`Shipper`] on election term `term` per column, each with its
 /// column's highest journaled LSN as the leader mark. The directory is
-/// read once ([`scan_shippable_journals`]), and each shipper's first pass
+/// read once ([`scan_journals`]), and each shipper's first pass
 /// sends from that scan ([`Shipper::ship_journal`]); only a retry pass
 /// reads its column's files again. Returns every column's report, in
 /// column order.
@@ -349,7 +347,7 @@ pub fn ship_journals<S: Storage + Clone>(
     transport: &mut dyn Transport,
 ) -> Result<Vec<(String, ShipReport)>> {
     let mut reports = Vec::new();
-    for (column, journal) in scan_shippable_journals(storage, dir)? {
+    for (column, journal) in scan_journals(storage, dir)? {
         if except == Some(column.as_str()) {
             continue;
         }
@@ -366,7 +364,7 @@ mod tests {
     use super::*;
     use crate::transport::MemTransport;
     use synoptic_catalog::storage::FsStorage;
-    use synoptic_catalog::wal::{decode_segment, ColumnWal, WalConfig};
+    use synoptic_catalog::wal::{decode_segment, wal_file_name, ColumnWal, WalConfig, WAL_MAGIC};
 
     fn tmp_dir(tag: &str) -> PathBuf {
         let d = std::env::temp_dir().join(format!("synoptic_ship_{tag}_{}", std::process::id()));
@@ -377,19 +375,31 @@ mod tests {
     /// A hand-rolled follower stub: acks everything whole, refusing
     /// nothing — enough to unit-test the shipper's bookkeeping. The real
     /// follower lives in synoptic-stream.
-    fn ack_everything(mut t: MemTransport) -> std::thread::JoinHandle<usize> {
+    fn ack_everything(t: MemTransport) -> std::thread::JoinHandle<usize> {
+        let follower = recording_follower(t, 0);
+        std::thread::spawn(move || follower.join().unwrap().len())
+    }
+
+    /// [`ack_everything`] for a follower that already applied `applied`:
+    /// returns every segment frame it received, byte for byte.
+    fn recording_follower(
+        mut t: MemTransport,
+        mut applied: u64,
+    ) -> std::thread::JoinHandle<Vec<Vec<u8>>> {
         std::thread::spawn(move || {
-            let mut applied = 0u64;
-            let mut segments = 0usize;
+            let mut frames = Vec::new();
             loop {
                 match t.recv(None).unwrap() {
                     Received::Frame(bytes) => {
-                        let frame = decode_frame(&bytes).unwrap();
-                        let column = match frame {
-                            Frame::Segment { column, bytes, .. } => {
-                                let seg = decode_segment(&bytes, "shipped").unwrap();
+                        let column = match decode_frame(&bytes).unwrap() {
+                            Frame::Segment {
+                                column,
+                                bytes: segment,
+                                ..
+                            } => {
+                                let seg = decode_segment(&segment, "shipped").unwrap();
                                 applied = applied.max(seg.last_lsn);
-                                segments += 1;
+                                frames.push(bytes);
                                 column
                             }
                             Frame::Heartbeat { column, .. } => column,
@@ -402,11 +412,116 @@ mod tests {
                         }))
                         .unwrap();
                     }
-                    Received::Closed => return segments,
+                    Received::Closed => return frames,
                     Received::TimedOut => unreachable!(),
                 }
             }
         })
+    }
+
+    /// Ships to a follower stub at `applied`: from `scan` through
+    /// [`Shipper::ship_journal`] when one is given, else through
+    /// [`Shipper::ship`] at `leader_mark`. Returns the report and every
+    /// segment frame the follower received.
+    fn ship_to(
+        shipper: &Shipper<FsStorage>,
+        applied: u64,
+        scan: Option<JournalScan>,
+        leader_mark: u64,
+    ) -> Result<(ShipReport, Vec<Vec<u8>>)> {
+        let (leader_end, follower_end) = MemTransport::pair();
+        let follower = recording_follower(follower_end, applied);
+        let mut t: Box<dyn Transport> = Box::new(leader_end);
+        let report = match scan {
+            Some(scan) => shipper.ship_journal(t.as_mut(), scan),
+            None => shipper.ship(t.as_mut(), leader_mark),
+        };
+        t.close();
+        let frames = follower.join().unwrap();
+        Ok((report?, frames))
+    }
+
+    /// Journals `appends` one-record segments of `column` under `d`, each
+    /// sealed, continuing whatever journal is there.
+    fn journal(d: &Path, column: &str, appends: u64) {
+        let cfg = WalConfig {
+            segment_bytes: 1, // every append rotates
+            ..WalConfig::default()
+        };
+        let wal = ColumnWal::open(FsStorage::new(), d, column, 1, cfg).unwrap();
+        for i in 0..appends {
+            wal.append(i, 1).unwrap();
+        }
+        wal.seal().unwrap();
+    }
+
+    /// Appends `bytes` to the end of the file at `path`.
+    fn append_to(path: &Path, bytes: &[u8]) {
+        use std::io::Write as _;
+        let mut f = std::fs::OpenOptions::new().append(true).open(path).unwrap();
+        f.write_all(bytes).unwrap();
+    }
+
+    #[test]
+    fn ship_and_ship_journal_send_the_same_frames() {
+        let d = tmp_dir("same_frames");
+        let s = FsStorage::new();
+        // A torn final tail: bytes short of one record after the last.
+        journal(&d, "torn", 4);
+        append_to(&d.join(wal_file_name("torn", 4)), &[0xab; 20]);
+        // A mid-chain wreck that LSN continuity proves empty: segment 3's
+        // header never landed, and segment 4 starts right after segment 2.
+        journal(&d, "wreck", 2);
+        std::fs::write(d.join(wal_file_name("wreck", 3)), &WAL_MAGIC[..5]).unwrap();
+        journal(&d, "wreck", 2);
+        for (column, last) in [("torn", 4), ("wreck", 4)] {
+            let scan = scan_column_journal(&s, &d, column, 0).unwrap();
+            assert_eq!(scan.max_lsn, last, "{column}");
+            assert_eq!(scan.segments.last().unwrap().0.torn_tail, column == "torn");
+            assert_eq!(scan.skipped.len(), usize::from(column == "wreck"));
+            for applied in [0, 2] {
+                let shipper = Shipper::new(s.clone(), &d, column);
+                let (walked, sent) = ship_to(&shipper, applied, None, last).unwrap();
+                let shipper = Shipper::new(s.clone(), &d, column);
+                let (handed, from_scan) =
+                    ship_to(&shipper, applied, Some(scan.clone()), 0).unwrap();
+                assert_eq!(walked, handed, "{column} from {applied}");
+                assert_eq!(sent.len() as u64, last - applied, "{column} from {applied}");
+                assert_eq!(sent, from_scan, "{column} from {applied}");
+            }
+        }
+        // A nonzero sequence floor: a shipper that shipped segments 1-3
+        // scans from segment 3 on, and sends what a whole-journal scan
+        // handed to a fresh shipper sends.
+        journal(&d, "floor", 3);
+        let shipper = Shipper::new(s.clone(), &d, "floor");
+        let (first, _) = ship_to(&shipper, 0, None, 3).unwrap();
+        assert_eq!((first.shipped, first.acked_lsn), (3, 3));
+        journal(&d, "floor", 2);
+        assert_eq!(*shipper.floor.lock().unwrap(), (3, 2));
+        let (walked, sent) = ship_to(&shipper, 3, None, 5).unwrap();
+        let scan = scan_column_journal(&s, &d, "floor", 0).unwrap();
+        let fresh = Shipper::new(s.clone(), &d, "floor");
+        let (handed, from_scan) = ship_to(&fresh, 3, Some(scan), 0).unwrap();
+        assert_eq!(walked, handed);
+        assert_eq!(sent.len(), 2);
+        assert_eq!(sent, from_scan);
+        let _ = std::fs::remove_dir_all(&d);
+    }
+
+    #[test]
+    fn a_segment_naming_another_column_is_refused() {
+        let d = tmp_dir("collision");
+        // `a.b` and `a_b` sanitize to the same file prefix: `a_b`'s
+        // shipper finds segments whose header names `a.b`.
+        journal(&d, "a.b", 2);
+        let shipper = Shipper::new(FsStorage::new(), &d, "a_b");
+        let err = ship_to(&shipper, 0, None, 2).unwrap_err();
+        assert!(
+            matches!(err, SynopticError::CorruptJournal { ref detail, .. } if detail.contains("collision")),
+            "{err:?}"
+        );
+        let _ = std::fs::remove_dir_all(&d);
     }
 
     #[test]

@@ -197,7 +197,8 @@ pub fn recover<S: Storage>(
     for (name, entry) in catalog.iter() {
         let mark = catalog.wal_mark(name);
         let scan = journals.get(name).unwrap_or(&no_journal);
-        let pending: Vec<_> = scan.records.iter().filter(|r| r.lsn > mark).collect();
+        let records = scan.records();
+        let pending: Vec<_> = records.iter().filter(|r| r.lsn > mark).collect();
         let base = match &entry.synopsis {
             PersistentSynopsis::Frequencies { values } => values,
             _ if pending.is_empty() => continue, // lossy synopsis, clean journal
@@ -237,7 +238,7 @@ pub fn recover<S: Storage>(
         }
         // Every segment contributing replayed records must have been
         // written against the recovered generation or an older one.
-        for seg in &scan.segments {
+        for (seg, _) in &scan.segments {
             if seg.last_lsn >= seg.first_lsn
                 && seg.last_lsn > mark
                 && seg.base_generation > generation
@@ -261,7 +262,7 @@ pub fn recover<S: Storage>(
             committed_mark: mark,
             replayed,
             max_lsn: scan.max_lsn,
-            torn_tail: scan.segments.iter().any(|s| s.torn_tail),
+            torn_tail: scan.segments.iter().any(|(s, _)| s.torn_tail),
             skipped_segments: scan.skipped.clone(),
         });
     }
@@ -275,7 +276,8 @@ pub fn recover<S: Storage>(
         if catalog.get(&column).is_some() {
             continue;
         }
-        if !scan.records.is_empty() {
+        let records = scan.records();
+        if !records.is_empty() {
             return Err(SynopticError::CorruptJournal {
                 context: column.clone(),
                 detail: format!(
@@ -283,7 +285,7 @@ pub fn recover<S: Storage>(
                      column absent from the committed catalog: the snapshot \
                      that owned them never committed, so they cannot be \
                      replayed — and must not be silently dropped",
-                    scan.records.len(),
+                    records.len(),
                     scan.max_lsn
                 ),
             });

@@ -125,7 +125,7 @@ fn leader_segments(wal_dir: &Path) -> Vec<(u64, Vec<u8>)> {
         .unwrap()
         .into_values()
         .flat_map(|scan| scan.segments)
-        .map(|s| (s.seq, std::fs::read(wal_dir.join(&s.file)).unwrap()))
+        .map(|(s, _)| (s.seq, std::fs::read(wal_dir.join(&s.file)).unwrap()))
         .collect()
 }
 

@@ -15,11 +15,13 @@
 //! are deterministic and counted in one untimed warm-up run. The timed runs
 //! then give wall-clock ms, ns per cell and ns per oracle call (not at
 //! B = 1, where the one call is the whole build), each as
-//! min / median / max over `TRIALS` runs; the segmented entry sums all 16
-//! segments in each run. The segmented entry and the n = 4096 entries also
-//! give `fill_ms`: the window columns the warm-up run filled, filled again
-//! in the same order through the same `ColumnCost` with no DP around them,
-//! so `ms − fill_ms` is the min-plus and bookkeeping share of the build.
+//! min / median / max over `TRIALS` runs (`SERVED_TRIALS` for the
+//! segmented entry, which sums all 16 segments in each run). The segmented
+//! entry and the n = 4096 entries follow each timed run with the window
+//! columns the warm-up run filled, filled again in the same order through
+//! the same `ColumnCost` with no DP around them, and report the run with
+//! the median `ms` as `median_trial`: its `ms` and its own `fill_ms`, so
+//! `ms − fill_ms` is the min-plus and bookkeeping share of one build.
 //!
 //! Run with: `cargo run --release --example dp_bench`
 //! Writes `results/BENCH_dp.json` (override dir with `BENCH_OUT_DIR`).
@@ -50,6 +52,9 @@ const LARGE_N: usize = 4096;
 const LARGE_B: [usize; 2] = [8, 64];
 const OPTA_BUCKETS: usize = 16;
 const TRIALS: usize = 5;
+/// Runs of the served-segments entry: its build takes milliseconds and
+/// swings between back-to-back runs, so it gets more than `TRIALS`.
+const SERVED_TRIALS: usize = 41;
 /// perfbench's served column: its segment count, its word budget, and the
 /// seed of the noise (the first of the seeds its alternating runs use).
 const SERVED_SEGMENTS: usize = 16;
@@ -77,7 +82,7 @@ fn served_values() -> Vec<i64> {
 
 /// Runs `run` (which returns the DP cells it charged) once untimed, then
 /// `TRIALS` times timed; returns the cells and the per-trial nanoseconds in
-/// ascending order (so every per-unit series derived from them is too).
+/// ascending order.
 fn trials(mut run: impl FnMut() -> u64) -> (u64, Vec<f64>) {
     let cells = run();
     let mut ns: Vec<f64> = (0..TRIALS)
@@ -100,7 +105,7 @@ fn additive_entry(
     split_fill: bool,
 ) -> JsonValue {
     let label = format!("{method:>9} n={n:>4} B={buckets:>3}");
-    let entry = parts_entry(&label, &[(n, buckets, cost)], split_fill);
+    let entry = parts_entry(&label, &[(n, buckets, cost)], TRIALS, split_fill);
     JsonValue::obj(
         [
             ("method", JsonValue::Str(method.to_string())),
@@ -137,13 +142,14 @@ fn served_segments_entry() -> JsonValue {
         "{:>9} n={LARGE_N:>4} B={buckets:>3} in {SERVED_SEGMENTS} segments",
         "SAP0"
     );
-    let entry = parts_entry(&label, &parts, true);
+    let entry = parts_entry(&label, &parts, SERVED_TRIALS, true);
     JsonValue::obj(
         [
             ("method", JsonValue::Str("SAP0".to_string())),
             ("column", JsonValue::Str("perfbench served".to_string())),
             ("n", JsonValue::Int(LARGE_N as i128)),
             ("segments", JsonValue::Int(SERVED_SEGMENTS as i128)),
+            ("trials", JsonValue::Int(SERVED_TRIALS as i128)),
             ("words", JsonValue::Int(SERVED_WORDS as i128)),
             ("buckets", JsonValue::Int(buckets as i128)),
         ]
@@ -165,14 +171,17 @@ impl<C: ColumnCost> ColumnCost for Recorded<'_, C> {
     }
 }
 
-/// Times the DP over every `(n, buckets, cost)` of `parts` in each run,
-/// prints one line under `label`, and returns the summed cells and oracle
-/// calls with the ms, ns per cell and ns per oracle call spreads (the last
-/// omitted when every part has one bucket); with `split_fill`, also the ms
-/// spread of filling the same columns alone.
+/// Times the DP over every `(n, buckets, cost)` of `parts` in each of
+/// `count` runs, prints one line under `label`, and returns the summed
+/// cells and oracle calls with the ms, ns per cell and ns per oracle call
+/// spreads (the last omitted when every part has one bucket). With
+/// `split_fill`, each run is followed by filling the same columns alone,
+/// and `median_trial` gives the run with the median ms together with its
+/// own fill ms, so the fill share comes from one trial.
 fn parts_entry<C: ColumnCost + Copy>(
     label: &str,
     parts: &[(usize, usize, C)],
+    count: usize,
     split_fill: bool,
 ) -> Vec<(&'static str, JsonValue)> {
     let warm_up = Budget::unlimited();
@@ -189,15 +198,45 @@ fn parts_entry<C: ColumnCost + Copy>(
         })
         .collect();
     let calls: u64 = fills.iter().flatten().map(|&(_, len)| len as u64).sum();
-    let (cells, ns) = trials(|| {
+    let cells = warm_up.cells_used();
+    let dp = || {
         let budget = Budget::unlimited();
         for &(n, buckets, cost) in parts {
             black_box(optimal_bucketing_with_budget(n, buckets, cost, &budget).unwrap());
         }
-        budget.cells_used()
-    });
-    assert_eq!(cells, warm_up.cells_used(), "{label}: cells must repeat");
-    let median = ns[TRIALS / 2];
+        assert_eq!(budget.cells_used(), cells, "{label}: cells must repeat");
+    };
+    // The recorded columns, in the DP's order, with no DP around them.
+    let mut col = vec![0.0; parts.iter().map(|p| p.0).max().unwrap_or(0)];
+    let mut fill = || {
+        for (&(_, _, cost), fills) in parts.iter().zip(&fills) {
+            for &(r, len) in fills {
+                cost.fill(r, &mut col[..len]);
+                black_box(&col[..len]);
+            }
+        }
+    };
+    // One untimed run of each, then `(dp_ns, fill_ns)` per timed run,
+    // sorted by the DP's time.
+    dp();
+    if split_fill {
+        fill();
+    }
+    let mut runs: Vec<(f64, f64)> = (0..count)
+        .map(|_| {
+            let started = Instant::now();
+            dp();
+            let dp_ns = started.elapsed().as_nanos() as f64;
+            let started = Instant::now();
+            if split_fill {
+                fill();
+            }
+            (dp_ns, started.elapsed().as_nanos() as f64)
+        })
+        .collect();
+    runs.sort_by(|a, b| a.0.total_cmp(&b.0));
+    let ns: Vec<f64> = runs.iter().map(|r| r.0).collect();
+    let (median, median_fill) = runs[count / 2];
     // With one bucket the DP costs one window per part, so a time per
     // oracle call would be the whole build's time: report none.
     let per_call = parts.iter().any(|&(_, buckets, _)| buckets > 1);
@@ -212,14 +251,6 @@ fn parts_entry<C: ColumnCost + Copy>(
         median / 1e6,
         median / cells as f64,
     );
-    let fill = split_fill.then(|| {
-        let fill_ns = fill_trials(parts, &fills);
-        println!(
-            "{label}: {:>9.3} ms of it fills the window columns",
-            fill_ns[TRIALS / 2] / 1e6
-        );
-        ("fill_ms", spread(fill_ns.iter().map(|t| t / 1e6)))
-    });
     let mut fields = vec![
         ("cells", JsonValue::Int(cells as i128)),
         ("oracle_calls", JsonValue::Int(calls as i128)),
@@ -232,27 +263,20 @@ fn parts_entry<C: ColumnCost + Copy>(
             spread(ns.iter().map(|t| t / calls as f64)),
         ));
     }
-    fields.extend(fill);
+    if split_fill {
+        println!(
+            "{label}: {:>9.3} ms of that trial fills the window columns",
+            median_fill / 1e6
+        );
+        fields.push((
+            "median_trial",
+            JsonValue::obj([
+                ("ms", JsonValue::Num(median / 1e6)),
+                ("fill_ms", JsonValue::Num(median_fill / 1e6)),
+            ]),
+        ));
+    }
     fields
-}
-
-/// The per-trial nanoseconds, ascending, of filling the columns `fills`
-/// recorded for each part, in the DP's order, with no DP around them.
-fn fill_trials<C: ColumnCost + Copy>(
-    parts: &[(usize, usize, C)],
-    fills: &[Vec<(usize, usize)>],
-) -> Vec<f64> {
-    let mut col = vec![0.0; parts.iter().map(|p| p.0).max().unwrap_or(0)];
-    trials(|| {
-        for (&(_, _, cost), fills) in parts.iter().zip(fills) {
-            for &(r, len) in fills {
-                cost.fill(r, &mut col[..len]);
-                black_box(&col[..len]);
-            }
-        }
-        0
-    })
-    .1
 }
 
 /// The OPT-A entry at the paper's dataset (n = 127) and B = 16. OPT-A has

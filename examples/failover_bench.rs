@@ -13,6 +13,9 @@
 //! * **first served read** — reopening the promoted replica and serving
 //!   a full-range estimate off the recovered state.
 //!
+//! Each phase, and their sum, is reported as min / median / max over
+//! `TRIALS` failovers on fresh directories.
+//!
 //! Run with: `cargo run --release --example failover_bench`
 //! Writes `results/BENCH_failover.json` (override dir with
 //! `BENCH_OUT_DIR`).
@@ -23,7 +26,7 @@ use std::time::{Duration, Instant};
 use synoptic::catalog::wal::{ColumnWal, FsyncCadence, WalConfig};
 use synoptic::catalog::{Catalog, DurableCatalog, FsStorage};
 use synoptic::core::RangeQuery;
-use synoptic::eval::bench::{tempdir, write_report};
+use synoptic::eval::bench::{spread, tempdir, write_report};
 use synoptic::eval::json::JsonValue;
 use synoptic::repl::{MemTransport, Shipper, WallClock};
 use synoptic::stream::{promote, FollowConfig, Follower, ServeOutcome, SharedStorage};
@@ -33,7 +36,7 @@ const N: usize = 1024;
 const RECORDS: usize = 2_000;
 const SEGMENT_BYTES: usize = 4096;
 const TTL_MS: u64 = 50;
-const TRIALS: usize = 5;
+const TRIALS: usize = 7;
 
 fn initial_values() -> Vec<i64> {
     (0..N as i64).map(|i| 100 + (i * 13) % 57).collect()
@@ -149,13 +152,6 @@ fn run_trial(trial: usize) -> Trial {
     }
 }
 
-fn stats(values: impl Iterator<Item = f64>) -> JsonValue {
-    let v: Vec<f64> = values.collect();
-    let mean = v.iter().sum::<f64>() / v.len() as f64;
-    let max = v.iter().cloned().fold(0.0_f64, f64::max);
-    JsonValue::obj([("mean", JsonValue::Num(mean)), ("max", JsonValue::Num(max))])
-}
-
 fn main() {
     let trials: Vec<Trial> = (0..TRIALS).map(run_trial).collect();
     for (i, t) in trials.iter().enumerate() {
@@ -165,28 +161,44 @@ fn main() {
             t.detection_ms, t.promotion_ms, t.first_read_ms
         );
     }
-    let total_mean = trials
+    // Silence to serving: the three phases together.
+    let mut totals: Vec<f64> = trials
         .iter()
         .map(|t| t.detection_ms + t.promotion_ms + t.first_read_ms)
-        .sum::<f64>()
-        / trials.len() as f64;
+        .collect();
+    totals.sort_by(f64::total_cmp);
     println!(
-        "failover (mean over {TRIALS} trials, {RECORDS} replicated records): \
-         silence -> serving in {total_mean:.1} ms"
+        "failover (median of {TRIALS} trials, {RECORDS} replicated records): \
+         silence -> serving in {:.1} ms",
+        totals[TRIALS / 2]
     );
     let report = JsonValue::obj([
         ("bench", JsonValue::Str("failover".to_string())),
+        (
+            "note",
+            JsonValue::Str(
+                "Timings depend on the host and its disk: compare them across sessions \
+                 only against a parent-commit run made in the same session."
+                    .to_string(),
+            ),
+        ),
         ("n", JsonValue::Int(N as i128)),
         ("records", JsonValue::Int(RECORDS as i128)),
         ("lease_ttl_ms", JsonValue::Int(TTL_MS as i128)),
         ("trials", JsonValue::Int(TRIALS as i128)),
-        ("detection_ms", stats(trials.iter().map(|t| t.detection_ms))),
-        ("promotion_ms", stats(trials.iter().map(|t| t.promotion_ms))),
+        (
+            "detection_ms",
+            spread(trials.iter().map(|t| t.detection_ms)),
+        ),
+        (
+            "promotion_ms",
+            spread(trials.iter().map(|t| t.promotion_ms)),
+        ),
         (
             "first_read_ms",
-            stats(trials.iter().map(|t| t.first_read_ms)),
+            spread(trials.iter().map(|t| t.first_read_ms)),
         ),
-        ("total_ms_mean", JsonValue::Num(total_mean)),
+        ("total_ms", spread(totals)),
     ]);
     write_report("BENCH_failover.json", &report);
 }

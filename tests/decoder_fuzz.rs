@@ -290,10 +290,10 @@ fn wal_segments() -> Vec<Vec<u8>> {
                 wal.append_batch(batch).unwrap();
             }
             wal.seal().unwrap();
-            let segments = scan_column_journal(&FsStorage::new(), &dir, "price")
+            let segments = scan_column_journal(&FsStorage::new(), &dir, "price", 0)
                 .unwrap()
                 .segments;
-            let bytes = std::fs::read(dir.join(&segments[0].file)).unwrap();
+            let bytes = std::fs::read(dir.join(&segments[0].0.file)).unwrap();
             let _ = std::fs::remove_dir_all(&dir);
             bytes
         })
