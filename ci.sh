@@ -52,8 +52,11 @@ ${CAP} cargo test -q -p synoptic-stream --test batch_sweep --offline
 ${CAP} cargo test -q -p synoptic-stream --test maintained_faults --offline
 ${CAP} cargo test -q -p synoptic-cli --test store_cli --offline
 
-echo "==> replication suite: wire + transports, TCP frame reassembly sweep, faulty-link convergence, promotion sweep, TCP e2e (capped at ${TEST_CAP}s)"
+echo "==> replication suite: wire + transports, TCP frame reassembly sweep, faulty-link convergence, promotion sweep, TCP e2e, and (release) the TCP polling window: the reassembly sweep with every recv inside the window, a timeout inside it, a length prefix dribbled past the timeout, a shutdown inside the window, and a 4 MiB send to a slow reader right after a recv that polled (capped at ${TEST_CAP}s)"
 ${CAP} cargo test -q -p synoptic-repl --offline
+# The window is 50 us of wall clock: a release build polls it many more
+# times than a debug one, the way the served path runs it.
+${CAP} cargo test -q --release -p synoptic-repl --test tcp_reassembly --offline
 ${CAP} cargo test -q -p synoptic-stream --test replication --offline
 ${CAP} cargo test -q -p synoptic-stream --test promotion_sweep --offline
 ${CAP} cargo test -q -p synoptic-cli --test replication_cli --offline

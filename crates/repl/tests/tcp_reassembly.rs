@@ -3,14 +3,20 @@
 //! The peer writes seeded frames in seeded chunkings — one-byte dribbles,
 //! several frames in one write, random cuts, and length prefixes split
 //! across the receiver's recv timeout — and the transport must return
-//! exactly those frames, in order, then `Closed`. The edge cases pin the
+//! exactly those frames, in order, then `Closed`. The sweep runs twice:
+//! the second time the transport sends a frame before every `recv`, so
+//! each `recv` starts inside its polling window. The edge cases pin the
 //! error contract: an over-long declared length and EOF inside a body are
-//! `Err`; EOF at a frame boundary or inside a prefix is `Closed`.
+//! `Err`; EOF at a frame boundary or inside a prefix is `Closed`. Then the
+//! polling window: a timeout inside it still times out and keeps the
+//! stream, a prefix dribbled past the timeout does not stretch it, a
+//! shutdown inside the window is `Closed`, and a send right after a
+//! `recv` that polled reaches a slow reader whole.
 
-use std::io::Write;
+use std::io::{Read, Write};
 use std::net::{Shutdown, TcpListener, TcpStream};
 use std::thread;
-use std::time::Duration;
+use std::time::{Duration, Instant};
 
 use synoptic_repl::transport::MAX_FRAME_LEN;
 use synoptic_repl::{Received, TcpTransport, Transport};
@@ -122,7 +128,18 @@ fn pair() -> (TcpStream, TcpTransport) {
 
 /// Receives until a frame or a terminal outcome, skipping timeouts.
 fn next(t: &mut TcpTransport) -> Result<Received, String> {
+    next_sending(t, None)
+}
+
+/// [`next`], but when `sent` is given the transport first sends the
+/// peer a frame holding that running count before every `recv`, so each
+/// `recv` starts inside the polling window.
+fn next_sending(t: &mut TcpTransport, mut sent: Option<&mut u32>) -> Result<Received, String> {
     loop {
+        if let Some(count) = sent.as_deref_mut() {
+            t.send(&count.to_le_bytes()).map_err(|e| e.to_string())?;
+            *count += 1;
+        }
         match t.recv(Some(POLL)) {
             Ok(Received::TimedOut) => {}
             Ok(other) => return Ok(other),
@@ -131,8 +148,10 @@ fn next(t: &mut TcpTransport) -> Result<Received, String> {
     }
 }
 
-#[test]
-fn seeded_chunkings_reassemble_exactly_the_sent_frames() {
+/// The seeded sweep. With `in_window`, the transport sends before every
+/// `recv` and a second peer thread reads those frames until EOF; they
+/// must arrive exactly once each, in order.
+fn sweep(in_window: bool) {
     let chunkings = [
         Chunking::Dribble,
         Chunking::OneWrite,
@@ -147,6 +166,14 @@ fn seeded_chunkings_reassemble_exactly_the_sent_frames() {
             let frames = seeded_frames(&mut rng, !matches!(chunking, Chunking::Dribble));
             let writes = plan(&frames, chunking, &mut rng);
             let (mut peer, mut t) = pair();
+            let drain = in_window.then(|| {
+                let mut from_t = peer.try_clone().unwrap();
+                thread::spawn(move || {
+                    let mut bytes = Vec::new();
+                    from_t.read_to_end(&mut bytes).unwrap();
+                    bytes
+                })
+            });
             let writer = thread::spawn(move || {
                 for w in writes {
                     peer.write_all(&w.bytes).unwrap();
@@ -154,10 +181,15 @@ fn seeded_chunkings_reassemble_exactly_the_sent_frames() {
                         thread::sleep(POLL * 3);
                     }
                 }
+                if in_window {
+                    // The drain still reads: end the link with a FIN.
+                    peer.shutdown(Shutdown::Write).unwrap();
+                }
             });
+            let mut sent = 0u32;
             for (i, want) in frames.iter().enumerate() {
                 assert_eq!(
-                    next(&mut t),
+                    next_sending(&mut t, in_window.then_some(&mut sent)),
                     Ok(Received::Frame(want.clone())),
                     "seed {seed} {chunking:?}: frame {i} of {}",
                     frames.len()
@@ -165,12 +197,33 @@ fn seeded_chunkings_reassemble_exactly_the_sent_frames() {
             }
             writer.join().unwrap();
             assert_eq!(
-                next(&mut t),
+                next_sending(&mut t, in_window.then_some(&mut sent)),
                 Ok(Received::Closed),
                 "seed {seed} {chunking:?}"
             );
+            drop(t);
+            if let Some(drain) = drain {
+                let want: Vec<u8> = (0..sent)
+                    .flat_map(|count| [4u32.to_le_bytes(), count.to_le_bytes()])
+                    .flatten()
+                    .collect();
+                assert!(
+                    drain.join().unwrap() == want,
+                    "seed {seed} {chunking:?}: the {sent} sent frames did not arrive exactly once"
+                );
+            }
         }
     }
+}
+
+#[test]
+fn seeded_chunkings_reassemble_exactly_the_sent_frames() {
+    sweep(false);
+}
+
+#[test]
+fn seeded_chunkings_reassemble_when_every_recv_starts_inside_the_polling_window() {
+    sweep(true);
 }
 
 #[test]
@@ -208,4 +261,113 @@ fn eof_at_a_frame_boundary_or_inside_a_prefix_is_closed() {
         assert_eq!(next(&mut t), Ok(Received::Frame(b"ok".to_vec())));
         assert_eq!(next(&mut t), Ok(Received::Closed), "tail {tail:?}");
     }
+}
+
+#[test]
+fn a_timeout_inside_the_polling_window_times_out_and_keeps_the_stream() {
+    let (mut peer, mut t) = pair();
+    // A timeout shorter than the window is used up by polling.
+    t.send(b"ping").unwrap();
+    assert_eq!(
+        t.recv(Some(Duration::from_micros(10))),
+        Ok(Received::TimedOut)
+    );
+    // A longer one polls, then blocks for the rest, not less.
+    t.send(b"ping").unwrap();
+    let began = Instant::now();
+    assert_eq!(t.recv(Some(POLL)), Ok(Received::TimedOut));
+    assert!(began.elapsed() >= POLL / 2, "{:?}", began.elapsed());
+    // A frame the peer writes afterwards, prefix first, arrives intact.
+    let frame: Vec<u8> = (0..20 * 1024u32).map(|i| (i * 7) as u8).collect();
+    let prefix = (frame.len() as u32).to_le_bytes();
+    peer.write_all(&prefix[..2]).unwrap();
+    t.send(b"ping").unwrap();
+    assert_eq!(t.recv(Some(POLL)), Ok(Received::TimedOut));
+    peer.write_all(&prefix[2..]).unwrap();
+    peer.write_all(&frame).unwrap();
+    assert_eq!(next(&mut t), Ok(Received::Frame(frame)));
+}
+
+#[test]
+fn a_dribbled_prefix_does_not_stretch_the_timeout() {
+    let (mut peer, mut t) = pair();
+    // One prefix byte every 30 ms: the prefix cannot be whole before
+    // 90 ms, so a 50 ms recv must time out, whatever it got by then.
+    let writer = thread::spawn(move || {
+        for b in [3u8, 0, 0, 0] {
+            peer.write_all(&[b]).unwrap();
+            thread::sleep(Duration::from_millis(30));
+        }
+        peer.write_all(b"abc").unwrap();
+    });
+    assert_eq!(
+        t.recv(Some(Duration::from_millis(50))),
+        Ok(Received::TimedOut)
+    );
+    assert_eq!(next(&mut t), Ok(Received::Frame(b"abc".to_vec())));
+    writer.join().unwrap();
+    assert_eq!(next(&mut t), Ok(Received::Closed));
+}
+
+#[test]
+fn a_peer_shutdown_inside_the_polling_window_is_closed() {
+    for round in 0..20 {
+        let (mut peer, mut t) = pair();
+        let closer = thread::spawn(move || {
+            let mut ping = [0u8; 8];
+            peer.read_exact(&mut ping).unwrap();
+            peer.shutdown(Shutdown::Write).unwrap();
+            // Read on, so the link ends with a FIN and not a reset.
+            peer.read_to_end(&mut Vec::new()).unwrap();
+        });
+        t.send(b"ping").unwrap();
+        assert_eq!(
+            t.recv(Some(Duration::from_secs(5))),
+            Ok(Received::Closed),
+            "round {round}"
+        );
+        drop(t);
+        closer.join().unwrap();
+    }
+}
+
+#[test]
+fn a_large_send_after_a_polled_recv_reaches_a_slow_reader_whole() {
+    let (mut peer, mut t) = pair();
+    // The reply is queued before the ping goes out, so the recv's first
+    // non-blocking read takes it and leaves the socket non-blocking.
+    peer.write_all(&[4, 0, 0, 0, b'p', b'o', b'n', b'g'])
+        .unwrap();
+    thread::sleep(Duration::from_millis(10));
+    let reader = thread::spawn(move || {
+        let mut got = Vec::new();
+        let mut chunk = [0u8; 4096];
+        for reads in 1.. {
+            let n = peer.read(&mut chunk).unwrap();
+            if n == 0 {
+                break;
+            }
+            got.extend_from_slice(&chunk[..n]);
+            if reads % 16 == 0 {
+                thread::sleep(Duration::from_millis(1));
+            }
+        }
+        got
+    });
+    t.send(b"ping").unwrap();
+    assert_eq!(
+        t.recv(Some(Duration::from_secs(5))),
+        Ok(Received::Frame(b"pong".to_vec()))
+    );
+    // Far more than the socket buffers hold while the reader dawdles:
+    // the non-blocking socket fills, and the send must finish anyway.
+    let big: Vec<u8> = (0..4u32 << 20).map(|i| (i ^ (i >> 11)) as u8).collect();
+    t.send(&big).unwrap();
+    drop(t);
+    let mut want = vec![4, 0, 0, 0, b'p', b'i', b'n', b'g'];
+    want.extend_from_slice(&(big.len() as u32).to_le_bytes());
+    want.extend_from_slice(&big);
+    let got = reader.join().unwrap();
+    assert_eq!(got.len(), want.len());
+    assert!(got == want, "the 4 MiB frame arrived altered");
 }
