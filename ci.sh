@@ -115,6 +115,20 @@ ${CAP} cargo test -q --release -p synoptic-hist --test oracle_envelope --test ad
 ${CAP} cargo test -q --release -p synoptic-core --lib window --offline
 ${CAP} cargo test -q --release -p synoptic-hist --lib dp --offline
 
+echo "==> paper artefacts (release): fig1 (both orders), claims and sweep all regenerate results/ field for field, the wall-clock seconds of sweep_rounding, sweep_states and sweep_hull aside; the comparison script checks itself first (capped at ${TEST_CAP}s)"
+# Any change to a DP, an answering procedure or an evaluator that moves a
+# figure entry, even by one ulp, fails here with the file and field path.
+# A change that moves a figure on purpose regenerates results/ with the
+# commands in results/README.md.
+python3 scripts/test_compare_artifacts.py
+ARTEFACTS="$(mktemp -d)"
+trap 'rm -rf "${ARTEFACTS}"' EXIT
+${CAP} cargo run -q --release --offline -p synoptic-eval --bin fig1 -- --out "${ARTEFACTS}" >/dev/null
+${CAP} cargo run -q --release --offline -p synoptic-eval --bin fig1 -- --permuted --out "${ARTEFACTS}/permuted" >/dev/null
+${CAP} cargo run -q --release --offline -p synoptic-eval --bin claims -- --out "${ARTEFACTS}" >/dev/null
+${CAP} cargo run -q --release --offline -p synoptic-eval --bin sweep -- all --out "${ARTEFACTS}" >/dev/null
+python3 scripts/compare_artifacts.py results "${ARTEFACTS}"
+
 echo "==> journal reader (release): the one journal walk, the golden SYNWAL01 bytes, LSNs past u64 refused, CRC-resealed segment mutants refused, the zero-padded segment (wal::tests::a_segment_is_padded_while_active_and_trimmed_when_sealed, ::a_torn_write_at_every_byte_of_a_padded_batch_is_dropped_whole, ::a_torn_final_segment_survives_two_restarts, ::a_damaged_record_the_stream_continues_past_is_refused, ::a_corrupt_read_is_read_again_and_refused_only_when_it_repeats, and ::a_reader_racing_the_writer_sees_whole_batches_and_no_error, a reader thread against a writer appending into the padding), recovery refusing a zeroed record inside the final segment (recovery::tests::a_zeroed_record_inside_the_final_segment_is_refused), the storage backend's one-slot open file (storage::tests::a_write_after_a_remove_or_rename_reaches_the_new_file) and its stat-free listing (storage::tests::fs_storage_lists_files_and_links_to_files_only), the shipper's one validation rule (ship::tests::ship_and_ship_journal_send_the_same_frames over a torn tail, a mid-chain wreck and a sequence floor, and ::a_segment_naming_another_column_is_refused), and the read count of every journal consumer, the shipper's sequence floor and the one-read fan-in (journal_reads::the_fan_in_reads_each_file_once) included, without debug overflow checks (capped at ${TEST_CAP}s)"
 # An LSN that wraps u64 is silent in a release build, which has no
 # overflow traps: the decoder's own checked arithmetic must refuse it.

@@ -1057,16 +1057,6 @@ impl<S: Storage> ColumnWal<S> {
             .insert(name.to_string(), acked_lsn);
     }
 
-    /// Drops follower `name`'s retention hold (it deregistered or was
-    /// promoted). Returns whether a hold existed.
-    pub fn remove_retention_hold(&self, name: &str) -> bool {
-        self.holds
-            .lock()
-            .unwrap_or_else(PoisonError::into_inner)
-            .remove(name)
-            .is_some()
-    }
-
     /// Currently registered `(follower, acked_lsn)` holds, sorted by name.
     pub fn retention_holds(&self) -> Vec<(String, u64)> {
         self.holds
@@ -1931,8 +1921,6 @@ mod tests {
         let rep = wal.checkpoint_report(3, 2).unwrap();
         assert_eq!(rep.removed, 2);
         assert_eq!(rep.retained_for_followers, 0);
-        assert!(wal.remove_retention_hold("f1"));
-        assert!(!wal.remove_retention_hold("f1"));
         let _ = std::fs::remove_dir_all(&d);
     }
 

@@ -93,11 +93,6 @@ impl BoundedHistogram {
         (self.mins[b], self.maxs[b])
     }
 
-    /// Exact total of bucket `b`.
-    pub fn bucket_sum(&self, b: usize) -> i128 {
-        self.sums.sums[b]
-    }
-
     /// Certified interval for a *piece* of bucket `b` covering `t` of its
     /// `len` cells.
     fn piece_bounds(&self, b: usize, t: usize) -> (f64, f64) {

@@ -28,11 +28,6 @@ impl RangeQuery {
         Self { lo: i, hi: i }
     }
 
-    /// Creates a prefix query `[0, hi]`.
-    pub fn prefix(hi: usize) -> Self {
-        Self { lo: 0, hi }
-    }
-
     /// Number of indices covered by the query.
     pub fn len(&self) -> usize {
         self.hi - self.lo + 1
@@ -86,9 +81,8 @@ mod tests {
     }
 
     #[test]
-    fn point_and_prefix_constructors() {
+    fn point_constructor() {
         assert_eq!(RangeQuery::point(4), RangeQuery { lo: 4, hi: 4 });
-        assert_eq!(RangeQuery::prefix(7), RangeQuery { lo: 0, hi: 7 });
     }
 
     #[test]

@@ -34,16 +34,6 @@ pub fn sse_brute<E: RangeEstimator>(est: &E, ps: &PrefixSums) -> f64 {
     sse
 }
 
-/// SSE over a specific query workload rather than all ranges.
-pub fn sse_workload<E: RangeEstimator>(est: &E, ps: &PrefixSums, queries: &[RangeQuery]) -> f64 {
-    let mut sse = 0.0;
-    for &q in queries {
-        let d = ps.answer(q) as f64 - est.estimate(q);
-        sse += d * d;
-    }
-    sse
-}
-
 /// Exact O(n) SSE for *telescoping* estimators `ŝ[a,b] = X[b+1] − X[a]`,
 /// given the estimate prefix table `X[0..=n]`.
 ///
@@ -288,19 +278,6 @@ mod tests {
             let s0 = sse_brute(&h0, &ps);
             assert!(s1 <= s0 + 1e-6, "vals={vals:?}: SAP1 {s1} vs OPT-A {s0}");
         }
-    }
-
-    #[test]
-    fn workload_sse_subset_of_all_ranges() {
-        let vals = vec![4i64, 9, 2, 7];
-        let ps = PrefixSums::from_values(&vals);
-        let nv = NaiveEstimator::new(&ps);
-        let all: Vec<_> = RangeQuery::all(4).collect();
-        let w = sse_workload(&nv, &ps, &all);
-        let b = sse_brute(&nv, &ps);
-        assert!((w - b).abs() < 1e-9);
-        let points: Vec<_> = (0..4).map(RangeQuery::point).collect();
-        assert!(sse_workload(&nv, &ps, &points) <= b);
     }
 
     #[test]

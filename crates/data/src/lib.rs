@@ -7,8 +7,8 @@
 //! floats that are Zipf distributed with tail exponent α = 1.8". The
 //! [`zipf`] module regenerates that dataset from the recipe with a fixed
 //! seed; [`generators`] adds the synthetic families used by the extended
-//! sweeps (uniform, normal mixtures, steps); [`workload`] produces query
-//! workloads (all ranges, uniform random ranges, points, prefixes).
+//! sweeps (uniform, normal mixtures, steps); [`workload`] produces uniformly
+//! random range workloads.
 //!
 //! All generators are deterministic given a seed (the in-repo
 //! [`synoptic_core::rng::Rng`]), so every figure in EXPERIMENTS.md is
@@ -24,5 +24,5 @@ pub mod zipf;
 
 pub use generators::{normal_mixture, steps, uniform};
 pub use sample::SampleEstimator;
-pub use workload::{all_ranges, dyadic_ranges, point_queries, prefix_queries, random_ranges};
+pub use workload::random_ranges;
 pub use zipf::{paper_dataset, zipf_frequencies, RoundingStyle, ZipfConfig};

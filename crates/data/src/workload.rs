@@ -1,17 +1,11 @@
 //! Query-workload generators.
 //!
-//! The paper's objective sums over *all* `n(n+1)/2` ranges; the harness also
-//! evaluates restricted workloads (random ranges, points, prefixes) for the
-//! extended experiments.
+//! The paper's objective sums over *all* `n(n+1)/2` ranges, which
+//! [`RangeQuery::all`] enumerates; this module adds uniformly random range
+//! workloads for the selectivity-estimation example.
 
 use synoptic_core::rng::Rng;
 use synoptic_core::RangeQuery;
-
-/// Every range query on a domain of size `n` (materialized; prefer
-/// [`RangeQuery::all`] for streaming).
-pub fn all_ranges(n: usize) -> Vec<RangeQuery> {
-    RangeQuery::all(n).collect()
-}
 
 /// `count` uniformly random range queries: endpoints drawn uniformly from
 /// the `n(n+1)/2` possible ranges.
@@ -34,25 +28,9 @@ pub fn random_ranges(n: usize, count: usize, seed: u64) -> Vec<RangeQuery> {
         .collect()
 }
 
-/// All `n` point (equality) queries.
-pub fn point_queries(n: usize) -> Vec<RangeQuery> {
-    (0..n).map(RangeQuery::point).collect()
-}
-
-/// All `n` prefix queries `[0, i]`.
-pub fn prefix_queries(n: usize) -> Vec<RangeQuery> {
-    (0..n).map(RangeQuery::prefix).collect()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn all_ranges_counts() {
-        assert_eq!(all_ranges(5).len(), 15);
-        assert_eq!(all_ranges(1), vec![RangeQuery { lo: 0, hi: 0 }]);
-    }
 
     #[test]
     fn random_ranges_are_valid_and_deterministic() {
@@ -71,60 +49,6 @@ mod tests {
         // Every one of the 10 ranges should appear with ~200 expected hits.
         for want in RangeQuery::all(4) {
             assert!(qs.contains(&want), "range {want:?} never sampled");
-        }
-    }
-
-    #[test]
-    fn point_and_prefix_workloads() {
-        let pts = point_queries(3);
-        assert_eq!(pts.len(), 3);
-        assert!(pts.iter().all(|q| q.lo == q.hi));
-        let pre = prefix_queries(3);
-        assert_eq!(pre.len(), 3);
-        assert!(pre.iter().all(|q| q.lo == 0));
-        assert_eq!(pre[2].hi, 2);
-    }
-}
-
-/// All *dyadic* (hierarchically aligned) ranges on a domain of size `n`:
-/// every block `[k·2^j, (k+1)·2^j − 1]` that fits. These are the
-/// "hierarchically-limited range queries" for which prior work (ref. 9 of the
-/// paper) had optimal constructions.
-pub fn dyadic_ranges(n: usize) -> Vec<synoptic_core::RangeQuery> {
-    let mut out = Vec::new();
-    let mut width = 1usize;
-    while width <= n {
-        let mut lo = 0;
-        while lo + width <= n {
-            out.push(synoptic_core::RangeQuery {
-                lo,
-                hi: lo + width - 1,
-            });
-            lo += width;
-        }
-        width *= 2;
-    }
-    out
-}
-
-#[cfg(test)]
-mod dyadic_tests {
-    use super::dyadic_ranges;
-
-    #[test]
-    fn dyadic_count_is_sum_of_level_blocks() {
-        // n = 8: 8 + 4 + 2 + 1 = 15 dyadic ranges.
-        assert_eq!(dyadic_ranges(8).len(), 15);
-        // Non-power-of-two domains only keep fully contained blocks.
-        assert_eq!(dyadic_ranges(5).len(), 5 + 2 + 1);
-    }
-
-    #[test]
-    fn dyadic_ranges_are_aligned() {
-        for q in dyadic_ranges(16) {
-            let w = q.hi - q.lo + 1;
-            assert!(w.is_power_of_two());
-            assert_eq!(q.lo % w, 0);
         }
     }
 }

@@ -14,9 +14,7 @@
 //! | [`vopt`] | [`vopt::build_point_opt_with_budget`] | V-optimal point histogram [Jagadish et al.], uniform or range-inclusion weights (POINT-OPT) | optimal for *point* queries | `O(n²)` oracle calls + `O(n²B)` min-plus steps |
 //! | [`heuristics`] | `build_equi_width`, `build_equi_depth`, `build_max_diff` | equi-width, equi-depth, max-diff | none | `O(n log n)` |
 //! | [`reopt`] | [`reopt::reoptimize_with_budget`] | fixed-boundary quadratic re-optimization (paper §5) | optimal bucket values for given boundaries | `O(nB² + B³)` |
-//! | [`local_search`] | [`local_search::local_search_with_budget`] | boundary hill-climbing (paper §4) | local optimum | configurable |
 //! | [`exhaustive`] | [`exhaustive::exhaustive_optimal`] | enumerate all bucketings | global optimum (ground truth for tests) | exponential |
-//! | [`workload_opt`] | [`workload_opt::optimize_for_workload`] | arbitrary-workload value/boundary tuning (extension) | optimal values per workload | `O(|W|·B² + B³)` |
 //!
 //! Each construction has one body, its `*_with_budget` function: it charges
 //! the [`synoptic_core::Budget`] it is given at its checkpoints, and
@@ -38,7 +36,6 @@ pub mod builder;
 pub mod dp;
 pub mod exhaustive;
 pub mod heuristics;
-pub mod local_search;
 pub mod opta;
 pub mod opta_rounded;
 pub mod opta_warmup;
@@ -46,7 +43,6 @@ pub mod reopt;
 pub mod sap0;
 pub mod sap1;
 pub mod vopt;
-pub mod workload_opt;
 
 pub use builder::{
     build_anytime, build_with_budget, fallback_ladder, run_ladder, AnytimeParams, AnytimeResult,

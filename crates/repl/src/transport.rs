@@ -33,7 +33,6 @@
 use std::collections::VecDeque;
 use std::io::{ErrorKind, Read, Write};
 use std::net::TcpStream;
-use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Arc, Condvar, Mutex, PoisonError};
 use std::time::{Duration, Instant};
 
@@ -457,15 +456,15 @@ pub enum TransportFault {
 /// refusal path and every election/lease timeout path from tests.
 pub struct FaultyTransport<T: Transport> {
     inner: T,
-    faults: Mutex<VecDeque<TransportFault>>,
-    recv_faults: Mutex<VecDeque<TransportFault>>,
+    faults: VecDeque<TransportFault>,
+    recv_faults: VecDeque<TransportFault>,
     /// Frames held back by [`TransportFault::Reorder`] /
     /// [`TransportFault::Delay`] on the send side: `(frame, deliveries
     /// still to overtake it)`.
     held: Vec<(Vec<u8>, usize)>,
     /// Same, for the recv side.
     recv_held: Vec<(Vec<u8>, usize)>,
-    fired: AtomicUsize,
+    fired: usize,
 }
 
 impl<T: Transport> FaultyTransport<T> {
@@ -473,11 +472,11 @@ impl<T: Transport> FaultyTransport<T> {
     pub fn new(inner: T, schedule: Vec<TransportFault>) -> Self {
         Self {
             inner,
-            faults: Mutex::new(schedule.into()),
-            recv_faults: Mutex::new(VecDeque::new()),
+            faults: schedule.into(),
+            recv_faults: VecDeque::new(),
             held: Vec::new(),
             recv_held: Vec::new(),
-            fired: AtomicUsize::new(0),
+            fired: 0,
         }
     }
 
@@ -488,30 +487,14 @@ impl<T: Transport> FaultyTransport<T> {
         recv_schedule: Vec<TransportFault>,
     ) -> Self {
         let mut t = Self::new(inner, send_schedule);
-        t.recv_faults = Mutex::new(recv_schedule.into());
+        t.recv_faults = recv_schedule.into();
         t
-    }
-
-    /// Appends one fault to the send-side schedule.
-    pub fn push_fault(&self, fault: TransportFault) {
-        self.faults
-            .lock()
-            .unwrap_or_else(PoisonError::into_inner)
-            .push_back(fault);
-    }
-
-    /// Appends one fault to the recv-side schedule.
-    pub fn push_recv_fault(&self, fault: TransportFault) {
-        self.recv_faults
-            .lock()
-            .unwrap_or_else(PoisonError::into_inner)
-            .push_back(fault);
     }
 
     /// How many non-[`TransportFault::Clean`] faults have fired, across
     /// both directions.
     pub fn faults_fired(&self) -> usize {
-        self.fired.load(Ordering::SeqCst)
+        self.fired
     }
 
     /// Ages held-back frames by one delivery and returns the first that
@@ -527,14 +510,9 @@ impl<T: Transport> FaultyTransport<T> {
 
 impl<T: Transport> Transport for FaultyTransport<T> {
     fn send(&mut self, frame: &[u8]) -> Result<()> {
-        let fault = self
-            .faults
-            .lock()
-            .unwrap_or_else(PoisonError::into_inner)
-            .pop_front()
-            .unwrap_or(TransportFault::Clean);
+        let fault = self.faults.pop_front().unwrap_or(TransportFault::Clean);
         if !matches!(fault, TransportFault::Clean) {
-            self.fired.fetch_add(1, Ordering::SeqCst);
+            self.fired += 1;
         }
         match fault {
             TransportFault::Drop => {}
@@ -595,12 +573,10 @@ impl<T: Transport> Transport for FaultyTransport<T> {
             };
             let fault = self
                 .recv_faults
-                .lock()
-                .unwrap_or_else(PoisonError::into_inner)
                 .pop_front()
                 .unwrap_or(TransportFault::Clean);
             if !matches!(fault, TransportFault::Clean) {
-                self.fired.fetch_add(1, Ordering::SeqCst);
+                self.fired += 1;
             }
             let deliver = match fault {
                 TransportFault::Drop => {

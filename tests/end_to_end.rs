@@ -126,31 +126,6 @@ fn reopt_improves_or_matches_every_base_histogram() {
 }
 
 #[test]
-fn local_search_recovers_near_optimal_boundaries_from_heuristics() {
-    use synoptic::core::sse::sse_value_histogram;
-    use synoptic::hist::local_search::local_search_with_budget;
-    use synoptic::hist::opta::{build_opt_a, OptAConfig};
-    let (_, ps) = dataset(48);
-    let b = 6;
-    let opt = build_opt_a(&ps, &OptAConfig::exact(b, RoundingMode::None)).unwrap();
-    let start = Bucketing::equi_width(48, b).unwrap();
-    let cost = |bk: &Bucketing| {
-        let h = ValueHistogram::with_averages(bk.clone(), &ps, "c").unwrap();
-        sse_value_histogram(h.xprefix(), &ps)
-    };
-    let start_cost = cost(&start);
-    let r = local_search_with_budget(start, cost, 100, &Budget::unlimited()).unwrap();
-    assert!(r.cost <= start_cost);
-    assert!(
-        r.cost <= start_cost.max(opt.sse * 3.0),
-        "local search ({}) should land within 3× of optimal ({}) from equi-width ({start_cost})",
-        r.cost,
-        opt.sse
-    );
-    assert!(r.cost >= opt.sse - 1e-6, "cannot beat the DP optimum");
-}
-
-#[test]
 fn figure1_and_claims_run_end_to_end_small() {
     use synoptic::eval::claims::run_all_claims;
     use synoptic::eval::figure1::{run_figure1, Fig1Config};

@@ -1,16 +1,14 @@
 //! Integration tests for the extension subsystems (stream, catalog,
-//! workload optimization, sampling) working together with the core paper
+//! sampling, budget allocation) working together with the core paper
 //! algorithms.
 
 use synoptic::catalog::{
     allocate_budget, Catalog, ColumnCurve, ColumnEntry, DurableCatalog, PersistentSynopsis,
 };
-use synoptic::core::sse::{sse_brute, sse_workload};
+use synoptic::core::sse::sse_brute;
 use synoptic::data::sample::SampleEstimator;
-use synoptic::data::workload::{dyadic_ranges, prefix_queries};
 use synoptic::data::zipf::{paper_dataset, ZipfConfig};
 use synoptic::hist::sap0::build_sap0_with_budget;
-use synoptic::hist::workload_opt::{optimize_for_workload, reoptimize_for_workload};
 use synoptic::prelude::*;
 use synoptic::stream::{ColumnBuild, MaintainedPool, RebuildConfig, RebuildPolicy};
 use synoptic::wavelet::StreamingRangeOptimal;
@@ -100,35 +98,6 @@ fn streaming_snapshot_round_trips_through_persistence() {
     for q in RangeQuery::all(32) {
         assert!((snap.estimate(q) - loaded.estimate(q)).abs() < 1e-9);
     }
-}
-
-#[test]
-fn workload_tuning_beats_generic_on_restricted_classes() {
-    let (d, ps) = dataset(64);
-    let _ = d;
-    let b = Bucketing::equi_width(64, 8).unwrap();
-    for (label, workload) in [
-        ("prefix", prefix_queries(64)),
-        ("dyadic", dyadic_ranges(64)),
-    ] {
-        let tuned = reoptimize_for_workload(&b, &ps, &workload, label).unwrap();
-        let generic =
-            synoptic::hist::reopt::reoptimize_with_budget(&b, &ps, "all", &Budget::unlimited())
-                .unwrap();
-        let t = sse_workload(&tuned, &ps, &workload);
-        let g = sse_workload(&generic.histogram, &ps, &workload);
-        assert!(t <= g + 1e-6, "{label}: tuned {t} vs generic {g}");
-    }
-}
-
-#[test]
-fn full_workload_pipeline_with_boundary_search() {
-    let (_, ps) = dataset(48);
-    let workload = dyadic_ranges(48);
-    let seed = Bucketing::equi_width(48, 6).unwrap();
-    let r = optimize_for_workload(seed, &ps, &workload, 30, "DY").unwrap();
-    assert!(r.sse <= r.seed_sse + 1e-6);
-    assert!(r.sse.is_finite());
 }
 
 #[test]
