@@ -15,6 +15,13 @@ else
     CAP=""
 fi
 
+# Everything a step generates goes to one temporary directory, never to a
+# tracked file: the bench reports (BENCH_OUT_DIR) and the regenerated paper
+# artefacts. The last step checks that results/ is untouched.
+CI_TMP="$(mktemp -d)"
+trap 'rm -rf "${CI_TMP}"' EXIT
+BENCH_OUT="${CI_TMP}/bench"
+
 echo "==> cargo fmt --check"
 cargo fmt --check
 
@@ -82,19 +89,19 @@ echo "==> segment suite: dirty-segment rebuilds, parallel registration, cancella
 ${CAP} cargo test -q -p synoptic-stream --test segments --offline
 
 echo "==> replication bench: ship+replay throughput and follower lag (capped at ${TEST_CAP}s)"
-${CAP} cargo run -q --release --offline --example replication_bench
+BENCH_OUT_DIR="${BENCH_OUT}" ${CAP} cargo run -q --release --offline --example replication_bench
 
 echo "==> failover bench: detection -> promotion -> first-served-read latency, min/median/max over 7 trials (capped at ${TEST_CAP}s)"
-${CAP} cargo run -q --release --offline --example failover_bench
+BENCH_OUT_DIR="${BENCH_OUT}" ${CAP} cargo run -q --release --offline --example failover_bench
 
 echo "==> segments bench: dirty-segment vs full rebuild and the served column's exact all-range SSE at 1/4/16/64 segments (capped at ${TEST_CAP}s)"
-${CAP} cargo run -q --release --offline --example segments_bench
+BENCH_OUT_DIR="${BENCH_OUT}" ${CAP} cargo run -q --release --offline --example segments_bench
 
 echo "==> DP kernel bench: ns per DP cell and per oracle call, SAP0/SAP1/A0/POINT-OPT over n x B, SAP0 at n=4096 and over the served segments with the median trial's window-fill split, OPT-A at n=127 (capped at ${TEST_CAP}s)"
-${CAP} cargo run -q --release --offline --example dp_bench
+BENCH_OUT_DIR="${BENCH_OUT}" ${CAP} cargo run -q --release --offline --example dp_bench
 
 echo "==> overload bench: fresh and answered per second, shed rate, degraded fraction, p50/p99 at 1x/2x/4x offered load, min/median/max over 5 trials (capped at ${TEST_CAP}s)"
-${CAP} cargo run -q --release --offline --example overload_bench
+BENCH_OUT_DIR="${BENCH_OUT}" ${CAP} cargo run -q --release --offline --example overload_bench
 
 echo "==> perfbench smoke: every BENCHMARK.json workload runs, passes its output checks and reports every declared metric (capped at ${TEST_CAP}s)"
 # perfbench is built outside the workspace (into .bench_build), so this is
@@ -121,8 +128,8 @@ echo "==> paper artefacts (release): fig1 (both orders), claims and sweep all re
 # A change that moves a figure on purpose regenerates results/ with the
 # commands in results/README.md.
 python3 scripts/test_compare_artifacts.py
-ARTEFACTS="$(mktemp -d)"
-trap 'rm -rf "${ARTEFACTS}"' EXIT
+ARTEFACTS="${CI_TMP}/artefacts"
+mkdir -p "${ARTEFACTS}"
 ${CAP} cargo run -q --release --offline -p synoptic-eval --bin fig1 -- --out "${ARTEFACTS}" >/dev/null
 ${CAP} cargo run -q --release --offline -p synoptic-eval --bin fig1 -- --permuted --out "${ARTEFACTS}/permuted" >/dev/null
 ${CAP} cargo run -q --release --offline -p synoptic-eval --bin claims -- --out "${ARTEFACTS}" >/dev/null
@@ -145,14 +152,24 @@ ${CAP} cargo test -q --workspace --offline
 echo "==> doc tests (offline, capped at ${TEST_CAP}s)"
 ${CAP} cargo test -q --workspace --doc --offline
 
-# Surface the bench artifacts at the repo root on every run, so a CI
+# Surface this run's bench reports at the repo root (git-ignored), so a CI
 # archiver that only collects top-level files still gets them. The
-# canonical copies stay in results/.
+# committed copies in results/ change only on purpose (results/README.md).
 echo "==> collecting BENCH artifacts at the repo root"
-for artifact in results/BENCH_*.json; do
+for artifact in "${BENCH_OUT}"/BENCH_*.json; do
     if [ -f "${artifact}" ]; then
         cp -f "${artifact}" .
     fi
 done
+
+echo "==> results/ untouched: no step rewrote a tracked artefact"
+if git rev-parse --is-inside-work-tree >/dev/null 2>&1; then
+    changed="$(git status --porcelain -- results/)"
+    if [ -n "${changed}" ]; then
+        echo "error: results/ differs from the commit (a step wrote there, or a refresh is uncommitted):" >&2
+        echo "${changed}" >&2
+        exit 1
+    fi
+fi
 
 echo "==> ci.sh: all checks passed"

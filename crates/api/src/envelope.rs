@@ -100,11 +100,10 @@ impl<Q: Queryable + ?Sized> Queryable for &Q {
 impl<S: Storage> Queryable for DurableCatalog<S> {
     fn query(&self, column: &str, q: RangeQuery) -> Result<AnswerEnvelope> {
         let answer = self.estimate(column, q)?;
-        let generation = self.effective_manifest()?.generation;
         Ok(AnswerEnvelope {
             value: answer.value,
             source: answer.source,
-            generation,
+            generation: answer.generation,
             lag: 0,
             outcome: None,
             segment_outcomes: None,
@@ -115,6 +114,8 @@ impl<S: Storage> Queryable for DurableCatalog<S> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::path::Path;
+    use std::sync::Mutex;
     use synoptic_catalog::{Catalog, FsStorage};
 
     #[test]
@@ -158,6 +159,72 @@ mod tests {
         assert_eq!(env.generation, generation);
         assert_eq!(env.source, AnswerSource::Primary);
         assert_eq!(env.value, (1 + 4 + 1) as f64);
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    /// The filesystem, recording the name of every file read.
+    #[derive(Clone, Default)]
+    struct CountingStorage {
+        inner: FsStorage,
+        reads: Arc<Mutex<Vec<String>>>,
+    }
+
+    impl Storage for CountingStorage {
+        fn read(&self, path: &Path) -> Result<Vec<u8>> {
+            let name = path.file_name().unwrap().to_string_lossy().into_owned();
+            self.reads.lock().unwrap().push(name);
+            self.inner.read(path)
+        }
+        fn write_atomic(&self, path: &Path, bytes: &[u8]) -> Result<()> {
+            self.inner.write_atomic(path, bytes)
+        }
+        fn write_at(&self, path: &Path, offset: u64, bytes: &[u8], sync: bool) -> Result<()> {
+            self.inner.write_at(path, offset, bytes, sync)
+        }
+        fn truncate(&self, path: &Path, len: u64) -> Result<()> {
+            self.inner.truncate(path, len)
+        }
+        fn remove(&self, path: &Path) -> Result<()> {
+            self.inner.remove(path)
+        }
+        fn rename(&self, from: &Path, to: &Path) -> Result<()> {
+            self.inner.rename(from, to)
+        }
+        fn list(&self, dir: &Path) -> Result<Vec<String>> {
+            self.inner.list(dir)
+        }
+        fn create_dir_all(&self, dir: &Path) -> Result<()> {
+            self.inner.create_dir_all(dir)
+        }
+        fn exists(&self, path: &Path) -> bool {
+            self.inner.exists(path)
+        }
+    }
+
+    /// One query resolves `CURRENT` and the manifest once and reports the
+    /// generation of that manifest; a second resolution could see a
+    /// `save` that committed after the synopsis was read.
+    #[test]
+    fn a_catalog_query_reads_each_file_once() {
+        let dir = std::env::temp_dir().join(format!("synoptic-api-reads-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        let storage = CountingStorage::default();
+        let store = DurableCatalog::open(&dir, storage.clone()).unwrap();
+        let mut catalog = Catalog::new();
+        catalog.insert_exact("c", &[3, 1, 4, 1], 0).unwrap();
+        let generation = store.save(&catalog).unwrap();
+        storage.reads.lock().unwrap().clear();
+
+        let env = store.query("c", RangeQuery::new(0, 3).unwrap()).unwrap();
+        assert_eq!((env.value, env.generation), (9.0, generation));
+        let mut reads = storage.reads.lock().unwrap().clone();
+        reads.sort();
+        let expected = [
+            "CURRENT".to_string(),
+            format!("MANIFEST-{generation}"),
+            format!("c-{generation}.syn"),
+        ];
+        assert_eq!(reads, expected);
         let _ = std::fs::remove_dir_all(&dir);
     }
 }

@@ -5,8 +5,8 @@
 //! minimizing `Σ weight_c · sse_c(w_c)`. Curves are evaluated on a caller-
 //! supplied grid (constructions are expensive; the grid keeps the number of
 //! builds small); allocation over the grid is solved **exactly** by a
-//! knapsack-style DP, with a greedy marginal-gain allocator provided for
-//! comparison and for very large catalogs.
+//! knapsack-style DP. The segment split of a segmented column uses it to
+//! divide one column's words among its segments.
 
 use synoptic_core::{Result, SynopticError};
 
@@ -135,68 +135,6 @@ pub fn allocate_budget(curves: &[ColumnCurve], budget: usize) -> Result<Allocati
     })
 }
 
-/// Greedy marginal-gain allocation: start every column at its first grid
-/// point, then repeatedly upgrade the column with the best weighted
-/// SSE-reduction per extra word. Near-optimal for convex curves; exact DP
-/// above is the reference.
-pub fn allocate_budget_greedy(curves: &[ColumnCurve], budget: usize) -> Result<AllocationResult> {
-    if curves.is_empty() {
-        return Err(SynopticError::InvalidParameter("no columns".into()));
-    }
-    for c in curves {
-        c.validate()?;
-    }
-    let mut idx: Vec<usize> = vec![0; curves.len()];
-    let mut spent: usize = curves.iter().map(|c| c.points[0].0).sum();
-    if spent > budget {
-        return Err(SynopticError::BudgetTooSmall {
-            words: budget,
-            minimum: spent,
-        });
-    }
-    loop {
-        // Best upgrade across columns.
-        let mut best: Option<(usize, f64)> = None; // (column, gain per word)
-        for (c, curve) in curves.iter().enumerate() {
-            if idx[c] + 1 >= curve.points.len() {
-                continue;
-            }
-            let (w0, s0) = curve.points[idx[c]];
-            let (w1, s1) = curve.points[idx[c] + 1];
-            let extra = w1 - w0;
-            if spent + extra > budget {
-                continue;
-            }
-            let gain = curve.weight * (s0 - s1) / extra as f64;
-            if gain > 0.0 && best.map(|(_, g)| gain > g).unwrap_or(true) {
-                best = Some((c, gain));
-            }
-        }
-        match best {
-            Some((c, _)) => {
-                spent += curves[c].points[idx[c] + 1].0 - curves[c].points[idx[c]].0;
-                idx[c] += 1;
-            }
-            None => break,
-        }
-    }
-    let choices: Vec<(String, usize, f64)> = curves
-        .iter()
-        .zip(&idx)
-        .map(|(c, &i)| (c.name.clone(), c.points[i].0, c.points[i].1))
-        .collect();
-    let total_weighted_sse = curves
-        .iter()
-        .zip(&idx)
-        .map(|(c, &i)| c.weight * c.points[i].1)
-        .sum();
-    Ok(AllocationResult {
-        choices,
-        total_words: spent,
-        total_weighted_sse,
-    })
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -237,25 +175,6 @@ mod tests {
         let r = allocate_budget(&[a, b], 8).unwrap();
         // Weighted: upgrading b saves 100.0; upgrading a saves 9.9.
         assert_eq!(r.choices[1].1, 6, "{r:?}");
-    }
-
-    #[test]
-    fn dp_beats_or_matches_greedy_and_both_respect_budget() {
-        // Non-convex curve where greedy can stumble.
-        let a = curve("a", 1.0, &[(1, 100.0), (2, 99.0), (10, 0.0)]);
-        let b = curve("b", 1.0, &[(1, 50.0), (5, 10.0)]);
-        for budget in [2usize, 6, 11, 12, 15] {
-            let dp = allocate_budget(&[a.clone(), b.clone()], budget).unwrap();
-            let gr = allocate_budget_greedy(&[a.clone(), b.clone()], budget).unwrap();
-            assert!(dp.total_words <= budget);
-            assert!(gr.total_words <= budget);
-            assert!(
-                dp.total_weighted_sse <= gr.total_weighted_sse + 1e-9,
-                "budget {budget}: dp {} vs greedy {}",
-                dp.total_weighted_sse,
-                gr.total_weighted_sse
-            );
-        }
     }
 
     #[test]

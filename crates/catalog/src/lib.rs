@@ -33,8 +33,9 @@
 //!   in-memory state changes, rotated by size, truncated at checkpoints,
 //!   and replayed by startup recovery on top of the last committed
 //!   generation (the manifest's WAL marks say where to resume).
-//! * [`allocation`] — exact grid-DP and greedy allocation of a total word
-//!   budget across columns under per-column SSE curves.
+//! * [`allocation`] — exact grid-DP allocation of a total word budget
+//!   across columns under per-column SSE curves; the segment split uses
+//!   it.
 //! * [`catalog`] — the in-memory named-column registry.
 
 #![forbid(unsafe_code)]
@@ -57,7 +58,6 @@ pub use persist::{LoadedSynopsis, PersistentSynopsis};
 pub use storage::{Fault, FaultyStorage, FsStorage, Storage};
 pub use store::{DurableCatalog, FsckReport, PruneReport, RepairReport};
 pub use wal::{
-    decode_segment, restamp_segment_generation, scan_column_journal, scan_journals,
-    CheckpointReport, ColumnWal, DecodedSegment, FsyncCadence, JournalScan, SegmentMeta, WalConfig,
-    WalRecord,
+    decode_segment, restamp_segment_generation, scan_column_journal, scan_journals, ColumnWal,
+    DecodedSegment, FsyncCadence, JournalScan, SegmentMeta, WalConfig, WalRecord,
 };

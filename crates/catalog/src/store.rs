@@ -461,9 +461,10 @@ impl<S: Storage> DurableCatalog<S> {
     // -- degraded-mode answering ---------------------------------------------
 
     /// Loads an answering estimator for `column`, walking the fallback chain
-    /// and reporting which link answered. Corrupt files encountered are
-    /// quarantined as a side effect.
-    pub fn estimator(&self, column: &str) -> Result<(LoadedSynopsis, AnswerSource)> {
+    /// and reporting which link answered and the generation of the manifest
+    /// it resolved. Corrupt files encountered are quarantined as a side
+    /// effect.
+    pub fn estimator(&self, column: &str) -> Result<(LoadedSynopsis, AnswerSource, u64)> {
         let m = self.effective_manifest()?;
         let c =
             m.columns.iter().find(|c| c.name == column).ok_or_else(|| {
@@ -474,7 +475,7 @@ impl<S: Storage> DurableCatalog<S> {
 
         // Link 1: the current generation's synopsis.
         match self.try_load_synopsis(c) {
-            Ok(l) => return Ok((l, AnswerSource::Primary)),
+            Ok(l) => return Ok((l, AnswerSource::Primary, m.generation)),
             Err(_) => self.quarantine(&c.file, &mut scrap),
         }
 
@@ -490,7 +491,10 @@ impl<S: Storage> DurableCatalog<S> {
                 continue;
             };
             match self.try_load_synopsis(oc) {
-                Ok(l) => return Ok((l, AnswerSource::FallbackGeneration { generation: g })),
+                Ok(l) => {
+                    let source = AnswerSource::FallbackGeneration { generation: g };
+                    return Ok((l, source, m.generation));
+                }
                 Err(_) => self.quarantine(&oc.file, &mut scrap),
             }
         }
@@ -501,6 +505,7 @@ impl<S: Storage> DurableCatalog<S> {
         Ok((
             LoadedSynopsis::Naive(NaiveEstimatorShim::new(c.n, avg)),
             AnswerSource::FallbackNaive,
+            m.generation,
         ))
     }
 
@@ -525,11 +530,12 @@ impl<S: Storage> DurableCatalog<S> {
     /// The returned [`SourcedEstimate`] carries the provenance, so degraded
     /// answers are never silent.
     pub fn estimate(&self, column: &str, q: RangeQuery) -> Result<SourcedEstimate> {
-        let (est, source) = self.estimator(column)?;
+        let (est, source, generation) = self.estimator(column)?;
         q.check_bounds(est.n())?;
         Ok(SourcedEstimate {
             value: est.estimate(q),
             source,
+            generation,
         })
     }
 

@@ -179,13 +179,6 @@ pub struct WalConfig {
     pub segment_bytes: usize,
     /// Fsync cadence for appends.
     pub fsync: FsyncCadence,
-    /// Upper bound on checkpoint-covered segments retained *solely* for
-    /// lagging replication followers (see
-    /// [`ColumnWal::set_retention_hold`]). When a checkpoint would hold
-    /// back more covered segments than this, the most-lagging followers
-    /// are evicted — reported in the [`CheckpointReport`], never silently.
-    /// `None` retains without bound.
-    pub retain_cap_segments: Option<usize>,
 }
 
 impl Default for WalConfig {
@@ -193,7 +186,6 @@ impl Default for WalConfig {
         Self {
             segment_bytes: 64 * 1024,
             fsync: FsyncCadence::EveryRecord,
-            retain_cap_segments: None,
         }
     }
 }
@@ -290,21 +282,6 @@ pub struct DecodedSegment {
     /// fully shipped segment is never torn; receivers treat a torn decode
     /// as an incomplete transfer, not corruption.
     pub torn_tail: bool,
-}
-
-/// What one [`ColumnWal::checkpoint_report`] did.
-#[derive(Debug, Clone, Default, PartialEq, Eq)]
-pub struct CheckpointReport {
-    /// Segment files removed.
-    pub removed: usize,
-    /// Covered segments kept back only because a registered follower has
-    /// not acknowledged them yet.
-    pub retained_for_followers: usize,
-    /// Followers whose retention hold was evicted by
-    /// [`WalConfig::retain_cap_segments`], with the LSN each had
-    /// acknowledged when evicted. An evicted follower must bootstrap from
-    /// a snapshot; it can no longer catch up from this journal alone.
-    pub evicted: Vec<(String, u64)>,
 }
 
 /// The file name of segment `seq` of `column`'s journal.
@@ -1049,22 +1026,12 @@ impl<S: Storage> ColumnWal<S> {
     /// Registers (or advances) follower `name`'s acknowledged LSN.
     /// Checkpoints retain every segment holding records above the smallest
     /// registered hold, so a lagging follower can still catch up from this
-    /// journal — bounded by [`WalConfig::retain_cap_segments`].
+    /// journal. Retention is unbounded while a hold lags.
     pub fn set_retention_hold(&self, name: &str, acked_lsn: u64) {
         self.holds
             .lock()
             .unwrap_or_else(PoisonError::into_inner)
             .insert(name.to_string(), acked_lsn);
-    }
-
-    /// Currently registered `(follower, acked_lsn)` holds, sorted by name.
-    pub fn retention_holds(&self) -> Vec<(String, u64)> {
-        self.holds
-            .lock()
-            .unwrap_or_else(PoisonError::into_inner)
-            .iter()
-            .map(|(n, l)| (n.clone(), *l))
-            .collect()
     }
 
     /// Journals one update and returns its LSN: a one-record
@@ -1189,92 +1156,32 @@ impl<S: Storage> ColumnWal<S> {
     /// the segment queued for the next checkpoint — stale segments are
     /// harmless, replay skips records at or below the committed mark.
     ///
-    /// Shorthand for [`Self::checkpoint_report`] when follower retention
-    /// detail is not needed.
-    pub fn checkpoint(&self, snapshot_lsn: u64, generation: u64) -> Result<usize> {
-        self.checkpoint_report(snapshot_lsn, generation)
-            .map(|r| r.removed)
-    }
-
-    /// [`Self::checkpoint`], reporting replication retention decisions.
-    ///
     /// Truncation honours follower holds ([`Self::set_retention_hold`]):
     /// a segment is deleted only when its records are covered by the
-    /// snapshot *and* acknowledged by every registered follower. Covered
-    /// segments kept back for followers count as `retained_for_followers`.
-    /// When [`WalConfig::retain_cap_segments`] caps the backlog, the cap is
-    /// measured against **every** sealed segment this checkpoint must
-    /// retain — segments pinned by follower holds *and* segments sealed
-    /// past the snapshot under sustained ingest (no eviction can free
-    /// those, but they occupy the same disk budget). While the total
-    /// exceeds the cap, the most-lagging followers whose holds actually pin
-    /// covered segments are evicted (their holds dropped, names and acked
-    /// LSNs reported in `evicted`); followers at or past the snapshot are
-    /// never evicted, because dropping them frees nothing. An evicted
-    /// follower must re-bootstrap from a snapshot.
-    pub fn checkpoint_report(
-        &self,
-        snapshot_lsn: u64,
-        generation: u64,
-    ) -> Result<CheckpointReport> {
-        let mut holds = self.holds.lock().unwrap_or_else(PoisonError::into_inner);
+    /// snapshot *and* acknowledged by every registered follower.
+    pub fn checkpoint(&self, snapshot_lsn: u64, generation: u64) -> Result<usize> {
+        let floor = self
+            .holds
+            .lock()
+            .unwrap_or_else(PoisonError::into_inner)
+            .values()
+            .fold(snapshot_lsn, |f, &h| f.min(h));
         let mut st = self.lock();
         st.generation = generation;
-        let mut report = CheckpointReport::default();
-        let floor_of = |holds: &BTreeMap<String, u64>| -> u64 {
-            holds
-                .values()
-                .copied()
-                .min()
-                .map_or(snapshot_lsn, |h| h.min(snapshot_lsn))
-        };
-        if let Some(cap) = self.config.retain_cap_segments {
-            loop {
-                let floor = floor_of(&holds);
-                // Everything this checkpoint cannot delete counts toward
-                // the cap — including segments sealed past the snapshot,
-                // which previously escaped the count and let a slow
-                // follower's backlog grow without bound under sustained
-                // ingest.
-                let held = st.sealed.iter().filter(|s| s.last_lsn > floor).count();
-                if held <= cap {
-                    break;
-                }
-                // Evict the most-lagging follower whose hold actually pins
-                // covered segments (hold below the snapshot) — evicting a
-                // follower at or past the snapshot frees nothing. Ties
-                // broken by name, the BTreeMap's iteration order —
-                // deterministic.
-                let Some((name, lsn)) = holds
-                    .iter()
-                    .filter(|(_, l)| **l < snapshot_lsn)
-                    .min_by_key(|(_, l)| **l)
-                    .map(|(n, l)| (n.clone(), *l))
-                else {
-                    break;
-                };
-                holds.remove(&name);
-                report.evicted.push((name, lsn));
-            }
-        }
-        let floor = floor_of(&holds);
-        drop(holds);
+        let mut removed = 0;
         let mut failure = None;
         let sealed = std::mem::take(&mut st.sealed);
         let mut keep = Vec::new();
         for s in sealed {
             if failure.is_none() && s.last_lsn <= floor {
                 match self.storage.remove(&s.path) {
-                    Ok(()) => report.removed += 1,
+                    Ok(()) => removed += 1,
                     Err(e) => {
                         failure = Some(e);
                         keep.push(s);
                     }
                 }
             } else {
-                if s.last_lsn > floor && s.last_lsn <= snapshot_lsn {
-                    report.retained_for_followers += 1;
-                }
                 keep.push(s);
             }
         }
@@ -1287,14 +1194,14 @@ impl<S: Storage> ColumnWal<S> {
             match self.storage.remove(&path) {
                 Ok(()) => {
                     st.active = None;
-                    report.removed += 1;
+                    removed += 1;
                 }
                 Err(e) => failure = Some(e),
             }
         }
         match failure {
             Some(e) => Err(e),
-            None => Ok(report),
+            None => Ok(removed),
         }
     }
 
@@ -1588,7 +1495,6 @@ mod tests {
             let cfg = WalConfig {
                 segment_bytes: 100,
                 fsync,
-                ..WalConfig::default()
             };
             let wal = ColumnWal::open(FsStorage::new(), &d, "f", 1, cfg).unwrap();
             for i in 0..7u64 {
@@ -1661,7 +1567,6 @@ mod tests {
             // its own, so both are unsynced when the segment seals.
             segment_bytes: 2 * WAL_RECORD_LEN,
             fsync: FsyncCadence::EveryN(100),
-            ..WalConfig::default()
         };
         let wal = ColumnWal::open(spy.clone(), &d, "s", 1, cfg).unwrap();
         for i in 0..3u64 {
@@ -1909,88 +1814,13 @@ mod tests {
         wal.set_retention_hold("f1", 1);
         // Snapshot covers 1..=3, but f1 only acked 1: segments 2 and 3
         // stay for the follower.
-        let rep = wal.checkpoint_report(3, 2).unwrap();
-        assert_eq!(rep.removed, 1);
-        assert_eq!(rep.retained_for_followers, 2);
-        assert!(rep.evicted.is_empty());
+        assert_eq!(wal.checkpoint(3, 2).unwrap(), 1);
         let scan = scan_column_journal(&s, &d, "r", 0).unwrap();
         assert_eq!(scan.records().first().unwrap().lsn, 2);
         // The follower catches up: the hold advances and the retained
         // segments go.
         wal.set_retention_hold("f1", 3);
-        let rep = wal.checkpoint_report(3, 2).unwrap();
-        assert_eq!(rep.removed, 2);
-        assert_eq!(rep.retained_for_followers, 0);
-        let _ = std::fs::remove_dir_all(&d);
-    }
-
-    #[test]
-    fn retention_cap_evicts_most_lagging_follower_with_report() {
-        let d = tmp_dir("retaincap");
-        let s = FsStorage::new();
-        let cfg = WalConfig {
-            segment_bytes: 1,
-            retain_cap_segments: Some(2),
-            ..WalConfig::default()
-        };
-        let wal = ColumnWal::open(s.clone(), &d, "e", 1, cfg).unwrap();
-        for i in 1..=6u64 {
-            wal.append(i, 1).unwrap();
-        }
-        wal.set_retention_hold("slow", 0);
-        wal.set_retention_hold("near", 4);
-        // Snapshot covers 1..=6 (five sealed segments plus the active
-        // one). "slow" would hold back all five sealed covered segments —
-        // over the cap of 2 — so it is evicted, loudly. "near" holds back
-        // only the sealed segment with LSN 5, which fits.
-        let rep = wal.checkpoint_report(6, 2).unwrap();
-        assert_eq!(rep.evicted, vec![("slow".to_string(), 0)]);
-        assert_eq!(rep.retained_for_followers, 1);
-        assert_eq!(rep.removed, 4);
-        assert_eq!(wal.retention_holds(), vec![("near".to_string(), 4)]);
-        let scan = scan_column_journal(&s, &d, "e", 0).unwrap();
-        assert_eq!(scan.records().first().unwrap().lsn, 5);
-        let _ = std::fs::remove_dir_all(&d);
-    }
-
-    #[test]
-    fn retention_cap_counts_segments_sealed_past_the_snapshot() {
-        // Regression: the eviction loop used to count only covered
-        // segments (`last_lsn <= snapshot_lsn`), so a slow follower under
-        // sustained ingest kept its hold while segments sealed *past* the
-        // snapshot pushed the total retained backlog far over the cap.
-        let d = tmp_dir("retaincap_past");
-        let s = FsStorage::new();
-        let cfg = WalConfig {
-            segment_bytes: 1,
-            retain_cap_segments: Some(3),
-            ..WalConfig::default()
-        };
-        let wal = ColumnWal::open(s.clone(), &d, "p", 1, cfg).unwrap();
-        for i in 1..=8u64 {
-            wal.append(i, 1).unwrap();
-        }
-        // Sealed segments hold LSNs 1..=7; the active one holds 8. The
-        // snapshot covers only 1..=2 — five sealed segments sit past it.
-        wal.set_retention_hold("slow", 1);
-        let rep = wal.checkpoint_report(2, 2).unwrap();
-        // Only one *covered* segment (LSN 2) is pinned by the hold — under
-        // the old count that was far below the cap and "slow" survived with
-        // six segments of total backlog. The bounded count sees 6 > 3 and
-        // evicts.
-        assert_eq!(rep.evicted, vec![("slow".to_string(), 1)]);
-        assert!(wal.retention_holds().is_empty());
-        assert_eq!(rep.removed, 2); // LSNs 1 and 2, freed by the eviction
-        assert_eq!(rep.retained_for_followers, 0);
-        let scan = scan_column_journal(&s, &d, "p", 0).unwrap();
-        assert_eq!(scan.records().first().unwrap().lsn, 3);
-
-        // A follower already at the snapshot pins nothing: even over cap,
-        // it is never evicted (dropping it would free no segment).
-        wal.set_retention_hold("current", 2);
-        let rep = wal.checkpoint_report(2, 2).unwrap();
-        assert!(rep.evicted.is_empty());
-        assert_eq!(wal.retention_holds(), vec![("current".to_string(), 2)]);
+        assert_eq!(wal.checkpoint(3, 2).unwrap(), 2);
         let _ = std::fs::remove_dir_all(&d);
     }
 
@@ -2369,7 +2199,6 @@ mod tests {
         let cfg = WalConfig {
             segment_bytes: 4096,
             fsync: FsyncCadence::EveryN(3),
-            ..WalConfig::default()
         };
         let wal = ColumnWal::open(spy.clone(), &d, "p", 1, cfg).unwrap();
         wal.append_batch(&[(0, 1), (1, 2)]).unwrap();
@@ -2619,7 +2448,6 @@ mod tests {
         let cfg = WalConfig {
             segment_bytes: 32 * 1024,
             fsync: FsyncCadence::OnRotate,
-            ..WalConfig::default()
         };
         let wal = ColumnWal::open(FsStorage::new(), &d, "r", 1, cfg).unwrap();
         // Record `lsn` carries index `(lsn - 1) / BATCH` and delta `lsn`.

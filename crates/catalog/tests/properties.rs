@@ -3,7 +3,6 @@
 //! and a corruption corpus asserting that damaged bytes are never loaded
 //! silently. Driven by the in-repo seeded [`Rng`] so they run fully offline.
 
-use synoptic_catalog::allocation::allocate_budget_greedy;
 use synoptic_catalog::{
     allocate_budget, synopsis_from_bytes, synopsis_to_bytes, ColumnCurve, PersistentSynopsis,
 };
@@ -106,28 +105,6 @@ fn dp_allocation_is_optimal_over_the_grid() {
             (resum - dp.total_weighted_sse).abs() <= 1e-9 * (1.0 + resum),
             "case {case}"
         );
-    }
-}
-
-#[test]
-fn greedy_never_beats_dp() {
-    for case in 0..CASES {
-        let mut rng = Rng::new(0x52_000 + case);
-        let a = rand_curve(&mut rng, "a");
-        let b = rand_curve(&mut rng, "b");
-        let budget = rng.usize_in(2, 24);
-        let curves = [a, b];
-        let (Ok(dp), Ok(gr)) = (
-            allocate_budget(&curves, budget),
-            allocate_budget_greedy(&curves, budget),
-        ) else {
-            continue;
-        };
-        assert!(
-            dp.total_weighted_sse <= gr.total_weighted_sse + 1e-9,
-            "case {case}"
-        );
-        assert!(gr.total_words <= budget, "case {case}");
     }
 }
 

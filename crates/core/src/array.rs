@@ -118,11 +118,6 @@ impl PrefixSums {
     pub fn total(&self) -> i128 {
         *self.p.last().expect("prefix table is never empty")
     }
-
-    /// Average frequency over the inclusive window `[l, r]` as `f64`.
-    pub fn window_avg(&self, l: usize, r: usize) -> f64 {
-        self.range_sum(l, r) as f64 / (r - l + 1) as f64
-    }
 }
 
 #[cfg(test)]
@@ -172,14 +167,6 @@ mod tests {
             }
         }
         assert_eq!(ps.total(), 45);
-    }
-
-    #[test]
-    fn window_avg_is_exact_division() {
-        let ps = PrefixSums::from_values(&[2, 4, 6]);
-        assert_eq!(ps.window_avg(0, 2), 4.0);
-        assert_eq!(ps.window_avg(1, 1), 4.0);
-        assert_eq!(ps.window_avg(1, 2), 5.0);
     }
 
     #[test]

@@ -50,22 +50,6 @@ impl Bucketing {
         Self::new(n, vec![0])
     }
 
-    /// A bucketing from the *inclusive right endpoints* of each bucket
-    /// (`ends.last()` must be `n − 1`), the form most DPs naturally produce.
-    pub fn from_ends(n: usize, ends: &[usize]) -> Result<Self> {
-        if ends.last() != Some(&(n.wrapping_sub(1))) {
-            return Err(SynopticError::InvalidBoundaries(
-                "last bucket must end at n−1".into(),
-            ));
-        }
-        let mut starts = Vec::with_capacity(ends.len());
-        starts.push(0usize);
-        for &e in &ends[..ends.len() - 1] {
-            starts.push(e + 1);
-        }
-        Self::new(n, starts)
-    }
-
     /// Domain size.
     pub fn n(&self) -> usize {
         self.n
@@ -185,13 +169,6 @@ mod tests {
         assert_eq!(b.bucket_of(4), 1);
         assert_eq!(b.bucket_of(5), 2);
         assert_eq!(b.bucket_of(9), 3);
-    }
-
-    #[test]
-    fn from_ends_roundtrip() {
-        let b = Bucketing::from_ends(7, &[2, 4, 6]).unwrap();
-        assert_eq!(b.starts(), &[0, 3, 5]);
-        assert!(Bucketing::from_ends(7, &[2, 4]).is_err()); // last ≠ n−1
     }
 
     #[test]

@@ -81,6 +81,8 @@ pub struct SourcedEstimate {
     pub value: f64,
     /// Which link of the fallback chain produced it.
     pub source: AnswerSource,
+    /// The committed generation whose manifest was resolved to answer.
+    pub generation: u64,
 }
 
 /// Blanket impl so `&T` and boxed estimators can be passed around uniformly.

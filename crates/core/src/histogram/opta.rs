@@ -63,11 +63,6 @@ impl OptAHistogram {
         self.sums.sums[b] as f64 / self.bucketing.len(b) as f64
     }
 
-    /// Exact total of bucket `b` (recovered from the stored average).
-    pub fn bucket_sum(&self, b: usize) -> i128 {
-        self.sums.sums[b]
-    }
-
     /// Renames the histogram (labels in reports).
     pub fn with_name(mut self, name: impl Into<String>) -> Self {
         self.name = name.into();
@@ -233,7 +228,6 @@ mod tests {
         let (_, h) = setup(&vals, vec![0, 2], RoundingMode::NearestInt);
         assert_eq!(h.avg(0), 2.0);
         assert_eq!(h.avg(1), 8.0);
-        assert_eq!(h.bucket_sum(1), 16);
         assert_eq!(h.storage_words(), 4);
         assert_eq!(h.mode(), RoundingMode::NearestInt);
         assert_eq!(h.method_name(), "OPT-A");

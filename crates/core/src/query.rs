@@ -39,11 +39,6 @@ impl RangeQuery {
         false
     }
 
-    /// Whether the query lies within an array of length `n`.
-    pub fn in_bounds(&self, n: usize) -> bool {
-        self.hi < n
-    }
-
     /// Validates the query against an array of length `n`.
     pub fn check_bounds(&self, n: usize) -> Result<()> {
         if self.hi >= n {
@@ -95,8 +90,6 @@ mod tests {
     #[test]
     fn bounds_checking() {
         let q = RangeQuery { lo: 1, hi: 4 };
-        assert!(q.in_bounds(5));
-        assert!(!q.in_bounds(4));
         assert!(q.check_bounds(5).is_ok());
         assert_eq!(
             q.check_bounds(3),

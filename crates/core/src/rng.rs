@@ -2,8 +2,8 @@
 //! xoshiro256**-style generator).
 //!
 //! The workspace must build and test fully offline, so `rand` is not
-//! available; every stochastic component (dataset generation, sampling
-//! estimators, randomized tests, fault-injection schedules) draws from this
+//! available; every stochastic component (dataset generation, query
+//! workloads, randomized tests, fault-injection schedules) draws from this
 //! generator instead. It is **not** cryptographic — it only needs to be
 //! fast, well-mixed, and exactly reproducible per seed across platforms.
 
@@ -107,18 +107,6 @@ impl Rng {
         (lo as i128 + draw as i128) as i64
     }
 
-    /// A uniform `u128` in the inclusive range `[1, hi]`.
-    #[inline]
-    pub fn u128_in_1(&mut self, hi: u128) -> u128 {
-        assert!(hi >= 1, "empty range [1, {hi}]");
-        if hi <= u64::MAX as u128 {
-            1 + self.bounded_u64(hi as u64) as u128
-        } else {
-            let wide = (self.next_u64() as u128) << 64 | self.next_u64() as u128;
-            1 + wide % hi
-        }
-    }
-
     /// A uniform `f64` in `[lo, hi)`; `lo < hi`.
     #[inline]
     pub fn f64_in(&mut self, lo: f64, hi: f64) -> f64 {
@@ -132,11 +120,6 @@ impl Rng {
             let j = self.bounded_u64((i + 1) as u64) as usize;
             xs.swap(i, j);
         }
-    }
-
-    /// A fresh generator derived from this one (for splitting streams).
-    pub fn fork(&mut self) -> Rng {
-        Rng::new(self.next_u64())
     }
 }
 
@@ -182,14 +165,11 @@ mod tests {
         for _ in 0..1000 {
             let v = r.i64_in(-5, 5);
             assert!((-5..=5).contains(&v));
-            let u = r.u128_in_1(17);
-            assert!((1..=17).contains(&u));
             let f = r.f64_in(-2.0, 3.0);
             assert!((-2.0..3.0).contains(&f));
         }
         // Degenerate singleton ranges.
         assert_eq!(r.i64_in(4, 4), 4);
-        assert_eq!(r.u128_in_1(1), 1);
     }
 
     #[test]
@@ -216,14 +196,6 @@ mod tests {
         sorted.sort_unstable();
         assert_eq!(sorted, (0..50).collect::<Vec<u32>>());
         assert_ne!(v, sorted, "50 elements should not shuffle to identity");
-    }
-
-    #[test]
-    fn fork_streams_diverge() {
-        let mut r = Rng::new(11);
-        let mut a = r.fork();
-        let mut b = r.fork();
-        assert_ne!(a.next_u64(), b.next_u64());
     }
 
     #[test]

@@ -18,11 +18,9 @@
 #![warn(missing_docs)]
 
 pub mod generators;
-pub mod sample;
 pub mod workload;
 pub mod zipf;
 
 pub use generators::{normal_mixture, steps, uniform};
-pub use sample::SampleEstimator;
 pub use workload::random_ranges;
 pub use zipf::{paper_dataset, zipf_frequencies, RoundingStyle, ZipfConfig};

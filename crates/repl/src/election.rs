@@ -25,8 +25,7 @@
 //!   plus journal (exactly the crash path tested by the promotion
 //!   sweep), claims `term + 1`, and starts serving.
 //! * **Re-seed** ([`Seeder`]) brings a stranded node back: a fenced
-//!   ex-leader, or a follower whose retention hold was cap-evicted,
-//!   receives each column's committed frequency snapshot
+//!   ex-leader receives each column's committed frequency snapshot
 //!   ([`crate::wire::Frame::Snapshot`]) plus the journal tail as ordinary
 //!   segments, and rejoins as a follower.
 //!
@@ -201,7 +200,7 @@ pub struct SeedReport {
 
 /// The sending half of the re-seed path: the *current* leader streams its
 /// committed state to a node that cannot catch up from segments alone (a
-/// fenced ex-leader, or a follower whose retention hold was cap-evicted).
+/// fenced ex-leader).
 ///
 /// Protocol, over one [`Transport`]:
 ///

@@ -25,8 +25,8 @@
 //!   monotonic terms persisted through the catalog's manifest
 //!   generations, heartbeat-renewed leases over injectable clocks,
 //!   fencing of deposed leaders via term-stamped frames, and the
-//!   [`Seeder`] re-seed path that brings a fenced ex-leader or evicted
-//!   laggard back as a follower.
+//!   [`Seeder`] re-seed path that brings a fenced ex-leader back as a
+//!   follower.
 //!
 //! The follower side lives in `synoptic_stream::follow`, next to the
 //! recovery machinery it reuses for promotion.

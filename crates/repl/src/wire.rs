@@ -45,9 +45,8 @@
 //! * [`Frame::Grant`] — the receiver recognizes that leadership (its vote
 //!   is persisted before this frame is sent).
 //! * [`Frame::Snapshot`] — one column's committed frequency snapshot plus
-//!   its WAL mark: the re-seed path for a follower whose retention hold
-//!   was cap-evicted (or a fenced ex-leader rejoining). The journal tail
-//!   past the mark follows as ordinary [`Frame::Segment`]s.
+//!   its WAL mark: the re-seed path for a fenced ex-leader rejoining. The
+//!   journal tail past the mark follows as ordinary [`Frame::Segment`]s.
 
 use synoptic_catalog::codec;
 use synoptic_core::{Result, SynopticError};

@@ -339,9 +339,8 @@ fn reseed_diverged(detail: impl Into<String>) -> SynopticError {
 }
 
 /// The receiving half of the re-seed path: rebuilds a stranded node — a
-/// fenced ex-leader or a follower whose retention hold was cap-evicted —
-/// from the current leader's snapshot transfer, and rejoins it as a
-/// follower.
+/// fenced ex-leader — from the current leader's snapshot transfer, and
+/// rejoins it as a follower.
 ///
 /// Protocol (the sending half is `synoptic_repl::election::Seeder`):
 ///

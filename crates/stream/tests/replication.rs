@@ -81,7 +81,6 @@ fn build_leader(root: &Path, updates: usize) -> (PathBuf, Vec<i64>, u64) {
         WalConfig {
             segment_bytes: 128, // ~3 records per segment
             fsync: FsyncCadence::OnRotate,
-            ..WalConfig::default()
         },
     )
     .unwrap();
@@ -944,7 +943,6 @@ fn multiple_columns_fan_in_over_one_link() {
             WalConfig {
                 segment_bytes: 128,
                 fsync: FsyncCadence::OnRotate,
-                ..WalConfig::default()
             },
         )
         .unwrap();
@@ -994,11 +992,11 @@ fn multiple_columns_fan_in_over_one_link() {
     let _ = std::fs::remove_dir_all(&root);
 }
 
-/// The re-seed path end-to-end: a stranded node (fenced ex-leader or
-/// cap-evicted laggard) receives the leader's committed snapshot plus the
-/// journal tail over one link, rejoins as a follower on the leader's
-/// term, and converges exactly. A rejoin into directories that already
-/// hold state is refused — diverged history is discarded, never merged.
+/// The re-seed path end-to-end: a stranded node (a fenced ex-leader)
+/// receives the leader's committed snapshot plus the journal tail over
+/// one link, rejoins as a follower on the leader's term, and converges
+/// exactly. A rejoin into directories that already hold state is refused
+/// — diverged history is discarded, never merged.
 #[test]
 fn a_stranded_node_reseeds_and_rejoins_as_a_follower() {
     let root = tempdir("reseed");

@@ -79,7 +79,6 @@ fn run_trial(trial: usize) -> Trial {
         WalConfig {
             segment_bytes: SEGMENT_BYTES,
             fsync: FsyncCadence::OnRotate,
-            ..WalConfig::default()
         },
     )
     .unwrap();

@@ -60,7 +60,6 @@ fn open_leader_wal(root: &std::path::Path, generation: u64) -> ColumnWal<FsStora
         WalConfig {
             segment_bytes: SEGMENT_BYTES,
             fsync: FsyncCadence::OnRotate,
-            ..WalConfig::default()
         },
     )
     .unwrap()

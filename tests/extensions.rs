@@ -1,12 +1,10 @@
 //! Integration tests for the extension subsystems (stream, catalog,
-//! sampling, budget allocation) working together with the core paper
-//! algorithms.
+//! budget allocation) working together with the core paper algorithms.
 
 use synoptic::catalog::{
     allocate_budget, Catalog, ColumnCurve, ColumnEntry, DurableCatalog, PersistentSynopsis,
 };
 use synoptic::core::sse::sse_brute;
-use synoptic::data::sample::SampleEstimator;
 use synoptic::data::zipf::{paper_dataset, ZipfConfig};
 use synoptic::hist::sap0::build_sap0_with_budget;
 use synoptic::prelude::*;
@@ -98,24 +96,6 @@ fn streaming_snapshot_round_trips_through_persistence() {
     for q in RangeQuery::all(32) {
         assert!((snap.estimate(q) - loaded.estimate(q)).abs() < 1e-9);
     }
-}
-
-#[test]
-fn sampling_baseline_loses_to_opt_a_at_equal_words_on_skewed_data() {
-    let (d, ps) = dataset(127);
-    let words = 32;
-    let sample = SampleEstimator::build(&d, &ps, words, 5).unwrap();
-    let opta = synoptic::hist::opta::build_opt_a(
-        &ps,
-        &synoptic::hist::opta::OptAConfig::exact(words / 2, RoundingMode::None),
-    )
-    .unwrap();
-    let s_sse = sse_brute(&sample, &ps);
-    let o_sse = opta.sse;
-    assert!(
-        o_sse < s_sse,
-        "OPT-A ({o_sse}) should beat a {words}-row sample ({s_sse}) on Zipf data"
-    );
 }
 
 #[test]
